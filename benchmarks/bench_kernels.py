@@ -9,8 +9,11 @@ and LUTs while changing only host wall-clock (cycle ledgers are
 charged from closed forms and cannot move).
 
 Run with ``--smoke`` as the CI kernel gate: every registered backend
-must be bit-identical to the staged reference, and the best backend's
-stacked scan must clear ``MIN_SCAN_SPEEDUP`` (3x). When numba is
+must be bit-identical to the staged reference (LUTs against
+``run_lut_build`` through the full square LUT), the best backend's
+stacked scan must clear ``MIN_SCAN_SPEEDUP`` (3x), and the numpy LUT
+build must clear ``MIN_LUT_SPEEDUP`` (3x) over the staged square-LUT
+path at the lut-heavy shape (g 5, M 32, CB 128, dsub 4). When numba is
 importable, the compiled backend must additionally clear the same bar
 itself — a regression that leaves only NumPy fast is a packaging bug
 worth failing on. Writes a machine-readable ``BENCH_kernels.json``
@@ -19,7 +22,8 @@ artifact.
 
 
 def run_smoke(repeats: int = 5, seed: int = 0) -> dict:
-    """CI gate: bit-identical backends, best stacked scan >= 3x."""
+    """CI gate: bit-identical backends, best stacked scan >= 3x,
+    numpy LUT build >= 3x the staged square-LUT path."""
     from repro.pim.backend.microbench import (
         MIN_SCAN_SPEEDUP,
         format_record,
@@ -59,7 +63,8 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="CI kernel gate: all backends bit-identical to the staged "
-        "reference; best stacked scan >= 3x (numba too when importable)",
+        "reference; best stacked scan >= 3x (numba too when importable); "
+        "numpy LUT build >= 3x the square-LUT path",
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)

@@ -23,11 +23,13 @@ Rules (ids are stable; each finding carries file:line + severity):
   ``run_*`` PIM kernel but never charges its cost (``_charge`` /
   ``charge``) produces cycles and traffic the timing model and the
   observability layer never see. The kernel package itself (the
-  definitions) and ``analysis/`` (the cost cross-checker deliberately
-  runs kernels standalone) are exempt.
+  definitions), the backend package (host math only; its microbench
+  times the staged kernels as references) and ``analysis/`` (the cost
+  cross-checker deliberately runs kernels standalone) are exempt.
 * ``kernel-registry-bypass`` (AL013) — calling the staged scan
-  internals (``scan_distances`` / ``scan_distances_stacked``) directly
-  instead of going through the ``repro.pim.backend`` registry. Direct
+  internals (``scan_distances`` / ``scan_distances_stacked``) or the
+  staged LUT build (``run_lut_build``) directly instead of going
+  through the ``repro.pim.backend`` registry. Direct
   calls silently pin the serial NumPy implementation, dodging backend
   selection, the guarded-fallback path, and the
   ``drimann_kernel_*`` metrics. The kernel and backend packages (the
@@ -293,7 +295,7 @@ def _check_mutable_default(tree: ast.Module, path: str) -> List[Finding]:
 
 def _is_charge_exempt_file(path: str) -> bool:
     p = _norm(path)
-    return "/pim/kernels/" in p or "/analysis/" in p
+    return "/pim/kernels/" in p or "/pim/backend/" in p or "/analysis/" in p
 
 
 def _check_uncharged_kernel_call(tree: ast.Module, path: str) -> List[Finding]:
@@ -333,7 +335,7 @@ def _check_uncharged_kernel_call(tree: ast.Module, path: str) -> List[Finding]:
     return findings
 
 
-_REGISTRY_INTERNALS = {"scan_distances", "scan_distances_stacked"}
+_REGISTRY_INTERNALS = {"scan_distances", "scan_distances_stacked", "run_lut_build"}
 
 
 def _is_registry_exempt_file(path: str) -> bool:
@@ -363,7 +365,7 @@ def _check_registry_bypass(tree: ast.Module, path: str) -> List[Finding]:
                     f"repro.pim.backend registry; it pins the serial NumPy "
                     f"implementation and skips backend selection, guarded "
                     f"fallback, and the drimann_kernel_* metrics — scan "
-                    f"through resolve_backend(...) instead",
+                    f"and build LUTs through resolve_backend(...) instead",
                     path,
                     node,
                 )

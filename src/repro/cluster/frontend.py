@@ -56,6 +56,7 @@ from repro.obs.observer import EngineObserver
 from repro.utils import (
     BackoffPolicy,
     check_2d,
+    check_operands,
     ensure_rng,
     merge_topk_pools,
     spawn_rngs,
@@ -465,6 +466,10 @@ class ClusterFrontend:
         shard's skip decisions are locally conservative, and therefore
         globally safe, because its pool is a subset of the global one.
         ``"bound"`` alone keeps results bit-identical to ``adaptive=None``.
+
+        Queries are validated like :meth:`DrimAnnEngine.search`'s: NaN
+        or infinite values, fractions and values outside the router's
+        operand range raise ``ValueError`` naming ``queries``.
         """
         queries = check_2d(queries, "queries")
         if queries.shape[1] != self.cluster.router.dim:
@@ -472,6 +477,9 @@ class ClusterFrontend:
                 f"query dim {queries.shape[1]} != "
                 f"index dim {self.cluster.router.dim}"
             )
+        queries = check_operands(
+            queries, self.cluster.router.centroids.dtype, "queries"
+        )
         if adaptive is not None and adaptive not in ADAPTIVE_MODES:
             raise ValueError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {adaptive!r}"

@@ -105,16 +105,19 @@ def lower_bounds(
 ) -> np.ndarray:
     """Conservative per-cluster lower bounds on any ADC distance.
 
-    ``max(0, ||r_q|| - R_c)^2`` expanded as ``rr + R^2 - 2*sqrt(rr*R^2)``
-    minus :data:`BOUND_SLACK`, as float64. Entries where the centroid
-    distance is negative (can't happen for real inputs; guards padded
-    slots) come back ``-inf`` so they never trigger a stop.
+    ``max(0, ||r_q|| - R_c)^2`` minus :data:`BOUND_SLACK`, as float64.
+    Outside the radius (``rr > R^2``) the square is expanded as
+    ``rr + R^2 - 2*sqrt(rr*R^2)``; inside it (``rr <= R^2``) the
+    triangle inequality bounds nothing, so the bound is ``0 - slack``
+    (the expansion would give ``(sqrt(R^2) - sqrt(rr))^2 > 0`` there,
+    which skips clusters holding true neighbours). Entries where the
+    centroid distance is negative (can't happen for real inputs; guards
+    padded slots) come back ``-inf`` so they never trigger a stop.
     """
     rr = np.asarray(centroid_dists_sq, dtype=np.float64)
     r2 = np.asarray(radii_sq, dtype=np.float64)
-    lb = rr + r2 - 2.0 * np.sqrt(np.maximum(rr * r2, 0.0)) - BOUND_SLACK
-    # Inside the radius the true bound is 0; the expansion already
-    # yields <= 0 there, and negative bounds simply never fire.
+    lb = rr + r2 - 2.0 * np.sqrt(np.maximum(rr * r2, 0.0))
+    lb = np.where(rr > r2, lb, 0.0) - BOUND_SLACK
     return np.where(rr >= 0.0, lb, -np.inf)
 
 

@@ -65,7 +65,13 @@ from repro.faults.report import FaultStats
 from repro.obs.observer import EngineObserver
 from repro.pim.config import PimSystemConfig
 from repro.pim.system import PimSystem, ShardData
-from repro.utils import check_2d, ensure_rng, merge_topk_pools
+from repro.utils import (
+    check_2d,
+    check_finite,
+    check_operands,
+    ensure_rng,
+    merge_topk_pools,
+)
 
 
 @dataclass
@@ -319,11 +325,20 @@ class DrimAnnEngine:
         appended rows' host→PIM transfer is charged, and the
         scheduler's per-group cost cache is rebuilt so load balancing
         sees the new sizes. Returns the assigned point ids.
+
+        Raises ``ValueError`` naming ``vectors`` when they hold NaN or
+        infinite values, fractions, or values outside the index's
+        operand range (``[0, 255]`` for the uint8 pipeline); nothing is
+        appended then.
         """
         self._check_loaded()
         vectors = check_2d(vectors, "vectors")
         if self.preprocessor is not None:
-            vectors = self.preprocessor.transform(vectors)
+            vectors = self.preprocessor.transform(check_finite(vectors, "vectors"))
+        # The integer pipeline starts here: reject what a cast would
+        # change, then hand the encoder the index's operand dtype.
+        dtype = self.quantized.centroids.dtype
+        vectors = check_operands(vectors, dtype, "vectors").astype(dtype, copy=False)
         old_sizes = self.quantized.cluster_sizes()
         new_ids, assign = self.quantized.add(vectors, ids)
         if len(new_ids) == 0:
@@ -909,6 +924,11 @@ class DrimAnnEngine:
         queries return the partial top-k that could be computed, and
         ``breakdown.faults`` carries per-query coverage plus the
         ``degraded`` flag (the engine never raises on a fault).
+
+        Malformed queries raise ``ValueError`` naming ``queries``: NaN
+        or infinite values, fractions, and values outside the index's
+        operand range (``[0, 255]`` for the uint8 pipeline) are
+        rejected, never truncated or wrapped.
         """
         self._check_loaded()
         queries = check_2d(queries, "queries")
@@ -917,7 +937,11 @@ class DrimAnnEngine:
                 f"query dim {queries.shape[1]} != index dim {self.quantized.dim}"
             )
         if self.preprocessor is not None:
-            queries = self.preprocessor.transform(queries)
+            queries = self.preprocessor.transform(check_finite(queries, "queries"))
+        # The integer pipeline starts here: NaNs, fractions and values
+        # outside the index's operand range are rejected, never
+        # truncated or wrapped by a later integer cast.
+        queries = check_operands(queries, self.quantized.centroids.dtype, "queries")
         k = self.params.k
         nq = queries.shape[0]
         mode = execution if execution is not None else self.search_params.execution

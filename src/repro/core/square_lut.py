@@ -17,6 +17,11 @@ values resident and constructs the rest on demand, which
 :meth:`SquareLut.partial` models: lookups outside the resident range
 are still functionally exact but are charged as misses (extra MRAM
 traffic) by the LC kernel.
+
+Because the table is exact, the host simulator never needs to look
+squares up to get LC's values: the kernel backends compute the same
+integers directly, and only a partial table's cost needs the per-lookup
+miss count.
 """
 
 from __future__ import annotations

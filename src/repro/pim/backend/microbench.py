@@ -3,8 +3,9 @@
 Used by ``benchmarks/bench_kernels.py`` (the CI ``--smoke`` gate) and
 the ``repro bench kernels`` CLI entry point. Measures every available
 backend against the staged reference kernels
-(:func:`repro.pim.kernels.scan_distances_stacked` /
-the quantized pipeline's LUT build math) at a fixed shape, checks the
+(:func:`repro.pim.kernels.scan_distances_stacked` and
+:func:`repro.pim.kernels.run_lut_build` gathering every square from
+the full square LUT) at fixed shapes, checks the
 outputs are bit-identical, and reports best-of-N wall-clock speedups.
 
 Timing here never flows into engine results — the record is pure
@@ -19,8 +20,9 @@ from typing import Any, Callable, Dict
 
 import numpy as np
 
+from repro.core.square_lut import SquareLut
 from repro.pim.backend import available_backends, resolve_backend
-from repro.pim.kernels import scan_distances_stacked
+from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: The gate shape: 16 stacked shard groups of 32 LUT rows x 2000
@@ -29,13 +31,22 @@ from repro.utils.rng import SeedLike, ensure_rng
 #: (not dispatch overhead) dominates.
 SCAN_SHAPE = {"jobs": 16, "g": 32, "n": 2000, "m": 16, "cb": 128}
 
-#: LUT-build shape: one 64-query chunk against the canonical M=16,
-#: CB=128, dsub=8 codebooks.
-LUT_SHAPE = {"g": 64, "m": 16, "cb": 128, "dsub": 8}
+#: LUT-build shape: the ~5 (query, centroid) pairs one centroid gets
+#: per round in the benchmark's lut-heavy cell (25-query calls, nlist
+#: 128, nprobe 8) against its M=32, CB=128, dsub=4 codebooks.
+LUT_SHAPE = {"g": 5, "m": 32, "cb": 128, "dsub": 4}
+
+#: LUT-build calls per timed sample: one call at LUT_SHAPE is tens of
+#: microseconds, too short to time alone.
+LUT_CALLS = 20
 
 #: The CI gate: the best backend's stacked scan must beat the staged
 #: reference by at least this factor at bit-identical output.
 MIN_SCAN_SPEEDUP = 3.0
+
+#: The CI gate: the numpy backend's LUT build must beat the staged
+#: square-LUT ``run_lut_build`` by at least this factor.
+MIN_LUT_SPEEDUP = 3.0
 
 
 def _best_seconds(fn: Callable[[], Any], repeats: int) -> float:
@@ -52,23 +63,14 @@ def _best_seconds(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
-def _reference_build_luts(
-    residuals: np.ndarray, codebooks: np.ndarray
-) -> np.ndarray:
-    """The per-call-cast staged LUT build the backends replace."""
-    m, _cb, dsub = codebooks.shape
-    r = residuals.astype(np.int64).reshape(len(residuals), m, 1, dsub)
-    diff = r - codebooks.astype(np.int64)
-    return (diff * diff).sum(axis=3)
-
-
 def run_microbench(
     repeats: int = 5, seed: SeedLike = 0
 ) -> Dict[str, Any]:
     """Measure every available backend; return the machine-readable record.
 
     The record's ``gate_ok`` is True when the best backend clears
-    :data:`MIN_SCAN_SPEEDUP` on the stacked scan with bit-equal
+    :data:`MIN_SCAN_SPEEDUP` on the stacked scan and the numpy backend
+    clears :data:`MIN_LUT_SPEEDUP` on the LUT build, with bit-equal
     output; ``backends[name]["bit_identical"]`` must be True for every
     backend regardless (a mismatch fails the gate outright).
     """
@@ -82,20 +84,31 @@ def run_microbench(
     ).astype(np.uint8)
 
     lh = LUT_SHAPE
+    # The engine's operand ranges: uint8 query minus uint8 centroid,
+    # codebooks clipped to +-CODEBOOK_CLIP (510).
     residuals = rng.integers(
-        -300, 300, size=(lh["g"], lh["m"] * lh["dsub"])
+        -255, 256, size=(lh["g"], lh["m"] * lh["dsub"])
     ).astype(np.int32)
     codebooks = rng.integers(
-        -255, 255, size=(lh["m"], lh["cb"], lh["dsub"])
+        -510, 511, size=(lh["m"], lh["cb"], lh["dsub"])
     ).astype(np.int16)
+    squares = SquareLut.for_bit_width(8, levels=3)
+
+    def lut_calls(build: Callable[[], Any]) -> Callable[[], None]:
+        def run() -> None:
+            for _ in range(LUT_CALLS):
+                build()
+
+        return run
 
     ref_scan = scan_distances_stacked(luts, codes)
     t_ref_scan = _best_seconds(
         lambda: scan_distances_stacked(luts, codes), repeats
     )
-    ref_luts = _reference_build_luts(residuals, codebooks)
+    ref_luts, _ = run_lut_build(residuals, codebooks, squares)
     t_ref_luts = _best_seconds(
-        lambda: _reference_build_luts(residuals, codebooks), repeats
+        lut_calls(lambda: run_lut_build(residuals, codebooks, squares)),
+        repeats,
     )
 
     record: Dict[str, Any] = {
@@ -103,6 +116,7 @@ def run_microbench(
         "lut_shape": dict(lh),
         "repeats": repeats,
         "min_scan_speedup": MIN_SCAN_SPEEDUP,
+        "min_lut_speedup": MIN_LUT_SPEEDUP,
         "reference": {
             "scan_seconds": t_ref_scan,
             "lut_seconds": t_ref_luts,
@@ -130,7 +144,8 @@ def run_microbench(
             lambda: backend.scan_stacked(luts, codes), repeats
         )
         t_luts = _best_seconds(
-            lambda: backend.build_luts(residuals, codebooks), repeats
+            lut_calls(lambda: backend.build_luts(residuals, codebooks)),
+            repeats,
         )
         entry = {
             "scan_seconds": t_scan,
@@ -148,6 +163,7 @@ def run_microbench(
     record["gate_ok"] = bool(
         all_bit_identical
         and record["best_scan_speedup"] >= MIN_SCAN_SPEEDUP
+        and record["backends"]["numpy"]["lut_speedup"] >= MIN_LUT_SPEEDUP
     )
     return record
 
@@ -155,12 +171,18 @@ def run_microbench(
 def format_record(record: Dict[str, Any]) -> str:
     """Human-readable table of a :func:`run_microbench` record."""
     sh = record["scan_shape"]
+    lh = record["lut_shape"]
     lines = [
         (
             f"stacked scan J={sh['jobs']} g={sh['g']} n={sh['n']} "
             f"M={sh['m']} CB={sh['cb']}; reference "
             f"{record['reference']['scan_seconds'] * 1e3:.1f} ms"
-        )
+        ),
+        (
+            f"LUT build x{LUT_CALLS} g={lh['g']} M={lh['m']} CB={lh['cb']} "
+            f"dsub={lh['dsub']}; square-LUT reference "
+            f"{record['reference']['lut_seconds'] * 1e3:.2f} ms"
+        ),
     ]
     for name, entry in record["backends"].items():
         lines.append(
@@ -171,16 +193,20 @@ def format_record(record: Dict[str, Any]) -> str:
             f"bit_identical={entry['bit_identical']}"
         )
     lines.append(
-        f"best: {record['best_backend']} at "
+        f"best scan: {record['best_backend']} at "
         f"{record['best_scan_speedup']:.2f}x "
-        f"(gate >= {record['min_scan_speedup']:.1f}x: "
-        f"{'OK' if record['gate_ok'] else 'FAIL'})"
+        f"(gate >= {record['min_scan_speedup']:.1f}x); numpy lut "
+        f"{record['backends']['numpy']['lut_speedup']:.2f}x "
+        f"(gate >= {record['min_lut_speedup']:.1f}x): "
+        f"{'OK' if record['gate_ok'] else 'FAIL'}"
     )
     return "\n".join(lines)
 
 
 __all__ = [
+    "LUT_CALLS",
     "LUT_SHAPE",
+    "MIN_LUT_SPEEDUP",
     "MIN_SCAN_SPEEDUP",
     "SCAN_SHAPE",
     "format_record",

@@ -108,10 +108,13 @@ class NumbaBackend(KernelBackend):
         codes = np.zeros((3, 2), dtype=np.int64)
         k_scan(luts, codes)
         k_scan_stacked(luts[None], codes[None])
-        k_build_luts(
-            np.zeros((1, 4), dtype=np.int64),
-            np.zeros((2, 4, 2), dtype=np.int64),
-        )
+        residuals = np.zeros((1, 4), dtype=np.int64)
+        k_build_luts(residuals, np.zeros((2, 4, 2), dtype=np.int64))
+        # The engine's int16 tables, writable and memory-mapped (read-only).
+        books16 = np.zeros((2, 4, 2), dtype=np.int16)
+        k_build_luts(residuals, books16)
+        books16.flags.writeable = False
+        k_build_luts(residuals, books16)
 
     def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
         k_scan, _, _ = self._ensure()
@@ -146,7 +149,13 @@ class NumbaBackend(KernelBackend):
         self, residuals: np.ndarray, codebooks: np.ndarray
     ) -> np.ndarray:
         _, _, k_build_luts = self._ensure()
-        codebooks = np.ascontiguousarray(codebooks, dtype=np.int64)
+        codebooks = np.asarray(codebooks)
+        # int16 tables (the engine's) go in uncast: the kernel widens
+        # each entry to int64 in the subtraction, so the values match.
+        # Any other dtype is cast per call.
+        codebooks = np.ascontiguousarray(
+            codebooks, dtype=np.int16 if codebooks.dtype == np.int16 else np.int64
+        )
         if codebooks.ndim != 3:
             raise ValueError(
                 f"codebooks must be (M, CB, dsub), got {codebooks.shape}"

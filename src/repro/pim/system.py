@@ -58,11 +58,6 @@ from repro.pim.parallel import (
 )
 from repro.pim.transfer import HostTransferModel
 
-#: Byte budget for one LC diff tensor chunk in the batched LUT builder;
-#: bounds transient memory without affecting results (the build is
-#: pair-independent).
-_LUT_CHUNK_BYTES = 32 * 1024 * 1024
-
 
 @dataclass
 class ShardData:
@@ -155,7 +150,6 @@ class PimSystem:
         self._live_rows: Dict[str, Optional[np.ndarray]] = {}
         self._live_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.codebooks: Optional[np.ndarray] = None
-        self._codebooks64: Optional[np.ndarray] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
         # Optional repro.obs.EngineObserver; None costs one check per site.
@@ -299,7 +293,6 @@ class PimSystem:
         for dpu in self.dpus:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
-        self._codebooks64 = None  # widened copy rebuilt lazily
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -785,50 +778,32 @@ class PimSystem:
         centroid: np.ndarray,
         queries: np.ndarray,
         sq: Optional[SquareLut],
-        backend: Optional[KernelBackend] = None,
+        backend: KernelBackend,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched RC+LC: LUTs for every (query, centroid) pair.
 
-        Identical integer math to ``run_residual`` + ``run_lut_build``,
-        chunked over pairs to bound the transient diff tensor. The
-        multiplier-less path keeps its square-LUT table gathers (the
-        miss accounting needs the diff tensor anyway); the plain
-        squaring path dispatches to the kernel backend's fused
-        :meth:`~repro.pim.backend.KernelBackend.build_luts` — exact
-        int64 either way. Returns ``(g, M, CB)`` int64 LUTs and
-        per-pair square-LUT miss counts.
+        RC is ``run_residual``'s int32 subtraction; LC always goes
+        through the kernel backend's
+        :meth:`~repro.pim.backend.KernelBackend.build_luts`, the same
+        exact integers ``run_lut_build`` produces. The multiplier-less
+        conversion (§III-A) changes which DPU instructions compute a
+        square, not its value (``SquareLut.table[v] == v*v``), so it
+        moves only the modeled LC cost. That cost needs the square-LUT
+        miss count, which is nonzero only for a *partial* table; only
+        then is the difference tensor formed, to count the lookups
+        outside the resident window. Returns ``(g, M, CB)`` int64 LUTs
+        and per-pair miss counts.
         """
-        codebooks = self.codebooks
-        m, cb, dsub = codebooks.shape
-        d = m * dsub
-        # Widened copy cached across rounds (invalidated by
-        # load_codebooks); serving loops hit this every batch.
-        if self._codebooks64 is None:
-            self._codebooks64 = codebooks.astype(np.int64)[None]
-        cb64 = self._codebooks64
+        residuals = queries[qidxs].astype(np.int32) - centroid.astype(np.int32)
+        luts = backend.build_luts(residuals, self.codebooks)
         g = len(qidxs)
-        luts = np.empty((g, m, cb), dtype=np.int64)
-        pair_misses = np.zeros(g, dtype=np.int64)
-        partial = sq is not None and sq.resident_max_abs < sq.max_abs
-        chunk = max(1, _LUT_CHUNK_BYTES // (d * cb * 8))
-        for c0 in range(0, g, chunk):
-            sel = qidxs[c0 : c0 + chunk]
-            residuals = queries[sel].astype(np.int32) - centroid.astype(np.int32)
-            if sq is None and backend is not None:
-                luts[c0 : c0 + chunk] = backend.build_luts(residuals, cb64[0])
-                continue
-            r = residuals.astype(np.int64).reshape(len(sel), m, 1, dsub)
-            diff = r - cb64
-            if sq is not None:
-                squares, _ = sq.square(diff)
-                if partial:
-                    pair_misses[c0 : c0 + chunk] = np.count_nonzero(
-                        np.abs(diff) > sq.resident_max_abs, axis=(1, 2, 3)
-                    )
-            else:
-                squares = diff * diff
-            luts[c0 : c0 + chunk] = squares.sum(axis=3)
-        return luts, pair_misses
+        if sq is None or sq.resident_max_abs >= sq.max_abs:
+            return luts, np.zeros(g, dtype=np.int64)
+        m, _, dsub = self.codebooks.shape
+        diff = residuals.astype(np.int64).reshape(g, m, 1, dsub) - self.codebooks
+        return luts, np.count_nonzero(
+            np.abs(diff) > sq.resident_max_abs, axis=(1, 2, 3)
+        ).astype(np.int64)
 
     def _charge_shard_group(
         self,

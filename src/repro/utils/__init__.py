@@ -5,6 +5,8 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_2d,
     check_dtype,
+    check_finite,
+    check_operands,
     check_positive,
     check_same_dim,
 )
@@ -20,6 +22,8 @@ __all__ = [
     "spawn_rngs",
     "check_2d",
     "check_dtype",
+    "check_finite",
+    "check_operands",
     "check_positive",
     "check_same_dim",
     "Stopwatch",

@@ -27,6 +27,45 @@ def check_dtype(arr: np.ndarray, dtypes, name: str) -> np.ndarray:
     return arr
 
 
+def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """Require every value to be finite (no NaN / ±inf)."""
+    arr = np.asarray(arr)
+    if np.issubdtype(arr.dtype, np.inexact) and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got NaN or infinite values")
+    return arr
+
+
+def check_operands(arr: np.ndarray, dtype, name: str) -> np.ndarray:
+    """Require finite, integral values inside ``dtype``'s integer range.
+
+    The boundary check of the integer search pipeline: an index over
+    uint8 data takes operands in ``[0, 255]``. Values are never rounded
+    or clipped — anything that would change under a cast to ``dtype``
+    raises a ``ValueError`` naming ``name``. An array that already has
+    an integer dtype inside that range passes with no data scan.
+    """
+    arr = np.asarray(arr)
+    info = np.iinfo(dtype)
+    if np.issubdtype(arr.dtype, np.integer):
+        own = np.iinfo(arr.dtype)
+        if info.min <= own.min and own.max <= info.max:
+            return arr
+    elif np.issubdtype(arr.dtype, np.floating):
+        check_finite(arr, name)
+        if arr.size and not np.array_equal(arr, np.trunc(arr)):
+            raise ValueError(f"{name} must hold integer values, got fractions")
+    else:
+        raise TypeError(f"{name} must be numeric, got {arr.dtype}")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < info.min or hi > info.max:
+            raise ValueError(
+                f"{name} values must lie in [{info.min}, {info.max}] for a "
+                f"{np.dtype(dtype)} index, got [{lo}, {hi}]"
+            )
+    return arr
+
+
 def check_positive(value, name: str):
     """Require a strictly positive scalar."""
     if not value > 0:

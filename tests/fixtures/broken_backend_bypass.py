@@ -1,12 +1,13 @@
 """Deliberate kernel-registry bypass for the AL013 lint tests.
 
-Calls the staged scan internal directly instead of resolving a backend
-through ``repro.pim.backend`` — exactly the pattern the
-``kernel-registry-bypass`` rule must flag (exactly once on this file).
-Never import this module; it exists only to be linted.
+Calls the staged scan internal and the staged LUT build directly
+instead of resolving a backend through ``repro.pim.backend`` — exactly
+the pattern the ``kernel-registry-bypass`` rule must flag (exactly once
+per call site on this file). Never import this module; it exists only
+to be linted.
 """
 
-from repro.pim.kernels import scan_distances, topk_rows
+from repro.pim.kernels import run_lut_build, scan_distances, topk_rows
 
 
 def sneaky_scan(luts, codes, ids, k):
@@ -14,3 +15,10 @@ def sneaky_scan(luts, codes, ids, k):
     # selection, guarded fallback, and the kernel metrics.
     dists = scan_distances(luts, codes)
     return topk_rows(dists, ids, k)
+
+
+def sneaky_luts(residuals, codebooks, square_lut):
+    # Wrong: LC through the staged square-LUT path instead of the
+    # backend's build_luts.
+    luts, _cost = run_lut_build(residuals, codebooks, square_lut)
+    return luts

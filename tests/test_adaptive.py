@@ -193,6 +193,37 @@ class TestBoundMath:
         assert got == pytest.approx((20.0 - 10.0) ** 2 - BOUND_SLACK)
         # negative (padded) centroid distances never fire.
         assert lower_bounds(np.array([-1.0]), np.array([5.0]))[0] == -np.inf
+        # rr < R^2: inside the reconstruction ball nothing positive can
+        # be ruled out.
+        rr = np.array([0.0, 1.0, 99.0, 100.0, 3.0e6])
+        r2 = np.array([5.0, 400.0, 100.0, 1.0e4, 1.0e8])
+        assert (lower_bounds(rr, r2) <= 0.0).all()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        spread=st.sampled_from([0, 2, 30, 255]),
+        scale=st.sampled_from([1, 20, 510]),
+    )
+    @_SETTINGS
+    def test_bound_below_every_member_property(self, seed, spread, scale):
+        """For random integer codebooks/codes/queries — residuals inside
+        and outside the cluster's radius — the bound never exceeds the
+        true minimum ADC distance of any cluster member."""
+        rng = np.random.default_rng(seed)
+        m, cb, dsub = 4, 8, 3
+        books = rng.integers(-scale, scale + 1, size=(m, cb, dsub)).astype(
+            np.int16
+        )
+        codes = rng.integers(0, cb, size=(20, m))
+        radius_sq = int(
+            reconstruction_norms_sq(codebook_norms_sq(books), codes).max()
+        )
+        resid = rng.integers(-spread, spread + 1, size=(5, m * dsub))
+        recon = books[np.arange(m), codes].reshape(len(codes), m * dsub)
+        adc = ((resid[:, None, :] - recon[None].astype(np.int64)) ** 2).sum(-1)
+        rr = (resid.astype(np.int64) ** 2).sum(-1)
+        lb = lower_bounds(rr, np.full(len(rr), radius_sq))
+        assert (lb <= adc.min(axis=1)).all()
 
     def test_kth_pool_distance(self):
         assert kth_pool_distance([], 3) == np.inf

@@ -176,6 +176,15 @@ class TestUnchargedKernelCall:
         path = "src/repro/analysis/fake.py"
         assert "uncharged-kernel-call" not in _rules(src, path)
 
+    def test_backend_package_exempt(self):
+        src = (
+            "def reference(res, books, sq):\n"
+            "    luts, _ = run_lut_build(res, books, sq)\n"
+            "    return luts\n"
+        )
+        path = "src/repro/pim/backend/fake.py"
+        assert "uncharged-kernel-call" not in _rules(src, path)
+
 
 class TestRegistryBypass:
     def test_direct_scan_call_flagged(self):
@@ -189,6 +198,14 @@ class TestRegistryBypass:
         src = (
             "def sneaky(jobs):\n"
             "    return kernels.scan_distances_stacked(jobs.luts, jobs.codes)\n"
+        )
+        assert "kernel-registry-bypass" in _rules(src, OTHER_PATH)
+
+    def test_staged_lut_build_flagged(self):
+        src = (
+            "def sneaky(res, books, sq):\n"
+            "    luts, cost = kernels.run_lut_build(res, books, sq)\n"
+            "    return luts\n"
         )
         assert "kernel-registry-bypass" in _rules(src, OTHER_PATH)
 
@@ -223,11 +240,18 @@ class TestRegistryBypass:
         fixture = os.path.join(
             os.path.dirname(__file__), "fixtures", "broken_backend_bypass.py"
         )
-        hits = [
-            f for f in lint_file(fixture)
-            if f.rule == "kernel-registry-bypass"
-        ]
-        assert len(hits) == 1
+        hits = sorted(
+            (
+                f for f in lint_file(fixture)
+                if f.rule == "kernel-registry-bypass"
+            ),
+            key=lambda f: f.line,
+        )
+        # One finding per call site: the scan and the LUT build.
+        assert len(hits) == 2
+        assert len({f.line for f in hits}) == 2
+        assert "scan_distances" in hits[0].message
+        assert "run_lut_build" in hits[1].message
 
 
 class TestEntryPoints:

@@ -85,6 +85,18 @@ def crash_plan(cluster, node_ids, round_index=0):
     )
 
 
+class TestFrontendBoundaryValidation:
+    @pytest.mark.parametrize(
+        "kind, value",
+        [("finite", np.inf), ("integer values", 7.25), (r"\[0, 255\]", -1.0)],
+    )
+    def test_search_rejects(self, replicated_cluster, queries, kind, value):
+        bad = queries[:3].astype(np.float64)
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match=f"queries.*{kind}"):
+            ClusterFrontend(replicated_cluster, seed=0).search(bad)
+
+
 class TestPartitionClusters:
     def test_disjoint_and_complete(self, rng):
         heat = rng.random(64)

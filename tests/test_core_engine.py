@@ -147,3 +147,44 @@ class TestTiming:
             _, bd = eng.search(small_ds.queries[:60])
             times[scale] = bd.pim_seconds
         assert times[5.0] < times[1.0]
+
+
+def _bad_operands(good):
+    """The three malformed-input kinds, built from a valid uint8 block."""
+    nan = good[:2].astype(np.float64)
+    nan[0, 3] = np.nan
+    frac = good[:2].astype(np.float64)
+    frac[1, 0] += 0.5
+    wide = good[:2].astype(np.int64)
+    wide[0, 0] = 256
+    return {
+        "finite": nan,
+        "integer values": frac,
+        r"\[0, 255\]": wide,
+    }
+
+
+class TestBoundaryValidation:
+    """Malformed operands are rejected where the integer pipeline
+    starts, naming the argument — never truncated or wrapped."""
+
+    @pytest.mark.parametrize("kind", ["finite", "integer values", r"\[0, 255\]"])
+    def test_search_rejects(self, small_engine, small_ds, kind):
+        bad = _bad_operands(small_ds.queries)[kind]
+        with pytest.raises(ValueError, match=f"queries.*{kind}"):
+            small_engine.search(bad)
+
+    @pytest.mark.parametrize("kind", ["finite", "integer values", r"\[0, 255\]"])
+    def test_add_rejects_before_mutating(self, small_engine, small_ds, kind):
+        bad = _bad_operands(small_ds.base)[kind]
+        before = small_engine.quantized.num_points
+        with pytest.raises(ValueError, match=f"vectors.*{kind}"):
+            small_engine.add(bad)
+        assert small_engine.quantized.num_points == before
+
+    def test_integral_floats_search_like_uint8(self, small_engine, small_ds):
+        q = small_ds.queries[:6]
+        res, _ = small_engine.search(q)
+        res_f, _ = small_engine.search(q.astype(np.float32))
+        np.testing.assert_array_equal(res.ids, res_f.ids)
+        np.testing.assert_array_equal(res.distances, res_f.distances)

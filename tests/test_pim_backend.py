@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import repro.pim.backend as kb
 from repro.core import DrimAnnEngine, LayoutConfig, SearchParams
 from repro.core.config import EngineConfig
+from repro.core.square_lut import SquareLut
 from repro.obs import ObsConfig
 from repro.pim.backend import (
     KERNEL_BACKEND_MODES,
@@ -28,7 +29,12 @@ from repro.pim.backend import (
 from repro.pim.backend import _GuardedBackend, _scan_topk_chunked
 from repro.pim.backend.numpy_backend import FUSED_MIN_CELLS, NumpyBackend
 from repro.pim.config import PimSystemConfig
-from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
+from repro.pim.kernels import (
+    run_lut_build,
+    scan_distances,
+    scan_distances_stacked,
+    topk_rows,
+)
 from repro.pim.parallel import (
     COMPILED_POOL_FACTOR,
     POOL_MIN_POINTS,
@@ -188,6 +194,101 @@ class TestBitExactness:
         assert np.array_equal(
             NumpyBackend().scan(luts, codes), scan_distances(luts, codes)
         )
+
+
+_SQUARES_8 = SquareLut.for_bit_width(8, levels=3)
+_SQUARES_16 = SquareLut.for_bit_width(16, levels=3)
+
+
+class TestLutBuildKernel:
+    """The exact LC kernel against the staged square-LUT reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.integers(0, 6),
+        m=st.integers(1, 6),
+        cb=st.sampled_from([1, 3, 16, 128, 300]),
+        dsub=st.integers(1, 8),
+        wide=st.booleans(),
+        window=st.integers(0, 1 << 17),
+        seed=st.integers(0, 2**16),
+    )
+    def test_build_luts_equals_run_lut_build(
+        self, g, m, cb, dsub, wide, window, seed
+    ):
+        """Every backend == ``run_lut_build`` through a full and a
+        partial square LUT. ``wide`` draws int16 codebook extremes and
+        uint16-range residuals (through the 16-bit table); otherwise
+        the engine's 8-bit operand ranges."""
+        rng = _rng(seed)
+        if wide:
+            books = rng.integers(-(1 << 15), 1 << 15, size=(m, cb, dsub))
+            books.flat[rng.integers(0, books.size, size=2)] = [-(1 << 15), (1 << 15) - 1]
+            residuals = rng.integers(0, 1 << 16, size=(g, m * dsub))
+            full = _SQUARES_16
+        else:
+            books = rng.integers(-510, 511, size=(m, cb, dsub))
+            residuals = rng.integers(-255, 256, size=(g, m * dsub))
+            full = _SQUARES_8
+        books = books.astype(np.int16)
+        residuals = residuals.astype(np.int32 if wide else np.int16)
+        partial = full.partial(min(window, full.max_abs))
+        want, _ = run_lut_build(residuals, books, full)
+        want_p, _ = run_lut_build(residuals, books, partial)
+        assert np.array_equal(want, want_p)
+        for name in available_backends():
+            got = resolve_backend(name).build_luts(residuals, books)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_slabbed_build_equals_run_lut_build(self, monkeypatch, wide):
+        """A large batch under a tiny byte budget runs in many slabs,
+        on the expansion path and on the int64 fallback, and still
+        equals the staged kernel row for row."""
+        from repro.pim.backend import numpy_backend
+
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 3 * 4 * 16 * 8)
+        rng = _rng(7)
+        m, cb, dsub, g = 4, 16, 2, 50
+        books = rng.integers(-510, 511, size=(m, cb, dsub)).astype(np.int16)
+        residuals = rng.integers(-255, 256, size=(g, m * dsub)).astype(np.int64)
+        if wide:
+            residuals[g // 2, 0] = 1 << 26  # breaks the 2**53 bound
+        want, _ = run_lut_build(residuals, books)
+        assert np.array_equal(NumpyBackend().build_luts(residuals, books), want)
+
+    def test_exactness_guard_falls_back(self, monkeypatch):
+        """Magnitudes past the 2**53 bound take the int64 diff path and
+        still return the exact integers."""
+        from repro.pim.backend import numpy_backend
+
+        calls = []
+        real = numpy_backend._build_luts_int64
+
+        def spy(residuals, codebooks, out):
+            calls.append(residuals.shape)
+            real(residuals, codebooks, out)
+
+        monkeypatch.setattr(numpy_backend, "_build_luts_int64", spy)
+        rng = _rng(8)
+        m, cb, dsub = 2, 8, 4
+        books = rng.integers(-(1 << 15), 1 << 15, size=(m, cb, dsub)).astype(np.int16)
+        ok = rng.integers(0, 1 << 16, size=(3, m * dsub)).astype(np.int64)
+        NumpyBackend().build_luts(ok, books)
+        assert calls == []
+        big = ok.copy()
+        big[1, 0] = 1 << 26  # dsub * (2**26 + 2**15)**2 > 2**53
+        assert not numpy_backend.expansion_is_exact(1 << 26, 1 << 15, dsub)
+        got = NumpyBackend().build_luts(big, books)
+        assert calls == [big.shape]
+        diff = big.reshape(3, m, 1, dsub) - books.astype(np.int64)
+        assert np.array_equal(got, (diff * diff).sum(axis=3))
+
+    def test_empty_batch(self):
+        books = np.zeros((4, 8, 2), dtype=np.int16)
+        out = NumpyBackend().build_luts(np.zeros((0, 8), dtype=np.int32), books)
+        assert out.shape == (0, 4, 8) and out.dtype == np.int64
 
 
 class TestScanTopk:
@@ -509,4 +610,5 @@ class TestMicrobench:
             assert entry["bit_identical"] is True
         assert record["best_backend"] in record["backends"]
         text = format_record(record)
-        assert "stacked scan" in text and "best:" in text
+        assert "stacked scan" in text and "LUT build" in text
+        assert "best scan:" in text

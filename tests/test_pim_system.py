@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import repro.pim.backend as kb
 from repro.core.square_lut import SquareLut
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.memory import CapacityError
@@ -143,3 +144,72 @@ class TestRunBatch:
         sys4.run_batch({0: [(0, "s0")]}, queries, k=3)
         sys4.reset_ledgers()
         assert all(d.total_cycles == 0 for d in sys4.dpus)
+
+
+class TestLcKernelPath:
+    """LC runs through the kernel backend on every path; the square LUT
+    only shapes the modeled cost."""
+
+    def test_default_search_never_calls_square(self, monkeypatch):
+        import json
+        import os
+
+        from repro.testing import CANONICAL_CONFIGS, run_canonical
+
+        def _forbidden(self, values):
+            raise AssertionError("SquareLut.square on the search path")
+
+        monkeypatch.setattr(SquareLut, "square", _forbidden)
+        path = os.path.join(
+            os.path.dirname(__file__), "fixtures", "golden_cycles.json"
+        )
+        with open(path) as f:
+            goldens = json.load(f)
+        fresh = {name: run_canonical(name) for name in CANONICAL_CONFIGS}
+        assert json.loads(json.dumps(fresh)) == goldens
+
+    def test_partial_table_ledger_matches_staged_kernel(self, sys4, rng):
+        """LC cycles of a partial-table batch == the staged
+        run_lut_build's cost charged per shard group."""
+        from repro.pim.dpu import Dpu
+        from repro.pim.kernels import run_lut_build
+
+        partial = SquareLut.for_bit_width(8, levels=3).partial(40)
+        sys4.load_square_lut(partial)
+        queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
+        assignments = {0: [(0, "s0"), (2, "s0")], 3: [(1, "s3")]}
+        _, timing = sys4.run_batch(assignments, queries, k=3)
+        ref = Dpu(0, sys4.config.dpu)
+        for dpu_id, tasks in assignments.items():
+            shard = sys4.get_shard(tasks[0][1])
+            qidx = [q for q, _ in tasks]
+            res = queries[qidx].astype(np.int32) - shard.centroid.astype(np.int32)
+            _, cost = run_lut_build(res, sys4.codebooks, partial)
+            assert cost.traffic.random_read > 0  # the window really misses
+            ref.charge(cost)
+        assert timing.kernel_cycles["LC"] == ref.cycles_by_kernel["LC"]
+
+    def test_partial_table_miss_counts_per_pair(self, sys4, rng):
+        """Each pair's miss count == the staged run_lut_build's misses
+        for that pair alone; a full table counts none."""
+        from repro.pim.kernels import run_lut_build
+
+        full = SquareLut.for_bit_width(8, levels=3)
+        queries = rng.integers(0, 255, size=(9, 32)).astype(np.uint8)
+        centroid = sys4.get_shard("s1").centroid
+        qidxs = np.arange(9)
+        m = sys4.codebooks.shape[0]
+        backend = kb.resolve_backend("numpy")
+        _, none = sys4._build_cent_luts(qidxs, centroid, queries, full, backend)
+        assert not none.any()
+        for window in (0, 1, 63, 255, 500):
+            partial = full.partial(window)
+            luts, misses = sys4._build_cent_luts(
+                qidxs, centroid, queries, partial, backend
+            )
+            assert misses.dtype == np.int64
+            for q in qidxs:
+                res = queries[q : q + 1].astype(np.int32) - centroid.astype(np.int32)
+                want, cost = run_lut_build(res, sys4.codebooks, partial)
+                assert np.array_equal(luts[q : q + 1], want)
+                assert misses[q] == cost.traffic.transactions - m

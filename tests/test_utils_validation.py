@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.utils import check_2d, check_dtype, check_positive, check_same_dim
+from repro.utils import (
+    check_2d,
+    check_dtype,
+    check_finite,
+    check_operands,
+    check_positive,
+    check_same_dim,
+)
 
 
 class TestCheck2d:
@@ -53,3 +60,35 @@ class TestCheckSameDim:
     def test_mismatch_raises(self):
         with pytest.raises(ValueError, match="feature dimension"):
             check_same_dim(np.zeros((2, 5)), np.zeros((9, 4)), "a", "b")
+
+
+class TestCheckOperands:
+    def test_matching_integer_dtype_passes_untouched(self):
+        a = np.array([[0, 255]], dtype=np.uint8)
+        assert check_operands(a, np.uint8, "q") is a
+
+    def test_in_range_wider_dtypes_pass(self):
+        check_operands(np.array([[0, 255]], dtype=np.int64), np.uint8, "q")
+        check_operands(np.array([[0.0, 255.0]]), np.uint8, "q")
+
+    @pytest.mark.parametrize(
+        "arr, match",
+        [
+            (np.array([[np.nan, 1.0]]), "q must be finite"),
+            (np.array([[-np.inf, 1.0]]), "q must be finite"),
+            (np.array([[1.5, 1.0]]), "q must hold integer values"),
+            (np.array([[256, 1]]), r"q values must lie in \[0, 255\]"),
+            (np.array([[-1.0, 1.0]]), r"q values must lie in \[0, 255\]"),
+        ],
+    )
+    def test_rejects(self, arr, match):
+        with pytest.raises(ValueError, match=match):
+            check_operands(arr, np.uint8, "q")
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(TypeError, match="numeric"):
+            check_operands(np.array([["a"]]), np.uint8, "q")
+
+    def test_check_finite_ignores_integers(self):
+        a = np.array([1, 2], dtype=np.int64)
+        assert check_finite(a, "a") is a
