@@ -489,9 +489,10 @@ class ClusterFrontend:
         if adaptive in ("budget", "full") and nq:
             probes, rr = self.cluster.locate_with_distances(queries)
             if probes.shape[1] > 1:
-                budgets = probe_budgets(
-                    rr, max(1, params.nprobe // 4), 2.0
-                )
+                # The nodes' own budget knobs, so a rack and a single
+                # engine with the same SearchParams cut alike.
+                sp = self.cluster.node_engine(0).search_params
+                budgets = probe_budgets(rr, sp.nprobe_min, sp.adaptive_gap)
                 probes = probes.copy()
                 probes[
                     budgets[:, None] <= np.arange(probes.shape[1])[None, :]

@@ -137,9 +137,12 @@ class ShardHandle:
         """Map a global ``(nq, nprobe)`` probe matrix to local ids.
 
         Probes this shard does not own become ``-1`` (the engine's
-        probe-skip sentinel).
+        probe-skip sentinel), and so do ``-1`` padding slots (budget
+        truncation) — they must not wrap to the last cluster.
         """
-        return self.global_to_local[global_probes]
+        global_probes = np.asarray(global_probes)
+        local = self.global_to_local[np.maximum(global_probes, 0)]
+        return np.where(global_probes >= 0, local, -1)
 
 
 class ClusterIndex:

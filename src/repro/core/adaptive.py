@@ -3,8 +3,10 @@
 Fixed ``nprobe`` spends the same cycle budget on every query, but
 per-query difficulty varies wildly: an easy query's true neighbours all
 sit in its nearest cluster, a hard one's are scattered. This module
-supplies the two host-side ingredients the engine's adaptive search
-path composes (``SearchParams.adaptive``):
+supplies the two host-side ingredients of adaptive search
+(``SearchParams.adaptive``), plus :class:`_AdaptiveRounds`, the probe
+policy that applies them round by round in the engine's search
+driver. The ingredients:
 
 * **Distance-bound early termination** (``adaptive="bound"``). Every
   candidate the DC phase scores for cluster ``c`` is the exact integer
@@ -40,11 +42,12 @@ pins by differential comparison against a fixed ``probes=`` run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import ADAPTIVE_MODES  # noqa: F401  (re-export)
+from repro.core.params import SearchParams
 
 #: Why a query stopped probing (labels of drimann_adaptive_stops_total).
 STOP_REASONS = ("bound", "budget", "exhausted")
@@ -123,7 +126,7 @@ def lower_bounds(
 
 def probe_budgets(
     centroid_dists_sq: np.ndarray,
-    nprobe_min: int,
+    nprobe_min: Optional[int],
     gap_factor: float,
 ) -> np.ndarray:
     """Gap-heuristic probe budgets, one per query: ``(nq,)`` int64.
@@ -132,10 +135,14 @@ def probe_budgets(
     matrix from the CL phase. For each query the budget is the position
     of the first inter-cluster gap larger than ``gap_factor`` times the
     query's mean gap, never below ``nprobe_min`` and never above ``P``.
-    Flat profiles (mean gap 0) keep the full budget.
+    ``nprobe_min=None`` means ``max(1, P // 4)`` (the
+    ``SearchParams.nprobe_min`` default). Flat profiles (mean gap 0)
+    keep the full budget.
     """
     d = np.asarray(centroid_dists_sq, dtype=np.float64)
     nq, p = d.shape
+    if nprobe_min is None:
+        nprobe_min = max(1, p // 4)
     lo = min(max(1, nprobe_min), p)
     if p == 1:
         return np.ones(nq, dtype=np.int64)
@@ -195,3 +202,127 @@ def kth_pool_distance(pools_d: List[np.ndarray], k: int) -> float:
     if len(d) < k:
         return float("inf")
     return float(np.partition(d.astype(np.float64), k - 1)[k - 1])
+
+
+class _AdaptiveRounds:
+    """The adaptive probe policy of the engine's round driver.
+
+    Each round issues one cluster per still-active query, nearest
+    centroid first, so a query can stop the moment its k-th distance
+    beats the suffix-minimum lower bound of its remaining clusters
+    (``radii`` given), or when its gap-heuristic budget is spent
+    (``budget_params`` given). The cycle ledger therefore contains
+    *only* clusters actually dispatched (kernel costs are linear in
+    group size, so per-round dispatch charges exactly what a single
+    batch of the same tasks would — the ledger-honesty property the
+    conformance suite replays through the fixed ``probes=`` path).
+
+    Results under the bound alone are bit-identical to the exhaustive
+    scan: the bound is conservative (see :func:`lower_bounds`), a
+    partial pool's k-th distance only overestimates the final one, and
+    a strict ``d_k < bound`` test means no remaining point can enter
+    the top-k even on a (distance, id) tie.
+    """
+
+    def __init__(
+        self,
+        mode: str,
+        nq: int,
+        k: int,
+        radii: Optional[np.ndarray],
+        budget_params: Optional[SearchParams],
+    ) -> None:
+        self.mode = mode
+        self.k = k
+        self.radii = radii
+        self.budget_params = budget_params
+        self.budgets = np.zeros(nq, dtype=np.int64)
+        self.reasons: List[str] = ["exhausted"] * nq
+        self.executed: List[List[int]] = [[] for _ in range(nq)]
+
+    def rounds(
+        self,
+        q0: int,
+        batch_probes: np.ndarray,
+        rr: np.ndarray,
+        pools_d: List[List[np.ndarray]],
+    ) -> Iterator[List[Tuple[int, int]]]:
+        """Yield one batch's rounds of new ``(query, cluster)`` tasks.
+
+        The caller runs each round before resuming the generator, so
+        the stop checks after a ``yield`` see that round's partials.
+        """
+        nb = len(batch_probes)
+        radii, k = self.radii, self.k
+        plists: List[np.ndarray] = []
+        lb_sfx: List[Optional[np.ndarray]] = []
+        for i in range(nb):
+            row = np.asarray(batch_probes[i])
+            valid = row >= 0
+            plist = row[valid].astype(np.int64)
+            plists.append(plist)
+            if radii is not None and len(plist):
+                lb = lower_bounds(rr[i][valid], radii[plist])
+                lb_sfx.append(np.minimum.accumulate(lb[::-1])[::-1])
+            else:
+                lb_sfx.append(None)
+        limits = np.array([len(p) for p in plists], dtype=np.int64)
+        sp = self.budget_params
+        if sp is not None:
+            # Rows are full here: budgets only apply without probes=.
+            limits = np.minimum(
+                limits, probe_budgets(rr, sp.nprobe_min, sp.adaptive_gap)
+            )
+        self.budgets[q0 : q0 + nb] = limits
+
+        ptr = np.zeros(nb, dtype=np.int64)
+        active = [i for i in range(nb) if limits[i] > 0]
+        while active:
+            tasks = []
+            for i in active:
+                cid = int(plists[i][ptr[i]])
+                tasks.append((q0 + i, cid))
+                self.executed[q0 + i].append(cid)
+                ptr[i] += 1
+            yield tasks
+            still = []
+            for i in active:
+                gq = q0 + i
+                if (
+                    radii is not None
+                    and ptr[i] < limits[i]
+                    and kth_pool_distance(pools_d[gq], k) < lb_sfx[i][ptr[i]]
+                ):
+                    self.reasons[gq] = "bound"
+                elif ptr[i] >= limits[i]:
+                    self.reasons[gq] = (
+                        "budget" if limits[i] < len(plists[i]) else "exhausted"
+                    )
+                else:
+                    still.append(i)
+            active = still
+
+    def report(
+        self, uncovered: Iterable[Tuple[int, int]], nprobe_max: int
+    ) -> AdaptiveReport:
+        """What was probed, for :class:`AdaptiveReport`.
+
+        The report (and the ledger-honesty contract) counts clusters
+        whose scans were charged: issued minus fault-uncovered. Under
+        partial shard loss the whole cluster is conservatively dropped
+        from the executed list.
+        """
+        for qidx, cid in uncovered:
+            lst = self.executed[qidx]
+            if int(cid) in lst:
+                lst.remove(int(cid))
+        return AdaptiveReport(
+            mode=self.mode,
+            nprobe_max=nprobe_max,
+            budgets=self.budgets,
+            probes_executed=np.array(
+                [len(e) for e in self.executed], dtype=np.int64
+            ),
+            stop_reasons=self.reasons,
+            executed=self.executed,
+        )

@@ -29,13 +29,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.ann.ivfpq import IVFPQIndex, SearchResult
 from repro.core import adaptive as adaptive_probing
-from repro.core.adaptive import AdaptiveReport
+from repro.core.adaptive import _AdaptiveRounds
 from repro.core.breakdown import TimingBreakdown
 from repro.core.config import EngineConfig
 from repro.core.layout import (
@@ -58,7 +58,7 @@ from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
 from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
-from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
+from repro.core.scheduler import RuntimeScheduler
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
@@ -867,6 +867,19 @@ class DrimAnnEngine:
         like the historical two-tuple:
         ``results, breakdown = engine.search(queries)``.
 
+        One round driver runs every search. Each query batch is
+        located once (CL), then dispatched in *rounds*: the runtime
+        scheduler maps a round's (query, cluster) tasks — plus tasks
+        the filter deferred from earlier rounds — to DPUs, the DPUs
+        run RC→LC→DC→TS, and tasks lost to dead DPUs fail over. A
+        *probe policy* decides what each round issues. The exhaustive
+        policy (``adaptive="off"``) issues every probe of the batch in
+        one round; the adaptive policy issues one probe per
+        still-active query per round (see ``adaptive`` below). Host CL
+        time is charged on a batch's first round. Deferred tasks left
+        after the last batch drain through filter-off rounds, and the
+        per-query partial top-k pools merge once at the end.
+
         ``execution`` overrides ``search_params.execution`` for this
         call: ``"batched"`` dispatches the whole query matrix as one
         PIM round, ``"chunked"`` rounds of ``batch_size`` queries, and
@@ -895,13 +908,15 @@ class DrimAnnEngine:
         no filter) — the ablation arm of Fig. 11.
 
         ``probes`` skips cluster location entirely and probes the given
-        per-query cluster ids instead: an ``(nq, p)`` int array of
+        per-query cluster ids instead: an ``(nq, p)`` integer array of
         cluster ids local to this engine's index, padded with ``-1``
         for queries that probe fewer than ``p`` clusters here. This is
         the cluster frontend's routing path — the rack-level frontend
         locates against the *global* coarse index once and hands each
         shard only the probes it owns, so no per-shard CL host time is
         charged (the frontend accounts for the global CL itself).
+        Non-integer arrays and ids outside ``[-1, nlist)`` raise
+        ``ValueError`` naming ``probes``.
 
         ``adaptive`` overrides ``search_params.adaptive`` for this
         call (``"off"`` / ``"bound"`` / ``"budget"`` / ``"full"`` — see
@@ -915,7 +930,9 @@ class DrimAnnEngine:
         (the caller already chose the probe set — the rack frontend
         applies global budgets before scattering) but bound-based
         termination still applies. The outcome's ``adaptive`` field
-        reports what was actually probed.
+        reports what was actually probed; it is ``None`` when the
+        exhaustive policy ran (including ``"bound"`` on an index
+        without cluster radii).
 
         Under a fault plan, tasks lost to fail-stopped DPUs are
         re-dispatched to surviving replicas with exponential backoff
@@ -943,6 +960,7 @@ class DrimAnnEngine:
         # truncated or wrapped by a later integer cast.
         queries = check_operands(queries, self.quantized.centroids.dtype, "queries")
         k = self.params.k
+        nprobe = self.params.nprobe
         nq = queries.shape[0]
         mode = execution if execution is not None else self.search_params.execution
         if mode not in EXECUTION_MODES:
@@ -970,6 +988,15 @@ class DrimAnnEngine:
                 raise ValueError(
                     f"probes must be (num_queries, p), got {probes.shape}"
                 )
+            if probes.dtype.kind not in "iu":
+                raise ValueError(
+                    f"probes must be an integer array, got dtype {probes.dtype}"
+                )
+            if probes.size and int(probes.min()) < -1:
+                raise ValueError(
+                    f"probes holds cluster id {int(probes.min())}; "
+                    "only -1 may pad a row"
+                )
             if probes.size and int(probes.max()) >= self.quantized.nlist:
                 raise ValueError(
                     f"probe cluster id {int(probes.max())} out of range "
@@ -986,45 +1013,25 @@ class DrimAnnEngine:
             raise ValueError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {amode!r}"
             )
+        # The probe policy: None is exhaustive (every probe of a batch
+        # in one round). A degenerate adaptive mode — "bound" on a
+        # radii-less index, "budget" on explicit probes — is exhaustive.
+        policy: Optional[_AdaptiveRounds] = None
         if amode != "off" and nq:
-            use_bound = (
-                amode in ("bound", "full")
-                and self.cluster_radii_sq() is not None
-            )
+            radii = self.cluster_radii_sq() if amode in ("bound", "full") else None
             use_budget = amode in ("budget", "full") and probes is None
-            if use_bound or use_budget:
-                return self._search_adaptive(
-                    queries,
-                    k=k,
-                    nq=nq,
-                    bs=bs,
-                    plan_mode=plan_mode,
-                    kb_mode=kb_mode,
-                    probes=probes,
-                    with_scheduler=with_scheduler,
-                    amode=amode,
-                    use_bound=use_bound,
-                    use_budget=use_budget,
+            if radii is not None or use_budget:
+                policy = _AdaptiveRounds(
+                    amode, nq, k, radii,
+                    self.search_params if use_budget else None,
                 )
-            # Degenerate (e.g. radii-less old index under "bound"):
-            # fall through to the exhaustive path unchanged.
         obs = self.observer
         if obs is not None:
             obs.on_search_start(nq)
 
         scheduler = self.scheduler
         if not with_scheduler:
-            scheduler = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=self.scheduler.config.lut_latency,
-                    per_point_calc=self.scheduler.config.per_point_calc,
-                    per_point_sort=self.scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy="static",
-                ),
-            )
-            scheduler.adopt_fault_state(self.scheduler)
+            scheduler = self._filterless_scheduler(scheduler, "static")
 
         stats = FaultStats()
         if self.fault_plan is not None:
@@ -1034,338 +1041,118 @@ class DrimAnnEngine:
         pools_d: List[List[np.ndarray]] = [[] for _ in range(nq)]
         breakdown = TimingBreakdown()
         breakdown.faults = stats
-        carried: List[Tuple[int, int]] = []
 
-        cl_on_pim = self.search_params.cluster_locate_on == "pim"
-        batch_starts = list(range(0, nq, bs))
-        for bi, q0 in enumerate(batch_starts):
-            q1 = min(q0 + bs, nq)
-            if probes is not None:
-                batch_probes = probes[q0:q1]
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = 0.0
-            elif cl_on_pim:
-                batch_probes, cl_sec, cl_cycles = self.system.locate_on_pim(
-                    queries[q0:q1], self.params.nprobe
-                )
-                host_s = 0.0
-            else:
-                batch_probes = self.quantized.locate(
-                    queries[q0:q1], self.params.nprobe
-                )
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = self._host_cl_seconds(q1 - q0)
-            tasks = list(carried)
-            for local, qidx in enumerate(range(q0, q1)):
-                tasks.extend(
-                    (qidx, int(c)) for c in batch_probes[local] if c >= 0
-                )
-            outcome = scheduler.schedule_batch(tasks)
-            carried = list(outcome.deferred)
+        def run_round(
+            sched: RuntimeScheduler,
+            tasks: List[Tuple[int, int]],
+            span: int = 1,
+            charge: Tuple[int, float, float, float] = (0, 0.0, 0.0, 0.0),
+        ) -> List[Tuple[int, int]]:
+            """Schedule, execute and fail over one round; returns the
+            tasks the filter deferred. ``charge`` is the CL to book:
+            (new queries, host CL seconds, CL-on-PIM seconds, cycles)."""
+            new_queries, host_s, cl_sec, cl_cycles = charge
+            outcome = sched.schedule_batch(tasks)
             stats.uncovered.update(outcome.uncovered)
-            # Fault plans index events by logical (batch_size) batches;
-            # a batched round spans all the logical batches it covers.
-            span = -(-(q1 - q0) // self.search_params.batch_size)
             failed = self._execute(
                 outcome.assignments, queries, k, pools_i, pools_d, breakdown,
                 host_seconds=host_s,
-                num_new_queries=q1 - q0,
+                num_new_queries=new_queries,
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
-                batch_span=max(span, 1),
+                batch_span=span,
                 plan=plan_mode,
                 kernel_backend=kb_mode,
             )
             self._recover(
-                failed, scheduler, queries, k, pools_i, pools_d, breakdown,
+                failed, sched, queries, k, pools_i, pools_d, breakdown,
                 plan=plan_mode, kernel_backend=kb_mode,
             )
+            return list(outcome.deferred)
 
-        # Drain deferred tasks (filter off so the queue empties).
-        drain_guard = 0
-        while carried:
-            drain_guard += 1
-            if drain_guard > 100:
-                raise RuntimeError("scheduler failed to drain deferred tasks")
-            drain_sched = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=scheduler.config.lut_latency,
-                    per_point_calc=scheduler.config.per_point_calc,
-                    per_point_sort=scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy=scheduler.config.policy,
-                ),
-            )
-            drain_sched.adopt_fault_state(scheduler)
-            outcome = drain_sched.schedule_batch(carried)
-            carried = list(outcome.deferred)
-            stats.uncovered.update(outcome.uncovered)
-            failed = self._execute(
-                outcome.assignments, queries, k, pools_i, pools_d, breakdown,
-                host_seconds=0.0, num_new_queries=0, plan=plan_mode,
-                kernel_backend=kb_mode,
-            )
-            self._recover(
-                failed, drain_sched, queries, k, pools_i, pools_d, breakdown,
-                plan=plan_mode, kernel_backend=kb_mode,
-            )
-            # Deaths discovered while draining must stick for the next
-            # drain round (and for subsequent search() calls).
-            scheduler.mark_dead(drain_sched.dead_dpus - scheduler.dead_dpus)
-
-        stats.finalize(num_queries=nq, nprobe=self.params.nprobe)
-        if obs is not None:
-            obs.on_faults(stats)
-
-        out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
-        return SearchOutcome(
-            results=SearchResult(ids=out_ids, distances=out_dist),
-            breakdown=breakdown,
-            metrics=obs.snapshot() if obs is not None else None,
-        )
-
-    def _search_adaptive(
-        self,
-        queries: np.ndarray,
-        *,
-        k: int,
-        nq: int,
-        bs: int,
-        plan_mode: str,
-        kb_mode: str,
-        probes: Optional[np.ndarray],
-        with_scheduler: bool,
-        amode: str,
-        use_bound: bool,
-        use_budget: bool,
-    ) -> SearchOutcome:
-        """The adaptive arm of :meth:`search` (``adaptive != "off"``).
-
-        Probes are dispatched in *rounds* — one cluster per still-active
-        query per round — so each query can stop the moment its k-th
-        distance beats the suffix-minimum lower bound of its remaining
-        clusters (``use_bound``), or when its gap-heuristic budget is
-        spent (``use_budget``). Everything else reuses the exhaustive
-        path's machinery: the runtime scheduler maps each round's
-        shrunken work list, ``_execute``/``_recover`` run and charge it,
-        and the CL/RC/LC/DC/TS ledger therefore contains *only* clusters
-        actually dispatched (kernel costs are linear in group size, so
-        per-round dispatch charges exactly what a single batch of the
-        same tasks would — the ledger-honesty property the conformance
-        suite replays through the fixed ``probes=`` path). Host CL time
-        is charged once per query batch, on its first round, exactly as
-        the exhaustive path does.
-
-        Results under ``use_bound`` alone are bit-identical to the
-        exhaustive scan: the bound is conservative (see
-        :mod:`repro.core.adaptive`), a partial pool's k-th distance only
-        overestimates the final one, and a strict ``d_k < bound`` test
-        means no remaining point can enter the top-k even on a
-        (distance, id) tie.
-        """
-        obs = self.observer
-        if obs is not None:
-            obs.on_search_start(nq)
-
-        scheduler = self.scheduler
-        if not with_scheduler:
-            scheduler = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=self.scheduler.config.lut_latency,
-                    per_point_calc=self.scheduler.config.per_point_calc,
-                    per_point_sort=self.scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy="static",
-                ),
-            )
-            scheduler.adopt_fault_state(self.scheduler)
-
-        stats = FaultStats()
-        if self.fault_plan is not None:
-            stats.straggler_dpus = set(self.fault_plan.straggler_dpus)
-
-        pools_i: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        pools_d: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        breakdown = TimingBreakdown()
-        breakdown.faults = stats
         carried: List[Tuple[int, int]] = []
-
-        radii = self.cluster_radii_sq() if use_bound else None
-        nprobe_min = self.search_params.nprobe_min
-        if nprobe_min is None:
-            nprobe_min = max(1, self.params.nprobe // 4)
-        gap = self.search_params.adaptive_gap
-
-        executed: List[List[int]] = [[] for _ in range(nq)]
-        budgets = np.zeros(nq, dtype=np.int64)
-        reasons: List[str] = ["exhausted"] * nq
-
         cl_on_pim = self.search_params.cluster_locate_on == "pim"
         for q0 in range(0, nq, bs):
             q1 = min(q0 + bs, nq)
             nb = q1 - q0
+            batch = queries[q0:q1]
+            rr = None
+            host_s, cl_sec, cl_cycles = 0.0, 0.0, 0.0
             if probes is not None:
-                batch_probes = np.asarray(probes[q0:q1])
-                cl_sec, cl_cycles = 0.0, 0.0
-                host_s = 0.0
-                rr = self._centroid_distances(queries[q0:q1], batch_probes)
+                batch_probes = probes[q0:q1]
             elif cl_on_pim:
                 batch_probes, cl_sec, cl_cycles = self.system.locate_on_pim(
-                    queries[q0:q1], self.params.nprobe
+                    batch, nprobe
                 )
-                host_s = 0.0
-                rr = self._centroid_distances(queries[q0:q1], batch_probes)
             else:
                 batch_probes, rr = self.quantized.locate_with_distances(
-                    queries[q0:q1], self.params.nprobe
+                    batch, nprobe
                 )
-                cl_sec, cl_cycles = 0.0, 0.0
                 host_s = self._host_cl_seconds(nb)
-
-            # Per-query compacted probe lists, budgets, and the
-            # suffix-minimum of the remaining clusters' lower bounds.
-            plists: List[np.ndarray] = []
-            lb_sfx: List[Optional[np.ndarray]] = []
-            limits = np.empty(nb, dtype=np.int64)
-            for i in range(nb):
-                row = np.asarray(batch_probes[i])
-                valid = row >= 0
-                plist = row[valid].astype(np.int64)
-                plists.append(plist)
-                limits[i] = len(plist)
-                if use_bound and len(plist):
-                    lb = adaptive_probing.lower_bounds(
-                        rr[i][valid], radii[plist]
-                    )
-                    lb_sfx.append(np.minimum.accumulate(lb[::-1])[::-1])
-                else:
-                    lb_sfx.append(None)
-                if use_budget and len(plist) > 1:
-                    b = int(
-                        adaptive_probing.probe_budgets(
-                            rr[i][valid][None, :], nprobe_min, gap
-                        )[0]
-                    )
-                    limits[i] = min(limits[i], b)
-                budgets[q0 + i] = limits[i]
-
-            ptr = np.zeros(nb, dtype=np.int64)
-            done = limits == 0
-            first_round = True
-            while not done.all():
-                tasks = list(carried)
-                for i in range(nb):
-                    if done[i]:
-                        continue
-                    gq = q0 + i
-                    cid = int(plists[i][ptr[i]])
-                    tasks.append((gq, cid))
-                    executed[gq].append(cid)
-                    ptr[i] += 1
-                outcome = scheduler.schedule_batch(tasks)
-                carried = list(outcome.deferred)
-                stats.uncovered.update(outcome.uncovered)
-                failed = self._execute(
-                    outcome.assignments, queries, k, pools_i, pools_d,
-                    breakdown,
-                    host_seconds=host_s if first_round else 0.0,
-                    num_new_queries=nb if first_round else 0,
-                    extra_pim_seconds=cl_sec if first_round else 0.0,
-                    extra_cl_cycles=cl_cycles if first_round else 0.0,
-                    batch_span=1,
-                    plan=plan_mode,
-                    kernel_backend=kb_mode,
-                )
-                self._recover(
-                    failed, scheduler, queries, k, pools_i, pools_d,
-                    breakdown, plan=plan_mode, kernel_backend=kb_mode,
-                )
-                first_round = False
-                for i in range(nb):
-                    if done[i]:
-                        continue
-                    gq = q0 + i
-                    if use_bound and ptr[i] < limits[i]:
-                        dk = adaptive_probing.kth_pool_distance(pools_d[gq], k)
-                        if dk < lb_sfx[i][ptr[i]]:
-                            done[i] = True
-                            reasons[gq] = "bound"
-                            continue
-                    if ptr[i] >= limits[i]:
-                        done[i] = True
-                        reasons[gq] = (
-                            "budget"
-                            if limits[i] < len(plists[i])
-                            else "exhausted"
-                        )
+            if policy is None:
+                # One vectorized round; fault plans index events by
+                # logical (batch_size) batches, so it spans them all.
+                tasks: List[Tuple[int, int]] = []
+                for i, row in enumerate(batch_probes.tolist()):
+                    tasks.extend((q0 + i, c) for c in row if c >= 0)
+                rounds: Iterable[List[Tuple[int, int]]] = [tasks]
+                span = -(-nb // self.search_params.batch_size)
+            else:
+                if rr is None:
+                    rr = self._centroid_distances(batch, batch_probes)
+                rounds = policy.rounds(q0, batch_probes, rr, pools_d)
+                span = 1
+            charge = (nb, host_s, cl_sec, cl_cycles)
+            for new in rounds:
+                carried = run_round(scheduler, carried + new, span, charge)
+                # CL is charged on the batch's first round only.
+                charge = (0, 0.0, 0.0, 0.0)
 
         # Drain deferred tasks (filter off so the queue empties).
-        drain_guard = 0
+        drains = 0
         while carried:
-            drain_guard += 1
-            if drain_guard > 100:
+            drains += 1
+            if drains > 100:
                 raise RuntimeError("scheduler failed to drain deferred tasks")
-            drain_sched = RuntimeScheduler(
-                self.plan,
-                SchedulerConfig(
-                    lut_latency=scheduler.config.lut_latency,
-                    per_point_calc=scheduler.config.per_point_calc,
-                    per_point_sort=scheduler.config.per_point_sort,
-                    filter_threshold=None,
-                    policy=scheduler.config.policy,
-                ),
-            )
-            drain_sched.adopt_fault_state(scheduler)
-            outcome = drain_sched.schedule_batch(carried)
-            carried = list(outcome.deferred)
-            stats.uncovered.update(outcome.uncovered)
-            failed = self._execute(
-                outcome.assignments, queries, k, pools_i, pools_d, breakdown,
-                host_seconds=0.0, num_new_queries=0, plan=plan_mode,
-                kernel_backend=kb_mode,
-            )
-            self._recover(
-                failed, drain_sched, queries, k, pools_i, pools_d, breakdown,
-                plan=plan_mode, kernel_backend=kb_mode,
-            )
-            scheduler.mark_dead(drain_sched.dead_dpus - scheduler.dead_dpus)
+            drain = self._filterless_scheduler(scheduler, scheduler.config.policy)
+            carried = run_round(drain, carried)
+            # Deaths discovered while draining must stick for the next
+            # drain round (and for subsequent search() calls).
+            scheduler.mark_dead(drain.dead_dpus - scheduler.dead_dpus)
 
-        stats.finalize(num_queries=nq, nprobe=self.params.nprobe)
+        stats.finalize(num_queries=nq, nprobe=nprobe)
         if obs is not None:
             obs.on_faults(stats)
-
-        # The report (and the ledger-honesty contract) counts clusters
-        # whose scans were charged: issued minus fault-uncovered. Under
-        # partial shard loss the whole cluster is conservatively
-        # dropped from the executed list.
-        for qidx, cid in stats.uncovered:
-            lst = executed[qidx]
-            if int(cid) in lst:
-                lst.remove(int(cid))
-        probes_exec = np.array(
-            [len(executed[q]) for q in range(nq)], dtype=np.int64
-        )
-        if obs is not None:
-            for q in range(nq):
-                obs.on_probes_executed(int(probes_exec[q]))
-                obs.on_adaptive_stop(reasons[q])
+        report = None
+        if policy is not None:
+            report = policy.report(stats.uncovered, nprobe)
+            if obs is not None:
+                for q in range(nq):
+                    obs.on_probes_executed(int(report.probes_executed[q]))
+                    obs.on_adaptive_stop(report.stop_reasons[q])
 
         out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
         return SearchOutcome(
             results=SearchResult(ids=out_ids, distances=out_dist),
             breakdown=breakdown,
             metrics=obs.snapshot() if obs is not None else None,
-            adaptive=AdaptiveReport(
-                mode=amode,
-                nprobe_max=self.params.nprobe,
-                budgets=budgets,
-                probes_executed=probes_exec,
-                stop_reasons=reasons,
-                executed=executed,
-            ),
+            adaptive=report,
         )
+
+    def _filterless_scheduler(
+        self, base: RuntimeScheduler, policy: str
+    ) -> RuntimeScheduler:
+        """A filter-off copy of ``base`` with its fault state.
+
+        Serves the ``with_scheduler=False`` ablation arm and the
+        deferred-task drain, which must empty its queue.
+        """
+        sched = RuntimeScheduler(
+            self.plan,
+            replace(base.config, filter_threshold=None, policy=policy),
+        )
+        sched.adopt_fault_state(base)
+        return sched
 
     def _execute(
         self,

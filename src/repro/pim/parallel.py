@@ -932,12 +932,12 @@ class ExecutionPlanner:
       empirically;
     * a configured-but-cold pool is warmed in the background while the
       round runs in-process (no round ever blocks on worker spawn);
-    * the stacked in-process path takes fault-free rounds with at
-      least :data:`VECTOR_MIN_JOBS` groups — labeled ``"compiled"``
-      when the active backend is a compiled one, ``"vectorized"``
-      otherwise (same dispatch, different kernels); fault-plan rounds
-      keep the per-DPU serial traversal (conservative, and retries
-      stay easy to reason about);
+    * the stacked in-process path takes rounds with at least
+      :data:`VECTOR_MIN_JOBS` groups — labeled ``"compiled"`` when the
+      active backend is a compiled one, ``"vectorized"`` otherwise
+      (same dispatch, different kernels). Fault plans do not change
+      the choice: dead-DPU tasks are dropped before the functional
+      pass, and faults are charged after it;
     * everything else runs serial.
 
     Explicit modes force their path, degrading one step (pool →
@@ -970,7 +970,6 @@ class ExecutionPlanner:
         num_jobs: int,
         scan_points: int,
         executor=None,
-        fault_active: bool = False,
         backend=None,
     ) -> str:
         path = self._choose(
@@ -978,16 +977,13 @@ class ExecutionPlanner:
             num_jobs=num_jobs,
             scan_points=scan_points,
             executor=executor,
-            fault_active=fault_active,
             backend=backend,
         )
         self.decisions[path] = self.decisions.get(path, 0) + 1
         return path
 
-    def _choose(
-        self, mode, *, num_jobs, scan_points, executor, fault_active, backend
-    ) -> str:
-        can_vector = not fault_active and num_jobs >= VECTOR_MIN_JOBS
+    def _choose(self, mode, *, num_jobs, scan_points, executor, backend) -> str:
+        can_vector = num_jobs >= VECTOR_MIN_JOBS
         compiled = backend is not None and getattr(backend, "compiled", False)
         inproc = "compiled" if compiled else "vectorized"
         if mode == "serial":

@@ -516,7 +516,6 @@ class PimSystem:
             k,
             sq,
             plan=plan,
-            fault_active=fplan is not None,
             backend=backend,
         )
 
@@ -620,7 +619,6 @@ class PimSystem:
         sq: Optional[SquareLut],
         *,
         plan: str = "auto",
-        fault_active: bool = False,
         backend: Optional[KernelBackend] = None,
     ) -> Tuple[List[list], List[int]]:
         """Numeric results for every shard group, vectorized per centroid.
@@ -659,7 +657,6 @@ class PimSystem:
                 num_jobs=num_jobs,
                 scan_points=scan_points,
                 executor=self.executor,
-                fault_active=fault_active,
                 backend=backend,
             )
             if self.observer is not None:

@@ -47,7 +47,8 @@ from repro.core.adaptive import (
     reconstruction_norms_sq,
 )
 from repro.core.persist import index_info, save_index
-from repro.core.scheduler import SchedulerConfig
+from repro.faults import FaultConfig, FaultPlan
+from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.obs.observer import ObsConfig
 from repro.pim.config import PimSystemConfig
 from repro.testing import CANONICAL_CONFIGS, build_canonical_engine
@@ -357,6 +358,29 @@ class TestBoundBitIdentity:
             out.results.distances, exhaustive.distances
         )
 
+    def test_bound_identity_through_filter_deferral(self, monkeypatch):
+        """With the default load filter on, adaptive rounds defer tasks
+        (carried into later rounds, then drained); bound stays exact."""
+        name = "base-balanced"  # default SchedulerConfig: filter on
+        q = canonical_dataset().queries[: CANONICAL_CONFIGS[name]["num_queries"]]
+        deferred = []
+        schedule = RuntimeScheduler.schedule_batch
+
+        def spy(self, tasks):
+            outcome = schedule(self, tasks)
+            deferred.append(len(outcome.deferred))
+            return outcome
+
+        with build_canonical_engine(name, execution="chunked") as eng:
+            assert eng.scheduler.config.filter_threshold is not None
+            off, _ = eng.search(q, adaptive="off")
+            monkeypatch.setattr(RuntimeScheduler, "schedule_batch", spy)
+            bound = eng.search(q, adaptive="bound")
+        assert sum(deferred) > 0
+        assert bound.adaptive is not None
+        np.testing.assert_array_equal(bound.results.ids, off.ids)
+        np.testing.assert_array_equal(bound.results.distances, off.distances)
+
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
     def test_bound_identity_on_canonical_configs(self, name):
         c = CANONICAL_CONFIGS[name]
@@ -495,6 +519,34 @@ class TestLedgerHonesty:
     def test_replay_was_a_real_reduction(self, replayed):
         adaptive_out, _ = replayed
         assert int(adaptive_out.adaptive.probes_executed.sum()) < NQ * NPROBE
+
+    def test_fault_uncovered_clusters_leave_the_report(self, queries):
+        """Clusters a dead, unreplicated DPU could not serve were never
+        charged, so the report must not count them as executed."""
+        fault_plan = FaultPlan(
+            num_dpus=8, config=FaultConfig(), fail_at_batch={3: 0}
+        )
+        config = replace(
+            _config(),
+            layout=LayoutConfig(min_split_size=200, max_copies=0),
+            faults=fault_plan,
+        )
+        ds = canonical_dataset()
+        with DrimAnnEngine.from_config(
+            ds.base,
+            config,
+            heat_queries=ds.queries[:50],
+            prebuilt_quantized=_quantized(NLIST, M, CB),
+            seed=0,
+        ) as eng:
+            out = eng.search(queries, adaptive="bound")
+        uncovered = out.breakdown.faults.uncovered
+        assert uncovered
+        for q, cid in uncovered:
+            assert cid not in out.adaptive.executed[q]
+        assert list(out.adaptive.probes_executed) == [
+            len(e) for e in out.adaptive.executed
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ then show that claim surviving a crash (with replication) and
 degrading with *accurate* coverage (without).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,8 @@ from repro.cluster import (
     partition_clusters,
     simulate_cluster_serving,
 )
-from repro.core import EngineConfig, LayoutConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig, SearchParams
+from repro.core.adaptive import probe_budgets
 from repro.core.serving import BatchingPolicy
 from repro.faults.plan import NodeFaultConfig, NodeFaultPlan
 from repro.pim.config import PimSystemConfig
@@ -150,6 +153,15 @@ class TestClusterTopology:
             if np.any(owned):
                 assert lp[owned].max() < len(shard.global_cids)
 
+    def test_padding_probes_stay_padding(self, replicated_cluster, queries):
+        """A ``-1`` (budget-truncated) slot never wraps to the last
+        cluster's owner."""
+        probes = replicated_cluster.locate(queries).copy()
+        probes[:, 2:] = -1
+        for shard in replicated_cluster.shards:
+            lp = shard.local_probes(probes)
+            assert (lp[:, 2:] == -1).all()
+
 
 class TestBitExactness:
     def test_healthy_matches_oracle(self, replicated_cluster, queries, gold):
@@ -214,6 +226,52 @@ class TestAdaptiveRouting:
         assert rep.mean_coverage == 1.0
         assert rep.failed_shards == []
         assert (res.ids >= 0).all()
+
+    @pytest.mark.parametrize("nprobe_min, gap", [(None, 2.0), (1, 0.5), (8, 2.0)])
+    def test_budgets_follow_node_search_params(
+        self, small_ds, small_quantized, engine_config, monkeypatch,
+        nprobe_min, gap,
+    ):
+        """Rack budgets use the nodes' ``nprobe_min``/``adaptive_gap``,
+        like a single engine: the shards see exactly the budgeted
+        probes, and a floor of ``nprobe`` keeps every probe, so
+        ``"budget"`` then answers exactly like ``"off"``."""
+        config = engine_config.replace(
+            search=replace(
+                engine_config.search, nprobe_min=nprobe_min, adaptive_gap=gap
+            )
+        )
+        scattered = []
+        search = DrimAnnEngine.search
+
+        def spy(self, queries, **kw):
+            scattered.append(int((kw["probes"] >= 0).sum()))
+            return search(self, queries, **kw)
+
+        queries = small_ds.queries
+        with build_cluster_index(
+            small_ds.base,
+            config,
+            ClusterConfig(num_shards=2, replication=1),
+            heat_queries=small_ds.queries[:50],
+            prebuilt_quantized=small_quantized,
+            seed=0,
+        ) as cluster:
+            _, rr = cluster.locate_with_distances(queries)
+            monkeypatch.setattr(DrimAnnEngine, "search", spy)
+            budget, _ = ClusterFrontend(cluster, seed=0).search(
+                queries, adaptive="budget"
+            )
+            budget_probes = sum(scattered)
+            off, _ = ClusterFrontend(cluster, seed=0).search(
+                queries, adaptive="off"
+            )
+        want = probe_budgets(rr, nprobe_min, gap)
+        assert budget_probes == want.sum()
+        if nprobe_min == engine_config.index.nprobe:
+            assert (want == nprobe_min).all()
+            np.testing.assert_array_equal(budget.ids, off.ids)
+            np.testing.assert_array_equal(budget.distances, off.distances)
 
     def test_off_matches_default(self, replicated_cluster, queries, gold):
         res, _ = ClusterFrontend(replicated_cluster, seed=0).search(

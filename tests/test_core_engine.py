@@ -182,6 +182,21 @@ class TestBoundaryValidation:
             small_engine.add(bad)
         assert small_engine.quantized.num_points == before
 
+    def test_search_rejects_fractional_probes(self, small_engine, small_ds):
+        q = small_ds.queries[:4]
+        probes = small_engine.quantized.locate(q, small_engine.params.nprobe)
+        with pytest.raises(ValueError, match="probes.*integer"):
+            small_engine.search(q, probes=probes.astype(np.float64) + 0.7)
+
+    def test_search_rejects_probe_ids_below_padding(self, small_engine, small_ds):
+        q = small_ds.queries[:4]
+        probes = small_engine.quantized.locate(q, small_engine.params.nprobe)
+        probes[0, 1] = -7
+        with pytest.raises(ValueError, match="probes.*-7"):
+            small_engine.search(q, probes=probes)
+        probes[0, 1] = -1  # the padding value itself is fine
+        small_engine.search(q, probes=probes)
+
     def test_integral_floats_search_like_uint8(self, small_engine, small_ds):
         q = small_ds.queries[:6]
         res, _ = small_engine.search(q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DrimAnnEngine, LayoutConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig, SearchParams
 from repro.faults import FaultConfig, FaultPlan
 from repro.pim.config import PimSystemConfig
 
@@ -213,3 +213,73 @@ class TestTimingAndValidation:
     def test_num_dpus_mismatch_rejected(self, build_engine):
         with pytest.raises(ValueError, match="DPUs"):
             build_engine(fault_plan=FaultPlan.none(NUM_DPUS + 1))
+
+
+class TestFaultRoundsAcrossPlans:
+    """Fault-plan rounds take whatever data-plane path the plan asks.
+
+    Dead-DPU tasks leave a round before its functional pass, and
+    transients, timeouts and stragglers are charged after it, so the
+    planner needs no fault special case: every plan must return the
+    serial plan's ids, distances, kernel cycles and fault stats, byte
+    for byte.
+    """
+
+    PLANS = ("serial", "vectorized", "pool", "auto")
+
+    def _run(self, small_ds, small_quantized, small_params, plan):
+        fault_plan = FaultPlan.generate(
+            NUM_DPUS,
+            FaultConfig(
+                fail_stop_fraction=0.15,
+                fail_stop_max_batch=2,
+                straggler_fraction=0.2,
+                transient_rate=0.2,
+                transfer_timeout_rate=0.2,
+            ),
+            seed=5,
+        )
+        config = EngineConfig(
+            index=small_params,
+            search=SearchParams(batch_size=32, execution="chunked", plan=plan),
+            system=PimSystemConfig(
+                num_dpus=NUM_DPUS,
+                shard_workers=2 if plan in ("pool", "auto") else 0,
+            ),
+            layout=LayoutConfig(min_split_size=400, max_copies=2),
+            faults=fault_plan,
+        )
+        with DrimAnnEngine.from_config(
+            small_ds.base,
+            config,
+            heat_queries=small_ds.queries[:50],
+            prebuilt_quantized=small_quantized,
+            seed=0,
+        ) as engine:
+            outcome = engine.search(small_ds.queries)
+            return outcome, dict(engine.system.planner.decisions)
+
+    def test_every_plan_matches_serial(
+        self, small_ds, small_quantized, small_params
+    ):
+        runs = {
+            plan: self._run(small_ds, small_quantized, small_params, plan)
+            for plan in self.PLANS
+        }
+        ref, ref_paths = runs["serial"]
+        stats = ref.breakdown.faults
+        # The seeded plan fires all three event kinds.
+        assert stats.dead_dpus and stats.straggler_dpus
+        assert stats.transient_faults > 0 and stats.task_retries > 0
+        assert set(ref_paths) == {"serial"}
+        for plan in self.PLANS[1:]:
+            out, paths = runs[plan]
+            np.testing.assert_array_equal(out.results.ids, ref.results.ids)
+            np.testing.assert_array_equal(
+                out.results.distances, ref.results.distances
+            )
+            assert out.breakdown.kernel_cycles == ref.breakdown.kernel_cycles
+            assert out.breakdown.faults == stats, plan
+        # Fault rounds are no longer forced serial.
+        assert "vectorized" in runs["vectorized"][1]
+        assert "pool" in runs["pool"][1]

@@ -258,3 +258,25 @@ class TestGoldenAdaptive:
             CANONICAL_CONFIGS[name]["nprobe"] * stored["num_queries"]
         )
         assert 0 < stored["total_probes_executed"] <= max_probes
+
+    @pytest.mark.parametrize("execution", ["chunked", "per_query"])
+    @pytest.mark.parametrize("mode", ["bound", "budget", "full"])
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
+    def test_plans_agree_across_executions(self, name, mode, execution):
+        """Non-batched adaptive cells aren't frozen, so pin every plan
+        to a same-cell serial-plan reference run instead."""
+        reference = run_canonical(
+            name, execution=execution, plan="serial", adaptive=mode
+        )
+        for plan in ("vectorized", "pool", "auto"):
+            workers = 2 if plan in ("pool", "auto") else 0
+            fresh = run_canonical(
+                name, execution=execution, plan=plan,
+                shard_workers=workers, adaptive=mode,
+            )
+            assert json.loads(json.dumps(fresh)) == json.loads(
+                json.dumps(reference)
+            ), (
+                f"plan-dependent drift in {name!r} mode={mode!r} under "
+                f"execution={execution!r} plan={plan!r}"
+            )

@@ -369,15 +369,11 @@ class TestExecutionPlanner:
         )
         assert path == "serial"
 
-    def test_vectorized_needs_min_jobs_and_no_faults(self):
+    def test_vectorized_needs_min_jobs(self):
         p = ExecutionPlanner()
         assert p.choose("vectorized", num_jobs=4, scan_points=0) == "vectorized"
         assert (
             p.choose("vectorized", num_jobs=VECTOR_MIN_JOBS - 1, scan_points=0)
-            == "serial"
-        )
-        assert (
-            p.choose("vectorized", num_jobs=4, scan_points=0, fault_active=True)
             == "serial"
         )
 
@@ -415,13 +411,6 @@ class TestExecutionPlanner:
         )
         assert path == "vectorized"  # round never blocks on spawn
         assert ex.started == 1
-
-    def test_fault_rounds_stay_serial_under_auto(self):
-        p = ExecutionPlanner()
-        path = p.choose(
-            "auto", num_jobs=4, scan_points=0, fault_active=True
-        )
-        assert path == "serial"
 
     def test_decisions_are_counted(self):
         p = ExecutionPlanner()
