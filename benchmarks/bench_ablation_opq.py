@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.common import print_table
 from repro.ann import recall_at_k
-from repro.core import DrimAnnEngine, IndexParams
+from repro.core import DrimAnnEngine, EngineConfig, IndexParams
 from repro.data import load_dataset
 from repro.pim.config import PimSystemConfig
 
@@ -27,11 +27,13 @@ def _compare_opq():
     rows = []
     recalls = {}
     for use_opq in (False, True):
-        engine = DrimAnnEngine.build(
+        engine = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            system_config=PimSystemConfig(num_dpus=16),
-            use_opq=use_opq,
+            EngineConfig(
+                index=params,
+                system=PimSystemConfig(num_dpus=16),
+                use_opq=use_opq,
+            ),
             seed=0,
         )
         res, bd = engine.search(ds.queries)

@@ -22,7 +22,7 @@ from benchmarks.common import (
     print_table,
     scaled_cpu_profile,
 )
-from repro.core import DrimAnnEngine, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, SearchParams
 from repro.pim.config import PimSystemConfig
 
 
@@ -35,14 +35,16 @@ def _run_placements(ds):
             ds, params.nlist, params.num_subspaces, params.codebook_size
         )
         for placement in ("host", "pim"):
-            engine = DrimAnnEngine.build(
+            engine = DrimAnnEngine.from_config(
                 ds.base,
-                params,
-                search_params=SearchParams(
-                    batch_size=BATCH_SIZE, cluster_locate_on=placement
+                EngineConfig(
+                    index=params,
+                    search=SearchParams(
+                        batch_size=BATCH_SIZE, cluster_locate_on=placement
+                    ),
+                    system=PimSystemConfig(num_dpus=NUM_DPUS),
+                    layout=default_layout(),
                 ),
-                system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-                layout_config=default_layout(),
                 heat_queries=ds.queries[:250],
                 prebuilt_quantized=quant,
                 cpu_profile=scaled_cpu_profile(NUM_DPUS),

@@ -9,15 +9,17 @@ five-phase model on a silicon-fraction slice of the Xeon, PIM time from
 the cycle-accounted simulator with the full load-balancing stack.
 
 Run directly for a console report, or with ``--smoke`` as the CI
-perf-regression gate. The smoke run stacks two wall-clock checks on
-reduced workloads, verifies each is bit-identical across the compared
-strategies, and exits non-zero when either floor is missed:
+perf-regression gate. The smoke run stacks two checks on reduced
+workloads, verifies each is bit-identical across the compared
+strategies, and exits non-zero when either fails:
 
-* batched vs per-query execution must be >= ``--min-speedup`` (2x);
-* the persistent shard pool must be >= ``--min-pool-speedup`` (1.5x)
-  faster than the PR 4 per-call pool on the same round shape (see
-  docs/data_plane.md for why single-LUT-row rounds are the shape where
-  per-round shard shipping dominates).
+* batched vs per-query execution must be >= ``--min-speedup`` (2x) on
+  host wall-clock;
+* the persistent shard pool must ship no shard data per round: the
+  bytes pickled down the worker pipes must stay within the round's LUT
+  bytes plus :data:`POOL_BYTES_PER_JOB` per job (a deterministic byte
+  count, not a timing; see docs/data_plane.md for why single-LUT-row
+  rounds are the shape where shipping codes and ids would dominate).
 
 It also writes a machine-readable ``BENCH_fig06.json`` artifact with
 both measurements so the perf trajectory is diffable across PRs.
@@ -96,24 +98,27 @@ def test_fig06b_nprobe_sweep(sift_ds, benchmark):
 
 
 # ---------------------------------------------------------------- CLI
-def run_pool_smoke(
-    min_speedup: float = 1.5, repeats: int = 3, rounds: int = 30
-) -> dict:
-    """CI perf gate: persistent shard pool vs the PR 4 per-call pool.
+#: Descriptor allowance per job on top of its LUT bytes: the shard key,
+#: ``k``, the live-row slot and the pickle framing of one job.
+POOL_BYTES_PER_JOB = 256
 
-    Times ``scan_groups`` on both executors over identical rounds — the
-    "same round shape" comparison the data-plane rework claims. The
-    shape is chosen where shard shipping dominates: single-LUT-row
-    rounds (the serving steady state) over many modest shards, so the
-    per-call executor pays pickling codes+ids every round while the
-    persistent pool ships only the one-row LUTs. Results are checked
-    bit-identical first; timing is best-of-``repeats`` interleaved.
+
+def run_pool_smoke(rounds: int = 5) -> dict:
+    """CI gate: the persistent pool ships LUTs, never shard arrays.
+
+    Every worker connection's ``send`` is wrapped to count the bytes it
+    pickles; each round must stay within the round's LUT bytes plus
+    :data:`POOL_BYTES_PER_JOB` per job. The shape is chosen where shard
+    shipping would dominate: single-LUT-row rounds (the serving steady
+    state) over many modest shards, where re-shipping codes and ids
+    would cost ~24x the LUTs. Every round must also be bit-identical to
+    in-process :func:`~repro.pim.parallel.scan_shard_group`.
     """
-    import time
-
     import numpy as np
+    from multiprocessing.reduction import ForkingPickler
 
-    from repro.pim.parallel import PersistentShardPool, ShardExecutor
+    from repro.pim.backend import resolve_backend
+    from repro.pim.parallel import PersistentShardPool, scan_shard_group
 
     NSHARDS, PTS, M, CB, K, WORKERS = 32, 4096, 8, 64, 10, 2
     rng = np.random.default_rng(0)
@@ -122,68 +127,71 @@ def run_pool_smoke(
         codes = rng.integers(0, CB, size=(PTS, M), dtype=np.int16)
         ids = rng.permutation(PTS * 10)[:PTS].astype(np.int64)
         shards[f"shard{s}"] = (codes, ids)
-
-    def jobs_for(round_i):
-        r = np.random.default_rng(round_i)
-        jobs, keys = [], []
-        for key, (codes, ids) in shards.items():
-            luts = r.integers(0, 255, size=(1, M, CB), dtype=np.int64)
-            jobs.append((luts, codes, ids, K))
-            keys.append(key)
-        return jobs, keys
+    keys = list(shards)
+    lives = [None] * NSHARDS
+    shard_bytes = sum(c.nbytes + i.nbytes for c, i in shards.values())
+    backend = resolve_backend("auto")
 
     record = {
-        "gate": "persistent_vs_percall_pool",
+        "gate": "persistent_pool_round_bytes",
         "round_shape": {
             "num_shards": NSHARDS, "points_per_shard": PTS,
             "num_subspaces": M, "codebook_size": CB, "lut_rows": 1,
             "workers": WORKERS, "rounds": rounds,
         },
-        "floor": min_speedup,
+        "bytes_per_job_allowance": POOL_BYTES_PER_JOB,
+        "shard_bytes_per_round": shard_bytes,
         "ok": False,
     }
+    sent = [0]
     pool = PersistentShardPool(WORKERS)
     pool.host_shards(shards)
-    pool.ensure_started()
-    percall = ShardExecutor(WORKERS)
-    percall.ensure_started()
     try:
         if not pool.wait_warm():
             print("FAIL: persistent pool never became warm")
             return record
-        jobs, keys = jobs_for(0)
-        for rows_p, rows_c in zip(
-            pool.scan_groups(jobs, keys=keys), percall.scan_groups(jobs)
-        ):
-            for (ip, dp), (ic, dc) in zip(rows_p, rows_c):
-                if not (np.array_equal(ip, ic) and np.array_equal(dp, dc)):
-                    print("FAIL: pool kinds returned different results")
-                    return record
-        best = {"persistent": float("inf"), "percall": float("inf")}
-        for _ in range(max(repeats, 1)):
-            for name, ex, use_keys in (
-                ("persistent", pool, True), ("percall", percall, False)
-            ):
-                t0 = time.perf_counter()
-                for i in range(rounds):
-                    jobs, keys = jobs_for(i)
-                    ex.scan_groups(jobs, keys=keys if use_keys else None)
-                best[name] = min(best[name], time.perf_counter() - t0)
+        for conn in pool._conns:
+            def counted(obj, _send=conn.send):
+                sent[0] += len(ForkingPickler.dumps(obj))
+                _send(obj)
+
+            conn.send = counted
+        lut_bytes = NSHARDS * M * CB * np.dtype(np.int64).itemsize
+        max_sent = 0
+        for i in range(rounds):
+            r = np.random.default_rng(i)
+            jobs = [
+                (r.integers(0, 255, size=(1, M, CB), dtype=np.int64),
+                 codes, ids, K)
+                for codes, ids in shards.values()
+            ]
+            sent[0] = 0
+            got = pool.scan_groups(jobs, keys, lives, backend)
+            if pool.take_fallback_events() or sent[0] < lut_bytes:
+                print("FAIL: the round did not run on the pool workers")
+                return record
+            for job, rows in zip(jobs, got):
+                want = scan_shard_group(*job, backend=backend)
+                for (ip, dp), (iw, dw) in zip(rows, want):
+                    if not (np.array_equal(ip, iw) and np.array_equal(dp, dw)):
+                        print("FAIL: pool results differ from in-process scan")
+                        return record
+            max_sent = max(max_sent, sent[0])
     finally:
         pool.close()
-        percall.close()
-    speedup = best["percall"] / best["persistent"]
+    per_job = (max_sent - lut_bytes) / NSHARDS
     record.update(
-        t_persistent_s=best["persistent"], t_percall_s=best["percall"],
-        speedup=speedup, ok=speedup >= min_speedup,
+        lut_bytes_per_round=lut_bytes, max_sent_bytes_per_round=max_sent,
+        overhead_bytes_per_job=per_job, ok=per_job <= POOL_BYTES_PER_JOB,
     )
     print(
-        f"persistent pool {best['persistent']:.3f}s vs per-call "
-        f"{best['percall']:.3f}s (best of {max(repeats, 1)}, {rounds} "
-        f"rounds) -> {speedup:.2f}x (floor {min_speedup:.1f}x)"
+        f"persistent pool shipped {max_sent} B per round for "
+        f"{lut_bytes} LUT bytes: "
+        f"{per_job:.0f} B per job over the LUTs (allowance "
+        f"{POOL_BYTES_PER_JOB} B; shard arrays would be {shard_bytes} B)"
     )
     if not record["ok"]:
-        print(f"FAIL: persistent pool only {speedup:.2f}x faster")
+        print(f"FAIL: {per_job:.0f} B per job exceeds the allowance")
     return record
 
 
@@ -261,11 +269,11 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="reduced perf-regression gate: batched must beat per-query "
-        "by --min-speedup on host wall-clock",
+        "by --min-speedup on host wall-clock, and the shard pool must ship "
+        "only LUT bytes per round",
     )
     parser.add_argument("--queries", type=int, default=400)
     parser.add_argument("--min-speedup", type=float, default=2.0)
-    parser.add_argument("--min-pool-speedup", type=float, default=1.5)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--artifact",
@@ -277,7 +285,7 @@ def main(argv=None) -> int:
         from benchmarks.common import write_bench_artifact
 
         batched = run_smoke(args.queries, args.min_speedup, args.repeats)
-        pool = run_pool_smoke(args.min_pool_speedup, args.repeats)
+        pool = run_pool_smoke()
         write_bench_artifact(
             args.artifact,
             {"bench": "fig06_smoke", "gates": [batched, pool]},

@@ -136,13 +136,10 @@ def build_engine(
     execution: str = "batched",
     plan: str = "auto",
     shard_workers: int = 0,
-    shard_pool: str = "persistent",
 ) -> DrimAnnEngine:
     quant = bench_quantized(ds, params.nlist, params.num_subspaces, params.codebook_size)
     cfg = PimSystemConfig(
-        num_dpus=num_dpus,
-        shard_workers=shard_workers,
-        shard_pool=shard_pool,
+        num_dpus=num_dpus, shard_workers=shard_workers
     ).with_compute_scale(compute_scale)
     engine_cfg = EngineConfig(
         index=params,

@@ -18,12 +18,12 @@
     python -m repro sanitize --json
 
 `index` is the durable-lifecycle group: `index build` trains +
-quantizes and writes the versioned on-disk format (v2 binary by
-default — the mmap cold-start path of ``DrimAnnEngine.load``),
+quantizes and writes the v2 binary index file (the mmap cold-start
+path of ``DrimAnnEngine.load``),
 `index info` reads the header without decoding payloads,
 `index verify` checks structure + per-segment checksums, and
 `index compact` drops tombstoned points and atomically rewrites the
-file. `build` is the deprecated v1 alias (`index build --format v1`).
+file; legacy v1 ``.npz`` files stay readable by every reader.
 `search`/`serve`/`chaos` accept ``--index PATH`` to run from a saved
 index instead of retraining; `search` runs the simulated engine end to
 end and reports recall and the timing breakdown (``--profile`` adds
@@ -120,17 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("info", help="version, presets, default hardware")
     _add_json_arg(i)
 
-    b = sub.add_parser(
-        "build",
-        help="train + quantize an index, save to legacy .npz "
-             "(deprecated alias of `index build --format v1`)",
-    )
-    b.add_argument("--preset", default="sift-like-20k")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", required=True, help="output .npz path")
-    _add_index_args(b)
-    _add_json_arg(b)
-
     ix = sub.add_parser(
         "index",
         help="durable index lifecycle: build, inspect, verify, compact",
@@ -143,10 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ib.add_argument("--preset", default="sift-like-20k")
     ib.add_argument("--seed", type=int, default=0)
     ib.add_argument("--out", required=True, help="output index path")
-    ib.add_argument("--format", dest="fmt", default="v2",
-                    choices=("v2", "v1"),
-                    help="on-disk format: v2 binary (default, mmap-able) "
-                         "or legacy v1 .npz")
     _add_index_args(ib)
     _add_json_arg(ib)
 
@@ -177,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--preset", default="sift-like-20k")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--index", help="prebuilt index file (`repro index build` "
-                                   "v2 binary or legacy `repro build` .npz)")
+                                   "v2 binary or legacy v1 .npz)")
     s.add_argument("--dpus", type=int, default=32)
     s.add_argument("--queries", type=int, default=200)
     s.add_argument("--execution", default="batched",
@@ -205,11 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "bound (exact early termination, bit-identical "
                         "results), budget (per-query nprobe from the "
                         "centroid-distance gap profile), or full (both)")
-    s.add_argument("--shard-pool", default="persistent",
-                   choices=("persistent", "percall"),
-                   help="worker pool flavor when --shard-workers > 1: "
-                        "persistent zero-copy workers (default) or the "
-                        "legacy per-call process pool")
     s.add_argument("--no-balance", action="store_true",
                    help="id-order layout, static scheduling (Fig. 11 baseline)")
     s.add_argument("--opq", action="store_true", help="OPQ preprocessing")
@@ -477,12 +457,13 @@ def _params(args):
     )
 
 
-def _train_and_write(args, fmt: str) -> int:
-    """Shared body of ``repro build`` and ``repro index build``."""
+def _cmd_index_build(args) -> int:
+    """Train + quantize, then write the v2 binary index file."""
     from dataclasses import asdict
 
     from repro.ann import IVFPQIndex
-    from repro.core.persist import save_index, write_v1
+    from repro.core.adaptive import cluster_radii_sq
+    from repro.core.persist import save_index
     from repro.core.quantized import build_quantized_index
     from repro.data import load_dataset
 
@@ -499,25 +480,20 @@ def _train_and_write(args, fmt: str) -> int:
         seed=args.seed,
     )
     quant = build_quantized_index(index)
-    if fmt == "v1":
-        write_v1(quant, args.out)
-    else:
-        from repro.core.adaptive import cluster_radii_sq
-
-        save_index(quant, args.out, cluster_radii=cluster_radii_sq(quant))
-    _say(args, f"wrote {args.out} ({fmt}): {quant.num_points} points, "
+    save_index(quant, args.out, cluster_radii=cluster_radii_sq(quant))
+    _say(args, f"wrote {args.out} (v2): {quant.num_points} points, "
                f"{quant.nlist} clusters, dim {quant.dim}")
     _emit(
         args,
         config={
             "preset": args.preset,
             "seed": args.seed,
-            "format": fmt,
+            "format": "v2",
             "index": asdict(params),
         },
         results={
             "out": args.out,
-            "format": fmt,
+            "format": "v2",
             "num_points": quant.num_points,
             "nlist": quant.nlist,
             "dim": quant.dim,
@@ -526,14 +502,10 @@ def _train_and_write(args, fmt: str) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    return _train_and_write(args, "v1")
-
-
 def _cmd_index(args) -> int:
     args.command = f"index {args.index_command}"
     if args.index_command == "build":
-        return _train_and_write(args, args.fmt)
+        return _cmd_index_build(args)
     if args.index_command == "info":
         return _cmd_index_info(args)
     if args.index_command == "verify":
@@ -648,7 +620,7 @@ def _cmd_search(args) -> int:
         layout=layout,
         system=PimSystemConfig(
             num_dpus=args.dpus, shard_workers=args.shard_workers,
-            shard_pool=args.shard_pool, kernel_backend=args.kernel_backend,
+            kernel_backend=args.kernel_backend,
         ),
         use_opq=args.opq,
         obs=ObsConfig(enabled=obs_on),
@@ -1265,7 +1237,6 @@ def _cmd_bench_kernels(args) -> int:
 
 _COMMANDS = {
     "info": _cmd_info,
-    "build": _cmd_build,
     "index": _cmd_index,
     "search": _cmd_search,
     "model": _cmd_model,

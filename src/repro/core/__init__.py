@@ -37,11 +37,8 @@ from repro.core.persist import (
     index_info,
     load_index,
     load_index_bundle,
-    load_quantized,
     save_index,
-    save_quantized,
     verify_index,
-    write_v1,
 )
 from repro.core.serving import (
     BatchingPolicy,
@@ -84,11 +81,8 @@ __all__ = [
     "index_info",
     "load_index",
     "load_index_bundle",
-    "load_quantized",
     "save_index",
-    "save_quantized",
     "verify_index",
-    "write_v1",
     "BatchingPolicy",
     "PoissonArrivals",
     "ServingReport",

@@ -1,9 +1,8 @@
 """One config object for the whole engine.
 
-:class:`~repro.core.engine.DrimAnnEngine.build` grew five config
-bundles plus loose kwargs; sweeping a knob meant knowing which bundle
-owns it and threading the rest through untouched. :class:`EngineConfig`
-replaces that with a single validated facade:
+Engine construction takes five config bundles; rather than threading
+each through as a loose kwarg, :class:`EngineConfig` holds them all as
+a single validated facade:
 
     config = EngineConfig(index=IndexParams(nlist=64, nprobe=8, k=10,
                                             num_subspaces=8))
@@ -37,8 +36,8 @@ __all__ = ["EngineConfig"]
 class EngineConfig:
     """Everything :meth:`DrimAnnEngine.from_config` needs, in one bundle.
 
-    Only ``index`` is required; every other field has the same default
-    the old ``build(...)`` kwargs had. Equality across configs holding
+    Only ``index`` is required; every other field defaults to its
+    bundle's defaults. Equality across configs holding
     a :class:`FaultPlan` should compare ``to_dict()`` (the plan carries
     an ndarray, which breaks dataclass ``==``).
     """

@@ -27,7 +27,6 @@ any configuration it must equal
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -39,7 +38,6 @@ from repro.core.adaptive import _AdaptiveRounds
 from repro.core.breakdown import TimingBreakdown
 from repro.core.config import EngineConfig
 from repro.core.layout import (
-    LayoutConfig,
     LayoutPlan,
     estimate_cluster_heat,
     generate_layout,
@@ -63,7 +61,6 @@ from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
 from repro.obs.observer import EngineObserver
-from repro.pim.config import PimSystemConfig
 from repro.pim.system import PimSystem, ShardData
 from repro.utils import (
     check_2d,
@@ -489,53 +486,6 @@ class DrimAnnEngine:
         }
 
     # ------------------------------------------------------------------ build
-    @classmethod
-    def build(
-        cls,
-        base: np.ndarray,
-        params: IndexParams,
-        *,
-        search_params: SearchParams = SearchParams(),
-        system_config: PimSystemConfig = PimSystemConfig(),
-        layout_config: LayoutConfig = LayoutConfig(),
-        heat_queries: Optional[np.ndarray] = None,
-        use_opq: bool = False,
-        prebuilt_index: Optional[IVFPQIndex] = None,
-        prebuilt_quantized: Optional[QuantizedIndexData] = None,
-        cpu_profile: Optional[HardwareProfile] = None,
-        tracer=None,
-        fault_plan: Optional[FaultPlan] = None,
-        seed=None,
-    ) -> "DrimAnnEngine":
-        """Deprecated: bundle the config kwargs into an
-        :class:`~repro.core.config.EngineConfig` and call
-        :meth:`from_config` instead. This shim forwards unchanged.
-        """
-        warnings.warn(
-            "DrimAnnEngine.build(...) is deprecated; use "
-            "DrimAnnEngine.from_config(dataset, EngineConfig(index=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = EngineConfig(
-            index=params,
-            search=search_params,
-            layout=layout_config,
-            system=system_config,
-            faults=fault_plan,
-            use_opq=use_opq,
-        )
-        return cls.from_config(
-            base,
-            config,
-            heat_queries=heat_queries,
-            prebuilt_index=prebuilt_index,
-            prebuilt_quantized=prebuilt_quantized,
-            cpu_profile=cpu_profile,
-            tracer=tracer,
-            seed=seed,
-        )
-
     @classmethod
     def from_config(
         cls,

@@ -9,9 +9,9 @@ layout knobs, which are cheap to regenerate) to disk and back.
 Two container formats:
 
 * **v1** — a compressed ``.npz`` archive (the original format). Kept
-  readable forever; still writable through :func:`write_v1` for
-  interchange. Compression makes it impossible to memory-map, so v1
-  loads always materialize every array.
+  readable forever, but no longer written: every writer emits v2.
+  Compression makes it impossible to memory-map, so v1 loads always
+  materialize every array.
 * **v2** — the ``DRIMIDX2`` binary format: an 8-byte magic, a u64
   little-endian header length, a JSON header (space-padded), then the
   raw array segments at 16-byte-aligned offsets. Every segment's
@@ -31,9 +31,6 @@ it:
     save_index(quant, "index.drim", cluster_heat=heat)
     bundle = load_index_bundle("index.drim")     # mmap-backed views
     quant = load_index("index.drim")             # just the index
-
-``save_quantized`` / ``load_quantized`` remain as
-``DeprecationWarning`` shims over the same machinery.
 
 Cluster arrays are stored concatenated with offset tables rather than
 as thousands of tiny members (per-member overhead is brutal at
@@ -59,7 +56,6 @@ import json
 import os
 import struct
 import tempfile
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -257,37 +253,8 @@ def _validate_flat_layout(
 
 
 # ---------------------------------------------------------------------------
-# v1: the legacy .npz container
+# v1: the legacy .npz container (read-only)
 # ---------------------------------------------------------------------------
-
-def write_v1(index: QuantizedIndexData, path: str) -> None:
-    """Write the legacy v1 ``.npz`` archive (atomic, like every writer).
-
-    v1 has no tombstone representation, so indexes carrying deletions
-    must be :meth:`~repro.core.quantized.QuantizedIndexData.compact`\\ ed
-    (or saved as v2) first.
-    """
-    if index.has_tombstones:
-        raise ValueError(
-            "format v1 (.npz) cannot represent tombstones; compact() the "
-            "index first or save it in the v2 format"
-        )
-    offsets, ids_flat, codes_flat, _ = _flatten_index(index)
-
-    def _write(f) -> None:
-        np.savez_compressed(
-            f,
-            magic=np.array(_MAGIC),
-            version=np.array(FORMAT_VERSION),
-            centroids=index.centroids,
-            codebooks=index.codebooks,
-            offsets=offsets,
-            ids_flat=ids_flat,
-            codes_flat=codes_flat,
-        )
-
-    _atomic_write(path, _write)
-
 
 def _load_v1(path: str) -> QuantizedIndexData:
     try:
@@ -768,8 +735,8 @@ def verify_index(path: str) -> dict:
     else:
         container = "npz"
         try:
-            index = _load_v1(path)
-            checked = 5 + index.nlist * 0  # header + the five members
+            _load_v1(path)
+            checked = 5  # header + the five members
         except (IndexFormatError, FileNotFoundError) as e:
             errors.append(str(e))
     return {
@@ -779,36 +746,3 @@ def verify_index(path: str) -> dict:
         "checked_segments": checked,
         "errors": errors,
     }
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (the pre-lifecycle API)
-# ---------------------------------------------------------------------------
-
-def save_quantized(index: QuantizedIndexData, path: str) -> None:
-    """Deprecated: use :meth:`DrimAnnEngine.save` or :func:`save_index`.
-
-    Writes the legacy v1 ``.npz`` container, exactly as before.
-    """
-    warnings.warn(
-        "save_quantized() is deprecated; use DrimAnnEngine.save(path) or "
-        "repro.core.persist.save_index(index, path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    write_v1(index, path)
-
-
-def load_quantized(path: str) -> QuantizedIndexData:
-    """Deprecated: use :meth:`DrimAnnEngine.load` or :func:`load_index`.
-
-    Reads either container format, materialized (no mmap), exactly as
-    before.
-    """
-    warnings.warn(
-        "load_quantized() is deprecated; use DrimAnnEngine.load(path) or "
-        "repro.core.persist.load_index(path)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return load_index(path, mmap=False)

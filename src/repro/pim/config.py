@@ -104,11 +104,6 @@ class PimSystemConfig:
     # either way, and the executor falls back to serial when process
     # pools are unavailable.
     shard_workers: int = 0
-    # Which pool implementation backs shard_workers: "persistent"
-    # (zero-copy shared-memory residency, the default) or "percall"
-    # (the legacy per-round ProcessPoolExecutor, kept as the perf-gate
-    # baseline). Ignored when shard_workers <= 1.
-    shard_pool: str = "persistent"
     # Host-side kernel implementation for the functional scans and LUT
     # builds (see repro.pim.backend; mirrors
     # SearchParams.kernel_backend, which takes precedence when set to a
@@ -125,11 +120,6 @@ class PimSystemConfig:
             raise ValueError("rank/dimm sizes must be > 0")
         if self.shard_workers < 0:
             raise ValueError("shard_workers must be >= 0")
-        if self.shard_pool not in ("persistent", "percall"):
-            raise ValueError(
-                "shard_pool must be 'persistent' or 'percall', "
-                f"got {self.shard_pool!r}"
-            )
         if self.kernel_backend not in ("auto", "numpy", "numba"):
             raise ValueError(
                 "kernel_backend must be 'auto', 'numpy', or 'numba', "

@@ -8,26 +8,22 @@ group touches one shard's codes and its own LUT rows), so large fleets
 can fan it out over worker processes — mirroring how a real host would
 drive independent PIM ranks from multiple threads.
 
-Three executors and a planner live here:
+The scan paths, the one worker pool, and a planner live here:
 
 * :func:`scan_shard_group` — the single functional scan path. The
-  serial loop, the vectorized fast path's per-group fallback, and both
-  worker pools all funnel through the same kernel backend
+  serial loop, the vectorized fast path's per-group fallback, the pool
+  workers and the pool's in-process fallback all funnel through the
+  same kernel backend
   (:mod:`repro.pim.backend` — every backend is bit-identical to the
   reference :func:`~repro.pim.kernels.scan_distances` /
   :func:`~repro.pim.kernels.topk_rows` pair), which is what makes
   every execution strategy bit-exact by construction.
-* :class:`PersistentShardPool` — the default pool. Workers are spawned
+* :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
   them resident across rounds: the steady state ships only per-round
-  task descriptors ``(shard_key, luts, k)`` down the pipe and result
-  rows back. Nothing MRAM-resident is ever re-pickled.
-* :class:`ShardExecutor` — the legacy per-call
-  :class:`~concurrent.futures.ProcessPoolExecutor` wrapper, which
-  re-pickles every shard's codes on every round. Kept as the
-  comparison baseline for the ``bench_fig06 --smoke`` perf gate and
-  selectable via ``PimSystemConfig.shard_pool="percall"``.
+  task descriptors ``(shard_key, luts, k, live)`` down the pipe and
+  result rows back. Nothing MRAM-resident is ever re-pickled.
 * :class:`ExecutionPlanner` — picks serial / vectorized / pool per
   round from the round's measured size and the pool's warmup state
   (see :attr:`~repro.core.params.SearchParams.plan`).
@@ -106,11 +102,6 @@ def scan_shard_group(
     for c0 in range(0, len(luts), row_chunk):
         rows.extend(backend.scan_topk(luts[c0 : c0 + row_chunk], codes, ids, k))
     return rows
-
-
-def _scan_job(job: ScanJob) -> ScanRows:
-    luts, codes, ids, k = job
-    return scan_shard_group(luts, codes, ids, k)
 
 
 #: Byte budget for one stacked DC gather tensor ``(J, g, n, M)`` in the
@@ -439,13 +430,10 @@ def _pool_worker(
             _san_merge(msg[-1])
             if tag == "scan":
                 out: List[ScanRows] = []
-                for item in msg[1]:
-                    key, luts, k = item[0], item[1], item[2]
-                    # Older dispatchers ship 3-tuples; a 4th slot (when
-                    # present) is the live-row filter for shards with
-                    # tombstones — resident arrays keep the full rows,
-                    # deletions are applied at scan time.
-                    live = item[3] if len(item) > 3 else None
+                for key, luts, k, live in msg[1]:
+                    # ``live`` is the live-row filter for shards with
+                    # tombstones (None = every row): resident arrays keep
+                    # the full rows, deletions apply at scan time.
                     pair = views.get(key)
                     if pair is None:
                         pair = (
@@ -497,13 +485,11 @@ class PersistentShardPool:
     :class:`SharedShardArena`; :meth:`ensure_started` spawns the
     workers (non-blocking — each attaches the arena once and answers a
     ping when ready); :meth:`scan_groups` ships only
-    ``(shard_key, luts, k)`` descriptors per round and reassembles
+    ``(shard_key, luts, k, live)`` descriptors per round and reassembles
     results in submission order. Any failure degrades to the in-process
     serial path — bit-identical results — and records a fallback event
     for the metrics layer (:meth:`take_fallback_events`).
     """
-
-    kind = "persistent"
 
     def __init__(
         self, num_workers: int, backend_mode: str = "auto"
@@ -695,39 +681,41 @@ class PersistentShardPool:
     def scan_groups(
         self,
         jobs: Sequence[ScanJob],
-        keys: Optional[Sequence[str]] = None,
-        lives: Optional[Sequence[Optional[np.ndarray]]] = None,
+        keys: Sequence[str],
+        lives: Sequence[Optional[np.ndarray]],
+        backend: KernelBackend,
     ) -> List[ScanRows]:
         """Run jobs (possibly on the workers); results in submission order.
 
-        ``keys`` aligns each job with its resident shard key; workers
-        receive only ``(key, luts, k, live)``. ``lives`` (when given)
-        aligns each job with its live-row filter — ``None`` entries mean
-        every resident row is live; non-``None`` entries are the row
-        indices that survive tombstoning, applied worker-side against
-        the full resident arrays. Jobs without residency (no ``keys``,
-        unknown key, arena not hosted) and any pool failure fall back to
-        in-process execution — the results are identical either way
-        (the job arrays themselves are pre-filtered), and the fallback
-        is recorded.
+        ``keys`` aligns each job with its resident shard key and
+        ``lives`` with its live-row filter — ``None`` entries mean every
+        resident row is live; non-``None`` entries are the row indices
+        that survive tombstoning, applied worker-side against the full
+        resident arrays. Workers receive only ``(key, luts, k, live)``.
+        Single jobs run in process; jobs without residency (unknown key,
+        arena not hosted) and any pool failure degrade to in process and
+        record a fallback event. In-process runs use ``backend``, the
+        round's kernel backend, with identical results (the job arrays
+        themselves are pre-filtered).
         """
+
+        def inproc() -> List[ScanRows]:
+            return [scan_shard_group(*job, backend=backend) for job in jobs]
+
         if not self.parallel or len(jobs) < 2:
-            return [_scan_job(j) for j in jobs]
-        if keys is None or len(keys) != len(jobs):
-            self._note_fallback("no-residency")
-            return [_scan_job(j) for j in jobs]
+            return inproc()
         if not self.attached or any(k not in self._shard_keys for k in keys):
             self._note_fallback("no-residency")
-            return [_scan_job(j) for j in jobs]
+            return inproc()
         if not self.started:
             self.ensure_started()
         if not self.wait_warm():
-            return [_scan_job(j) for j in jobs]
+            return inproc()
         with self._lock:
             # A concurrent close() may have torn the pool down between
             # the warmup check and here; the serial path is always safe.
             if not self._conns or not self.parallel:
-                return [_scan_job(j) for j in jobs]
+                return inproc()
             # Contiguous round-robin split preserves submission order on
             # reassembly without an index shuffle.
             num = len(self._conns)
@@ -739,12 +727,7 @@ class PersistentShardPool:
                     if hi <= lo:
                         continue
                     payload = [
-                        (
-                            keys[j],
-                            jobs[j][0],
-                            jobs[j][3],
-                            None if lives is None else lives[j],
-                        )
+                        (keys[j], jobs[j][0], jobs[j][3], lives[j])
                         for j in range(lo, hi)
                     ]
                     conn.send(("scan", payload, _san_clock()))
@@ -759,7 +742,7 @@ class PersistentShardPool:
                 return results
             except Exception:
                 self._mark_broken("scan-failure")
-                return [_scan_job(j) for j in jobs]
+                return inproc()
 
     # ----- teardown -------------------------------------------------------
     def close(self) -> None:
@@ -790,113 +773,15 @@ class PersistentShardPool:
             pass
 
 
-class ShardExecutor:
-    """Legacy per-call process pool (the PR 4 data plane).
-
-    Re-pickles every job's shard arrays on every round; kept as the
-    ``shard_pool="percall"`` option and as the baseline the
-    ``bench_fig06 --smoke`` gate measures the persistent pool against.
-    """
-
-    kind = "percall"
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        self.num_workers = num_workers
-        self._pool = None
-        self._broken = False
-        self._fallback_events: List[str] = []
-
-    @property
-    def parallel(self) -> bool:
-        """Whether jobs currently fan out to worker processes."""
-        return self.num_workers > 1 and not self._broken
-
-    def ready(self) -> bool:
-        """Per-call pools have no warmup: ready whenever parallel."""
-        return self.parallel
-
-    def ensure_started(self) -> None:
-        self._ensure_pool()
-
-    def _note_fallback(self, reason: str) -> None:
-        self._fallback_events.append(reason)
-
-    def take_fallback_events(self) -> List[str]:
-        """Drain fallback reasons recorded since the last call."""
-        events, self._fallback_events = self._fallback_events, []
-        return events
-
-    def _ensure_pool(self):
-        if self._pool is None and not self._broken:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.num_workers)
-            except Exception:
-                self._broken = True
-                self._note_fallback("pool-create")
-        return self._pool
-
-    def scan_groups(
-        self,
-        jobs: Sequence[ScanJob],
-        keys: Optional[Sequence[str]] = None,
-        lives: Optional[Sequence[Optional[np.ndarray]]] = None,
-    ) -> List[ScanRows]:
-        """Run jobs (possibly in parallel); results in submission order.
-
-        Falls back to in-process execution when the pool is disabled,
-        cannot be created, or dies mid-flight — the results are
-        identical either way. ``keys`` and ``lives`` are accepted for
-        interface parity with :class:`PersistentShardPool` and ignored
-        (this pool ships the full, already-filtered arrays regardless).
-        """
-        if not self.parallel or len(jobs) < 2:
-            return [_scan_job(j) for j in jobs]
-        pool = self._ensure_pool()
-        if pool is None:
-            return [_scan_job(j) for j in jobs]
-        try:
-            return list(pool.map(_scan_job, jobs))
-        except Exception:
-            # Broken pool (killed worker, pickling failure, sandbox
-            # restriction): degrade permanently to serial.
-            self._broken = True
-            self._note_fallback("scan-failure")
-            self.close()
-            return [_scan_job(j) for j in jobs]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self._pool = None
-
-
 def make_executor(
-    shard_workers: int,
-    shard_pool: str = "persistent",
-    kernel_backend: str = "auto",
-):
-    """Build the configured executor (None when workers are disabled).
+    shard_workers: int, kernel_backend: str = "auto"
+) -> Optional[PersistentShardPool]:
+    """The configured worker pool, or None when workers are disabled.
 
-    ``kernel_backend`` is pinned per worker process at spawn by the
-    persistent pool; the legacy per-call pool's workers always resolve
-    ``auto`` (its jobs go through :func:`_scan_job`), which is
-    bit-identical anyway.
+    ``kernel_backend`` is pinned per worker process at spawn.
     """
-    if shard_pool not in ("persistent", "percall"):
-        raise ValueError(
-            f"shard_pool must be 'persistent' or 'percall', got {shard_pool!r}"
-        )
     if shard_workers <= 1:
         return None
-    if shard_pool == "percall":
-        return ShardExecutor(shard_workers)
     return PersistentShardPool(shard_workers, backend_mode=kernel_backend)
 
 

@@ -136,9 +136,7 @@ class PimSystem:
         # persistent pool attaches shard arrays lazily (first pool
         # round) via _ensure_pool_residency.
         self.executor = make_executor(
-            config.shard_workers,
-            config.shard_pool,
-            kernel_backend=config.kernel_backend,
+            config.shard_workers, kernel_backend=config.kernel_backend
         )
         self.planner = ExecutionPlanner()
         self._residency_dirty = True
@@ -706,17 +704,12 @@ class PimSystem:
             if jobs:
                 t0 = time.perf_counter()
                 if path == "pool" and self.executor is not None:
-                    if getattr(self.executor, "kind", "") == "persistent":
-                        results = self.executor.scan_groups(
-                            jobs,
-                            keys=[groups[gi][1] for gi in job_gis],
-                            lives=[
-                                self._live_rows.get(groups[gi][1])
-                                for gi in job_gis
-                            ],
-                        )
-                    else:
-                        results = self.executor.scan_groups(jobs)
+                    results = self.executor.scan_groups(
+                        jobs,
+                        [groups[gi][1] for gi in job_gis],
+                        [self._live_rows.get(groups[gi][1]) for gi in job_gis],
+                        backend,
+                    )
                 elif path in ("vectorized", "compiled"):
                     results = scan_jobs_stacked(jobs, backend=backend)
                 else:
@@ -754,10 +747,9 @@ class PimSystem:
 
         Lazy (first pool-eligible round) and re-run after any
         :meth:`place_shard`, which invalidates previous residency.
-        No-op for the legacy per-call pool.
         """
         ex = self.executor
-        if ex is None or getattr(ex, "kind", "") != "persistent":
+        if ex is None:
             return
         if not self._residency_dirty and ex.attached:
             return

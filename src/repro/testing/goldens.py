@@ -91,7 +91,6 @@ def canonical_config(
     execution: Optional[str] = None,
     plan: Optional[str] = None,
     shard_workers: int = 0,
-    shard_pool: str = "persistent",
     kernel_backend: Optional[str] = None,
 ) -> EngineConfig:
     """The :class:`EngineConfig` for one canonical config name."""
@@ -114,9 +113,7 @@ def canonical_config(
         index=params,
         search=search,
         system=PimSystemConfig(
-            num_dpus=c["num_dpus"],
-            shard_workers=shard_workers,
-            shard_pool=shard_pool,
+            num_dpus=c["num_dpus"], shard_workers=shard_workers
         ),
         layout=LayoutConfig(**c["layout"]),
     )
@@ -128,7 +125,6 @@ def build_canonical_engine(
     execution: Optional[str] = None,
     plan: Optional[str] = None,
     shard_workers: int = 0,
-    shard_pool: str = "persistent",
     kernel_backend: Optional[str] = None,
     index_path: Optional[str] = None,
 ) -> DrimAnnEngine:
@@ -146,7 +142,6 @@ def build_canonical_engine(
         execution=execution,
         plan=plan,
         shard_workers=shard_workers,
-        shard_pool=shard_pool,
         kernel_backend=kernel_backend,
     )
     engine = DrimAnnEngine.from_config(

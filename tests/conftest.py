@@ -7,6 +7,9 @@ corpus and one engine configuration.
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,20 @@ def small_engine(small_ds, small_quantized, small_params):
         prebuilt_quantized=small_quantized,
         seed=0,
     )
+
+
+@pytest.fixture()
+def v1_index(tmp_path):
+    """Scratch copy of the committed legacy v1 ``.npz`` index.
+
+    Nothing writes v1 any more; the committed file is what keeps the v1
+    reader covered (recipe in ``tests/test_persist_v2.py::TestBackCompat``).
+    The copy is safe to corrupt.
+    """
+    src = os.path.join(os.path.dirname(__file__), "fixtures", "index_v1.npz")
+    dst = str(tmp_path / "index_v1.npz")
+    shutil.copyfile(src, dst)
+    return dst
 
 
 @pytest.fixture()

@@ -29,27 +29,9 @@ class TestIndexBuild:
         payload, _ = _payload(capsys)
         assert payload["command"] == "index build"
         assert payload["config"]["format"] == "v2"
+        assert payload["results"]["format"] == "v2"
         assert payload["results"]["num_points"] == 20000
         assert payload["results"]["nlist"] == 64
-
-    def test_build_v1_format(self, tmp_path, capsys):
-        out = str(tmp_path / "idx.npz")
-        rc = main(
-            ["index", "build", "--json", "--format", "v1", "--out", out]
-            + BUILD_ARGS
-        )
-        assert rc == 0
-        payload, _ = _payload(capsys)
-        assert payload["results"]["format"] == "v1"
-        # legacy container really is a NumPy archive
-        assert open(out, "rb").read(2) == b"PK"
-
-    def test_deprecated_build_alias_still_works(self, tmp_path, capsys):
-        out = str(tmp_path / "idx.npz")
-        rc = main(["build", "--preset", "sift-like-20k", "--out", out]
-                  + BUILD_ARGS)
-        assert rc == 0
-        assert "wrote" in capsys.readouterr().out
 
 
 class TestIndexInfo:
@@ -98,11 +80,27 @@ class TestIndexInfo:
         assert main(["index", "info", v2_index]) == 0
         assert "radii: yes" in capsys.readouterr().out
 
+    def test_info_reads_v1(self, v1_index, capsys):
+        assert main(["index", "info", v1_index]) == 0
+        assert "npz (format v1)" in capsys.readouterr().out
+        assert main(["index", "info", "--json", v1_index]) == 0
+        payload, _ = _payload(capsys)
+        assert payload["results"]["container"] == "npz"
+        assert payload["results"]["num_points"] == 600
+
 
 class TestIndexVerify:
     def test_verify_clean(self, v2_index, capsys):
         assert main(["index", "verify", v2_index]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_verify_v1(self, v1_index, capsys):
+        assert main(["index", "verify", v1_index]) == 0
+        assert "OK" in capsys.readouterr().out
+        assert main(["index", "verify", "--json", v1_index]) == 0
+        payload, _ = _payload(capsys)
+        assert payload["results"]["ok"] is True
+        assert payload["results"]["container"] == "npz"
 
     def test_verify_corrupted_exits_nonzero(self, v2_index, tmp_path,
                                             capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DrimAnnEngine, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig, SearchParams
 from repro.pim.config import PimSystemConfig
 
 
@@ -11,11 +11,13 @@ from repro.pim.config import PimSystemConfig
 def engines(small_ds, small_quantized, small_params):
     out = {}
     for placement in ("host", "pim"):
-        out[placement] = DrimAnnEngine.build(
+        out[placement] = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=SearchParams(cluster_locate_on=placement),
-            system_config=PimSystemConfig(num_dpus=8),
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(cluster_locate_on=placement),
+                system=PimSystemConfig(num_dpus=8),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )

@@ -10,18 +10,21 @@ NUM_DPUS = 16
 
 @pytest.fixture(scope="module")
 def build_engine(small_ds, small_quantized, small_params):
-    def build(fault_plan=None, max_copies=2, **kw):
-        return DrimAnnEngine.build(
+    def build(
+        fault_plan=None, max_copies=2, search_params=SearchParams(batch_size=64)
+    ):
+        return DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=kw.pop("search_params", SearchParams(batch_size=64)),
-            system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-            layout_config=LayoutConfig(min_split_size=400, max_copies=max_copies),
+            EngineConfig(
+                index=small_params,
+                search=search_params,
+                system=PimSystemConfig(num_dpus=NUM_DPUS),
+                layout=LayoutConfig(min_split_size=400, max_copies=max_copies),
+                faults=fault_plan,
+            ),
             heat_queries=small_ds.queries[:50],
             prebuilt_quantized=small_quantized,
-            fault_plan=fault_plan,
             seed=0,
-            **kw,
         )
 
     return build

@@ -11,6 +11,7 @@ from repro.ann import recall_at_k
 from repro.baselines import CpuIvfPqBaseline
 from repro.core import (
     DrimAnnEngine,
+    EngineConfig,
     IndexParams,
     LayoutConfig,
     SearchParams,
@@ -28,21 +29,25 @@ class TestEndToEnd:
     def test_engine_beats_unbalanced_engine(self, small_ds, small_quantized, small_params):
         """Load balancing (layout + scheduler) must beat id-order layout
         with static scheduling — the Fig. 11 direction."""
-        balanced = DrimAnnEngine.build(
+        balanced = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=16),
-            layout_config=LayoutConfig(min_split_size=300, max_copies=2),
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(min_split_size=300, max_copies=2),
+            ),
             heat_queries=small_ds.queries[:50],
             prebuilt_quantized=small_quantized,
             seed=0,
         )
-        unbalanced = DrimAnnEngine.build(
+        unbalanced = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=16),
-            layout_config=LayoutConfig(
-                min_split_size=None, max_copies=0, allocation="id_order"
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(
+                    min_split_size=None, max_copies=0, allocation="id_order"
+                ),
             ),
             prebuilt_quantized=small_quantized,
             seed=0,
@@ -63,12 +68,14 @@ class TestEndToEnd:
 
     def test_deferral_does_not_lose_queries(self, small_ds, small_quantized, small_params):
         """Aggressive filtering must still answer every query fully."""
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            search_params=SearchParams(batch_size=32),
-            system_config=PimSystemConfig(num_dpus=16),
-            layout_config=LayoutConfig(min_split_size=300, max_copies=2),
+            EngineConfig(
+                index=small_params,
+                search=SearchParams(batch_size=32),
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(min_split_size=300, max_copies=2),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )
@@ -118,10 +125,9 @@ class TestEndToEnd:
         )
         res = dse.explore_with_table(table, 0.6, num_iterations=10)
         assert res.found_feasible
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            res.best_params,
-            system_config=PimSystemConfig(num_dpus=16),
+            EngineConfig(index=res.best_params, system=PimSystemConfig(num_dpus=16)),
             seed=0,
         )
         out, _ = eng.search(small_ds.queries)
@@ -139,10 +145,9 @@ class TestEndToEnd:
         """The DEEP100M-like shape (d=96) runs through the full stack."""
         ds = load_dataset("deep-like-20k", seed=0, num_queries=60, ground_truth_k=10)
         params = IndexParams(nlist=64, nprobe=8, k=10, num_subspaces=16, codebook_size=64)
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             ds.base,
-            params,
-            system_config=PimSystemConfig(num_dpus=8),
+            EngineConfig(index=params, system=PimSystemConfig(num_dpus=8)),
             seed=0,
         )
         res, bd = eng.search(ds.queries)
@@ -160,11 +165,13 @@ class TestQualitativeClaims:
             params = IndexParams(
                 nlist=nlist, nprobe=4, k=10, num_subspaces=16, codebook_size=64
             )
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                params,
-                system_config=PimSystemConfig(num_dpus=8),
-                layout_config=LayoutConfig(min_split_size=None, max_copies=0),
+                EngineConfig(
+                    index=params,
+                    system=PimSystemConfig(num_dpus=8),
+                    layout=LayoutConfig(min_split_size=None, max_copies=0),
+                ),
                 seed=0,
             )
             _, bd = eng.search(small_ds.queries[:60])
@@ -178,10 +185,9 @@ class TestQualitativeClaims:
             params = IndexParams(
                 nlist=64, nprobe=nprobe, k=10, num_subspaces=16, codebook_size=64
             )
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                params,
-                system_config=PimSystemConfig(num_dpus=8),
+                EngineConfig(index=params, system=PimSystemConfig(num_dpus=8)),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )
@@ -192,12 +198,14 @@ class TestQualitativeClaims:
     def test_model_gap_positive_without_balancing(self, small_ds, small_quantized, small_params):
         """Fig. 10(b): the ideal model is faster than the imbalanced
         simulator (the gap the load balancer closes)."""
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=PimSystemConfig(num_dpus=16),
-            layout_config=LayoutConfig(
-                min_split_size=None, max_copies=0, allocation="id_order"
+            EngineConfig(
+                index=small_params,
+                system=PimSystemConfig(num_dpus=16),
+                layout=LayoutConfig(
+                    min_split_size=None, max_copies=0, allocation="id_order"
+                ),
             ),
             prebuilt_quantized=small_quantized,
             seed=0,

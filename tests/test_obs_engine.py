@@ -73,40 +73,12 @@ class TestObsConfig:
 
 
 class TestDeprecationShim:
-    def test_build_warns(self, small_ds, small_quantized, small_params):
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            DrimAnnEngine.build(
-                small_ds.base,
-                small_params,
-                system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-                prebuilt_quantized=small_quantized,
-                seed=0,
-            )
+    """The deprecated constructor is gone; the one that stays is quiet."""
 
     def test_from_config_is_quiet(self, small_ds, small_quantized, small_params):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             _build(small_ds, small_quantized, small_params)
-
-    def test_shim_and_from_config_agree(
-        self, small_ds, small_quantized, small_params, plain_engine
-    ):
-        with pytest.warns(DeprecationWarning):
-            old = DrimAnnEngine.build(
-                small_ds.base,
-                small_params,
-                search_params=SearchParams(batch_size=64),
-                system_config=PimSystemConfig(num_dpus=NUM_DPUS),
-                layout_config=LayoutConfig(min_split_size=400, max_copies=2),
-                heat_queries=small_ds.queries[:50],
-                prebuilt_quantized=small_quantized,
-                seed=0,
-            )
-        q = small_ds.queries[:40]
-        a, _ = old.search(q)
-        b, _ = plain_engine.search(q)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        np.testing.assert_array_equal(a.distances, b.distances)
 
 
 class TestDisabledPath:
@@ -115,10 +87,13 @@ class TestDisabledPath:
         outcome = plain_engine.search(small_ds.queries[:40])
         assert outcome.metrics is None
 
-    def test_bit_exact_with_obs_on(self, obs_engine, plain_engine, small_ds):
+    def test_bit_exact_with_obs_on(self, small_ds, small_quantized, small_params):
+        # Fresh engines on both sides: per-batch cycles are differences
+        # of running per-DPU totals, so their last ulp depends on how
+        # many searches an engine has already run.
         q = small_ds.queries
-        on = obs_engine.search(q)
-        off = plain_engine.search(q)
+        on = _build(small_ds, small_quantized, small_params, obs=True).search(q)
+        off = _build(small_ds, small_quantized, small_params).search(q)
         np.testing.assert_array_equal(on.results.ids, off.results.ids)
         np.testing.assert_array_equal(
             on.results.distances, off.results.distances

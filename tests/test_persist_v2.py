@@ -1,15 +1,16 @@
 """The v2 ``DRIMIDX2`` on-disk format: round trips, zero-copy loads,
-validation, tooling (`index_info`/`verify_index`), shims, and the
-crash-safety windows exposed through :mod:`repro.faults.disk`.
+validation, tooling (`index_info`/`verify_index`), read compatibility
+with legacy v1 files, and the crash-safety windows exposed through
+:mod:`repro.faults.disk`.
 """
 
 import os
-import warnings
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.core import DrimAnnEngine, EngineConfig, IndexParams
 from repro.core.persist import (
     FORMAT_VERSION_V2,
     IndexBundle,
@@ -17,14 +18,12 @@ from repro.core.persist import (
     index_info,
     load_index,
     load_index_bundle,
-    load_quantized,
     save_index,
-    save_quantized,
     verify_index,
-    write_v1,
 )
 from repro.core.quantized import QuantizedIndexData
 from repro.faults.disk import CrashPoint, SimulatedCrash
+from repro.pim.config import PimSystemConfig
 
 
 def _tiny_index(with_tombstones=False):
@@ -160,70 +159,101 @@ class TestV2RoundTrip:
 
 
 class TestBackCompat:
-    def test_load_index_reads_v1_archives(self, small_quantized, tmp_path):
-        path = str(tmp_path / "index.npz")
-        write_v1(small_quantized, path)
-        _assert_same_index(load_index(path), small_quantized)
+    """Legacy v1 ``.npz`` files stay readable, through every reader.
 
-    def test_v1_refuses_tombstones(self, tmp_path):
-        quant = _tiny_index(with_tombstones=True)
-        with pytest.raises(ValueError, match="tombstone"):
-            write_v1(quant, str(tmp_path / "t.npz"))
+    No writer emits v1 any more, so the committed
+    ``tests/fixtures/index_v1.npz`` (the ``v1_index`` fixture) is the
+    v1 input. Recipe (the v1 container is a compressed ``.npz`` of the
+    flat arrays plus a magic string and a version)::
 
-    def test_save_quantized_shim_warns_and_writes_v1(
-        self, small_quantized, tmp_path
-    ):
-        path = str(tmp_path / "index.npz")
-        with pytest.warns(DeprecationWarning, match="save_index"):
-            save_quantized(small_quantized, path)
-        _assert_same_index(load_index(path), small_quantized)
+        ds = load_dataset("sift-like-20k", seed=0)
+        quant = build_quantized_index(IVFPQIndex.build(
+            ds.base[:600], nlist=8, num_subspaces=8, codebook_size=16,
+            seed=0))
+        np.savez_compressed(
+            "index_v1.npz",
+            magic=np.array("drimann-quantized-index"),
+            version=np.array(1),
+            centroids=quant.centroids,
+            codebooks=quant.codebooks,
+            offsets=np.concatenate([[0], np.cumsum(quant.cluster_sizes())]),
+            ids_flat=np.concatenate(quant.cluster_ids),
+            codes_flat=np.concatenate(quant.cluster_codes),
+        )
+    """
 
-    def test_load_quantized_shim_warns_and_reads_both(
-        self, small_quantized, tmp_path
-    ):
-        v2 = str(tmp_path / "index.drim")
-        save_index(small_quantized, v2)
-        with pytest.warns(DeprecationWarning, match="load_index"):
-            back = load_quantized(v2)
-        _assert_same_index(back, small_quantized)
+    def test_load_index_reads_v1_archives(self, v1_index, tmp_path):
+        bundle = load_index_bundle(v1_index)
+        assert bundle.version == 1
+        assert bundle.cluster_heat is None and bundle.preprocessor is None
+        quant = bundle.index
+        assert (quant.nlist, quant.num_points, quant.dim) == (8, 600, 128)
+        assert (quant.num_subspaces, quant.codebook_size) == (8, 16)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(quant.cluster_ids)), np.arange(600)
+        )
+        _assert_same_index(load_index(v1_index), quant)
+        v2 = str(tmp_path / "resaved.drim")
+        save_index(quant, v2)
+        _assert_same_index(load_index(v2), quant)
 
-    def test_public_shims_do_not_warn_on_import(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.core import load_quantized as _  # noqa: F401
+    def test_verify_index_accepts_v1(self, v1_index):
+        report = verify_index(v1_index)
+        assert report["ok"] and report["errors"] == []
+        assert report["container"] == "npz"
+        assert report["checked_segments"] == 5
+
+    def test_engine_on_v1_matches_v2_resave(self, v1_index, small_ds, tmp_path):
+        v2 = str(tmp_path / "resaved.drim")
+        save_index(load_index(v1_index), v2)
+        config = EngineConfig(
+            index=IndexParams(
+                nlist=8, nprobe=4, k=10, num_subspaces=8, codebook_size=16
+            ),
+            system=PimSystemConfig(num_dpus=4),
+        )
+        queries = small_ds.queries[:40]
+        results = []
+        for path in (v1_index, v2):
+            engine = DrimAnnEngine.load(path, config=config, seed=0)
+            res, _ = engine.search(queries)
+            engine.close()
+            results.append(res)
+        old, new = results
+        assert old.ids.tobytes() == new.ids.tobytes()
+        assert old.distances.tobytes() == new.distances.tobytes()
+        assert (old.ids >= 0).all()
 
 
 class TestOffsetValidation:
     """The satellite bugfix: corrupt offset tables must name the file
     and the broken member instead of surfacing a bare IndexError."""
 
-    def test_v1_bad_offsets_raise_format_error(
-        self, small_quantized, tmp_path
-    ):
-        path = str(tmp_path / "index.npz")
-        write_v1(small_quantized, path)
+    @staticmethod
+    def _rewrite_offsets(path, edit):
         data = dict(np.load(path))
         offsets = data["offsets"]
-        offsets[-1] = offsets[-1] + 64  # points past ids_flat
+        edit(offsets)
         data["offsets"] = offsets
         np.savez_compressed(path, **data)
-        with pytest.raises(IndexFormatError, match="offsets") as ei:
-            load_index(path)
-        assert "index.npz" in str(ei.value)
 
-    def test_v1_decreasing_offsets_raise_format_error(
-        self, small_quantized, tmp_path
-    ):
-        path = str(tmp_path / "index.npz")
-        write_v1(small_quantized, path)
-        data = dict(np.load(path))
-        offsets = data["offsets"]
-        assert len(offsets) > 2
-        offsets[1], offsets[2] = offsets[2].copy(), offsets[1].copy()
-        data["offsets"] = offsets
-        np.savez_compressed(path, **data)
+    def test_v1_bad_offsets_raise_format_error(self, v1_index):
+        def past_the_end(offsets):
+            offsets[-1] = offsets[-1] + 64  # points past ids_flat
+
+        self._rewrite_offsets(v1_index, past_the_end)
+        with pytest.raises(IndexFormatError, match="offsets") as ei:
+            load_index(v1_index)
+        assert "index_v1.npz" in str(ei.value)
+
+    def test_v1_decreasing_offsets_raise_format_error(self, v1_index):
+        def swap(offsets):
+            assert len(offsets) > 2
+            offsets[1], offsets[2] = offsets[2].copy(), offsets[1].copy()
+
+        self._rewrite_offsets(v1_index, swap)
         with pytest.raises(IndexFormatError, match="offsets"):
-            load_index(path)
+            load_index(v1_index)
 
 
 class TestV2Validation:
@@ -319,13 +349,13 @@ class TestIndexInfo:
         assert info["num_tombstones"] == 2
         assert info["tombstone_ratio"] == pytest.approx(2 / 8)
 
-    def test_info_reads_v1(self, small_quantized, tmp_path):
-        path = str(tmp_path / "i.npz")
-        write_v1(small_quantized, path)
-        info = index_info(path)
+    def test_info_reads_v1(self, v1_index):
+        info = index_info(v1_index)
         assert info["container"] == "npz"
         assert info["format_version"] == 1
-        assert info["num_points"] == small_quantized.num_points
+        assert info["num_points"] == 600
+        assert (info["nlist"], info["num_subspaces"]) == (8, 8)
+        assert info["file_bytes"] == os.path.getsize(v1_index)
 
 
 class TestCrashWindows:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import DrimAnnEngine, LayoutConfig
+from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig
 from repro.pim.config import hbm_pim_system_config, scaled_system_config
 
 
@@ -35,10 +35,12 @@ class TestHbmConfig:
 
 class TestEngineOnHbm:
     def test_engine_runs_unchanged(self, small_ds, small_quantized, small_params):
-        eng = DrimAnnEngine.build(
+        eng = DrimAnnEngine.from_config(
             small_ds.base,
-            small_params,
-            system_config=hbm_pim_system_config(num_units=16),
+            EngineConfig(
+                index=small_params,
+                system=hbm_pim_system_config(num_units=16),
+            ),
             prebuilt_quantized=small_quantized,
             seed=0,
         )
@@ -57,11 +59,13 @@ class TestEngineOnHbm:
             ("upmem", scaled_system_config(16)),
             ("hbm", hbm_pim_system_config(num_units=16)),
         ):
-            eng = DrimAnnEngine.build(
+            eng = DrimAnnEngine.from_config(
                 small_ds.base,
-                small_params,
-                system_config=cfg,
-                layout_config=LayoutConfig(min_split_size=400, max_copies=1),
+                EngineConfig(
+                    index=small_params,
+                    system=cfg,
+                    layout=LayoutConfig(min_split_size=400, max_copies=1),
+                ),
                 prebuilt_quantized=small_quantized,
                 seed=0,
             )

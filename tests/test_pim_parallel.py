@@ -1,7 +1,7 @@
 """The parallel data plane: bit-exact scans, graceful degradation.
 
-Every executor (legacy per-call pool, persistent zero-copy pool, the
-stacked vectorized path) must be a pure wall-clock knob: enabling one
+Every scan path (the persistent zero-copy pool, the stacked vectorized
+path, the serial loop) must be a pure wall-clock knob: enabling one
 cannot change a single output bit, no failure (creation, worker death,
 missing residency) may surface past ``scan_groups``, and every
 degradation must leave a fallback event for the metrics layer. The
@@ -12,6 +12,8 @@ close — checkable via :func:`assert_no_leaked_segments`.
 import numpy as np
 import pytest
 
+from repro.pim import backend as backend_mod
+from repro.pim.backend import resolve_backend
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
@@ -20,7 +22,6 @@ from repro.pim.parallel import (
     ExecutionPlanner,
     PersistentShardPool,
     SharedShardArena,
-    ShardExecutor,
     assert_no_leaked_segments,
     leaked_segment_names,
     make_executor,
@@ -63,74 +64,85 @@ class TestScanShardGroup:
             )
 
 
-class TestShardExecutor:
-    def test_parallel_matches_serial(self, rng):
-        jobs = _jobs(rng, n_jobs=4)
-        serial = [scan_shard_group(*j) for j in jobs]
-        ex = ShardExecutor(2)
-        try:
-            got = ex.scan_groups(jobs)
-        finally:
-            ex.close()
-        assert len(got) == len(serial)
-        for g, s in zip(got, serial):
-            _assert_rows_equal(g, s)
+def _scan(pool, jobs, keys, backend=None):
+    """One pool round with every row live, on ``backend`` (default auto)."""
+    if backend is None:
+        backend = resolve_backend("auto")
+    return pool.scan_groups(jobs, keys, [None] * len(jobs), backend)
 
-    def test_single_job_stays_in_process(self, rng):
-        ex = ShardExecutor(2)
-        try:
-            got = ex.scan_groups(_jobs(rng, n_jobs=1))
-        finally:
-            ex.close()
-        assert ex._pool is None  # never spun up for < 2 jobs
-        assert len(got) == 1
 
-    def test_pool_creation_failure_degrades_to_serial(self, rng, monkeypatch):
-        ex = ShardExecutor(2)
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor",
-            lambda *a, **kw: (_ for _ in ()).throw(OSError("no fork")),
-        )
-        jobs = _jobs(rng, n_jobs=3)
-        got = ex.scan_groups(jobs)
-        assert ex._broken and not ex.parallel
-        serial = [scan_shard_group(*j) for j in jobs]
-        for g, s in zip(got, serial):
-            _assert_rows_equal(g, s)
+class _SpyBackend:
+    """Delegates to the NumPy backend and counts ``scan_topk`` calls."""
 
-    def test_broken_pool_mid_flight_degrades_permanently(self, rng):
-        class _DeadPool:
-            def map(self, fn, jobs):
-                raise BrokenPipeError("worker died")
+    def __init__(self):
+        self.inner = resolve_backend("numpy")
+        self.scans = 0
 
-            def shutdown(self, **kw):
-                pass
+    def scan_topk(self, *args, **kwargs):
+        self.scans += 1
+        return self.inner.scan_topk(*args, **kwargs)
 
-        ex = ShardExecutor(2)
-        ex._pool = _DeadPool()
-        jobs = _jobs(rng, n_jobs=3)
-        got = ex.scan_groups(jobs)
-        assert ex._broken and not ex.parallel
-        assert ex._pool is None  # close() ran
-        serial = [scan_shard_group(*j) for j in jobs]
-        for g, s in zip(got, serial):
-            _assert_rows_equal(g, s)
-        # subsequent calls stay serial and keep working
-        again = ex.scan_groups(jobs)
-        for g, s in zip(again, serial):
-            _assert_rows_equal(g, s)
+
+class TestPoolExecutor:
+    """The shard executor ``make_executor`` builds for ``PimSystem``:
+    construction, and degradation when the pool cannot run."""
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="num_workers"):
-            ShardExecutor(-1)
+            PersistentShardPool(-1)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_make_executor_disabled(self, n):
         assert make_executor(n) is None
 
     def test_make_executor_enabled(self):
-        ex = make_executor(2, shard_pool="percall")
-        assert isinstance(ex, ShardExecutor) and ex.num_workers == 2
+        ex = make_executor(2, kernel_backend="numpy")
+        assert isinstance(ex, PersistentShardPool) and ex.num_workers == 2
+        assert ex.backend_mode == "numpy"  # pinned in every worker at spawn
+
+    def test_pool_creation_failure_degrades_to_serial(self, rng, monkeypatch):
+        def refuse(arrays):
+            raise OSError("no shared memory")
+
+        monkeypatch.setattr(SharedShardArena, "create", refuse)
+        jobs = _jobs(rng, n_jobs=3)
+        keys = [f"s{i}" for i in range(len(jobs))]
+        with make_executor(2) as ex:
+            ex.host_shards({k: (j[1], j[2]) for k, j in zip(keys, jobs)})
+            assert ex._broken and not ex.parallel
+            assert ex.take_fallback_events() == ["arena-create"]
+            got = _scan(ex, jobs, keys)
+        for g, j in zip(got, jobs):
+            _assert_rows_equal(g, scan_shard_group(*j))
+
+    def test_broken_pool_mid_flight_degrades_permanently(self, rng):
+        class _DeadConn:
+            def send(self, obj):
+                raise BrokenPipeError("worker died")
+
+            def close(self):
+                pass
+
+        jobs = _jobs(rng, n_jobs=3)
+        keys = [f"s{i}" for i in range(len(jobs))]
+        serial = [scan_shard_group(*j) for j in jobs]
+        with make_executor(2) as ex:
+            ex.host_shards({k: (j[1], j[2]) for k, j in zip(keys, jobs)})
+            assert ex.wait_warm()
+            for conn in ex._conns:
+                conn.close()  # the workers see EOF and exit
+            ex._conns = [_DeadConn() for _ in ex._conns]
+            got = _scan(ex, jobs, keys)
+            assert ex.take_fallback_events() == ["scan-failure"]
+            assert ex._broken and not ex.parallel and not ex.started
+            for g, s in zip(got, serial):
+                _assert_rows_equal(g, s)
+            # subsequent calls stay serial and keep working
+            again = _scan(ex, jobs, keys)
+            assert not ex.take_fallback_events()
+            for g, s in zip(again, serial):
+                _assert_rows_equal(g, s)
+        assert_no_leaked_segments()
 
 
 class TestScanJobsStacked:
@@ -237,13 +249,39 @@ class TestPersistentShardPool:
         )
         return pool, keys
 
+    def test_fallbacks_run_the_rounds_backend(self, rng, monkeypatch):
+        """Single-job and no-residency rounds scan on the passed backend.
+
+        The registry is patched so ``auto`` resolves to a spy standing in
+        for an installed compiled backend; the round passes a different
+        spy, and only that one may run.
+        """
+        jobs = _jobs(rng, n_jobs=3)
+        numpy_backend = resolve_backend("numpy")
+        want = [scan_shard_group(*j, backend=numpy_backend) for j in jobs]
+        auto_spy, passed = _SpyBackend(), _SpyBackend()
+        monkeypatch.setitem(backend_mod._INSTANCES, "numba", auto_spy)
+        assert resolve_backend("auto") is auto_spy
+        pool, keys = self._hosted_pool(rng, jobs)
+        with pool:
+            got = _scan(pool, jobs[:1], keys[:1], passed)
+            assert not pool.take_fallback_events()
+            _assert_rows_equal(got[0], want[0])
+            assert passed.scans == 1
+            got = _scan(pool, jobs, ["nope"] * len(jobs), passed)
+            assert pool.take_fallback_events() == ["no-residency"]
+            for g, w in zip(got, want):
+                _assert_rows_equal(g, w)
+            assert passed.scans == 1 + len(jobs)
+        assert auto_spy.scans == 0
+
     def test_parity_with_serial(self, rng):
         jobs = _jobs(rng, n_jobs=5)
         serial = [scan_shard_group(*j) for j in jobs]
         pool, keys = self._hosted_pool(rng, jobs)
         with pool:
             assert pool.wait_warm()
-            got = pool.scan_groups(jobs, keys=keys)
+            got = _scan(pool, jobs, keys)
         assert not pool.take_fallback_events()
         for g, s in zip(got, serial):
             _assert_rows_equal(g, s)
@@ -256,7 +294,7 @@ class TestPersistentShardPool:
         with pool:
             first_procs = None
             for _ in range(3):
-                got = pool.scan_groups(jobs, keys=keys)
+                got = _scan(pool, jobs, keys)
                 for g, s in zip(got, serial):
                     _assert_rows_equal(g, s)
                 pids = [p.pid for p in pool._procs]
@@ -269,11 +307,7 @@ class TestPersistentShardPool:
         serial = [scan_shard_group(*j) for j in jobs]
         pool, keys = self._hosted_pool(rng, jobs)
         with pool:
-            got = pool.scan_groups(jobs, keys=None)  # no keys at all
-            assert pool.take_fallback_events() == ["no-residency"]
-            for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
-            got = pool.scan_groups(jobs, keys=["nope"] * len(jobs))
+            got = _scan(pool, jobs, ["nope"] * len(jobs))
             assert pool.take_fallback_events() == ["no-residency"]
             for g, s in zip(got, serial):
                 _assert_rows_equal(g, s)
@@ -282,7 +316,7 @@ class TestPersistentShardPool:
         jobs = _jobs(rng, n_jobs=1)
         pool, keys = self._hosted_pool(rng, jobs)
         with pool:
-            got = pool.scan_groups(jobs, keys=keys)
+            got = _scan(pool, jobs, keys)
             assert not pool.started  # never spun up for < 2 jobs
         assert len(got) == 1
 
@@ -295,14 +329,14 @@ class TestPersistentShardPool:
             for proc in pool._procs:
                 proc.terminate()
                 proc.join(timeout=2.0)
-            got = pool.scan_groups(jobs, keys=keys)
+            got = _scan(pool, jobs, keys)
             events = pool.take_fallback_events()
             assert "scan-failure" in events or "worker-death" in events
             assert pool._broken and not pool.parallel
             for g, s in zip(got, serial):
                 _assert_rows_equal(g, s)
             # subsequent rounds keep working serially
-            again = pool.scan_groups(jobs, keys=keys)
+            again = _scan(pool, jobs, keys)
             for g, s in zip(again, serial):
                 _assert_rows_equal(g, s)
         assert_no_leaked_segments()
@@ -319,7 +353,7 @@ class TestPersistentShardPool:
                 {k: (j[1], j[2]) for k, j in zip(keys2, jobs2)}
             )
             assert not pool.started  # stopped; restarted on demand
-            got = pool.scan_groups(jobs2, keys=keys2)
+            got = _scan(pool, jobs2, keys2)
             new_pids = [p.pid for p in pool._procs]
             assert new_pids and new_pids != old_pids
             serial = [scan_shard_group(*j) for j in jobs2]
@@ -423,15 +457,7 @@ class TestExecutionPlanner:
 class TestMakeExecutorKinds:
     def test_default_is_persistent(self):
         ex = make_executor(2)
-        assert isinstance(ex, PersistentShardPool) and ex.kind == "persistent"
-
-    def test_percall_selects_legacy_pool(self):
-        ex = make_executor(2, shard_pool="percall")
-        assert isinstance(ex, ShardExecutor) and ex.kind == "percall"
-
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError, match="shard_pool"):
-            make_executor(2, shard_pool="magic")
+        assert isinstance(ex, PersistentShardPool) and ex.num_workers == 2
 
 
 class TestEndToEndParity:
@@ -451,17 +477,14 @@ class TestEndToEndParity:
         np.testing.assert_array_equal(res_s.ids, res_p.ids)
         np.testing.assert_array_equal(res_s.distances, res_p.distances)
 
-    @pytest.mark.parametrize("shard_pool", ["persistent", "percall"])
-    def test_pool_kinds_do_not_change_results(self, shard_pool):
+    def test_pool_plan_does_not_change_results(self):
         name = "split-replicated"
         queries = canonical_dataset().queries[
             : CANONICAL_CONFIGS[name]["num_queries"]
         ]
         serial_engine = build_canonical_engine(name, shard_workers=0)
         res_s, _ = serial_engine.search(queries)
-        engine = build_canonical_engine(
-            name, plan="pool", shard_workers=2, shard_pool=shard_pool
-        )
+        engine = build_canonical_engine(name, plan="pool", shard_workers=2)
         try:
             res_p, _ = engine.search(queries)
         finally:
@@ -503,7 +526,7 @@ class TestCrashPathHardening:
             for proc in pool._procs:
                 os.kill(proc.pid, signal.SIGKILL)
                 proc.join(timeout=2.0)
-            got = pool.scan_groups(jobs, keys=keys)  # degrades, no raise
+            got = _scan(pool, jobs, keys)  # degrades, no raise
             assert pool._broken and not pool.parallel
             for g, s in zip(got, serial):
                 _assert_rows_equal(g, s)
@@ -541,7 +564,7 @@ class TestCrashPathHardening:
         def hammer():
             try:
                 for _ in range(10):
-                    results.append(pool.scan_groups(jobs, keys=keys))
+                    results.append(_scan(pool, jobs, keys))
             except Exception as exc:  # pragma: no cover - the failure mode
                 errors.append(exc)
 
