@@ -134,7 +134,6 @@ def build_engine(
     multiplier_less: bool = True,
     compute_scale: float = 1.0,
     execution: str = "batched",
-    plan: str = "auto",
     shard_workers: int = 0,
 ) -> DrimAnnEngine:
     quant = bench_quantized(ds, params.nlist, params.num_subspaces, params.codebook_size)
@@ -147,7 +146,6 @@ def build_engine(
             batch_size=BATCH_SIZE,
             multiplier_less=multiplier_less,
             execution=execution,
-            plan=plan,
         ),
         layout=layout if layout is not None else default_layout(),
         system=cfg,

@@ -413,6 +413,32 @@ def emit_to_tracer(events: Iterable[ArenaEvent], tracer: Any) -> None:
         tracer.record(name, tid, float(ev.seq), float(ev.seq), detail=detail)
 
 
+def _check_pool_exercised(
+    events: Iterable[ArenaEvent], owner: int
+) -> List[Finding]:
+    """An error unless some worker attached the arena and viewed a shard.
+
+    Without both, the run never put the worker side of the data plane
+    under the checkers, and zero findings would prove nothing.
+    """
+    worker_kinds = {ev.kind for ev in events if ev.pid != owner}
+    missing = [kind for kind in ("attach", "view") if kind not in worker_kinds]
+    if not missing:
+        return []
+    return [
+        Finding(
+            checker="sanitizer",
+            rule="pool-not-exercised",
+            severity=Severity.ERROR,
+            message=(
+                f"no pool worker recorded {' or '.join(map(repr, missing))}; "
+                "the sanitized search never ran on the worker pool"
+            ),
+            data={"missing": missing},
+        )
+    ]
+
+
 def run_sanitize(
     *,
     config: str = "split-replicated",
@@ -421,11 +447,15 @@ def run_sanitize(
 ) -> Tuple[List[Finding], Dict[str, Any]]:
     """Run one canonical pool-backed search with the recorder armed.
 
-    Builds the named canonical engine with a persistent worker pool,
-    searches the canonical query set, closes the engine, then replays
-    the recorded arena events through :func:`check_arena_events` and
-    :func:`repro.analysis.tracecheck.check_arena_order`. A healthy data
-    plane reports zero findings.
+    Builds the named canonical engine with a persistent worker pool of
+    ``shard_workers`` (at least 2, or there is no pool to sanitize),
+    warms the pool, searches the canonical query set, closes the
+    engine, then replays the recorded arena events through
+    :func:`check_arena_events` and
+    :func:`repro.analysis.tracecheck.check_arena_order`. A run in which
+    no worker attached the arena or scanned a shard view did not
+    exercise the data plane and reports a ``pool-not-exercised`` error.
+    A healthy data plane reports zero findings.
 
     Returns ``(findings, stats)`` where ``stats`` summarizes the run
     (event/process/segment counts) for the CLI envelope.
@@ -443,18 +473,21 @@ def run_sanitize(
         raise ValueError(
             f"config must be one of {sorted(CANONICAL_CONFIGS)}, got {config!r}"
         )
+    if shard_workers < 2:
+        raise ValueError(
+            f"shard_workers must be >= 2 to run a worker pool, got {shard_workers}"
+        )
 
     events: List[ArenaEvent] = []
     with tempfile.TemporaryDirectory(prefix="drimsan-") as spool:
         enable(spool)
         try:
-            engine = build_canonical_engine(
-                config, plan="pool", shard_workers=shard_workers
-            )
+            engine = build_canonical_engine(config, shard_workers=shard_workers)
             try:
                 queries = canonical_dataset().queries[
                     : CANONICAL_CONFIGS[config]["num_queries"]
                 ]
+                engine.system.warm_pool()
                 engine.search(queries)
             finally:
                 engine.close()
@@ -462,7 +495,8 @@ def run_sanitize(
         finally:
             disable()
 
-    findings = check_arena_events(events)
+    findings = _check_pool_exercised(events, owner=os.getpid())
+    findings += check_arena_events(events)
     findings += tracecheck.check_arena_order(events)
 
     if trace_path is not None:

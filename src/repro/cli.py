@@ -171,13 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default), batch_size chunks, or one query per "
                         "round (differential baseline)")
     s.add_argument("--shard-workers", type=int, default=0,
-                   help="worker processes for shard scans (0 = serial; "
-                        "results are bit-identical either way)")
-    s.add_argument("--plan", default="auto",
-                   choices=("auto", "serial", "vectorized", "pool"),
-                   help="data-plane strategy per round: planner-chosen "
-                        "(default), serial loop, stacked vectorized scan, "
-                        "or persistent worker pool — all bit-identical")
+                   help="worker processes for shard scans (0 or 1 = no "
+                        "pool, every round scans in process; results are "
+                        "bit-identical either way)")
     s.add_argument("--kernel-backend", default="auto",
                    choices=("auto", "numpy", "numba"),
                    help="host kernel implementation for scans/LUT builds: "
@@ -240,11 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("coalesce", "per_query"),
                    help="micro-batch coalescing (default) or one engine "
                         "round per arrival (the no-batching baseline)")
-    v.add_argument("--plan", default="auto",
-                   choices=("auto", "serial", "vectorized", "pool"),
-                   help="data-plane strategy for every serving round")
     v.add_argument("--shard-workers", type=int, default=0,
-                   help="worker processes for shard scans (0 = serial)")
+                   help="worker processes for shard scans (0 or 1 = no "
+                        "pool, every round scans in process)")
     v.add_argument("--kernel-backend", default="auto",
                    choices=("auto", "numpy", "numba"),
                    help="host kernel implementation for scans/LUT builds "
@@ -382,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="canonical engine config to drive (default: "
                          "split-replicated)")
     sa.add_argument("--workers", type=int, default=2,
-                    help="persistent pool workers for the sanitized run")
+                    help="persistent pool workers for the sanitized run "
+                         "(at least 2)")
     sa.add_argument("--trace-out", metavar="PATH",
                     help="also export the arena event timeline as Chrome "
                          "trace JSON")
@@ -613,10 +608,7 @@ def _cmd_search(args) -> int:
     obs_on = bool(args.profile or args.metrics_out or args.as_json)
     config = EngineConfig(
         index=params,
-        search=SearchParams(
-            execution=args.execution, plan=args.plan, adaptive=args.adaptive,
-            kernel_backend=args.kernel_backend,
-        ),
+        search=SearchParams(execution=args.execution, adaptive=args.adaptive),
         layout=layout,
         system=PimSystemConfig(
             num_dpus=args.dpus, shard_workers=args.shard_workers,
@@ -868,7 +860,6 @@ def _cmd_serve(args) -> int:
                 ),
                 dispatch=args.dispatch,
             ),
-            plan=args.plan,
         )
     finally:
         engine.close()
@@ -888,7 +879,6 @@ def _cmd_serve(args) -> int:
             "max_wait_ms": args.max_wait_ms,
             "deadline_ms": args.deadline_ms,
             "dispatch": args.dispatch,
-            "plan": args.plan,
             "engine": config.to_dict(),
         },
         results=outcome.report.to_dict(),

@@ -293,7 +293,6 @@ class ClusterFrontend:
         queries: np.ndarray,
         probes_local: np.ndarray,
         execution: Optional[str],
-        plan: Optional[str],
         adaptive: Optional[str] = None,
     ) -> _NodeCall:
         """One modeled request/response to one node."""
@@ -305,7 +304,7 @@ class ClusterFrontend:
                 return _NodeCall(False, "partition", deadline)
         engine = self.cluster.node_engine(node_id)
         res, bd = engine.search(
-            queries, probes=probes_local, execution=execution, plan=plan,
+            queries, probes=probes_local, execution=execution,
             adaptive=adaptive,
         )
         slow = (
@@ -323,7 +322,6 @@ class ClusterFrontend:
         queries: np.ndarray,
         probes_local: np.ndarray,
         execution: Optional[str],
-        plan: Optional[str],
         adaptive: Optional[str],
         backoff_seed,
         report: ClusterReport,
@@ -346,7 +344,7 @@ class ClusterFrontend:
                 if self.observer is not None:
                     self.observer.on_node_retry()
             call = self._call_node(
-                node, queries, probes_local, execution, plan, adaptive
+                node, queries, probes_local, execution, adaptive
             )
             await asyncio.sleep(0)  # yield: let sibling shards interleave
             if not call.ok:
@@ -374,7 +372,7 @@ class ClusterFrontend:
                 if hedge_nodes:
                     hedge = self._call_node(
                         hedge_nodes[0], queries, probes_local,
-                        execution, plan, adaptive,
+                        execution, adaptive,
                     )
                     await asyncio.sleep(0)
                     hedged = True
@@ -412,7 +410,6 @@ class ClusterFrontend:
         queries: np.ndarray,
         probes: np.ndarray,
         execution: Optional[str],
-        plan: Optional[str],
         adaptive: Optional[str],
         report: ClusterReport,
     ) -> List[ShardResponse]:
@@ -432,7 +429,6 @@ class ClusterFrontend:
                     queries[rows],
                     lp[rows],
                     execution,
-                    plan,
                     adaptive,
                     seeds[shard.shard_id],
                     report,
@@ -447,7 +443,6 @@ class ClusterFrontend:
         queries: np.ndarray,
         *,
         execution: Optional[str] = None,
-        plan: Optional[str] = None,
         adaptive: Optional[str] = None,
     ) -> ClusterOutcome:
         """Batched cluster top-k; one fault-plan round per call.
@@ -515,7 +510,7 @@ class ClusterFrontend:
         )
         responses = asyncio.run(
             self._scatter_gather(
-                queries, probes, execution, plan, shard_adaptive, report
+                queries, probes, execution, shard_adaptive, report
             )
         )
 

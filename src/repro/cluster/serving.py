@@ -40,7 +40,6 @@ def simulate_cluster_serving(
     *,
     return_results: bool = False,
     execution: Optional[str] = None,
-    plan: Optional[str] = None,
 ) -> ServingOutcome:
     """Replay a query stream through the cluster frontend.
 
@@ -103,9 +102,7 @@ def simulate_cluster_serving(
         if len(members) == 0:
             i = j
             continue
-        res, rep = frontend.search(
-            queries[members], execution=execution, plan=plan
-        )
+        res, rep = frontend.search(queries[members], execution=execution)
         if return_results:
             if out_ids is None:
                 k = res.ids.shape[1]

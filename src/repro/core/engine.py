@@ -46,8 +46,6 @@ from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
     ADAPTIVE_MODES,
     EXECUTION_MODES,
-    KERNEL_BACKEND_MODES,
-    PLAN_MODES,
     DatasetShape,
     IndexParams,
     SearchParams,
@@ -804,10 +802,8 @@ class DrimAnnEngine:
         *,
         with_scheduler: bool = True,
         execution: Optional[str] = None,
-        plan: Optional[str] = None,
         probes: Optional[np.ndarray] = None,
         adaptive: Optional[str] = None,
-        kernel_backend: Optional[str] = None,
     ) -> SearchOutcome:
         """Batched top-k search.
 
@@ -839,20 +835,6 @@ class DrimAnnEngine:
         with a canonical (distance, id) tie-break — and identical
         aggregate kernel-cycle totals; only round structure, transfer
         aggregation, and host wall-clock differ.
-
-        ``plan`` overrides ``search_params.plan`` for this call: the
-        data-plane strategy for each round's functional shard scans
-        (``"auto"`` / ``"serial"`` / ``"vectorized"`` / ``"pool"`` —
-        see :mod:`repro.pim.parallel`). Like ``execution``, this is
-        purely a wall-clock choice; results and cycle ledgers are
-        identical on every path.
-
-        ``kernel_backend`` overrides ``search_params.kernel_backend``
-        for this call: the host-side kernel implementation for the
-        scans and LUT builds (``"auto"`` / ``"numpy"`` / ``"numba"`` —
-        see :mod:`repro.pim.backend`). Every backend is bit-identical
-        and the cycle ledgers are charged from closed forms over
-        shapes, so this too moves host wall-clock only.
 
         ``with_scheduler=False`` forces the static policy (replica 0,
         no filter) — the ablation arm of Fig. 11.
@@ -916,21 +898,6 @@ class DrimAnnEngine:
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {mode!r}"
-            )
-        plan_mode = plan if plan is not None else self.search_params.plan
-        if plan_mode not in PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {PLAN_MODES}, got {plan_mode!r}"
-            )
-        kb_mode = (
-            kernel_backend
-            if kernel_backend is not None
-            else self.search_params.kernel_backend
-        )
-        if kb_mode not in KERNEL_BACKEND_MODES:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKEND_MODES}, "
-                f"got {kb_mode!r}"
             )
         if probes is not None:
             probes = np.asarray(probes)
@@ -1011,12 +978,9 @@ class DrimAnnEngine:
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
                 batch_span=span,
-                plan=plan_mode,
-                kernel_backend=kb_mode,
             )
             self._recover(
-                failed, sched, queries, k, pools_i, pools_d, breakdown,
-                plan=plan_mode, kernel_backend=kb_mode,
+                failed, sched, queries, k, pools_i, pools_d, breakdown
             )
             return list(outcome.deferred)
 
@@ -1118,8 +1082,6 @@ class DrimAnnEngine:
         extra_pim_seconds: float = 0.0,
         extra_cl_cycles: float = 0.0,
         batch_span: int = 1,
-        plan: str = "auto",
-        kernel_backend: Optional[str] = None,
     ) -> List[Tuple[int, str]]:
         """Run one PIM batch and fold results/timing in.
 
@@ -1148,8 +1110,6 @@ class DrimAnnEngine:
                 k,
                 multiplier_less=self.search_params.multiplier_less,
                 batch_span=batch_span,
-                plan=plan,
-                kernel_backend=kernel_backend,
             )
             for p in partials:
                 gq = active[p.query_index]
@@ -1187,9 +1147,6 @@ class DrimAnnEngine:
         pools_i: List[List[np.ndarray]],
         pools_d: List[List[np.ndarray]],
         breakdown: TimingBreakdown,
-        *,
-        plan: str = "auto",
-        kernel_backend: Optional[str] = None,
     ) -> None:
         """Fail over tasks lost to dead DPUs.
 
@@ -1228,8 +1185,7 @@ class DrimAnnEngine:
             stats.task_retries += sum(len(t) for t in assignments.values())
             failed = self._execute(
                 assignments, queries, k, pools_i, pools_d, breakdown,
-                host_seconds=0.0, num_new_queries=0, plan=plan,
-                kernel_backend=kernel_backend,
+                host_seconds=0.0, num_new_queries=0,
             )
             attempt += 1
 

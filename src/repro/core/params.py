@@ -82,21 +82,11 @@ class IndexParams:
 #: Valid values of :attr:`SearchParams.execution`.
 EXECUTION_MODES = ("batched", "chunked", "per_query")
 
-#: Valid values of :attr:`SearchParams.plan` (the data-plane strategy
-#: for a round's functional shard scans — see repro.pim.parallel).
-PLAN_MODES = ("auto", "serial", "vectorized", "pool")
-
 #: Valid values of :attr:`SearchParams.adaptive` (query-adaptive
 #: probing — see repro.core.adaptive). "off" is the fixed-nprobe
 #: baseline; "bound" adds exact distance-bound early termination;
 #: "budget" adds per-query nprobe selection; "full" combines both.
 ADAPTIVE_MODES = ("off", "bound", "budget", "full")
-
-#: Valid values of :attr:`SearchParams.kernel_backend` (the host-side
-#: kernel implementation — see repro.pim.backend, whose
-#: ``KERNEL_BACKEND_MODES`` this mirrors; kept as a literal here so
-#: importing the parameter bundles never pulls in the kernel package).
-KERNEL_BACKEND_MODES = ("auto", "numpy", "numba")
 
 
 @dataclass(frozen=True)
@@ -117,12 +107,6 @@ class SearchParams:
     # bit-identical across modes; only timing and transfer aggregation
     # differ.
     execution: str = "batched"
-    # Data-plane strategy for each round's functional shard scans:
-    # "auto" lets the execution planner pick serial / vectorized / pool
-    # from the round's measured size and worker warmup state; the other
-    # values force one path. Bit-identical results and identical cycle
-    # ledgers in every mode — only host wall-clock differs.
-    plan: str = "auto"
     # Query-adaptive probing (see repro.core.adaptive): "off" probes a
     # fixed nprobe clusters per query; "bound" stops a query early when
     # its k-th distance provably beats every remaining cluster's lower
@@ -138,14 +122,6 @@ class SearchParams:
     # Gap-heuristic sensitivity: cut the probe list at the first
     # centroid-distance gap exceeding adaptive_gap * (mean gap).
     adaptive_gap: float = 2.0
-    # Host-side kernel implementation for the functional scans and LUT
-    # builds (see repro.pim.backend): "auto" takes the compiled numba
-    # build when importable and the fused NumPy backend otherwise;
-    # "numpy"/"numba" request one explicitly (numba degrades to numpy
-    # with a recorded fallback when unavailable). Bit-identical results
-    # and identical cycle ledgers in every mode — only host wall-clock
-    # differs.
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -158,10 +134,6 @@ class SearchParams:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
             )
-        if self.plan not in PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {PLAN_MODES}, got {self.plan!r}"
-            )
         if self.adaptive not in ADAPTIVE_MODES:
             raise ValueError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {self.adaptive!r}"
@@ -173,11 +145,6 @@ class SearchParams:
         if self.adaptive_gap <= 0:
             raise ValueError(
                 f"adaptive_gap must be > 0, got {self.adaptive_gap}"
-            )
-        if self.kernel_backend not in KERNEL_BACKEND_MODES:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKEND_MODES}, "
-                f"got {self.kernel_backend!r}"
             )
 
     def adc_lut_bytes(self, params: IndexParams, bits_lut: int = 32) -> int:

@@ -305,7 +305,6 @@ def simulate_serving(
     *,
     with_scheduler: bool = True,
     return_results: bool = False,
-    plan: Optional[str] = None,
 ) -> ServingOutcome:
     """Replay a timestamped query stream through the engine.
 
@@ -314,8 +313,7 @@ def simulate_serving(
     behavior is identical to offline runs. ``return_results=True``
     retains them on ``outcome.results`` in arrival order (shed queries
     keep the -1/+inf fill) so callers can verify that coalescing never
-    changes bits. ``plan`` forwards to :meth:`DrimAnnEngine.search` to
-    pin the data-plane execution strategy for every round.
+    changes bits.
 
     Returns a :class:`~repro.core.results.ServingOutcome` wrapping the
     :class:`ServingReport` (attribute access forwards, so existing
@@ -375,7 +373,7 @@ def simulate_serving(
         # PIM round rather than re-chunking by SearchParams.batch_size.
         res, bd = engine.search(
             queries[members], with_scheduler=with_scheduler,
-            execution="batched", plan=plan,
+            execution="batched",
         )
         if return_results:
             if out_ids is None:

@@ -289,7 +289,7 @@ class EngineObserver:
         ).inc(num_tasks)
 
     def on_plan_decision(self, path: str) -> None:
-        """Execution-planner choice for one round (serial/vectorized/pool)."""
+        """Execution-planner choice for one round (vectorized/pool)."""
         self.registry.counter(
             "drimann_pim_plan_decisions_total",
             help="data-plane path chosen per round",
@@ -297,7 +297,7 @@ class EngineObserver:
         ).inc()
 
     def on_pool_fallback(self, reason: str) -> None:
-        """A worker-pool degradation to the serial path (never silent)."""
+        """A worker-pool degradation to the in-process path (never silent)."""
         self.registry.counter(
             "drimann_pim_pool_fallbacks_total",
             help="pool failures/fallbacks to in-process execution",

@@ -28,9 +28,10 @@ charged separately from closed forms over shapes
 (:func:`repro.pim.kernels.distance_scan_cost` et al.), so swapping
 backends changes host wall-clock only — never a cycle ledger.
 
-Resolution precedence (see :func:`resolve_backend`): per-call override
-> ``SearchParams.kernel_backend`` > ``PimSystemConfig.kernel_backend``
-> ``auto`` (numba when importable, else numpy). A compiled backend is
+Selection has one home, ``PimSystemConfig.kernel_backend``: the PIM
+system resolves it (see :func:`resolve_backend`) for every round and
+starts its pool workers with the same mode; ``auto`` means numba when
+importable, else numpy. A compiled backend is
 always wrapped in a guard that degrades to numpy on the first kernel
 failure (JIT error mid-flight), records the reason for the
 ``drimann_kernel_fallbacks_total`` metric, and keeps results unchanged.
@@ -45,8 +46,8 @@ import numpy as np
 #: Valid backend selection modes. ``auto`` resolves to the best
 #: available implementation; the named modes request one specifically
 #: (``numba`` degrades to ``numpy`` with a recorded fallback when the
-#: import is unavailable). Mirrored by ``SearchParams.kernel_backend``
-#: and ``PimSystemConfig.kernel_backend`` validation.
+#: import is unavailable). Mirrored by ``PimSystemConfig.kernel_backend``
+#: validation.
 KERNEL_BACKEND_MODES = ("auto", "numpy", "numba")
 
 #: Cluster size above which :meth:`KernelBackend.scan_topk` switches

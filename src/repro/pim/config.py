@@ -100,17 +100,17 @@ class PimSystemConfig:
     dpu: DpuConfig = field(default_factory=DpuConfig)
     transfer: TransferConfig = field(default_factory=TransferConfig)
     # Worker processes for the functional shard-scan fan-out (see
-    # repro.pim.parallel). 0/1 = serial; results are bit-identical
-    # either way, and the executor falls back to serial when process
-    # pools are unavailable.
+    # repro.pim.parallel). 0/1 = no pool: every round scans in process.
+    # With a pool, the system's planner picks pool or in-process per
+    # round; results are bit-identical either way, and rounds fall back
+    # to in process when process pools are unavailable.
     shard_workers: int = 0
     # Host-side kernel implementation for the functional scans and LUT
-    # builds (see repro.pim.backend; mirrors
-    # SearchParams.kernel_backend, which takes precedence when set to a
-    # non-"auto" value, as does a per-call run_batch override). "auto"
-    # resolves to the compiled numba build when importable, else the
-    # fused NumPy backend. Bit-identical results and identical cycle
-    # ledgers either way — only host wall-clock differs.
+    # builds (see repro.pim.backend), used by every in-process round and
+    # by the pool workers alike. "auto" resolves to the compiled numba
+    # build when importable, else the fused NumPy backend. Bit-identical
+    # results and identical cycle ledgers either way — only host
+    # wall-clock differs.
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:

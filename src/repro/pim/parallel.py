@@ -10,26 +10,28 @@ drive independent PIM ranks from multiple threads.
 
 The scan paths, the one worker pool, and a planner live here:
 
-* :func:`scan_shard_group` — the single functional scan path. The
-  serial loop, the vectorized fast path's per-group fallback, the pool
-  workers and the pool's in-process fallback all funnel through the
-  same kernel backend
+* :func:`scan_jobs_stacked` — the one in-process scan path: same-shape
+  shard groups stacked into single kernel calls, the rest through
+  :func:`scan_shard_group`, the per-group scan the pool workers and the
+  pool's in-process fallback run too. Both funnel through the same
+  kernel backend
   (:mod:`repro.pim.backend` — every backend is bit-identical to the
   reference :func:`~repro.pim.kernels.scan_distances` /
   :func:`~repro.pim.kernels.topk_rows` pair), which is what makes
-  every execution strategy bit-exact by construction.
+  both execution strategies bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
   them resident across rounds: the steady state ships only per-round
   task descriptors ``(shard_key, luts, k, live)`` down the pipe and
   result rows back. Nothing MRAM-resident is ever re-pickled.
-* :class:`ExecutionPlanner` — picks serial / vectorized / pool per
-  round from the round's measured size and the pool's warmup state
-  (see :attr:`~repro.core.params.SearchParams.plan`).
+* :class:`ExecutionPlanner` — picks the in-process path or the pool per
+  round from the round's measured size, the pool's warmup state and
+  measured throughput. It is the system's own choice, not an option:
+  the modeled hardware runs every kernel on every DPU either way.
 
 Every pool failure (creation, worker death, missing residency) degrades
-to the serial path — results are identical either way — and is recorded
+to the in-process path — results are identical either way — and is recorded
 as a fallback event that :class:`~repro.pim.system.PimSystem` drains
 into the ``drimann_pim_pool_fallbacks_total`` metric instead of being
 swallowed silently.
@@ -68,14 +70,12 @@ ScanJob = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
 #: Per-row output of a job: [(ids_k, dists_k)] in LUT row order.
 ScanRows = List[Tuple[np.ndarray, np.ndarray]]
 
-#: Planner thresholds: minimum LUT-entry gathers in a round before the
-#: pool's IPC overhead pays for itself, and minimum same-round jobs
-#: before the stacked fast path beats the per-group loop.
+#: Planner threshold: minimum LUT-entry gathers in a round before the
+#: pool's IPC overhead pays for itself.
 POOL_MIN_POINTS = 1 << 16
-VECTOR_MIN_JOBS = 2
 
-#: Seconds a blocking warm-up wait (explicit ``plan="pool"``) allows
-#: before degrading to the serial path.
+#: Seconds a blocking warm-up wait (:meth:`PersistentShardPool.wait_warm`)
+#: allows before the round runs in process.
 WARMUP_TIMEOUT_S = 10.0
 
 
@@ -89,9 +89,9 @@ def scan_shard_group(
 ) -> ScanRows:
     """DC + TS over one shard group, chunked over LUT rows.
 
-    The single functional scan path: the serial executor, the worker
-    processes, and :meth:`PimSystem.run_batch` all funnel through this
-    function — and through the same
+    The per-group scan: :func:`scan_jobs_stacked`'s unstackable jobs
+    and the worker processes all funnel through this function — and
+    through the same
     :meth:`~repro.pim.backend.KernelBackend.scan_topk` selection rule —
     which is what makes parallel execution bit-exact by construction.
     ``backend=None`` resolves the process default (``auto``).
@@ -114,7 +114,7 @@ def scan_jobs_stacked(
     jobs: Sequence[ScanJob],
     backend: Optional[KernelBackend] = None,
 ) -> List[ScanRows]:
-    """Cross-DPU vectorized scan: same-shape jobs in single kernel calls.
+    """The in-process scan: same-shape jobs in single kernel calls.
 
     Jobs are bucketed by ``(lut shape, code shape, dtypes, k)``; each
     bucket's LUTs and codes are stacked and scanned with one
@@ -125,7 +125,7 @@ def scan_jobs_stacked(
     reduction are elementwise/row-independent, and clusters large
     enough for the chunked top-k path are excluded from stacking so
     every path applies the same selection rule), so this is purely a
-    wall-clock strategy. Odd-shaped or oversized jobs fall back to the
+    wall-clock strategy. Single, odd-shaped or oversized jobs take the
     per-group scan; results come back in submission order.
     """
     if backend is None:
@@ -411,8 +411,9 @@ def _pool_worker(
     warmed (JIT compilation for compiled backends) before the warmup
     ping is answered, so the pool's ``ready()`` already implies
     compiled kernels — first queries never eat compile time. Results
-    are bit-identical across backends, so a per-round override in the
-    parent never needs to reach the workers.
+    are bit-identical across backends; the parent resolves the same
+    configured mode (``PimSystemConfig.kernel_backend``) for its
+    in-process rounds.
     """
     if san_spool is not None:
         from repro.analysis import sanitizer
@@ -487,8 +488,8 @@ class PersistentShardPool:
     ping when ready); :meth:`scan_groups` ships only
     ``(shard_key, luts, k, live)`` descriptors per round and reassembles
     results in submission order. Any failure degrades to the in-process
-    serial path — bit-identical results — and records a fallback event
-    for the metrics layer (:meth:`take_fallback_events`).
+    per-group scan — bit-identical results — and records a fallback
+    event for the metrics layer (:meth:`take_fallback_events`).
     """
 
     def __init__(
@@ -713,7 +714,8 @@ class PersistentShardPool:
             return inproc()
         with self._lock:
             # A concurrent close() may have torn the pool down between
-            # the warmup check and here; the serial path is always safe.
+            # the warmup check and here; the in-process scan is always
+            # safe.
             if not self._conns or not self.parallel:
                 return inproc()
             # Contiguous round-robin split preserves submission order on
@@ -802,35 +804,30 @@ _THROUGHPUT_EMA = 0.3
 
 @dataclass
 class ExecutionPlanner:
-    """Per-round choice between serial, vectorized, compiled, and pool.
+    """Per-round choice between the in-process scan and the worker pool.
 
-    The choice is a pure wall-clock strategy: every path produces
-    bit-identical results and charges identical cycles, so the planner
+    The choice is a pure wall-clock strategy: both paths produce
+    bit-identical results and charge identical cycles, so the planner
     is free to pick from measured round size, worker warmup state, and
-    the active kernel backend. Heuristics (``plan="auto"``):
+    the active kernel backend:
 
     * a warm pool takes rounds with at least :data:`POOL_MIN_POINTS`
       LUT-entry gathers and two or more shard groups — below that, IPC
       overhead dominates. With a compiled in-process backend the floor
-      rises by :data:`COMPILED_POOL_FACTOR` until measured per-path
-      throughput (fed back via :meth:`note_round`) settles the contest
-      empirically;
+      rises by :data:`COMPILED_POOL_FACTOR` until measured throughput
+      (fed back via :meth:`note_round`, keyed ``"pool"`` or by the
+      backend's name) settles the contest empirically;
     * a configured-but-cold pool is warmed in the background while the
-      round runs in-process (no round ever blocks on worker spawn);
-    * the stacked in-process path takes rounds with at least
-      :data:`VECTOR_MIN_JOBS` groups — labeled ``"compiled"`` when the
-      active backend is a compiled one, ``"vectorized"`` otherwise
-      (same dispatch, different kernels). Fault plans do not change
-      the choice: dead-DPU tasks are dropped before the functional
-      pass, and faults are charged after it;
-    * everything else runs serial.
-
-    Explicit modes force their path, degrading one step (pool →
-    vectorized → serial) when the forced path is unavailable.
+      round runs in process (no round ever blocks on worker spawn);
+    * every other round runs in process, on :func:`scan_jobs_stacked`,
+      labelled ``"vectorized"``. Fault plans do not change the choice:
+      dead-DPU tasks are dropped before the functional pass, and faults
+      are charged after it.
     """
 
     decisions: Dict[str, int] = field(default_factory=dict)
-    #: Measured LUT-entry gathers per second, EMA per decision path.
+    #: Measured LUT-entry gathers per second, EMA per ``"pool"`` and per
+    #: in-process backend name.
     throughput: Dict[str, float] = field(default_factory=dict)
 
     def note_round(
@@ -850,56 +847,30 @@ class ExecutionPlanner:
 
     def choose(
         self,
-        mode: str,
         *,
         num_jobs: int,
         scan_points: int,
+        backend: KernelBackend,
         executor=None,
-        backend=None,
     ) -> str:
-        path = self._choose(
-            mode,
-            num_jobs=num_jobs,
-            scan_points=scan_points,
-            executor=executor,
-            backend=backend,
-        )
+        path = "vectorized"
+        if executor is not None and executor.parallel and num_jobs >= 2:
+            if not executor.ready():
+                # Warm the workers in the background; this round keeps
+                # moving in process.
+                executor.ensure_started()
+            elif self._pool_wins(scan_points, backend):
+                path = "pool"
         self.decisions[path] = self.decisions.get(path, 0) + 1
         return path
 
-    def _choose(self, mode, *, num_jobs, scan_points, executor, backend) -> str:
-        can_vector = num_jobs >= VECTOR_MIN_JOBS
-        compiled = backend is not None and getattr(backend, "compiled", False)
-        inproc = "compiled" if compiled else "vectorized"
-        if mode == "serial":
-            return "serial"
-        if mode == "vectorized":
-            return "vectorized" if can_vector else "serial"
-        if mode == "pool":
-            if executor is not None and executor.parallel and num_jobs >= 2:
-                return "pool"
-            return inproc if can_vector else "serial"
-        # auto
-        if executor is not None and executor.parallel and num_jobs >= 2:
-            if executor.ready():
-                t_pool = self.throughput.get("pool")
-                t_in = self.throughput.get(inproc)
-                if t_pool is not None and t_in is not None:
-                    # Both paths measured: let the rates arbitrate
-                    # (still gated on the base floor — tiny rounds are
-                    # all IPC no matter what the EMA says).
-                    if t_pool > t_in and scan_points >= POOL_MIN_POINTS:
-                        return "pool"
-                else:
-                    min_points = POOL_MIN_POINTS * (
-                        COMPILED_POOL_FACTOR if compiled else 1
-                    )
-                    if scan_points >= min_points:
-                        return "pool"
-            else:
-                # Warm the workers in the background; this round keeps
-                # moving on the in-process paths.
-                executor.ensure_started()
-        if can_vector:
-            return inproc
-        return "serial"
+    def _pool_wins(self, scan_points: int, backend: KernelBackend) -> bool:
+        t_pool = self.throughput.get("pool")
+        t_in = self.throughput.get(backend.name)
+        if t_pool is not None and t_in is not None:
+            # Both paths measured: let the rates arbitrate (still gated
+            # on the base floor — tiny rounds are all IPC no matter
+            # what the EMA says).
+            return t_pool > t_in and scan_points >= POOL_MIN_POINTS
+        factor = COMPILED_POOL_FACTOR if backend.compiled else 1
+        return scan_points >= POOL_MIN_POINTS * factor

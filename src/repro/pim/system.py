@@ -34,10 +34,7 @@ import numpy as np
 
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
-from repro.pim.backend import (
-    KernelBackend,
-    resolve_backend,
-)
+from repro.pim.backend import KernelBackend, resolve_backend
 from repro.pim.backend import (
     take_fallback_events as take_backend_fallback_events,
 )
@@ -50,12 +47,9 @@ from repro.pim.kernels import (
     run_cluster_locate,
     topk_sort_cost,
 )
-from repro.pim.parallel import (
-    ExecutionPlanner,
-    make_executor,
-    scan_jobs_stacked,
-    scan_shard_group,
-)
+from repro.pim.parallel import ExecutionPlanner, make_executor, scan_jobs_stacked
+# Not called here: benchmarks/suite/tracing.py wraps this attribute.
+from repro.pim.parallel import scan_shard_group  # noqa: F401
 from repro.pim.transfer import HostTransferModel
 
 
@@ -132,9 +126,9 @@ class PimSystem:
         self._centroid_by_id: List[np.ndarray] = []
         self._shard_cent: Dict[str, int] = {}
         # Opt-in worker pool for the functional shard scans, plus the
-        # per-round serial/vectorized/pool strategy chooser. The
-        # persistent pool attaches shard arrays lazily (first pool
-        # round) via _ensure_pool_residency.
+        # per-round vectorized/pool chooser. The persistent pool
+        # attaches shard arrays lazily (first round, or warm_pool) via
+        # _ensure_pool_residency.
         self.executor = make_executor(
             config.shard_workers, kernel_backend=config.kernel_backend
         )
@@ -380,8 +374,6 @@ class PimSystem:
         *,
         multiplier_less: bool = True,
         batch_span: int = 1,
-        plan: str = "auto",
-        kernel_backend: Optional[str] = None,
     ) -> Tuple[List[PartialResult], BatchTiming]:
         """Execute one batch of (query, shard) tasks.
 
@@ -392,17 +384,6 @@ class PimSystem:
         queries: ``(q, D)`` uint8 — the batch's queries (broadcast).
         k: local top-k each task returns.
         multiplier_less: use the square LUT in LC (must be loaded).
-        plan: data-plane strategy for the functional scans ("auto" /
-            "serial" / "vectorized" / "pool" — see
-            :class:`~repro.pim.parallel.ExecutionPlanner`). Purely a
-            wall-clock choice: results and cycle ledgers are identical
-            in every mode.
-        kernel_backend: per-call kernel-backend override ("auto" /
-            "numpy" / "numba" — see :mod:`repro.pim.backend`); None
-            takes :attr:`PimSystemConfig.kernel_backend`. Like
-            ``plan``, purely a wall-clock choice — every backend is
-            bit-identical and the cycle ledgers are charged from
-            closed forms over shapes, never from the backend.
         batch_span: how many *logical* batches this round covers. Fault
             plans index events by logical batch (``batch_size`` query
             chunks); batched execution folds several logical batches
@@ -436,17 +417,10 @@ class PimSystem:
 
         if batch_span < 1:
             raise ValueError(f"batch_span must be >= 1, got {batch_span}")
-        if plan not in ("auto", "serial", "vectorized", "pool"):
-            raise ValueError(
-                "plan must be one of ('auto', 'serial', 'vectorized', "
-                f"'pool'), got {plan!r}"
-            )
-        backend_mode = (
-            kernel_backend
-            if kernel_backend is not None
-            else self.config.kernel_backend
-        )
-        backend = resolve_backend(backend_mode)
+        # The host strategy is the system's own: its configured kernel
+        # backend (the one the pool workers start with) and the
+        # planner's choice below. Neither moves a result or a cycle.
+        backend = resolve_backend(self.config.kernel_backend)
         queries = np.asarray(queries)
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
@@ -506,15 +480,10 @@ class PimSystem:
                 groups.append((dpu_id, skey, qidxs))
 
         # ---- functional pass: vectorized RC+LC per centroid, DC+TS
-        # per shard group via the planner-chosen path (serial loop,
-        # stacked cross-DPU NumPy calls, or worker processes).
+        # per shard group via the planner-chosen path (stacked
+        # in-process kernel calls, or worker processes).
         group_rows, group_misses = self._run_groups_functional(
-            groups,
-            queries,
-            k,
-            sq,
-            plan=plan,
-            backend=backend,
+            groups, queries, k, sq, backend
         )
 
         # ---- charging pass: replay the per-DPU group order, charging
@@ -615,9 +584,7 @@ class PimSystem:
         queries: np.ndarray,
         k: int,
         sq: Optional[SquareLut],
-        *,
-        plan: str = "auto",
-        backend: Optional[KernelBackend] = None,
+        backend: KernelBackend,
     ) -> Tuple[List[list], List[int]]:
         """Numeric results for every shard group, vectorized per centroid.
 
@@ -625,33 +592,28 @@ class PimSystem:
         and replicas of a cluster reuse the same LUT rows instead of
         rebuilding them per shard — and DC/TS run per shard group over
         all of its queries at once, on the data-plane path the planner
-        picks for this round (serial per-group loop, stacked cross-DPU
-        NumPy calls, or the worker pool). Integer math makes every path
-        bit-identical to per-group recomputation.
+        picks for this round (stacked in-process kernel calls, or the
+        worker pool). Integer math makes both paths bit-identical to
+        per-group recomputation.
 
         Returns per-group result rows and per-group square-LUT miss
         counts (for LC cost charging), indexed like ``groups``.
         """
-        if backend is None:
-            backend = resolve_backend(self.config.kernel_backend)
         # One strategy decision per round, from the round's measured
         # size; the per-centroid dispatch below then applies it while
         # keeping the centroid-major LUT memory bound.
-        path = "serial"
+        path = "vectorized"
         scan_points = 0
         if groups:
             num_jobs = 0
-            scan_points = 0
             m = self.codebooks.shape[0]
             for _, skey, qidxs in groups:
                 n = self._live_count(skey, self._shards[skey][1])
                 if n:
                     num_jobs += 1
                     scan_points += len(qidxs) * n * m
-            if plan in ("auto", "pool") and self.executor is not None:
-                self._ensure_pool_residency()
+            self._ensure_pool_residency()
             path = self.planner.choose(
-                plan,
                 num_jobs=num_jobs,
                 scan_points=scan_points,
                 executor=self.executor,
@@ -710,21 +672,20 @@ class PimSystem:
                         [self._live_rows.get(groups[gi][1]) for gi in job_gis],
                         backend,
                     )
-                elif path in ("vectorized", "compiled"):
-                    results = scan_jobs_stacked(jobs, backend=backend)
                 else:
-                    results = [
-                        scan_shard_group(*job, backend=backend)
-                        for job in jobs
-                    ]
+                    results = scan_jobs_stacked(jobs, backend=backend)
                 scan_seconds += time.perf_counter() - t0
                 for gi, rows in zip(job_gis, results):
                     group_rows[gi] = rows
 
-        # Measured rate feedback: plan="auto" arbitrates pool vs the
-        # in-process (possibly compiled) path empirically once both
-        # have been observed. Purely advisory — never touches results.
-        self.planner.note_round(path, scan_points, scan_seconds)
+        # Measured rate feedback: the planner arbitrates pool vs this
+        # backend in process empirically once both have been observed.
+        # Purely advisory — never touches results.
+        self.planner.note_round(
+            "pool" if path == "pool" else backend.name,
+            scan_points,
+            scan_seconds,
+        )
 
         # Surface every pool degradation (instead of swallowing it):
         # drained here so events land even when the observer was
@@ -742,10 +703,23 @@ class PimSystem:
                 self.observer.on_kernel_fallback(reason)
         return group_rows, group_misses
 
+    def warm_pool(self) -> bool:
+        """Host shard residency in the worker pool and wait until it is warm.
+
+        Rounds never block on worker spawn: a cold pool warms in the
+        background while rounds run in process. Call this first when
+        the pool must be ready for the next round. Returns whether the
+        pool is warm (False without a pool or when it cannot start).
+        """
+        if self.executor is None:
+            return False
+        self._ensure_pool_residency()
+        return self.executor.wait_warm()
+
     def _ensure_pool_residency(self) -> None:
         """Host every shard's codes/ids in the persistent pool's arena.
 
-        Lazy (first pool-eligible round) and re-run after any
+        Lazy (first round, or :meth:`warm_pool`) and re-run after any
         :meth:`place_shard`, which invalidates previous residency.
         """
         ex = self.executor

@@ -15,6 +15,7 @@ from repro.testing.goldens import (
     brute_force_topk,
     build_canonical_engine,
     canonical_dataset,
+    canonical_record,
     oracle_recall,
     run_canonical,
     run_all_adaptive,
@@ -27,6 +28,7 @@ __all__ = [
     "brute_force_topk",
     "build_canonical_engine",
     "canonical_dataset",
+    "canonical_record",
     "oracle_recall",
     "run_canonical",
     "run_all_adaptive",

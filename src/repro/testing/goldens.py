@@ -89,9 +89,8 @@ def canonical_config(
     name: str,
     *,
     execution: Optional[str] = None,
-    plan: Optional[str] = None,
     shard_workers: int = 0,
-    kernel_backend: Optional[str] = None,
+    kernel_backend: str = "auto",
 ) -> EngineConfig:
     """The :class:`EngineConfig` for one canonical config name."""
     c = CANONICAL_CONFIGS[name]
@@ -104,16 +103,14 @@ def canonical_config(
     )
     if execution is not None:
         search_kwargs["execution"] = execution
-    if plan is not None:
-        search_kwargs["plan"] = plan
-    if kernel_backend is not None:
-        search_kwargs["kernel_backend"] = kernel_backend
     search = SearchParams(**search_kwargs)
     return EngineConfig(
         index=params,
         search=search,
         system=PimSystemConfig(
-            num_dpus=c["num_dpus"], shard_workers=shard_workers
+            num_dpus=c["num_dpus"],
+            shard_workers=shard_workers,
+            kernel_backend=kernel_backend,
         ),
         layout=LayoutConfig(**c["layout"]),
     )
@@ -123,9 +120,8 @@ def build_canonical_engine(
     name: str,
     *,
     execution: Optional[str] = None,
-    plan: Optional[str] = None,
     shard_workers: int = 0,
-    kernel_backend: Optional[str] = None,
+    kernel_backend: str = "auto",
     index_path: Optional[str] = None,
 ) -> DrimAnnEngine:
     """A fresh engine for one canonical config (index reuse is cached).
@@ -140,7 +136,6 @@ def build_canonical_engine(
     config = canonical_config(
         name,
         execution=execution,
-        plan=plan,
         shard_workers=shard_workers,
         kernel_backend=kernel_backend,
     )
@@ -194,10 +189,9 @@ def run_canonical(
     name: str,
     *,
     execution: Optional[str] = None,
-    plan: Optional[str] = None,
     shard_workers: int = 0,
     adaptive: Optional[str] = None,
-    kernel_backend: Optional[str] = None,
+    kernel_backend: str = "auto",
 ) -> dict:
     """One golden run: recall vs the oracle + frozen cycle counts.
 
@@ -205,18 +199,31 @@ def run_canonical(
     (``None`` leaves the engine default, i.e. ``"off"``). The
     ``adaptive="off"`` cells must stay bit-identical to the frozen
     goldens; the ``bound``/``budget`` cells are frozen separately in
-    ``tests/fixtures/golden_adaptive.json``. ``kernel_backend``
-    forces a kernel backend (``None`` leaves the default ``"auto"``);
-    every backend must reproduce the same frozen goldens byte-equal.
+    ``tests/fixtures/golden_adaptive.json``. ``kernel_backend`` is the
+    system's kernel backend; every backend must reproduce the same
+    frozen goldens byte-equal.
+    """
+    engine = build_canonical_engine(
+        name, execution=execution, shard_workers=shard_workers,
+        kernel_backend=kernel_backend,
+    )
+    return canonical_record(name, engine, adaptive=adaptive)
+
+
+def canonical_record(
+    name: str, engine: DrimAnnEngine, *, adaptive: Optional[str] = None
+) -> dict:
+    """Search ``engine`` (built for config ``name``) and close it.
+
+    An engine with a worker pool warms it before the search, so its
+    big rounds take the pool (check ``engine.system.planner.decisions``
+    afterwards). Returns the golden record of :func:`run_canonical`.
     """
     c = CANONICAL_CONFIGS[name]
     ds = canonical_dataset()
-    engine = build_canonical_engine(
-        name, execution=execution, plan=plan, shard_workers=shard_workers,
-        kernel_backend=kernel_backend,
-    )
     queries = ds.queries[: c["num_queries"]]
     try:
+        engine.system.warm_pool()
         outcome = engine.search(queries, adaptive=adaptive)
         res, bd = outcome.results, outcome.breakdown
     finally:

@@ -85,6 +85,19 @@ def v1_index(tmp_path):
 
 
 @pytest.fixture()
+def pool_takes_small_rounds(monkeypatch):
+    """Drop the planner's pool floor for one test.
+
+    Chunked and per-query rounds are too small for a warm pool to take
+    at the measured floor; pool-parity tests on those round shapes use
+    this so the pool really runs them.
+    """
+    from repro.pim import parallel
+
+    monkeypatch.setattr(parallel, "POOL_MIN_POINTS", 0)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitizer, tracecheck
+from repro.analysis.findings import Severity
 from repro.analysis.sanitizer import (
     ArenaEvent,
     check_arena_events,
@@ -236,6 +237,7 @@ class TestRunSanitize:
         assert findings == []
         assert stats["num_processes"] >= 3  # owner + 2 workers attached
         assert stats["kinds"]["attach"] >= 2
+        assert stats["kinds"]["view"] >= 1  # the workers really scanned
         assert stats["kinds"]["unlink"] == 1
         assert stats["kinds"]["create"] == 1
 
@@ -248,3 +250,23 @@ class TestRunSanitize:
     def test_unknown_config_rejected(self):
         with pytest.raises(ValueError, match="config"):
             run_sanitize(config="nope")
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_fewer_than_two_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="shard_workers"):
+            run_sanitize(shard_workers=workers)
+
+    def test_search_that_skips_the_pool_is_an_error(self, monkeypatch):
+        """A run whose rounds never reach the workers exercises nothing
+        worker-side; it must not pass as clean."""
+        from repro.pim.parallel import ExecutionPlanner
+
+        def never_pool(self, **kwargs):
+            self.decisions["vectorized"] = self.decisions.get("vectorized", 0) + 1
+            return "vectorized"
+
+        monkeypatch.setattr(ExecutionPlanner, "choose", never_pool)
+        findings, stats = run_sanitize()
+        assert stats["kinds"]["view"] == 0
+        rules = [(f.rule, f.severity) for f in findings]
+        assert rules == [("pool-not-exercised", Severity.ERROR)]

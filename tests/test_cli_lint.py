@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 
 _FIXTURE = os.path.join(
@@ -154,7 +156,12 @@ class TestSanitizeCommand:
         assert "arena:create" in names and "arena:unlink" in names
 
     def test_sanitize_unknown_config_raises(self):
-        import pytest
-
         with pytest.raises(ValueError, match="config"):
             main(["sanitize", "--config", "nope"])
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_sanitize_without_a_pool_raises(self, workers):
+        """Fewer than two workers means no pool to sanitize: an error,
+        never a vacuous zero-finding pass."""
+        with pytest.raises(ValueError, match="shard_workers"):
+            main(["sanitize", "--workers", workers, "--json"])

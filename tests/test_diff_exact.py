@@ -92,46 +92,55 @@ class TestExecutionModeEquivalence:
 
 
 class TestPlanEquivalence:
-    """Data-plane strategies are pure wall-clock knobs: every plan
-    returns bit-identical ids and distances."""
+    """The planner's two paths are pure wall-clock strategies: both
+    return the host reference's ids and distances, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    @pytest.mark.parametrize("plan", ["vectorized", "pool", "auto"])
-    def test_bit_identical_to_serial(self, name, plan):
+    @pytest.mark.parametrize("path", ["vectorized", "pool"])
+    def test_bit_identical_to_serial(self, name, path):
+        """Against the serial host reference; the pool cell runs on a
+        warm 2-worker pool and must have taken it."""
         queries = canonical_dataset().queries[
             : CANONICAL_CONFIGS[name]["num_queries"]
         ]
-        base_engine = build_canonical_engine(name, plan="serial")
-        res_s, _ = base_engine.search(queries)
-        workers = 2 if plan in ("pool", "auto") else 0
         engine = build_canonical_engine(
-            name, plan=plan, shard_workers=workers
+            name, shard_workers=2 if path == "pool" else 0
         )
         try:
+            engine.system.warm_pool()
             res_p, _ = engine.search(queries)
+            ref = engine.reference_search(queries)
         finally:
             engine.close()
-        np.testing.assert_array_equal(res_s.ids, res_p.ids)
-        np.testing.assert_array_equal(res_s.distances, res_p.distances)
-
-    def test_search_call_override_beats_params(self):
-        """A per-call plan= override applies without mutating params."""
-        ds = canonical_dataset()
-        engine = build_canonical_engine("split-replicated", plan="serial")
-        res_a, _ = engine.search(ds.queries[:8])
-        res_b, _ = engine.search(ds.queries[:8], plan="vectorized")
-        np.testing.assert_array_equal(res_a.ids, res_b.ids)
-        np.testing.assert_array_equal(res_a.distances, res_b.distances)
-        assert engine.search_params.plan == "serial"
+        decisions = engine.system.planner.decisions
+        if path == "pool":
+            assert decisions.get("pool", 0) >= 1, decisions
+        else:
+            assert set(decisions) == {"vectorized"}, decisions
+        np.testing.assert_array_equal(ref.ids, res_p.ids)
+        np.testing.assert_array_equal(ref.distances, res_p.distances)
 
     def test_unknown_plan_rejected(self):
+        """The host strategy is the system's own: search takes neither
+        a plan nor a kernel backend per call."""
         ds = canonical_dataset()
         engine = build_canonical_engine("split-replicated")
-        with pytest.raises(ValueError, match="plan"):
-            engine.search(ds.queries[:4], plan="warp-speed")
+        for stale in ("plan", "kernel_backend"):
+            with pytest.raises(TypeError, match=stale):
+                engine.search(ds.queries[:4], **{stale: "auto"})
 
     def test_search_params_plan_validated(self):
+        """Neither knob is a SearchParams field: a config saved with
+        one fails loudly on load instead of being silently dropped."""
+        from repro.core.config import EngineConfig
         from repro.core.params import SearchParams
+        from repro.testing.goldens import canonical_config
 
-        with pytest.raises(ValueError, match="plan"):
-            SearchParams(plan="bogus")
+        saved = canonical_config("split-replicated").to_dict()
+        for stale in ("plan", "kernel_backend"):
+            with pytest.raises(TypeError, match=stale):
+                SearchParams(**{stale: "auto"})
+            old = json.loads(json.dumps(saved))
+            old["search"][stale] = "auto"
+            with pytest.raises(TypeError, match=stale):
+                EngineConfig.from_dict(old)

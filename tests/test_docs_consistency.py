@@ -144,3 +144,37 @@ class TestExperimentsMd:
         text = _read("EXPERIMENTS.md")
         for d in ("D1", "D2", "D3", "D4", "D5", "D6"):
             assert f"**{d}" in text
+
+
+class TestConfigKnobDocs:
+    def test_named_config_fields_exist(self):
+        """Every ``SearchParams.<name>``, ``PimSystemConfig.<name>`` and
+        ``EngineConfig.<name>`` written in README.md, DESIGN.md and
+        docs/*.md must be a real field or attribute: a deleted knob may
+        not live on in the docs."""
+        import dataclasses
+
+        from repro.core.config import EngineConfig
+        from repro.core.params import SearchParams
+        from repro.pim.config import PimSystemConfig
+
+        classes = {
+            cls.__name__: cls
+            for cls in (SearchParams, PimSystemConfig, EngineConfig)
+        }
+        docs = ["README.md", "DESIGN.md"] + sorted(
+            os.path.join("docs", name)
+            for name in os.listdir(os.path.join(ROOT, "docs"))
+            if name.endswith(".md")
+        )
+        stale = []
+        for doc in docs:
+            for owner, attr in re.findall(
+                r"\b(SearchParams|PimSystemConfig|EngineConfig)\.(\w+)",
+                _read(doc),
+            ):
+                cls = classes[owner]
+                fields = {f.name for f in dataclasses.fields(cls)}
+                if attr not in fields and not hasattr(cls, attr):
+                    stale.append(f"{doc}: {owner}.{attr}")
+        assert not stale, f"docs name knobs that do not exist: {stale}"

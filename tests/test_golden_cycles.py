@@ -19,6 +19,8 @@ import pytest
 from repro.testing import (
     CANONICAL_CONFIGS,
     GOLDEN_ADAPTIVE_MODES,
+    build_canonical_engine,
+    canonical_record,
     run_canonical,
 )
 
@@ -28,6 +30,46 @@ GOLDEN_PATH = os.path.join(
 GOLDEN_ADAPTIVE_PATH = os.path.join(
     os.path.dirname(__file__), "fixtures", "golden_adaptive.json"
 )
+
+
+#: The host axis of the matrices: the planner's two paths, and the
+#: ``shard_workers`` that puts a canonical engine on each.
+PATH_WORKERS = {"vectorized": 0, "pool": 2}
+PATHS = tuple(PATH_WORKERS)
+
+
+def single_group_rounds(name, execution, adaptive):
+    """Whether every round of the cell is one shard group, which never
+    fans out to a pool: one adaptive probe of one query per round on an
+    unsplit, unreplicated layout."""
+    layout = CANONICAL_CONFIGS[name]["layout"]
+    return (
+        execution == "per_query"
+        and adaptive not in (None, "off")
+        and layout["min_split_size"] is None
+        and layout["max_copies"] == 0
+    )
+
+
+def run_on_path(name, path, *, execution=None, adaptive=None,
+                kernel_backend="auto"):
+    """One golden run on ``path``; asserts the planner really took it.
+
+    A pool cell warms its pool first (see ``canonical_record``), so the
+    canonical search's big rounds must go to the workers — except in
+    cells made only of single-group rounds.
+    """
+    engine = build_canonical_engine(
+        name, execution=execution, shard_workers=PATH_WORKERS[path],
+        kernel_backend=kernel_backend,
+    )
+    record = canonical_record(name, engine, adaptive=adaptive)
+    decisions = engine.system.planner.decisions
+    if path == "pool" and not single_group_rounds(name, execution, adaptive):
+        assert decisions.get("pool", 0) >= 1, decisions
+    else:
+        assert set(decisions) == {"vectorized"}, decisions
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -77,22 +119,21 @@ class TestGoldenCycles:
 
 
 class TestGoldenCyclesAcrossPlans:
-    """Cycle accounting is independent of the data-plane strategy.
+    """Cycle accounting is independent of the planner's path.
 
     The execution planner only moves host wall-clock; the charged
-    cycles (and recall) must equal the stored goldens for every plan,
-    including the worker pool (run with 2 workers so it engages).
+    cycles (and recall) must equal the stored goldens on both paths:
+    in process, and on a warm 2-worker pool that provably ran.
     """
 
-    @pytest.mark.parametrize("plan", ["serial", "vectorized", "pool", "auto"])
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    def test_plans_reproduce_goldens(self, name, plan, goldens):
-        workers = 2 if plan in ("pool", "auto") else 0
-        fresh = run_canonical(name, plan=plan, shard_workers=workers)
+    def test_plans_reproduce_goldens(self, name, path, goldens):
+        fresh = run_on_path(name, path)
         stored = goldens[name]
         assert fresh["recall_at_10"] == stored["recall_at_10"]
         assert fresh["kernel_cycles"] == stored["kernel_cycles"], (
-            f"kernel cycle drift in {name!r} under plan={plan!r}"
+            f"kernel cycle drift in {name!r} on path {path!r}"
         )
         assert fresh["total_kernel_cycles"] == stored["total_kernel_cycles"]
         assert fresh["e2e_cycles_max_dpu"] == stored["e2e_cycles_max_dpu"]
@@ -105,8 +146,8 @@ class TestGoldenCyclesAcrossBackends:
     The ``repro.pim.backend`` registry only changes which host code
     computes the scans and LUTs — recall and every frozen cycle count
     must be byte-equal to the goldens for every available backend
-    across plans and execution modes (numba joins the axis
-    automatically on machines where it is importable).
+    on both planner paths and in every execution mode (numba joins
+    the axis automatically on machines where it is importable).
     """
 
     @pytest.fixture(scope="class")
@@ -118,19 +159,15 @@ class TestGoldenCyclesAcrossBackends:
     def test_numpy_backend_always_available(self, backends):
         assert "numpy" in backends
 
-    @pytest.mark.parametrize("plan", ["serial", "vectorized", "pool", "auto"])
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    def test_backends_reproduce_goldens(self, name, plan, goldens, backends):
-        workers = 2 if plan in ("pool", "auto") else 0
+    def test_backends_reproduce_goldens(self, name, path, goldens, backends):
         for backend in backends:
-            fresh = run_canonical(
-                name, plan=plan, shard_workers=workers,
-                kernel_backend=backend,
-            )
+            fresh = run_on_path(name, path, kernel_backend=backend)
             stored = goldens[name]
             assert fresh["recall_at_10"] == stored["recall_at_10"]
             assert fresh["kernel_cycles"] == stored["kernel_cycles"], (
-                f"kernel cycle drift in {name!r} under plan={plan!r} "
+                f"kernel cycle drift in {name!r} on path {path!r} "
                 f"kernel_backend={backend!r}"
             )
             assert (
@@ -164,7 +201,7 @@ class TestGoldenAdaptiveOff:
 
     Requesting the off mode explicitly must reproduce the default
     engine — recall and every cycle count — for every config,
-    execution mode, and data-plane plan. Execution modes legitimately
+    execution mode, and planner path. Execution modes legitimately
     shift cycle counts (chunking changes batch shapes), so the
     reference for each cell is a default-parameter run of the same
     config × execution; the ``batched`` references are additionally
@@ -188,25 +225,18 @@ class TestGoldenAdaptiveOff:
                 == goldens[name]
             )
 
-    @pytest.mark.parametrize("plan", ["serial", "vectorized", "pool", "auto"])
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
     def test_off_matches_default_engine(
-        self, name, execution, plan, references
+        self, name, execution, path, references, pool_takes_small_rounds
     ):
-        workers = 2 if plan in ("pool", "auto") else 0
-        fresh = run_canonical(
-            name,
-            execution=execution,
-            plan=plan,
-            shard_workers=workers,
-            adaptive="off",
-        )
+        fresh = run_on_path(name, path, execution=execution, adaptive="off")
         stored = references[(name, execution)]
         assert fresh["recall_at_10"] == stored["recall_at_10"]
         assert fresh["kernel_cycles"] == stored["kernel_cycles"], (
             f"kernel cycle drift in {name!r} with adaptive='off' under "
-            f"execution={execution!r} plan={plan!r}"
+            f"execution={execution!r} on path {path!r}"
         )
         assert fresh["total_kernel_cycles"] == stored["total_kernel_cycles"]
         assert fresh["e2e_cycles_max_dpu"] == stored["e2e_cycles_max_dpu"]
@@ -262,21 +292,18 @@ class TestGoldenAdaptive:
     @pytest.mark.parametrize("execution", ["chunked", "per_query"])
     @pytest.mark.parametrize("mode", ["bound", "budget", "full"])
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    def test_plans_agree_across_executions(self, name, mode, execution):
-        """Non-batched adaptive cells aren't frozen, so pin every plan
-        to a same-cell serial-plan reference run instead."""
-        reference = run_canonical(
-            name, execution=execution, plan="serial", adaptive=mode
+    def test_plans_agree_across_executions(
+        self, name, mode, execution, pool_takes_small_rounds
+    ):
+        """Non-batched adaptive cells aren't frozen, so pin the pool
+        path to a same-cell in-process reference run instead."""
+        reference = run_on_path(
+            name, "vectorized", execution=execution, adaptive=mode
         )
-        for plan in ("vectorized", "pool", "auto"):
-            workers = 2 if plan in ("pool", "auto") else 0
-            fresh = run_canonical(
-                name, execution=execution, plan=plan,
-                shard_workers=workers, adaptive=mode,
-            )
-            assert json.loads(json.dumps(fresh)) == json.loads(
-                json.dumps(reference)
-            ), (
-                f"plan-dependent drift in {name!r} mode={mode!r} under "
-                f"execution={execution!r} plan={plan!r}"
-            )
+        fresh = run_on_path(name, "pool", execution=execution, adaptive=mode)
+        assert json.loads(json.dumps(fresh)) == json.loads(
+            json.dumps(reference)
+        ), (
+            f"path-dependent drift in {name!r} mode={mode!r} under "
+            f"execution={execution!r}"
+        )

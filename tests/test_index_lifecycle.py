@@ -36,7 +36,7 @@ def _fresh_quantized(small_quantized):
     return small_quantized.compact()
 
 
-def _engine(quantized, params, *, execution="batched", plan="auto",
+def _engine(quantized, params, *, execution="batched", shard_workers=0,
             num_dpus=8, obs=None):
     ds = canonical_dataset()
     kwargs = {}
@@ -44,8 +44,8 @@ def _engine(quantized, params, *, execution="batched", plan="auto",
         kwargs["obs"] = obs
     config = EngineConfig(
         index=params,
-        search=SearchParams(batch_size=32, execution=execution, plan=plan),
-        system=PimSystemConfig(num_dpus=num_dpus),
+        search=SearchParams(batch_size=32, execution=execution),
+        system=PimSystemConfig(num_dpus=num_dpus, shard_workers=shard_workers),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
         **kwargs,
     )
@@ -191,18 +191,24 @@ class TestEngineMutation:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("plan", ["serial", "vectorized"])
+    @pytest.mark.parametrize("path", ["vectorized", "pool"])
     def test_delete_stays_bitexact_across_plans(
-        self, small_quantized, small_ds, small_params, plan
+        self, small_quantized, small_ds, small_params, path
     ):
+        """Tombstones hold on both paths; the pool applies the live-row
+        filter worker-side against the full resident arrays."""
         quant = _fresh_quantized(small_quantized)
-        engine = _engine(quant, small_params, plan=plan)
+        engine = _engine(
+            quant, small_params, shard_workers=2 if path == "pool" else 0
+        )
         q = small_ds.queries[:30]
         try:
             engine.delete(np.arange(0, 3000, 7))
+            engine.system.warm_pool()
             _assert_matches_reference(engine, q)
         finally:
             engine.close()
+        assert engine.system.planner.decisions.get(path, 0) >= 1
 
     def test_delete_reduces_ts_but_not_dc_cycles(
         self, small_quantized, small_ds, small_params
@@ -307,28 +313,31 @@ class TestSaveLoadGoldenMatrix:
         )
 
     @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
-    @pytest.mark.parametrize("plan", ["serial", "vectorized"])
+    @pytest.mark.parametrize("path", ["vectorized", "pool"])
     def test_loaded_engine_bitexact_per_mode(
-        self, execution, plan, tmp_path
+        self, execution, path, tmp_path, pool_takes_small_rounds
     ):
+        """A loaded engine matches the direct one on both paths (a
+        loaded engine's pool hosts its arena from the mapped file)."""
         name = "split-replicated"
         ds = canonical_dataset()
         q = ds.queries[:40]
-        direct = build_canonical_engine(name, execution=execution, plan=plan)
-        try:
-            res_a, bd_a = direct.search(q)
-        finally:
-            direct.close()
-        loaded = build_canonical_engine(
-            name,
-            execution=execution,
-            plan=plan,
-            index_path=str(tmp_path / "rt.drim"),
-        )
-        try:
-            res_b, bd_b = loaded.search(q)
-        finally:
-            loaded.close()
+        workers = 2 if path == "pool" else 0
+        runs = []
+        for index_path in (None, str(tmp_path / "rt.drim")):
+            engine = build_canonical_engine(
+                name,
+                execution=execution,
+                shard_workers=workers,
+                index_path=index_path,
+            )
+            try:
+                engine.system.warm_pool()
+                runs.append(engine.search(q))
+            finally:
+                engine.close()
+            assert engine.system.planner.decisions.get(path, 0) >= 1
+        (res_a, bd_a), (res_b, bd_b) = runs
         np.testing.assert_array_equal(res_a.ids, res_b.ids)
         np.testing.assert_array_equal(res_a.distances, res_b.distances)
         assert bd_a.kernel_cycles == bd_b.kernel_cycles

@@ -261,16 +261,25 @@ class TestServingMetrics:
 
 class TestDataPlaneMetrics:
     def test_plan_decision_counter_tracks_path(self, obs_engine, small_ds):
+        """Every round books the planner's label; without a pool that
+        is always the in-process ``vectorized`` path."""
         snap0 = obs_engine.observer.snapshot()
         before = snap0.value(
             "drimann_pim_plan_decisions_total", path="vectorized"
         )
-        obs_engine.search(small_ds.queries[:40], plan="vectorized")
+        rounds0 = sum(obs_engine.system.planner.decisions.values())
+        obs_engine.search(small_ds.queries[:40])
         snap1 = obs_engine.observer.snapshot()
         after = snap1.value(
             "drimann_pim_plan_decisions_total", path="vectorized"
         )
-        assert after > before
+        rounds = sum(obs_engine.system.planner.decisions.values()) - rounds0
+        assert rounds >= 1 and after - before == rounds
+        paths = {
+            s["labels"]["path"]
+            for s in snap1.series("drimann_pim_plan_decisions_total")
+        }
+        assert paths == {"vectorized"}
 
     def test_pool_fallbacks_counted_not_silent(
         self, small_ds, small_quantized, small_params
@@ -279,7 +288,7 @@ class TestDataPlaneMetrics:
         counter (and still return correct results)."""
         cfg = EngineConfig(
             index=small_params,
-            search=SearchParams(batch_size=64, plan="pool"),
+            search=SearchParams(batch_size=64),
             system=PimSystemConfig(num_dpus=NUM_DPUS, shard_workers=2),
             layout=LayoutConfig(min_split_size=400, max_copies=2),
             obs=ObsConfig(enabled=True),
@@ -293,7 +302,9 @@ class TestDataPlaneMetrics:
         )
         try:
             q = small_ds.queries[:40]
+            assert eng.system.warm_pool()
             healthy = eng.search(q)
+            assert eng.system.planner.decisions.get("pool", 0) >= 1
             pool = eng.system.executor
             if pool.started:  # kill the warm workers under the engine
                 for proc in pool._procs:

@@ -1,8 +1,8 @@
 """Kernel-backend registry: dispatch, bit-exactness, fallback, planner.
 
 The acceptance contract of ``repro.pim.backend``: every backend is
-bit-identical to the staged reference kernels, selection follows the
-per-call > SearchParams > PimSystemConfig > auto precedence, a missing
+bit-identical to the staged reference kernels, selection has one home
+(``PimSystemConfig.kernel_backend``, resolved every round), a missing
 or mid-flight-failing compiled backend degrades to numpy with a
 recorded (never silent) fallback, and none of it can move a cycle
 ledger.
@@ -75,17 +75,11 @@ class TestRegistry:
             assert name in KERNEL_BACKEND_MODES
 
     def test_mode_literals_agree_everywhere(self):
-        """The literal mode tuples (kept separate to avoid an import
-        cycle) must never drift from the registry's canonical one."""
-        from repro.core import params as core_params
-
-        assert core_params.KERNEL_BACKEND_MODES == KERNEL_BACKEND_MODES
-        with pytest.raises(ValueError, match="kernel_backend"):
-            SearchParams(kernel_backend="not-a-backend")
+        """PimSystemConfig's literal mode check (kept separate to avoid
+        an import cycle) must never drift from the registry's tuple."""
         with pytest.raises(ValueError, match="kernel_backend"):
             PimSystemConfig(kernel_backend="not-a-backend")
         for mode in KERNEL_BACKEND_MODES:
-            SearchParams(kernel_backend=mode)
             PimSystemConfig(kernel_backend=mode)
 
     def test_invalid_mode_rejected(self):
@@ -394,24 +388,19 @@ class TestPlannerBackendAwareness:
 
         return _Pool()
 
-    def test_compiled_label_for_inprocess_path(self):
-        planner = ExecutionPlanner()
-        compiled = self._Compiled()
-        path = planner.choose(
-            "auto", num_jobs=8, scan_points=100, backend=compiled
-        )
-        assert path == "compiled"
-        # Forced vectorized keeps its own label (same dispatch).
-        assert (
-            planner.choose(
-                "vectorized", num_jobs=8, scan_points=100, backend=compiled
-            )
-            == "vectorized"
-        )
-
     class _Compiled(KernelBackend):
         name = "fake-compiled"
         compiled = True
+
+    def test_compiled_label_for_inprocess_path(self):
+        """A compiled backend's in-process round is labelled like any
+        other: the only labels are ``"vectorized"`` and ``"pool"``."""
+        planner = ExecutionPlanner()
+        path = planner.choose(
+            num_jobs=8, scan_points=100, backend=self._Compiled()
+        )
+        assert path == "vectorized"
+        assert planner.decisions == {"vectorized": 1}
 
     def test_compiled_backend_raises_pool_floor(self):
         planner = ExecutionPlanner()
@@ -420,49 +409,54 @@ class TestPlannerBackendAwareness:
         assert points < POOL_MIN_POINTS * COMPILED_POOL_FACTOR
         assert (
             planner.choose(
-                "auto", num_jobs=8, scan_points=points, executor=executor
+                num_jobs=8,
+                scan_points=points,
+                executor=executor,
+                backend=NumpyBackend(),
             )
             == "pool"
         )
         assert (
             planner.choose(
-                "auto",
                 num_jobs=8,
                 scan_points=points,
                 executor=executor,
                 backend=self._Compiled(),
             )
-            == "compiled"
+            == "vectorized"
         )
 
     def test_measured_throughput_arbitrates(self):
         planner = ExecutionPlanner()
         executor = self._executor(ready=True)
         backend = self._Compiled()
-        planner.note_round("compiled", 10_000_000, 1.0)
+        planner.note_round(backend.name, 10_000_000, 1.0)
         planner.note_round("pool", 1_000_000, 1.0)
-        assert (
-            planner.choose(
-                "auto",
-                num_jobs=8,
-                scan_points=POOL_MIN_POINTS * COMPILED_POOL_FACTOR * 2,
-                executor=executor,
-                backend=backend,
-            )
-            == "compiled"
+        choose = dict(
+            num_jobs=8,
+            scan_points=POOL_MIN_POINTS * COMPILED_POOL_FACTOR * 2,
+            executor=executor,
+            backend=backend,
         )
+        assert planner.choose(**choose) == "vectorized"
         # Flip the measured rates: the pool wins the same round.
         planner.throughput["pool"] = 100_000_000.0
-        assert (
-            planner.choose(
-                "auto",
-                num_jobs=8,
-                scan_points=POOL_MIN_POINTS * COMPILED_POOL_FACTOR * 2,
-                executor=executor,
-                backend=backend,
-            )
-            == "pool"
+        assert planner.choose(**choose) == "pool"
+
+    def test_rates_are_keyed_by_backend_name(self):
+        """A rate measured under one backend never decides a round on
+        another: unmeasured, the compiled floor applies instead."""
+        planner = ExecutionPlanner()
+        executor = self._executor(ready=True)
+        planner.note_round("numpy", 1_000, 1.0)  # far slower than pool
+        planner.note_round("pool", 100_000_000, 1.0)
+        choose = dict(
+            num_jobs=8, scan_points=POOL_MIN_POINTS * 2, executor=executor
         )
+        assert planner.choose(backend=self._Compiled(), **choose) == (
+            "vectorized"
+        )
+        assert planner.choose(backend=NumpyBackend(), **choose) == "pool"
 
     def test_note_round_ignores_degenerate_samples(self):
         planner = ExecutionPlanner()
@@ -471,11 +465,11 @@ class TestPlannerBackendAwareness:
         assert planner.throughput == {}
 
 
-def _obs_engine(small_ds, small_quantized, small_params, **search_kw):
+def _obs_engine(small_ds, small_quantized, small_params, kernel_backend="auto"):
     config = EngineConfig(
         index=small_params,
-        search=SearchParams(batch_size=64, **search_kw),
-        system=PimSystemConfig(num_dpus=8),
+        search=SearchParams(batch_size=64),
+        system=PimSystemConfig(num_dpus=8, kernel_backend=kernel_backend),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
         obs=ObsConfig(enabled=True),
     )
@@ -492,21 +486,17 @@ class TestEngineThreading:
     def test_search_rejects_bad_backend(
         self, small_ds, small_quantized, small_params
     ):
-        engine = _obs_engine(small_ds, small_quantized, small_params)
-        try:
-            with pytest.raises(ValueError, match="kernel_backend"):
-                engine.search(small_ds.queries[:8], kernel_backend="cuda")
-        finally:
-            engine.close()
+        """An unknown backend fails when the engine is configured, before
+        any search can run on it."""
+        with pytest.raises(ValueError, match="kernel_backend"):
+            _obs_engine(small_ds, small_quantized, small_params, "cuda")
 
     def test_backend_counter_in_metrics(
         self, small_ds, small_quantized, small_params
     ):
-        engine = _obs_engine(small_ds, small_quantized, small_params)
+        engine = _obs_engine(small_ds, small_quantized, small_params, "numpy")
         try:
-            out = engine.search(
-                small_ds.queries[:32], kernel_backend="numpy"
-            )
+            out = engine.search(small_ds.queries[:32])
         finally:
             engine.close()
         snap = out.metrics.to_dict()
@@ -529,18 +519,18 @@ class TestEngineThreading:
         monkeypatch.setattr(numba_backend, "_import_numba", _no_numba)
         kb._clear_instances()
         try:
-            engine = _obs_engine(small_ds, small_quantized, small_params)
-            try:
-                base = engine.search(
-                    small_ds.queries[:32], kernel_backend="numpy"
+            runs = {}
+            for mode in ("numpy", "numba"):
+                engine = _obs_engine(
+                    small_ds, small_quantized, small_params, mode
                 )
-                out = engine.search(
-                    small_ds.queries[:32], kernel_backend="numba"
-                )
-            finally:
-                engine.close()
+                try:
+                    runs[mode] = engine.search(small_ds.queries[:32])
+                finally:
+                    engine.close()
         finally:
             kb._clear_instances()
+        base, out = runs["numpy"], runs["numba"]
         assert np.array_equal(out.results.ids, base.results.ids)
         assert np.array_equal(
             out.results.distances, base.results.distances
@@ -584,20 +574,60 @@ class TestEngineThreading:
             r.startswith("exploding-") for r in reasons
         )
 
-    def test_search_params_default_flows_through(
-        self, small_ds, small_quantized, small_params
+    def test_configured_backend_runs_every_inprocess_round(
+        self, small_ds, small_quantized, small_params, monkeypatch
     ):
-        engine = _obs_engine(
-            small_ds, small_quantized, small_params, kernel_backend="numpy"
-        )
+        """``PimSystemConfig.kernel_backend`` is the backend every
+        in-process scan and LUT build runs on — the one the pool
+        workers start with — even where ``auto`` would pick another.
+
+        Spies stand in for an installed numba (so ``auto`` resolves to
+        it) and for numpy; an engine configured for numpy must never
+        touch the numba spy.
+        """
+        auto_spy, numpy_spy = _SpyBackend("numba"), _SpyBackend("numpy")
+        monkeypatch.setitem(kb._INSTANCES, "numba", auto_spy)
+        monkeypatch.setitem(kb._INSTANCES, "numpy", numpy_spy)
+        assert resolve_backend("auto") is auto_spy
+        engine = _obs_engine(small_ds, small_quantized, small_params, "numpy")
         try:
-            out = engine.search(small_ds.queries[:16])
+            out = engine.search(small_ds.queries[:32])
         finally:
             engine.close()
+        assert numpy_spy.calls["build_luts"] >= 1
+        assert numpy_spy.calls["scan_topk"] + numpy_spy.calls["scan_stacked"] >= 1
+        assert sum(auto_spy.calls.values()) == 0
         rows = _counter(out.metrics.to_dict(), "drimann_kernel_backend_total")
         assert rows and all(
             row["labels"]["backend"] == "numpy" for row in rows
         )
+
+
+class _SpyBackend(KernelBackend):
+    """Delegates to the NumPy backend and counts each kernel call."""
+
+    def __init__(self, name):
+        self.name = name
+        self.inner = NumpyBackend()
+        self.calls = {
+            op: 0 for op in ("scan", "scan_stacked", "scan_topk", "build_luts")
+        }
+
+    def _call(self, op, *args, **kwargs):
+        self.calls[op] += 1
+        return getattr(self.inner, op)(*args, **kwargs)
+
+    def scan(self, *args, **kwargs):
+        return self._call("scan", *args, **kwargs)
+
+    def scan_stacked(self, *args, **kwargs):
+        return self._call("scan_stacked", *args, **kwargs)
+
+    def scan_topk(self, *args, **kwargs):
+        return self._call("scan_topk", *args, **kwargs)
+
+    def build_luts(self, *args, **kwargs):
+        return self._call("build_luts", *args, **kwargs)
 
 
 class TestMicrobench:

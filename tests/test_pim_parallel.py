@@ -1,7 +1,7 @@
 """The parallel data plane: bit-exact scans, graceful degradation.
 
-Every scan path (the persistent zero-copy pool, the stacked vectorized
-path, the serial loop) must be a pure wall-clock knob: enabling one
+Both scan paths (the persistent zero-copy pool and the stacked
+in-process scan) must be pure wall-clock strategies: taking one
 cannot change a single output bit, no failure (creation, worker death,
 missing residency) may surface past ``scan_groups``, and every
 degradation must leave a fallback event for the metrics layer. The
@@ -18,7 +18,6 @@ from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
     ROW_CHUNK,
-    VECTOR_MIN_JOBS,
     ExecutionPlanner,
     PersistentShardPool,
     SharedShardArena,
@@ -369,7 +368,17 @@ class TestPersistentShardPool:
         assert_no_leaked_segments()
 
 
+class _Backend:
+    """Planner-facing stand-in: only a name and a compiled flag."""
+
+    def __init__(self, name="numpy", compiled=False):
+        self.name = name
+        self.compiled = compiled
+
+
 class TestExecutionPlanner:
+    """Two paths remain: ``"vectorized"`` in process, or ``"pool"``."""
+
     def _warm_exec(self):
         class _Warm:
             parallel = True
@@ -395,63 +404,50 @@ class TestExecutionPlanner:
 
         return _Cold()
 
-    def test_serial_mode_always_serial(self):
-        p = ExecutionPlanner()
-        path = p.choose(
-            "serial", num_jobs=100, scan_points=1 << 30,
-            executor=self._warm_exec(),
-        )
-        assert path == "serial"
-
-    def test_vectorized_needs_min_jobs(self):
-        p = ExecutionPlanner()
-        assert p.choose("vectorized", num_jobs=4, scan_points=0) == "vectorized"
-        assert (
-            p.choose("vectorized", num_jobs=VECTOR_MIN_JOBS - 1, scan_points=0)
-            == "serial"
+    def _choose(self, p, scan_points, executor=None, backend=None, num_jobs=4):
+        return p.choose(
+            num_jobs=num_jobs,
+            scan_points=scan_points,
+            executor=executor,
+            backend=backend if backend is not None else _Backend(),
         )
 
     def test_pool_mode_degrades_without_executor(self):
+        """Without a pool every round runs in process, whatever its size."""
         p = ExecutionPlanner()
-        assert p.choose("pool", num_jobs=4, scan_points=0) == "vectorized"
-        assert p.choose("pool", num_jobs=1, scan_points=0) == "serial"
-        assert (
-            p.choose("pool", num_jobs=4, scan_points=0,
-                     executor=self._warm_exec())
-            == "pool"
-        )
+        assert self._choose(p, 1 << 30) == "vectorized"
+        assert self._choose(p, 1 << 30, num_jobs=1) == "vectorized"
 
     def test_auto_small_round_stays_vectorized(self):
         p = ExecutionPlanner()
-        path = p.choose(
-            "auto", num_jobs=4, scan_points=POOL_MIN_POINTS - 1,
-            executor=self._warm_exec(),
-        )
+        path = self._choose(p, POOL_MIN_POINTS - 1, self._warm_exec())
         assert path == "vectorized"
 
     def test_auto_large_round_takes_warm_pool(self):
         p = ExecutionPlanner()
-        path = p.choose(
-            "auto", num_jobs=4, scan_points=POOL_MIN_POINTS,
-            executor=self._warm_exec(),
+        assert self._choose(p, POOL_MIN_POINTS, self._warm_exec()) == "pool"
+        # A single shard group never fans out.
+        assert (
+            self._choose(p, 1 << 30, self._warm_exec(), num_jobs=1)
+            == "vectorized"
         )
-        assert path == "pool"
 
     def test_auto_cold_pool_warms_in_background(self):
         ex = self._cold_exec()
         p = ExecutionPlanner()
-        path = p.choose(
-            "auto", num_jobs=4, scan_points=1 << 30, executor=ex
-        )
+        path = self._choose(p, 1 << 30, ex)
         assert path == "vectorized"  # round never blocks on spawn
         assert ex.started == 1
 
     def test_decisions_are_counted(self):
         p = ExecutionPlanner()
-        p.choose("serial", num_jobs=1, scan_points=0)
-        p.choose("serial", num_jobs=1, scan_points=0)
-        p.choose("vectorized", num_jobs=4, scan_points=0)
-        assert p.decisions == {"serial": 2, "vectorized": 1}
+        self._choose(p, 0, num_jobs=1)
+        self._choose(p, 1 << 30, self._cold_exec())
+        self._choose(p, 1 << 30, self._warm_exec())
+        self._choose(
+            p, 0, backend=_Backend("fake-compiled", compiled=True)
+        )
+        assert p.decisions == {"vectorized": 3, "pool": 1}
 
 
 class TestMakeExecutorKinds:
@@ -478,26 +474,28 @@ class TestEndToEndParity:
         np.testing.assert_array_equal(res_s.distances, res_p.distances)
 
     def test_pool_plan_does_not_change_results(self):
+        """Rounds that provably ran on a warm pool match in process."""
         name = "split-replicated"
         queries = canonical_dataset().queries[
             : CANONICAL_CONFIGS[name]["num_queries"]
         ]
         serial_engine = build_canonical_engine(name, shard_workers=0)
         res_s, _ = serial_engine.search(queries)
-        engine = build_canonical_engine(name, plan="pool", shard_workers=2)
+        engine = build_canonical_engine(name, shard_workers=2)
         try:
+            assert engine.system.warm_pool()
             res_p, _ = engine.search(queries)
         finally:
             engine.close()
+        assert engine.system.planner.decisions.get("pool", 0) >= 1
         np.testing.assert_array_equal(res_s.ids, res_p.ids)
         np.testing.assert_array_equal(res_s.distances, res_p.distances)
         assert_no_leaked_segments()
 
     def test_engine_close_unlinks_segments(self):
-        engine = build_canonical_engine(
-            "split-replicated", plan="pool", shard_workers=2
-        )
+        engine = build_canonical_engine("split-replicated", shard_workers=2)
         queries = canonical_dataset().queries[:8]
+        assert engine.system.warm_pool()
         engine.search(queries)
         engine.close()
         assert_no_leaked_segments()
@@ -584,11 +582,10 @@ class TestCrashPathHardening:
         import os
         import signal
 
-        engine = build_canonical_engine(
-            "split-replicated", plan="pool", shard_workers=2
-        )
+        engine = build_canonical_engine("split-replicated", shard_workers=2)
         queries = canonical_dataset().queries[:8]
         try:
+            assert engine.system.warm_pool()
             res_first, _ = engine.search(queries)
             executor = engine.system.executor
             if executor is not None and executor.started:

@@ -8,8 +8,8 @@ Two layers:
   exactly once, no window outlives its size/timeout bound);
 * end-to-end: ``dispatch="coalesce"`` and ``dispatch="per_query"``
   return bit-identical per-query ids/distances (via
-  ``return_results=True``), deadlines are honored by both overload
-  policies, and the plan override reaches the engine.
+  ``return_results=True``), and deadlines are honored by both overload
+  policies.
 """
 
 import numpy as np
@@ -139,20 +139,6 @@ class TestDispatchEquivalence:
         res, _ = engine.search(queries)
         np.testing.assert_array_equal(out.results.ids, res.ids)
         np.testing.assert_array_equal(out.results.distances, res.distances)
-
-    @pytest.mark.parametrize("plan", ["serial", "vectorized", "auto"])
-    def test_plan_override_does_not_change_results(self, serving_setup, plan):
-        engine, queries, arrivals = serving_setup
-        base = simulate_serving(
-            engine, queries, arrivals, return_results=True
-        )
-        out = simulate_serving(
-            engine, queries, arrivals, return_results=True, plan=plan
-        )
-        np.testing.assert_array_equal(base.results.ids, out.results.ids)
-        np.testing.assert_array_equal(
-            base.results.distances, out.results.distances
-        )
 
     def test_results_absent_by_default(self, serving_setup):
         engine, queries, arrivals = serving_setup
