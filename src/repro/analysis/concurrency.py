@@ -36,11 +36,7 @@ result-producing paths. These rules police them statically (stdlib
   in platform-dependent order.
 * ``leaked-worker`` (AL012) — a ``Thread``/``Process``/executor
   constructed, possibly started, and then dropped without being
-  joined, shut down, or handed to an owner that will. Also covers
-  asyncio: a task from ``asyncio.create_task``/``ensure_future`` that
-  is never awaited, cancelled, gathered, or stored runs (or silently
-  dies with a swallowed exception) past the function's awareness —
-  the cluster frontend's scatter-gather must consume every task.
+  joined, shut down, or handed to an owner that will.
 
 Escape hatch: a function may opt out of one rule by declaring
 ``drimsan: allow <rule-id>`` in its docstring — the same explicit,
@@ -86,11 +82,6 @@ _WORKER_DISCHARGE_METHODS = {
     "kill",
     "cancel",
 }
-#: asyncio task factories AL012 also polices. Matched with their head
-#: (``asyncio.create_task`` / ``loop.create_task`` / bare import), so a
-#: ``TaskGroup.create_task`` — whose group owns the task — stays exempt.
-_ASYNC_TASK_FACTORIES = {"create_task", "ensure_future"}
-_ASYNC_TASK_HEADS = {"", "asyncio", "loop"}
 _WALLCLOCK_SOURCES = {
     "time.time",
     "time.time_ns",
@@ -899,14 +890,9 @@ def _check_leaked_worker(tree: ast.Module, path: str) -> List[Finding]:
             dotted = _dotted(stmt.value.func)
             if dotted is None:
                 continue
-            head, _, tail = dotted.rpartition(".")
+            tail = dotted.rpartition(".")[2]
             if tail in _WORKER_FACTORIES:
                 spawned.append((stmt, target.id, tail))
-            elif (
-                tail in _ASYNC_TASK_FACTORIES
-                and (head in _ASYNC_TASK_HEADS or head.endswith("_loop"))
-            ):
-                spawned.append((stmt, target.id, f"asyncio task ({tail})"))
         for stmt, var, kind in spawned:
             if _worker_discharged(fn, stmt, var):
                 continue
@@ -936,11 +922,6 @@ def _worker_discharged(fn: _FuncDef, acq_stmt: ast.stmt, var: str) -> bool:
                 return True
         elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
             if node.value is not None and _mentions(node.value, var):
-                return True
-        elif isinstance(node, ast.Await):
-            # `await task` (or `await gather(task, ...)`, caught above
-            # via the call-argument check) consumes the task.
-            if _mentions(node.value, var):
                 return True
         elif isinstance(node, ast.Assign) and node is not acq_stmt:
             for target in node.targets:

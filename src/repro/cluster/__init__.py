@@ -2,7 +2,7 @@
 
 * :mod:`repro.cluster.index` — heat-partitioned shards, replicated
   engines, the global routing index;
-* :mod:`repro.cluster.frontend` — asyncio scatter-gather with
+* :mod:`repro.cluster.frontend` — round-robin scatter-gather with
   deadlines, retry/backoff failover, hedging, health tracking, and
   per-query coverage accounting;
 * :mod:`repro.cluster.serving` — micro-batched serving with admission

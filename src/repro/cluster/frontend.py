@@ -8,13 +8,24 @@ searches by:
    like the single engine's host CL);
 2. **scattering** each shard the probes it owns (the engine's explicit
    ``probes`` path — no shard re-runs CL);
-3. gathering per-shard top-k with asyncio and **merging** with the
-   canonical ``(distance, id)`` tie-break, which is arrival-order
-   invariant — so results are bit-identical to the single-engine
-   oracle no matter how shard responses interleave.
+3. gathering per-shard top-k and **merging** with the canonical
+   ``(distance, id)`` tie-break, which is arrival-order invariant — so
+   results are bit-identical to the single-engine oracle no matter how
+   shard responses interleave.
 
-Robustness mechanics, all in **modeled** time (nothing sleeps; the
-asyncio loop only orders the scatter-gather — see AL010):
+The scatter-gather is a plain synchronous loop in **explicit
+round-robin turns**, not an event loop. Every probed shard's request
+is a generator that yields after each node call. Each turn advances
+every pending shard once, in shard order, up to and including its next
+node call (or to its response, when it has no call left to make); a
+shard leaves the rotation once it has responded, and the loop ends when
+all have. Shards that fail over or hedge therefore interleave one node
+call at a time. The turn order fixes the raw ``failed_shards`` order
+and the float summation order of ``backoff_seconds``, so it is part of
+the determinism contract.
+
+Robustness mechanics, all in **modeled** time (nothing sleeps or reads
+a wall clock — see AL010):
 
 * **deadline + retry/backoff** — a node that is crashed or partitioned
   costs one ``shard_deadline_s`` timeout, then the request fails over
@@ -40,9 +51,8 @@ Two runs with the same seeds produce byte-identical reports.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -219,7 +229,11 @@ class _NodeCall:
 
 
 class ClusterFrontend:
-    """Asyncio scatter-gather over a :class:`ClusterIndex`.
+    """Round-robin scatter-gather over a :class:`ClusterIndex`.
+
+    Synchronous: :meth:`search` runs every shard request to completion
+    in explicit turns before it returns, so it is safe to call from any
+    context, including inside a running event loop.
 
     Stateful across calls: the round counter (which indexes the node
     fault plan), node health (crash blacklist, partition suspensions),
@@ -315,7 +329,7 @@ class ClusterFrontend:
         latency = self.config.network_latency_s + bd.e2e_seconds * slow
         return _NodeCall(True, "ok", latency, res.ids, res.distances)
 
-    async def _query_shard(
+    def _query_shard(
         self,
         shard_id: int,
         query_rows: np.ndarray,
@@ -325,8 +339,13 @@ class ClusterFrontend:
         adaptive: Optional[str],
         backoff_seed,
         report: ClusterReport,
-    ) -> ShardResponse:
-        """Scatter one shard's share: retries, failover, hedging."""
+    ) -> Generator[None, None, ShardResponse]:
+        """Scatter one shard's share: retries, failover, hedging.
+
+        A generator that yields after every node call, ending the
+        shard's turn (see :meth:`_scatter_gather`), and returns the
+        shard's :class:`ShardResponse`.
+        """
         cfg = self.config
         retries = cfg.backoff.sequence(seed=backoff_seed)
         elapsed = 0.0
@@ -346,7 +365,7 @@ class ClusterFrontend:
             call = self._call_node(
                 node, queries, probes_local, execution, adaptive
             )
-            await asyncio.sleep(0)  # yield: let sibling shards interleave
+            yield  # end of this shard's turn
             if not call.ok:
                 self._note_failure(node, call.kind)
                 elapsed += call.latency_s  # one deadline burned detecting it
@@ -374,7 +393,7 @@ class ClusterFrontend:
                         hedge_nodes[0], queries, probes_local,
                         execution, adaptive,
                     )
-                    await asyncio.sleep(0)
+                    yield
                     hedged = True
                     report.hedged_requests += 1
                     if self.observer is not None:
@@ -405,7 +424,7 @@ class ClusterFrontend:
             failed=True,
         )
 
-    async def _scatter_gather(
+    def _scatter_gather(
         self,
         queries: np.ndarray,
         probes: np.ndarray,
@@ -413,7 +432,13 @@ class ClusterFrontend:
         adaptive: Optional[str],
         report: ClusterReport,
     ) -> List[ShardResponse]:
-        coros = []
+        """Run every probed shard's request to completion.
+
+        In the round-robin turns the module docstring sets out: one
+        node call per pending shard per turn, in shard order. Responses
+        come back in shard order.
+        """
+        pending = []
         # One independent backoff-jitter stream per shard, in shard
         # order, freshly derived each round from the frontend's RNG.
         seeds = spawn_rngs(self._rng, self.cluster.num_shards)
@@ -422,7 +447,7 @@ class ClusterFrontend:
             rows = np.flatnonzero((lp >= 0).any(axis=1))
             if len(rows) == 0:
                 continue
-            coros.append(
+            pending.append(
                 self._query_shard(
                     shard.shard_id,
                     rows,
@@ -434,8 +459,16 @@ class ClusterFrontend:
                     report,
                 )
             )
-        # gather() consumes every coroutine (no leaked tasks: AL012).
-        return list(await asyncio.gather(*coros))
+        responses: Dict[int, ShardResponse] = {}
+        turn = dict(enumerate(pending))
+        while turn:
+            for slot, shard_turns in list(turn.items()):
+                try:
+                    next(shard_turns)
+                except StopIteration as done:
+                    responses[slot] = done.value
+                    del turn[slot]
+        return [responses[slot] for slot in range(len(pending))]
 
     # ----- public search ---------------------------------------------------
     def search(
@@ -508,10 +541,8 @@ class ClusterFrontend:
         report = ClusterReport(
             num_queries=nq, e2e_seconds=0.0, cl_seconds=cl_s
         )
-        responses = asyncio.run(
-            self._scatter_gather(
-                queries, probes, execution, shard_adaptive, report
-            )
+        responses = self._scatter_gather(
+            queries, probes, execution, shard_adaptive, report
         )
 
         results = merge_shard_results(responses, nq, params.k)

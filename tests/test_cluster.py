@@ -9,13 +9,19 @@ then show that claim surviving a crash (with replication) and
 degrading with *accurate* coverage (without).
 """
 
+import asyncio
+import json
+import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ann import IVFPQIndex
 from repro.ann.heap import topk_canonical
+from repro.cli import main as cli_main
 from repro.cluster import (
     ClusterConfig,
     ClusterFrontend,
@@ -26,11 +32,22 @@ from repro.cluster import (
     partition_clusters,
     simulate_cluster_serving,
 )
-from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig, SearchParams
+from repro.core import (
+    DrimAnnEngine,
+    EngineConfig,
+    IndexParams,
+    LayoutConfig,
+    SearchParams,
+)
 from repro.core.adaptive import probe_budgets
+from repro.core.quantized import build_quantized_index
 from repro.core.serving import BatchingPolicy
+from repro.data.synthetic import SyntheticSpec, make_clustered_dataset
 from repro.faults.plan import NodeFaultConfig, NodeFaultPlan
 from repro.pim.config import PimSystemConfig
+from repro.utils import BackoffPolicy
+
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +468,164 @@ class TestFailover:
                 replicated_cluster,
                 node_faults=NodeFaultPlan.none(99),
             )
+
+
+@pytest.fixture(scope="module")
+def turn_rack():
+    """4 shards x 3 replicas over a small synthetic corpus, 8 queries."""
+    ds = make_clustered_dataset(
+        SyntheticSpec(num_vectors=2048, dim=16, num_components=32),
+        num_queries=8,
+        seed=0,
+    )
+    index = IVFPQIndex.build(
+        ds.base, nlist=32, num_subspaces=4, codebook_size=64, seed=0
+    )
+    config = EngineConfig(
+        index=IndexParams(
+            nlist=32, nprobe=8, k=10, num_subspaces=4, codebook_size=64
+        ),
+        system=PimSystemConfig(num_dpus=8, dpus_per_rank=8),
+        layout=LayoutConfig(max_copies=2),
+    )
+    with build_cluster_index(
+        ds.base,
+        config,
+        ClusterConfig(num_shards=4, replication=3),
+        heat_queries=ds.queries,
+        prebuilt_quantized=build_quantized_index(index),
+        seed=0,
+    ) as cluster:
+        yield cluster, ds.queries
+
+
+def split_turns(calls):
+    """Cut a node-call sequence into turns: a turn restarts the shards."""
+    turns = []
+    for shard, _node in calls:
+        if not turns or shard <= turns[-1][-1]:
+            turns.append([])
+        turns[-1].append(shard)
+    return turns
+
+
+class TestTurnOrder:
+    """Scatter-gather runs in explicit round-robin turns over shards."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, turn_rack):
+        """Per round: the ``(shard, node)`` node-call sequence and report.
+
+        Seeded crashes, partitions and stragglers over the 12 nodes,
+        with jittered backoff so the float sum ``backoff_seconds``
+        depends on the order shards retry in.
+        """
+        cluster, queries = turn_rack
+        _, healthy = ClusterFrontend(cluster, seed=0).search(queries)
+        plan = NodeFaultPlan.generate(
+            cluster.num_nodes,
+            NodeFaultConfig(
+                crash_fraction=0.25,
+                crash_max_round=3,
+                partition_rate=0.3,
+                slow_fraction=0.25,
+                slow_factor=(4.0, 8.0),
+                horizon_rounds=16,
+            ),
+            seed=7,
+        )
+        frontend = ClusterFrontend(
+            cluster,
+            FrontendConfig(
+                hedge_after_s=1.5 * max(healthy.shard_latencies_s.values()),
+                backoff=BackoffPolicy(jitter=0.5),
+            ),
+            node_faults=plan,
+            seed=0,
+        )
+        calls = []
+        call_node = frontend._call_node
+
+        def spy(node_id, *args, **kwargs):
+            calls.append([cluster.shard_of_node(node_id), node_id])
+            return call_node(node_id, *args, **kwargs)
+
+        frontend._call_node = spy
+        rounds = []
+        for _ in range(6):
+            start = len(calls)
+            res, rep = frontend.search(queries)
+            rounds.append(
+                {
+                    "calls": calls[start:],
+                    "failed_shards": list(rep.failed_shards),
+                    "backoff_seconds": rep.backoff_seconds,
+                    "node_retries": rep.node_retries,
+                    "hedged_requests": rep.hedged_requests,
+                    "ids": res.ids.tolist(),
+                    "distances": res.distances.tolist(),
+                }
+            )
+        return rounds
+
+    def test_scenario_interleaves_failover_and_hedges(self, recorded):
+        # The pin is only meaningful if >= 2 shards take more than one
+        # node call (failover or hedge) in the same round.
+        assert max(
+            sum(n > 1 for n in Counter(s for s, _ in r["calls"]).values())
+            for r in recorded
+        ) >= 2
+        assert sum(r["node_retries"] for r in recorded) > 0
+        assert sum(r["hedged_requests"] for r in recorded) > 0
+        # Some round lists its failed shards out of shard order: a shard
+        # with no live replica fails in turn 0, before a shard whose
+        # failovers ran out later. A plain per-shard loop would sort it.
+        assert any(
+            r["failed_shards"] != sorted(r["failed_shards"])
+            for r in recorded
+        )
+
+    def test_calls_are_round_robin_in_shard_order(self, recorded):
+        for r in recorded:
+            turns = split_turns(r["calls"])
+            for turn in turns:
+                # One call per pending shard per turn, in shard order.
+                assert turn == sorted(set(turn))
+            for prev, nxt in zip(turns, turns[1:]):
+                # A shard that answered leaves the rotation for good.
+                assert set(nxt) <= set(prev)
+
+    def test_matches_pinned_record(self, recorded):
+        with open(
+            os.path.join(_FIXTURES, "cluster_turn_order.json"),
+            encoding="utf-8",
+        ) as f:
+            assert recorded == json.load(f)
+
+
+class TestSynchronousFrontend:
+    def test_search_inside_running_event_loop(
+        self, replicated_cluster, queries, gold
+    ):
+        frontend = ClusterFrontend(replicated_cluster, seed=0)
+
+        async def main():
+            return frontend.search(queries)
+
+        res, rep = asyncio.run(main())
+        np.testing.assert_array_equal(res.ids, gold.ids)
+        np.testing.assert_array_equal(res.distances, gold.distances)
+        assert rep.mean_coverage == 1.0
+
+
+class TestClusterChaosOutput:
+    def test_smoke_json_is_frozen(self, capsys):
+        assert cli_main(["chaos", "--cluster", "--smoke", "--json"]) == 0
+        with open(
+            os.path.join(_FIXTURES, "chaos_cluster_smoke.json"),
+            encoding="utf-8",
+        ) as f:
+            assert capsys.readouterr().out == f.read()
 
 
 def _merge_oracle(pools, k):
