@@ -945,6 +945,7 @@ class DrimAnnEngine:
         obs = self.observer
         if obs is not None:
             obs.on_search_start(nq)
+        self.system.begin_search()
 
         scheduler = self.scheduler
         if not with_scheduler:

@@ -99,6 +99,15 @@ class KernelBackend:
         ``(M, CB, dsub)`` int codebooks -> ``(g, M, CB)`` int64."""
         raise NotImplementedError
 
+    def gather_view(self, luts: np.ndarray) -> np.ndarray:
+        """The LUTs in the dtype this backend's scans gather from best.
+
+        Same values, so scan results are unchanged; callers convert a
+        block once and slice scan jobs from it. The default is the
+        LUTs as given.
+        """
+        return luts
+
     # ----- fused scan + local top-k ---------------------------------------
     def scan_topk(
         self,

@@ -230,6 +230,9 @@ class NumpyBackend(KernelBackend):
             out[j] = _scan_fused(luts[j], gather[j], codes[j])
         return out
 
+    def gather_view(self, luts: np.ndarray) -> np.ndarray:
+        return _gather_view(luts)
+
     def build_luts(
         self, residuals: np.ndarray, codebooks: np.ndarray
     ) -> np.ndarray:

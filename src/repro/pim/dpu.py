@@ -16,7 +16,7 @@ different bandwidths and charge a fixed DMA setup per transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.pim.config import DpuConfig
 from repro.pim.isa import InstructionMix, IsaCostModel
@@ -63,7 +63,6 @@ class Dpu:
         self.wram = Wram(config.wram_bytes)
         self.cycles_by_kernel: Dict[str, float] = {}
         self.stall_cycles: float = 0.0
-        self._costs: List[KernelCost] = []
 
     # ----- cycle accounting -------------------------------------------------
     def compute_cycles(self, mix: InstructionMix) -> float:
@@ -85,20 +84,27 @@ class Dpu:
             + traffic.transactions * cfg.mram_dma_setup_cycles
         )
 
-    def charge(self, cost: KernelCost) -> float:
-        """Account a kernel execution; returns the cycles it consumed.
+    def cost_cycles(self, cost: KernelCost) -> float:
+        """Cycles a kernel execution takes, without charging them.
 
         Compute and memory streams overlap (tasklet-level latency
-        hiding), so the charged time is their max, plus DMA setup which
-        cannot be hidden.
+        hiding), so the time is their max, plus DMA setup which cannot
+        be hidden.
         """
         comp = self.compute_cycles(cost.instructions)
         mem = self.mram_cycles(cost.traffic)
-        cycles = max(comp, mem)
-        self.cycles_by_kernel[cost.kernel] = (
-            self.cycles_by_kernel.get(cost.kernel, 0.0) + cycles
+        return max(comp, mem)
+
+    def add_cycles(self, kernel: str, cycles: float) -> None:
+        """Add ``cycles`` to ``kernel``'s ledger entry."""
+        self.cycles_by_kernel[kernel] = (
+            self.cycles_by_kernel.get(kernel, 0.0) + cycles
         )
-        self._costs.append(cost)
+
+    def charge(self, cost: KernelCost) -> float:
+        """Account a kernel execution; returns the cycles it consumed."""
+        cycles = self.cost_cycles(cost)
+        self.add_cycles(cost.kernel, cycles)
         return cycles
 
     def stall(self, cycles: float) -> float:
@@ -126,7 +132,3 @@ class Dpu:
         """Clear accumulated cycles (memory contents are kept)."""
         self.cycles_by_kernel.clear()
         self.stall_cycles = 0.0
-        self._costs.clear()
-
-    def cost_log(self) -> List[KernelCost]:
-        return list(self._costs)

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ann.heap import topk_smallest
 from repro.pim.backend import (
     SCAN_TOPK_N_CHUNK,
     KernelBackend,
@@ -120,7 +121,8 @@ def scan_jobs_stacked(
     bucket's LUTs and codes are stacked and scanned with one
     :meth:`~repro.pim.backend.KernelBackend.scan_stacked` dispatch
     instead of J separate kernel calls — the host-side analogue of
-    launching one kernel across every DPU at once. Per-job results are
+    launching one kernel across every DPU at once — and its rows get
+    one top-k selection call (:func:`_topk_stacked`). Per-job results are
     bit-identical to :func:`scan_shard_group` (the stacked gather and
     reduction are elementwise/row-independent, and clusters large
     enough for the chunked top-k path are excluded from stacking so
@@ -156,9 +158,31 @@ def scan_jobs_stacked(
             luts_s = np.stack([jobs[ji][0] for ji in sel])
             codes_s = np.stack([jobs[ji][1] for ji in sel])
             dists = backend.scan_stacked(luts_s, codes_s)
-            for off, ji in enumerate(sel):
-                results[ji] = topk_rows(dists[off], jobs[ji][2], k)
+            rows = _topk_stacked(dists, [jobs[ji][2] for ji in sel], k)
+            for ji, rows_j in zip(sel, rows):
+                results[ji] = rows_j
     return results
+
+
+def _topk_stacked(
+    dists: np.ndarray, ids: Sequence[np.ndarray], k: int
+) -> List[ScanRows]:
+    """:func:`topk_rows` for every job of a ``(J, g, n)`` distance stack.
+
+    One :func:`topk_smallest` call over the ``(J*g, n)`` rows: selection
+    runs row by row, so each row picks exactly what it picks alone.
+    """
+    num_jobs, g, n = dists.shape
+    if n == 0:
+        return [topk_rows(d, i, k) for d, i in zip(dists, ids)]
+    sel, vals = topk_smallest(dists.reshape(num_jobs * g, n), min(k, n), axis=1)
+    sel = sel.reshape(num_jobs, g, -1)
+    vals = vals.reshape(num_jobs, g, -1)
+    out: List[ScanRows] = []
+    for j, ids_j in enumerate(ids):
+        picked = ids_j[sel[j]]
+        out.append([(picked[r], vals[j, r]) for r in range(g)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,18 @@ cycle ledger that Figs. 8/10/11/12 are built from.
 
 Execution is batch-first: the numeric work for a round is vectorized
 across the whole batch (RC+LC once per unique (query, centroid) pair,
-DC+TS per shard group over all of its queries, optionally fanned out
-to worker processes — see :mod:`repro.pim.parallel`), while cycle
-charging replays the per-DPU shard-group order with the kernels'
-closed-form costs, so ledgers, traces, and fault semantics are
+then one scan dispatch for every shard group of the round, optionally
+fanned out to worker processes — see :mod:`repro.pim.parallel`).
+Charging replays the per-DPU shard-group order: a group's four
+RC/LC/DC/TS cycle counts come from the kernels' closed forms, computed
+once per distinct group shape and added to each DPU's ledger with
+plain ``+=`` in that order, so ledgers, traces, and fault semantics are
 identical to per-group execution and the results are bit-exact.
+
+A batch's cycles are differences of a *search ledger* that
+:meth:`PimSystem.begin_search` zeroes, not of the DPUs' lifetime
+ledgers, so a search's timing does not depend on how many searches the
+system ran before it. On a fresh system the two ledgers coincide.
 """
 
 from __future__ import annotations
@@ -34,12 +41,13 @@ import numpy as np
 
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
+from repro.pim import parallel
 from repro.pim.backend import KernelBackend, resolve_backend
 from repro.pim.backend import (
     take_fallback_events as take_backend_fallback_events,
 )
 from repro.pim.config import PimSystemConfig
-from repro.pim.dpu import Dpu
+from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.kernels import (
     distance_scan_cost,
     lut_build_cost,
@@ -51,6 +59,14 @@ from repro.pim.parallel import ExecutionPlanner, make_executor, scan_jobs_stacke
 # Not called here: benchmarks/suite/tracing.py wraps this attribute.
 from repro.pim.parallel import scan_shard_group  # noqa: F401
 from repro.pim.transfer import HostTransferModel
+
+
+#: Distinct shard-group shapes whose kernel charges one system keeps;
+#: the memo restarts when full (it only saves recomputation).
+CHARGE_MEMO_ENTRIES = 4096
+
+#: One kernel charge: the closed-form cost and the cycles it takes.
+Charge = Tuple[KernelCost, float]
 
 
 @dataclass
@@ -154,6 +170,14 @@ class PimSystem:
         self.fault_plan = fault_plan
         self._batch_index = 0
         self._observed_dead: Set[int] = set()
+        # Search ledger: per DPU, kernel -> cycles and stall cycles since
+        # begin_search(). Batch timings difference it (see module doc).
+        self._search_kernels: List[Dict[str, float]] = []
+        self._search_stall: List[float] = []
+        self.begin_search()
+        # Shard-group shape -> its RC/LC/DC/TS charges. Every DPU shares
+        # config.dpu, so the cycles hold on any DPU.
+        self._charge_memo: Dict[tuple, Tuple[Charge, ...]] = {}
         # Per-DPU effective clock: stragglers run derated for the run.
         if fault_plan is not None:
             self._eff_freq = config.dpu.frequency_hz * fault_plan.derates
@@ -175,17 +199,55 @@ class PimSystem:
             return 0.0
         return float(np.max(per_dpu_cycles / self._eff_freq, initial=0.0))
 
-    def _charge(self, dpu: Dpu, cost, detail: str = "") -> float:
-        """Charge a kernel cost, recording a trace event if tracing."""
-        start = dpu.total_cycles
-        cycles = dpu.charge(cost)
-        if self.tracer is not None:
-            self.tracer.record(
-                cost.kernel, dpu.dpu_id, start, start + cycles, detail
-            )
-        if self.observer is not None:
-            self.observer.on_kernel(cost.kernel, dpu.dpu_id, cycles, cost.traffic)
+    def begin_search(self) -> None:
+        """Zero the search ledger that batch timings are differenced on."""
+        num = len(self.dpus)
+        self._search_kernels = [{} for _ in range(num)]
+        self._search_stall = [0.0] * num
+
+    def _ledger_total(self, dpu_id: int) -> float:
+        """A DPU's search-ledger cycles, summed like ``Dpu.total_cycles``."""
+        return (
+            sum(self._search_kernels[dpu_id].values())
+            + self._search_stall[dpu_id]
+        )
+
+    def _kernel_totals(self) -> Dict[str, float]:
+        """Search-ledger cycles per kernel, summed over DPUs in order."""
+        out: Dict[str, float] = {}
+        for ledger in self._search_kernels:
+            for kname, c in ledger.items():
+                out[kname] = out.get(kname, 0.0) + c
+        return out
+
+    def _book(self, dpu: Dpu, charges: Sequence[Charge], detail: str) -> None:
+        """Add kernel charges to a DPU's lifetime and search ledgers.
+
+        Reads ``dpu.total_cycles`` only for the tracer's timeline.
+        """
+        ledger = self._search_kernels[dpu.dpu_id]
+        tracer = self.tracer
+        obs = self.observer
+        for cost, cycles in charges:
+            kname = cost.kernel
+            if tracer is not None:
+                start = dpu.total_cycles
+                tracer.record(kname, dpu.dpu_id, start, start + cycles, detail)
+            dpu.add_cycles(kname, cycles)
+            ledger[kname] = ledger.get(kname, 0.0) + cycles
+            if obs is not None:
+                obs.on_kernel(kname, dpu.dpu_id, cycles, cost.traffic)
+
+    def _charge(self, dpu: Dpu, cost: KernelCost, detail: str = "") -> float:
+        """Charge one kernel cost, recording a trace event if tracing."""
+        cycles = dpu.cost_cycles(cost)
+        self._book(dpu, ((cost, cycles),), detail)
         return cycles
+
+    def _stall(self, dpu: Dpu, cycles: float) -> None:
+        """Stall a DPU, on its lifetime and search ledgers."""
+        dpu.stall(cycles)
+        self._search_stall[dpu.dpu_id] += cycles
 
     # ----- offline loading ------------------------------------------------
     def place_shard(self, dpu_id: int, shard: ShardData) -> None:
@@ -285,6 +347,7 @@ class PimSystem:
         for dpu in self.dpus:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
+        self._charge_memo.clear()
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -334,8 +397,9 @@ class PimSystem:
                 "centroid slices not loaded; call load_centroid_slices first"
             )
         queries = np.asarray(queries)
-        nq = queries.shape[0]
-        cycles_before = np.array([d.total_cycles for d in self.dpus])
+        cycles_before = np.array(
+            [self._ledger_total(i) for i in range(len(self.dpus))]
+        )
         cand_ids = []
         cand_dists = []
         gather_bytes = 0
@@ -356,7 +420,9 @@ class PimSystem:
         order = np.argsort(dists, axis=1, kind="stable")[:, :nprobe]
         probes = np.take_along_axis(ids, order, axis=1)
 
-        cycles_after = np.array([d.total_cycles for d in self.dpus])
+        cycles_after = np.array(
+            [self._ledger_total(i) for i in range(len(self.dpus))]
+        )
         delta = cycles_after - cycles_before
         cl_seconds = self._max_seconds(delta)
         cl_gather = self.transfer.gather("cl_candidates", gather_bytes)
@@ -443,11 +509,7 @@ class PimSystem:
             obs.on_transfer("broadcast", bcast)
             obs.on_transfer("scatter", scat)
 
-        cycles_before = np.array([d.total_cycles for d in self.dpus])
-        kernel_before: Dict[str, float] = {}
-        for d in self.dpus:
-            for kname, c in d.cycles_by_kernel.items():
-                kernel_before[kname] = kernel_before.get(kname, 0.0) + c
+        kernel_before = self._kernel_totals()
 
         # ---- flatten assignments into the ordered shard-group list.
         # Group order is the legacy per-DPU traversal (assignment
@@ -478,10 +540,16 @@ class PimSystem:
                 by_shard.setdefault(skey, []).append(qidx)
             for skey, qidxs in by_shard.items():
                 groups.append((dpu_id, skey, qidxs))
+        # Only DPUs with groups are charged; every other DPU's batch
+        # cycles are exactly 0.
+        cycles_before = {
+            dpu_id: self._ledger_total(dpu_id) for dpu_id, _, _ in groups
+        }
 
-        # ---- functional pass: vectorized RC+LC per centroid, DC+TS
-        # per shard group via the planner-chosen path (stacked
-        # in-process kernel calls, or worker processes).
+        # ---- functional pass: vectorized RC+LC per centroid, then one
+        # DC+TS dispatch for the round's shard groups via the
+        # planner-chosen path (stacked in-process kernel calls, or
+        # worker processes).
         group_rows, group_misses = self._run_groups_functional(
             groups, queries, k, sq, backend
         )
@@ -495,11 +563,11 @@ class PimSystem:
         for gi, (dpu_id, skey, qidxs) in enumerate(groups):
             dpu = self.dpus[dpu_id]
             shard = self._shards[skey][1]
-            misses = group_misses[gi]
-            live_n = self._live_count(skey, shard)
-            self._charge_shard_group(
-                dpu, shard, len(qidxs), k, sq, misses, skey, live_n=live_n
+            charges = self._group_charges(
+                dpu, shard, len(qidxs), k, sq, group_misses[gi],
+                self._live_count(skey, shard),
             )
+            self._book(dpu, charges, skey)
             # One pre-drawn transient kernel fault per (DPU, logical
             # batch) at most: the first shard group's execution is
             # wasted and retried on the same DPU after a modeled
@@ -516,16 +584,14 @@ class PimSystem:
                     transient_retries += 1
                     if obs is not None:
                         obs.on_transient_retry()
-                    dpu.stall(
+                    self._stall(
+                        dpu,
                         fplan.config.transient_backoff_s
-                        * self.config.dpu.frequency_hz
+                        * self.config.dpu.frequency_hz,
                     )
                     # The retry event starts after the original attempt
                     # ends (the `repro lint` trace invariant).
-                    self._charge_shard_group(
-                        dpu, shard, len(qidxs), k, sq, misses,
-                        f"{skey}#retry{retry + 1}", live_n=live_n,
-                    )
+                    self._book(dpu, charges, f"{skey}#retry{retry + 1}")
             for qidx, (rids, rdists) in zip(qidxs, group_rows[gi]):
                 partials.append(
                     PartialResult(
@@ -555,12 +621,10 @@ class PimSystem:
             if failed_tasks:
                 obs.on_failed_tasks(len(failed_tasks))
 
-        cycles_after = np.array([d.total_cycles for d in self.dpus])
-        per_dpu = cycles_after - cycles_before
-        kernel_after: Dict[str, float] = {}
-        for d in self.dpus:
-            for kname, c in d.cycles_by_kernel.items():
-                kernel_after[kname] = kernel_after.get(kname, 0.0) + c
+        per_dpu = np.zeros(len(self.dpus))
+        for dpu_id, before in cycles_before.items():
+            per_dpu[dpu_id] = self._ledger_total(dpu_id) - before
+        kernel_after = self._kernel_totals()
         kernel_cycles = {
             kname: kernel_after.get(kname, 0.0) - kernel_before.get(kname, 0.0)
             for kname in sorted(set(kernel_before) | set(kernel_after))
@@ -586,22 +650,22 @@ class PimSystem:
         sq: Optional[SquareLut],
         backend: KernelBackend,
     ) -> Tuple[List[list], List[int]]:
-        """Numeric results for every shard group, vectorized per centroid.
+        """Numeric results for every shard group, in one scan dispatch.
 
         RC and LC run once per unique (query, centroid) pair — parts
         and replicas of a cluster reuse the same LUT rows instead of
-        rebuilding them per shard — and DC/TS run per shard group over
-        all of its queries at once, on the data-plane path the planner
-        picks for this round (stacked in-process kernel calls, or the
-        worker pool). Integer math makes both paths bit-identical to
-        per-group recomputation.
+        rebuilding them per shard. Every shard group of the round then
+        becomes one DC/TS job, and the round's jobs go to the
+        data-plane path the planner picks (stacked in-process kernel
+        calls, or the worker pool) in one call — earlier only when the
+        collected LUT bytes reach ``_STACK_CHUNK_BYTES``. Integer math
+        makes both paths bit-identical to per-group recomputation.
 
         Returns per-group result rows and per-group square-LUT miss
         counts (for LC cost charging), indexed like ``groups``.
         """
         # One strategy decision per round, from the round's measured
-        # size; the per-centroid dispatch below then applies it while
-        # keeping the centroid-major LUT memory bound.
+        # size; the round's scan dispatch below applies it.
         path = "vectorized"
         scan_points = 0
         if groups:
@@ -622,9 +686,8 @@ class PimSystem:
             if self.observer is not None:
                 self.observer.on_plan_decision(path)
 
-        # Centroid-major consumption order bounds LUT memory to one
-        # centroid's pairs at a time regardless of how its shard groups
-        # interleave across DPUs.
+        # Centroid-major LUT construction: each centroid's pairs are
+        # built once and sliced into its groups' jobs.
         cent_groups: Dict[int, List[int]] = {}
         for gi, (_, skey, _) in enumerate(groups):
             cent_groups.setdefault(self._shard_cent[skey], []).append(gi)
@@ -633,6 +696,26 @@ class PimSystem:
         group_rows: List[list] = [None] * len(groups)  # type: ignore[list-item]
         group_misses: List[int] = [0] * len(groups)
         scan_seconds = 0.0
+
+        def dispatch(jobs: list, job_gis: List[int]) -> None:
+            nonlocal scan_seconds
+            t0 = time.perf_counter()
+            if path == "pool" and self.executor is not None:
+                results = self.executor.scan_groups(
+                    jobs,
+                    [groups[gi][1] for gi in job_gis],
+                    [self._live_rows.get(groups[gi][1]) for gi in job_gis],
+                    backend,
+                )
+            else:
+                results = scan_jobs_stacked(jobs, backend=backend)
+            scan_seconds += time.perf_counter() - t0
+            for gi, rows in zip(job_gis, results):
+                group_rows[gi] = rows
+
+        jobs: list = []
+        job_gis: List[int] = []
+        job_bytes = 0
         for cent_id, gis in cent_groups.items():
             # Unique queries probing this centroid, first-use order.
             row_of: Dict[int, int] = {}
@@ -647,36 +730,32 @@ class PimSystem:
                 sq,
                 backend=backend,
             )
-            jobs = []
-            job_gis = []
+            # One gather-dtype conversion per centroid block.
+            luts = backend.gather_view(luts)
+            if not pair_misses.any():
+                pair_misses = None  # every group's count stays 0
             for gi in gis:
                 qidxs = groups[gi][2]
                 skey = groups[gi][1]
-                shard = self._shards[skey][1]
-                group_misses[gi] = int(
-                    sum(pair_misses[row_of[q]] for q in qidxs)
-                )
-                codes_s, ids_s = self._scan_arrays(skey, shard)
+                rows = [row_of[q] for q in qidxs]
+                if pair_misses is not None:
+                    group_misses[gi] = int(pair_misses[rows].sum())
+                codes_s, ids_s = self._scan_arrays(skey, self._shards[skey][1])
                 if len(ids_s):
-                    luts_g = luts[[row_of[q] for q in qidxs]]
+                    # A centroid's only group (no repeated query) takes
+                    # the block as built.
+                    whole = len(gis) == 1 and len(rows) == len(luts)
+                    luts_g = luts if whole else luts[rows]
                     jobs.append((luts_g, codes_s, ids_s, k))
                     job_gis.append(gi)
+                    job_bytes += luts_g.nbytes
                 else:
                     group_rows[gi] = [empty_row] * len(qidxs)
-            if jobs:
-                t0 = time.perf_counter()
-                if path == "pool" and self.executor is not None:
-                    results = self.executor.scan_groups(
-                        jobs,
-                        [groups[gi][1] for gi in job_gis],
-                        [self._live_rows.get(groups[gi][1]) for gi in job_gis],
-                        backend,
-                    )
-                else:
-                    results = scan_jobs_stacked(jobs, backend=backend)
-                scan_seconds += time.perf_counter() - t0
-                for gi, rows in zip(job_gis, results):
-                    group_rows[gi] = rows
+            if job_bytes >= parallel._STACK_CHUNK_BYTES:
+                dispatch(jobs, job_gis)
+                jobs, job_gis, job_bytes = [], [], 0
+        if jobs:
+            dispatch(jobs, job_gis)
 
         # Measured rate feedback: the planner arbitrates pool vs this
         # backend in process empirically once both have been observed.
@@ -768,7 +847,7 @@ class PimSystem:
             np.abs(diff) > sq.resident_max_abs, axis=(1, 2, 3)
         ).astype(np.int64)
 
-    def _charge_shard_group(
+    def _group_charges(
         self,
         dpu: Dpu,
         shard: ShardData,
@@ -776,10 +855,9 @@ class PimSystem:
         k: int,
         sq: Optional[SquareLut],
         misses: int,
-        detail: str,
-        live_n: Optional[int] = None,
-    ) -> None:
-        """Charge the RC→LC→DC→TS chain for one shard group.
+        live: int,
+    ) -> Tuple[Charge, ...]:
+        """The RC→LC→DC→TS charges for one shard group, memoized by shape.
 
         Costs come from the kernels' closed forms over shapes alone, so
         they are identical whether the numeric work ran per group, was
@@ -787,32 +865,41 @@ class PimSystem:
         Tombstones are charged honestly: DC streams and scans every
         *stored* row (deleted codes still occupy MRAM and flow through
         the kernel — the filter happens during the scan), while TS sorts
-        only the *live* candidates that survive it.
+        only the ``live`` candidates that survive it.
         """
+        n = len(shard.ids)
         d = int(np.asarray(shard.centroid).shape[0])
+        key = (
+            g, n, live, misses, k, sq is not None, d,
+            shard.centroid.nbytes, shard.codes.nbytes,
+        )
+        memo = self._charge_memo
+        charges = memo.get(key)
+        if charges is not None:
+            return charges
         m, cb, _ = self.codebooks.shape
-        self._charge(dpu, residual_cost(g, d, shard.centroid.nbytes), detail)
-        self._charge(
-            dpu,
+        costs = [
+            residual_cost(g, d, shard.centroid.nbytes),
             lut_build_cost(
                 g, d, m, cb, self.codebooks.nbytes,
                 multiplier_less=sq is not None,
                 misses=misses,
             ),
-            detail,
-        )
-        n = len(shard.ids)
-        live = n if live_n is None else live_n
+        ]
         if n:
-            self._charge(
-                dpu, distance_scan_cost(g, n, m, shard.codes.nbytes), detail
-            )
+            costs.append(distance_scan_cost(g, n, m, shard.codes.nbytes))
             if live:
-                self._charge(dpu, topk_sort_cost(g, live, k), detail)
+                costs.append(topk_sort_cost(g, live, k))
+        charges = tuple((cost, dpu.cost_cycles(cost)) for cost in costs)
+        if len(memo) >= CHARGE_MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = charges
+        return charges
 
     def reset_ledgers(self) -> None:
         for d in self.dpus:
             d.reset_ledger()
+        self.begin_search()
         self.transfer.reset()
 
     def close(self) -> None:

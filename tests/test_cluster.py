@@ -327,18 +327,10 @@ class TestAdaptiveRouting:
             r2, rep2 = f2.search(queries)
             np.testing.assert_array_equal(r1.ids, r2.ids)
             np.testing.assert_array_equal(r1.distances, r2.distances)
+            # f2 searches engines f1 has already searched: modeled
+            # latencies must not depend on that history.
             d1, d2 = rep1.to_dict(), rep2.to_dict()
-            # Modeled latencies drift in the last ulp across repeated
-            # searches on one engine instance (pre-existing engine
-            # behavior); everything structural must match exactly.
-            lat1 = d1.pop("shard_latencies_s")
-            lat2 = d2.pop("shard_latencies_s")
-            e1, e2 = d1.pop("e2e_seconds"), d2.pop("e2e_seconds")
             assert d1 == d2
-            assert e1 == pytest.approx(e2)
-            assert sorted(lat1) == sorted(lat2)
-            for s in lat1:
-                assert lat1[s] == pytest.approx(lat2[s])
 
 
 class TestFailover:

@@ -88,9 +88,8 @@ class TestDisabledPath:
         assert outcome.metrics is None
 
     def test_bit_exact_with_obs_on(self, small_ds, small_quantized, small_params):
-        # Fresh engines on both sides: per-batch cycles are differences
-        # of running per-DPU totals, so their last ulp depends on how
-        # many searches an engine has already run.
+        # Fresh engines on both sides, so nothing but the observer
+        # differs (batch cycles no longer depend on search history).
         q = small_ds.queries
         on = _build(small_ds, small_quantized, small_params, obs=True).search(q)
         off = _build(small_ds, small_quantized, small_params).search(q)

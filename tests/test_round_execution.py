@@ -1,0 +1,220 @@
+"""Round-level host execution: one scan dispatch per round, memoized
+charges, and a batch ledger that does not depend on search history.
+
+These are host-side strategies: none of them may move a result, a
+ledger entry or a trace event. The history test pins the one defect
+they fix — a warm engine's :class:`TimingBreakdown` used to differ
+from a fresh engine's in the last ulp, because batch cycles were
+differences of the DPUs' lifetime float totals.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.pim.system as system_mod
+from repro.pim.dpu import Dpu
+from repro.pim.kernels import topk_rows
+from repro.pim.parallel import _topk_stacked
+from repro.pim.trace import Tracer
+from repro.testing import CANONICAL_CONFIGS, build_canonical_engine, canonical_dataset
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _queries(name):
+    return canonical_dataset().queries[: CANONICAL_CONFIGS[name]["num_queries"]]
+
+
+def _breakdown_json(engine, queries, adaptive):
+    bd = engine.search(queries, adaptive=adaptive).breakdown
+    return json.dumps(bd.to_dict(), sort_keys=True)
+
+
+class TestHistoryFreeLedger:
+    @pytest.mark.parametrize("adaptive", ["off", "bound"])
+    @pytest.mark.parametrize("name", list(CANONICAL_CONFIGS))
+    def test_warm_engine_matches_fresh_engine(self, name, adaptive):
+        q = _queries(name)
+        fresh = build_canonical_engine(name)
+        warm = build_canonical_engine(name)
+        try:
+            want = _breakdown_json(fresh, q, adaptive)
+            for _ in range(3):
+                warm.search(q, adaptive=adaptive)
+            assert _breakdown_json(warm, q, adaptive) == want
+        finally:
+            fresh.close()
+            warm.close()
+
+    def test_lifetime_ledgers_still_accumulate(self):
+        name = "base-balanced"
+        q = _queries(name)
+        engine = build_canonical_engine(name)
+        try:
+            engine.search(q)
+            once = [dict(d.cycles_by_kernel) for d in engine.system.dpus]
+            engine.search(q)
+            for d, first in zip(engine.system.dpus, once):
+                for kname, cycles in first.items():
+                    assert d.cycles_by_kernel[kname] > cycles
+        finally:
+            engine.close()
+
+
+class TestTotalCyclesOffSearchPath:
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        counter = {"n": 0}
+        raw = Dpu.total_cycles.fget
+
+        def counted(self):
+            counter["n"] += 1
+            return raw(self)
+
+        monkeypatch.setattr(Dpu, "total_cycles", property(counted))
+        return counter
+
+    def test_untraced_search_never_reads_total_cycles(self, reads):
+        name = "base-balanced"
+        engine = build_canonical_engine(name)
+        try:
+            engine.search(_queries(name))
+            engine.search(_queries(name), adaptive="bound")
+        finally:
+            engine.close()
+        assert reads["n"] == 0
+
+    def test_traced_events_match_the_recorded_timeline(self, reads):
+        # tests/fixtures/trace_events_base_balanced.json holds the event
+        # list of this exact run under per-group, unmemoized charging:
+        # [kernel, dpu, start_cycle, end_cycle, batch, detail] per event.
+        tracer = Tracer()
+        engine = build_canonical_engine("base-balanced")
+        engine.system.tracer = tracer
+        q = canonical_dataset().queries[:6]
+        try:
+            engine.search(q)
+            engine.search(q, adaptive="bound")
+        finally:
+            engine.close()
+        got = [
+            [e.name, e.dpu_id, e.start_cycle, e.end_cycle, e.batch, e.detail]
+            for e in tracer.events
+        ]
+        want = json.loads((FIXTURES / "trace_events_base_balanced.json").read_text())
+        assert got == want
+        assert reads["n"] == len(got)
+
+
+class TestOneDispatchPerRound:
+    @pytest.fixture()
+    def engine(self):
+        engine = build_canonical_engine("split-replicated")
+        yield engine
+        engine.close()
+
+    def _spy(self, monkeypatch, calls):
+        real = system_mod.scan_jobs_stacked
+
+        def spy(jobs, backend=None):
+            calls.append(len(jobs))
+            return real(jobs, backend=backend)
+
+        monkeypatch.setattr(system_mod, "scan_jobs_stacked", spy)
+
+    def test_one_stacked_call_per_round(self, engine, monkeypatch):
+        rounds = []
+        real_run = engine.system.run_batch
+
+        def run_batch(*a, **kw):
+            rounds.append(1)
+            return real_run(*a, **kw)
+
+        monkeypatch.setattr(engine.system, "run_batch", run_batch)
+        calls = []
+        self._spy(monkeypatch, calls)
+        engine.search(_queries("split-replicated"), execution="batched")
+        assert len(rounds) >= 1
+        assert len(calls) == len(rounds)
+        assert sum(calls) > len(calls)  # rounds really carry many jobs
+
+    def test_lut_budget_flush_is_invisible(self, engine, monkeypatch):
+        q = _queries("split-replicated")
+        base = engine.search(q, execution="batched")
+        calls = []
+        self._spy(monkeypatch, calls)
+        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
+        tiny = engine.search(q, execution="batched")
+        # Every centroid block overflows the budget and flushes alone.
+        assert len(calls) > 1
+        np.testing.assert_array_equal(tiny.results.ids, base.results.ids)
+        np.testing.assert_array_equal(tiny.results.distances, base.results.distances)
+        assert tiny.breakdown.to_dict() == base.breakdown.to_dict()
+
+    def test_pool_gets_one_scan_groups_per_round(self, engine, monkeypatch):
+        system = engine.system
+        calls = []
+
+        class Pool:
+            attached = True
+            parallel = True
+
+            def scan_groups(self, jobs, keys, lives, backend):
+                calls.append(len(jobs))
+                assert len(keys) == len(lives) == len(jobs)
+                return system_mod.scan_jobs_stacked(jobs, backend=backend)
+
+            def take_fallback_events(self):
+                return []
+
+        q = _queries("split-replicated")
+        base = engine.search(q, execution="batched")
+        monkeypatch.setattr(system, "executor", Pool())
+        monkeypatch.setattr(system, "_residency_dirty", False)
+        monkeypatch.setattr(system.planner, "choose", lambda **kw: "pool")
+        got = engine.search(q, execution="batched")
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got.results.ids, base.results.ids)
+        assert got.breakdown.to_dict() == base.breakdown.to_dict()
+
+
+class TestStackedTopk:
+    @pytest.mark.parametrize("k", [1, 3, 7, 9])
+    def test_matches_per_job_topk_rows_under_ties(self, rng, k):
+        # Distances from {0..3} force ties at every top-k boundary.
+        dists = rng.integers(0, 4, size=(5, 3, 7)).astype(np.int64)
+        ids = [rng.permutation(1000)[:7].astype(np.int64) for _ in range(5)]
+        got = _topk_stacked(dists, ids, k)
+        for rows, d, i in zip(got, dists, ids):
+            want = topk_rows(d, i, k)
+            assert len(rows) == len(want)
+            for (gi, gd), (wi, wd) in zip(rows, want):
+                np.testing.assert_array_equal(gi, wi)
+                np.testing.assert_array_equal(gd, wd)
+                assert gd.dtype == wd.dtype and gi.dtype == wi.dtype
+
+
+class TestChargeMemo:
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(system_mod, "CHARGE_MEMO_ENTRIES", 2)
+        engine = build_canonical_engine("base-balanced")
+        try:
+            engine.search(_queries("base-balanced"))
+            assert 1 <= len(engine.system._charge_memo) <= 2
+        finally:
+            engine.close()
+
+    def test_dpu_keeps_no_per_charge_log(self):
+        engine = build_canonical_engine("base-balanced")
+        try:
+            for _ in range(2):
+                engine.search(_queries("base-balanced"))
+            for d in engine.system.dpus:
+                assert not any(
+                    isinstance(v, list) for v in vars(d).values()
+                )
+        finally:
+            engine.close()
