@@ -6,16 +6,16 @@ This package puts their implementations behind a small dispatch
 registry so the engine can swap a fused / compiled build in and out
 without touching any call site:
 
-* :class:`KernelBackend` — the three-op interface: the fused
-  gather-accumulate scan (:meth:`~KernelBackend.scan` /
+* :class:`KernelBackend` — the three-op interface: the
+  gather-then-reduce scan (:meth:`~KernelBackend.scan` /
   :meth:`~KernelBackend.scan_stacked`), the batched integer LUT build
   (:meth:`~KernelBackend.build_luts`), and the fused scan+local-top-k
   (:meth:`~KernelBackend.scan_topk`) that never materializes the full
   ``(g, n)`` distance matrix for clusters beyond
   :data:`SCAN_TOPK_N_CHUNK` points.
 * ``numpy`` — the guaranteed backend (:mod:`.numpy_backend`): pure
-  NumPy, fused per-subspace accumulation, no dependencies beyond the
-  base install. Always available.
+  NumPy, one flat-offset gather and int64 reduction per row slab, no
+  dependencies beyond the base install. Always available.
 * ``numba`` — the optional compiled backend (:mod:`.numba_backend`):
   ``@njit(cache=True)`` kernels, parallel over jobs. Import-gated; when
   numba is missing the registry silently resolves to ``numpy`` and
@@ -83,13 +83,15 @@ class KernelBackend:
 
     # ----- the three hot kernels -----------------------------------------
     def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Fused ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes ->
-        ``(g, n)`` int64 distances."""
+        """ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes -> ``(g, n)``
+        int64 distances, with no intermediate beyond a bounded
+        ``(rows, M, n)`` gather slab."""
         raise NotImplementedError
 
     def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Stacked fused scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
-        ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate."""
+        """Stacked scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
+        ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate; each job
+        gathers at most a bounded ``(rows, M, n)`` slab at a time."""
         raise NotImplementedError
 
     def build_luts(

@@ -3,18 +3,27 @@
 Same values as the reference kernels in :mod:`repro.pim.kernels`,
 restructured for speed.
 
-**Scan** (DC, :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked`):
+**Scan** (DC, :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked`)
+is one gather-then-reduce kernel, run once per job:
 
-* one ``(g, n)`` gather is accumulated per subspace instead of
-  materializing the staged ``(g, n, M)`` / ``(J, g, n, M)`` gather
-  tensor — at the bench shape this alone is ~3-4x over the staged
-  reference;
+* the ``(n, M)`` codes become ``(M, n)`` flat offsets into the
+  ``(g, M*CB)`` LUT rows (``code + m*CB``), built once per job;
+* each slab of LUT rows is one ``np.take`` of those offsets, a
+  ``(rows, M, n)`` gather, reduced over ``M`` into int64 — at the
+  bench shape several times faster than the staged reference's
+  3-index gather. The slab's transient gather stays within
+  :data:`LUT_CHUNK_BYTES`;
 * when every LUT entry fits int32 (always true for the quantized
   pipeline, whose entries are bounded by ``dim * CODEBOOK_CLIP**2``)
   the gathers run on an int32 copy of the LUTs, halving gather
-  traffic; the accumulator stays int64 so the sums are exact;
-* tiny jobs (``g * n`` below :data:`FUSED_MIN_CELLS`) keep the staged
-  reference path, where one big gather beats M small ones.
+  traffic; the reduction accumulates in int64, so sums past ``2**31``
+  stay exact.
+
+Flat offsets carry no per-subspace bounds, so codes are checked
+against ``[0, CB)`` once per call (:class:`IndexError`, where a code
+past ``CB`` would otherwise read the next subspace's entry and a
+negative one would wrap), and non-integer LUTs or codes are rejected
+with :class:`TypeError` rather than silently truncated.
 
 **LUT build** (LC, :meth:`NumpyBackend.build_luts`) is the norm
 expansion ``LUT[g,m,c] = ||r_gm||^2 - 2 r_gm.c_mc + ||c_mc||^2``: one
@@ -45,19 +54,14 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.pim.backend import KernelBackend
-from repro.pim.kernels import scan_distances, scan_distances_stacked
-
-#: Below this many output cells (``g * n``) the fused per-subspace loop
-#: loses to the reference's single staged gather; the variants are
-#: bit-identical, so the cutover is purely a wall-clock choice.
-FUSED_MIN_CELLS = 1024
 
 #: Largest magnitude float64 holds every integer up to (inclusive).
 EXACT_FLOAT_LIMIT = 1 << 53
 
-#: Byte budget for one row slab of a LUT build's transient arrays (the
-#: float64 expansion, or the fallback's int64 difference tensor);
-#: bounds memory without affecting values.
+#: Byte budget for one row slab of a kernel's transient arrays (a
+#: scan's ``(rows, M, n)`` gather, a LUT build's float64 expansion or
+#: the fallback's int64 difference tensor); bounds memory without
+#: affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
 
 #: Codebook tables whose expansion terms one backend instance keeps.
@@ -71,7 +75,7 @@ def _gather_view(luts: np.ndarray) -> np.ndarray:
     """int32 copy of the LUTs when lossless, else the original.
 
     Gathering from int32 halves the memory traffic of the hot loop;
-    the accumulator is int64 either way, and NumPy upcasts the gathered
+    the scan reduces into int64 either way, upcasting the gathered
     int32 values exactly, so the sums are unchanged.
     """
     if luts.size == 0 or luts.dtype.itemsize <= 4:
@@ -82,14 +86,37 @@ def _gather_view(luts: np.ndarray) -> np.ndarray:
     return luts
 
 
-def _scan_fused(luts: np.ndarray, gather: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    g = luts.shape[0]
-    n, m = codes.shape
-    idx = codes.astype(np.intp)
-    acc = np.zeros((g, n), dtype=np.int64)
-    for mi in range(m):
-        acc += gather[:, mi, :][:, idx[:, mi]]
-    return acc
+def _check_scan_operands(luts: np.ndarray, codes: np.ndarray) -> None:
+    """Reject what flat offsets would read wrongly instead of failing:
+    non-integer operands, and codes outside ``[0, CB)``."""
+    for name, arr in (("luts", luts), ("codes", codes)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise TypeError(f"{name} must be an integer array, got {arr.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= luts.shape[-1]):
+        raise IndexError(
+            f"codes must lie in [0, {luts.shape[-1]}), got "
+            f"[{codes.min()}, {codes.max()}]"
+        )
+
+
+def _scan_job(gather: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """One job's ADC scan into ``out`` (``(g, n)`` int64).
+
+    ``gather`` is the ``(g, M, CB)`` LUTs, ``codes`` the range-checked
+    ``(n, M)`` codes. Each slab of LUT rows is one gather of the flat
+    offsets and one int64 reduction over the subspaces.
+    """
+    g, m, cb = gather.shape
+    n = codes.shape[0]
+    flat = gather.reshape(g, m * cb)
+    off = codes.T.astype(np.intp)
+    off += (np.arange(m, dtype=np.intp) * cb)[:, None]
+    step = _slab_rows(m * n * flat.itemsize)
+    for r0 in range(0, g, step):
+        # The callers range-check the codes, so every offset is in
+        # bounds and the take mode only picks the cheapest loop.
+        gathered = np.take(flat[r0 : r0 + step], off, axis=1, mode="wrap")
+        np.add.reduce(gathered, axis=1, dtype=np.int64, out=out[r0 : r0 + step])
 
 
 class CodebookTerms:
@@ -202,9 +229,10 @@ class NumpyBackend(KernelBackend):
             raise ValueError(
                 f"codes must be (n, {luts.shape[1]}), got {codes.shape}"
             )
-        if luts.shape[0] * codes.shape[0] < FUSED_MIN_CELLS:
-            return scan_distances(luts, codes)
-        return _scan_fused(luts, _gather_view(luts), codes)
+        _check_scan_operands(luts, codes)
+        out = np.empty((luts.shape[0], codes.shape[0]), dtype=np.int64)
+        _scan_job(_gather_view(luts), codes, out)
+        return out
 
     def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
         luts = np.asarray(luts)
@@ -220,14 +248,11 @@ class NumpyBackend(KernelBackend):
                 f"codes must be ({luts.shape[0]}, n, {luts.shape[2]}), "
                 f"got {codes.shape}"
             )
-        num_jobs, g = luts.shape[0], luts.shape[1]
-        n = codes.shape[1]
-        if num_jobs == 0 or g * n < FUSED_MIN_CELLS:
-            return scan_distances_stacked(luts, codes)
+        _check_scan_operands(luts, codes)
         gather = _gather_view(luts)
-        out = np.empty((num_jobs, g, n), dtype=np.int64)
-        for j in range(num_jobs):
-            out[j] = _scan_fused(luts[j], gather[j], codes[j])
+        out = np.empty(luts.shape[:2] + codes.shape[1:2], dtype=np.int64)
+        for j in range(len(out)):
+            _scan_job(gather[j], codes[j], out[j])
         return out
 
     def gather_view(self, luts: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ from repro.pim.backend import (
     take_fallback_events,
 )
 from repro.pim.backend import _GuardedBackend, _scan_topk_chunked
-from repro.pim.backend.numpy_backend import FUSED_MIN_CELLS, NumpyBackend
+from repro.pim.backend import numpy_backend
+from repro.pim.backend.numpy_backend import NumpyBackend
 from repro.pim.config import PimSystemConfig
 from repro.pim.kernels import (
     run_lut_build,
@@ -178,16 +179,78 @@ class TestBitExactness:
             backend.scan(luts, codes), scan_distances(luts, codes)
         )
 
-    def test_small_cases_use_staged_kernels_bit_equal(self):
-        """Below FUSED_MIN_CELLS the numpy backend delegates to the
-        staged kernels; either way the contract is equality."""
-        rng = _rng(4)
-        g, n = 2, 3
-        assert g * n < FUSED_MIN_CELLS
-        luts, codes = _scan_case(rng, g, n, 4, 16)
+
+class TestScanKernel:
+    """The numpy backend's one gather-then-reduce scan kernel."""
+
+    @pytest.mark.parametrize(
+        "high", [1 << 20, 1 << 40], ids=["int32-view", "int64-luts"]
+    )
+    def test_slabbed_scan_equals_reference(self, monkeypatch, high):
+        """Under a tiny byte budget every job runs in several row
+        slabs, from the int32 gather view and from int64 LUTs alike,
+        and still equals the staged kernels bit for bit."""
+        rng = _rng(9)
+        j, g, n, m, cb = 3, 7, 30, 4, 16
+        itemsize = 4 if high <= 1 << 31 else 8
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 2 * m * n * itemsize)
+        assert numpy_backend._slab_rows(m * n * itemsize) == 2
+        luts = rng.integers(0, high, size=(j, g, m, cb)).astype(np.int64)
+        codes = rng.integers(0, cb, size=(j, n, m)).astype(np.uint8)
+        backend = NumpyBackend()
+        got = backend.scan(luts[0], codes[0])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scan_distances(luts[0], codes[0]))
+        got = backend.scan_stacked(luts, codes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scan_distances_stacked(luts, codes))
+
+    def test_int32_entries_summing_past_int32_stay_exact(self):
+        """Entries that fit the int32 gather view but whose row sums
+        overflow int32 still sum exactly in the int64 reduction."""
+        g, n, m, cb = 2, 5, 4, 8
+        top = np.iinfo(np.int32).max
+        luts = np.full((g, m, cb), top, dtype=np.int64)
+        assert numpy_backend._gather_view(luts).dtype == np.int32
+        codes = np.zeros((n, m), dtype=np.uint8)
+        want = np.full((g, n), m * top, dtype=np.int64)
+        assert want[0, 0] > 1 << 31
+        backend = NumpyBackend()
+        assert np.array_equal(backend.scan(luts, codes), want)
         assert np.array_equal(
-            NumpyBackend().scan(luts, codes), scan_distances(luts, codes)
+            backend.scan_stacked(luts[None], codes[None]), want[None]
         )
+
+    @pytest.mark.parametrize("bad", [16, 255, -1])
+    def test_codes_outside_codebook_raise(self, bad):
+        """A code past CB must not read the next subspace's entry, and
+        a negative one must not wrap to the end of the LUT row."""
+        rng = _rng(10)
+        luts, codes = _scan_case(rng, 3, 6, 4, 16, code_dtype=np.int16)
+        codes[3, 2] = bad
+        backend = NumpyBackend()
+        with pytest.raises(IndexError, match="codes"):
+            backend.scan(luts, codes)
+        with pytest.raises(IndexError, match="codes"):
+            backend.scan_stacked(luts[None], codes[None])
+
+    @pytest.mark.parametrize("n", [3, 600])
+    def test_non_integer_operands_raise(self, n):
+        """Float LUTs or codes are rejected at every job size, never
+        truncated into an integer result."""
+        luts = np.full((2, 4, 8), 0.75)
+        codes = np.zeros((n, 4), dtype=np.uint8)
+        backend = NumpyBackend()
+        with pytest.raises(TypeError, match="luts"):
+            backend.scan(luts, codes)
+        with pytest.raises(TypeError, match="luts"):
+            backend.scan_stacked(luts[None], codes[None])
+        with pytest.raises(TypeError, match="codes"):
+            backend.scan(luts.astype(np.int64), codes.astype(np.float64))
+        with pytest.raises(TypeError, match="codes"):
+            backend.scan_stacked(
+                luts[None].astype(np.int64), codes[None].astype(np.float64)
+            )
 
 
 _SQUARES_8 = SquareLut.for_bit_width(8, levels=3)
