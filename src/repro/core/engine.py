@@ -295,10 +295,26 @@ class DrimAnnEngine:
         self._unloaded = True
 
     # ------------------------------------------------------------- mutation
-    def _sync_liveness(self) -> None:
-        """Push per-shard live-row filters into the PIM system."""
+    def _sync_liveness(self, clusters: Optional[np.ndarray] = None) -> None:
+        """Push per-shard live-row filters into the PIM system.
+
+        ``clusters`` limits the resync to those clusters' shards (the
+        ones a mutation touched); every other shard keeps its filter
+        and its cached live rows. ``None`` resyncs every shard.
+        """
         masks = self.quantized.tombstone_masks()
-        for key, shard in self.plan.shards.items():
+        if clusters is None:
+            keys = list(self.plan.shards)
+        else:
+            groups = self.plan.replica_groups
+            keys = [
+                key
+                for cid in clusters.tolist()
+                for group in groups[cid]
+                for key in group
+            ]
+        for key in keys:
+            shard = self.plan.shards[key]
             live = None
             if masks is not None:
                 dead = np.asarray(masks[shard.cluster_id])[shard.point_rows]
@@ -324,7 +340,10 @@ class DrimAnnEngine:
         Raises ``ValueError`` naming ``vectors`` when they hold NaN or
         infinite values, fractions, or values outside the index's
         operand range (``[0, 255]`` for the uint8 pipeline); nothing is
-        appended then.
+        appended then. ``ids`` are checked the same way and must be
+        non-negative (``-1`` pads results); strings and bools raise
+        ``TypeError``. Only the touched clusters' shards have their
+        live-row filters resynced.
         """
         self._check_loaded()
         vectors = check_2d(vectors, "vectors")
@@ -339,8 +358,9 @@ class DrimAnnEngine:
         if len(new_ids) == 0:
             return new_ids
         quantized = self.quantized
+        touched = np.unique(assign)
         added_bytes = 0.0
-        for cid in (int(c) for c in np.unique(assign)):
+        for cid in touched.tolist():
             n_old = int(old_sizes[cid])
             n_new = len(quantized.cluster_ids[cid])
             row_bytes = (
@@ -364,8 +384,9 @@ class DrimAnnEngine:
             "shards", added_bytes
         )
         self.report.mram_used_per_dpu = self.system.mram_usage()
-        if quantized.has_tombstones:
-            self._sync_liveness()
+        if quantized.tombstone_masks() is not None:
+            # The grown shards' filters index their old row ranges.
+            self._sync_liveness(touched)
         # Keep cached reconstruction radii an upper bound: max-update
         # the touched clusters from the appended rows only (a radius can
         # only grow on append; delete() keeps it valid conservatively).
@@ -374,7 +395,7 @@ class DrimAnnEngine:
                 self._cb_norms_sq = adaptive_probing.codebook_norms_sq(
                     quantized.codebooks
                 )
-            for cid in (int(c) for c in np.unique(assign)):
+            for cid in touched.tolist():
                 n_old = int(old_sizes[cid])
                 new_codes = quantized.cluster_codes[cid][n_old:]
                 if len(new_codes):
@@ -398,12 +419,14 @@ class DrimAnnEngine:
         Deleted rows stay resident (DC still streams and is charged for
         them — the ledger stays honest) but are filtered out of every
         scan before top-k, so they can never appear in results.
-        :meth:`compact` reclaims the space.
+        :meth:`compact` reclaims the space. ``ids`` are validated like
+        :meth:`add`'s; the call does one id lookup and resyncs the
+        live-row filters of the touched clusters' shards only.
         """
         self._check_loaded()
-        count = self.quantized.delete(ids)
+        count, touched = self.quantized._tombstone(ids)
         if count:
-            self._sync_liveness()
+            self._sync_liveness(touched)
         if self.observer is not None:
             self.observer.on_tombstones(self.quantized.tombstone_ratio)
         return count

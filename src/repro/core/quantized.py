@@ -30,12 +30,27 @@ from repro.ann.heap import topk_canonical, topk_smallest
 from repro.ann.ivfpq import IVFPQIndex, SearchResult
 from repro.core.square_lut import SquareTermCache
 from repro.utils.cast_cache import CastCache
-from repro.utils import check_2d
+from repro.utils import check_2d, check_operands
 
 # Codebook entries are residual-scale; they are clipped to this bound at
 # quantization time so that (residual - codebook) stays within the
 # 3-level square-LUT range (±765 for 8-bit data).
 CODEBOOK_CLIP = 510
+
+
+def _check_ids(ids) -> np.ndarray:
+    """Point ids as a flat int64 array, rejecting what a cast would change.
+
+    Ids are non-negative integers: ``-1`` pads short result rows
+    (:class:`~repro.ann.ivfpq.SearchResult`), so it can never name a
+    point.
+    """
+    ids = check_operands(np.ravel(ids), np.int64, "ids")
+    if ids.size and ids.min() < 0:
+        raise ValueError(
+            f"ids must be non-negative (-1 pads results), got {ids.min()}"
+        )
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -223,12 +238,21 @@ class QuantizedIndexData:
     def encode(self, vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Assign and PQ-encode raw uint8 vectors with the trained index.
 
-        Pure integer pipeline: assignment is :meth:`locate` with
-        nprobe=1 (int64 distances, canonical lowest-index tie-break),
-        and codes are the per-subspace argmin over the int16 codebooks
-        in int64. Returns ``(assign, codes)`` — ``(n,)`` cluster ids and
-        ``(n, M)`` codes in the index's code dtype.
+        The paper's CL → RC → LC pipeline plus an argmin: assignment is
+        :meth:`locate` with nprobe=1 (int64 distances, canonical
+        lowest-index tie-break), the residuals are int32, and each
+        point's ``(M, CB)`` LUT comes from the kernel backend's exact
+        ``build_luts`` — bit-identical to :meth:`build_luts`, so the
+        first-minimum argmin picks the same codes as the int64
+        reference. LUTs are built in row slabs of at most
+        :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES`, so
+        large batches never hold an ``(n, M, CB)`` table. Returns ``(assign, codes)`` — ``(n,)`` cluster ids
+        and ``(n, M)`` codes in the index's code dtype.
         """
+        # Function-local: repro.pim imports this module (via faults
+        # and core.persist), so a module-level import is circular.
+        from repro.pim.backend import numpy_backend, resolve_backend
+
         vectors = check_2d(vectors, "vectors")
         if vectors.dtype != np.uint8:
             raise TypeError(f"vectors must be uint8, got {vectors.dtype}")
@@ -237,7 +261,7 @@ class QuantizedIndexData:
                 f"vectors have dim {vectors.shape[1]}; index has {self.dim}"
             )
         n = vectors.shape[0]
-        m, cb, dsub = self.codebooks.shape
+        m, cb, _ = self.codebooks.shape
         code_dtype = np.uint8 if cb <= 256 else np.uint16
         if n == 0:
             return (
@@ -246,18 +270,15 @@ class QuantizedIndexData:
             )
         assign = self.locate(vectors, 1)[:, 0]
         codes = np.empty((n, m), dtype=code_dtype)
-        books = self.codebooks_int64()[None]
-        # Chunk the (chunk, M, CB, dsub) int64 workspace to ~128 MiB.
-        chunk = max(1, (1 << 27) // max(1, m * cb * dsub * 8))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
+        backend = resolve_backend()
+        step = max(1, numpy_backend.LUT_CHUNK_BYTES // (m * cb * 8))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
             res = vectors[lo:hi].astype(np.int32) - self.centroids[
                 assign[lo:hi]
             ].astype(np.int32)
-            r = res.astype(np.int64).reshape(hi - lo, m, 1, dsub)
-            diff = r - books
-            dist = np.einsum("nmcd,nmcd->nmc", diff, diff)
-            codes[lo:hi] = dist.argmin(axis=2).astype(code_dtype)
+            luts = backend.build_luts(res, self.codebooks)
+            codes[lo:hi] = luts.argmin(axis=2)
         return assign, codes
 
     def add(
@@ -265,35 +286,40 @@ class QuantizedIndexData:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Encode and append new vectors; returns ``(new_ids, assign)``.
 
-        Ids default to a fresh contiguous range above the current
-        maximum (tombstoned ids still count as taken until
-        :meth:`compact`). Appending re-materializes the touched
-        clusters' arrays, so mmap-backed clusters become ordinary
-        in-memory arrays for exactly the clusters that grew.
+        Ids must be non-negative integers (``-1`` is the result padding
+        sentinel); strings and bools raise ``TypeError``, fractions,
+        non-finite values and negatives ``ValueError``. They default to
+        a fresh contiguous range above the current maximum (tombstoned
+        ids still count as taken until :meth:`compact`). The collision
+        check is one lookup against the whole id column, and the batch
+        is grouped by cluster with one stable sort. Appending
+        re-materializes the touched clusters' arrays, so mmap-backed
+        clusters become ordinary in-memory arrays for exactly the
+        clusters that grew.
         """
+        if ids is not None:
+            ids = _check_ids(ids)
         assign, codes = self.encode(vectors)
         n = len(assign)
+        existing = np.concatenate(self.cluster_ids)
         if ids is None:
-            existing_max = -1
-            for arr in self.cluster_ids:
-                if len(arr):
-                    existing_max = max(existing_max, int(arr.max()))
-            ids = np.arange(existing_max + 1, existing_max + 1 + n, dtype=np.int64)
+            start = int(existing.max()) + 1 if len(existing) else 0
+            ids = np.arange(start, start + n, dtype=np.int64)
         else:
-            ids = np.asarray(ids, dtype=np.int64).ravel()
             if len(ids) != n:
                 raise ValueError(f"{len(ids)} ids for {n} vectors")
             if len(np.unique(ids)) != n:
                 raise ValueError("duplicate ids in add() batch")
-            for arr in self.cluster_ids:
-                if len(arr) and bool(np.isin(ids, arr).any()):
-                    raise ValueError("add() ids collide with existing point ids")
+            if n and bool(np.isin(ids, existing).any()):
+                raise ValueError("add() ids collide with existing point ids")
         if n == 0:
             return ids, assign
         masks = self.tombstone_masks()
-        for cid in np.unique(assign):
-            rows = assign == cid
-            cid = int(cid)
+        order = np.argsort(assign, kind="stable")
+        touched, starts = np.unique(assign[order], return_index=True)
+        ends = np.append(starts[1:], n)
+        for cid, lo, hi in zip(touched.tolist(), starts, ends):
+            rows = order[lo:hi]
             self.cluster_ids[cid] = np.concatenate(
                 [np.asarray(self.cluster_ids[cid]), ids[rows]]
             )
@@ -305,31 +331,42 @@ class QuantizedIndexData:
             )
             if masks is not None:
                 masks[cid] = np.concatenate(
-                    [masks[cid], np.zeros(int(rows.sum()), dtype=bool)]
+                    [masks[cid], np.zeros(hi - lo, dtype=bool)]
                 )
         return ids, assign
 
     def delete(self, ids: np.ndarray) -> int:
         """Tombstone points by id; returns how many rows were newly marked.
 
-        Rows stay resident (the DC phase still streams them — the cycle
-        ledger charges that honestly) but are filtered out of every
-        result path until :meth:`compact` reclaims them.
+        Ids are validated like :meth:`add`'s. Rows stay resident (the
+        DC phase still streams them — the cycle ledger charges that
+        honestly) but are filtered out of every result path until
+        :meth:`compact` reclaims them.
         """
-        ids = np.asarray(ids, dtype=np.int64).ravel()
+        return self._tombstone(ids)[0]
+
+    def _tombstone(self, ids: np.ndarray) -> Tuple[int, np.ndarray]:
+        """:meth:`delete` plus the ids of the clusters it touched.
+
+        One id lookup over the whole id column, split back per cluster
+        at the cumulative cluster sizes; the count is the number of
+        live rows whose id is in ``ids``, summed over clusters.
+        """
+        ids = _check_ids(ids)
+        touched = np.empty(0, dtype=np.int64)
         if len(ids) == 0:
-            return 0
+            return 0, touched
         masks = self._ensure_tombstones()
-        count = 0
-        for cid in range(self.nlist):
-            cluster = self.cluster_ids[cid]
-            if len(cluster) == 0:
-                continue
-            hit = np.isin(np.asarray(cluster), ids) & ~masks[cid]
-            if hit.any():
-                masks[cid] |= hit
-                count += int(hit.sum())
-        return count
+        hit = np.isin(np.concatenate(self.cluster_ids), ids)
+        hit &= ~np.concatenate(masks)
+        rows = np.flatnonzero(hit)
+        if len(rows) == 0:
+            return 0, touched
+        ends = np.cumsum(self.cluster_sizes())
+        touched = np.unique(np.searchsorted(ends, rows, side="right"))
+        for cid in touched.tolist():
+            masks[cid] |= hit[ends[cid] - len(masks[cid]) : ends[cid]]
+        return len(rows), touched
 
     def compact(self) -> "QuantizedIndexData":
         """A fresh, fully-materialized index holding only live rows.

@@ -10,15 +10,30 @@ claim to reproduce the layout) the per-kernel cycle ledger.
 
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
-from repro.core import DrimAnnEngine, EngineConfig, LayoutConfig, SearchParams
+from repro.core import (
+    DrimAnnEngine,
+    EngineConfig,
+    IndexParams,
+    LayoutConfig,
+    SearchParams,
+)
 from repro.core.persist import load_index, save_index
 from repro.core.quantized import QuantizedIndexData
 from repro.faults.disk import CrashPoint, SimulatedCrash
+from repro.pim.backend import numpy_backend, resolve_backend
 from repro.pim.config import PimSystemConfig
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
@@ -134,6 +149,200 @@ class TestQuantizedLifecycle:
         np.testing.assert_array_equal(before.distances, after.distances)
 
 
+def _random_quantized(rng, n, *, nlist=4, m=2, cb=16, dsub=3, tie=False):
+    """A small random index from ``from_vectors``; ``tie`` duplicates a
+    codebook entry in every subspace so the encoder's argmin sees ties."""
+    centroids = rng.integers(
+        0, 256, size=(nlist, m * dsub), dtype=np.int64
+    ).astype(np.uint8)
+    codebooks = rng.integers(
+        -200, 200, size=(m, cb, dsub), dtype=np.int64
+    ).astype(np.int16)
+    if tie:
+        codebooks[:, cb - 1] = codebooks[:, 0]
+    vectors = rng.integers(
+        0, 256, size=(n, m * dsub), dtype=np.int64
+    ).astype(np.uint8)
+    return QuantizedIndexData.from_vectors(centroids, codebooks, vectors), vectors
+
+
+def _reference_codes(quant, vectors):
+    """The int64 oracle: CL by locate, then argmin over build_luts."""
+    assign = quant.locate(vectors, 1)[:, 0]
+    res = vectors.astype(np.int32) - quant.centroids[assign].astype(np.int32)
+    return assign, quant.build_luts(res).argmin(axis=2)
+
+
+class TestEncode:
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_encode_matches_int64_reference(self, data):
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**31 - 1), label="seed")
+        )
+        quant, _ = _random_quantized(
+            rng,
+            1,
+            m=data.draw(st.sampled_from([1, 2, 4]), label="m"),
+            cb=data.draw(st.sampled_from([2, 16, 300]), label="cb"),
+            tie=data.draw(st.booleans(), label="tie"),
+        )
+        n = data.draw(st.integers(1, 50), label="n")
+        vectors = rng.integers(
+            0, 256, size=(n, quant.dim), dtype=np.int64
+        ).astype(np.uint8)
+        assign, codes = quant.encode(vectors)
+        ref_assign, ref_codes = _reference_codes(quant, vectors)
+        np.testing.assert_array_equal(assign, ref_assign)
+        np.testing.assert_array_equal(codes, ref_codes)
+        assert codes.dtype == (np.uint8 if quant.codebook_size <= 256 else np.uint16)
+
+    def test_ties_take_the_first_entry(self):
+        quant, vectors = _random_quantized(
+            np.random.default_rng(5), 200, tie=True
+        )
+        _, codes = quant.encode(vectors)
+        assert not (codes == quant.codebook_size - 1).any()
+        np.testing.assert_array_equal(codes, _reference_codes(quant, vectors)[1])
+
+    def test_multi_slab_encode(self, monkeypatch):
+        quant, vectors = _random_quantized(np.random.default_rng(9), 103)
+        want = quant.encode(vectors)
+        m, cb = quant.num_subspaces, quant.codebook_size
+        # Three LUT rows per slab: 103 rows take 35 slabs.
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 3 * m * cb * 8)
+        backend = resolve_backend()
+        slabs = []
+        build = backend.build_luts
+
+        def spy(residuals, codebooks):
+            slabs.append(len(residuals))
+            return build(residuals, codebooks)
+
+        monkeypatch.setattr(backend, "build_luts", spy)
+        got = quant.encode(vectors)
+        assert slabs == [3] * 34 + [1]
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestIdBoundary:
+    """Malformed ids are rejected before anything is mutated."""
+
+    @pytest.mark.parametrize(
+        "ids, exc, match",
+        [
+            (np.array([3.7]), ValueError, "integer values"),
+            (np.array([np.nan]), ValueError, "finite"),
+            (np.array([np.inf]), ValueError, "finite"),
+            (np.array([-1]), ValueError, "non-negative"),
+            (np.array([4, -7]), ValueError, "non-negative"),
+            (np.array(["5"]), TypeError, "numeric"),
+            (np.array([True]), TypeError, "numeric"),
+        ],
+    )
+    def test_delete_rejects(self, small_quantized, ids, exc, match):
+        quant = _fresh_quantized(small_quantized)
+        with pytest.raises(exc, match=match):
+            quant.delete(ids)
+        assert quant.num_tombstones == 0
+
+    @pytest.mark.parametrize(
+        "ids, exc, match",
+        [
+            (np.array([90000.9, 90001.2]), ValueError, "integer values"),
+            (np.array([-1, -7]), ValueError, "non-negative"),
+            (np.array([np.nan, 90001.0]), ValueError, "finite"),
+            (np.array(["a", "b"]), TypeError, "numeric"),
+            (np.array([True, False]), TypeError, "numeric"),
+        ],
+    )
+    def test_add_rejects(self, small_quantized, ids, exc, match):
+        quant = _fresh_quantized(small_quantized)
+        n = quant.num_points
+        with pytest.raises(exc, match=match):
+            quant.add(np.zeros((2, quant.dim), dtype=np.uint8), ids=ids)
+        assert quant.num_points == n
+
+    def test_integral_floats_are_accepted(self, small_quantized):
+        quant = _fresh_quantized(small_quantized)
+        new_ids, _ = quant.add(
+            np.zeros((2, quant.dim), dtype=np.uint8),
+            ids=np.array([90000.0, 90001.0]),
+        )
+        assert new_ids.dtype == np.int64
+        np.testing.assert_array_equal(new_ids, [90000, 90001])
+        assert quant.delete(np.array([90000.0])) == 1
+
+    def test_engine_rejects_before_mutating(
+        self, small_quantized, small_params, small_ds
+    ):
+        engine = _engine(_fresh_quantized(small_quantized), small_params)
+        try:
+            with pytest.raises(ValueError, match="integer values"):
+                engine.delete(np.array([3.7]))
+            with pytest.raises(TypeError, match="numeric"):
+                engine.delete(np.array(["5"]))
+            with pytest.raises(ValueError, match="non-negative"):
+                engine.add(
+                    np.zeros((2, small_quantized.dim), dtype=np.uint8),
+                    ids=[-1, -7],
+                )
+            assert engine.quantized.num_tombstones == 0
+            assert engine.quantized.num_points == small_quantized.num_points
+            res = _assert_matches_reference(engine, small_ds.queries[:10])
+            assert (res.ids >= 0).all()
+        finally:
+            engine.close()
+
+
+def _per_cluster_delete(quant, ids):
+    """The per-cluster definition of ``delete``: every live row whose
+    id is in ``ids`` is newly marked, counted over clusters."""
+    masks = quant._ensure_tombstones()
+    count = 0
+    for cid in range(quant.nlist):
+        hit = np.isin(quant.cluster_ids[cid], ids) & ~masks[cid]
+        masks[cid] |= hit
+        count += int(hit.sum())
+    return count
+
+
+class TestDeleteSemantics:
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_count_matches_per_cluster_definition(self, data):
+        rng = np.random.default_rng(
+            data.draw(st.integers(0, 2**31 - 1), label="seed")
+        )
+        n = data.draw(st.integers(1, 60), label="n")
+        quant, _ = _random_quantized(rng, n, nlist=8)
+        oracle = quant.compact()
+        # Duplicates, unknown ids and ids already deleted by an earlier
+        # batch, spread over every cluster.
+        for _ in range(3):
+            ids = np.asarray(
+                data.draw(st.lists(st.integers(0, n + 10), max_size=30)),
+                dtype=np.int64,
+            )
+            assert quant.delete(ids) == _per_cluster_delete(oracle, ids)
+            for got, want in zip(
+                quant._ensure_tombstones(), oracle._ensure_tombstones()
+            ):
+                np.testing.assert_array_equal(got, want)
+
+    def test_touched_clusters_are_returned(self, small_quantized):
+        quant = _fresh_quantized(small_quantized)
+        victims = np.concatenate(
+            [quant.cluster_ids[c][:2] for c in (3, 17, 40)]
+        )
+        count, touched = quant._tombstone(np.concatenate([victims, victims]))
+        assert count == 6
+        np.testing.assert_array_equal(touched, [3, 17, 40])
+        count, touched = quant._tombstone(victims)
+        assert count == 0 and len(touched) == 0
+
+
 class TestLifecycleProperty:
     @settings(deadline=None, max_examples=20)
     @given(data=st.data())
@@ -142,19 +351,8 @@ class TestLifecycleProperty:
         rng = np.random.default_rng(
             data.draw(st.integers(0, 2**31 - 1), label="seed")
         )
-        nlist, m, cb, dsub = 4, 2, 16, 3
-        centroids = rng.integers(
-            0, 256, size=(nlist, m * dsub), dtype=np.int64
-        ).astype(np.uint8)
-        codebooks = rng.integers(
-            -200, 200, size=(m, cb, dsub), dtype=np.int64
-        ).astype(np.int16)
         n = data.draw(st.integers(1, 40), label="n")
-        vectors = rng.integers(
-            0, 256, size=(n, m * dsub), dtype=np.int64
-        ).astype(np.uint8)
-
-        quant = QuantizedIndexData.from_vectors(centroids, codebooks, vectors)
+        quant, vectors = _random_quantized(rng, n)
         num_dead = data.draw(st.integers(0, n - 1), label="num_dead")
         dead = np.asarray(
             sorted(rng.choice(n, size=num_dead, replace=False)), dtype=np.int64
@@ -164,7 +362,7 @@ class TestLifecycleProperty:
 
         survivors = np.setdiff1d(np.arange(n), dead)
         rebuilt = QuantizedIndexData.from_vectors(
-            centroids, codebooks, vectors[survivors], ids=survivors
+            quant.centroids, quant.codebooks, vectors[survivors], ids=survivors
         )
         assert compacted.num_points == rebuilt.num_points
         for a, b in zip(compacted.cluster_ids, rebuilt.cluster_ids):
@@ -272,6 +470,89 @@ class TestEngineMutation:
             np.testing.assert_array_equal(before.distances, after.distances)
         finally:
             engine.close()
+
+    def test_delete_keeps_other_clusters_live_cache(
+        self, small_quantized, small_ds, small_params
+    ):
+        quant = _fresh_quantized(small_quantized)
+        engine = _engine(quant, small_params)
+        q = small_ds.queries[:40]
+        try:
+            engine.delete(np.arange(0, 8000, 3))
+            engine.search(q)
+            cache = engine.system._live_cache
+            before = dict(cache)
+            target = 5
+            live = ~quant.tombstone_masks()[target]
+            assert engine.delete(quant.cluster_ids[target][live][:1]) == 1
+            targets = {
+                key
+                for group in engine.plan.replica_groups[target]
+                for key in group
+            }
+            kept = {k for k in before if k not in targets}
+            assert kept and all(cache[k] is before[k] for k in kept)
+            assert not targets & set(cache)
+            _assert_matches_reference(engine, q)
+        finally:
+            engine.close()
+
+    def test_add_keeps_other_clusters_live_cache(
+        self, small_quantized, small_ds, small_params
+    ):
+        quant = _fresh_quantized(small_quantized)
+        engine = _engine(quant, small_params)
+        q = small_ds.queries[:40]
+        try:
+            engine.delete(np.arange(0, 8000, 3))
+            engine.search(q)
+            cache = engine.system._live_cache
+            before = dict(cache)
+            # A centroid is nearest to its own cluster.
+            assign, _ = quant.encode(quant.centroids[7:8])
+            engine.add(quant.centroids[7:8])
+            target = int(assign[0])
+            kept = {
+                k
+                for k in before
+                if engine.plan.shards[k].cluster_id != target
+            }
+            assert kept and all(cache[k] is before[k] for k in kept)
+            _assert_matches_reference(engine, q)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("path", ["vectorized", "pool"])
+    def test_interleaved_mutation_bitexact_across_plans(
+        self, small_quantized, small_ds, small_params, path
+    ):
+        quant = _fresh_quantized(small_quantized)
+        engine = _engine(
+            quant, small_params, shard_workers=2 if path == "pool" else 0
+        )
+        rng = np.random.default_rng(17)
+        q = small_ds.queries[:30]
+        try:
+            for step in range(3):
+                engine.add(
+                    rng.integers(0, 256, size=(24, quant.dim), dtype=np.int64)
+                    .astype(np.uint8)
+                )
+                engine.delete(rng.choice(quant.num_points, 300, replace=False))
+                engine.system.warm_pool()
+                res = _assert_matches_reference(engine, q)
+                dead = np.concatenate(
+                    [
+                        ids[m]
+                        for ids, m in zip(
+                            quant.cluster_ids, quant.tombstone_masks()
+                        )
+                    ]
+                )
+                assert not np.intersect1d(res.ids, dead).size
+        finally:
+            engine.close()
+        assert engine.system.planner.decisions.get(path, 0) >= 1
 
     def test_unload_guards_search(self, small_quantized, small_params):
         quant = _fresh_quantized(small_quantized)
@@ -454,3 +735,106 @@ class TestObservability:
             )
         finally:
             engine.close()
+
+
+# ---------------------------------------------------------------- interleaving
+class MutationMachine(RuleBasedStateMachine):
+    """add/delete/compact/search plus save/load on a tiny engine.
+
+    The model is the set of live and deleted ids. Every search must be
+    bit-exact against ``reference_search`` over the live rows and never
+    return a deleted id.
+    """
+
+    NLIST, M, CB, DSUB = 6, 4, 16, 4
+
+    def __init__(self):
+        super().__init__()
+        self.tmpdir = tempfile.mkdtemp(prefix="drim-sm-")
+        self.engine = None
+
+    @initialize(seed=st.integers(0, 2**16))
+    def build(self, seed):
+        self.rng = np.random.default_rng(seed)
+        quant, _ = _random_quantized(
+            self.rng, 120, nlist=self.NLIST, m=self.M, cb=self.CB,
+            dsub=self.DSUB,
+        )
+        self.config = EngineConfig(
+            index=IndexParams(
+                nlist=self.NLIST, nprobe=3, k=5,
+                num_subspaces=self.M, codebook_size=self.CB,
+            ),
+            search=SearchParams(batch_size=4),
+            system=PimSystemConfig(num_dpus=4, shard_workers=0),
+            layout=LayoutConfig(min_split_size=15, max_copies=2),
+        )
+        self.engine = DrimAnnEngine.from_quantized(quant, self.config, seed=0)
+        self.live = set(range(120))
+        self.dead = set()
+
+    def _vectors(self, n):
+        return self.rng.integers(
+            0, 256, size=(n, self.M * self.DSUB),
+            dtype=np.int64,
+        ).astype(np.uint8)
+
+    @rule(n=st.integers(1, 6), explicit=st.booleans())
+    def add(self, n, explicit):
+        ids = None
+        if explicit:
+            taken = self.live | self.dead
+            ids = np.arange(n, dtype=np.int64) + max(taken, default=-1) + 7
+        new_ids = self.engine.add(self._vectors(n), ids)
+        assert len(new_ids) == n
+        assert not set(new_ids.tolist()) & self.live
+        self.live |= set(new_ids.tolist())
+        self.dead -= set(new_ids.tolist())
+
+    @rule(data=st.data())
+    def delete(self, data):
+        pool = sorted(self.live | self.dead) + [10**6]
+        ids = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        count = self.engine.delete(np.asarray(ids, dtype=np.int64))
+        doomed = set(ids) & self.live
+        assert count == len(doomed)
+        self.live -= doomed
+        self.dead |= doomed
+
+    @rule()
+    def compact(self):
+        stats = self.engine.compact()
+        assert stats["removed_tombstones"] == len(self.dead)
+        # Compaction drops the rows; their ids may be reused.
+        self.dead = set()
+
+    @rule()
+    def save_load(self):
+        path = os.path.join(self.tmpdir, "idx.drim")
+        self.engine.save(path)
+        self.engine.close()
+        self.engine = DrimAnnEngine.load(path, config=self.config)
+
+    @rule(nq=st.integers(1, 5))
+    def search(self, nq):
+        q = self._vectors(nq)
+        res = _assert_matches_reference(self.engine, q)
+        got = set(res.ids[res.ids >= 0].tolist())
+        assert not got & self.dead
+        assert got <= self.live
+
+    @invariant()
+    def counts_match_model(self):
+        if self.engine is not None:
+            assert self.engine.quantized.num_live_points == len(self.live)
+
+    def teardown(self):
+        if self.engine is not None:
+            self.engine.close()
+        shutil.rmtree(self.tmpdir, ignore_errors=True)
+
+
+TestMutationInterleaving = MutationMachine.TestCase
+TestMutationInterleaving.settings = settings(
+    max_examples=25, stateful_step_count=15, deadline=None
+)
