@@ -29,12 +29,10 @@ Rules (ids are stable; each finding carries file:line + severity):
 * ``kernel-registry-bypass`` (AL013) — calling the staged scan
   internals (``scan_distances`` / ``scan_distances_stacked``) or the
   staged LUT build (``run_lut_build``) directly instead of going
-  through the ``repro.pim.backend`` registry. Direct
-  calls silently pin the serial NumPy implementation, dodging backend
-  selection, the guarded-fallback path, and the
-  ``drimann_kernel_*`` metrics. The kernel and backend packages (the
-  definitions and the registry's own dispatch) and ``analysis/`` are
-  exempt. (AL006–AL012 are the concurrency sanitizer's rules — see
+  through the host kernels of ``repro.pim.backend``. Direct calls
+  silently pin the slow staged reference implementation on the hot
+  path. The kernel and backend packages (the definitions and the
+  microbench that times them) and ``analysis/`` are exempt. (AL006–AL012 are the concurrency sanitizer's rules — see
   :mod:`repro.analysis.concurrency`.)
 """
 
@@ -362,10 +360,9 @@ def _check_registry_bypass(tree: ast.Module, path: str) -> List[Finding]:
                     "kernel-registry-bypass",
                     Severity.ERROR,
                     f"direct call to kernel internal {tail!r} bypasses the "
-                    f"repro.pim.backend registry; it pins the serial NumPy "
-                    f"implementation and skips backend selection, guarded "
-                    f"fallback, and the drimann_kernel_* metrics — scan "
-                    f"and build LUTs through resolve_backend(...) instead",
+                    f"repro.pim.backend host kernels; it pins the staged "
+                    f"reference implementation — scan and build LUTs "
+                    f"through resolve_backend() instead",
                     path,
                     node,
                 )

@@ -174,12 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker processes for shard scans (0 or 1 = no "
                         "pool, every round scans in process; results are "
                         "bit-identical either way)")
-    s.add_argument("--kernel-backend", default="auto",
-                   choices=("auto", "numpy", "numba"),
-                   help="host kernel implementation for scans/LUT builds: "
-                        "auto (compiled numba when importable, else fused "
-                        "NumPy), or force one — bit-identical results and "
-                        "identical cycle ledgers either way")
     s.add_argument("--adaptive", default="off",
                    choices=("off", "bound", "budget", "full"),
                    help="query-adaptive probing: off (fixed nprobe), "
@@ -239,10 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--shard-workers", type=int, default=0,
                    help="worker processes for shard scans (0 or 1 = no "
                         "pool, every round scans in process)")
-    v.add_argument("--kernel-backend", default="auto",
-                   choices=("auto", "numpy", "numba"),
-                   help="host kernel implementation for scans/LUT builds "
-                        "(bit-identical results either way)")
     v.add_argument("--metrics-out", metavar="PATH",
                    help="write the metrics snapshot (.prom -> Prometheus "
                         "text, else JSON); implies observability")
@@ -250,13 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_json_arg(v)
 
     be = sub.add_parser(
-        "bench", help="host-side microbenchmarks (kernel backends)"
+        "bench", help="host-side microbenchmarks (host kernels)"
     )
     bes = be.add_subparsers(dest="bench_command", required=True)
     bk = bes.add_parser(
         "kernels",
-        help="time every registered kernel backend against the staged "
-             "reference kernels and check bit-exactness",
+        help="time the host kernels against the staged reference "
+             "kernels and check bit-exactness",
     )
     bk.add_argument("--repeats", type=int, default=5,
                     help="timing repetitions per kernel (best-of)")
@@ -612,7 +602,6 @@ def _cmd_search(args) -> int:
         layout=layout,
         system=PimSystemConfig(
             num_dpus=args.dpus, shard_workers=args.shard_workers,
-            kernel_backend=args.kernel_backend,
         ),
         use_opq=args.opq,
         obs=ObsConfig(enabled=obs_on),
@@ -828,7 +817,6 @@ def _cmd_serve(args) -> int:
         index=params,
         system=PimSystemConfig(
             num_dpus=args.dpus, shard_workers=args.shard_workers,
-            kernel_backend=args.kernel_backend,
         ),
         obs=ObsConfig(enabled=obs_on),
     )
@@ -1208,7 +1196,7 @@ def _cmd_bench(args) -> int:
 def _cmd_bench_kernels(args) -> int:
     from repro.pim.backend.microbench import format_record, run_microbench
 
-    _say(args, "timing kernel backends against the staged reference ...")
+    _say(args, "timing the host kernels against the staged reference ...")
     record = run_microbench(repeats=args.repeats, seed=args.seed)
     if not args.as_json:
         print(format_record(record))

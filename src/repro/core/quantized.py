@@ -241,7 +241,7 @@ class QuantizedIndexData:
         The paper's CL → RC → LC pipeline plus an argmin: assignment is
         :meth:`locate` with nprobe=1 (int64 distances, canonical
         lowest-index tie-break), the residuals are int32, and each
-        point's ``(M, CB)`` LUT comes from the kernel backend's exact
+        point's ``(M, CB)`` LUT comes from the host kernels' exact
         ``build_luts`` — bit-identical to :meth:`build_luts`, so the
         first-minimum argmin picks the same codes as the int64
         reference. LUTs are built in row slabs of at most

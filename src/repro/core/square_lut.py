@@ -19,7 +19,7 @@ are still functionally exact but are charged as misses (extra MRAM
 traffic) by the LC kernel.
 
 Because the table is exact, the host simulator never needs to look
-squares up to get LC's values: the kernel backends compute the same
+squares up to get LC's values: the host kernels compute the same
 integers directly, and only a partial table's cost needs the per-lookup
 miss count.
 """

@@ -34,8 +34,6 @@ pim_transient_retries_total                      counter
 pim_failed_tasks_total                           counter
 pim_plan_decisions_total                         counter    path
 pim_pool_fallbacks_total                         counter    reason
-kernel_backend_total                             counter    backend
-kernel_fallbacks_total                           counter    reason
 faults_dead_dpus                                 gauge
 faults_degraded_queries_total                    counter
 faults_backoff_seconds_total                     counter
@@ -301,22 +299,6 @@ class EngineObserver:
         self.registry.counter(
             "drimann_pim_pool_fallbacks_total",
             help="pool failures/fallbacks to in-process execution",
-            reason=reason,
-        ).inc()
-
-    def on_kernel_backend(self, backend: str) -> None:
-        """The kernel backend a batch resolved to (numpy/numba)."""
-        self.registry.counter(
-            "drimann_kernel_backend_total",
-            help="batches executed per resolved kernel backend",
-            backend=backend,
-        ).inc()
-
-    def on_kernel_fallback(self, reason: str) -> None:
-        """A kernel-backend degradation to numpy (never silent)."""
-        self.registry.counter(
-            "drimann_kernel_fallbacks_total",
-            help="kernel-backend fallbacks to the numpy implementation",
             reason=reason,
         ).inc()
 

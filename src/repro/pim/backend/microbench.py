@@ -1,8 +1,8 @@
-"""Shared scan/LUT microbenchmark for the kernel backends.
+"""Shared scan/LUT microbenchmark for the host kernels.
 
 Used by ``benchmarks/bench_kernels.py`` (the CI ``--smoke`` gate) and
-the ``repro bench kernels`` CLI entry point. Measures every available
-backend against the staged reference kernels
+the ``repro bench kernels`` CLI entry point. Measures the NumPy
+kernels against the staged reference kernels
 (:func:`repro.pim.kernels.scan_distances_stacked` and
 :func:`repro.pim.kernels.run_lut_build` gathering every square from
 the full square LUT) at fixed shapes, checks the
@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict
 import numpy as np
 
 from repro.core.square_lut import SquareLut
-from repro.pim.backend import available_backends, resolve_backend
+from repro.pim.backend import resolve_backend
 from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -40,11 +40,11 @@ LUT_SHAPE = {"g": 5, "m": 32, "cb": 128, "dsub": 4}
 #: microseconds, too short to time alone.
 LUT_CALLS = 20
 
-#: The CI gate: the best backend's stacked scan must beat the staged
-#: reference by at least this factor at bit-identical output.
+#: The CI gate: the stacked scan must beat the staged reference by at
+#: least this factor at bit-identical output.
 MIN_SCAN_SPEEDUP = 3.0
 
-#: The CI gate: the numpy backend's LUT build must beat the staged
+#: The CI gate: the LUT build must beat the staged
 #: square-LUT ``run_lut_build`` by at least this factor.
 MIN_LUT_SPEEDUP = 3.0
 
@@ -66,13 +66,12 @@ def _best_seconds(fn: Callable[[], Any], repeats: int) -> float:
 def run_microbench(
     repeats: int = 5, seed: SeedLike = 0
 ) -> Dict[str, Any]:
-    """Measure every available backend; return the machine-readable record.
+    """Measure the host kernels; return the machine-readable record.
 
-    The record's ``gate_ok`` is True when the best backend clears
-    :data:`MIN_SCAN_SPEEDUP` on the stacked scan and the numpy backend
-    clears :data:`MIN_LUT_SPEEDUP` on the LUT build, with bit-equal
-    output; ``backends[name]["bit_identical"]`` must be True for every
-    backend regardless (a mismatch fails the gate outright).
+    The record's ``gate_ok`` is True when the kernels' output is
+    bit-identical to the staged reference (a mismatch fails the gate
+    outright), the stacked scan clears :data:`MIN_SCAN_SPEEDUP` and the
+    LUT build clears :data:`MIN_LUT_SPEEDUP`.
     """
     rng = ensure_rng(seed)
     sh = SCAN_SHAPE
@@ -111,7 +110,22 @@ def run_microbench(
         repeats,
     )
 
-    record: Dict[str, Any] = {
+    backend = resolve_backend()
+    got_scan = backend.scan_stacked(luts, codes)
+    got_luts = backend.build_luts(residuals, codebooks)
+    bit_identical = bool(
+        got_scan.dtype == ref_scan.dtype
+        and np.array_equal(got_scan, ref_scan)
+        and got_luts.dtype == ref_luts.dtype
+        and np.array_equal(got_luts, ref_luts)
+    )
+    t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
+    t_luts = _best_seconds(
+        lut_calls(lambda: backend.build_luts(residuals, codebooks)), repeats
+    )
+    scan_speedup = t_ref_scan / t_scan if t_scan > 0 else 0.0
+    lut_speedup = t_ref_luts / t_luts if t_luts > 0 else 0.0
+    return {
         "scan_shape": dict(sh),
         "lut_shape": dict(lh),
         "repeats": repeats,
@@ -121,51 +135,17 @@ def run_microbench(
             "scan_seconds": t_ref_scan,
             "lut_seconds": t_ref_luts,
         },
-        "backends": {},
-        "best_backend": None,
-        "best_scan_speedup": 0.0,
-        "gate_ok": False,
+        "scan_seconds": t_scan,
+        "scan_speedup": scan_speedup,
+        "lut_seconds": t_luts,
+        "lut_speedup": lut_speedup,
+        "bit_identical": bit_identical,
+        "gate_ok": bool(
+            bit_identical
+            and scan_speedup >= MIN_SCAN_SPEEDUP
+            and lut_speedup >= MIN_LUT_SPEEDUP
+        ),
     }
-
-    all_bit_identical = True
-    for name in available_backends():
-        backend = resolve_backend(name)
-        backend.warmup()
-        got_scan = backend.scan_stacked(luts, codes)
-        got_luts = backend.build_luts(residuals, codebooks)
-        bit_identical = bool(
-            got_scan.dtype == ref_scan.dtype
-            and np.array_equal(got_scan, ref_scan)
-            and got_luts.dtype == ref_luts.dtype
-            and np.array_equal(got_luts, ref_luts)
-        )
-        all_bit_identical = all_bit_identical and bit_identical
-        t_scan = _best_seconds(
-            lambda: backend.scan_stacked(luts, codes), repeats
-        )
-        t_luts = _best_seconds(
-            lut_calls(lambda: backend.build_luts(residuals, codebooks)),
-            repeats,
-        )
-        entry = {
-            "scan_seconds": t_scan,
-            "scan_speedup": t_ref_scan / t_scan if t_scan > 0 else 0.0,
-            "lut_seconds": t_luts,
-            "lut_speedup": t_ref_luts / t_luts if t_luts > 0 else 0.0,
-            "bit_identical": bit_identical,
-            "compiled": bool(backend.compiled),
-        }
-        record["backends"][name] = entry
-        if entry["scan_speedup"] > record["best_scan_speedup"]:
-            record["best_scan_speedup"] = entry["scan_speedup"]
-            record["best_backend"] = name
-
-    record["gate_ok"] = bool(
-        all_bit_identical
-        and record["best_scan_speedup"] >= MIN_SCAN_SPEEDUP
-        and record["backends"]["numpy"]["lut_speedup"] >= MIN_LUT_SPEEDUP
-    )
-    return record
 
 
 def format_record(record: Dict[str, Any]) -> str:
@@ -183,23 +163,17 @@ def format_record(record: Dict[str, Any]) -> str:
             f"dsub={lh['dsub']}; square-LUT reference "
             f"{record['reference']['lut_seconds'] * 1e3:.2f} ms"
         ),
+        (
+            f"  kernels  scan {record['scan_seconds'] * 1e3:7.1f} ms "
+            f"({record['scan_speedup']:.2f}x, gate >= "
+            f"{record['min_scan_speedup']:.1f}x)  lut "
+            f"{record['lut_seconds'] * 1e3:6.2f} ms "
+            f"({record['lut_speedup']:.2f}x, gate >= "
+            f"{record['min_lut_speedup']:.1f}x)  "
+            f"bit_identical={record['bit_identical']}: "
+            f"{'OK' if record['gate_ok'] else 'FAIL'}"
+        ),
     ]
-    for name, entry in record["backends"].items():
-        lines.append(
-            f"  {name:8s} scan {entry['scan_seconds'] * 1e3:7.1f} ms "
-            f"({entry['scan_speedup']:.2f}x)  lut "
-            f"{entry['lut_seconds'] * 1e3:6.2f} ms "
-            f"({entry['lut_speedup']:.2f}x)  "
-            f"bit_identical={entry['bit_identical']}"
-        )
-    lines.append(
-        f"best scan: {record['best_backend']} at "
-        f"{record['best_scan_speedup']:.2f}x "
-        f"(gate >= {record['min_scan_speedup']:.1f}x); numpy lut "
-        f"{record['backends']['numpy']['lut_speedup']:.2f}x "
-        f"(gate >= {record['min_lut_speedup']:.1f}x): "
-        f"{'OK' if record['gate_ok'] else 'FAIL'}"
-    )
     return "\n".join(lines)
 
 

@@ -1,7 +1,9 @@
-"""The guaranteed kernel backend: fused NumPy, no extra dependencies.
+"""The host kernels: fused NumPy, no extra dependencies.
 
 Same values as the reference kernels in :mod:`repro.pim.kernels`,
-restructured for speed.
+restructured for speed. Only the raw array math lives here — no cost
+accounting: callers charge the modeled PIM cycles separately from
+closed forms, which keeps ledgers independent of the host kernels.
 
 **Scan** (DC, :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked`)
 is one gather-then-reduce kernel, run once per job:
@@ -25,6 +27,12 @@ past ``CB`` would otherwise read the next subspace's entry and a
 negative one would wrap), and non-integer LUTs or codes are rejected
 with :class:`TypeError` rather than silently truncated.
 
+**Scan + top-k** (DC + TS, :meth:`NumpyBackend.scan_topk`) is exactly
+``topk_rows(scan(...))`` for clusters of at most
+:data:`SCAN_TOPK_N_CHUNK` points; larger clusters are scanned in
+column slices merged by the canonical ``(distance, position)`` rule,
+so the full ``(g, n)`` matrix is never materialized.
+
 **LUT build** (LC, :meth:`NumpyBackend.build_luts`) is the norm
 expansion ``LUT[g,m,c] = ||r_gm||^2 - 2 r_gm.c_mc + ||c_mc||^2``: one
 batched float64 ``matmul`` over the subspaces, shaped
@@ -42,18 +50,15 @@ the ``(g, M, CB)`` int64 output. The transposed float codebook,
 
 Every variant computes the identical int64 values, so the outputs are
 bit-identical to the reference kernels — property-tested in
-``tests/test_pim_backend.py``. No cost accounting here: callers charge
-the closed forms.
+``tests/test_pim_backend.py``.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.pim.backend import KernelBackend
 
 #: Largest magnitude float64 holds every integer up to (inclusive).
 EXACT_FLOAT_LIMIT = 1 << 53
@@ -63,6 +68,15 @@ EXACT_FLOAT_LIMIT = 1 << 53
 #: the fallback's int64 difference tensor); bounds memory without
 #: affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
+
+#: Cluster size above which :meth:`NumpyBackend.scan_topk` switches
+#: from the exact ``topk_rows``-over-the-full-matrix path to the
+#: chunked scan+merge that never materializes ``(g, n)``. Every
+#: execution path uses this same threshold, which is what keeps the
+#: data plane bit-exact: below it all paths call the identical
+#: selection kernel; at or above it all paths use the identical
+#: canonical ``(distance, position)`` merge.
+SCAN_TOPK_N_CHUNK = 1 << 16
 
 #: Codebook tables whose expansion terms one backend instance keeps.
 TERMS_CACHE_ENTRIES = 8
@@ -211,16 +225,19 @@ def _build_luts_expansion(
         out[s0 : s0 + step] = lut.transpose(1, 0, 2)
 
 
-class NumpyBackend(KernelBackend):
-    """Fused NumPy implementation of the three hot kernels."""
+class NumpyBackend:
+    """Fused NumPy implementation of the hot kernels (see module
+    docstring)."""
 
     name = "numpy"
-    compiled = False
 
     def __init__(self) -> None:
         self._terms = CodebookTermsCache()
 
     def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes -> ``(g, n)``
+        int64 distances, with no intermediate beyond a bounded
+        ``(rows, M, n)`` gather slab."""
         luts = np.asarray(luts)
         codes = np.asarray(codes)
         if luts.ndim != 3:
@@ -235,6 +252,9 @@ class NumpyBackend(KernelBackend):
         return out
 
     def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Stacked scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
+        ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate; each job
+        gathers at most a bounded ``(rows, M, n)`` slab at a time."""
         luts = np.asarray(luts)
         codes = np.asarray(codes)
         if luts.ndim != 4:
@@ -256,11 +276,16 @@ class NumpyBackend(KernelBackend):
         return out
 
     def gather_view(self, luts: np.ndarray) -> np.ndarray:
+        """The LUTs in the dtype the scans gather from best (int32 when
+        lossless). Same values, so scan results are unchanged; callers
+        convert a block once and slice scan jobs from it."""
         return _gather_view(luts)
 
     def build_luts(
         self, residuals: np.ndarray, codebooks: np.ndarray
     ) -> np.ndarray:
+        """Batched integer LUT build: ``(g, D)`` int residuals x
+        ``(M, CB, dsub)`` int codebooks -> ``(g, M, CB)`` int64."""
         residuals = np.asarray(residuals)
         codebooks = np.asarray(codebooks)
         if codebooks.ndim != 3:
@@ -282,3 +307,77 @@ class NumpyBackend(KernelBackend):
         else:
             _build_luts_int64(residuals, codebooks, out)
         return out
+
+    def scan_topk(
+        self,
+        luts: np.ndarray,
+        codes: np.ndarray,
+        ids: np.ndarray,
+        k: int,
+        n_chunk: int = SCAN_TOPK_N_CHUNK,
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """DC + TS for one LUT block: per-row ``(ids_k, dists_k)``.
+
+        For clusters of at most ``n_chunk`` points this is exactly
+        ``topk_rows(self.scan(luts, codes), ids, k)`` — the one
+        selection kernel every execution path shares. Larger clusters
+        are scanned in ``n_chunk``-point column slices and merged with
+        the canonical ``(distance, position)`` rule, so the full
+        ``(g, n)`` matrix is never materialized.
+        """
+        from repro.pim.kernels import topk_rows
+
+        n = codes.shape[0]
+        if n <= n_chunk:
+            return topk_rows(self.scan(luts, codes), ids, k)
+        return _scan_topk_chunked(self, luts, codes, ids, k, n_chunk)
+
+
+def _scan_topk_chunked(
+    backend: NumpyBackend,
+    luts: np.ndarray,
+    codes: np.ndarray,
+    ids: np.ndarray,
+    k: int,
+    n_chunk: int,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Column-chunked scan+top-k with the canonical merge rule.
+
+    Candidates are ranked by ``(distance, global position)`` via a
+    per-row lexsort — a deterministic total order, identical no matter
+    how the columns were chunked (verified against the unchunked path
+    by the property tests whenever distances are untied).
+    """
+    g = luts.shape[0]
+    n = codes.shape[0]
+    kk = min(k, n)
+    # Running candidate pool per row: at most kk survivors + one
+    # chunk's fresh top-kk, merged after every slice.
+    pool_d: Optional[np.ndarray] = None
+    pool_p: Optional[np.ndarray] = None
+    for c0 in range(0, n, n_chunk):
+        dists = backend.scan(luts, codes[c0 : c0 + n_chunk])
+        cn = dists.shape[1]
+        ck = min(kk, cn)
+        part = np.argpartition(dists, ck - 1, axis=1)[:, :ck]
+        cand_d = np.take_along_axis(dists, part, axis=1)
+        cand_p = part.astype(np.int64) + c0
+        if pool_d is None:
+            pool_d, pool_p = cand_d, cand_p
+        else:
+            pool_d = np.concatenate([pool_d, cand_d], axis=1)
+            pool_p = np.concatenate([pool_p, cand_p], axis=1)
+        if pool_d.shape[1] > kk:
+            keep_d = np.empty((g, kk), dtype=pool_d.dtype)
+            keep_p = np.empty((g, kk), dtype=np.int64)
+            for row in range(g):
+                order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
+                keep_d[row] = pool_d[row, order]
+                keep_p[row] = pool_p[row, order]
+            pool_d, pool_p = keep_d, keep_p
+    assert pool_d is not None and pool_p is not None
+    results: List[Tuple[np.ndarray, np.ndarray]] = []
+    for row in range(g):
+        order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
+        results.append((ids[pool_p[row, order]], pool_d[row, order]))
+    return results

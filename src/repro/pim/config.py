@@ -105,13 +105,6 @@ class PimSystemConfig:
     # round; results are bit-identical either way, and rounds fall back
     # to in process when process pools are unavailable.
     shard_workers: int = 0
-    # Host-side kernel implementation for the functional scans and LUT
-    # builds (see repro.pim.backend), used by every in-process round and
-    # by the pool workers alike. "auto" resolves to the compiled numba
-    # build when importable, else the fused NumPy backend. Bit-identical
-    # results and identical cycle ledgers either way — only host
-    # wall-clock differs.
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.num_dpus <= 0:
@@ -120,11 +113,6 @@ class PimSystemConfig:
             raise ValueError("rank/dimm sizes must be > 0")
         if self.shard_workers < 0:
             raise ValueError("shard_workers must be >= 0")
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            raise ValueError(
-                "kernel_backend must be 'auto', 'numpy', or 'numba', "
-                f"got {self.kernel_backend!r}"
-            )
 
     @property
     def num_dimms(self) -> int:

@@ -14,8 +14,7 @@ The scan paths, the one worker pool, and a planner live here:
   shard groups stacked into single kernel calls, the rest through
   :func:`scan_shard_group`, the per-group scan the pool workers and the
   pool's in-process fallback run too. Both funnel through the same
-  kernel backend
-  (:mod:`repro.pim.backend` — every backend is bit-identical to the
+  host kernels (:mod:`repro.pim.backend`, bit-identical to the
   reference :func:`~repro.pim.kernels.scan_distances` /
   :func:`~repro.pim.kernels.topk_rows` pair), which is what makes
   both execution strategies bit-exact by construction.
@@ -54,11 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ann.heap import topk_smallest
-from repro.pim.backend import (
-    SCAN_TOPK_N_CHUNK,
-    KernelBackend,
-    resolve_backend,
-)
+from repro.pim.backend import SCAN_TOPK_N_CHUNK, NumpyBackend, resolve_backend
 from repro.pim.kernels import topk_rows
 
 #: Rows of LUTs scanned per functional DC call; bounds the transient
@@ -86,19 +81,19 @@ def scan_shard_group(
     ids: np.ndarray,
     k: int,
     row_chunk: int = ROW_CHUNK,
-    backend: Optional[KernelBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> ScanRows:
     """DC + TS over one shard group, chunked over LUT rows.
 
     The per-group scan: :func:`scan_jobs_stacked`'s unstackable jobs
     and the worker processes all funnel through this function — and
     through the same
-    :meth:`~repro.pim.backend.KernelBackend.scan_topk` selection rule —
+    :meth:`~repro.pim.backend.NumpyBackend.scan_topk` selection rule —
     which is what makes parallel execution bit-exact by construction.
-    ``backend=None`` resolves the process default (``auto``).
+    ``backend=None`` takes the process-wide kernels.
     """
     if backend is None:
-        backend = resolve_backend("auto")
+        backend = resolve_backend()
     rows: ScanRows = []
     for c0 in range(0, len(luts), row_chunk):
         rows.extend(backend.scan_topk(luts[c0 : c0 + row_chunk], codes, ids, k))
@@ -113,13 +108,13 @@ _STACK_CHUNK_BYTES = 64 * 1024 * 1024
 
 def scan_jobs_stacked(
     jobs: Sequence[ScanJob],
-    backend: Optional[KernelBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> List[ScanRows]:
     """The in-process scan: same-shape jobs in single kernel calls.
 
     Jobs are bucketed by ``(lut shape, code shape, dtypes, k)``; each
     bucket's LUTs and codes are stacked and scanned with one
-    :meth:`~repro.pim.backend.KernelBackend.scan_stacked` dispatch
+    :meth:`~repro.pim.backend.NumpyBackend.scan_stacked` dispatch
     instead of J separate kernel calls — the host-side analogue of
     launching one kernel across every DPU at once — and its rows get
     one top-k selection call (:func:`_topk_stacked`). Per-job results are
@@ -131,7 +126,7 @@ def scan_jobs_stacked(
     per-group scan; results come back in submission order.
     """
     if backend is None:
-        backend = resolve_backend("auto")
+        backend = resolve_backend()
     results: List[ScanRows] = [None] * len(jobs)  # type: ignore[list-item]
     buckets: Dict[tuple, List[int]] = {}
     for ji, (luts, codes, _ids, k) in enumerate(jobs):
@@ -421,7 +416,6 @@ def _pool_worker(
     untrack: bool,
     san_spool: Optional[str] = None,
     san_clock=None,
-    backend_mode: str = "auto",
 ) -> None:
     """Persistent worker: attach the arena once, scan until told to stop.
 
@@ -429,22 +423,13 @@ def _pool_worker(
     vector-clock slot (None on un-sanitized runs); ``san_spool`` /
     ``san_clock`` arm the drimsan recorder in this process, seeded with
     the owner's clock at spawn so the arena ``publish`` is ordered
-    before our ``attach``.
-
-    The kernel backend is chosen per process from ``backend_mode`` and
-    warmed (JIT compilation for compiled backends) before the warmup
-    ping is answered, so the pool's ``ready()`` already implies
-    compiled kernels — first queries never eat compile time. Results
-    are bit-identical across backends; the parent resolves the same
-    configured mode (``PimSystemConfig.kernel_backend``) for its
-    in-process rounds.
+    before our ``attach``. Scans run on the same NumPy kernels as the
+    parent's in-process rounds.
     """
     if san_spool is not None:
         from repro.analysis import sanitizer
 
         sanitizer.worker_init(san_spool, san_clock)
-    backend = resolve_backend(backend_mode)
-    backend.warmup()
     arena = None
     views: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     try:
@@ -470,9 +455,7 @@ def _pool_worker(
                     if live is not None:
                         codes = codes[live]
                         ids = ids[live]
-                    out.append(
-                        scan_shard_group(luts, codes, ids, k, backend=backend)
-                    )
+                    out.append(scan_shard_group(luts, codes, ids, k))
                 conn.send(("rows", out, _san_clock()))
             elif tag == "ping":
                 conn.send(("pong", _san_clock()))
@@ -516,15 +499,10 @@ class PersistentShardPool:
     event for the metrics layer (:meth:`take_fallback_events`).
     """
 
-    def __init__(
-        self, num_workers: int, backend_mode: str = "auto"
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         if num_workers < 0:
             raise ValueError(f"num_workers must be >= 0, got {num_workers}")
         self.num_workers = num_workers
-        #: Kernel-backend mode each worker resolves at spawn (see
-        #: ``_pool_worker``): JIT warmup happens inside pool warmup.
-        self.backend_mode = backend_mode
         self._arena: Optional[SharedShardArena] = None
         self._shard_keys: set = set()
         self._procs: list = []
@@ -621,7 +599,6 @@ class PersistentShardPool:
                         untrack,
                         _san_spool(),
                         _san_clock(),
-                        self.backend_mode,
                     ),
                     daemon=True,
                 )
@@ -708,7 +685,7 @@ class PersistentShardPool:
         jobs: Sequence[ScanJob],
         keys: Sequence[str],
         lives: Sequence[Optional[np.ndarray]],
-        backend: KernelBackend,
+        backend: NumpyBackend,
     ) -> List[ScanRows]:
         """Run jobs (possibly on the workers); results in submission order.
 
@@ -719,9 +696,8 @@ class PersistentShardPool:
         resident arrays. Workers receive only ``(key, luts, k, live)``.
         Single jobs run in process; jobs without residency (unknown key,
         arena not hosted) and any pool failure degrade to in process and
-        record a fallback event. In-process runs use ``backend``, the
-        round's kernel backend, with identical results (the job arrays
-        themselves are pre-filtered).
+        record a fallback event. In-process runs use ``backend``, with
+        identical results (the job arrays themselves are pre-filtered).
         """
 
         def inproc() -> List[ScanRows]:
@@ -799,28 +775,16 @@ class PersistentShardPool:
             pass
 
 
-def make_executor(
-    shard_workers: int, kernel_backend: str = "auto"
-) -> Optional[PersistentShardPool]:
-    """The configured worker pool, or None when workers are disabled.
-
-    ``kernel_backend`` is pinned per worker process at spawn.
-    """
+def make_executor(shard_workers: int) -> Optional[PersistentShardPool]:
+    """The configured worker pool, or None when workers are disabled."""
     if shard_workers <= 1:
         return None
-    return PersistentShardPool(shard_workers, backend_mode=kernel_backend)
+    return PersistentShardPool(shard_workers)
 
 
 # ---------------------------------------------------------------------------
 # Planner
 # ---------------------------------------------------------------------------
-
-#: Multiplier on :data:`POOL_MIN_POINTS` while the in-process backend
-#: is compiled and no per-path throughput has been measured yet: a
-#: compiled scan closes most of the gap the pool's parallelism buys,
-#: so the IPC overhead only pays off on much larger rounds. Once both
-#: paths have measured rates, the measurements decide instead.
-COMPILED_POOL_FACTOR = 8
 
 #: EMA weight of the newest measured round rate (points/second).
 _THROUGHPUT_EMA = 0.3
@@ -833,14 +797,13 @@ class ExecutionPlanner:
     The choice is a pure wall-clock strategy: both paths produce
     bit-identical results and charge identical cycles, so the planner
     is free to pick from measured round size, worker warmup state, and
-    the active kernel backend:
+    measured throughput:
 
     * a warm pool takes rounds with at least :data:`POOL_MIN_POINTS`
       LUT-entry gathers and two or more shard groups — below that, IPC
-      overhead dominates. With a compiled in-process backend the floor
-      rises by :data:`COMPILED_POOL_FACTOR` until measured throughput
-      (fed back via :meth:`note_round`, keyed ``"pool"`` or by the
-      backend's name) settles the contest empirically;
+      overhead dominates. Once both paths have a measured rate (fed
+      back via :meth:`note_round`, keyed ``"pool"`` and
+      ``"vectorized"``), the rates settle the contest empirically;
     * a configured-but-cold pool is warmed in the background while the
       round runs in process (no round ever blocks on worker spawn);
     * every other round runs in process, on :func:`scan_jobs_stacked`,
@@ -850,8 +813,8 @@ class ExecutionPlanner:
     """
 
     decisions: Dict[str, int] = field(default_factory=dict)
-    #: Measured LUT-entry gathers per second, EMA per ``"pool"`` and per
-    #: in-process backend name.
+    #: Measured LUT-entry gathers per second, EMA per path
+    #: (``"pool"`` / ``"vectorized"``).
     throughput: Dict[str, float] = field(default_factory=dict)
 
     def note_round(
@@ -874,7 +837,6 @@ class ExecutionPlanner:
         *,
         num_jobs: int,
         scan_points: int,
-        backend: KernelBackend,
         executor=None,
     ) -> str:
         path = "vectorized"
@@ -883,18 +845,17 @@ class ExecutionPlanner:
                 # Warm the workers in the background; this round keeps
                 # moving in process.
                 executor.ensure_started()
-            elif self._pool_wins(scan_points, backend):
+            elif self._pool_wins(scan_points):
                 path = "pool"
         self.decisions[path] = self.decisions.get(path, 0) + 1
         return path
 
-    def _pool_wins(self, scan_points: int, backend: KernelBackend) -> bool:
+    def _pool_wins(self, scan_points: int) -> bool:
         t_pool = self.throughput.get("pool")
-        t_in = self.throughput.get(backend.name)
+        t_in = self.throughput.get("vectorized")
         if t_pool is not None and t_in is not None:
             # Both paths measured: let the rates arbitrate (still gated
             # on the base floor — tiny rounds are all IPC no matter
             # what the EMA says).
             return t_pool > t_in and scan_points >= POOL_MIN_POINTS
-        factor = COMPILED_POOL_FACTOR if backend.compiled else 1
-        return scan_points >= POOL_MIN_POINTS * factor
+        return scan_points >= POOL_MIN_POINTS

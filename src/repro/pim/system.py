@@ -42,10 +42,7 @@ import numpy as np
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim import parallel
-from repro.pim.backend import KernelBackend, resolve_backend
-from repro.pim.backend import (
-    take_fallback_events as take_backend_fallback_events,
-)
+from repro.pim.backend import resolve_backend
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.kernels import (
@@ -145,10 +142,10 @@ class PimSystem:
         # per-round vectorized/pool chooser. The persistent pool
         # attaches shard arrays lazily (first round, or warm_pool) via
         # _ensure_pool_residency.
-        self.executor = make_executor(
-            config.shard_workers, kernel_backend=config.kernel_backend
-        )
+        self.executor = make_executor(config.shard_workers)
         self.planner = ExecutionPlanner()
+        # The host kernels every round's LUT builds and scans run on.
+        self.backend = resolve_backend()
         self._residency_dirty = True
         # Tombstone liveness: shard key → live row indices (None / absent
         # means every stored row is live). Stored rows keep streaming
@@ -483,10 +480,6 @@ class PimSystem:
 
         if batch_span < 1:
             raise ValueError(f"batch_span must be >= 1, got {batch_span}")
-        # The host strategy is the system's own: its configured kernel
-        # backend (the one the pool workers start with) and the
-        # planner's choice below. Neither moves a result or a cycle.
-        backend = resolve_backend(self.config.kernel_backend)
         queries = np.asarray(queries)
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
@@ -499,7 +492,6 @@ class PimSystem:
         obs = self.observer
         if obs is not None:
             obs.on_batch()
-            obs.on_kernel_backend(backend.name)
 
         # Host->PIM: queries are broadcast, per-DPU task lists scattered.
         bcast = self.transfer.broadcast("queries", queries.nbytes, len(self.dpus))
@@ -551,7 +543,7 @@ class PimSystem:
         # planner-chosen path (stacked in-process kernel calls, or
         # worker processes).
         group_rows, group_misses = self._run_groups_functional(
-            groups, queries, k, sq, backend
+            groups, queries, k, sq
         )
 
         # ---- charging pass: replay the per-DPU group order, charging
@@ -648,7 +640,6 @@ class PimSystem:
         queries: np.ndarray,
         k: int,
         sq: Optional[SquareLut],
-        backend: KernelBackend,
     ) -> Tuple[List[list], List[int]]:
         """Numeric results for every shard group, in one scan dispatch.
 
@@ -666,6 +657,7 @@ class PimSystem:
         """
         # One strategy decision per round, from the round's measured
         # size; the round's scan dispatch below applies it.
+        backend = self.backend
         path = "vectorized"
         scan_points = 0
         if groups:
@@ -681,7 +673,6 @@ class PimSystem:
                 num_jobs=num_jobs,
                 scan_points=scan_points,
                 executor=self.executor,
-                backend=backend,
             )
             if self.observer is not None:
                 self.observer.on_plan_decision(path)
@@ -728,7 +719,6 @@ class PimSystem:
                 self._centroid_by_id[cent_id],
                 queries,
                 sq,
-                backend=backend,
             )
             # One gather-dtype conversion per centroid block.
             luts = backend.gather_view(luts)
@@ -757,14 +747,10 @@ class PimSystem:
         if jobs:
             dispatch(jobs, job_gis)
 
-        # Measured rate feedback: the planner arbitrates pool vs this
-        # backend in process empirically once both have been observed.
-        # Purely advisory — never touches results.
-        self.planner.note_round(
-            "pool" if path == "pool" else backend.name,
-            scan_points,
-            scan_seconds,
-        )
+        # Measured rate feedback: the planner arbitrates pool vs in
+        # process empirically once both have been observed. Purely
+        # advisory — never touches results.
+        self.planner.note_round(path, scan_points, scan_seconds)
 
         # Surface every pool degradation (instead of swallowing it):
         # drained here so events land even when the observer was
@@ -774,12 +760,6 @@ class PimSystem:
             if self.observer is not None:
                 for reason in events:
                     self.observer.on_pool_fallback(reason)
-        # Same for kernel-backend degradations (numba missing, JIT
-        # failure mid-flight): drained every round so the module-level
-        # buffer never grows unbounded, reported when observed.
-        for reason in take_backend_fallback_events():
-            if self.observer is not None:
-                self.observer.on_kernel_fallback(reason)
         return group_rows, group_misses
 
     def warm_pool(self) -> bool:
@@ -820,13 +800,12 @@ class PimSystem:
         centroid: np.ndarray,
         queries: np.ndarray,
         sq: Optional[SquareLut],
-        backend: KernelBackend,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched RC+LC: LUTs for every (query, centroid) pair.
 
         RC is ``run_residual``'s int32 subtraction; LC always goes
-        through the kernel backend's
-        :meth:`~repro.pim.backend.KernelBackend.build_luts`, the same
+        through the host kernels'
+        :meth:`~repro.pim.backend.NumpyBackend.build_luts`, the same
         exact integers ``run_lut_build`` produces. The multiplier-less
         conversion (§III-A) changes which DPU instructions compute a
         square, not its value (``SquareLut.table[v] == v*v``), so it
@@ -837,7 +816,7 @@ class PimSystem:
         and per-pair miss counts.
         """
         residuals = queries[qidxs].astype(np.int32) - centroid.astype(np.int32)
-        luts = backend.build_luts(residuals, self.codebooks)
+        luts = self.backend.build_luts(residuals, self.codebooks)
         g = len(qidxs)
         if sq is None or sq.resident_max_abs >= sq.max_abs:
             return luts, np.zeros(g, dtype=np.int64)

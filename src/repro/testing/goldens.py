@@ -90,7 +90,6 @@ def canonical_config(
     *,
     execution: Optional[str] = None,
     shard_workers: int = 0,
-    kernel_backend: str = "auto",
 ) -> EngineConfig:
     """The :class:`EngineConfig` for one canonical config name."""
     c = CANONICAL_CONFIGS[name]
@@ -108,9 +107,7 @@ def canonical_config(
         index=params,
         search=search,
         system=PimSystemConfig(
-            num_dpus=c["num_dpus"],
-            shard_workers=shard_workers,
-            kernel_backend=kernel_backend,
+            num_dpus=c["num_dpus"], shard_workers=shard_workers
         ),
         layout=LayoutConfig(**c["layout"]),
     )
@@ -121,7 +118,6 @@ def build_canonical_engine(
     *,
     execution: Optional[str] = None,
     shard_workers: int = 0,
-    kernel_backend: str = "auto",
     index_path: Optional[str] = None,
 ) -> DrimAnnEngine:
     """A fresh engine for one canonical config (index reuse is cached).
@@ -134,10 +130,7 @@ def build_canonical_engine(
     c = CANONICAL_CONFIGS[name]
     ds = canonical_dataset()
     config = canonical_config(
-        name,
-        execution=execution,
-        shard_workers=shard_workers,
-        kernel_backend=kernel_backend,
+        name, execution=execution, shard_workers=shard_workers
     )
     engine = DrimAnnEngine.from_config(
         ds.base,
@@ -191,7 +184,6 @@ def run_canonical(
     execution: Optional[str] = None,
     shard_workers: int = 0,
     adaptive: Optional[str] = None,
-    kernel_backend: str = "auto",
 ) -> dict:
     """One golden run: recall vs the oracle + frozen cycle counts.
 
@@ -199,13 +191,10 @@ def run_canonical(
     (``None`` leaves the engine default, i.e. ``"off"``). The
     ``adaptive="off"`` cells must stay bit-identical to the frozen
     goldens; the ``bound``/``budget`` cells are frozen separately in
-    ``tests/fixtures/golden_adaptive.json``. ``kernel_backend`` is the
-    system's kernel backend; every backend must reproduce the same
-    frozen goldens byte-equal.
+    ``tests/fixtures/golden_adaptive.json``.
     """
     engine = build_canonical_engine(
-        name, execution=execution, shard_workers=shard_workers,
-        kernel_backend=kernel_backend,
+        name, execution=execution, shard_workers=shard_workers
     )
     return canonical_record(name, engine, adaptive=adaptive)
 

@@ -130,10 +130,14 @@ class TestPlanEquivalence:
                 engine.search(ds.queries[:4], **{stale: "auto"})
 
     def test_search_params_plan_validated(self):
-        """Neither knob is a SearchParams field: a config saved with
-        one fails loudly on load instead of being silently dropped."""
+        """Neither knob is a SearchParams field, and ``kernel_backend``
+        is no PimSystemConfig field: a config saved with one fails
+        loudly on load instead of being silently dropped, and the
+        kernel accessor rejects the retired ``numba`` mode."""
         from repro.core.config import EngineConfig
         from repro.core.params import SearchParams
+        from repro.pim.backend import resolve_backend
+        from repro.pim.config import PimSystemConfig
         from repro.testing.goldens import canonical_config
 
         saved = canonical_config("split-replicated").to_dict()
@@ -144,3 +148,11 @@ class TestPlanEquivalence:
             old["search"][stale] = "auto"
             with pytest.raises(TypeError, match=stale):
                 EngineConfig.from_dict(old)
+        with pytest.raises(TypeError, match="kernel_backend"):
+            PimSystemConfig(kernel_backend="auto")
+        old = json.loads(json.dumps(saved))
+        old["system"]["kernel_backend"] = "auto"
+        with pytest.raises(TypeError, match="kernel_backend"):
+            EngineConfig.from_dict(old)
+        with pytest.raises(ValueError, match="numba"):
+            resolve_backend("numba")

@@ -51,8 +51,7 @@ def single_group_rounds(name, execution, adaptive):
     )
 
 
-def run_on_path(name, path, *, execution=None, adaptive=None,
-                kernel_backend="auto"):
+def run_on_path(name, path, *, execution=None, adaptive=None):
     """One golden run on ``path``; asserts the planner really took it.
 
     A pool cell warms its pool first (see ``canonical_record``), so the
@@ -60,8 +59,7 @@ def run_on_path(name, path, *, execution=None, adaptive=None,
     cells made only of single-group rounds.
     """
     engine = build_canonical_engine(
-        name, execution=execution, shard_workers=PATH_WORKERS[path],
-        kernel_backend=kernel_backend,
+        name, execution=execution, shard_workers=PATH_WORKERS[path]
     )
     record = canonical_record(name, engine, adaptive=adaptive)
     decisions = engine.system.planner.decisions
@@ -138,62 +136,6 @@ class TestGoldenCyclesAcrossPlans:
         assert fresh["total_kernel_cycles"] == stored["total_kernel_cycles"]
         assert fresh["e2e_cycles_max_dpu"] == stored["e2e_cycles_max_dpu"]
         assert fresh["e2e_cycles_sum"] == stored["e2e_cycles_sum"]
-
-
-class TestGoldenCyclesAcrossBackends:
-    """Results and ledgers are independent of the kernel backend.
-
-    The ``repro.pim.backend`` registry only changes which host code
-    computes the scans and LUTs — recall and every frozen cycle count
-    must be byte-equal to the goldens for every available backend
-    on both planner paths and in every execution mode (numba joins
-    the axis automatically on machines where it is importable).
-    """
-
-    @pytest.fixture(scope="class")
-    def backends(self):
-        from repro.pim.backend import available_backends
-
-        return available_backends()
-
-    def test_numpy_backend_always_available(self, backends):
-        assert "numpy" in backends
-
-    @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    def test_backends_reproduce_goldens(self, name, path, goldens, backends):
-        for backend in backends:
-            fresh = run_on_path(name, path, kernel_backend=backend)
-            stored = goldens[name]
-            assert fresh["recall_at_10"] == stored["recall_at_10"]
-            assert fresh["kernel_cycles"] == stored["kernel_cycles"], (
-                f"kernel cycle drift in {name!r} on path {path!r} "
-                f"kernel_backend={backend!r}"
-            )
-            assert (
-                fresh["total_kernel_cycles"] == stored["total_kernel_cycles"]
-            )
-            assert fresh["e2e_cycles_max_dpu"] == stored["e2e_cycles_max_dpu"]
-            assert fresh["e2e_cycles_sum"] == stored["e2e_cycles_sum"]
-
-    @pytest.mark.parametrize("execution", ["chunked", "per_query"])
-    @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    def test_backends_agree_across_executions(
-        self, name, execution, backends
-    ):
-        """Non-batched execution cells aren't frozen, so pin them to a
-        same-cell default-backend reference run instead."""
-        reference = run_canonical(name, execution=execution)
-        for backend in backends:
-            fresh = run_canonical(
-                name, execution=execution, kernel_backend=backend
-            )
-            assert json.loads(json.dumps(fresh)) == json.loads(
-                json.dumps(reference)
-            ), (
-                f"backend-dependent drift in {name!r} under "
-                f"execution={execution!r} kernel_backend={backend!r}"
-            )
 
 
 class TestGoldenAdaptiveOff:

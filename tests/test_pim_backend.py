@@ -1,11 +1,8 @@
-"""Kernel-backend registry: dispatch, bit-exactness, fallback, planner.
+"""The host kernels: accessor, bit-exactness, scan/LUT/top-k, planner.
 
-The acceptance contract of ``repro.pim.backend``: every backend is
-bit-identical to the staged reference kernels, selection has one home
-(``PimSystemConfig.kernel_backend``, resolved every round), a missing
-or mid-flight-failing compiled backend degrades to numpy with a
-recorded (never silent) fallback, and none of it can move a cycle
-ledger.
+The acceptance contract of ``repro.pim.backend``: the NumPy kernels
+are bit-identical to the staged reference kernels, and reject operands
+they would read wrongly instead of truncating them.
 """
 
 import numpy as np
@@ -13,34 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.pim.backend as kb
-from repro.core import DrimAnnEngine, LayoutConfig, SearchParams
-from repro.core.config import EngineConfig
 from repro.core.square_lut import SquareLut
-from repro.obs import ObsConfig
-from repro.pim.backend import (
-    KERNEL_BACKEND_MODES,
-    SCAN_TOPK_N_CHUNK,
-    KernelBackend,
-    available_backends,
-    resolve_backend,
-    take_fallback_events,
-)
-from repro.pim.backend import _GuardedBackend, _scan_topk_chunked
+from repro.pim.backend import SCAN_TOPK_N_CHUNK, resolve_backend
 from repro.pim.backend import numpy_backend
-from repro.pim.backend.numpy_backend import NumpyBackend
-from repro.pim.config import PimSystemConfig
+from repro.pim.backend.numpy_backend import NumpyBackend, _scan_topk_chunked
 from repro.pim.kernels import (
     run_lut_build,
     scan_distances,
     scan_distances_stacked,
     topk_rows,
 )
-from repro.pim.parallel import (
-    COMPILED_POOL_FACTOR,
-    POOL_MIN_POINTS,
-    ExecutionPlanner,
-)
+from repro.pim.parallel import POOL_MIN_POINTS, ExecutionPlanner
 
 
 def _rng(seed=0):
@@ -53,70 +33,30 @@ def _scan_case(rng, g, n, m, cb, code_dtype=np.uint8):
     return luts, codes
 
 
-def _counter(metrics_dict, name):
-    return [c for c in metrics_dict["counters"] if c["name"] == name]
-
-
-@pytest.fixture(autouse=True)
-def _drain_fallback_events():
-    """Keep the module-global fallback queue from leaking across tests."""
-    take_fallback_events()
-    yield
-    take_fallback_events()
-
-
 class TestRegistry:
-    def test_numpy_always_listed_first(self):
-        names = available_backends()
-        assert names and names[0] == "numpy"
-
-    def test_modes_cover_registered_backends(self):
-        assert KERNEL_BACKEND_MODES == ("auto", "numpy", "numba")
-        for name in available_backends():
-            assert name in KERNEL_BACKEND_MODES
-
-    def test_mode_literals_agree_everywhere(self):
-        """PimSystemConfig's literal mode check (kept separate to avoid
-        an import cycle) must never drift from the registry's tuple."""
-        with pytest.raises(ValueError, match="kernel_backend"):
-            PimSystemConfig(kernel_backend="not-a-backend")
-        for mode in KERNEL_BACKEND_MODES:
-            PimSystemConfig(kernel_backend=mode)
+    """``resolve_backend``: the one accessor for the process-wide
+    kernels. Both accepted modes name the same implementation."""
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(ValueError, match="kernel backend"):
             resolve_backend("cuda")
 
     def test_explicit_numpy_resolves_numpy(self):
         assert resolve_backend("numpy").name == "numpy"
 
     def test_auto_resolves_silently(self):
+        """``auto`` is the process-wide instance, and its class defines
+        every kernel itself (wrappers installed through ``vars(cls)``
+        must find them)."""
         backend = resolve_backend("auto")
-        assert backend.name in ("numpy", "numba")
-        assert take_fallback_events() == []
-
-    def test_missing_numba_degrades_with_event(self, monkeypatch):
-        from repro.pim.backend import numba_backend
-
-        def _no_numba():
-            raise ImportError("no module named numba (test)")
-
-        monkeypatch.setattr(numba_backend, "_import_numba", _no_numba)
-        kb._clear_instances()
-        try:
-            backend = resolve_backend("numba")
-            assert backend.name == "numpy"
-            assert take_fallback_events() == ["numba-unavailable"]
-            # auto makes no promise, so no event.
-            assert resolve_backend("auto").name == "numpy"
-            assert take_fallback_events() == []
-        finally:
-            kb._clear_instances()
+        assert backend is resolve_backend() is resolve_backend("numpy")
+        for op in ("scan", "scan_stacked", "build_luts", "gather_view", "scan_topk"):
+            assert op in vars(type(backend))
 
 
 class TestBitExactness:
     @pytest.mark.parametrize("code_dtype", [np.uint8, np.uint16])
-    @pytest.mark.parametrize("name", available_backends())
+    @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_scan_matches_reference(self, name, code_dtype):
         backend = resolve_backend(name)
         rng = _rng(1)
@@ -127,7 +67,7 @@ class TestBitExactness:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("name", available_backends())
+    @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_scan_stacked_matches_reference(self, name):
         backend = resolve_backend(name)
         rng = _rng(2)
@@ -141,7 +81,7 @@ class TestBitExactness:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("name", available_backends())
+    @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_build_luts_matches_reference(self, name):
         backend = resolve_backend(name)
         rng = _rng(3)
@@ -273,7 +213,7 @@ class TestLutBuildKernel:
     def test_build_luts_equals_run_lut_build(
         self, g, m, cb, dsub, wide, window, seed
     ):
-        """Every backend == ``run_lut_build`` through a full and a
+        """The kernel == ``run_lut_build`` through a full and a
         partial square LUT. ``wide`` draws int16 codebook extremes and
         uint16-range residuals (through the 16-bit table); otherwise
         the engine's 8-bit operand ranges."""
@@ -293,10 +233,9 @@ class TestLutBuildKernel:
         want, _ = run_lut_build(residuals, books, full)
         want_p, _ = run_lut_build(residuals, books, partial)
         assert np.array_equal(want, want_p)
-        for name in available_backends():
-            got = resolve_backend(name).build_luts(residuals, books)
-            assert got.dtype == np.int64 and got.flags.c_contiguous
-            assert np.array_equal(got, want)
+        got = resolve_backend().build_luts(residuals, books)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_slabbed_build_equals_run_lut_build(self, monkeypatch, wide):
@@ -398,47 +337,10 @@ class TestScanTopk:
         assert dists_k[-1] <= np.partition(full, 4)[4]
 
 
-class TestGuardedFallback:
-    class _Exploding(KernelBackend):
-        name = "exploding"
-        compiled = True
-
-        def scan(self, luts, codes):
-            raise RuntimeError("jit blew up")
-
-        def scan_stacked(self, luts, codes):
-            raise RuntimeError("jit blew up")
-
-        def build_luts(self, residuals, codebooks):
-            raise RuntimeError("jit blew up")
-
-    def test_degrades_once_and_records_reason(self):
-        guarded = _GuardedBackend(self._Exploding(), NumpyBackend())
-        rng = _rng(8)
-        luts, codes = _scan_case(rng, 2, 20, 4, 16)
-        got = guarded.scan(luts, codes)
-        assert np.array_equal(got, scan_distances(luts, codes))
-        assert take_fallback_events() == ["exploding-scan-failed"]
-        # Permanently degraded: numpy from here on, no more events.
-        assert guarded.name == "numpy"
-        assert guarded.compiled is False
-        guarded.scan(luts, codes)
-        assert take_fallback_events() == []
-
-    def test_warmup_failure_degrades(self):
-        class _BadWarmup(self._Exploding):
-            name = "badwarmup"
-
-            def warmup(self):
-                raise RuntimeError("compile failed")
-
-        guarded = _GuardedBackend(_BadWarmup(), NumpyBackend())
-        guarded.warmup()
-        assert guarded.name == "numpy"
-        assert take_fallback_events() == ["badwarmup-warmup-failed"]
-
-
 class TestPlannerBackendAwareness:
+    """The planner's view of the in-process path: its measured rate,
+    keyed ``"vectorized"`` next to the pool's ``"pool"``."""
+
     def _executor(self, ready=True):
         class _Pool:
             parallel = True
@@ -451,75 +353,34 @@ class TestPlannerBackendAwareness:
 
         return _Pool()
 
-    class _Compiled(KernelBackend):
-        name = "fake-compiled"
-        compiled = True
-
-    def test_compiled_label_for_inprocess_path(self):
-        """A compiled backend's in-process round is labelled like any
-        other: the only labels are ``"vectorized"`` and ``"pool"``."""
-        planner = ExecutionPlanner()
-        path = planner.choose(
-            num_jobs=8, scan_points=100, backend=self._Compiled()
-        )
-        assert path == "vectorized"
-        assert planner.decisions == {"vectorized": 1}
-
-    def test_compiled_backend_raises_pool_floor(self):
-        planner = ExecutionPlanner()
-        executor = self._executor(ready=True)
-        points = POOL_MIN_POINTS * 2
-        assert points < POOL_MIN_POINTS * COMPILED_POOL_FACTOR
-        assert (
-            planner.choose(
-                num_jobs=8,
-                scan_points=points,
-                executor=executor,
-                backend=NumpyBackend(),
-            )
-            == "pool"
-        )
-        assert (
-            planner.choose(
-                num_jobs=8,
-                scan_points=points,
-                executor=executor,
-                backend=self._Compiled(),
-            )
-            == "vectorized"
-        )
-
     def test_measured_throughput_arbitrates(self):
         planner = ExecutionPlanner()
         executor = self._executor(ready=True)
-        backend = self._Compiled()
-        planner.note_round(backend.name, 10_000_000, 1.0)
+        planner.note_round("vectorized", 10_000_000, 1.0)
         planner.note_round("pool", 1_000_000, 1.0)
         choose = dict(
-            num_jobs=8,
-            scan_points=POOL_MIN_POINTS * COMPILED_POOL_FACTOR * 2,
-            executor=executor,
-            backend=backend,
+            num_jobs=8, scan_points=POOL_MIN_POINTS * 2, executor=executor
         )
+        # Above the floor, but the in-process path measured faster.
         assert planner.choose(**choose) == "vectorized"
         # Flip the measured rates: the pool wins the same round.
         planner.throughput["pool"] = 100_000_000.0
         assert planner.choose(**choose) == "pool"
 
     def test_rates_are_keyed_by_backend_name(self):
-        """A rate measured under one backend never decides a round on
-        another: unmeasured, the compiled floor applies instead."""
+        """Only a rate keyed ``"vectorized"`` speaks for the in-process
+        path: one noted under the kernel module's name decides nothing,
+        so the round falls back to the size floor."""
         planner = ExecutionPlanner()
         executor = self._executor(ready=True)
-        planner.note_round("numpy", 1_000, 1.0)  # far slower than pool
-        planner.note_round("pool", 100_000_000, 1.0)
+        planner.note_round("numpy", 100_000_000, 1.0)  # far faster than pool
+        planner.note_round("pool", 1_000, 1.0)
         choose = dict(
             num_jobs=8, scan_points=POOL_MIN_POINTS * 2, executor=executor
         )
-        assert planner.choose(backend=self._Compiled(), **choose) == (
-            "vectorized"
-        )
-        assert planner.choose(backend=NumpyBackend(), **choose) == "pool"
+        assert planner.choose(**choose) == "pool"
+        planner.note_round("vectorized", 100_000_000, 1.0)
+        assert planner.choose(**choose) == "vectorized"
 
     def test_note_round_ignores_degenerate_samples(self):
         planner = ExecutionPlanner()
@@ -528,180 +389,47 @@ class TestPlannerBackendAwareness:
         assert planner.throughput == {}
 
 
-def _obs_engine(small_ds, small_quantized, small_params, kernel_backend="auto"):
-    config = EngineConfig(
-        index=small_params,
-        search=SearchParams(batch_size=64),
-        system=PimSystemConfig(num_dpus=8, kernel_backend=kernel_backend),
-        layout=LayoutConfig(min_split_size=400, max_copies=2),
-        obs=ObsConfig(enabled=True),
-    )
-    return DrimAnnEngine.from_config(
-        small_ds.base,
-        config,
-        heat_queries=small_ds.queries[:50],
-        prebuilt_quantized=small_quantized,
-        seed=0,
-    )
+class TestMicrobench:
+    def test_record_shape_and_gate(self):
+        from repro.pim.backend.microbench import (
+            MIN_LUT_SPEEDUP,
+            MIN_SCAN_SPEEDUP,
+            format_record,
+            run_microbench,
+        )
+
+        record = run_microbench(repeats=1, seed=0)
+        assert record["bit_identical"] is True
+        assert record["min_scan_speedup"] == MIN_SCAN_SPEEDUP == 3.0
+        assert record["min_lut_speedup"] == MIN_LUT_SPEEDUP == 3.0
+        assert record["gate_ok"] == (
+            record["scan_speedup"] >= MIN_SCAN_SPEEDUP
+            and record["lut_speedup"] >= MIN_LUT_SPEEDUP
+        )
+        for key in ("scan_seconds", "lut_seconds"):
+            assert record[key] > 0 and record["reference"][key] > 0
+        text = format_record(record)
+        assert "stacked scan" in text and "LUT build" in text
+        assert "bit_identical=True" in text
 
 
 class TestEngineThreading:
-    def test_search_rejects_bad_backend(
-        self, small_ds, small_quantized, small_params
-    ):
-        """An unknown backend fails when the engine is configured, before
-        any search can run on it."""
-        with pytest.raises(ValueError, match="kernel_backend"):
-            _obs_engine(small_ds, small_quantized, small_params, "cuda")
+    def test_search_rejects_bad_backend(self, small_params):
+        """A config naming a kernel backend fails when the engine is
+        configured, before any search can run on it: the field is gone
+        from the system config, and the accessor rejects unknown
+        modes."""
+        from repro.core.config import EngineConfig
+        from repro.core.params import SearchParams
+        from repro.pim.config import PimSystemConfig
 
-    def test_backend_counter_in_metrics(
-        self, small_ds, small_quantized, small_params
-    ):
-        engine = _obs_engine(small_ds, small_quantized, small_params, "numpy")
-        try:
-            out = engine.search(small_ds.queries[:32])
-        finally:
-            engine.close()
-        snap = out.metrics.to_dict()
-        rows = _counter(snap, "drimann_kernel_backend_total")
-        assert rows and all(
-            row["labels"]["backend"] == "numpy" for row in rows
-        )
-        assert sum(row["value"] for row in rows) >= 1
-
-    def test_explicit_numba_on_bare_install_falls_back_visibly(
-        self, small_ds, small_quantized, small_params, monkeypatch
-    ):
-        """Requesting numba where it cannot import must produce numpy's
-        exact results plus a numba-unavailable fallback counter."""
-        from repro.pim.backend import numba_backend
-
-        def _no_numba():
-            raise ImportError("no module named numba (test)")
-
-        monkeypatch.setattr(numba_backend, "_import_numba", _no_numba)
-        kb._clear_instances()
-        try:
-            runs = {}
-            for mode in ("numpy", "numba"):
-                engine = _obs_engine(
-                    small_ds, small_quantized, small_params, mode
-                )
-                try:
-                    runs[mode] = engine.search(small_ds.queries[:32])
-                finally:
-                    engine.close()
-        finally:
-            kb._clear_instances()
-        base, out = runs["numpy"], runs["numba"]
-        assert np.array_equal(out.results.ids, base.results.ids)
-        assert np.array_equal(
-            out.results.distances, base.results.distances
-        )
-        rows = _counter(out.metrics.to_dict(), "drimann_kernel_fallbacks_total")
-        reasons = {row["labels"]["reason"] for row in rows}
-        assert "numba-unavailable" in reasons
-
-    def test_jit_failure_mid_flight_degrades_not_crashes(
-        self, small_ds, small_quantized, small_params, monkeypatch
-    ):
-        """A compiled backend whose kernels raise mid-batch must fall
-        back to numpy results and surface the degradation counter."""
-        import repro.pim.system as pim_system
-
-        def _guarded(mode="auto"):
-            return _GuardedBackend(
-                TestGuardedFallback._Exploding(), NumpyBackend()
-            )
-
-        engine = _obs_engine(small_ds, small_quantized, small_params)
-        monkeypatch.setattr(pim_system, "resolve_backend", _guarded)
-        try:
-            out = engine.search(small_ds.queries[:32])
-        finally:
-            monkeypatch.undo()
-            engine.close()
-        base_engine = _obs_engine(small_ds, small_quantized, small_params)
-        try:
-            base = base_engine.search(small_ds.queries[:32])
-        finally:
-            base_engine.close()
-        assert np.array_equal(out.results.ids, base.results.ids)
-        assert np.array_equal(
-            out.results.distances, base.results.distances
-        )
-        assert out.breakdown.kernel_cycles == base.breakdown.kernel_cycles
-        rows = _counter(out.metrics.to_dict(), "drimann_kernel_fallbacks_total")
-        reasons = {row["labels"]["reason"] for row in rows}
-        assert "exploding-scan-failed" in reasons or any(
-            r.startswith("exploding-") for r in reasons
-        )
-
-    def test_configured_backend_runs_every_inprocess_round(
-        self, small_ds, small_quantized, small_params, monkeypatch
-    ):
-        """``PimSystemConfig.kernel_backend`` is the backend every
-        in-process scan and LUT build runs on — the one the pool
-        workers start with — even where ``auto`` would pick another.
-
-        Spies stand in for an installed numba (so ``auto`` resolves to
-        it) and for numpy; an engine configured for numpy must never
-        touch the numba spy.
-        """
-        auto_spy, numpy_spy = _SpyBackend("numba"), _SpyBackend("numpy")
-        monkeypatch.setitem(kb._INSTANCES, "numba", auto_spy)
-        monkeypatch.setitem(kb._INSTANCES, "numpy", numpy_spy)
-        assert resolve_backend("auto") is auto_spy
-        engine = _obs_engine(small_ds, small_quantized, small_params, "numpy")
-        try:
-            out = engine.search(small_ds.queries[:32])
-        finally:
-            engine.close()
-        assert numpy_spy.calls["build_luts"] >= 1
-        assert numpy_spy.calls["scan_topk"] + numpy_spy.calls["scan_stacked"] >= 1
-        assert sum(auto_spy.calls.values()) == 0
-        rows = _counter(out.metrics.to_dict(), "drimann_kernel_backend_total")
-        assert rows and all(
-            row["labels"]["backend"] == "numpy" for row in rows
-        )
-
-
-class _SpyBackend(KernelBackend):
-    """Delegates to the NumPy backend and counts each kernel call."""
-
-    def __init__(self, name):
-        self.name = name
-        self.inner = NumpyBackend()
-        self.calls = {
-            op: 0 for op in ("scan", "scan_stacked", "scan_topk", "build_luts")
-        }
-
-    def _call(self, op, *args, **kwargs):
-        self.calls[op] += 1
-        return getattr(self.inner, op)(*args, **kwargs)
-
-    def scan(self, *args, **kwargs):
-        return self._call("scan", *args, **kwargs)
-
-    def scan_stacked(self, *args, **kwargs):
-        return self._call("scan_stacked", *args, **kwargs)
-
-    def scan_topk(self, *args, **kwargs):
-        return self._call("scan_topk", *args, **kwargs)
-
-    def build_luts(self, *args, **kwargs):
-        return self._call("build_luts", *args, **kwargs)
-
-
-class TestMicrobench:
-    def test_record_shape_and_gate(self):
-        from repro.pim.backend.microbench import format_record, run_microbench
-
-        record = run_microbench(repeats=1, seed=0)
-        assert set(record["backends"]) == set(available_backends())
-        for entry in record["backends"].values():
-            assert entry["bit_identical"] is True
-        assert record["best_backend"] in record["backends"]
-        text = format_record(record)
-        assert "stacked scan" in text and "LUT build" in text
-        assert "best scan:" in text
+        saved = EngineConfig(
+            index=small_params,
+            search=SearchParams(batch_size=64),
+            system=PimSystemConfig(num_dpus=8),
+        ).to_dict()
+        saved["system"]["kernel_backend"] = "cuda"
+        with pytest.raises(TypeError, match="kernel_backend"):
+            EngineConfig.from_dict(saved)
+        with pytest.raises(ValueError, match="kernel backend"):
+            resolve_backend("cuda")

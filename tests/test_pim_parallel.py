@@ -12,7 +12,6 @@ close — checkable via :func:`assert_no_leaked_segments`.
 import numpy as np
 import pytest
 
-from repro.pim import backend as backend_mod
 from repro.pim.backend import resolve_backend
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
 from repro.pim.parallel import (
@@ -64,9 +63,10 @@ class TestScanShardGroup:
 
 
 def _scan(pool, jobs, keys, backend=None):
-    """One pool round with every row live, on ``backend`` (default auto)."""
+    """One pool round with every row live, on ``backend`` (default: the
+    process-wide kernels)."""
     if backend is None:
-        backend = resolve_backend("auto")
+        backend = resolve_backend()
     return pool.scan_groups(jobs, keys, [None] * len(jobs), backend)
 
 
@@ -74,7 +74,7 @@ class _SpyBackend:
     """Delegates to the NumPy backend and counts ``scan_topk`` calls."""
 
     def __init__(self):
-        self.inner = resolve_backend("numpy")
+        self.inner = resolve_backend()
         self.scans = 0
 
     def scan_topk(self, *args, **kwargs):
@@ -95,9 +95,8 @@ class TestPoolExecutor:
         assert make_executor(n) is None
 
     def test_make_executor_enabled(self):
-        ex = make_executor(2, kernel_backend="numpy")
+        ex = make_executor(2)
         assert isinstance(ex, PersistentShardPool) and ex.num_workers == 2
-        assert ex.backend_mode == "numpy"  # pinned in every worker at spawn
 
     def test_pool_creation_failure_degrades_to_serial(self, rng, monkeypatch):
         def refuse(arrays):
@@ -248,19 +247,12 @@ class TestPersistentShardPool:
         )
         return pool, keys
 
-    def test_fallbacks_run_the_rounds_backend(self, rng, monkeypatch):
-        """Single-job and no-residency rounds scan on the passed backend.
-
-        The registry is patched so ``auto`` resolves to a spy standing in
-        for an installed compiled backend; the round passes a different
-        spy, and only that one may run.
-        """
+    def test_fallbacks_run_the_rounds_backend(self, rng):
+        """Single-job and no-residency rounds scan in process, on the
+        backend the round passes (a counting spy here)."""
         jobs = _jobs(rng, n_jobs=3)
-        numpy_backend = resolve_backend("numpy")
-        want = [scan_shard_group(*j, backend=numpy_backend) for j in jobs]
-        auto_spy, passed = _SpyBackend(), _SpyBackend()
-        monkeypatch.setitem(backend_mod._INSTANCES, "numba", auto_spy)
-        assert resolve_backend("auto") is auto_spy
+        want = [scan_shard_group(*j) for j in jobs]
+        passed = _SpyBackend()
         pool, keys = self._hosted_pool(rng, jobs)
         with pool:
             got = _scan(pool, jobs[:1], keys[:1], passed)
@@ -272,7 +264,6 @@ class TestPersistentShardPool:
             for g, w in zip(got, want):
                 _assert_rows_equal(g, w)
             assert passed.scans == 1 + len(jobs)
-        assert auto_spy.scans == 0
 
     def test_parity_with_serial(self, rng):
         jobs = _jobs(rng, n_jobs=5)
@@ -368,14 +359,6 @@ class TestPersistentShardPool:
         assert_no_leaked_segments()
 
 
-class _Backend:
-    """Planner-facing stand-in: only a name and a compiled flag."""
-
-    def __init__(self, name="numpy", compiled=False):
-        self.name = name
-        self.compiled = compiled
-
-
 class TestExecutionPlanner:
     """Two paths remain: ``"vectorized"`` in process, or ``"pool"``."""
 
@@ -404,12 +387,9 @@ class TestExecutionPlanner:
 
         return _Cold()
 
-    def _choose(self, p, scan_points, executor=None, backend=None, num_jobs=4):
+    def _choose(self, p, scan_points, executor=None, num_jobs=4):
         return p.choose(
-            num_jobs=num_jobs,
-            scan_points=scan_points,
-            executor=executor,
-            backend=backend if backend is not None else _Backend(),
+            num_jobs=num_jobs, scan_points=scan_points, executor=executor
         )
 
     def test_pool_mode_degrades_without_executor(self):
@@ -444,9 +424,7 @@ class TestExecutionPlanner:
         self._choose(p, 0, num_jobs=1)
         self._choose(p, 1 << 30, self._cold_exec())
         self._choose(p, 1 << 30, self._warm_exec())
-        self._choose(
-            p, 0, backend=_Backend("fake-compiled", compiled=True)
-        )
+        self._choose(p, 0)
         assert p.decisions == {"vectorized": 3, "pool": 1}
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import repro.pim.backend as kb
 from repro.core.square_lut import SquareLut
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.memory import CapacityError
@@ -147,7 +146,7 @@ class TestRunBatch:
 
 
 class TestLcKernelPath:
-    """LC runs through the kernel backend on every path; the square LUT
+    """LC runs through the host kernels on every path; the square LUT
     only shapes the modeled cost."""
 
     def test_default_search_never_calls_square(self, monkeypatch):
@@ -199,13 +198,12 @@ class TestLcKernelPath:
         centroid = sys4.get_shard("s1").centroid
         qidxs = np.arange(9)
         m = sys4.codebooks.shape[0]
-        backend = kb.resolve_backend("numpy")
-        _, none = sys4._build_cent_luts(qidxs, centroid, queries, full, backend)
+        _, none = sys4._build_cent_luts(qidxs, centroid, queries, full)
         assert not none.any()
         for window in (0, 1, 63, 255, 500):
             partial = full.partial(window)
             luts, misses = sys4._build_cent_luts(
-                qidxs, centroid, queries, partial, backend
+                qidxs, centroid, queries, partial
             )
             assert misses.dtype == np.int64
             for q in qidxs:

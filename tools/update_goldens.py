@@ -83,24 +83,6 @@ def main(argv=None) -> int:
     if args.check:
         rc = _check_one(GOLDEN_PATH, fresh)
         rc |= _check_one(GOLDEN_ADAPTIVE_PATH, fresh_adaptive)
-        # Every registered kernel backend must reproduce the same
-        # goldens byte-equal — the registry changes host wall-clock
-        # only, never results or ledgers.
-        from repro.pim.backend import available_backends
-        from repro.testing import CANONICAL_CONFIGS, run_canonical
-
-        for backend in available_backends():
-            per_backend = {
-                name: run_canonical(name, kernel_backend=backend)
-                for name in CANONICAL_CONFIGS
-            }
-            if json.loads(json.dumps(per_backend)) != json.loads(
-                json.dumps(fresh)
-            ):
-                print(f"drift under kernel_backend={backend!r}")
-                rc |= 1
-            else:
-                print(f"kernel_backend={backend}: matches the goldens")
         return rc
 
     for name, g in fresh.items():
