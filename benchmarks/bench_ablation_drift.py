@@ -23,7 +23,7 @@ from benchmarks.common import (
     print_table,
     scaled_cpu_profile,
 )
-from repro.core import DrimAnnEngine, EngineConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig
 from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.data import make_query_workload
 from repro.data.ground_truth import exact_topk
@@ -69,7 +69,6 @@ def _drift_sweep(ds):
             ds.base,
             EngineConfig(
                 index=params,
-                search=SearchParams(batch_size=BATCH_SIZE),
                 system=PimSystemConfig(num_dpus=NUM_DPUS),
                 layout=default_layout(),
             ),

@@ -12,7 +12,6 @@ realistic batch sizes.
 import pytest
 
 from benchmarks.common import (
-    BATCH_SIZE,
     NLIST_SWEEP,
     NUM_DPUS,
     SEED,
@@ -39,9 +38,7 @@ def _run_placements(ds):
                 ds.base,
                 EngineConfig(
                     index=params,
-                    search=SearchParams(
-                        batch_size=BATCH_SIZE, cluster_locate_on=placement
-                    ),
+                    search=SearchParams(cluster_locate_on=placement),
                     system=PimSystemConfig(num_dpus=NUM_DPUS),
                     layout=default_layout(),
                 ),

@@ -13,7 +13,6 @@ import pytest
 from benchmarks.common import (
     NLIST_SWEEP,
     SEED,
-    BATCH_SIZE,
     bench_quantized,
     default_layout,
     params_for,
@@ -21,7 +20,7 @@ from benchmarks.common import (
     scaled_cpu_profile,
     NUM_DPUS,
 )
-from repro.core import DrimAnnEngine, EngineConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig
 from repro.pim.config import DpuConfig, PimSystemConfig
 
 TASKLETS = (2, 6, 11, 16, 24)
@@ -38,7 +37,6 @@ def _sweep_tasklets(ds):
             ds.base,
             EngineConfig(
                 index=params,
-                search=SearchParams(batch_size=BATCH_SIZE),
                 system=cfg,
                 layout=default_layout(),
             ),

@@ -58,7 +58,7 @@ def run_smoke(
         # The skewed workload's centroid-distance profiles flatten past
         # the hot cluster; a 1.5x-mean gap with a floor of 2 probes lets
         # the budget heuristic engage without measurable recall cost.
-        search=SearchParams(batch_size=64, adaptive_gap=1.5, nprobe_min=2),
+        search=SearchParams(adaptive_gap=1.5, nprobe_min=2),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=256, max_copies=2),
     )

@@ -101,7 +101,7 @@ def run_smoke(num_queries: int = 256, min_qps_ratio: float = MIN_QPS_RATIO) -> d
     import numpy as np
 
     from benchmarks.common import SEED, params_for
-    from repro.core import EngineConfig, LayoutConfig, SearchParams
+    from repro.core import EngineConfig, LayoutConfig
     from repro.core.quantized import build_quantized_index
     from repro.ann import IVFPQIndex
     from repro.data import load_dataset
@@ -127,7 +127,6 @@ def run_smoke(num_queries: int = 256, min_qps_ratio: float = MIN_QPS_RATIO) -> d
     quantized = build_quantized_index(index)
     engine_cfg = EngineConfig(
         index=params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=64, max_copies=4),
     )
@@ -186,7 +185,7 @@ def main(argv=None) -> int:
         print_table,
         write_bench_artifact,
     )
-    from repro.core import EngineConfig, SearchParams
+    from repro.core import EngineConfig
     from repro.pim.config import PimSystemConfig
 
     parser = argparse.ArgumentParser(description=__doc__)
@@ -220,7 +219,6 @@ def main(argv=None) -> int:
     )
     engine_cfg = EngineConfig(
         index=params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=64),
         layout=default_layout(),
     )

@@ -34,7 +34,7 @@ def run_smoke(num_queries: int = 128, min_speedup: float = MIN_SPEEDUP) -> dict:
     import numpy as np
 
     from benchmarks.common import SEED, params_for
-    from repro.core import EngineConfig, LayoutConfig, SearchParams
+    from repro.core import EngineConfig, LayoutConfig
     from repro.core.engine import DrimAnnEngine
     from repro.data import load_dataset
     from repro.pim.config import PimSystemConfig
@@ -45,7 +45,6 @@ def run_smoke(num_queries: int = 128, min_speedup: float = MIN_SPEEDUP) -> dict:
     params = params_for(nlist=128, nprobe=8, m=16, cb=64)
     config = EngineConfig(
         index=params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=256, max_copies=2),
     )

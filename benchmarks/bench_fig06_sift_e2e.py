@@ -13,8 +13,9 @@ perf-regression gate. The smoke run stacks two checks on reduced
 workloads, verifies each is bit-identical across the compared
 strategies, and exits non-zero when either fails:
 
-* batched vs per-query execution must be >= ``--min-speedup`` (2x) on
-  host wall-clock;
+* whole-matrix rounds (``batch_size=None``) vs one-query rounds
+  (``batch_size=1``) must be >= ``--min-speedup`` (2x) on host
+  wall-clock;
 * the persistent shard pool must ship no shard data per round: the
   bytes pickled down the worker pipes must stay within the round's LUT
   bytes plus :data:`POOL_BYTES_PER_JOB` per job (a deterministic byte
@@ -200,14 +201,19 @@ def run_smoke(
 ) -> dict:
     """CI perf gate: batched vs per-query host wall-clock.
 
-    Uses a reduced workload (the 20k test preset) so the gate runs in
-    seconds; both modes produce bit-identical results, so the only
-    thing compared is simulator host wall-clock. Each mode is timed
+    Batched is the whole query matrix in one PIM round
+    (``batch_size=None``), per-query one query per round
+    (``batch_size=1``); the round size is swapped on one engine the way
+    ``tune_batch_size`` sweeps it. Uses a reduced workload (the 20k
+    test preset) so the gate runs in seconds; both produce
+    bit-identical results, so the only thing compared is simulator
+    host wall-clock. Each mode is timed
     ``repeats`` times interleaved and scored by its best run — the
     standard noise shield for a shared CI box, where one descheduled
     slice would otherwise flip the gate.
     """
     import time
+    from dataclasses import replace
 
     import numpy as np
 
@@ -227,16 +233,20 @@ def run_smoke(
     engine = build_engine(ds, params, num_dpus=16)
     queries = ds.queries[:num_queries]
     engine.search(queries[:8])  # warm caches outside the timed region
+    batched = replace(engine.search_params, batch_size=None)
+    per_query = replace(batched, batch_size=1)
 
     res_b = res_q = None
     t_batched = t_per_query = float("inf")
     for _ in range(max(repeats, 1)):
+        engine.search_params = batched
         t0 = time.perf_counter()
-        res_b, _ = engine.search(queries, execution="batched")
+        res_b, _ = engine.search(queries)
         t_batched = min(t_batched, time.perf_counter() - t0)
 
+        engine.search_params = per_query
         t0 = time.perf_counter()
-        res_q, _ = engine.search(queries, execution="per_query")
+        res_q, _ = engine.search(queries)
         t_per_query = min(t_per_query, time.perf_counter() - t0)
     engine.close()
 

@@ -12,7 +12,6 @@ the config arithmetic, since the scaled corpus fits both).
 import pytest
 
 from benchmarks.common import (
-    BATCH_SIZE,
     NLIST_SWEEP,
     NUM_DPUS,
     SEED,
@@ -22,7 +21,7 @@ from benchmarks.common import (
     print_table,
     scaled_cpu_profile,
 )
-from repro.core import DrimAnnEngine, EngineConfig, SearchParams
+from repro.core import DrimAnnEngine, EngineConfig
 from repro.pim.config import hbm_pim_system_config, scaled_system_config
 
 
@@ -41,7 +40,6 @@ def _compare(ds):
             ds.base,
             EngineConfig(
                 index=params,
-                search=SearchParams(batch_size=BATCH_SIZE),
                 system=cfg,
                 layout=default_layout(),
             ),

@@ -9,8 +9,8 @@ single straggler batch delays everything queued behind it on the
 host-synchronous PIM.
 
 Run with ``--smoke`` as the CI micro-batching gate: it replays the
-same arrival stream with ``dispatch="coalesce"`` and
-``dispatch="per_query"`` at a rate past the per-query capacity knee,
+same arrival stream with a policy ``batch_size`` of 32 ("coalesce")
+and of 1 ("per_query") at a rate past the per-query capacity knee,
 checks the two serve bit-identical results, and requires coalescing to
 raise sustained QPS at an equal-or-better p99 and deadline-miss rate.
 The run writes a machine-readable ``BENCH_serving.json`` artifact.
@@ -114,12 +114,11 @@ def run_smoke(
         "ok": False,
     }
     outcomes = {}
-    for dispatch in ("coalesce", "per_query"):
+    for dispatch, batch_size in (("coalesce", 32), ("per_query", 1)):
         policy = BatchingPolicy(
-            batch_size=32,
+            batch_size=batch_size,
             max_wait_s=2e-3,
             deadline_s=deadline_ms * 1e-3,
-            dispatch=dispatch,
         )
         engine = build_engine(ds, params, num_dpus=16)
         try:

@@ -133,7 +133,6 @@ def build_engine(
     layout: Optional[LayoutConfig] = None,
     multiplier_less: bool = True,
     compute_scale: float = 1.0,
-    execution: str = "batched",
     shard_workers: int = 0,
 ) -> DrimAnnEngine:
     quant = bench_quantized(ds, params.nlist, params.num_subspaces, params.codebook_size)
@@ -142,11 +141,7 @@ def build_engine(
     ).with_compute_scale(compute_scale)
     engine_cfg = EngineConfig(
         index=params,
-        search=SearchParams(
-            batch_size=BATCH_SIZE,
-            multiplier_less=multiplier_less,
-            execution=execution,
-        ),
+        search=SearchParams(multiplier_less=multiplier_less),
         layout=layout if layout is not None else default_layout(),
         system=cfg,
     )

@@ -165,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "v2 binary or legacy v1 .npz)")
     s.add_argument("--dpus", type=int, default=32)
     s.add_argument("--queries", type=int, default=200)
-    s.add_argument("--execution", default="batched",
-                   choices=("batched", "chunked", "per_query"),
-                   help="query execution mode: whole-matrix batched "
-                        "(default), batch_size chunks, or one query per "
-                        "round (differential baseline)")
     s.add_argument("--shard-workers", type=int, default=0,
                    help="worker processes for shard scans (0 or 1 = no "
                         "pool, every round scans in process; results are "
@@ -221,15 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="arrival QPS")
     v.add_argument("--queries", type=int, default=300)
     v.add_argument("--dpus", type=int, default=32)
-    v.add_argument("--batch-size", type=int, default=64)
+    v.add_argument("--batch-size", type=int, default=64,
+                   help="micro-batch size cap; 1 serves every arrival in "
+                        "its own engine round (the no-batching baseline)")
     v.add_argument("--max-wait-ms", type=float, default=2.0)
     v.add_argument("--deadline-ms", type=float, default=None,
                    help="per-query arrival->completion deadline; served "
                         "queries past it count as misses")
-    v.add_argument("--dispatch", default="coalesce",
-                   choices=("coalesce", "per_query"),
-                   help="micro-batch coalescing (default) or one engine "
-                        "round per arrival (the no-batching baseline)")
     v.add_argument("--shard-workers", type=int, default=0,
                    help="worker processes for shard scans (0 or 1 = no "
                         "pool, every round scans in process)")
@@ -598,7 +591,7 @@ def _cmd_search(args) -> int:
     obs_on = bool(args.profile or args.metrics_out or args.as_json)
     config = EngineConfig(
         index=params,
-        search=SearchParams(execution=args.execution, adaptive=args.adaptive),
+        search=SearchParams(adaptive=args.adaptive),
         layout=layout,
         system=PimSystemConfig(
             num_dpus=args.dpus, shard_workers=args.shard_workers,
@@ -846,7 +839,6 @@ def _cmd_serve(args) -> int:
                     None if args.deadline_ms is None
                     else args.deadline_ms * 1e-3
                 ),
-                dispatch=args.dispatch,
             ),
         )
     finally:
@@ -866,7 +858,6 @@ def _cmd_serve(args) -> int:
             "batch_size": args.batch_size,
             "max_wait_ms": args.max_wait_ms,
             "deadline_ms": args.deadline_ms,
-            "dispatch": args.dispatch,
             "engine": config.to_dict(),
         },
         results=outcome.report.to_dict(),

@@ -306,7 +306,6 @@ class ClusterFrontend:
         node_id: int,
         queries: np.ndarray,
         probes_local: np.ndarray,
-        execution: Optional[str],
         adaptive: Optional[str] = None,
     ) -> _NodeCall:
         """One modeled request/response to one node."""
@@ -318,8 +317,7 @@ class ClusterFrontend:
                 return _NodeCall(False, "partition", deadline)
         engine = self.cluster.node_engine(node_id)
         res, bd = engine.search(
-            queries, probes=probes_local, execution=execution,
-            adaptive=adaptive,
+            queries, probes=probes_local, adaptive=adaptive
         )
         slow = (
             1.0
@@ -335,7 +333,6 @@ class ClusterFrontend:
         query_rows: np.ndarray,
         queries: np.ndarray,
         probes_local: np.ndarray,
-        execution: Optional[str],
         adaptive: Optional[str],
         backoff_seed,
         report: ClusterReport,
@@ -362,9 +359,7 @@ class ClusterFrontend:
                 report.node_retries += 1
                 if self.observer is not None:
                     self.observer.on_node_retry()
-            call = self._call_node(
-                node, queries, probes_local, execution, adaptive
-            )
+            call = self._call_node(node, queries, probes_local, adaptive)
             yield  # end of this shard's turn
             if not call.ok:
                 self._note_failure(node, call.kind)
@@ -390,8 +385,7 @@ class ClusterFrontend:
                 ]
                 if hedge_nodes:
                     hedge = self._call_node(
-                        hedge_nodes[0], queries, probes_local,
-                        execution, adaptive,
+                        hedge_nodes[0], queries, probes_local, adaptive
                     )
                     yield
                     hedged = True
@@ -428,7 +422,6 @@ class ClusterFrontend:
         self,
         queries: np.ndarray,
         probes: np.ndarray,
-        execution: Optional[str],
         adaptive: Optional[str],
         report: ClusterReport,
     ) -> List[ShardResponse]:
@@ -453,7 +446,6 @@ class ClusterFrontend:
                     rows,
                     queries[rows],
                     lp[rows],
-                    execution,
                     adaptive,
                     seeds[shard.shard_id],
                     report,
@@ -475,7 +467,6 @@ class ClusterFrontend:
         self,
         queries: np.ndarray,
         *,
-        execution: Optional[str] = None,
         adaptive: Optional[str] = None,
     ) -> ClusterOutcome:
         """Batched cluster top-k; one fault-plan round per call.
@@ -542,7 +533,7 @@ class ClusterFrontend:
             num_queries=nq, e2e_seconds=0.0, cl_seconds=cl_s
         )
         responses = self._scatter_gather(
-            queries, probes, execution, shard_adaptive, report
+            queries, probes, shard_adaptive, report
         )
 
         results = merge_shard_results(responses, nq, params.k)

@@ -45,7 +45,6 @@ from repro.core.layout import (
 from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
     ADAPTIVE_MODES,
-    EXECUTION_MODES,
     DatasetShape,
     IndexParams,
     SearchParams,
@@ -824,7 +823,6 @@ class DrimAnnEngine:
         queries: np.ndarray,
         *,
         with_scheduler: bool = True,
-        execution: Optional[str] = None,
         probes: Optional[np.ndarray] = None,
         adaptive: Optional[str] = None,
     ) -> SearchOutcome:
@@ -836,28 +834,25 @@ class DrimAnnEngine:
         like the historical two-tuple:
         ``results, breakdown = engine.search(queries)``.
 
-        One round driver runs every search. Each query batch is
-        located once (CL), then dispatched in *rounds*: the runtime
-        scheduler maps a round's (query, cluster) tasks — plus tasks
-        the filter deferred from earlier rounds — to DPUs, the DPUs
-        run RC→LC→DC→TS, and tasks lost to dead DPUs fail over. A
-        *probe policy* decides what each round issues. The exhaustive
-        policy (``adaptive="off"``) issues every probe of the batch in
-        one round; the adaptive policy issues one probe per
-        still-active query per round (see ``adaptive`` below). Host CL
-        time is charged on a batch's first round. Deferred tasks left
-        after the last batch drain through filter-off rounds, and the
-        per-query partial top-k pools merge once at the end.
+        One round driver runs every search. The query matrix is cut
+        into batches of ``search_params.batch_size`` queries (``None``:
+        one batch, the paper's bulk dispatch). Each batch is located
+        once (CL), then dispatched in *rounds*: the runtime scheduler
+        maps a round's (query, cluster) tasks — plus tasks the filter
+        deferred from earlier rounds — to DPUs, the DPUs run
+        RC→LC→DC→TS, and tasks lost to dead DPUs fail over. A *probe
+        policy* decides what each round issues. The exhaustive policy
+        (``adaptive="off"``) issues every probe of the batch in one
+        round; the adaptive policy issues one probe per still-active
+        query per round (see ``adaptive`` below). Host CL time is
+        charged on a batch's first round. Deferred tasks left after the
+        last batch drain through filter-off rounds, and the per-query
+        partial top-k pools merge once at the end.
 
-        ``execution`` overrides ``search_params.execution`` for this
-        call: ``"batched"`` dispatches the whole query matrix as one
-        PIM round, ``"chunked"`` rounds of ``batch_size`` queries, and
-        ``"per_query"`` one query per round (the pre-batching
-        behaviour, kept as the differential-testing baseline). All
-        three produce bit-identical results — per-query partials merge
-        with a canonical (distance, id) tie-break — and identical
-        aggregate kernel-cycle totals; only round structure, transfer
-        aggregation, and host wall-clock differ.
+        Every batch size produces bit-identical results — per-query
+        partials merge with a canonical (distance, id) tie-break — and
+        identical aggregate kernel-cycle totals; only round structure,
+        transfer aggregation, and host wall-clock differ.
 
         ``with_scheduler=False`` forces the static policy (replica 0,
         no filter) — the ablation arm of Fig. 11.
@@ -917,11 +912,6 @@ class DrimAnnEngine:
         k = self.params.k
         nprobe = self.params.nprobe
         nq = queries.shape[0]
-        mode = execution if execution is not None else self.search_params.execution
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, got {mode!r}"
-            )
         if probes is not None:
             probes = np.asarray(probes)
             if probes.ndim != 2 or probes.shape[0] != nq:
@@ -942,12 +932,7 @@ class DrimAnnEngine:
                     f"probe cluster id {int(probes.max())} out of range "
                     f"[0, {self.quantized.nlist})"
                 )
-        if mode == "batched":
-            bs = max(nq, 1)
-        elif mode == "chunked":
-            bs = self.search_params.batch_size
-        else:  # per_query
-            bs = 1
+        bs = self.search_params.batch_size or max(nq, 1)
         amode = adaptive if adaptive is not None else self.search_params.adaptive
         if amode not in ADAPTIVE_MODES:
             raise ValueError(
@@ -986,7 +971,6 @@ class DrimAnnEngine:
         def run_round(
             sched: RuntimeScheduler,
             tasks: List[Tuple[int, int]],
-            span: int = 1,
             charge: Tuple[int, float, float, float] = (0, 0.0, 0.0, 0.0),
         ) -> List[Tuple[int, int]]:
             """Schedule, execute and fail over one round; returns the
@@ -1001,7 +985,6 @@ class DrimAnnEngine:
                 num_new_queries=new_queries,
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
-                batch_span=span,
             )
             self._recover(
                 failed, sched, queries, k, pools_i, pools_d, breakdown
@@ -1028,21 +1011,18 @@ class DrimAnnEngine:
                 )
                 host_s = self._host_cl_seconds(nb)
             if policy is None:
-                # One vectorized round; fault plans index events by
-                # logical (batch_size) batches, so it spans them all.
+                # Every probe of the batch in one vectorized round.
                 tasks: List[Tuple[int, int]] = []
                 for i, row in enumerate(batch_probes.tolist()):
                     tasks.extend((q0 + i, c) for c in row if c >= 0)
                 rounds: Iterable[List[Tuple[int, int]]] = [tasks]
-                span = -(-nb // self.search_params.batch_size)
             else:
                 if rr is None:
                     rr = self._centroid_distances(batch, batch_probes)
                 rounds = policy.rounds(q0, batch_probes, rr, pools_d)
-                span = 1
             charge = (nb, host_s, cl_sec, cl_cycles)
             for new in rounds:
-                carried = run_round(scheduler, carried + new, span, charge)
+                carried = run_round(scheduler, carried + new, charge)
                 # CL is charged on the batch's first round only.
                 charge = (0, 0.0, 0.0, 0.0)
 
@@ -1105,7 +1085,6 @@ class DrimAnnEngine:
         num_new_queries: int,
         extra_pim_seconds: float = 0.0,
         extra_cl_cycles: float = 0.0,
-        batch_span: int = 1,
     ) -> List[Tuple[int, str]]:
         """Run one PIM batch and fold results/timing in.
 
@@ -1133,7 +1112,6 @@ class DrimAnnEngine:
                 queries[active],
                 k,
                 multiplier_less=self.search_params.multiplier_less,
-                batch_span=batch_span,
             )
             for p in partials:
                 gq = active[p.query_index]

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.utils.validation import check_count
+
 
 @dataclass(frozen=True)
 class DatasetShape:
@@ -79,9 +81,6 @@ class IndexParams:
         return replace(self, **kw)
 
 
-#: Valid values of :attr:`SearchParams.execution`.
-EXECUTION_MODES = ("batched", "chunked", "per_query")
-
 #: Valid values of :attr:`SearchParams.adaptive` (query-adaptive
 #: probing — see repro.core.adaptive). "off" is the fixed-nprobe
 #: baseline; "bound" adds exact distance-bound early termination;
@@ -91,22 +90,18 @@ ADAPTIVE_MODES = ("off", "bound", "budget", "full")
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Runtime execution knobs."""
+    """Runtime search knobs."""
 
-    batch_size: int = 128
+    # Queries per PIM round (one host->DPU launch, one fault-plan batch
+    # index); None is the whole matrix, the paper's bulk dispatch.
+    # Results are bit-identical for every round size.
+    batch_size: Optional[int] = None
     multiplier_less: bool = True  # §III-A conversion on/off
     # Which phases run on DPUs ("pim") vs the host ("host"). CL on the
     # host is the paper's default placement (it overlaps with DPU work).
     cluster_locate_on: str = "host"
     # WRAM bytes reserved for stack/staging when checking LUT fit.
     wram_reserve_bytes: int = 8 * 1024
-    # Dispatch granularity: "batched" packs the whole query matrix into
-    # one PIM round (the paper's bulk-transfer execution), "chunked"
-    # dispatches batch_size-query rounds, "per_query" one query per
-    # round (the differential-testing reference arm). Results are
-    # bit-identical across modes; only timing and transfer aggregation
-    # differ.
-    execution: str = "batched"
     # Query-adaptive probing (see repro.core.adaptive): "off" probes a
     # fixed nprobe clusters per query; "bound" stops a query early when
     # its k-th distance provably beats every remaining cluster's lower
@@ -124,15 +119,10 @@ class SearchParams:
     adaptive_gap: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be > 0")
+        check_count(self.batch_size, "batch_size", optional=True)
         if self.cluster_locate_on not in ("host", "pim"):
             raise ValueError(
                 f"cluster_locate_on must be 'host' or 'pim', got {self.cluster_locate_on!r}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, got {self.execution!r}"
             )
         if self.adaptive not in ADAPTIVE_MODES:
             raise ValueError(

@@ -112,8 +112,8 @@ class RuntimeScheduler:
             self._group_info[cid] = infos
         # Per-cluster latency footprint (group 0; replicas are
         # identical), precomputed once — schedule_batch sorts every
-        # batch's tasks by it, and with batched execution a single call
-        # sees the whole query matrix's tasks.
+        # batch's tasks by it, and with whole-matrix rounds a single
+        # call sees the whole query matrix's tasks.
         self._group_cost: Dict[int, float] = {
             cid: sum(l for _, _, l in infos[0])
             for cid, infos in self._group_info.items()

@@ -7,19 +7,19 @@ closes that gap on top of the engine:
 * :class:`PoissonArrivals` — an open-loop arrival process;
 * :class:`BatchingPolicy` — queries queue and a batch launches when
   ``batch_size`` are waiting or the oldest has waited ``max_wait_s``
-  (the standard size-or-timeout rule); ``dispatch="per_query"`` turns
+  (the standard size-or-timeout rule); ``batch_size=1`` turns
   coalescing off for A/B comparisons;
 * :class:`MicroBatcher` — the window-formation rule itself, factored
   out so tests can drive it step by step;
-* :func:`simulate_serving` — replays the stream through the engine,
-  charging each query queueing delay + its batch's modeled end-to-end
-  time, and reports the latency distribution.
+* :func:`replay` — the serving loop shared with the rack tier: forms
+  windows, sheds, charges each query queueing delay + its batch's
+  modeled service time, and reports the latency distribution;
+* :func:`simulate_serving` — :func:`replay` through one engine.
 
 Coalescing only changes *when* queries run, never *what* they compute:
-each micro-batch is one batched engine round, and the engine's batched
-rounds are bit-identical to per-query rounds (the PR 4 differential
-harness enforces this), so ``dispatch="coalesce"`` and
-``dispatch="per_query"`` return byte-for-byte equal ids/distances —
+the engine's results are bit-identical for every round size (the
+differential tests enforce this), so a policy ``batch_size`` of 64 and
+of 1 return byte-for-byte equal ids/distances —
 ``simulate_serving(..., return_results=True)`` exposes them so tests
 can prove it.
 
@@ -31,15 +31,16 @@ engine's p99 improves far more than its mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ann.ivfpq import SearchResult
 from repro.core.engine import DrimAnnEngine
 from repro.core.results import ServingOutcome
-from repro.utils import ensure_rng
+from repro.faults import FaultStats
+from repro.utils import check_count, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -73,23 +74,17 @@ class BatchingPolicy:
       launch (they could not possibly meet it), protecting the queries
       behind them.
 
-    ``dispatch`` selects how queued queries reach the engine:
-
-    * ``"coalesce"`` (default) — the size-or-timeout micro-batch
-      window above;
-    * ``"per_query"`` — every arrival is its own engine round, the
-      no-batching baseline ``bench_serving_tail`` compares against.
+    ``batch_size=1`` makes every arrival its own engine round, the
+    no-batching baseline ``bench_serving_tail`` compares against.
     """
 
     batch_size: int = 64
     max_wait_s: float = 2e-3
     deadline_s: Optional[float] = None
     overload_policy: str = "degrade"
-    dispatch: str = "coalesce"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_count(self.batch_size, "batch_size")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -98,11 +93,6 @@ class BatchingPolicy:
             raise ValueError(
                 f"overload_policy must be 'degrade' or 'shed', "
                 f"got {self.overload_policy!r}"
-            )
-        if self.dispatch not in ("coalesce", "per_query"):
-            raise ValueError(
-                f"dispatch must be 'coalesce' or 'per_query', "
-                f"got {self.dispatch!r}"
             )
 
 
@@ -136,9 +126,6 @@ class MicroBatcher:
         arrivals_s = self.arrivals_s
         policy = self.policy
         n = len(arrivals_s)
-        if policy.dispatch == "per_query":
-            launch = max(float(arrivals_s[i]), engine_free_at)
-            return MicroBatch(np.arange(i, i + 1), launch, i + 1)
         # Oldest waiter sets the timeout; a full batch may launch
         # earlier; a busy engine can only launch when it frees up.
         deadline = arrivals_s[i] + policy.max_wait_s
@@ -297,31 +284,25 @@ class ServingReport:
         return text
 
 
-def simulate_serving(
-    engine: DrimAnnEngine,
+def replay(
     queries: np.ndarray,
     arrivals_s: np.ndarray,
-    policy: BatchingPolicy = BatchingPolicy(),
+    policy: BatchingPolicy,
+    run: Callable[[np.ndarray], Tuple[SearchResult, float]],
+    obs,
     *,
-    with_scheduler: bool = True,
+    admission_limit: Optional[int] = None,
     return_results: bool = False,
 ) -> ServingOutcome:
-    """Replay a timestamped query stream through the engine.
+    """Replay a timestamped query stream through ``run``.
 
-    Service times are the engine's modeled end-to-end batch times; the
-    functional results are computed per micro-batch, so recall-affecting
-    behavior is identical to offline runs. ``return_results=True``
-    retains them on ``outcome.results`` in arrival order (shed queries
-    keep the -1/+inf fill) so callers can verify that coalescing never
-    changes bits.
-
-    Returns a :class:`~repro.core.results.ServingOutcome` wrapping the
-    :class:`ServingReport` (attribute access forwards, so existing
-    ``report.percentile_ms(99)``-style callers are unaffected) plus a
-    metrics snapshot when the engine has observability enabled —
-    including the streaming ``drimann_serving_latency_seconds``
-    percentile sketch, which gives p50/p95/p99 without retaining the
-    per-query latency array.
+    ``run(members)`` searches the queries at those arrival indices as
+    one batch and returns ``(results, service_seconds)``; batches run
+    strictly one after another. ``admission_limit`` rejects the
+    youngest waiters past the limit at window formation, before the
+    deadline shed at launch. ``obs`` (an observer or ``None``) gets the
+    queue, shed and latency events. The report carries the queueing
+    ledger only: callers add their fault ledgers to it.
     """
     queries = np.asarray(queries)
     arrivals_s = np.asarray(arrivals_s, dtype=np.float64)
@@ -337,25 +318,28 @@ def simulate_serving(
     batch_sizes: List[int] = []
     busy = 0.0
     shed = 0
+    rejected = 0
     misses = 0
-    degraded = 0
-    retries = 0
-    timeouts = 0
-    transients = 0
-    backoff = 0.0
-    dead: set = set()
-    obs = engine.observer
-    batcher = MicroBatcher(arrivals_s, policy)
     out_ids: Optional[np.ndarray] = None
     out_dist: Optional[np.ndarray] = None
+    batcher = MicroBatcher(arrivals_s, policy)
 
-    engine_free_at = 0.0
+    free_at = 0.0
     i = 0
     while i < n:
-        batch = batcher.next_batch(i, engine_free_at)
-        members, launch, j = batch.members, batch.launch, batch.next_index
+        batch = batcher.next_batch(i, free_at)
+        members, launch, i = batch.members, batch.launch, batch.next_index
         if obs is not None:
             obs.on_queue_depth(len(members))
+        if admission_limit is not None and len(members) > admission_limit:
+            # Admission control: the oldest waiters keep their slots;
+            # younger arrivals are rejected before queueing so the
+            # backlog cannot grow without bound.
+            dropped = len(members) - admission_limit
+            rejected += dropped
+            if obs is not None:
+                obs.on_admission_reject(dropped)
+            members = members[:admission_limit]
         if policy.deadline_s is not None and policy.overload_policy == "shed":
             # Queries already past their deadline at launch cannot
             # possibly meet it — drop them rather than slowing the
@@ -366,15 +350,9 @@ def simulate_serving(
             if dropped and obs is not None:
                 obs.on_shed(dropped)
             members = members[viable]
-            if len(members) == 0:
-                i = j
-                continue
-        # The policy already shaped the batch: dispatch it as a single
-        # PIM round rather than re-chunking by SearchParams.batch_size.
-        res, bd = engine.search(
-            queries[members], with_scheduler=with_scheduler,
-            execution="batched",
-        )
+        if len(members) == 0:
+            continue
+        res, service = run(members)
         if return_results:
             if out_ids is None:
                 k = res.ids.shape[1]
@@ -382,34 +360,22 @@ def simulate_serving(
                 out_dist = np.full((n, k), np.inf, dtype=res.distances.dtype)
             out_ids[members] = res.ids
             out_dist[members] = res.distances
-        service = bd.e2e_seconds
         done = launch + service
         completion[members] = done
         served[members] = True
         busy += service
-        engine_free_at = done
+        free_at = done
         batch_sizes.append(len(members))
+        latencies = done - arrivals_s[members]
         if obs is not None:
             obs.on_serving_batch(len(members))
-            for lat in done - arrivals_s[members]:
+            for lat in latencies:
                 obs.on_query_latency(float(lat))
         if policy.deadline_s is not None:
-            new_misses = int(
-                np.count_nonzero(
-                    done - arrivals_s[members] > policy.deadline_s
-                )
-            )
+            new_misses = int(np.count_nonzero(latencies > policy.deadline_s))
             misses += new_misses
             if new_misses and obs is not None:
                 obs.on_deadline_miss(new_misses)
-        if bd.faults is not None:
-            degraded += len(bd.faults.degraded_queries)
-            retries += bd.faults.task_retries
-            timeouts += bd.faults.transfer_timeouts
-            transients += bd.faults.transient_faults
-            backoff += bd.faults.backoff_seconds
-            dead |= bd.faults.dead_dpus
-        i = j
 
     makespan = 0.0
     if served.any():
@@ -421,12 +387,7 @@ def simulate_serving(
         makespan_s=makespan,
         shed_queries=shed,
         deadline_misses=misses,
-        degraded_queries=degraded,
-        task_retries=retries,
-        transfer_timeouts=timeouts,
-        transient_faults=transients,
-        dead_dpus=len(dead),
-        backoff_seconds=backoff,
+        admission_rejected=rejected,
     )
     results = None
     if return_results and out_ids is not None:
@@ -436,3 +397,56 @@ def simulate_serving(
         metrics=obs.snapshot() if obs is not None else None,
         results=results,
     )
+
+
+def simulate_serving(
+    engine: DrimAnnEngine,
+    queries: np.ndarray,
+    arrivals_s: np.ndarray,
+    policy: BatchingPolicy = BatchingPolicy(),
+    *,
+    with_scheduler: bool = True,
+    return_results: bool = False,
+) -> ServingOutcome:
+    """Replay a timestamped query stream through the engine.
+
+    Service times are the engine's modeled end-to-end batch times; the
+    functional results are computed per micro-batch, so recall-affecting
+    behavior is identical to offline runs. Each micro-batch runs in
+    rounds of the engine's ``search_params.batch_size`` (one round
+    under the default ``None``). ``return_results=True`` retains the
+    results on ``outcome.results`` in arrival order (shed queries keep
+    the -1/+inf fill) so callers can verify that coalescing never
+    changes bits.
+
+    Returns a :class:`~repro.core.results.ServingOutcome` wrapping the
+    :class:`ServingReport` (attribute access forwards, so existing
+    ``report.percentile_ms(99)``-style callers are unaffected) plus a
+    metrics snapshot when the engine has observability enabled —
+    including the streaming ``drimann_serving_latency_seconds``
+    percentile sketch, which gives p50/p95/p99 without retaining the
+    per-query latency array.
+    """
+    queries = np.asarray(queries)
+    stats: List[FaultStats] = []
+
+    def run(members: np.ndarray) -> Tuple[SearchResult, float]:
+        res, bd = engine.search(queries[members], with_scheduler=with_scheduler)
+        if bd.faults is not None:
+            stats.append(bd.faults)
+        return res, bd.e2e_seconds
+
+    outcome = replay(
+        queries, arrivals_s, policy, run, engine.observer,
+        return_results=return_results,
+    )
+    outcome.report = replace(
+        outcome.report,
+        degraded_queries=sum(len(f.degraded_queries) for f in stats),
+        task_retries=sum(f.task_retries for f in stats),
+        transfer_timeouts=sum(f.transfer_timeouts for f in stats),
+        transient_faults=sum(f.transient_faults for f in stats),
+        dead_dpus=len(set().union(*(f.dead_dpus for f in stats))),
+        backoff_seconds=sum(f.backoff_seconds for f in stats),
+    )
+    return outcome

@@ -436,9 +436,11 @@ class PimSystem:
         k: int,
         *,
         multiplier_less: bool = True,
-        batch_span: int = 1,
     ) -> Tuple[List[PartialResult], BatchTiming]:
-        """Execute one batch of (query, shard) tasks.
+        """Execute one PIM round of (query, shard) tasks.
+
+        Fault plans index their events by round: each call consumes
+        one batch index of the plan.
 
         Parameters
         ----------
@@ -447,13 +449,6 @@ class PimSystem:
         queries: ``(q, D)`` uint8 — the batch's queries (broadcast).
         k: local top-k each task returns.
         multiplier_less: use the square LUT in LC (must be loaded).
-        batch_span: how many *logical* batches this round covers. Fault
-            plans index events by logical batch (``batch_size`` query
-            chunks); batched execution folds several logical batches
-            into one physical round, so the round consumes the fault
-            events of every logical batch it spans — a DPU whose crash
-            batch falls inside the span is dead for the whole round,
-            and each spanned transient/timeout hit fires once.
 
         Returns
         -------
@@ -478,15 +473,13 @@ class PimSystem:
                 )
             sq = self.square_lut
 
-        if batch_span < 1:
-            raise ValueError(f"batch_span must be >= 1, got {batch_span}")
         queries = np.asarray(queries)
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
-        self._batch_index += batch_span
+        self._batch_index += 1
         fplan = self.fault_plan
         if fplan is not None:
-            self._observed_dead |= fplan.dead_at(batch + batch_span - 1)
+            self._observed_dead |= fplan.dead_at(batch)
         if self.tracer is not None:
             self.tracer.next_batch()
         obs = self.observer
@@ -560,19 +553,13 @@ class PimSystem:
                 self._live_count(skey, shard),
             )
             self._book(dpu, charges, skey)
-            # One pre-drawn transient kernel fault per (DPU, logical
-            # batch) at most: the first shard group's execution is
-            # wasted and retried on the same DPU after a modeled
-            # backoff. A round spanning several logical batches fires
-            # each spanned hit once. The retry recomputes identical
-            # rows, so only cycles differ.
+            # One pre-drawn transient kernel fault per (DPU, round) at
+            # most: the first shard group's execution is wasted and
+            # retried on the same DPU after a modeled backoff. The
+            # retry recomputes identical rows, so only cycles differ.
             if fplan is not None and dpu_id not in transient_done:
                 transient_done.add(dpu_id)
-                hits = sum(
-                    fplan.transient_at(dpu_id, b)
-                    for b in range(batch, batch + batch_span)
-                )
-                for retry in range(hits):
+                if fplan.transient_at(dpu_id, batch):
                     transient_retries += 1
                     if obs is not None:
                         obs.on_transient_retry()
@@ -583,7 +570,7 @@ class PimSystem:
                     )
                     # The retry event starts after the original attempt
                     # ends (the `repro lint` trace invariant).
-                    self._book(dpu, charges, f"{skey}#retry{retry + 1}")
+                    self._book(dpu, charges, f"{skey}#retry1")
             for qidx, (rids, rdists) in zip(qidxs, group_rows[gi]):
                 partials.append(
                     PartialResult(
@@ -595,17 +582,15 @@ class PimSystem:
         # PIM->host: gather per-task top-k results. A pre-drawn timeout
         # charges the wasted attempt, then the gather is re-issued.
         transfer_timeouts = 0
-        if fplan is not None:
-            for b in range(batch, batch + batch_span):
-                if fplan.transfer_timeout_at(b):
-                    transfer_timeouts += 1
-                    wasted = self.transfer.timeout(
-                        "results", fplan.config.transfer_timeout_s
-                    )
-                    xfer += wasted
-                    if obs is not None:
-                        obs.on_transfer_timeout()
-                        obs.on_transfer("timeout", wasted)
+        if fplan is not None and fplan.transfer_timeout_at(batch):
+            transfer_timeouts = 1
+            wasted = self.transfer.timeout(
+                "results", fplan.config.transfer_timeout_s
+            )
+            xfer += wasted
+            if obs is not None:
+                obs.on_transfer_timeout()
+                obs.on_transfer("timeout", wasted)
         gath = self.transfer.gather("results", result_bytes)
         xfer += gath
         if obs is not None:

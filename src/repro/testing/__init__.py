@@ -12,6 +12,7 @@ drift apart.
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
     GOLDEN_ADAPTIVE_MODES,
+    ROUND_SIZES,
     brute_force_topk,
     build_canonical_engine,
     canonical_dataset,
@@ -25,6 +26,7 @@ from repro.testing.goldens import (
 __all__ = [
     "CANONICAL_CONFIGS",
     "GOLDEN_ADAPTIVE_MODES",
+    "ROUND_SIZES",
     "brute_force_topk",
     "build_canonical_engine",
     "canonical_dataset",

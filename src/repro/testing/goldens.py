@@ -41,7 +41,11 @@ DATASET_SEED = 0
 DATASET_QUERIES = 150
 ENGINE_SEED = 0
 K = 10
-BATCH_SIZE = 32
+
+#: The named round-size cells of the test matrix, as
+#: ``SearchParams.batch_size``: the whole query matrix in one round
+#: (the frozen goldens' cell), 32-query rounds, one query per round.
+ROUND_SIZES: Dict[str, Optional[int]] = dict(batched=None, chunked=32, per_query=1)
 
 #: The frozen configurations. Order and contents are part of the
 #: golden contract: adding/renaming a config requires regenerating
@@ -88,7 +92,7 @@ def _quantized(nlist: int, m: int, cb: int):
 def canonical_config(
     name: str,
     *,
-    execution: Optional[str] = None,
+    batch_size: Optional[int] = None,
     shard_workers: int = 0,
 ) -> EngineConfig:
     """The :class:`EngineConfig` for one canonical config name."""
@@ -97,12 +101,9 @@ def canonical_config(
         nlist=c["nlist"], nprobe=c["nprobe"], k=K,
         num_subspaces=c["m"], codebook_size=c["cb"],
     )
-    search_kwargs = dict(
-        batch_size=BATCH_SIZE, multiplier_less=c["multiplier_less"]
+    search = SearchParams(
+        batch_size=batch_size, multiplier_less=c["multiplier_less"]
     )
-    if execution is not None:
-        search_kwargs["execution"] = execution
-    search = SearchParams(**search_kwargs)
     return EngineConfig(
         index=params,
         search=search,
@@ -116,7 +117,7 @@ def canonical_config(
 def build_canonical_engine(
     name: str,
     *,
-    execution: Optional[str] = None,
+    batch_size: Optional[int] = None,
     shard_workers: int = 0,
     index_path: Optional[str] = None,
 ) -> DrimAnnEngine:
@@ -130,7 +131,7 @@ def build_canonical_engine(
     c = CANONICAL_CONFIGS[name]
     ds = canonical_dataset()
     config = canonical_config(
-        name, execution=execution, shard_workers=shard_workers
+        name, batch_size=batch_size, shard_workers=shard_workers
     )
     engine = DrimAnnEngine.from_config(
         ds.base,
@@ -181,7 +182,7 @@ def oracle_recall(result_ids: np.ndarray, oracle_ids: np.ndarray) -> float:
 def run_canonical(
     name: str,
     *,
-    execution: Optional[str] = None,
+    batch_size: Optional[int] = None,
     shard_workers: int = 0,
     adaptive: Optional[str] = None,
 ) -> dict:
@@ -194,7 +195,7 @@ def run_canonical(
     ``tests/fixtures/golden_adaptive.json``.
     """
     engine = build_canonical_engine(
-        name, execution=execution, shard_workers=shard_workers
+        name, batch_size=batch_size, shard_workers=shard_workers
     )
     return canonical_record(name, engine, adaptive=adaptive)
 

@@ -4,6 +4,7 @@ from repro.utils.backoff import BackoffPolicy, BackoffSequence
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.validation import (
     check_2d,
+    check_count,
     check_dtype,
     check_finite,
     check_operands,
@@ -21,6 +22,7 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "check_2d",
+    "check_count",
     "check_dtype",
     "check_finite",
     "check_operands",

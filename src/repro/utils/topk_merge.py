@@ -5,7 +5,7 @@ responses, and the host reference all end the same way: concatenate a
 candidate pool per query and keep the k smallest under the canonical
 ``(distance, id)`` order. Ties on distance break by ascending id, which
 makes the merged result independent of arrival order — the property
-behind the bit-identity guarantees across execution modes, plans,
+behind the bit-identity guarantees across round sizes, plans,
 shardings, and (since adaptive probing) early-terminated probe sets.
 
 This module is dependency-free (pure numpy) so both ``repro.ann`` and
@@ -27,8 +27,8 @@ def topk_canonical(
 
     Ties on distance are broken by ascending id, which makes the result
     independent of the order in which candidates were concatenated —
-    the property that lets the engine's batched, chunked, and per-query
-    execution modes (and the host reference) agree bit-for-bit even
+    the property that lets every round size of the engine (and the
+    host reference) agree bit-for-bit even
     when partial results arrive in different orders.
 
     Returns ``(ids_k, dists_k)``, ascending by ``(distance, id)``.

@@ -73,6 +73,23 @@ def check_positive(value, name: str):
     return value
 
 
+def check_count(value, name: str, *, optional: bool = False):
+    """Require an integer >= 1 (or ``None`` when ``optional``).
+
+    A count is never coerced: ``bool``, ``float`` (NaN included) and
+    ``str`` raise ``TypeError`` naming ``name``; integers below 1 raise
+    ``ValueError``. NumPy integers are accepted.
+    """
+    if value is None and optional:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        kind = "an int or None" if optional else "an int"
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
     """Require two 2-D arrays to share their trailing (feature) dimension."""
     if a.shape[-1] != b.shape[-1]:

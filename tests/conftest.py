@@ -19,7 +19,6 @@ from repro.core import (
     EngineConfig,
     IndexParams,
     LayoutConfig,
-    SearchParams,
 )
 from repro.core.quantized import build_quantized_index
 from repro.data import load_dataset
@@ -57,7 +56,6 @@ def small_engine(small_ds, small_quantized, small_params):
     """Engine over 16 simulated DPUs with splitting + duplication on."""
     config = EngineConfig(
         index=small_params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
     )

@@ -5,8 +5,8 @@ The adaptive search path makes two promises this suite pins:
 * **Exactness of the bound.** ``adaptive="bound"`` returns results
   bit-identical to the exhaustive scan — the triangle-inequality lower
   bound only elides work it can prove irrelevant. Checked differentially
-  against the default path across every canonical config, execution
-  mode, and randomized chunking/permutation (hypothesis).
+  against the default path across every canonical config, round
+  size, and randomized chunking/permutation (hypothesis).
 * **Ledger honesty.** The cycle ledger charges exactly the clusters the
   adaptive run reports as executed: replaying ``AdaptiveReport.executed``
   through the fixed ``probes=`` path reproduces the RC/LC/DC kernel
@@ -51,7 +51,7 @@ from repro.faults import FaultConfig, FaultPlan
 from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.obs.observer import ObsConfig
 from repro.pim.config import PimSystemConfig
-from repro.testing import CANONICAL_CONFIGS, build_canonical_engine
+from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, build_canonical_engine
 from repro.testing import canonical_dataset
 from repro.testing.goldens import _quantized
 from repro.utils import merge_topk_pools
@@ -71,7 +71,6 @@ def _config(k: int = 10, obs: bool = False) -> EngineConfig:
         index=IndexParams(
             nlist=NLIST, nprobe=NPROBE, k=k, num_subspaces=M, codebook_size=CB
         ),
-        search=SearchParams(batch_size=16),
         scheduler=SchedulerConfig(filter_threshold=None),
         system=PimSystemConfig(num_dpus=8),
         layout=LayoutConfig(min_split_size=200, max_copies=2),
@@ -348,11 +347,23 @@ class TestBoundBitIdentity:
         out = engine.search(queries, adaptive="bound")
         assert int(out.adaptive.probes_executed.sum()) < NQ * NPROBE
 
-    @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
+    @pytest.mark.parametrize(
+        "batch_size",
+        [
+            pytest.param(None, id="batched"),
+            pytest.param(16, id="chunked"),
+            pytest.param(1, id="per_query"),
+        ],
+    )
     def test_bound_identity_across_execution_modes(
-        self, engine, queries, exhaustive, execution
+        self, engine, queries, exhaustive, batch_size
     ):
-        out = engine.search(queries, execution=execution, adaptive="bound")
+        original = engine.search_params
+        engine.search_params = replace(original, batch_size=batch_size)
+        try:
+            out = engine.search(queries, adaptive="bound")
+        finally:
+            engine.search_params = original
         np.testing.assert_array_equal(out.results.ids, exhaustive.ids)
         np.testing.assert_array_equal(
             out.results.distances, exhaustive.distances
@@ -371,7 +382,9 @@ class TestBoundBitIdentity:
             deferred.append(len(outcome.deferred))
             return outcome
 
-        with build_canonical_engine(name, execution="chunked") as eng:
+        with build_canonical_engine(
+            name, batch_size=ROUND_SIZES["chunked"]
+        ) as eng:
             assert eng.scheduler.config.filter_threshold is not None
             off, _ = eng.search(q, adaptive="off")
             monkeypatch.setattr(RuntimeScheduler, "schedule_batch", spy)
@@ -431,7 +444,7 @@ class TestAdaptiveProperties:
         original = engine.search_params
         engine.search_params = replace(original, batch_size=batch_size)
         try:
-            out = engine.search(queries, execution="chunked", adaptive="bound")
+            out = engine.search(queries, adaptive="bound")
         finally:
             engine.search_params = original
         np.testing.assert_array_equal(out.results.ids, exhaustive.ids)

@@ -3,7 +3,7 @@
 The load-bearing claim is structural: shards own **disjoint** cluster
 sets and the merge uses the canonical ``(distance, id)`` tie-break, so
 the cluster result is bit-identical to the single-engine oracle
-whenever every probed shard answers — regardless of execution mode,
+whenever every probed shard answers — regardless of round size,
 shard count, replication, or response arrival order. The fault tests
 then show that claim surviving a crash (with replication) and
 degrading with *accurate* coverage (without).
@@ -37,7 +37,6 @@ from repro.core import (
     EngineConfig,
     IndexParams,
     LayoutConfig,
-    SearchParams,
 )
 from repro.core.adaptive import probe_budgets
 from repro.core.quantized import build_quantized_index
@@ -54,7 +53,6 @@ _FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 def engine_config(small_params):
     return EngineConfig(
         index=small_params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
     )
@@ -188,13 +186,30 @@ class TestBitExactness:
         assert rep.mean_coverage == 1.0
         assert rep.failed_shards == []
 
-    @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
+    @pytest.mark.parametrize(
+        "batch_size",
+        [
+            pytest.param(None, id="batched"),
+            pytest.param(16, id="chunked"),
+            pytest.param(1, id="per_query"),
+        ],
+    )
     def test_every_execution_mode_matches_oracle(
-        self, replicated_cluster, queries, gold, execution
+        self, replicated_cluster, queries, gold, batch_size
     ):
-        res, _ = ClusterFrontend(replicated_cluster, seed=0).search(
-            queries, execution=execution
-        )
+        """Node engines running rounds of any size answer alike."""
+        engines = [
+            replicated_cluster.node_engine(n)
+            for n in range(replicated_cluster.num_nodes)
+        ]
+        originals = [e.search_params for e in engines]
+        for e in engines:
+            e.search_params = replace(e.search_params, batch_size=batch_size)
+        try:
+            res, _ = ClusterFrontend(replicated_cluster, seed=0).search(queries)
+        finally:
+            for e, sp in zip(engines, originals):
+                e.search_params = sp
         np.testing.assert_array_equal(res.ids, gold.ids)
         np.testing.assert_array_equal(res.distances, gold.distances)
 

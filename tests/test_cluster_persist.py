@@ -18,7 +18,7 @@ from repro.cluster import (
     build_cluster_index,
     load_cluster_index,
 )
-from repro.core import EngineConfig, LayoutConfig, SearchParams
+from repro.core import EngineConfig, LayoutConfig
 from repro.core.persist import IndexFormatError
 from repro.pim.config import PimSystemConfig
 
@@ -27,7 +27,6 @@ from repro.pim.config import PimSystemConfig
 def engine_config(small_params):
     return EngineConfig(
         index=small_params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=16),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
     )

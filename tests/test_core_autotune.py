@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from repro.core.autotune import BatchTuneResult, tune_batch_size
+from repro.testing import (
+    CANONICAL_CONFIGS,
+    build_canonical_engine,
+    canonical_dataset,
+)
 
 
 class TestTuneThroughput:
@@ -18,14 +23,13 @@ class TestTuneThroughput:
         assert all(best_score >= s for _, s in res.sweep)
 
     def test_apply_installs_winner(self, small_ds, small_quantized, small_params):
-        from repro.core import DrimAnnEngine, EngineConfig, SearchParams
+        from repro.core import DrimAnnEngine, EngineConfig
         from repro.pim.config import PimSystemConfig
 
         eng = DrimAnnEngine.from_config(
             small_ds.base,
             EngineConfig(
                 index=small_params,
-                search=SearchParams(batch_size=32),
                 system=PimSystemConfig(num_dpus=8),
             ),
             prebuilt_quantized=small_quantized,
@@ -45,13 +49,32 @@ class TestTuneThroughput:
 
     def test_results_unaffected_by_tuning(self, small_engine, small_ds):
         ref = small_engine.reference_search(small_ds.queries[:30])
-        tune_batch_size(
-            small_engine, small_ds.queries[:30], candidates=(8, 32), apply=True
-        )
-        res, _ = small_engine.search(small_ds.queries[:30])
+        original = small_engine.search_params
+        try:
+            tune_batch_size(
+                small_engine, small_ds.queries[:30], candidates=(8, 32),
+                apply=True,
+            )
+            res, _ = small_engine.search(small_ds.queries[:30])
+        finally:
+            small_engine.search_params = original  # shared session engine
         np.testing.assert_allclose(
             np.sort(res.distances, axis=1), np.sort(ref.distances, axis=1)
         )
+
+
+    def test_candidates_change_the_rounds(self):
+        """Every candidate is a real round size: on base-balanced (120
+        queries) 16- and 128-query rounds score differently."""
+        name = "base-balanced"
+        queries = canonical_dataset().queries[
+            : CANONICAL_CONFIGS[name]["num_queries"]
+        ]
+        with build_canonical_engine(name) as engine:
+            res = tune_batch_size(
+                engine, queries, candidates=(16, 128), apply=False
+            )
+        assert res.score_of(16) != res.score_of(128)
 
 
 class TestTuneP99:

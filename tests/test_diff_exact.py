@@ -6,9 +6,9 @@ Two layers of differential testing on seeded synthetic data:
   must equal the stored golden exactly for every canonical config —
   any change to quantization, layout, scheduling, or merging that
   moves accuracy by even one hit fails;
-* batched, chunked, and per-query execution must return bit-identical
-  ids *and* distances (the canonical (distance, id) merge makes the
-  result independent of round structure).
+* whole-matrix, 32-query and one-query rounds (``ROUND_SIZES``) must
+  return bit-identical ids *and* distances (the canonical (distance,
+  id) merge makes the result independent of round structure).
 """
 
 import json
@@ -19,6 +19,7 @@ import pytest
 
 from repro.testing import (
     CANONICAL_CONFIGS,
+    ROUND_SIZES,
     brute_force_topk,
     build_canonical_engine,
     canonical_dataset,
@@ -36,9 +37,9 @@ def goldens():
         return json.load(f)
 
 
-def _run(name, execution=None):
+def _run(name, batch_size=None):
     ds = canonical_dataset()
-    engine = build_canonical_engine(name, execution=execution)
+    engine = build_canonical_engine(name, batch_size=batch_size)
     queries = ds.queries[: CANONICAL_CONFIGS[name]["num_queries"]]
     res, bd = engine.search(queries)
     return res, bd, queries
@@ -71,24 +72,41 @@ class TestOracleRecall:
 
 class TestExecutionModeEquivalence:
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
-    @pytest.mark.parametrize("execution", ["chunked", "per_query"])
-    def test_bit_identical_to_batched(self, name, execution):
-        res_b, _, _ = _run(name, execution="batched")
-        res_o, _, _ = _run(name, execution=execution)
+    @pytest.mark.parametrize("cell", ["chunked", "per_query"])
+    def test_bit_identical_to_batched(self, name, cell):
+        res_b, _, _ = _run(name)
+        res_o, _, _ = _run(name, batch_size=ROUND_SIZES[cell])
         np.testing.assert_array_equal(res_b.ids, res_o.ids)
         np.testing.assert_array_equal(res_b.distances, res_o.distances)
 
     def test_execution_override_rejects_unknown_mode(self):
+        """No search entry point takes a per-call round-structure
+        override: the engine rejects ``execution=`` by name, and neither
+        cluster entry point has the parameter."""
+        import inspect
+
+        from repro.cluster.frontend import ClusterFrontend
+        from repro.cluster.serving import simulate_cluster_serving
+
         ds = canonical_dataset()
         engine = build_canonical_engine("split-replicated")
-        with pytest.raises(ValueError, match="execution"):
+        with pytest.raises(TypeError, match="execution"):
             engine.search(ds.queries[:4], execution="warp-speed")
+        for fn in (ClusterFrontend.search, simulate_cluster_serving):
+            assert "execution" not in inspect.signature(fn).parameters
 
     def test_search_params_execution_validated(self):
+        """``batch_size`` is the one round-size field (``None`` is one
+        whole-matrix round); the retired ``execution`` field fails by
+        name."""
         from repro.core.params import SearchParams
 
-        with pytest.raises(ValueError, match="execution"):
+        assert SearchParams().batch_size is None
+        assert SearchParams(batch_size=1).batch_size == 1
+        with pytest.raises(TypeError, match="execution"):
             SearchParams(execution="bogus")
+        with pytest.raises(ValueError, match="batch_size"):
+            SearchParams(batch_size=0)
 
 
 class TestPlanEquivalence:
@@ -121,33 +139,38 @@ class TestPlanEquivalence:
         np.testing.assert_array_equal(ref.distances, res_p.distances)
 
     def test_unknown_plan_rejected(self):
-        """The host strategy is the system's own: search takes neither
-        a plan nor a kernel backend per call."""
+        """The host strategy is the system's own: search takes no plan,
+        kernel backend or execution mode per call."""
         ds = canonical_dataset()
         engine = build_canonical_engine("split-replicated")
-        for stale in ("plan", "kernel_backend"):
+        for stale in ("plan", "kernel_backend", "execution"):
             with pytest.raises(TypeError, match=stale):
                 engine.search(ds.queries[:4], **{stale: "auto"})
 
     def test_search_params_plan_validated(self):
-        """Neither knob is a SearchParams field, and ``kernel_backend``
-        is no PimSystemConfig field: a config saved with one fails
-        loudly on load instead of being silently dropped, and the
-        kernel accessor rejects the retired ``numba`` mode."""
+        """No retired knob is a SearchParams field (``batch_size`` is
+        the one round-size knob), ``kernel_backend`` is no
+        PimSystemConfig field and ``dispatch`` no BatchingPolicy field:
+        a config saved with one fails loudly on load instead of being
+        silently dropped, and the kernel accessor rejects the retired
+        ``numba`` mode."""
         from repro.core.config import EngineConfig
         from repro.core.params import SearchParams
+        from repro.core.serving import BatchingPolicy
         from repro.pim.backend import resolve_backend
         from repro.pim.config import PimSystemConfig
         from repro.testing.goldens import canonical_config
 
         saved = canonical_config("split-replicated").to_dict()
-        for stale in ("plan", "kernel_backend"):
+        for stale in ("plan", "kernel_backend", "execution"):
             with pytest.raises(TypeError, match=stale):
                 SearchParams(**{stale: "auto"})
             old = json.loads(json.dumps(saved))
             old["search"][stale] = "auto"
             with pytest.raises(TypeError, match=stale):
                 EngineConfig.from_dict(old)
+        with pytest.raises(TypeError, match="dispatch"):
+            BatchingPolicy(dispatch="per_query")
         with pytest.raises(TypeError, match="kernel_backend"):
             PimSystemConfig(kernel_backend="auto")
         old = json.loads(json.dumps(saved))

@@ -242,7 +242,7 @@ class TestFaultRoundsAcrossPlans:
         )
         config = EngineConfig(
             index=small_params,
-            search=SearchParams(batch_size=32, execution="chunked"),
+            search=SearchParams(batch_size=32),
             system=PimSystemConfig(
                 num_dpus=NUM_DPUS, shard_workers=shard_workers
             ),

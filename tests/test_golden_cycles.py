@@ -19,6 +19,7 @@ import pytest
 from repro.testing import (
     CANONICAL_CONFIGS,
     GOLDEN_ADAPTIVE_MODES,
+    ROUND_SIZES,
     build_canonical_engine,
     canonical_record,
     run_canonical,
@@ -38,32 +39,33 @@ PATH_WORKERS = {"vectorized": 0, "pool": 2}
 PATHS = tuple(PATH_WORKERS)
 
 
-def single_group_rounds(name, execution, adaptive):
+def single_group_rounds(name, cell, adaptive):
     """Whether every round of the cell is one shard group, which never
     fans out to a pool: one adaptive probe of one query per round on an
     unsplit, unreplicated layout."""
     layout = CANONICAL_CONFIGS[name]["layout"]
     return (
-        execution == "per_query"
+        ROUND_SIZES[cell] == 1
         and adaptive not in (None, "off")
         and layout["min_split_size"] is None
         and layout["max_copies"] == 0
     )
 
 
-def run_on_path(name, path, *, execution=None, adaptive=None):
-    """One golden run on ``path``; asserts the planner really took it.
+def run_on_path(name, path, *, cell="batched", adaptive=None):
+    """One golden run of round-size ``cell`` on ``path``; asserts the
+    planner really took it.
 
     A pool cell warms its pool first (see ``canonical_record``), so the
     canonical search's big rounds must go to the workers — except in
     cells made only of single-group rounds.
     """
     engine = build_canonical_engine(
-        name, execution=execution, shard_workers=PATH_WORKERS[path]
+        name, batch_size=ROUND_SIZES[cell], shard_workers=PATH_WORKERS[path]
     )
     record = canonical_record(name, engine, adaptive=adaptive)
     decisions = engine.system.planner.decisions
-    if path == "pool" and not single_group_rounds(name, execution, adaptive):
+    if path == "pool" and not single_group_rounds(name, cell, adaptive):
         assert decisions.get("pool", 0) >= 1, decisions
     else:
         assert set(decisions) == {"vectorized"}, decisions
@@ -142,12 +144,12 @@ class TestGoldenAdaptiveOff:
     """``adaptive="off"`` is the exhaustive engine, bit for bit.
 
     Requesting the off mode explicitly must reproduce the default
-    engine — recall and every cycle count — for every config,
-    execution mode, and planner path. Execution modes legitimately
-    shift cycle counts (chunking changes batch shapes), so the
-    reference for each cell is a default-parameter run of the same
-    config × execution; the ``batched`` references are additionally
-    tied to the frozen goldens. This pins the guarantee that the
+    engine — recall and every cycle count — for every config, round
+    size, and planner path. Round sizes legitimately shift cycle
+    counts (chunking changes batch shapes), so the reference for each
+    cell is a default-parameter run of the same config × round size;
+    the ``batched`` (whole-matrix) references are additionally tied
+    to the frozen goldens. This pins the guarantee that the
     adaptive machinery cannot perturb the default path (no extra
     charging, no reordered accumulation) anywhere in the matrix.
     """
@@ -155,9 +157,9 @@ class TestGoldenAdaptiveOff:
     @pytest.fixture(scope="class")
     def references(self):
         return {
-            (name, execution): run_canonical(name, execution=execution)
+            (name, cell): run_canonical(name, batch_size=size)
             for name in CANONICAL_CONFIGS
-            for execution in ("batched", "chunked", "per_query")
+            for cell, size in ROUND_SIZES.items()
         }
 
     def test_batched_references_match_goldens(self, references, goldens):
@@ -168,17 +170,17 @@ class TestGoldenAdaptiveOff:
             )
 
     @pytest.mark.parametrize("path", PATHS)
-    @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
+    @pytest.mark.parametrize("cell", list(ROUND_SIZES))
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
     def test_off_matches_default_engine(
-        self, name, execution, path, references, pool_takes_small_rounds
+        self, name, cell, path, references, pool_takes_small_rounds
     ):
-        fresh = run_on_path(name, path, execution=execution, adaptive="off")
-        stored = references[(name, execution)]
+        fresh = run_on_path(name, path, cell=cell, adaptive="off")
+        stored = references[(name, cell)]
         assert fresh["recall_at_10"] == stored["recall_at_10"]
         assert fresh["kernel_cycles"] == stored["kernel_cycles"], (
-            f"kernel cycle drift in {name!r} with adaptive='off' under "
-            f"execution={execution!r} on path {path!r}"
+            f"kernel cycle drift in {name!r} with adaptive='off' in "
+            f"round-size cell {cell!r} on path {path!r}"
         )
         assert fresh["total_kernel_cycles"] == stored["total_kernel_cycles"]
         assert fresh["e2e_cycles_max_dpu"] == stored["e2e_cycles_max_dpu"]
@@ -231,21 +233,19 @@ class TestGoldenAdaptive:
         )
         assert 0 < stored["total_probes_executed"] <= max_probes
 
-    @pytest.mark.parametrize("execution", ["chunked", "per_query"])
+    @pytest.mark.parametrize("cell", ["chunked", "per_query"])
     @pytest.mark.parametrize("mode", ["bound", "budget", "full"])
     @pytest.mark.parametrize("name", sorted(CANONICAL_CONFIGS))
     def test_plans_agree_across_executions(
-        self, name, mode, execution, pool_takes_small_rounds
+        self, name, mode, cell, pool_takes_small_rounds
     ):
-        """Non-batched adaptive cells aren't frozen, so pin the pool
-        path to a same-cell in-process reference run instead."""
-        reference = run_on_path(
-            name, "vectorized", execution=execution, adaptive=mode
-        )
-        fresh = run_on_path(name, "pool", execution=execution, adaptive=mode)
+        """Chunked adaptive cells aren't frozen, so pin the pool path
+        to a same-cell in-process reference run instead."""
+        reference = run_on_path(name, "vectorized", cell=cell, adaptive=mode)
+        fresh = run_on_path(name, "pool", cell=cell, adaptive=mode)
         assert json.loads(json.dumps(fresh)) == json.loads(
             json.dumps(reference)
         ), (
-            f"path-dependent drift in {name!r} mode={mode!r} under "
-            f"execution={execution!r}"
+            f"path-dependent drift in {name!r} mode={mode!r} in "
+            f"round-size cell {cell!r}"
         )

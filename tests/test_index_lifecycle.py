@@ -37,6 +37,7 @@ from repro.pim.backend import numpy_backend, resolve_backend
 from repro.pim.config import PimSystemConfig
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
+    ROUND_SIZES,
     build_canonical_engine,
     canonical_dataset,
 )
@@ -51,7 +52,7 @@ def _fresh_quantized(small_quantized):
     return small_quantized.compact()
 
 
-def _engine(quantized, params, *, execution="batched", shard_workers=0,
+def _engine(quantized, params, *, batch_size=None, shard_workers=0,
             num_dpus=8, obs=None):
     ds = canonical_dataset()
     kwargs = {}
@@ -59,7 +60,7 @@ def _engine(quantized, params, *, execution="batched", shard_workers=0,
         kwargs["obs"] = obs
     config = EngineConfig(
         index=params,
-        search=SearchParams(batch_size=32, execution=execution),
+        search=SearchParams(batch_size=batch_size),
         system=PimSystemConfig(num_dpus=num_dpus, shard_workers=shard_workers),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
         **kwargs,
@@ -373,12 +374,12 @@ class TestLifecycleProperty:
 
 # ---------------------------------------------------------------- engine
 class TestEngineMutation:
-    @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
+    @pytest.mark.parametrize("cell", list(ROUND_SIZES))
     def test_delete_stays_bitexact(
-        self, small_quantized, small_ds, small_params, execution
+        self, small_quantized, small_ds, small_params, cell
     ):
         quant = _fresh_quantized(small_quantized)
-        engine = _engine(quant, small_params, execution=execution)
+        engine = _engine(quant, small_params, batch_size=ROUND_SIZES[cell])
         q = small_ds.queries[:40]
         try:
             first = engine.search(q)[0]
@@ -593,10 +594,10 @@ class TestSaveLoadGoldenMatrix:
             f"{name!r}"
         )
 
-    @pytest.mark.parametrize("execution", ["batched", "chunked", "per_query"])
+    @pytest.mark.parametrize("cell", list(ROUND_SIZES))
     @pytest.mark.parametrize("path", ["vectorized", "pool"])
     def test_loaded_engine_bitexact_per_mode(
-        self, execution, path, tmp_path, pool_takes_small_rounds
+        self, cell, path, tmp_path, pool_takes_small_rounds
     ):
         """A loaded engine matches the direct one on both paths (a
         loaded engine's pool hosts its arena from the mapped file)."""
@@ -608,7 +609,7 @@ class TestSaveLoadGoldenMatrix:
         for index_path in (None, str(tmp_path / "rt.drim")):
             engine = build_canonical_engine(
                 name,
-                execution=execution,
+                batch_size=ROUND_SIZES[cell],
                 shard_workers=workers,
                 index_path=index_path,
             )
@@ -715,7 +716,6 @@ class TestObservability:
         save_index(_fresh_quantized(small_quantized), path)
         config = EngineConfig(
             index=small_params,
-            search=SearchParams(batch_size=32),
             system=PimSystemConfig(num_dpus=8),
             layout=LayoutConfig(min_split_size=400, max_copies=2),
             obs=ObsConfig(enabled=True),
@@ -765,7 +765,6 @@ class MutationMachine(RuleBasedStateMachine):
                 nlist=self.NLIST, nprobe=3, k=5,
                 num_subspaces=self.M, codebook_size=self.CB,
             ),
-            search=SearchParams(batch_size=4),
             system=PimSystemConfig(num_dpus=4, shard_workers=0),
             layout=LayoutConfig(min_split_size=15, max_copies=2),
         )

@@ -14,7 +14,6 @@ from repro.core import (
     EngineConfig,
     IndexParams,
     LayoutConfig,
-    SearchParams,
 )
 from repro.core.accuracy import measure_accuracy_table
 from repro.core.dse import DesignSpaceExplorer
@@ -72,7 +71,6 @@ class TestEndToEnd:
             small_ds.base,
             EngineConfig(
                 index=small_params,
-                search=SearchParams(batch_size=32),
                 system=PimSystemConfig(num_dpus=16),
                 layout=LayoutConfig(min_split_size=300, max_copies=2),
             ),

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import DrimAnnEngine, LayoutConfig, SearchParams
+from repro.core import DrimAnnEngine, LayoutConfig
 from repro.core.config import EngineConfig
 from repro.core.results import SearchOutcome, ServingOutcome
 from repro.core.serving import BatchingPolicy, PoissonArrivals, simulate_serving
@@ -27,7 +27,6 @@ NUM_DPUS = 8
 def _config(small_params, *, obs=False, faults=None):
     return EngineConfig(
         index=small_params,
-        search=SearchParams(batch_size=64),
         system=PimSystemConfig(num_dpus=NUM_DPUS),
         layout=LayoutConfig(min_split_size=400, max_copies=2),
         faults=faults,
@@ -287,8 +286,7 @@ class TestDataPlaneMetrics:
         counter (and still return correct results)."""
         cfg = EngineConfig(
             index=small_params,
-            search=SearchParams(batch_size=64),
-            system=PimSystemConfig(num_dpus=NUM_DPUS, shard_workers=2),
+                system=PimSystemConfig(num_dpus=NUM_DPUS, shard_workers=2),
             layout=LayoutConfig(min_split_size=400, max_copies=2),
             obs=ObsConfig(enabled=True),
         )

@@ -420,12 +420,10 @@ class TestEngineThreading:
         from the system config, and the accessor rejects unknown
         modes."""
         from repro.core.config import EngineConfig
-        from repro.core.params import SearchParams
         from repro.pim.config import PimSystemConfig
 
         saved = EngineConfig(
             index=small_params,
-            search=SearchParams(batch_size=64),
             system=PimSystemConfig(num_dpus=8),
         ).to_dict()
         saved["system"]["kernel_backend"] = "cuda"

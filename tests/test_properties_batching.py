@@ -1,14 +1,14 @@
 """Randomized batching invariants (hypothesis).
 
-Property tests over the batched execution path:
+Property tests over the round size (``SearchParams.batch_size``):
 
 * **batch-split invariance** — any chunking of the query stream
   (including one query per round) returns bit-identical results;
 * **permutation invariance** — permuting the query matrix permutes the
   result rows and changes nothing else;
 * **transfer conservation** — with the deferral filter off, aggregated
-  transfer bytes in one batched round equal the sum over per-query
-  rounds (broadcast ``nq*D``, scatter ``8`` per task part, gather
+  transfer bytes in one whole-matrix round equal the sum over
+  one-query rounds (broadcast ``nq*D``, scatter ``8`` per task part, gather
   ``16`` per returned candidate).
 
 One engine is built per module (the deferral filter is disabled so
@@ -16,6 +16,7 @@ round membership is a pure function of the chunking) and reused across
 examples; searches mutate no engine state in the fault-free setup.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.core import (
     EngineConfig,
     IndexParams,
     LayoutConfig,
-    SearchParams,
 )
 from repro.core.scheduler import SchedulerConfig
 from repro.pim.config import PimSystemConfig
@@ -36,6 +36,17 @@ from repro.testing import canonical_dataset
 from repro.testing.goldens import _quantized
 
 NQ = 48
+
+
+@contextmanager
+def rounds_of(engine, batch_size):
+    """Run ``engine`` with rounds of ``batch_size`` queries."""
+    original = engine.search_params
+    engine.search_params = replace(original, batch_size=batch_size)
+    try:
+        yield engine
+    finally:
+        engine.search_params = original
 
 _SETTINGS = settings(
     max_examples=12,
@@ -51,7 +62,6 @@ def prop_engine():
         index=IndexParams(
             nlist=32, nprobe=4, k=10, num_subspaces=8, codebook_size=32
         ),
-        search=SearchParams(batch_size=16),
         scheduler=SchedulerConfig(filter_threshold=None),
         system=PimSystemConfig(num_dpus=8),
         layout=LayoutConfig(min_split_size=200, max_copies=2),
@@ -82,19 +92,16 @@ class TestBatchSplitInvariance:
     def test_any_chunking_is_bit_identical(
         self, prop_engine, prop_queries, batched_result, batch_size
     ):
-        original = prop_engine.search_params
-        prop_engine.search_params = replace(original, batch_size=batch_size)
-        try:
-            res, _ = prop_engine.search(prop_queries, execution="chunked")
-        finally:
-            prop_engine.search_params = original
+        with rounds_of(prop_engine, batch_size):
+            res, _ = prop_engine.search(prop_queries)
         np.testing.assert_array_equal(res.ids, batched_result.ids)
         np.testing.assert_array_equal(res.distances, batched_result.distances)
 
     def test_per_query_is_bit_identical(
         self, prop_engine, prop_queries, batched_result
     ):
-        res, _ = prop_engine.search(prop_queries, execution="per_query")
+        with rounds_of(prop_engine, 1):
+            res, _ = prop_engine.search(prop_queries)
         np.testing.assert_array_equal(res.ids, batched_result.ids)
         np.testing.assert_array_equal(res.distances, batched_result.distances)
 
@@ -121,13 +128,14 @@ class TestTransferConservation:
     ):
         transfer = prop_engine.system.transfer
 
-        def bytes_for(execution):
+        def bytes_for(batch_size):
             before = transfer.total_bytes
-            prop_engine.search(prop_queries[:nq], execution=execution)
+            with rounds_of(prop_engine, batch_size):
+                prop_engine.search(prop_queries[:nq])
             return transfer.total_bytes - before
 
-        batched = bytes_for("batched")
-        per_query = bytes_for("per_query")
+        batched = bytes_for(None)
+        per_query = bytes_for(1)
         assert batched == per_query
 
     def test_batched_bytes_decompose(self, prop_engine, prop_queries):

@@ -27,7 +27,7 @@ config_strategy = st.fixed_dictionaries(
         "max_copies": st.sampled_from([0, 2]),
         "multiplier_less": st.booleans(),
         "with_scheduler": st.booleans(),
-        "batch_size": st.sampled_from([7, 64]),
+        "batch_size": st.sampled_from([None, 7]),
     }
 )
 

@@ -136,18 +136,18 @@ class TestOneDispatchPerRound:
         monkeypatch.setattr(engine.system, "run_batch", run_batch)
         calls = []
         self._spy(monkeypatch, calls)
-        engine.search(_queries("split-replicated"), execution="batched")
+        engine.search(_queries("split-replicated"))
         assert len(rounds) >= 1
         assert len(calls) == len(rounds)
         assert sum(calls) > len(calls)  # rounds really carry many jobs
 
     def test_lut_budget_flush_is_invisible(self, engine, monkeypatch):
         q = _queries("split-replicated")
-        base = engine.search(q, execution="batched")
+        base = engine.search(q)
         calls = []
         self._spy(monkeypatch, calls)
         monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
-        tiny = engine.search(q, execution="batched")
+        tiny = engine.search(q)
         # Every centroid block overflows the budget and flushes alone.
         assert len(calls) > 1
         np.testing.assert_array_equal(tiny.results.ids, base.results.ids)
@@ -171,11 +171,11 @@ class TestOneDispatchPerRound:
                 return []
 
         q = _queries("split-replicated")
-        base = engine.search(q, execution="batched")
+        base = engine.search(q)
         monkeypatch.setattr(system, "executor", Pool())
         monkeypatch.setattr(system, "_residency_dirty", False)
         monkeypatch.setattr(system.planner, "choose", lambda **kw: "pool")
-        got = engine.search(q, execution="batched")
+        got = engine.search(q)
         assert len(calls) == 1
         np.testing.assert_array_equal(got.results.ids, base.results.ids)
         assert got.breakdown.to_dict() == base.breakdown.to_dict()

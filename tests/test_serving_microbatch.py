@@ -6,10 +6,10 @@ Two layers:
   invariants, property-tested over random arrival streams without an
   engine (members contiguous, launches ordered, every query served
   exactly once, no window outlives its size/timeout bound);
-* end-to-end: ``dispatch="coalesce"`` and ``dispatch="per_query"``
-  return bit-identical per-query ids/distances (via
-  ``return_results=True``), and deadlines are honored by both overload
-  policies.
+* end-to-end: a coalescing policy and the ``batch_size=1``
+  no-batching baseline return bit-identical per-query ids/distances
+  (via ``return_results=True``), and deadlines are honored by both
+  overload policies.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ def _random_policy(rng):
     return BatchingPolicy(
         batch_size=int(rng.integers(1, 20)),
         max_wait_s=float(rng.uniform(0, 5e-3)),
-        dispatch="coalesce",
     )
 
 
@@ -86,14 +85,18 @@ class TestMicroBatcherProperties:
     def test_per_query_windows_are_singletons(self, rng):
         n = 50
         arrivals = np.sort(rng.uniform(0, 0.01, size=n))
-        policy = BatchingPolicy(batch_size=16, dispatch="per_query")
+        policy = BatchingPolicy(batch_size=1)
         batches = _drive(MicroBatcher(arrivals, policy), n, rng)
         assert len(batches) == n
         assert all(len(b.members) == 1 for b in batches)
 
     def test_dispatch_validated(self):
-        with pytest.raises(ValueError, match="dispatch"):
+        """``dispatch`` is retired (``batch_size=1`` is the no-batching
+        baseline) and the round size is validated by name."""
+        with pytest.raises(TypeError, match="dispatch"):
             BatchingPolicy(dispatch="psychic")
+        with pytest.raises(ValueError, match="batch_size"):
+            BatchingPolicy(batch_size=0)
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +119,7 @@ class TestDispatchEquivalence:
         )
         out_p = simulate_serving(
             engine, queries, arrivals,
-            BatchingPolicy(batch_size=16, max_wait_s=1e-3,
-                           dispatch="per_query"),
+            BatchingPolicy(batch_size=1, max_wait_s=1e-3),
             return_results=True,
         )
         assert max(out_c.batch_sizes) > 1  # coalescing actually happened
@@ -178,8 +180,7 @@ class TestDeadlines:
         engine, queries, arrivals = serving_setup
         deadline = 1.5e-3
         policy = BatchingPolicy(
-            deadline_s=deadline, dispatch="per_query",
-            overload_policy="shed",
+            batch_size=1, deadline_s=deadline, overload_policy="shed",
         )
         out = simulate_serving(engine, queries, arrivals, policy)
         # Whatever was served arrived -> completed within accounting:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from repro.core.params import SearchParams
+from repro.core.serving import BatchingPolicy
 from repro.utils import (
     check_2d,
+    check_count,
     check_dtype,
     check_finite,
     check_operands,
@@ -51,6 +54,38 @@ class TestCheckPositive:
     def test_nonpositive_raises(self, bad):
         with pytest.raises(ValueError, match="must be > 0"):
             check_positive(bad, "x")
+
+
+class TestCheckCount:
+    """``batch_size`` is a count: malformed values are rejected by name
+    at both round-size boundaries, never truncated or coerced."""
+
+    BAD = [
+        pytest.param(0, ValueError, id="zero"),
+        pytest.param(-2, ValueError, id="negative"),
+        pytest.param(2.5, TypeError, id="fraction"),
+        pytest.param(4.0, TypeError, id="integral-float"),
+        pytest.param(float("nan"), TypeError, id="nan"),
+        pytest.param(True, TypeError, id="bool"),
+        pytest.param("8", TypeError, id="str"),
+    ]
+
+    @pytest.mark.parametrize("bad, exc", BAD)
+    @pytest.mark.parametrize(
+        "owner", [SearchParams, BatchingPolicy], ids=lambda c: c.__name__
+    )
+    def test_malformed_batch_size_rejected(self, owner, bad, exc):
+        with pytest.raises(exc, match="batch_size"):
+            owner(batch_size=bad)
+
+    def test_valid_counts(self):
+        assert check_count(3, "n") == 3
+        assert check_count(np.int64(3), "n") == 3
+        assert check_count(None, "n", optional=True) is None
+        assert SearchParams(batch_size=None).batch_size is None
+        assert BatchingPolicy(batch_size=1).batch_size == 1
+        with pytest.raises(TypeError, match="batch_size"):
+            BatchingPolicy(batch_size=None)
 
 
 class TestCheckSameDim:
