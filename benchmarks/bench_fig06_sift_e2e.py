@@ -171,12 +171,11 @@ def run_pool_smoke(rounds: int = 5) -> dict:
             if pool.take_fallback_events() or sent[0] < lut_bytes:
                 print("FAIL: the round did not run on the pool workers")
                 return record
-            for job, rows in zip(jobs, got):
+            for job, top in zip(jobs, got):
                 want = scan_shard_group(*job, backend=backend)
-                for (ip, dp), (iw, dw) in zip(rows, want):
-                    if not (np.array_equal(ip, iw) and np.array_equal(dp, dw)):
-                        print("FAIL: pool results differ from in-process scan")
-                        return record
+                if not all(np.array_equal(p, w) for p, w in zip(top, want)):
+                    print("FAIL: pool results differ from in-process scan")
+                    return record
             max_sent = max(max_sent, sent[0])
     finally:
         pool.close()

@@ -19,8 +19,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.topk_merge import topk_canonical  # noqa: F401
-
 
 def topk_smallest(
     values: np.ndarray, k: int, axis: int = -1
@@ -44,11 +42,6 @@ def topk_smallest(
         order = np.argsort(sub, axis=axis, kind="stable")
         idx = np.take_along_axis(idx, order, axis=axis)
     return idx, np.take_along_axis(values, idx, axis=axis)
-
-
-# topk_canonical is re-exported above from repro.utils.topk_merge (the
-# shared home of the canonical (distance, id) merge, so the cluster tier
-# can use it without import cycles).
 
 
 class BoundedMaxHeap:

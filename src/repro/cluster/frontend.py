@@ -143,21 +143,19 @@ def merge_shard_results(
     tie-break makes the selection independent of the order responses
     arrive (the hypothesis property test permutes ``responses``).
     Failed responses contribute nothing; rows some shard never served
-    keep the ``-1`` / ``+inf`` fill.
+    keep the ``-1`` / ``+inf`` fill. Every served response is one block
+    of rows folded by :func:`~repro.utils.merge_topk_pools`.
     """
-    pools_i: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
-    pools_d: List[List[np.ndarray]] = [[] for _ in range(num_queries)]
-    for resp in responses:
-        if not resp.ok or resp.ids is None:
-            continue
-        for row_local, row in enumerate(resp.query_rows):
-            ids = resp.ids[row_local]
-            keep = ids >= 0
-            if not np.any(keep):
-                continue
-            pools_i[int(row)].append(ids[keep])
-            pools_d[int(row)].append(resp.distances[row_local][keep])
-    out_ids, out_dist = merge_topk_pools(pools_i, pools_d, num_queries, k)
+    out_ids = np.full((num_queries, k), -1, dtype=np.int64)
+    out_dist = np.full((num_queries, k), np.inf)
+    served = [r for r in responses if r.ok and r.ids is not None]
+    merge_topk_pools(
+        out_ids,
+        out_dist,
+        np.concatenate([r.query_rows for r in served] or [np.empty(0, np.int64)]),
+        np.concatenate([r.ids for r in served] or [np.empty((0, k), np.int64)]),
+        np.concatenate([r.distances for r in served] or [np.empty((0, k))]),
+    )
     return SearchResult(ids=out_ids, distances=out_dist)
 
 

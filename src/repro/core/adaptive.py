@@ -188,22 +188,6 @@ class AdaptiveReport:
         }
 
 
-def kth_pool_distance(pools_d: List[np.ndarray], k: int) -> float:
-    """Current k-th smallest distance of a query's candidate pool.
-
-    ``inf`` while the pool holds fewer than ``k`` candidates — an
-    overestimate of the final k-th distance either way, so bound checks
-    against it can only be conservative (a stop decided on a partial
-    pool would also be decided on the full one).
-    """
-    if not pools_d:
-        return float("inf")
-    d = np.concatenate(pools_d)
-    if len(d) < k:
-        return float("inf")
-    return float(np.partition(d.astype(np.float64), k - 1)[k - 1])
-
-
 class _AdaptiveRounds:
     """The adaptive probe policy of the engine's round driver.
 
@@ -219,7 +203,7 @@ class _AdaptiveRounds:
 
     Results under the bound alone are bit-identical to the exhaustive
     scan: the bound is conservative (see :func:`lower_bounds`), a
-    partial pool's k-th distance only overestimates the final one, and
+    running top-k's k-th distance only overestimates the final one, and
     a strict ``d_k < bound`` test means no remaining point can enter
     the top-k even on a (distance, id) tie.
     """
@@ -245,12 +229,16 @@ class _AdaptiveRounds:
         q0: int,
         batch_probes: np.ndarray,
         rr: np.ndarray,
-        pools_d: List[List[np.ndarray]],
+        best_dists: np.ndarray,
     ) -> Iterator[List[Tuple[int, int]]]:
         """Yield one batch's rounds of new ``(query, cluster)`` tasks.
 
-        The caller runs each round before resuming the generator, so
-        the stop checks after a ``yield`` see that round's partials.
+        ``best_dists`` is the engine's running ``(nq, k)`` top-k
+        distances, ``inf``-padded. The caller folds each round into it
+        before resuming the generator, so the stop checks after a
+        ``yield`` read that round's results: column ``k - 1`` is a
+        query's current k-th distance (``inf`` while it holds fewer
+        than k candidates), which only overestimates the final one.
         """
         nb = len(batch_probes)
         radii, k = self.radii, self.k
@@ -291,7 +279,7 @@ class _AdaptiveRounds:
                 if (
                     radii is not None
                     and ptr[i] < limits[i]
-                    and kth_pool_distance(pools_d[gq], k) < lb_sfx[i][ptr[i]]
+                    and best_dists[gq, k - 1] < lb_sfx[i][ptr[i]]
                 ):
                     self.reasons[gq] = "bound"
                 elif ptr[i] >= limits[i]:

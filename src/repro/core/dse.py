@@ -23,7 +23,7 @@ from repro.analysis.contracts import KernelShape
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.resources import check_wram
 from repro.core.accuracy import AccuracyTable
-from repro.core.params import DatasetShape, IndexParams
+from repro.core.params import WRAM_RESERVE_BYTES, DatasetShape, IndexParams
 from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
 from repro.pim.config import DpuConfig
 from repro.tuning.bayesopt import ConstrainedBayesOpt
@@ -60,8 +60,6 @@ class DesignSpaceExplorer:
         k: int = 10,
         multiplier_less: bool = True,
         host_phases: Sequence[str] = ("CL",),
-        wram_bytes: int = 64 * 1024,
-        wram_reserve: int = 8 * 1024,
         dpu: Optional[DpuConfig] = None,
     ) -> None:
         self.shape = shape
@@ -78,7 +76,7 @@ class DesignSpaceExplorer:
             raise ValueError(
                 f"no m_values divide dim {shape.dim}: {list(m_values)}"
             )
-        self._wram_limit = wram_bytes - wram_reserve
+        self._wram_limit = self.dpu.wram_bytes - WRAM_RESERVE_BYTES
         self.space = DiscreteSpace.from_dict(
             {
                 "nlist": nlist_values,

@@ -17,7 +17,8 @@ Search pipeline (online, per batch):
    from the previous batch — to per-DPU (query, shard) tasks via the
    runtime scheduler;
 3. execute RC→LC→DC→TS on the DPUs (functional + cycle-counted);
-4. gather and merge per-task partial top-k into per-query results.
+4. gather each round's per-task top-k block and fold it into the
+   running per-query top-k.
 
 The engine's numeric output is invariant to layout and scheduling: for
 any configuration it must equal
@@ -45,6 +46,7 @@ from repro.core.layout import (
 from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
     ADAPTIVE_MODES,
+    WRAM_RESERVE_BYTES,
     DatasetShape,
     IndexParams,
     SearchParams,
@@ -627,7 +629,7 @@ class DrimAnnEngine:
         wram_needed = (
             search_params.adc_lut_bytes(params)
             + (square_lut.resident_bytes if search_params.multiplier_less else 0)
-            + search_params.wram_reserve_bytes
+            + WRAM_RESERVE_BYTES
         )
         if wram_needed > system_config.dpu.wram_bytes:
             raise ValueError(
@@ -846,11 +848,11 @@ class DrimAnnEngine:
         round; the adaptive policy issues one probe per still-active
         query per round (see ``adaptive`` below). Host CL time is
         charged on a batch's first round. Deferred tasks left after the
-        last batch drain through filter-off rounds, and the per-query
-        partial top-k pools merge once at the end.
+        last batch drain through filter-off rounds. Every round's task
+        block folds into one running ``(nq, k)`` top-k.
 
-        Every batch size produces bit-identical results — per-query
-        partials merge with a canonical (distance, id) tie-break — and
+        Every batch size produces bit-identical results — the fold
+        keeps a canonical (distance, id) top-k — and
         identical aggregate kernel-cycle totals; only round structure,
         transfer aggregation, and host wall-clock differ.
 
@@ -963,8 +965,11 @@ class DrimAnnEngine:
         if self.fault_plan is not None:
             stats.straggler_dpus = set(self.fault_plan.straggler_dpus)
 
-        pools_i: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        pools_d: List[List[np.ndarray]] = [[] for _ in range(nq)]
+        # The running canonical top-k every round folds into.
+        best = (
+            np.full((nq, k), -1, dtype=np.int64),
+            np.full((nq, k), np.inf),
+        )
         breakdown = TimingBreakdown()
         breakdown.faults = stats
 
@@ -980,14 +985,14 @@ class DrimAnnEngine:
             outcome = sched.schedule_batch(tasks)
             stats.uncovered.update(outcome.uncovered)
             failed = self._execute(
-                outcome.assignments, queries, k, pools_i, pools_d, breakdown,
+                outcome.assignments, queries, k, best, breakdown,
                 host_seconds=host_s,
                 num_new_queries=new_queries,
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
             )
             self._recover(
-                failed, sched, queries, k, pools_i, pools_d, breakdown
+                failed, sched, queries, k, best, breakdown
             )
             return list(outcome.deferred)
 
@@ -1019,7 +1024,7 @@ class DrimAnnEngine:
             else:
                 if rr is None:
                     rr = self._centroid_distances(batch, batch_probes)
-                rounds = policy.rounds(q0, batch_probes, rr, pools_d)
+                rounds = policy.rounds(q0, batch_probes, rr, best[1])
             charge = (nb, host_s, cl_sec, cl_cycles)
             for new in rounds:
                 carried = run_round(scheduler, carried + new, charge)
@@ -1049,9 +1054,8 @@ class DrimAnnEngine:
                     obs.on_probes_executed(int(report.probes_executed[q]))
                     obs.on_adaptive_stop(report.stop_reasons[q])
 
-        out_ids, out_dist = merge_topk_pools(pools_i, pools_d, nq, k)
         return SearchOutcome(
-            results=SearchResult(ids=out_ids, distances=out_dist),
+            results=SearchResult(ids=best[0], distances=best[1]),
             breakdown=breakdown,
             metrics=obs.snapshot() if obs is not None else None,
             adaptive=report,
@@ -1077,8 +1081,7 @@ class DrimAnnEngine:
         assignments: Dict[int, List[Tuple[int, str]]],
         queries: np.ndarray,
         k: int,
-        pools_i: List[List[np.ndarray]],
-        pools_d: List[List[np.ndarray]],
+        best: Tuple[np.ndarray, np.ndarray],
         breakdown: TimingBreakdown,
         *,
         host_seconds: float,
@@ -1086,7 +1089,9 @@ class DrimAnnEngine:
         extra_pim_seconds: float = 0.0,
         extra_cl_cycles: float = 0.0,
     ) -> List[Tuple[int, str]]:
-        """Run one PIM batch and fold results/timing in.
+        """Run one PIM batch and fold its results into ``best`` (the
+        running ``(nq, k)`` ids and distances) and its timing into
+        ``breakdown``.
 
         ``extra_pim_seconds`` / ``extra_cl_cycles`` account a preceding
         CL-on-PIM launch (it cannot overlap with the task batch: its
@@ -1107,17 +1112,15 @@ class DrimAnnEngine:
         }
         failed: List[Tuple[int, str]] = []
         if active:
-            partials, timing = self.system.run_batch(
+            (rows, ids, dists), timing = self.system.run_batch(
                 local_assign,
                 queries[active],
                 k,
                 multiplier_less=self.search_params.multiplier_less,
             )
-            for p in partials:
-                gq = active[p.query_index]
-                if len(p.ids):
-                    pools_i[gq].append(p.ids)
-                    pools_d[gq].append(p.distances)
+            merge_topk_pools(
+                best[0], best[1], np.asarray(active)[rows], ids, dists
+            )
             if extra_pim_seconds or extra_cl_cycles:
                 timing.pim_seconds += extra_pim_seconds
                 timing.kernel_cycles["CL"] = (
@@ -1146,8 +1149,7 @@ class DrimAnnEngine:
         scheduler: RuntimeScheduler,
         queries: np.ndarray,
         k: int,
-        pools_i: List[List[np.ndarray]],
-        pools_d: List[List[np.ndarray]],
+        best: Tuple[np.ndarray, np.ndarray],
         breakdown: TimingBreakdown,
     ) -> None:
         """Fail over tasks lost to dead DPUs.
@@ -1186,7 +1188,7 @@ class DrimAnnEngine:
             stats.uncovered.update(uncovered)
             stats.task_retries += sum(len(t) for t in assignments.values())
             failed = self._execute(
-                assignments, queries, k, pools_i, pools_d, breakdown,
+                assignments, queries, k, best, breakdown,
                 host_seconds=0.0, num_new_queries=0,
             )
             attempt += 1

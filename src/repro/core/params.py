@@ -19,6 +19,10 @@ from typing import Optional
 
 from repro.utils.validation import check_count
 
+#: WRAM bytes a DPU keeps for tasklet stacks and staging buffers, on
+#: top of the per-task ADC LUT and the square LUT, when checking fit.
+WRAM_RESERVE_BYTES = 8 * 1024
+
 
 @dataclass(frozen=True)
 class DatasetShape:
@@ -54,16 +58,12 @@ class IndexParams:
     codebook_size: int = 256  # CB
 
     def __post_init__(self) -> None:
-        if self.nlist <= 0:
-            raise ValueError("nlist must be > 0")
-        if not 1 <= self.nprobe <= self.nlist:
+        for name in ("nlist", "nprobe", "k", "num_subspaces", "codebook_size"):
+            check_count(getattr(self, name), name)
+        if self.nprobe > self.nlist:
             raise ValueError(
                 f"nprobe must be in [1, nlist={self.nlist}], got {self.nprobe}"
             )
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.num_subspaces <= 0:
-            raise ValueError("num_subspaces must be > 0")
         if self.codebook_size < 2:
             raise ValueError("codebook_size must be >= 2")
 
@@ -100,8 +100,6 @@ class SearchParams:
     # Which phases run on DPUs ("pim") vs the host ("host"). CL on the
     # host is the paper's default placement (it overlaps with DPU work).
     cluster_locate_on: str = "host"
-    # WRAM bytes reserved for stack/staging when checking LUT fit.
-    wram_reserve_bytes: int = 8 * 1024
     # Query-adaptive probing (see repro.core.adaptive): "off" probes a
     # fixed nprobe clusters per query; "bound" stops a query early when
     # its k-th distance provably beats every remaining cluster's lower
@@ -120,6 +118,7 @@ class SearchParams:
 
     def __post_init__(self) -> None:
         check_count(self.batch_size, "batch_size", optional=True)
+        check_count(self.nprobe_min, "nprobe_min", optional=True)
         if self.cluster_locate_on not in ("host", "pim"):
             raise ValueError(
                 f"cluster_locate_on must be 'host' or 'pim', got {self.cluster_locate_on!r}"
@@ -128,11 +127,7 @@ class SearchParams:
             raise ValueError(
                 f"adaptive must be one of {ADAPTIVE_MODES}, got {self.adaptive!r}"
             )
-        if self.nprobe_min is not None and self.nprobe_min <= 0:
-            raise ValueError(
-                f"nprobe_min must be > 0 or None, got {self.nprobe_min}"
-            )
-        if self.adaptive_gap <= 0:
+        if not self.adaptive_gap > 0:
             raise ValueError(
                 f"adaptive_gap must be > 0, got {self.adaptive_gap}"
             )

@@ -26,11 +26,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.ann.heap import topk_canonical, topk_smallest
+from repro.ann.heap import topk_smallest
 from repro.ann.ivfpq import IVFPQIndex, SearchResult
 from repro.core.square_lut import SquareTermCache
 from repro.utils.cast_cache import CastCache
-from repro.utils import check_2d, check_operands
+from repro.utils import check_2d, check_operands, topk_canonical
 
 # Codebook entries are residual-scale; they are clipped to this bound at
 # quantization time so that (residual - codebook) stays within the

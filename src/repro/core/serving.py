@@ -40,7 +40,7 @@ from repro.ann.ivfpq import SearchResult
 from repro.core.engine import DrimAnnEngine
 from repro.core.results import ServingOutcome
 from repro.faults import FaultStats
-from repro.utils import check_count, ensure_rng
+from repro.utils import check_count, check_finite, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ class BatchingPolicy:
 
     def __post_init__(self) -> None:
         check_count(self.batch_size, "batch_size")
-        if self.max_wait_s < 0:
+        if not self.max_wait_s >= 0:
             raise ValueError("max_wait_s must be >= 0")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be > 0 or None")
         if self.overload_policy not in ("degrade", "shed"):
             raise ValueError(
@@ -305,7 +305,9 @@ def replay(
     ledger only: callers add their fault ledgers to it.
     """
     queries = np.asarray(queries)
-    arrivals_s = np.asarray(arrivals_s, dtype=np.float64)
+    arrivals_s = check_finite(
+        np.asarray(arrivals_s, dtype=np.float64), "arrivals_s"
+    )
     if len(arrivals_s) != len(queries):
         raise ValueError(
             f"{len(arrivals_s)} arrivals != {len(queries)} queries"

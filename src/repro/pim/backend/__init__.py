@@ -4,14 +4,13 @@ The ADC distance scan (DC) and LUT construction (LC) dominate the
 host's functional wall-clock exactly as Fig. 8 of the paper predicts.
 :class:`~repro.pim.backend.numpy_backend.NumpyBackend` holds the fused
 NumPy kernels every call site runs: the gather-then-reduce scan
-(``scan`` / ``scan_stacked``), the batched integer LUT build
-(``build_luts``), and the fused scan+local-top-k (``scan_topk``) that
-never materializes the full ``(g, n)`` distance matrix for clusters
-beyond :data:`SCAN_TOPK_N_CHUNK` points.
+(``scan`` / ``scan_stacked``) and the batched integer LUT build
+(``build_luts``). The per-task top-k (TS) is the one selection rule,
+:func:`repro.pim.kernels.topk_rows`, applied to the scan's output.
 
 **Bit-identical by construction.** The ADC pipeline is integer end to
 end and int64 sums are order-independent, so the kernels produce
-byte-equal distances, LUTs, and top-k rows to the staged reference in
+byte-equal distances and LUTs to the staged reference in
 :mod:`repro.pim.kernels`. The modeled PIM cost is charged separately
 from closed forms over shapes
 (:func:`repro.pim.kernels.distance_scan_cost` et al.), so the host
@@ -23,7 +22,7 @@ keeps the codebook-terms cache shared across engines.
 
 from __future__ import annotations
 
-from repro.pim.backend.numpy_backend import SCAN_TOPK_N_CHUNK, NumpyBackend
+from repro.pim.backend.numpy_backend import NumpyBackend
 
 _BACKEND = NumpyBackend()
 
@@ -41,4 +40,4 @@ def resolve_backend(mode: str = "auto") -> NumpyBackend:
     return _BACKEND
 
 
-__all__ = ["SCAN_TOPK_N_CHUNK", "NumpyBackend", "resolve_backend"]
+__all__ = ["NumpyBackend", "resolve_backend"]

@@ -14,7 +14,8 @@ is one gather-then-reduce kernel, run once per job:
   ``(rows, M, n)`` gather, reduced over ``M`` into int64 — at the
   bench shape several times faster than the staged reference's
   3-index gather. The slab's transient gather stays within
-  :data:`LUT_CHUNK_BYTES`;
+  :data:`LUT_CHUNK_BYTES`; when a single row's ``(M, n)`` gather would
+  not, that row is gathered in column slabs instead;
 * when every LUT entry fits int32 (always true for the quantized
   pipeline, whose entries are bounded by ``dim * CODEBOOK_CLIP**2``)
   the gathers run on an int32 copy of the LUTs, halving gather
@@ -26,12 +27,6 @@ against ``[0, CB)`` once per call (:class:`IndexError`, where a code
 past ``CB`` would otherwise read the next subspace's entry and a
 negative one would wrap), and non-integer LUTs or codes are rejected
 with :class:`TypeError` rather than silently truncated.
-
-**Scan + top-k** (DC + TS, :meth:`NumpyBackend.scan_topk`) is exactly
-``topk_rows(scan(...))`` for clusters of at most
-:data:`SCAN_TOPK_N_CHUNK` points; larger clusters are scanned in
-column slices merged by the canonical ``(distance, position)`` rule,
-so the full ``(g, n)`` matrix is never materialized.
 
 **LUT build** (LC, :meth:`NumpyBackend.build_luts`) is the norm
 expansion ``LUT[g,m,c] = ||r_gm||^2 - 2 r_gm.c_mc + ||c_mc||^2``: one
@@ -56,27 +51,18 @@ bit-identical to the reference kernels — property-tested in
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 #: Largest magnitude float64 holds every integer up to (inclusive).
 EXACT_FLOAT_LIMIT = 1 << 53
 
-#: Byte budget for one row slab of a kernel's transient arrays (a
-#: scan's ``(rows, M, n)`` gather, a LUT build's float64 expansion or
-#: the fallback's int64 difference tensor); bounds memory without
-#: affecting values.
+#: Byte budget for one slab of a kernel's transient arrays (a scan's
+#: ``(rows, M, n)`` gather, a LUT build's float64 expansion, the
+#: fallback's int64 difference tensor, or a shard group's ``(rows, n)``
+#: distances before top-k); bounds memory without affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
-
-#: Cluster size above which :meth:`NumpyBackend.scan_topk` switches
-#: from the exact ``topk_rows``-over-the-full-matrix path to the
-#: chunked scan+merge that never materializes ``(g, n)``. Every
-#: execution path uses this same threshold, which is what keeps the
-#: data plane bit-exact: below it all paths call the identical
-#: selection kernel; at or above it all paths use the identical
-#: canonical ``(distance, position)`` merge.
-SCAN_TOPK_N_CHUNK = 1 << 16
 
 #: Codebook tables whose expansion terms one backend instance keeps.
 TERMS_CACHE_ENTRIES = 8
@@ -117,20 +103,30 @@ def _scan_job(gather: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
     """One job's ADC scan into ``out`` (``(g, n)`` int64).
 
     ``gather`` is the ``(g, M, CB)`` LUTs, ``codes`` the range-checked
-    ``(n, M)`` codes. Each slab of LUT rows is one gather of the flat
-    offsets and one int64 reduction over the subspaces.
+    ``(n, M)`` codes. Each slab is one gather of the flat offsets and
+    one int64 reduction over the subspaces: whole rows while a row's
+    ``(M, n)`` gather fits :data:`LUT_CHUNK_BYTES`, else single rows in
+    column slabs that do.
     """
     g, m, cb = gather.shape
     n = codes.shape[0]
     flat = gather.reshape(g, m * cb)
     off = codes.T.astype(np.intp)
     off += (np.arange(m, dtype=np.intp) * cb)[:, None]
-    step = _slab_rows(m * n * flat.itemsize)
+    if n == 0:
+        return
+    cols = min(n, slab_rows(m * flat.itemsize))
+    step = slab_rows(m * cols * flat.itemsize)
     for r0 in range(0, g, step):
-        # The callers range-check the codes, so every offset is in
-        # bounds and the take mode only picks the cheapest loop.
-        gathered = np.take(flat[r0 : r0 + step], off, axis=1, mode="wrap")
-        np.add.reduce(gathered, axis=1, dtype=np.int64, out=out[r0 : r0 + step])
+        rows = flat[r0 : r0 + step]
+        for c0 in range(0, n, cols):
+            # The callers range-check the codes, so every offset is in
+            # bounds and the take mode only picks the cheapest loop.
+            gathered = np.take(rows, off[:, c0 : c0 + cols], axis=1, mode="wrap")
+            np.add.reduce(
+                gathered, axis=1, dtype=np.int64,
+                out=out[r0 : r0 + step, c0 : c0 + cols],
+            )
 
 
 class CodebookTerms:
@@ -190,8 +186,9 @@ def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) 
     return dsub * (residual_max_abs + codebook_max_abs) ** 2 < EXACT_FLOAT_LIMIT
 
 
-def _slab_rows(row_bytes: int) -> int:
-    """Rows per slab so one slab's transient data fits the budget."""
+def slab_rows(row_bytes: int) -> int:
+    """Rows per slab so one slab's transient data fits the budget
+    (at least one)."""
     return max(1, LUT_CHUNK_BYTES // max(1, row_bytes))
 
 
@@ -201,7 +198,7 @@ def _build_luts_int64(
     """The int64 difference/einsum LUT build into ``out``."""
     m, cb, dsub = codebooks.shape
     books = codebooks.astype(np.int64)
-    step = _slab_rows(m * cb * dsub * 8)
+    step = slab_rows(m * cb * dsub * 8)
     for s0 in range(0, len(out), step):
         r = residuals[s0 : s0 + step].astype(np.int64)
         diff = r.reshape(len(r), m, 1, dsub) - books
@@ -214,7 +211,7 @@ def _build_luts_expansion(
     """The float64 norm-expansion LUT build into ``out`` (exact when
     :func:`expansion_is_exact` holds)."""
     m, dsub, cb = terms.books_t.shape
-    step = _slab_rows(m * cb * 8)
+    step = slab_rows(m * cb * 8)
     for s0 in range(0, len(out), step):
         rows = residuals[s0 : s0 + step]
         r = rows.astype(np.float64).reshape(len(rows), m, dsub).transpose(1, 0, 2)
@@ -307,77 +304,3 @@ class NumpyBackend:
         else:
             _build_luts_int64(residuals, codebooks, out)
         return out
-
-    def scan_topk(
-        self,
-        luts: np.ndarray,
-        codes: np.ndarray,
-        ids: np.ndarray,
-        k: int,
-        n_chunk: int = SCAN_TOPK_N_CHUNK,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """DC + TS for one LUT block: per-row ``(ids_k, dists_k)``.
-
-        For clusters of at most ``n_chunk`` points this is exactly
-        ``topk_rows(self.scan(luts, codes), ids, k)`` — the one
-        selection kernel every execution path shares. Larger clusters
-        are scanned in ``n_chunk``-point column slices and merged with
-        the canonical ``(distance, position)`` rule, so the full
-        ``(g, n)`` matrix is never materialized.
-        """
-        from repro.pim.kernels import topk_rows
-
-        n = codes.shape[0]
-        if n <= n_chunk:
-            return topk_rows(self.scan(luts, codes), ids, k)
-        return _scan_topk_chunked(self, luts, codes, ids, k, n_chunk)
-
-
-def _scan_topk_chunked(
-    backend: NumpyBackend,
-    luts: np.ndarray,
-    codes: np.ndarray,
-    ids: np.ndarray,
-    k: int,
-    n_chunk: int,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Column-chunked scan+top-k with the canonical merge rule.
-
-    Candidates are ranked by ``(distance, global position)`` via a
-    per-row lexsort — a deterministic total order, identical no matter
-    how the columns were chunked (verified against the unchunked path
-    by the property tests whenever distances are untied).
-    """
-    g = luts.shape[0]
-    n = codes.shape[0]
-    kk = min(k, n)
-    # Running candidate pool per row: at most kk survivors + one
-    # chunk's fresh top-kk, merged after every slice.
-    pool_d: Optional[np.ndarray] = None
-    pool_p: Optional[np.ndarray] = None
-    for c0 in range(0, n, n_chunk):
-        dists = backend.scan(luts, codes[c0 : c0 + n_chunk])
-        cn = dists.shape[1]
-        ck = min(kk, cn)
-        part = np.argpartition(dists, ck - 1, axis=1)[:, :ck]
-        cand_d = np.take_along_axis(dists, part, axis=1)
-        cand_p = part.astype(np.int64) + c0
-        if pool_d is None:
-            pool_d, pool_p = cand_d, cand_p
-        else:
-            pool_d = np.concatenate([pool_d, cand_d], axis=1)
-            pool_p = np.concatenate([pool_p, cand_p], axis=1)
-        if pool_d.shape[1] > kk:
-            keep_d = np.empty((g, kk), dtype=pool_d.dtype)
-            keep_p = np.empty((g, kk), dtype=np.int64)
-            for row in range(g):
-                order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
-                keep_d[row] = pool_d[row, order]
-                keep_p[row] = pool_p[row, order]
-            pool_d, pool_p = keep_d, keep_p
-    assert pool_d is not None and pool_p is not None
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    for row in range(g):
-        order = np.lexsort((pool_p[row], pool_d[row]))[:kk]
-        results.append((ids[pool_p[row, order]], pool_d[row, order]))
-    return results

@@ -20,7 +20,7 @@ used by the tests to validate this estimate.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -63,12 +63,14 @@ def topk_sort_cost(g: int, n: int, k: int) -> KernelCost:
 
 def topk_rows(
     dists: np.ndarray, ids: np.ndarray, k: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Functional core of TS: per-row top-k of a ``(g, n)`` block.
 
-    Returns ``(ids_k, dists_k)`` per row, each sorted ascending by
-    distance (stable in row order on ties). No cost accounting —
-    callers that model timing charge :func:`topk_sort_cost` separately.
+    Returns ``(ids_k, dists_k)``, each ``(g, min(k, n))``: row ``r``
+    holds that row's k nearest candidates sorted ascending by distance
+    (stable in row order on ties) — the fixed-width slot a DPU writes
+    back per task. No cost accounting — callers that model timing
+    charge :func:`topk_sort_cost` separately.
     """
     dists = np.asarray(dists)
     ids = np.asarray(ids)
@@ -78,23 +80,15 @@ def topk_rows(
         raise ValueError(f"ids shape {ids.shape} != ({dists.shape[1]},)")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g, n = dists.shape
-    kk = min(k, n)
-    results: List[Tuple[np.ndarray, np.ndarray]] = []
-    if n:
-        sel, vals = topk_smallest(dists, kk, axis=1)
-        for row in range(g):
-            results.append((ids[sel[row]], vals[row]))
-    else:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_d = np.empty(0, dtype=dists.dtype)
-        results = [(empty_i, empty_d) for _ in range(g)]
-    return results
+    if dists.shape[1] == 0:
+        return np.empty(dists.shape, dtype=np.int64), dists
+    sel, vals = topk_smallest(dists, k, axis=1)
+    return ids[sel], vals
 
 
 def run_topk_sort(
     dists: np.ndarray, ids: np.ndarray, k: int
-) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], KernelCost]:
+) -> Tuple[Tuple[np.ndarray, np.ndarray], KernelCost]:
     """Top-k per row of a ``(g, n)`` distance block.
 
     Parameters
@@ -105,14 +99,13 @@ def run_topk_sort(
 
     Returns
     -------
-    A list of ``(ids_k, dists_k)`` per row (each sorted ascending), and
-    the kernel cost. Rows with fewer than k candidates return what
-    exists.
+    ``(ids_k, dists_k)`` of shape ``(g, min(k, n))`` (each row sorted
+    ascending), and the kernel cost. Rows with fewer than k candidates
+    return what exists.
     """
     dists = np.asarray(dists)
-    results = topk_rows(dists, ids, k)
     g, n = dists.shape
-    return results, topk_sort_cost(g, n, k)
+    return topk_rows(dists, ids, k), topk_sort_cost(g, n, k)
 
 
 def _ts_mix(s: KernelShape) -> InstructionMix:

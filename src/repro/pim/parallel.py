@@ -23,7 +23,8 @@ The scan paths, the one worker pool, and a planner live here:
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
   them resident across rounds: the steady state ships only per-round
   task descriptors ``(shard_key, luts, k, live)`` down the pipe and
-  result rows back. Nothing MRAM-resident is ever re-pickled.
+  each job's ``(ids, dists)`` top-k arrays back. Nothing
+  MRAM-resident is ever re-pickled.
 * :class:`ExecutionPlanner` — picks the in-process path or the pool per
   round from the round's measured size, the pool's warmup state and
   measured throughput. It is the system's own choice, not an option:
@@ -53,18 +54,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ann.heap import topk_smallest
-from repro.pim.backend import SCAN_TOPK_N_CHUNK, NumpyBackend, resolve_backend
+from repro.pim.backend import NumpyBackend, resolve_backend
+from repro.pim.backend.numpy_backend import slab_rows
 from repro.pim.kernels import topk_rows
-
-#: Rows of LUTs scanned per functional DC call; bounds the transient
-#: ``(rows, n, M)`` gather tensor without changing results (the scan
-#: and top-k are row-independent).
-ROW_CHUNK = 256
 
 #: One shard-group scan job: (luts (g, M, CB), codes (n, M), ids (n,), k).
 ScanJob = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
-#: Per-row output of a job: [(ids_k, dists_k)] in LUT row order.
-ScanRows = List[Tuple[np.ndarray, np.ndarray]]
+#: A job's top-k: ``(ids, dists)``, each ``(g, min(k, n))``, one row
+#: per LUT row — the fixed-width slot TS writes back per task.
+JobTopk = Tuple[np.ndarray, np.ndarray]
 
 #: Planner threshold: minimum LUT-entry gathers in a round before the
 #: pool's IPC overhead pays for itself.
@@ -80,36 +78,45 @@ def scan_shard_group(
     codes: np.ndarray,
     ids: np.ndarray,
     k: int,
-    row_chunk: int = ROW_CHUNK,
     backend: Optional[NumpyBackend] = None,
-) -> ScanRows:
-    """DC + TS over one shard group, chunked over LUT rows.
+) -> JobTopk:
+    """DC + TS over one shard group: ``topk_rows(scan(luts, codes))``.
 
     The per-group scan: :func:`scan_jobs_stacked`'s unstackable jobs
     and the worker processes all funnel through this function — and
-    through the same
-    :meth:`~repro.pim.backend.NumpyBackend.scan_topk` selection rule —
-    which is what makes parallel execution bit-exact by construction.
+    through the same :func:`~repro.pim.kernels.topk_rows` selection
+    rule — which is what makes parallel execution bit-exact by
+    construction. LUT rows are scanned in slabs whose ``(rows, n)``
+    int64 distance block fits
+    :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (top-k is
+    row-independent, so slabs never change results).
     ``backend=None`` takes the process-wide kernels.
     """
     if backend is None:
         backend = resolve_backend()
-    rows: ScanRows = []
-    for c0 in range(0, len(luts), row_chunk):
-        rows.extend(backend.scan_topk(luts[c0 : c0 + row_chunk], codes, ids, k))
-    return rows
+    step = slab_rows(8 * codes.shape[0])
+    if len(luts) <= step:
+        return topk_rows(backend.scan(luts, codes), ids, k)
+    parts = [
+        topk_rows(backend.scan(luts[r0 : r0 + step], codes), ids, k)
+        for r0 in range(0, len(luts), step)
+    ]
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+    )
 
 
-#: Byte budget for one stacked DC gather tensor ``(J, g, n, M)`` in the
-#: vectorized fast path; bounds transient memory without affecting
-#: results (jobs are independent).
+#: Byte budget for the arrays one stacking step builds (the stacked
+#: LUT and code copies plus the ``(J, g, n)`` distances); bounds
+#: transient memory without affecting results (jobs are independent).
 _STACK_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 def scan_jobs_stacked(
     jobs: Sequence[ScanJob],
     backend: Optional[NumpyBackend] = None,
-) -> List[ScanRows]:
+) -> List[JobTopk]:
     """The in-process scan: same-shape jobs in single kernel calls.
 
     Jobs are bucketed by ``(lut shape, code shape, dtypes, k)``; each
@@ -119,49 +126,44 @@ def scan_jobs_stacked(
     launching one kernel across every DPU at once — and its rows get
     one top-k selection call (:func:`_topk_stacked`). Per-job results are
     bit-identical to :func:`scan_shard_group` (the stacked gather and
-    reduction are elementwise/row-independent, and clusters large
-    enough for the chunked top-k path are excluded from stacking so
-    every path applies the same selection rule), so this is purely a
-    wall-clock strategy. Single, odd-shaped or oversized jobs take the
-    per-group scan; results come back in submission order.
+    reduction are elementwise/row-independent, and both select with
+    :func:`~repro.ann.heap.topk_smallest`), so this is purely a
+    wall-clock strategy. Single jobs, and jobs whose stacked arrays
+    alone exceed the budget, take the per-group scan; results come back
+    in submission order.
     """
     if backend is None:
         backend = resolve_backend()
-    results: List[ScanRows] = [None] * len(jobs)  # type: ignore[list-item]
+    results: List[JobTopk] = [None] * len(jobs)  # type: ignore[list-item]
     buckets: Dict[tuple, List[int]] = {}
     for ji, (luts, codes, _ids, k) in enumerate(jobs):
         key = (luts.shape, codes.shape, luts.dtype.str, codes.dtype.str, k)
         buckets.setdefault(key, []).append(ji)
     for (lshape, cshape, _, _, k), idxs in buckets.items():
-        g = lshape[0]
-        n, m = cshape
-        per_job = g * n * m * 8
-        if (
-            len(idxs) < 2
-            or per_job > _STACK_CHUNK_BYTES
-            or n > SCAN_TOPK_N_CHUNK
-        ):
+        luts0, codes0 = jobs[idxs[0]][:2]
+        per_job = luts0.nbytes + codes0.nbytes + lshape[0] * cshape[0] * 8
+        if len(idxs) < 2 or per_job > _STACK_CHUNK_BYTES:
             for ji in idxs:
                 luts_j, codes_j, ids_j, k_j = jobs[ji]
                 results[ji] = scan_shard_group(
                     luts_j, codes_j, ids_j, k_j, backend=backend
                 )
             continue
-        step = max(1, _STACK_CHUNK_BYTES // max(per_job, 1))
+        step = _STACK_CHUNK_BYTES // per_job
         for c0 in range(0, len(idxs), step):
             sel = idxs[c0 : c0 + step]
             luts_s = np.stack([jobs[ji][0] for ji in sel])
             codes_s = np.stack([jobs[ji][1] for ji in sel])
             dists = backend.scan_stacked(luts_s, codes_s)
-            rows = _topk_stacked(dists, [jobs[ji][2] for ji in sel], k)
-            for ji, rows_j in zip(sel, rows):
-                results[ji] = rows_j
+            tops = _topk_stacked(dists, [jobs[ji][2] for ji in sel], k)
+            for ji, top in zip(sel, tops):
+                results[ji] = top
     return results
 
 
 def _topk_stacked(
     dists: np.ndarray, ids: Sequence[np.ndarray], k: int
-) -> List[ScanRows]:
+) -> List[JobTopk]:
     """:func:`topk_rows` for every job of a ``(J, g, n)`` distance stack.
 
     One :func:`topk_smallest` call over the ``(J*g, n)`` rows: selection
@@ -170,14 +172,10 @@ def _topk_stacked(
     num_jobs, g, n = dists.shape
     if n == 0:
         return [topk_rows(d, i, k) for d, i in zip(dists, ids)]
-    sel, vals = topk_smallest(dists.reshape(num_jobs * g, n), min(k, n), axis=1)
+    sel, vals = topk_smallest(dists.reshape(num_jobs * g, n), k, axis=1)
     sel = sel.reshape(num_jobs, g, -1)
     vals = vals.reshape(num_jobs, g, -1)
-    out: List[ScanRows] = []
-    for j, ids_j in enumerate(ids):
-        picked = ids_j[sel[j]]
-        out.append([(picked[r], vals[j, r]) for r in range(g)])
-    return out
+    return [(ids_j[sel[j]], vals[j]) for j, ids_j in enumerate(ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +437,7 @@ def _pool_worker(
             tag = msg[0]
             _san_merge(msg[-1])
             if tag == "scan":
-                out: List[ScanRows] = []
+                out: List[JobTopk] = []
                 for key, luts, k, live in msg[1]:
                     # ``live`` is the live-row filter for shards with
                     # tombstones (None = every row): resident arrays keep
@@ -456,7 +454,7 @@ def _pool_worker(
                         codes = codes[live]
                         ids = ids[live]
                     out.append(scan_shard_group(luts, codes, ids, k))
-                conn.send(("rows", out, _san_clock()))
+                conn.send(("topk", out, _san_clock()))
             elif tag == "ping":
                 conn.send(("pong", _san_clock()))
             elif tag == "stop":
@@ -686,7 +684,7 @@ class PersistentShardPool:
         keys: Sequence[str],
         lives: Sequence[Optional[np.ndarray]],
         backend: NumpyBackend,
-    ) -> List[ScanRows]:
+    ) -> List[JobTopk]:
         """Run jobs (possibly on the workers); results in submission order.
 
         ``keys`` aligns each job with its resident shard key and
@@ -700,7 +698,7 @@ class PersistentShardPool:
         identical results (the job arrays themselves are pre-filtered).
         """
 
-        def inproc() -> List[ScanRows]:
+        def inproc() -> List[JobTopk]:
             return [scan_shard_group(*job, backend=backend) for job in jobs]
 
         if not self.parallel or len(jobs) < 2:
@@ -734,10 +732,10 @@ class PersistentShardPool:
                     ]
                     conn.send(("scan", payload, _san_clock()))
                     sent.append(conn)
-                results: List[ScanRows] = []
+                results: List[JobTopk] = []
                 for conn in sent:
                     msg = conn.recv()
-                    if msg[0] != "rows":
+                    if msg[0] != "topk":
                         raise RuntimeError(f"worker error: {msg[1:]}")
                     _san_merge(msg[-1])
                     results.extend(msg[1])

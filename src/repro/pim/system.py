@@ -11,9 +11,10 @@ plus any host<->PIM transfer time that is not overlapped.
 
 :meth:`PimSystem.run_batch` takes per-DPU task lists (produced by the
 runtime scheduler), executes the RC→LC→DC→TS kernel chain over each
-DPU's resident cluster shards, and returns per-(query, shard) partial
-top-k lists plus a :class:`BatchTiming` with the per-DPU, per-kernel
-cycle ledger that Figs. 8/10/11/12 are built from.
+DPU's resident cluster shards, and returns the round's per-(query,
+shard) top-k as one block of fixed-width task rows plus a
+:class:`BatchTiming` with the per-DPU, per-kernel cycle ledger that
+Figs. 8/10/11/12 are built from.
 
 Execution is batch-first: the numeric work for a round is vectorized
 across the whole batch (RC+LC once per unique (query, centroid) pair,
@@ -100,13 +101,18 @@ class BatchTiming:
         return float(self.per_dpu_cycles.mean() / mx)
 
 
-@dataclass
-class PartialResult:
-    """One (query, shard) task's local top-k."""
-
-    query_index: int
-    ids: np.ndarray
-    distances: np.ndarray
+def _pad_slots(
+    top: Optional[parallel.JobTopk], g: int, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A group's top-k widened to ``(g, k)`` slot rows, padded with
+    ``-1`` / ``inf`` (``top`` is None for a shard with no live rows)."""
+    ids = np.full((g, k), -1, dtype=np.int64)
+    dists = np.full((g, k), np.inf)
+    if top is not None:
+        width = top[0].shape[1]
+        ids[:, :width] = top[0]
+        dists[:, :width] = top[1]
+    return ids, dists
 
 
 class PimSystem:
@@ -436,7 +442,7 @@ class PimSystem:
         k: int,
         *,
         multiplier_less: bool = True,
-    ) -> Tuple[List[PartialResult], BatchTiming]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], BatchTiming]:
         """Execute one PIM round of (query, shard) tasks.
 
         Fault plans index their events by round: each call consumes
@@ -452,10 +458,16 @@ class PimSystem:
 
         Returns
         -------
-        (partials, timing): all tasks' local top-k lists plus the batch
-        timing record. Tasks assigned to a fail-stopped DPU are *not*
-        executed; they come back in ``timing.failed_tasks`` for the
-        caller to fail over (see :mod:`repro.faults`).
+        ((rows, ids, distances), timing): the round block and the batch
+        timing record. Each executed task is one block row: ``rows``
+        ``(T,)`` int64 holds its query index and ``ids`` / ``distances``
+        ``(T, k)`` its local top-k ascending by distance, padded with
+        ``-1`` / ``inf`` past the shard's live rows (int64 and float64;
+        the float64 distances are exact for integer ADC distances). Rows
+        follow the per-DPU shard-group order. Tasks assigned to a
+        fail-stopped DPU are *not* executed; they come back in
+        ``timing.failed_tasks`` for the caller to fail over (see
+        :mod:`repro.faults`).
         """
         for dpu_id in assignments:
             if not 0 <= dpu_id < len(self.dpus):
@@ -535,13 +547,14 @@ class PimSystem:
         # DC+TS dispatch for the round's shard groups via the
         # planner-chosen path (stacked in-process kernel calls, or
         # worker processes).
-        group_rows, group_misses = self._run_groups_functional(
+        group_tops, group_misses = self._run_groups_functional(
             groups, queries, k, sq
         )
 
         # ---- charging pass: replay the per-DPU group order, charging
-        # closed-form kernel costs identical to the per-group kernels'.
-        partials: List[PartialResult] = []
+        # closed-form kernel costs identical to the per-group kernels',
+        # and collect each group's top-k as (g, k) slot rows.
+        slots: List[Tuple[np.ndarray, np.ndarray]] = []
         transient_retries = 0
         result_bytes = 0
         transient_done: Set[int] = set()
@@ -571,13 +584,12 @@ class PimSystem:
                     # The retry event starts after the original attempt
                     # ends (the `repro lint` trace invariant).
                     self._book(dpu, charges, f"{skey}#retry1")
-            for qidx, (rids, rdists) in zip(qidxs, group_rows[gi]):
-                partials.append(
-                    PartialResult(
-                        query_index=qidx, ids=rids, distances=rdists
-                    )
-                )
-                result_bytes += len(rids) * 16  # id + distance
+            top = group_tops[gi]
+            if top is not None:
+                result_bytes += top[0].size * 16  # id + distance
+            if top is None or top[0].shape[1] < k:
+                top = _pad_slots(top, len(qidxs), k)
+            slots.append(top)
 
         # PIM->host: gather per-task top-k results. A pre-drawn timeout
         # charges the wasted attempt, then the gather is re-issued.
@@ -617,7 +629,17 @@ class PimSystem:
             transient_retries=transient_retries,
             transfer_timeouts=transfer_timeouts,
         )
-        return partials, timing
+        rows_out = np.array(
+            [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
+        )
+        ids_out = np.concatenate(
+            [ids for ids, _ in slots] or [np.empty((0, k), np.int64)]
+        )
+        dists_out = np.concatenate(
+            [dists for _, dists in slots] or [np.empty((0, k))],
+            dtype=np.float64,
+        )
+        return (rows_out, ids_out, dists_out), timing
 
     def _run_groups_functional(
         self,
@@ -625,7 +647,7 @@ class PimSystem:
         queries: np.ndarray,
         k: int,
         sq: Optional[SquareLut],
-    ) -> Tuple[List[list], List[int]]:
+    ) -> Tuple[List[Optional[parallel.JobTopk]], List[int]]:
         """Numeric results for every shard group, in one scan dispatch.
 
         RC and LC run once per unique (query, centroid) pair — parts
@@ -637,8 +659,9 @@ class PimSystem:
         collected LUT bytes reach ``_STACK_CHUNK_BYTES``. Integer math
         makes both paths bit-identical to per-group recomputation.
 
-        Returns per-group result rows and per-group square-LUT miss
-        counts (for LC cost charging), indexed like ``groups``.
+        Returns per-group ``(ids, dists)`` top-k arrays (``None`` for a
+        group whose shard has no live rows) and per-group square-LUT
+        miss counts (for LC cost charging), indexed like ``groups``.
         """
         # One strategy decision per round, from the round's measured
         # size; the round's scan dispatch below applies it.
@@ -668,8 +691,7 @@ class PimSystem:
         for gi, (_, skey, _) in enumerate(groups):
             cent_groups.setdefault(self._shard_cent[skey], []).append(gi)
 
-        empty_row = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        group_rows: List[list] = [None] * len(groups)  # type: ignore[list-item]
+        group_tops: List[Optional[parallel.JobTopk]] = [None] * len(groups)
         group_misses: List[int] = [0] * len(groups)
         scan_seconds = 0.0
 
@@ -686,8 +708,8 @@ class PimSystem:
             else:
                 results = scan_jobs_stacked(jobs, backend=backend)
             scan_seconds += time.perf_counter() - t0
-            for gi, rows in zip(job_gis, results):
-                group_rows[gi] = rows
+            for gi, top in zip(job_gis, results):
+                group_tops[gi] = top
 
         jobs: list = []
         job_gis: List[int] = []
@@ -724,8 +746,6 @@ class PimSystem:
                     jobs.append((luts_g, codes_s, ids_s, k))
                     job_gis.append(gi)
                     job_bytes += luts_g.nbytes
-                else:
-                    group_rows[gi] = [empty_row] * len(qidxs)
             if job_bytes >= parallel._STACK_CHUNK_BYTES:
                 dispatch(jobs, job_gis)
                 jobs, job_gis, job_bytes = [], [], 0
@@ -745,7 +765,7 @@ class PimSystem:
             if self.observer is not None:
                 for reason in events:
                     self.observer.on_pool_fallback(reason)
-        return group_rows, group_misses
+        return group_tops, group_misses
 
     def warm_pool(self) -> bool:
         """Host shard residency in the worker pool and wait until it is warm.

@@ -1,21 +1,20 @@
 """Canonical (distance, id) top-k merge, shared by every gather path.
 
-The engine's per-task partials, the cluster frontend's per-shard
-responses, and the host reference all end the same way: concatenate a
-candidate pool per query and keep the k smallest under the canonical
-``(distance, id)`` order. Ties on distance break by ascending id, which
-makes the merged result independent of arrival order — the property
-behind the bit-identity guarantees across round sizes, plans,
-shardings, and (since adaptive probing) early-terminated probe sets.
+The engine's per-round task blocks, the cluster frontend's per-shard
+responses, and the host reference all end the same way: keep each
+query's k smallest candidates under the canonical ``(distance, id)``
+order. Ties on distance break by ascending id, which makes the merged
+result independent of arrival order — the property behind the
+bit-identity guarantees across round sizes, plans, shardings, and
+(since adaptive probing) early-terminated probe sets.
 
 This module is dependency-free (pure numpy) so both ``repro.ann`` and
-``repro.cluster`` can import it without cycles. ``repro.ann.heap``
-re-exports :func:`topk_canonical` for backward compatibility.
+``repro.cluster`` can import it without cycles.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,32 +40,47 @@ def topk_canonical(
 
 
 def merge_topk_pools(
-    pools_i: List[List[np.ndarray]],
-    pools_d: List[List[np.ndarray]],
-    num_queries: int,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge per-query candidate pools into dense ``(nq, k)`` results.
+    best_ids: np.ndarray,
+    best_dists: np.ndarray,
+    rows: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+) -> None:
+    """Fold a block of candidate rows into a running top-k, in place.
 
-    ``pools_i[q]`` / ``pools_d[q]`` hold the id / distance fragments
-    gathered for query ``q`` (from PIM partials or shard responses, in
-    any order). Each query's pool is concatenated and reduced with
-    :func:`topk_canonical`; queries with fewer than ``k`` candidates are
-    padded with id ``-1`` and distance ``inf``.
+    ``best_ids`` / ``best_dists`` are the running ``(nq, k)`` canonical
+    top-k — int64 ids and float64 distances, padded with ``-1`` /
+    ``inf``. Block row ``t`` offers the candidates ``ids[t]`` /
+    ``dists[t]`` (``(T, w)``, same padding) to query ``rows[t]``. Every
+    touched query's running row and its block rows are reduced to the
+    k smallest under ``(distance, id)`` by one lexsort over
+    ``(query, distance, id)``; untouched queries keep their rows.
 
-    Returns ``(ids, dists)`` — int64 ``(nq, k)`` and float64 ``(nq, k)``.
-    Distances are converted to float64 before the lexsort (exact for the
-    integer ADC distances, which stay far below 2**53).
+    Padding sorts after every real candidate (``inf`` distance), so a
+    query with fewer than k candidates stays padded. Distances are
+    compared as float64, exact for the integer ADC distances, which
+    stay far below 2**53. Folding blocks in any split or order gives
+    the same result as one merge of all of them.
     """
-    out_ids = np.full((num_queries, k), -1, dtype=np.int64)
-    out_dist = np.full((num_queries, k), np.inf, dtype=np.float64)
-    for qi in range(num_queries):
-        if not pools_i[qi]:
-            continue
-        ids = np.concatenate(pools_i[qi])
-        dists = np.concatenate(pools_d[qi]).astype(np.float64)
-        kk = min(k, len(ids))
-        sel_ids, sel_dists = topk_canonical(dists, ids, kk)
-        out_ids[qi, :kk] = sel_ids
-        out_dist[qi, :kk] = sel_dists
-    return out_ids, out_dist
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size == 0:
+        return
+    k = best_ids.shape[1]
+    touched, local = np.unique(rows, return_inverse=True)
+    nt = len(touched)
+    ids = np.asarray(ids)
+    cand_q = np.concatenate(
+        [np.repeat(np.arange(nt), k), np.repeat(local, ids.shape[1])]
+    )
+    cand_i = np.concatenate([best_ids[touched].ravel(), ids.ravel()])
+    cand_d = np.concatenate(
+        [best_dists[touched].ravel(), np.asarray(dists, dtype=np.float64).ravel()]
+    )
+    order = np.lexsort((cand_i, cand_d, cand_q))
+    # Each touched query owns k running slots, so its sorted run holds
+    # at least k candidates: keep the first k of every run.
+    starts = np.concatenate([[0], np.cumsum(np.bincount(cand_q, minlength=nt))])
+    keep = (starts[:-1, None] + np.arange(k)).ravel()
+    sel = order[keep]
+    best_ids[touched] = cand_i[sel].reshape(nt, k)
+    best_dists[touched] = cand_d[sel].reshape(nt, k)

@@ -16,7 +16,8 @@ The adaptive search path makes two promises this suite pins:
 
 Plus unit coverage of the bound math, the gap-budget heuristic, the
 radii persistence lifecycle, and the pin that engine and frontend both
-merge through the one canonical ``merge_topk_pools`` helper.
+merge through the one canonical ``merge_topk_pools`` helper, whose
+round-by-round fold equals one canonical top-k over every candidate.
 """
 
 from dataclasses import replace
@@ -41,7 +42,6 @@ from repro.core.adaptive import (
     AdaptiveReport,
     cluster_radii_sq,
     codebook_norms_sq,
-    kth_pool_distance,
     lower_bounds,
     probe_budgets,
     reconstruction_norms_sq,
@@ -54,7 +54,7 @@ from repro.pim.config import PimSystemConfig
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, build_canonical_engine
 from repro.testing import canonical_dataset
 from repro.testing.goldens import _quantized
-from repro.utils import merge_topk_pools
+from repro.utils import merge_topk_pools, topk_canonical
 
 NQ = 48
 NLIST, NPROBE, M, CB = 32, 4, 8, 32
@@ -226,11 +226,18 @@ class TestBoundMath:
         assert (lb <= adc.min(axis=1)).all()
 
     def test_kth_pool_distance(self):
-        assert kth_pool_distance([], 3) == np.inf
-        assert kth_pool_distance([np.array([1.0, 2.0])], 3) == np.inf
-        pools = [np.array([5.0, 1.0]), np.array([3.0, 9.0])]
-        assert kth_pool_distance(pools, 3) == 5.0
-        assert kth_pool_distance(pools, 1) == 1.0
+        """The bound reads a query's k-th distance from column ``k - 1``
+        of the running top-k: ``inf`` until k candidates arrived."""
+        best_i, best_d = _running(1, 3)
+        assert best_d[0, 2] == np.inf
+        merge_topk_pools(best_i, best_d, [0], [[4, 6]], [[1.0, 2.0]])
+        assert best_d[0, 2] == np.inf
+        for k, want in ((3, 5.0), (1, 1.0)):
+            best_i, best_d = _running(1, k)
+            merge_topk_pools(
+                best_i, best_d, [0, 0], [[1, 2], [3, 4]], [[5.0, 1.0], [3.0, 9.0]]
+            )
+            assert best_d[0, k - 1] == want
 
 
 class TestProbeBudgets:
@@ -682,24 +689,63 @@ class TestRadiiLifecycle:
 # ---------------------------------------------------------------------------
 
 
+def _running(nq, k):
+    """An empty running top-k: ``-1`` ids, ``inf`` distances."""
+    return np.full((nq, k), -1, dtype=np.int64), np.full((nq, k), np.inf)
+
+
 class TestCanonicalMergePinned:
-    def test_heap_reexport_is_same_object(self):
-        from repro.ann import heap
-        from repro.utils import topk_merge
-
-        assert heap.topk_canonical is topk_merge.topk_canonical
-
     def test_merge_topk_pools_canonical_tiebreak(self):
-        pools_i = [[np.array([7, 3]), np.array([5])]]
-        pools_d = [[np.array([2.0, 1.0]), np.array([1.0])]]
-        ids, dists = merge_topk_pools(pools_i, pools_d, 1, 3)
+        best_i, best_d = _running(1, 3)
+        merge_topk_pools(
+            best_i, best_d, [0, 0], [[7, 3], [5, -1]], [[2.0, 1.0], [1.0, np.inf]]
+        )
         # Tie at distance 1.0 broken by smaller id.
-        np.testing.assert_array_equal(ids[0], [3, 5, 7])
-        np.testing.assert_array_equal(dists[0], [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(best_i[0], [3, 5, 7])
+        np.testing.assert_array_equal(best_d[0], [1.0, 1.0, 2.0])
 
     def test_merge_topk_pools_fill_values(self):
-        ids, dists = merge_topk_pools([[]], [[]], 1, 4)
-        assert (ids == -1).all() and np.isinf(dists).all()
+        best_i, best_d = _running(1, 4)
+        merge_topk_pools(
+            best_i, best_d, np.empty(0, dtype=np.int64),
+            np.empty((0, 4), dtype=np.int64), np.empty((0, 4)),
+        )
+        assert (best_i == -1).all() and np.isinf(best_d).all()
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_round_fold_equals_one_canonical_topk(self, data):
+        """Folding task blocks round by round equals one
+        :func:`topk_canonical` per query over every candidate: under
+        forced distance ties, with ``-1`` / ``inf`` padded block rows,
+        for any split into rounds and any arrival order."""
+        nq = data.draw(st.integers(1, 5), label="nq")
+        k = data.draw(st.integers(1, 6), label="k")
+        width = data.draw(st.integers(1, 6), label="width")
+        num_rows = data.draw(st.integers(0, 12), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        rows = rng.integers(0, nq, size=num_rows)
+        # Few distinct distances force ties; ids are unique per query
+        # (disjoint shards), and each row keeps a padded tail.
+        ids = rng.permutation(1000)[: num_rows * width].reshape(num_rows, width)
+        dists = rng.integers(0, 3, size=(num_rows, width)).astype(np.float64)
+        fill = rng.integers(0, width + 1, size=num_rows)
+        pad = np.arange(width) >= fill[:, None]
+        ids[pad] = -1
+        dists[pad] = np.inf
+        want_i, want_d = _running(nq, k)
+        for q in range(nq):
+            live = (rows[:, None] == q) & ~pad
+            sel_i, sel_d = topk_canonical(dists[live], ids[live], k)
+            want_i[q, : len(sel_i)] = sel_i
+            want_d[q, : len(sel_d)] = sel_d
+        order = rng.permutation(num_rows)
+        cuts = np.sort(rng.integers(0, num_rows + 1, size=rng.integers(0, 4)))
+        best_i, best_d = _running(nq, k)
+        for part in np.split(order, cuts):
+            merge_topk_pools(best_i, best_d, rows[part], ids[part], dists[part])
+        np.testing.assert_array_equal(best_i, want_i)
+        np.testing.assert_array_equal(best_d, want_d)
 
     def test_engine_routes_through_helper(self, queries, monkeypatch):
         import repro.core.engine as engine_mod
@@ -715,9 +761,9 @@ class TestCanonicalMergePinned:
         eng = _build()
         try:
             eng.search(queries[:4])
-            assert calls["n"] == 1
+            assert calls["n"] == 1  # one round, one fold
             eng.search(queries[:4], adaptive="bound")
-            assert calls["n"] == 2
+            assert calls["n"] >= 2  # one fold per adaptive round
         finally:
             eng.close()
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ann import IVFPQIndex
-from repro.ann.heap import topk_canonical
+from repro.utils import topk_canonical
 from repro.cli import main as cli_main
 from repro.cluster import (
     ClusterConfig,

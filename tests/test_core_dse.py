@@ -2,7 +2,7 @@ import pytest
 
 from repro.core.accuracy import AccuracyTable
 from repro.core.dse import DesignSpaceExplorer
-from repro.core.params import DatasetShape, IndexParams
+from repro.core.params import WRAM_RESERVE_BYTES, DatasetShape, IndexParams
 from repro.core.perf_model import HardwareProfile
 from repro.pim.config import DpuConfig, PimSystemConfig
 
@@ -57,6 +57,23 @@ class TestObjective:
 
     def test_nprobe_gt_nlist_infeasible(self, dse):
         assert dse.objective({"nlist": 512, "nprobe": 1024, "m": 16, "cb": 256}) == float("inf")
+
+    def test_wram_limit_reads_the_dpu(self):
+        """The LUT-fit limit is the DPU's own WRAM minus the one module
+        reserve; the explorer takes no WRAM knobs of its own."""
+        shape = DatasetShape(num_points=1000, dim=64, num_queries=10)
+        kw = dict(nlist_values=[16], nprobe_values=[2], m_values=[16])
+        point = {"nlist": 16, "nprobe": 2, "m": 16, "cb": 256}
+        lut_bytes = 16 * 256 * 4
+        small = DpuConfig(wram_bytes=lut_bytes + WRAM_RESERVE_BYTES - 1)
+        tight = DesignSpaceExplorer(shape, HardwareProfile.for_cpu(), dpu=small, **kw)
+        roomy = DesignSpaceExplorer(shape, HardwareProfile.for_cpu(), **kw)
+        assert not tight._valid(point) and roomy._valid(point)
+        for stale in ("wram_bytes", "wram_reserve"):
+            with pytest.raises(TypeError, match=stale):
+                DesignSpaceExplorer(
+                    shape, HardwareProfile.for_cpu(), **kw, **{stale: 0}
+                )
 
     def test_objective_positive(self, dse):
         assert 0 < dse.objective({"nlist": 1024, "nprobe": 8, "m": 16, "cb": 256}) < 10

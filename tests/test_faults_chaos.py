@@ -1,6 +1,11 @@
+import os
+
 import pytest
 
+from repro.cli import main as cli_main
 from repro.faults.chaos import ChaosConfig, run_chaos
+
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,20 @@ class TestDeterminism:
         a = run_chaos(ChaosConfig.smoke(seed=0))
         b = run_chaos(ChaosConfig.smoke(seed=3))
         assert a.to_dict() != b.to_dict()
+
+
+class TestChaosOutputFrozen:
+    """The engine's failover path is byte-frozen: both arms' ``--json``
+    envelopes equal the committed fixtures (CI diffs them too)."""
+
+    @pytest.mark.parametrize(
+        "extra, fixture",
+        [([], "chaos_smoke.json"), (["--no-dup"], "chaos_smoke_no_dup.json")],
+    )
+    def test_smoke_json_is_frozen(self, capsys, extra, fixture):
+        assert cli_main(["chaos", "--smoke", "--json", *extra]) == 0
+        with open(os.path.join(_FIXTURES, fixture), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read()
 
 
 class TestReportSurface:

@@ -50,8 +50,11 @@ class TestRunBatchValidation:
 
     def test_valid_ids_accepted(self, make_system, batch_queries):
         system = make_system()
-        partials, timing = _run(system, {0: [(0, "c0")]}, batch_queries)
-        assert len(partials) == 1
+        (rows, ids, dists), timing = _run(
+            system, {0: [(0, "c0")]}, batch_queries
+        )
+        np.testing.assert_array_equal(rows, [0])
+        assert ids.shape == dists.shape == (1, 10)
         assert timing.failed_tasks == []
 
 
@@ -63,11 +66,11 @@ class TestFailStop:
             num_dpus=4, config=FaultConfig(), fail_at_batch={1: 0}
         )
         system = make_system(fault_plan=plan)
-        partials, timing = _run(
+        (rows, _, _), timing = _run(
             system, {0: [(0, "c0")], 1: [(0, "c1"), (1, "c1")]}, batch_queries
         )
         assert timing.failed_tasks == [(0, "c1"), (1, "c1")]
-        assert {p.query_index for p in partials} == {0}
+        np.testing.assert_array_equal(rows, [0])
         assert system.dead_dpus() == {1}
 
     def test_crash_batch_respected(self, make_system, batch_queries):
@@ -119,7 +122,7 @@ class TestTransients:
         )
         tracer = Tracer()
         system = make_system(fault_plan=plan, tracer=tracer)
-        partials, timing = _run(system, {0: [(0, "c0")]}, batch_queries)
+        block, timing = _run(system, {0: [(0, "c0")]}, batch_queries)
         assert timing.transient_retries == 1
         retry_events = [e for e in tracer.events if "#retry" in e.detail]
         assert retry_events, "retry must be visible on the trace"
@@ -127,10 +130,8 @@ class TestTransients:
 
         clean = make_system()
         ref, _ = _run(clean, {0: [(0, "c0")]}, batch_queries)
-        np.testing.assert_array_equal(partials[0].ids, ref[0].ids)
-        np.testing.assert_array_equal(
-            partials[0].distances, ref[0].distances
-        )
+        for got, want in zip(block, ref):
+            np.testing.assert_array_equal(got, want)
 
     def test_retry_charges_extra_cycles(self, make_system, batch_queries):
         plan = FaultPlan(

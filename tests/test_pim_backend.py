@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.square_lut import SquareLut
-from repro.pim.backend import SCAN_TOPK_N_CHUNK, resolve_backend
-from repro.pim.backend import numpy_backend
-from repro.pim.backend.numpy_backend import NumpyBackend, _scan_topk_chunked
+from repro.pim.backend import numpy_backend, resolve_backend
+from repro.pim.backend.numpy_backend import NumpyBackend
 from repro.pim.kernels import (
     run_lut_build,
     scan_distances,
     scan_distances_stacked,
     topk_rows,
 )
-from repro.pim.parallel import POOL_MIN_POINTS, ExecutionPlanner
+from repro.pim.parallel import POOL_MIN_POINTS, ExecutionPlanner, scan_shard_group
 
 
 def _rng(seed=0):
@@ -50,7 +49,7 @@ class TestRegistry:
         must find them)."""
         backend = resolve_backend("auto")
         assert backend is resolve_backend() is resolve_backend("numpy")
-        for op in ("scan", "scan_stacked", "build_luts", "gather_view", "scan_topk"):
+        for op in ("scan", "scan_stacked", "build_luts", "gather_view"):
             assert op in vars(type(backend))
 
 
@@ -134,7 +133,7 @@ class TestScanKernel:
         j, g, n, m, cb = 3, 7, 30, 4, 16
         itemsize = 4 if high <= 1 << 31 else 8
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 2 * m * n * itemsize)
-        assert numpy_backend._slab_rows(m * n * itemsize) == 2
+        assert numpy_backend.slab_rows(m * n * itemsize) == 2
         luts = rng.integers(0, high, size=(j, g, m, cb)).astype(np.int64)
         codes = rng.integers(0, cb, size=(j, n, m)).astype(np.uint8)
         backend = NumpyBackend()
@@ -292,49 +291,67 @@ class TestScanTopk:
         rng = _rng(5)
         luts, codes = _scan_case(rng, 4, 100, 8, 64)
         ids = rng.permutation(100).astype(np.int64)
-        backend = resolve_backend("numpy")
-        got = backend.scan_topk(luts, codes, ids, 10)
+        got = scan_shard_group(luts, codes, ids, 10, backend=resolve_backend())
         want = topk_rows(scan_distances(luts, codes), ids, 10)
-        for (gi, gd), (wi, wd) in zip(got, want):
-            assert np.array_equal(gi, wi)
-            assert np.array_equal(gd, wd)
+        assert got[0].shape == got[1].shape == (4, 10)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
-    def test_chunked_equals_unchunked_unique_distances(self):
-        """With untied distances the chunked merge must equal the
-        full-matrix path exactly, for any chunk size."""
-        rng = _rng(6)
-        g, n, k = 3, 700, 16
-        # One subspace, codes a permutation of the codebook, distinct
-        # LUT values: every row's distances are a permutation, so the
-        # total order is untied by construction.
-        luts = rng.permutation(g * n).reshape(g, 1, n).astype(np.int64)
-        codes = rng.permutation(n).astype(np.uint16).reshape(n, 1)
-        dists = scan_distances(luts, codes)
-        assert all(len(np.unique(row)) == len(row) for row in dists)
+
+class _TakeSpy:
+    """Stands in for ``numpy`` inside the backend module and records
+    the byte size of every ``take`` (the scan's gather slabs)."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, *args, **kwargs):
+        out = np.take(*args, **kwargs)
+        self.sizes.append(out.nbytes)
+        return out
+
+
+class TestScanSlabs:
+    """Memory is bounded inside the scan: gathers slab by rows, and by
+    columns once one row's ``(M, n)`` gather exceeds the budget; the
+    shard-group scan slabs rows by its ``(rows, n)`` distance block.
+    Slabs never change a value."""
+
+    @pytest.mark.parametrize("budget", [64, 200, 1000, 4096, 1 << 20])
+    def test_column_slabs_are_bit_exact_and_bounded(self, monkeypatch, budget):
+        rng = _rng(8)
+        g, n, m, cb, k = 5, 300, 4, 16, 7
+        luts, codes = _scan_case(rng, g, n, m, cb)
         ids = rng.permutation(n).astype(np.int64)
-        backend = resolve_backend("numpy")
-        want = topk_rows(dists, ids, k)
-        for n_chunk in (64, 128, 699, 700):
-            got = _scan_topk_chunked(backend, luts, codes, ids, k, n_chunk)
-            for (gi, gd), (wi, wd) in zip(got, want):
-                assert np.array_equal(gi, wi)
-                assert np.array_equal(gd, wd)
+        backend = resolve_backend()
+        want_d = scan_distances(luts, codes)
+        want = topk_rows(want_d, ids, k)
+        spy = _TakeSpy()
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
+        monkeypatch.setattr(numpy_backend, "np", spy)
+        got_d = backend.scan(luts, codes)
+        got = scan_shard_group(luts, codes, ids, k, backend=backend)
+        monkeypatch.undo()
+        assert got_d.dtype == np.int64 and np.array_equal(got_d, want_d)
+        for gv, wv in zip(got, want):
+            assert gv.dtype == wv.dtype and np.array_equal(gv, wv)
+        # One gathered LUT entry is the smallest slab the scan can take.
+        itemsize = backend.gather_view(luts).dtype.itemsize
+        assert spy.sizes and max(spy.sizes) <= max(budget, m * itemsize)
+        if budget < m * n * itemsize:
+            assert max(spy.sizes) < m * n * itemsize  # a row was split
 
-    def test_threshold_routes_to_chunked(self):
-        assert SCAN_TOPK_N_CHUNK == 1 << 16
-        rng = _rng(7)
-        luts, codes = _scan_case(rng, 1, 50, 2, 8)
-        ids = np.arange(50, dtype=np.int64)
-        backend = resolve_backend("numpy")
-        # Force the chunked path with a tiny threshold override; the
-        # distances here are heavily tied, so compare sets by the
-        # canonical rule instead of raw equality with topk_rows.
-        got = backend.scan_topk(luts, codes, ids, 5, n_chunk=16)
-        assert len(got) == 1
-        ids_k, dists_k = got[0]
-        full = scan_distances(luts, codes)[0]
-        assert np.array_equal(np.sort(dists_k), dists_k)  # ascending
-        assert dists_k[-1] <= np.partition(full, 4)[4]
+    def test_stacked_scan_column_slabs(self, monkeypatch):
+        rng = _rng(9)
+        luts = rng.integers(0, 1 << 20, size=(3, 2, 4, 16)).astype(np.int64)
+        codes = rng.integers(0, 16, size=(3, 90, 4)).astype(np.uint8)
+        want = scan_distances_stacked(luts, codes)
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 100)
+        got = resolve_backend().scan_stacked(luts, codes)
+        assert np.array_equal(got, want)
 
 
 class TestPlannerBackendAwareness:

@@ -125,21 +125,22 @@ class TestTopkSort:
     def test_exact_topk(self, setup, rng):
         dists = rng.integers(0, 10_000, size=(4, 50)).astype(np.int64)
         ids = np.arange(50, dtype=np.int64)
-        rows, cost = run_topk_sort(dists, ids, 10)
-        for g, (rid, rd) in enumerate(rows):
-            np.testing.assert_array_equal(np.sort(rd), np.sort(dists[g])[:10])
+        (rid, rd), cost = run_topk_sort(dists, ids, 10)
+        assert rid.shape == rd.shape == (4, 10)
+        np.testing.assert_array_equal(rd, np.sort(dists, axis=1)[:, :10])
+        np.testing.assert_array_equal(np.take_along_axis(dists, rid, 1), rd)
         assert cost.kernel == "TS"
 
     def test_fewer_candidates_than_k(self, rng):
         dists = rng.integers(0, 100, size=(2, 3)).astype(np.int64)
-        rows, _ = run_topk_sort(dists, np.arange(3, dtype=np.int64), 10)
-        assert len(rows[0][0]) == 3
+        (rid, rd), _ = run_topk_sort(dists, np.arange(3, dtype=np.int64), 10)
+        assert rid.shape == rd.shape == (2, 3)
 
     def test_empty_shard(self):
-        rows, _ = run_topk_sort(
+        (rid, rd), _ = run_topk_sort(
             np.empty((2, 0), dtype=np.int64), np.empty(0, dtype=np.int64), 5
         )
-        assert len(rows) == 2 and len(rows[0][0]) == 0
+        assert rid.shape == rd.shape == (2, 0) and rid.dtype == np.int64
 
     def test_expected_updates_matches_heap_within_factor(self, rng):
         """The analytic estimate should track the real heap's updates."""

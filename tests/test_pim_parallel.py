@@ -12,11 +12,10 @@ close — checkable via :func:`assert_no_leaked_segments`.
 import numpy as np
 import pytest
 
-from repro.pim.backend import resolve_backend
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
+from repro.pim.backend import NumpyBackend, numpy_backend, resolve_backend
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
-    ROW_CHUNK,
     ExecutionPlanner,
     PersistentShardPool,
     SharedShardArena,
@@ -39,27 +38,30 @@ def _jobs(rng, n_jobs=3, g=7, m=8, cb=16, n=50, k=5):
     return jobs
 
 
-def _assert_rows_equal(got, want):
-    assert len(got) == len(want)
-    for (gi, gd), (wi, wd) in zip(got, want):
-        np.testing.assert_array_equal(gi, wi)
-        np.testing.assert_array_equal(gd, wd)
+def _assert_topk_equal(got, want):
+    """Two jobs' ``(ids, dists)`` top-k arrays are equal."""
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 class TestScanShardGroup:
     def test_matches_unchunked_kernels(self, rng):
         (luts, codes, ids, k), = _jobs(rng, n_jobs=1)
-        rows = scan_shard_group(luts, codes, ids, k)
+        got = scan_shard_group(luts, codes, ids, k)
         want = topk_rows(scan_distances(luts, codes), ids, k)
-        _assert_rows_equal(rows, want)
+        _assert_topk_equal(got, want)
 
-    def test_row_chunking_is_invisible(self, rng):
+    def test_row_chunking_is_invisible(self, rng, monkeypatch):
+        """Row slabs sized by the ``(rows, n)`` distance budget never
+        change the ``(g, k)`` result."""
         (luts, codes, ids, k), = _jobs(rng, n_jobs=1, g=11)
-        base = scan_shard_group(luts, codes, ids, k, row_chunk=ROW_CHUNK)
+        base = scan_shard_group(luts, codes, ids, k)
+        assert base[0].shape == base[1].shape == (11, k)
         for chunk in (1, 2, 3, 5, 11, 64):
-            _assert_rows_equal(
-                scan_shard_group(luts, codes, ids, k, row_chunk=chunk), base
+            monkeypatch.setattr(
+                numpy_backend, "LUT_CHUNK_BYTES", chunk * 8 * len(codes)
             )
+            _assert_topk_equal(scan_shard_group(luts, codes, ids, k), base)
 
 
 def _scan(pool, jobs, keys, backend=None):
@@ -71,15 +73,15 @@ def _scan(pool, jobs, keys, backend=None):
 
 
 class _SpyBackend:
-    """Delegates to the NumPy backend and counts ``scan_topk`` calls."""
+    """Delegates to the NumPy backend and counts ``scan`` calls."""
 
     def __init__(self):
         self.inner = resolve_backend()
         self.scans = 0
 
-    def scan_topk(self, *args, **kwargs):
+    def scan(self, *args, **kwargs):
         self.scans += 1
-        return self.inner.scan_topk(*args, **kwargs)
+        return self.inner.scan(*args, **kwargs)
 
 
 class TestPoolExecutor:
@@ -111,7 +113,7 @@ class TestPoolExecutor:
             assert ex.take_fallback_events() == ["arena-create"]
             got = _scan(ex, jobs, keys)
         for g, j in zip(got, jobs):
-            _assert_rows_equal(g, scan_shard_group(*j))
+            _assert_topk_equal(g, scan_shard_group(*j))
 
     def test_broken_pool_mid_flight_degrades_permanently(self, rng):
         class _DeadConn:
@@ -134,12 +136,12 @@ class TestPoolExecutor:
             assert ex.take_fallback_events() == ["scan-failure"]
             assert ex._broken and not ex.parallel and not ex.started
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
             # subsequent calls stay serial and keep working
             again = _scan(ex, jobs, keys)
             assert not ex.take_fallback_events()
             for g, s in zip(again, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
 
@@ -148,7 +150,7 @@ class TestScanJobsStacked:
         jobs = _jobs(rng, n_jobs=5)
         got = scan_jobs_stacked(jobs)
         for g, j in zip(got, jobs):
-            _assert_rows_equal(g, scan_shard_group(*j))
+            _assert_topk_equal(g, scan_shard_group(*j))
 
     def test_mixed_shapes_match_serial(self, rng):
         """Different-shape buckets and singletons all come back in order."""
@@ -161,7 +163,7 @@ class TestScanJobsStacked:
         shuffled = [jobs[i] for i in order]
         got = scan_jobs_stacked(shuffled)
         for g, j in zip(got, shuffled):
-            _assert_rows_equal(g, scan_shard_group(*j))
+            _assert_topk_equal(g, scan_shard_group(*j))
 
     def test_chunking_budget_is_invisible(self, rng, monkeypatch):
         jobs = _jobs(rng, n_jobs=6)
@@ -170,7 +172,28 @@ class TestScanJobsStacked:
         monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
         tiny = scan_jobs_stacked(jobs)
         for g, s in zip(tiny, base):
-            _assert_rows_equal(g, s)
+            _assert_topk_equal(g, s)
+
+    def test_stacking_step_sized_by_stacked_arrays(self, rng, monkeypatch):
+        """A stacking step holds as many jobs as their stacked LUTs,
+        codes and ``(J, g, n)`` distances fit in the budget."""
+        jobs = _jobs(rng, n_jobs=6)
+        base = scan_jobs_stacked(jobs)
+        luts, codes = jobs[0][:2]
+        per_job = luts.nbytes + codes.nbytes + len(luts) * len(codes) * 8
+        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 2 * per_job)
+        stacks = []
+        real = NumpyBackend.scan_stacked
+
+        def counting(self, luts_s, codes_s):
+            stacks.append(len(luts_s))
+            return real(self, luts_s, codes_s)
+
+        monkeypatch.setattr(NumpyBackend, "scan_stacked", counting)
+        got = scan_jobs_stacked(jobs)
+        assert stacks == [2, 2, 2]
+        for g, s in zip(got, base):
+            _assert_topk_equal(g, s)
 
     def test_stacked_kernel_matches_per_job_kernel(self, rng):
         jobs = _jobs(rng, n_jobs=3)
@@ -257,12 +280,12 @@ class TestPersistentShardPool:
         with pool:
             got = _scan(pool, jobs[:1], keys[:1], passed)
             assert not pool.take_fallback_events()
-            _assert_rows_equal(got[0], want[0])
+            _assert_topk_equal(got[0], want[0])
             assert passed.scans == 1
             got = _scan(pool, jobs, ["nope"] * len(jobs), passed)
             assert pool.take_fallback_events() == ["no-residency"]
             for g, w in zip(got, want):
-                _assert_rows_equal(g, w)
+                _assert_topk_equal(g, w)
             assert passed.scans == 1 + len(jobs)
 
     def test_parity_with_serial(self, rng):
@@ -274,7 +297,7 @@ class TestPersistentShardPool:
             got = _scan(pool, jobs, keys)
         assert not pool.take_fallback_events()
         for g, s in zip(got, serial):
-            _assert_rows_equal(g, s)
+            _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
     def test_steady_state_reuses_workers(self, rng):
@@ -286,7 +309,7 @@ class TestPersistentShardPool:
             for _ in range(3):
                 got = _scan(pool, jobs, keys)
                 for g, s in zip(got, serial):
-                    _assert_rows_equal(g, s)
+                    _assert_topk_equal(g, s)
                 pids = [p.pid for p in pool._procs]
                 if first_procs is None:
                     first_procs = pids
@@ -300,7 +323,7 @@ class TestPersistentShardPool:
             got = _scan(pool, jobs, ["nope"] * len(jobs))
             assert pool.take_fallback_events() == ["no-residency"]
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
 
     def test_single_job_stays_in_process(self, rng):
         jobs = _jobs(rng, n_jobs=1)
@@ -324,11 +347,11 @@ class TestPersistentShardPool:
             assert "scan-failure" in events or "worker-death" in events
             assert pool._broken and not pool.parallel
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
             # subsequent rounds keep working serially
             again = _scan(pool, jobs, keys)
             for g, s in zip(again, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
     def test_rehost_restarts_workers(self, rng):
@@ -348,7 +371,7 @@ class TestPersistentShardPool:
             assert new_pids and new_pids != old_pids
             serial = [scan_shard_group(*j) for j in jobs2]
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
     def test_close_is_idempotent_and_unlinks(self, rng):
@@ -505,7 +528,7 @@ class TestCrashPathHardening:
             got = _scan(pool, jobs, keys)  # degrades, no raise
             assert pool._broken and not pool.parallel
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
     def test_double_close_after_worker_crash(self, rng):
@@ -552,7 +575,7 @@ class TestCrashPathHardening:
         assert len(results) == 10
         for got in results:
             for g, s in zip(got, serial):
-                _assert_rows_equal(g, s)
+                _assert_topk_equal(g, s)
         assert_no_leaked_segments()
 
     def test_engine_close_after_worker_sigkill(self):

@@ -81,19 +81,23 @@ class TestPlacement:
 class TestRunBatch:
     def test_results_match_manual_math(self, sys4, rng):
         queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
-        partials, timing = sys4.run_batch(
+        (rows, ids, dists), timing = sys4.run_batch(
             {0: [(0, "s0")], 1: [(1, "s1")]}, queries, k=5
         )
-        assert len(partials) == 2
+        np.testing.assert_array_equal(rows, [0, 1])
+        assert ids.shape == dists.shape == (2, 5)
+        assert ids.dtype == np.int64 and dists.dtype == np.float64
         books = sys4.codebooks.astype(np.int64)
-        for p in partials:
-            skey = "s0" if p.query_index == 0 else "s1"
+        for t, qidx in enumerate(rows):
+            skey = "s0" if qidx == 0 else "s1"
             shard = sys4.get_shard(skey)
-            r = queries[p.query_index].astype(np.int64) - shard.centroid.astype(np.int64)
+            r = queries[qidx].astype(np.int64) - shard.centroid.astype(np.int64)
             lut = ((r.reshape(8, 1, 4) - books) ** 2).sum(-1)
             d = lut[np.arange(8)[None, :], shard.codes.astype(int)].sum(1)
             want = np.sort(d)[:5]
-            np.testing.assert_array_equal(np.sort(p.distances), want)
+            np.testing.assert_array_equal(dists[t], want)
+            rows_of_ids = np.searchsorted(shard.ids, ids[t])
+            np.testing.assert_array_equal(d[rows_of_ids], dists[t])
 
     def test_requires_codebooks(self, rng):
         s = PimSystem(PimSystemConfig(num_dpus=1))

@@ -188,13 +188,13 @@ class TestStackedTopk:
         dists = rng.integers(0, 4, size=(5, 3, 7)).astype(np.int64)
         ids = [rng.permutation(1000)[:7].astype(np.int64) for _ in range(5)]
         got = _topk_stacked(dists, ids, k)
-        for rows, d, i in zip(got, dists, ids):
+        assert len(got) == len(dists)
+        for top, d, i in zip(got, dists, ids):
             want = topk_rows(d, i, k)
-            assert len(rows) == len(want)
-            for (gi, gd), (wi, wd) in zip(rows, want):
-                np.testing.assert_array_equal(gi, wi)
-                np.testing.assert_array_equal(gd, wd)
-                assert gd.dtype == wd.dtype and gi.dtype == wi.dtype
+            assert top[0].shape == top[1].shape == (3, min(k, 7))
+            for g, w in zip(top, want):
+                np.testing.assert_array_equal(g, w)
+                assert g.dtype == w.dtype
 
 
 class TestChargeMemo:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from repro.core.params import SearchParams
-from repro.core.serving import BatchingPolicy
+import json
+import signal
+
+from repro.ann.ivfpq import SearchResult
+from repro.core.config import EngineConfig
+from repro.core.params import IndexParams, SearchParams
+from repro.core.serving import BatchingPolicy, replay
 from repro.utils import (
     check_2d,
     check_count,
@@ -86,6 +91,91 @@ class TestCheckCount:
         assert BatchingPolicy(batch_size=1).batch_size == 1
         with pytest.raises(TypeError, match="batch_size"):
             BatchingPolicy(batch_size=None)
+
+
+_INDEX = dict(nlist=8, nprobe=2, k=10, num_subspaces=4, codebook_size=16)
+
+NAN = float("nan")
+
+
+def _index(**kw):
+    return IndexParams(**{**_INDEX, **kw})
+
+
+class TestFieldValidation:
+    """Config counts go through ``check_count`` and float knobs reject
+    NaN (``not x > 0``), each error naming its field."""
+
+    BAD = [
+        pytest.param(_index, "k", 2.5, TypeError, id="k-fraction"),
+        pytest.param(_index, "k", 0, ValueError, id="k-zero"),
+        pytest.param(_index, "nlist", 8.0, TypeError, id="nlist-float"),
+        pytest.param(_index, "nlist", -1, ValueError, id="nlist-negative"),
+        pytest.param(_index, "nprobe", True, TypeError, id="nprobe-bool"),
+        pytest.param(_index, "nprobe", "2", TypeError, id="nprobe-str"),
+        pytest.param(_index, "nprobe", 9, ValueError, id="nprobe-above-nlist"),
+        pytest.param(_index, "num_subspaces", NAN, TypeError, id="m-nan"),
+        pytest.param(_index, "codebook_size", 16.0, TypeError, id="cb-float"),
+        pytest.param(_index, "codebook_size", 1, ValueError, id="cb-one"),
+        pytest.param(SearchParams, "nprobe_min", 2.5, TypeError, id="nprobe-min-fraction"),
+        pytest.param(SearchParams, "nprobe_min", True, TypeError, id="nprobe-min-bool"),
+        pytest.param(SearchParams, "adaptive_gap", NAN, ValueError, id="gap-nan"),
+        pytest.param(SearchParams, "adaptive_gap", 0.0, ValueError, id="gap-zero"),
+        pytest.param(BatchingPolicy, "max_wait_s", NAN, ValueError, id="wait-nan"),
+        pytest.param(BatchingPolicy, "deadline_s", NAN, ValueError, id="deadline-nan"),
+        pytest.param(BatchingPolicy, "deadline_s", 0.0, ValueError, id="deadline-0"),
+    ]
+
+    @pytest.mark.parametrize("make, field, bad, exc", BAD)
+    def test_malformed_field_rejected(self, make, field, bad, exc):
+        with pytest.raises(exc, match=field):
+            make(**{field: bad})
+
+    def test_valid_fields(self):
+        p = _index(nlist=np.int64(8), nprobe=8, codebook_size=2)
+        assert (p.nlist, p.nprobe, p.codebook_size) == (8, 8, 2)
+        assert BatchingPolicy(max_wait_s=0.0, deadline_s=1e-3).deadline_s == 1e-3
+
+    def test_wram_reserve_is_not_a_knob(self):
+        """The WRAM reserve is one module constant: a config or saved
+        dict naming ``wram_reserve_bytes`` fails loudly."""
+        with pytest.raises(TypeError, match="wram_reserve_bytes"):
+            SearchParams(wram_reserve_bytes=0)
+        saved = EngineConfig(index=_index()).to_dict()
+        old = json.loads(json.dumps(saved))
+        old["search"]["wram_reserve_bytes"] = 8192
+        with pytest.raises(TypeError, match="wram_reserve_bytes"):
+            EngineConfig.from_dict(old)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("replay did not return within its time limit")
+
+
+class TestReplayArrivals:
+    @pytest.mark.parametrize("bad", [NAN, float("inf")])
+    def test_non_finite_arrivals_rejected_in_time(self, bad):
+        """A NaN passes the sortedness check (``np.diff`` of NaN is
+        NaN), and the batching loop then never advances; the alarm
+        turns that hang into a failure."""
+        queries = np.zeros((4, 2), dtype=np.uint8)
+        arrivals = [0.0, bad, 0.002, 0.003]
+
+        def run(members):
+            shape = (len(members), 1)
+            result = SearchResult(
+                ids=np.full(shape, -1), distances=np.full(shape, np.inf)
+            )
+            return result, 1e-4
+
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="arrivals_s"):
+                replay(queries, arrivals, BatchingPolicy(batch_size=2), run, None)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestCheckSameDim:
