@@ -19,7 +19,7 @@ envelopes can echo the exact configuration a result came from.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from repro.core.layout import LayoutConfig
@@ -88,6 +88,20 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":
+        """Inverse of :meth:`to_dict`. Malformed input fails by name:
+        a missing ``index`` or an unknown top-level key is a
+        :class:`ValueError`, a non-bool ``use_opq`` a :class:`TypeError`
+        (sub-config fields fail in their own constructors)."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown EngineConfig keys: {', '.join(unknown)}")
+        if "index" not in d:
+            raise ValueError("EngineConfig dict is missing required key 'index'")
+        use_opq = d.get("use_opq", False)
+        if not isinstance(use_opq, bool):
+            raise TypeError(
+                f"use_opq must be a bool, got {type(use_opq).__name__}"
+            )
         system_d = dict(d.get("system", {}))
         if "dpu" in system_d:
             system_d["dpu"] = DpuConfig(**system_d["dpu"])
@@ -102,6 +116,6 @@ class EngineConfig:
             scheduler=SchedulerConfig(**d.get("scheduler", {})),
             system=PimSystemConfig(**system_d),
             faults=None if faults_d is None else FaultPlan.from_dict(faults_d),
-            use_opq=bool(d.get("use_opq", False)),
+            use_opq=use_opq,
             obs=ObsConfig.from_dict(d.get("obs", {})),
         )

@@ -55,7 +55,7 @@ from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
 from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
-from repro.core.scheduler import RuntimeScheduler
+from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
@@ -68,6 +68,10 @@ from repro.utils import (
     ensure_rng,
     merge_topk_pools,
 )
+
+#: Filter-off scheduler copies one engine keeps (the drain's and the
+#: ablation arm's, per base scheduler); the cache restarts when full.
+FILTERLESS_ENTRIES = 4
 
 
 @dataclass
@@ -124,6 +128,12 @@ class DrimAnnEngine:
         self.observer = observer
         self.scheduler.observer = observer
         self.system.observer = observer
+        # (id(base), policy) -> (base, base.config, filter-off copy);
+        # see _filterless_scheduler.
+        self._filterless: Dict[
+            Tuple[int, str],
+            Tuple[RuntimeScheduler, SchedulerConfig, RuntimeScheduler],
+        ] = {}
         # Lifecycle state (populated by from_quantized / load / save).
         self._config: Optional[EngineConfig] = None
         self.cluster_heat: Optional[np.ndarray] = None
@@ -291,6 +301,7 @@ class DrimAnnEngine:
         self.system = None  # type: ignore[assignment]
         self.plan = None  # type: ignore[assignment]
         self.scheduler = None  # type: ignore[assignment]
+        self._filterless.clear()
         self._radii_sq = None
         self._cb_norms_sq = None
         self._unloaded = True
@@ -1067,12 +1078,30 @@ class DrimAnnEngine:
         """A filter-off copy of ``base`` with its fault state.
 
         Serves the ``with_scheduler=False`` ablation arm and the
-        deferred-task drain, which must empty its queue.
+        deferred-task drain, which must empty its queue. The copy
+        depends only on the plan and ``base``'s config, so it is built
+        once per (base, policy) and rebuilt when the engine's scheduler
+        or plan is replaced (add, compact, load); its fault state is
+        re-synced from ``base`` on every use.
         """
-        sched = RuntimeScheduler(
-            self.plan,
-            replace(base.config, filter_threshold=None, policy=policy),
-        )
+        key = (id(base), policy)
+        hit = self._filterless.get(key)
+        if (
+            hit is None
+            or hit[0] is not base
+            or hit[1] is not base.config
+            or hit[2].plan is not self.plan
+        ):
+            if len(self._filterless) >= FILTERLESS_ENTRIES:
+                self._filterless.clear()
+            sched = RuntimeScheduler(
+                self.plan,
+                replace(base.config, filter_threshold=None, policy=policy),
+            )
+            # The entry holds ``base`` itself, so its id stays unique.
+            hit = (base, base.config, sched)
+            self._filterless[key] = hit
+        sched = hit[2]
         sched.adopt_fault_state(base)
         return sched
 

@@ -5,28 +5,34 @@ restructured for speed. Only the raw array math lives here — no cost
 accounting: callers charge the modeled PIM cycles separately from
 closed forms, which keeps ledgers independent of the host kernels.
 
-**Scan** (DC, :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked`)
-is one gather-then-reduce kernel, run once per job:
+**Scan** (DC) is one gather-then-reduce kernel (:meth:`NumpyBackend.scan_into`):
 
-* the ``(n, M)`` codes become ``(M, n)`` flat offsets into the
-  ``(g, M*CB)`` LUT rows (``code + m*CB``), built once per job;
+* a shard's ``(n, M)`` codes become ``(M, n)`` flat offsets into the
+  ``(g, M*CB)`` LUT rows (``code + m*CB``, :func:`gather_offsets`).
+  The PIM system builds them once per shard and keeps them resident
+  next to the shard, the way the codes sit in MRAM; the public
+  :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked` build
+  them per call;
 * each slab of LUT rows is one ``np.take`` of those offsets, a
   ``(rows, M, n)`` gather, reduced over ``M`` into int64 — at the
   bench shape several times faster than the staged reference's
   3-index gather. The slab's transient gather stays within
   :data:`LUT_CHUNK_BYTES`; when a single row's ``(M, n)`` gather would
   not, that row is gathered in column slabs instead;
-* when every LUT entry fits int32 (always true for the quantized
-  pipeline, whose entries are bounded by ``dim * CODEBOOK_CLIP**2``)
-  the gathers run on an int32 copy of the LUTs, halving gather
-  traffic; the reduction accumulates in int64, so sums past ``2**31``
-  stay exact.
+* when a sum of ``M`` LUT entries always fits int32 (``M *
+  max|entry| < 2**31``, always true for the quantized pipeline, whose
+  entries are bounded by ``dim * CODEBOOK_CLIP**2``) the gathers run
+  on an int32 copy of the LUTs, halving gather traffic, and reduce in
+  int32, about twice as fast as an int64 reduction; every partial sum
+  is exact, and the int64 output holds it unchanged. Other LUTs are
+  gathered as they are and reduced in int64.
 
-Flat offsets carry no per-subspace bounds, so codes are checked
-against ``[0, CB)`` once per call (:class:`IndexError`, where a code
-past ``CB`` would otherwise read the next subspace's entry and a
-negative one would wrap), and non-integer LUTs or codes are rejected
-with :class:`TypeError` rather than silently truncated.
+Flat offsets carry no per-subspace bounds, so :func:`gather_offsets`
+checks codes against ``[0, CB)`` before any offset exists
+(:class:`IndexError`, where a code past ``CB`` would otherwise read the
+next subspace's entry and a negative one would wrap), and non-integer
+LUTs or codes are rejected with :class:`TypeError` rather than
+silently truncated.
 
 **LUT build** (LC, :meth:`NumpyBackend.build_luts`) is the norm
 expansion ``LUT[g,m,c] = ||r_gm||^2 - 2 r_gm.c_mc + ||c_mc||^2``: one
@@ -67,64 +73,100 @@ LUT_CHUNK_BYTES = 32 * 1024 * 1024
 #: Codebook tables whose expansion terms one backend instance keeps.
 TERMS_CACHE_ENTRIES = 8
 
-_I32_MIN = np.iinfo(np.int32).min
 _I32_MAX = np.iinfo(np.int32).max
 
 
 def _gather_view(luts: np.ndarray) -> np.ndarray:
-    """int32 copy of the LUTs when lossless, else the original.
+    """The ``(..., M, CB)`` LUTs as int32 when a sum of ``M`` entries
+    always fits int32, else unchanged.
 
-    Gathering from int32 halves the memory traffic of the hot loop;
-    the scan reduces into int64 either way, upcasting the gathered
-    int32 values exactly, so the sums are unchanged.
+    An int32 view halves the gather traffic of the hot loop, and the
+    scan then also accumulates in int32 (:func:`_scan_rows`), about
+    twice as fast as an int64 reduction; with ``M * max|entry|`` within
+    int32 every partial sum is exact. Other LUTs are gathered as they
+    are and reduced into int64.
     """
-    if luts.size == 0 or luts.dtype.itemsize <= 4:
+    if luts.size == 0:
         return luts
-    lo, hi = luts.min(), luts.max()
-    if _I32_MIN <= lo and hi <= _I32_MAX:
-        return luts.astype(np.int32)
+    bound = max(-int(luts.min()), int(luts.max())) * luts.shape[-2]
+    if bound <= _I32_MAX:
+        return luts.astype(np.int32, copy=False)
     return luts
 
 
-def _check_scan_operands(luts: np.ndarray, codes: np.ndarray) -> None:
-    """Reject what flat offsets would read wrongly instead of failing:
-    non-integer operands, and codes outside ``[0, CB)``."""
-    for name, arr in (("luts", luts), ("codes", codes)):
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise TypeError(f"{name} must be an integer array, got {arr.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() >= luts.shape[-1]):
+def _check_codes(codes: np.ndarray, cb: int) -> None:
+    """Reject codes that flat offsets would read wrongly instead of
+    failing: non-integer codes, and codes outside ``[0, cb)``."""
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise TypeError(f"codes must be an integer array, got {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= cb):
         raise IndexError(
-            f"codes must lie in [0, {luts.shape[-1]}), got "
-            f"[{codes.min()}, {codes.max()}]"
+            f"codes must lie in [0, {cb}), got [{codes.min()}, {codes.max()}]"
         )
 
 
-def _scan_job(gather: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
-    """One job's ADC scan into ``out`` (``(g, n)`` int64).
+def _check_scan_operands(luts: np.ndarray, codes: np.ndarray) -> None:
+    """Reject non-integer LUTs, and codes :func:`_check_codes` rejects."""
+    if not np.issubdtype(luts.dtype, np.integer):
+        raise TypeError(f"luts must be an integer array, got {luts.dtype}")
+    _check_codes(codes, luts.shape[-1])
 
-    ``gather`` is the ``(g, M, CB)`` LUTs, ``codes`` the range-checked
-    ``(n, M)`` codes. Each slab is one gather of the flat offsets and
-    one int64 reduction over the subspaces: whole rows while a row's
-    ``(M, n)`` gather fits :data:`LUT_CHUNK_BYTES`, else single rows in
-    column slabs that do.
+
+def _offsets(codes: np.ndarray, cb: int) -> np.ndarray:
+    """``(M, n)`` intp flat offsets ``code + m*cb`` of ``(n, M)`` codes."""
+    off = np.ascontiguousarray(codes.T, dtype=np.intp)
+    off += (np.arange(codes.shape[1], dtype=np.intp) * cb)[:, None]
+    return off
+
+
+def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
+    """The range-checked ``(M, n)`` intp scan offsets of ``(n, M)`` codes.
+
+    Raises :class:`IndexError` for a code outside ``[0, cb)`` and
+    :class:`TypeError` for non-integer codes, so every offset
+    :meth:`NumpyBackend.scan_into` receives is in bounds. Costs
+    ``8 * M`` bytes per row (intp: ``np.take`` would re-cast narrower
+    offsets on every call).
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise ValueError(f"codes must be (n, M), got {codes.shape}")
+    _check_codes(codes, cb)
+    return _offsets(codes, cb)
+
+
+def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
+    """One job's ADC scan into ``out`` (``(g, n)`` int64, may be a view).
+
+    ``gather`` is the ``(g, M, CB)`` LUTs from :func:`_gather_view`,
+    ``off`` the ``(M, n)`` offsets from :func:`gather_offsets`. Each
+    slab is one gather of the offsets and one reduction over the
+    subspaces — in int32 for an int32 gather view, whose sums fit, else
+    in int64: whole rows while a row's ``(M, n)`` gather fits
+    :data:`LUT_CHUNK_BYTES`, else single rows in column slabs that do.
+    No checks: the offsets were range-checked when they were built.
     """
     g, m, cb = gather.shape
-    n = codes.shape[0]
+    n = off.shape[1]
+    if n == 0 or g == 0:
+        return
     flat = gather.reshape(g, m * cb)
-    off = codes.T.astype(np.intp)
-    off += (np.arange(m, dtype=np.intp) * cb)[:, None]
-    if n == 0:
+    acc = np.int32 if flat.dtype == np.int32 else np.int64
+    if g * m * n * flat.itemsize <= LUT_CHUNK_BYTES:
+        # The whole job is one slab (the common case): one gather.
+        gathered = np.take(flat, off, axis=1, mode="wrap")
+        np.add.reduce(gathered, axis=1, dtype=acc, out=out)
         return
     cols = min(n, slab_rows(m * flat.itemsize))
     step = slab_rows(m * cols * flat.itemsize)
     for r0 in range(0, g, step):
         rows = flat[r0 : r0 + step]
         for c0 in range(0, n, cols):
-            # The callers range-check the codes, so every offset is in
-            # bounds and the take mode only picks the cheapest loop.
+            # Every offset is in bounds, so the take mode only picks
+            # the cheapest loop.
             gathered = np.take(rows, off[:, c0 : c0 + cols], axis=1, mode="wrap")
             np.add.reduce(
-                gathered, axis=1, dtype=np.int64,
+                gathered, axis=1, dtype=acc,
                 out=out[r0 : r0 + step, c0 : c0 + cols],
             )
 
@@ -245,7 +287,7 @@ class NumpyBackend:
             )
         _check_scan_operands(luts, codes)
         out = np.empty((luts.shape[0], codes.shape[0]), dtype=np.int64)
-        _scan_job(_gather_view(luts), codes, out)
+        _scan_rows(_gather_view(luts), _offsets(codes, luts.shape[-1]), out)
         return out
 
     def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -269,13 +311,24 @@ class NumpyBackend:
         gather = _gather_view(luts)
         out = np.empty(luts.shape[:2] + codes.shape[1:2], dtype=np.int64)
         for j in range(len(out)):
-            _scan_job(gather[j], codes[j], out[j])
+            _scan_rows(gather[j], _offsets(codes[j], luts.shape[-1]), out[j])
         return out
+
+    def scan_into(
+        self, luts: np.ndarray, off: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Unchecked ADC scan of resident offsets: ``(g, M, CB)`` LUTs
+        from :meth:`gather_view` (int32 LUTs must come from it: their
+        sums are taken in int32) x ``(M, n)`` offsets from
+        :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
+        which may be a view into a wider block."""
+        _scan_rows(luts, off, out)
 
     def gather_view(self, luts: np.ndarray) -> np.ndarray:
         """The LUTs in the dtype the scans gather from best (int32 when
-        lossless). Same values, so scan results are unchanged; callers
-        convert a block once and slice scan jobs from it."""
+        every ``M``-entry sum fits int32). Same values, so scan results
+        are unchanged; callers convert a block once and slice scan jobs
+        from it."""
         return _gather_view(luts)
 
     def build_luts(

@@ -33,6 +33,7 @@ from repro.pim.kernels.distance_scan import (
 from repro.pim.kernels.topk_sort import (
     expected_heap_updates,
     run_topk_sort,
+    select_topk,
     topk_rows,
     topk_sort_cost,
 )
@@ -57,5 +58,6 @@ __all__ = [
     "topk_sort_cost",
     "scan_distances",
     "scan_distances_stacked",
+    "select_topk",
     "topk_rows",
 ]

@@ -25,7 +25,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.analysis.contracts import KernelShape, ResourceContract, WramTerm
-from repro.ann.heap import topk_smallest
 from repro.pim.dpu import KernelCost
 from repro.pim.isa import InstructionMix
 from repro.pim.memory import MemoryTraffic
@@ -61,16 +60,72 @@ def topk_sort_cost(g: int, n: int, k: int) -> KernelCost:
     return KernelCost(kernel="TS", instructions=mix, traffic=traffic)
 
 
+def select_topk(
+    dists: np.ndarray, ids: np.ndarray, id_start: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical per-row top-k of a ``(R, W)`` distance block.
+
+    Row ``r``'s candidate in column ``c`` has distance ``dists[r, c]``
+    and id ``ids[id_start[r] + c]`` (``ids`` is flat, so rows of one
+    shard share one id run; a padding column past a row's run is never
+    selected ahead of a real candidate, and reads any id). Returns
+    ``(ids_k, dists_k)``, each ``(R, min(k, W))``: every row's ``min(k, W)``
+    smallest candidates under the canonical ``(distance, id)`` order,
+    ascending — ties on distance break by ascending id, so the choice
+    depends only on the candidate set, never on its layout or on how
+    many padding columns follow it.
+
+    One ``np.partition`` finds each row's k-th distance; the candidates
+    at or below it (k per row, more only on a boundary tie) get one
+    lexsort. No cost accounting — callers charge
+    :func:`topk_sort_cost`.
+    """
+    rows, width = dists.shape
+    kk = min(k, width)
+    if rows == 0 or kk == 0:
+        return (
+            np.empty((rows, kk), dtype=ids.dtype),
+            np.empty((rows, kk), dtype=dists.dtype),
+        )
+    if kk < width:
+        kth = np.partition(dists, kk - 1, axis=1)[:, kk - 1 : kk]
+        # Flat indices: a 2-D np.nonzero is several times slower.
+        flat = np.flatnonzero(dists <= kth)
+        r, c = np.divmod(flat, width)
+        cand_d = dists.ravel()[flat]
+    else:
+        r = np.repeat(np.arange(rows), width)
+        c = np.tile(np.arange(width), rows)
+        cand_d = dists.ravel()
+    cand_i = ids[np.minimum(id_start[r] + c, len(ids) - 1)]
+    if len(r) == rows * kk:
+        # No boundary tie: exactly kk candidates per row, sorted in place.
+        cand_d = cand_d.reshape(rows, kk)
+        cand_i = cand_i.reshape(rows, kk)
+        order = np.lexsort((cand_i, cand_d), axis=1)
+        return (
+            np.take_along_axis(cand_i, order, axis=1),
+            np.take_along_axis(cand_d, order, axis=1),
+        )
+    order = np.lexsort((cand_i, cand_d, r))
+    counts = np.bincount(r, minlength=rows)
+    starts = np.cumsum(counts) - counts
+    keep = order[(starts[:, None] + np.arange(kk)).ravel()]
+    return cand_i[keep].reshape(rows, kk), cand_d[keep].reshape(rows, kk)
+
+
 def topk_rows(
     dists: np.ndarray, ids: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Functional core of TS: per-row top-k of a ``(g, n)`` block.
 
     Returns ``(ids_k, dists_k)``, each ``(g, min(k, n))``: row ``r``
-    holds that row's k nearest candidates sorted ascending by distance
-    (stable in row order on ties) — the fixed-width slot a DPU writes
-    back per task. No cost accounting — callers that model timing
-    charge :func:`topk_sort_cost` separately.
+    holds that row's k nearest candidates in the canonical
+    ``(distance, id)`` order (ties on distance by ascending id,
+    :func:`select_topk`) — the fixed-width slot a DPU writes back per
+    task. The round path selects with the same rule over its padded
+    block, so both agree bit for bit. No cost accounting — callers
+    that model timing charge :func:`topk_sort_cost` separately.
     """
     dists = np.asarray(dists)
     ids = np.asarray(ids)
@@ -82,8 +137,7 @@ def topk_rows(
         raise ValueError(f"k must be >= 1, got {k}")
     if dists.shape[1] == 0:
         return np.empty(dists.shape, dtype=np.int64), dists
-    sel, vals = topk_smallest(dists, k, axis=1)
-    return ids[sel], vals
+    return select_topk(dists, ids, np.zeros(dists.shape[0], dtype=np.intp), k)
 
 
 def run_topk_sort(

@@ -10,14 +10,17 @@ drive independent PIM ranks from multiple threads.
 
 The scan paths, the one worker pool, and a planner live here:
 
-* :func:`scan_jobs_stacked` — the one in-process scan path: same-shape
-  shard groups stacked into single kernel calls, the rest through
-  :func:`scan_shard_group`, the per-group scan the pool workers and the
-  pool's in-process fallback run too. Both funnel through the same
-  host kernels (:mod:`repro.pim.backend`, bit-identical to the
-  reference :func:`~repro.pim.kernels.scan_distances` /
-  :func:`~repro.pim.kernels.topk_rows` pair), which is what makes
-  both execution strategies bit-exact by construction.
+* :func:`scan_jobs_stacked` — the one in-process scan path: every
+  shard group of a round scanned over its shard's resident offsets
+  into padded distance slabs, one canonical top-k selection per slab,
+  written into the round's ``(T, k)`` block. :func:`scan_shard_group`
+  is the per-group scan the pool workers and the pool's in-process
+  fallback run. Both funnel through the same host kernels
+  (:mod:`repro.pim.backend`, bit-identical to the reference
+  :func:`~repro.pim.kernels.scan_distances`) and the same canonical
+  ``(distance, id)`` selection (:func:`~repro.pim.kernels.select_topk`,
+  whose per-job form is :func:`~repro.pim.kernels.topk_rows`), which
+  is what makes both execution strategies bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
@@ -53,15 +56,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ann.heap import topk_smallest
 from repro.pim.backend import NumpyBackend, resolve_backend
 from repro.pim.backend.numpy_backend import slab_rows
-from repro.pim.kernels import topk_rows
+from repro.pim.kernels import select_topk, topk_rows
 
-#: One shard-group scan job: (luts (g, M, CB), codes (n, M), ids (n,), k).
+#: One shard-group scan job. For :func:`scan_shard_group` and the pool:
+#: ``(luts (g, M, CB), codes (n, M), ids (n,), k)``; for
+#: :func:`scan_jobs_stacked`: ``(luts (g, M, CB), offsets (n, M), ids
+#: (n,), k)``, the offsets being the ``.T`` view of a shard's resident
+#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`.
 ScanJob = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
-#: A job's top-k: ``(ids, dists)``, each ``(g, min(k, n))``, one row
-#: per LUT row — the fixed-width slot TS writes back per task.
+#: A top-k block: ``(ids, dists)``, one row per LUT row — a job's
+#: ``(g, min(k, n))`` arrays, or a round's padded ``(T, k)`` block.
 JobTopk = Tuple[np.ndarray, np.ndarray]
 
 #: Planner threshold: minimum LUT-entry gathers in a round before the
@@ -71,6 +77,18 @@ POOL_MIN_POINTS = 1 << 16
 #: Seconds a blocking warm-up wait (:meth:`PersistentShardPool.wait_warm`)
 #: allows before the round runs in process.
 WARMUP_TIMEOUT_S = 10.0
+
+#: Distance of a round block's padding cells: above every ADC distance,
+#: so padding sorts after every real candidate.
+PAD_DISTANCE = np.iinfo(np.int64).max
+
+#: Transient bytes per cell of a round slab: the int64 distance, its
+#: ``np.partition`` copy and the boolean candidate mask.
+_SLAB_CELL_BYTES = 17
+
+#: Padding cells a round slab takes on before a wider job starts a new
+#: slab: about what one more selection call costs in cell passes.
+_SLAB_PAD_CELLS = 8192
 
 
 def scan_shard_group(
@@ -82,12 +100,12 @@ def scan_shard_group(
 ) -> JobTopk:
     """DC + TS over one shard group: ``topk_rows(scan(luts, codes))``.
 
-    The per-group scan: :func:`scan_jobs_stacked`'s unstackable jobs
-    and the worker processes all funnel through this function — and
-    through the same :func:`~repro.pim.kernels.topk_rows` selection
-    rule — which is what makes parallel execution bit-exact by
-    construction. LUT rows are scanned in slabs whose ``(rows, n)``
-    int64 distance block fits
+    The per-group scan the pool workers (and the pool's in-process
+    fallback) run. It selects with :func:`~repro.pim.kernels.topk_rows`,
+    the canonical ``(distance, id)`` rule :func:`scan_jobs_stacked`
+    applies to its round block, so both return the same rows bit for
+    bit. LUT rows are scanned in slabs whose ``(rows, n)`` int64
+    distance block fits
     :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (top-k is
     row-independent, so slabs never change results).
     ``backend=None`` takes the process-wide kernels.
@@ -107,75 +125,106 @@ def scan_shard_group(
     )
 
 
-#: Byte budget for the arrays one stacking step builds (the stacked
-#: LUT and code copies plus the ``(J, g, n)`` distances); bounds
-#: transient memory without affecting results (jobs are independent).
-_STACK_CHUNK_BYTES = 64 * 1024 * 1024
-
-
 def scan_jobs_stacked(
     jobs: Sequence[ScanJob],
     backend: Optional[NumpyBackend] = None,
-) -> List[JobTopk]:
-    """The in-process scan: same-shape jobs in single kernel calls.
+) -> JobTopk:
+    """The in-process DC + TS of a whole round, into one top-k block.
 
-    Jobs are bucketed by ``(lut shape, code shape, dtypes, k)``; each
-    bucket's LUTs and codes are stacked and scanned with one
-    :meth:`~repro.pim.backend.NumpyBackend.scan_stacked` dispatch
-    instead of J separate kernel calls — the host-side analogue of
-    launching one kernel across every DPU at once — and its rows get
-    one top-k selection call (:func:`_topk_stacked`). Per-job results are
-    bit-identical to :func:`scan_shard_group` (the stacked gather and
-    reduction are elementwise/row-independent, and both select with
-    :func:`~repro.ann.heap.topk_smallest`), so this is purely a
-    wall-clock strategy. Single jobs, and jobs whose stacked arrays
-    alone exceed the budget, take the per-group scan; results come back
-    in submission order.
+    ``jobs`` are ``(luts, offsets, ids, k)`` with one ``k``: the LUTs
+    in the dtype to gather from, and the ``(n, M)`` view of the shard's
+    range-checked resident offsets. Returns the round's ``(ids,
+    dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
+    the jobs' summed LUT rows in submission order, padded with ``-1`` /
+    ``inf`` past a job's ``n``. Each row equals
+    :func:`scan_shard_group`'s row for its job.
+
+    The jobs' rows are scanned straight into padded int64 distance
+    slabs (padding cells hold :data:`PAD_DISTANCE`), and each slab gets
+    one canonical ``(distance, id)`` selection,
+    :func:`~repro.pim.kernels.select_topk`, written straight into the
+    block. A slab stays within
+    :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (a job
+    splits across slabs when it must) and is as wide as its widest
+    job, so jobs fill slabs in ascending ``n``: a wider job starts a
+    new slab once it would pad the rows already there by more than
+    :data:`_SLAB_PAD_CELLS` cells. Selection is row by row, so the
+    slab layout never changes a value.
     """
     if backend is None:
         backend = resolve_backend()
-    results: List[JobTopk] = [None] * len(jobs)  # type: ignore[list-item]
-    buckets: Dict[tuple, List[int]] = {}
-    for ji, (luts, codes, _ids, k) in enumerate(jobs):
-        key = (luts.shape, codes.shape, luts.dtype.str, codes.dtype.str, k)
-        buckets.setdefault(key, []).append(ji)
-    for (lshape, cshape, _, _, k), idxs in buckets.items():
-        luts0, codes0 = jobs[idxs[0]][:2]
-        per_job = luts0.nbytes + codes0.nbytes + lshape[0] * cshape[0] * 8
-        if len(idxs) < 2 or per_job > _STACK_CHUNK_BYTES:
-            for ji in idxs:
-                luts_j, codes_j, ids_j, k_j = jobs[ji]
-                results[ji] = scan_shard_group(
-                    luts_j, codes_j, ids_j, k_j, backend=backend
-                )
-            continue
-        step = _STACK_CHUNK_BYTES // per_job
-        for c0 in range(0, len(idxs), step):
-            sel = idxs[c0 : c0 + step]
-            luts_s = np.stack([jobs[ji][0] for ji in sel])
-            codes_s = np.stack([jobs[ji][1] for ji in sel])
-            dists = backend.scan_stacked(luts_s, codes_s)
-            tops = _topk_stacked(dists, [jobs[ji][2] for ji in sel], k)
-            for ji, top in zip(sel, tops):
-                results[ji] = top
-    return results
+    if not jobs:
+        return np.empty((0, 0), dtype=np.int64), np.empty((0, 0))
+    k = jobs[0][3]
+    if any(job[3] != k for job in jobs):
+        raise ValueError("every job of a round block must share one k")
+    starts = np.cumsum([0] + [len(job[0]) for job in jobs])
+    out_ids = np.full((int(starts[-1]), k), -1, dtype=np.int64)
+    out_dists = np.full((int(starts[-1]), k), np.inf)
+    # A slab is a run of (job, first row, end row) pieces.
+    pieces: List[Tuple[int, int, int]] = []
+    rows = width = 0
+
+    def flush() -> None:
+        nonlocal pieces, rows
+        _select_slab(jobs, pieces, starts, rows, width, backend, out_ids, out_dists)
+        pieces, rows = [], 0
+
+    for ji in sorted(range(len(jobs)), key=lambda j: jobs[j][1].shape[0]):
+        g, n = len(jobs[ji][0]), jobs[ji][1].shape[0]
+        if rows * (n - width) > _SLAB_PAD_CELLS:
+            flush()
+        r0 = 0
+        while r0 < g:
+            fit = slab_rows(_SLAB_CELL_BYTES * max(n, 1)) - rows
+            if fit <= 0:
+                flush()
+                continue
+            take = min(g - r0, fit)
+            pieces.append((ji, r0, r0 + take))
+            rows += take
+            width = n
+            r0 += take
+    flush()
+    return out_ids, out_dists
 
 
-def _topk_stacked(
-    dists: np.ndarray, ids: Sequence[np.ndarray], k: int
-) -> List[JobTopk]:
-    """:func:`topk_rows` for every job of a ``(J, g, n)`` distance stack.
-
-    One :func:`topk_smallest` call over the ``(J*g, n)`` rows: selection
-    runs row by row, so each row picks exactly what it picks alone.
-    """
-    num_jobs, g, n = dists.shape
-    if n == 0:
-        return [topk_rows(d, i, k) for d, i in zip(dists, ids)]
-    sel, vals = topk_smallest(dists.reshape(num_jobs * g, n), k, axis=1)
-    sel = sel.reshape(num_jobs, g, -1)
-    vals = vals.reshape(num_jobs, g, -1)
-    return [(ids_j[sel[j]], vals[j]) for j, ids_j in enumerate(ids)]
+def _select_slab(
+    jobs: Sequence[ScanJob],
+    pieces: Sequence[Tuple[int, int, int]],
+    starts: np.ndarray,
+    rows: int,
+    width: int,
+    backend: NumpyBackend,
+    out_ids: np.ndarray,
+    out_dists: np.ndarray,
+) -> None:
+    """Scan one slab's pieces into a padded ``(rows, width)`` block and
+    write its canonical top-k to their rows of ``out_ids`` /
+    ``out_dists`` (``starts`` holds each job's first block row)."""
+    if not rows or not width:
+        return  # empty shards only: their rows stay padding
+    block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
+    row = 0
+    for ji, r0, r1 in pieces:
+        luts, off_t, ids, _ = jobs[ji]
+        backend.scan_into(
+            luts[r0:r1], off_t.T, block[row : row + r1 - r0, : len(ids)]
+        )
+        row += r1 - r0
+    # Block row -> round-block row: each piece's rows are a run there.
+    lens = np.array([r1 - r0 for _, r0, r1 in pieces])
+    first = np.array([starts[ji] + r0 for ji, r0, _ in pieces])
+    dest = np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(rows)
+    id_runs = [jobs[ji][2] for ji, _, _ in pieces]
+    run_start = np.cumsum([0] + [len(ids) for ids in id_runs[:-1]])
+    sel_ids, sel_dists = select_topk(
+        block, np.concatenate(id_runs), np.repeat(run_start, lens), out_ids.shape[1]
+    )
+    pad = sel_dists == PAD_DISTANCE
+    width_k = sel_ids.shape[1]
+    out_ids[dest, :width_k] = np.where(pad, -1, sel_ids)
+    out_dists[dest, :width_k] = np.where(pad, np.inf, sel_dists)
 
 
 # ---------------------------------------------------------------------------

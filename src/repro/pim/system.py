@@ -44,6 +44,7 @@ from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim import parallel
 from repro.pim.backend import resolve_backend
+from repro.pim.backend.numpy_backend import gather_offsets
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.kernels import (
@@ -62,6 +63,11 @@ from repro.pim.transfer import HostTransferModel
 #: Distinct shard-group shapes whose kernel charges one system keeps;
 #: the memo restarts when full (it only saves recomputation).
 CHARGE_MEMO_ENTRIES = 4096
+
+#: LUT bytes one scan dispatch of a round holds; a round past it
+#: dispatches in parts after a centroid block, which bounds a
+#: whole-matrix round's LUT memory without changing a result.
+ROUND_LUT_BYTES = 64 * 1024 * 1024
 
 #: One kernel charge: the closed-form cost and the cycles it takes.
 Charge = Tuple[KernelCost, float]
@@ -99,20 +105,6 @@ class BatchTiming:
         if mx <= 0:
             return 1.0
         return float(self.per_dpu_cycles.mean() / mx)
-
-
-def _pad_slots(
-    top: Optional[parallel.JobTopk], g: int, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A group's top-k widened to ``(g, k)`` slot rows, padded with
-    ``-1`` / ``inf`` (``top`` is None for a shard with no live rows)."""
-    ids = np.full((g, k), -1, dtype=np.int64)
-    dists = np.full((g, k), np.inf)
-    if top is not None:
-        width = top[0].shape[1]
-        ids[:, :width] = top[0]
-        dists[:, :width] = top[1]
-    return ids, dists
 
 
 class PimSystem:
@@ -159,6 +151,10 @@ class PimSystem:
         # residency stays valid across deletions; the live filter ships
         # per round instead.
         self._live_rows: Dict[str, Optional[np.ndarray]] = {}
+        # Resident scan operands: shard key → ((M, n) intp gather
+        # offsets, (n,) ids) over the live rows, built and range-checked
+        # on a shard's first scan, dropped when its rows or liveness
+        # change (see _scan_operands).
         self._live_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self.codebooks: Optional[np.ndarray] = None
         self.square_lut: Optional[SquareLut] = None
@@ -280,8 +276,8 @@ class PimSystem:
 
         Re-stores the MRAM objects (budget-checked), mutates the shard
         record in place so every holder of the :class:`ShardData` sees
-        the new rows, and invalidates pool residency and liveness
-        caches.
+        the new rows, and invalidates pool residency and the shard's
+        resident scan operands.
         """
         if shard_key not in self._shards:
             raise KeyError(f"shard {shard_key!r} not placed")
@@ -315,16 +311,32 @@ class PimSystem:
             self._live_rows[shard_key] = np.asarray(live_rows, dtype=np.intp)
         self._live_cache.pop(shard_key, None)
 
-    def _scan_arrays(
+    def _live_arrays(
         self, shard_key: str, shard: ShardData
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The (codes, ids) a scan sees: live rows only, cached."""
+        """The (codes, ids) a scan sees: live rows only."""
         live = self._live_rows.get(shard_key)
         if live is None:
             return shard.codes, shard.ids
+        return shard.codes[live], shard.ids[live]
+
+    def _scan_operands(
+        self, shard_key: str, shard: ShardData
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A shard's resident ``(offsets (M, n), ids (n,))`` over its
+        live rows.
+
+        Built once, like the codes' MRAM layout: the first scan of a
+        shard range-checks its codes (``IndexError`` for a code outside
+        ``[0, CB)``, before any offset reaches the gather) and keeps the
+        offsets, at ``8 * M`` bytes per live row, until
+        :meth:`update_shard`, :meth:`set_shard_liveness` or
+        :meth:`load_codebooks` drops them.
+        """
         pair = self._live_cache.get(shard_key)
         if pair is None:
-            pair = (shard.codes[live], shard.ids[live])
+            codes, ids = self._live_arrays(shard_key, shard)
+            pair = (gather_offsets(codes, self.codebooks.shape[1]), ids)
             self._live_cache[shard_key] = pair
         return pair
 
@@ -351,6 +363,7 @@ class PimSystem:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
         self._charge_memo.clear()
+        self._live_cache.clear()  # offsets are relative to CB
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -545,16 +558,17 @@ class PimSystem:
 
         # ---- functional pass: vectorized RC+LC per centroid, then one
         # DC+TS dispatch for the round's shard groups via the
-        # planner-chosen path (stacked in-process kernel calls, or
-        # worker processes).
-        group_tops, group_misses = self._run_groups_functional(
-            groups, queries, k, sq
+        # planner-chosen path (the in-process round block, or worker
+        # processes). Its rows follow the group order.
+        lives = [
+            self._live_count(skey, self._shards[skey][1]) for _, skey, _ in groups
+        ]
+        block, group_misses = self._run_groups_functional(
+            groups, lives, queries, k, sq
         )
 
         # ---- charging pass: replay the per-DPU group order, charging
-        # closed-form kernel costs identical to the per-group kernels',
-        # and collect each group's top-k as (g, k) slot rows.
-        slots: List[Tuple[np.ndarray, np.ndarray]] = []
+        # closed-form kernel costs identical to the per-group kernels'.
         transient_retries = 0
         result_bytes = 0
         transient_done: Set[int] = set()
@@ -562,8 +576,7 @@ class PimSystem:
             dpu = self.dpus[dpu_id]
             shard = self._shards[skey][1]
             charges = self._group_charges(
-                dpu, shard, len(qidxs), k, sq, group_misses[gi],
-                self._live_count(skey, shard),
+                dpu, shard, len(qidxs), k, sq, group_misses[gi], lives[gi]
             )
             self._book(dpu, charges, skey)
             # One pre-drawn transient kernel fault per (DPU, round) at
@@ -584,12 +597,8 @@ class PimSystem:
                     # The retry event starts after the original attempt
                     # ends (the `repro lint` trace invariant).
                     self._book(dpu, charges, f"{skey}#retry1")
-            top = group_tops[gi]
-            if top is not None:
-                result_bytes += top[0].size * 16  # id + distance
-            if top is None or top[0].shape[1] < k:
-                top = _pad_slots(top, len(qidxs), k)
-            slots.append(top)
+            # A task's slot holds min(k, live) (id, distance) pairs.
+            result_bytes += len(qidxs) * min(k, lives[gi]) * 16
 
         # PIM->host: gather per-task top-k results. A pre-drawn timeout
         # charges the wasted attempt, then the gather is re-issued.
@@ -632,36 +641,34 @@ class PimSystem:
         rows_out = np.array(
             [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
         )
-        ids_out = np.concatenate(
-            [ids for ids, _ in slots] or [np.empty((0, k), np.int64)]
-        )
-        dists_out = np.concatenate(
-            [dists for _, dists in slots] or [np.empty((0, k))],
-            dtype=np.float64,
-        )
-        return (rows_out, ids_out, dists_out), timing
+        return (rows_out,) + block, timing
 
     def _run_groups_functional(
         self,
         groups: List[Tuple[int, str, List[int]]],
+        lives: List[int],
         queries: np.ndarray,
         k: int,
         sq: Optional[SquareLut],
-    ) -> Tuple[List[Optional[parallel.JobTopk]], List[int]]:
-        """Numeric results for every shard group, in one scan dispatch.
+    ) -> Tuple[parallel.JobTopk, List[int]]:
+        """The round's top-k block, from one scan dispatch.
 
         RC and LC run once per unique (query, centroid) pair — parts
         and replicas of a cluster reuse the same LUT rows instead of
         rebuilding them per shard. Every shard group of the round then
-        becomes one DC/TS job, and the round's jobs go to the
-        data-plane path the planner picks (stacked in-process kernel
-        calls, or the worker pool) in one call — earlier only when the
-        collected LUT bytes reach ``_STACK_CHUNK_BYTES``. Integer math
-        makes both paths bit-identical to per-group recomputation.
+        becomes one DC/TS job over its shard's resident scan operands,
+        and the round's jobs go, in group order, to the data-plane path
+        the planner picks (:func:`scan_jobs_stacked`, or the worker
+        pool) in one call — in more only when the collected LUT bytes
+        reach :data:`ROUND_LUT_BYTES`, each part's rows then scattered
+        into place. Integer math and one canonical selection rule make
+        both paths bit-identical to per-group recomputation.
 
-        Returns per-group ``(ids, dists)`` top-k arrays (``None`` for a
-        group whose shard has no live rows) and per-group square-LUT
-        miss counts (for LC cost charging), indexed like ``groups``.
+        Returns the ``(ids, dists)`` block — ``(T, k)``, one row per
+        task in group order, padded with ``-1`` / ``inf`` past a
+        shard's live rows — and per-group square-LUT miss counts (for
+        LC cost charging), indexed like ``groups``. ``lives`` holds each
+        group's live row count.
         """
         # One strategy decision per round, from the round's measured
         # size; the round's scan dispatch below applies it.
@@ -669,13 +676,11 @@ class PimSystem:
         path = "vectorized"
         scan_points = 0
         if groups:
-            num_jobs = 0
             m = self.codebooks.shape[0]
-            for _, skey, qidxs in groups:
-                n = self._live_count(skey, self._shards[skey][1])
-                if n:
-                    num_jobs += 1
-                    scan_points += len(qidxs) * n * m
+            num_jobs = sum(1 for n in lives if n)
+            scan_points = sum(
+                len(qidxs) * n * m for (_, _, qidxs), n in zip(groups, lives)
+            )
             self._ensure_pool_residency()
             path = self.planner.choose(
                 num_jobs=num_jobs,
@@ -684,6 +689,7 @@ class PimSystem:
             )
             if self.observer is not None:
                 self.observer.on_plan_decision(path)
+        pool = path == "pool" and self.executor is not None
 
         # Centroid-major LUT construction: each centroid's pairs are
         # built once and sliced into its groups' jobs.
@@ -691,28 +697,41 @@ class PimSystem:
         for gi, (_, skey, _) in enumerate(groups):
             cent_groups.setdefault(self._shard_cent[skey], []).append(gi)
 
-        group_tops: List[Optional[parallel.JobTopk]] = [None] * len(groups)
+        starts = np.cumsum([0] + [len(qidxs) for _, _, qidxs in groups])
+        total = int(starts[-1])
+        block: Optional[parallel.JobTopk] = None
         group_misses: List[int] = [0] * len(groups)
         scan_seconds = 0.0
 
-        def dispatch(jobs: list, job_gis: List[int]) -> None:
-            nonlocal scan_seconds
+        def padded() -> parallel.JobTopk:
+            return (
+                np.full((total, k), -1, dtype=np.int64),
+                np.full((total, k), np.inf),
+            )
+
+        def dispatch(jobs: Dict[int, parallel.ScanJob]) -> None:
+            nonlocal block, scan_seconds
+            gis = sorted(jobs)
             t0 = time.perf_counter()
-            if path == "pool" and self.executor is not None:
-                results = self.executor.scan_groups(
-                    jobs,
-                    [groups[gi][1] for gi in job_gis],
-                    [self._live_rows.get(groups[gi][1]) for gi in job_gis],
-                    backend,
+            if pool:
+                part = self._pool_block(
+                    groups, gis, [jobs[gi] for gi in gis], k, backend
                 )
             else:
-                results = scan_jobs_stacked(jobs, backend=backend)
+                part = scan_jobs_stacked([jobs[gi] for gi in gis], backend=backend)
             scan_seconds += time.perf_counter() - t0
-            for gi, top in zip(job_gis, results):
-                group_tops[gi] = top
+            if block is None and len(gis) == len(groups):
+                block = part
+                return
+            if block is None:
+                block = padded()
+            rows = np.concatenate(
+                [np.arange(starts[gi], starts[gi + 1]) for gi in gis]
+            )
+            block[0][rows] = part[0]
+            block[1][rows] = part[1]
 
-        jobs: list = []
-        job_gis: List[int] = []
+        jobs: Dict[int, parallel.ScanJob] = {}
         job_bytes = 0
         for cent_id, gis in cent_groups.items():
             # Unique queries probing this centroid, first-use order.
@@ -737,20 +756,27 @@ class PimSystem:
                 rows = [row_of[q] for q in qidxs]
                 if pair_misses is not None:
                     group_misses[gi] = int(pair_misses[rows].sum())
-                codes_s, ids_s = self._scan_arrays(skey, self._shards[skey][1])
-                if len(ids_s):
-                    # A centroid's only group (no repeated query) takes
-                    # the block as built.
-                    whole = len(gis) == 1 and len(rows) == len(luts)
-                    luts_g = luts if whole else luts[rows]
-                    jobs.append((luts_g, codes_s, ids_s, k))
-                    job_gis.append(gi)
-                    job_bytes += luts_g.nbytes
-            if job_bytes >= parallel._STACK_CHUNK_BYTES:
-                dispatch(jobs, job_gis)
-                jobs, job_gis, job_bytes = [], [], 0
+                if pool and not lives[gi]:
+                    continue  # an empty shard's rows stay padding
+                # A centroid's only group (no repeated query) takes
+                # the block as built.
+                whole = len(gis) == 1 and len(rows) == len(luts)
+                luts_g = luts if whole else luts[rows]
+                shard = self._shards[skey][1]
+                if pool:
+                    codes_s, ids_s = self._live_arrays(skey, shard)
+                    jobs[gi] = (luts_g, codes_s, ids_s, k)
+                else:
+                    off, ids_s = self._scan_operands(skey, shard)
+                    jobs[gi] = (luts_g, off.T, ids_s, k)
+                job_bytes += luts_g.nbytes
+            if job_bytes >= ROUND_LUT_BYTES:
+                dispatch(jobs)
+                jobs, job_bytes = {}, 0
         if jobs:
-            dispatch(jobs, job_gis)
+            dispatch(jobs)
+        if block is None:
+            block = padded()  # no group had a job
 
         # Measured rate feedback: the planner arbitrates pool vs in
         # process empirically once both have been observed. Purely
@@ -765,7 +791,35 @@ class PimSystem:
             if self.observer is not None:
                 for reason in events:
                     self.observer.on_pool_fallback(reason)
-        return group_tops, group_misses
+        return block, group_misses
+
+    def _pool_block(
+        self,
+        groups: List[Tuple[int, str, List[int]]],
+        gis: List[int],
+        jobs: List[parallel.ScanJob],
+        k: int,
+        backend,
+    ) -> parallel.JobTopk:
+        """The worker pool's scan of ``jobs`` (groups ``gis``, each with
+        live rows) laid into a padded ``(rows, k)`` block over every
+        group in ``gis``."""
+        tops = self.executor.scan_groups(
+            jobs,
+            [groups[gi][1] for gi in gis],
+            [self._live_rows.get(groups[gi][1]) for gi in gis],
+            backend,
+        )
+        sizes = [len(groups[gi][2]) for gi in gis]
+        ids = np.full((sum(sizes), k), -1, dtype=np.int64)
+        dists = np.full((sum(sizes), k), np.inf)
+        row = 0
+        for size, (top_ids, top_dists) in zip(sizes, tops):
+            width = top_ids.shape[1]
+            ids[row : row + size, :width] = top_ids
+            dists[row : row + size, :width] = top_dists
+            row += size
+        return ids, dists
 
     def warm_pool(self) -> bool:
         """Host shard residency in the worker pool and wait until it is warm.

@@ -1,0 +1,373 @@
+"""Resident scan operands and the canonical per-task top-k (TS).
+
+Every scan path — the round block of ``scan_jobs_stacked``, per-job
+``topk_rows`` / ``scan_shard_group``, and the pool workers — picks a
+task's top-k by the canonical ``(distance, id)`` order. So they agree
+bit for bit under forced ties, whatever the padding or job split, and
+the engine's ids equal ``reference_search``'s exactly, ties included.
+
+The scan offsets are resident per shard: built and range-checked on a
+shard's first scan, and dropped by every mutation of its rows.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.engine as engine_mod
+import repro.pim.system as system_mod
+from repro.ann import IVFPQIndex
+from repro.core import DrimAnnEngine, EngineConfig, IndexParams, SearchParams
+from repro.core.quantized import build_quantized_index
+from repro.core.scheduler import RuntimeScheduler
+from repro.faults.plan import FaultConfig, FaultPlan
+from repro.pim import parallel
+from repro.pim.backend import numpy_backend
+from repro.pim.backend.numpy_backend import gather_offsets
+from repro.pim.config import PimSystemConfig
+from repro.pim.kernels import scan_distances, topk_rows
+from repro.pim.parallel import make_executor, scan_jobs_stacked, scan_shard_group
+from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, canonical_dataset
+from repro.testing.goldens import _quantized, canonical_config
+from repro.utils import topk_canonical
+
+
+def _tie_jobs(seed, shapes, k, values, m=2, cb=4):
+    """Codes jobs whose LUT entries take ``values`` distinct values, so
+    distances repeat and most top-k boundaries are ties."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for g, n in shapes:
+        luts = rng.integers(0, values, size=(g, m, cb)).astype(np.int32)
+        codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
+        ids = rng.permutation(1000)[:n].astype(np.int64)
+        jobs.append((luts, codes, ids, k))
+    return jobs
+
+
+def _resident(jobs):
+    return [
+        (luts, gather_offsets(codes, luts.shape[-1]).T, ids, k)
+        for luts, codes, ids, k in jobs
+    ]
+
+
+def _padded(tops, k):
+    """Per-job ``(g, w)`` top-k pairs laid into one ``(T, k)`` block."""
+    ids = np.concatenate(
+        [np.pad(i, ((0, 0), (0, k - i.shape[1])), constant_values=-1) for i, _ in tops]
+    )
+    dists = np.concatenate(
+        [
+            np.pad(d.astype(np.float64), ((0, 0), (0, k - d.shape[1])),
+                   constant_values=np.inf)
+            for _, d in tops
+        ]
+    )
+    return ids, dists
+
+
+def _assert_block_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestCanonicalSelection:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 30)), min_size=1, max_size=6
+        ),
+        k=st.integers(1, 12),
+        values=st.integers(1, 3),
+        split=st.integers(0, 6),
+        budget=st.sampled_from([None, 17, 17 * 12, 17 * 60, 4096]),
+    )
+    def test_round_block_equals_every_other_path(
+        self, seed, shapes, k, values, split, budget
+    ):
+        jobs = _tie_jobs(seed, shapes, k, values)
+        resident = _resident(jobs)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
+            got = scan_jobs_stacked(resident)
+            # Any job split, blocks stacked back together.
+            split = min(split, len(jobs))
+            parts = [p for p in (resident[:split], resident[split:]) if p]
+            blocks = [scan_jobs_stacked(p) for p in parts]
+        _assert_block_equal(
+            got,
+            (np.concatenate([b[0] for b in blocks]),
+             np.concatenate([b[1] for b in blocks])),
+        )
+        # Per job: topk_rows over the reference scan, and scan_shard_group.
+        per_job = []
+        for luts, codes, ids, _ in jobs:
+            want = topk_rows(scan_distances(luts, codes), ids, k)
+            _assert_block_equal(scan_shard_group(luts, codes, ids, k), want)
+            per_job.append(want)
+        _assert_block_equal(got, _padded(per_job, k))
+        # Per row: the canonical pool selection.
+        row = 0
+        for luts, codes, ids, _ in jobs:
+            dists = scan_distances(luts, codes)
+            for r in range(len(luts)):
+                want_i, want_d = topk_canonical(dists[r], ids, k)
+                w = len(want_i)
+                np.testing.assert_array_equal(got[0][row, :w], want_i)
+                np.testing.assert_array_equal(got[1][row, :w], want_d)
+                assert (got[0][row, w:] == -1).all()
+                assert np.isinf(got[1][row, w:]).all()
+                row += 1
+
+    def test_pool_workers_agree_under_ties(self):
+        jobs = _tie_jobs(7, [(3, 40), (2, 25), (4, 40), (1, 9)], k=6, values=2)
+        keys = [f"s{i}" for i in range(len(jobs))]
+        want = scan_jobs_stacked(_resident(jobs))
+        with make_executor(2) as pool:
+            pool.host_shards({key: (j[1], j[2]) for key, j in zip(keys, jobs)})
+            assert pool.wait_warm()
+            tops = pool.scan_groups(jobs, keys, [None] * len(jobs), None)
+            assert not pool.take_fallback_events()
+        _assert_block_equal(_padded(tops, 6), want)
+
+
+@pytest.fixture(scope="module")
+def tie_index():
+    """A quantized index over a base where every vector appears four
+    times: equal codes, equal distances, distinct ids."""
+    rng = np.random.default_rng(3)
+    uniq = rng.integers(0, 256, size=(900, 16)).astype(np.uint8)
+    base = np.repeat(uniq, 4, axis=0)
+    index = IVFPQIndex.build(base, nlist=16, num_subspaces=8, codebook_size=16, seed=0)
+    queries = rng.integers(0, 256, size=(40, 16)).astype(np.uint8)
+    return base, build_quantized_index(index), queries
+
+
+def _tie_engine(tie_index, batch_size=None):
+    base, quant, _ = tie_index
+    cfg = EngineConfig(
+        index=IndexParams(nlist=16, nprobe=4, k=10, num_subspaces=8, codebook_size=16),
+        search=SearchParams(batch_size=batch_size),
+        system=PimSystemConfig(num_dpus=8),
+    )
+    # A private copy (compact() copies): tests here mutate the index.
+    return DrimAnnEngine.from_config(
+        base, cfg, prebuilt_quantized=quant.compact(), seed=0
+    )
+
+
+class TestEngineIdsAreCanonical:
+    @pytest.mark.parametrize("cell", sorted(ROUND_SIZES))
+    def test_ids_equal_reference_on_tie_index(self, tie_index, cell):
+        queries = tie_index[2]
+        engine = _tie_engine(tie_index, ROUND_SIZES[cell])
+        try:
+            got = engine.search(queries).results
+            ref = engine.reference_search(queries)
+        finally:
+            engine.close()
+        # The index really is tie-heavy at the top-k boundary.
+        assert (ref.distances[:, -1] == ref.distances[:, -2]).mean() > 0.5
+        np.testing.assert_array_equal(got.ids, ref.ids)
+        np.testing.assert_array_equal(got.distances, ref.distances)
+
+    def test_one_selection_per_round_slab(self, tie_index, monkeypatch):
+        """Each round's jobs fill slabs in ascending width, a new slab
+        once a wider job would pad the slab by more than
+        ``_SLAB_PAD_CELLS``; every slab gets exactly one selection."""
+        engine = _tie_engine(tie_index)
+        rounds, selects = [], []
+        real_scan = system_mod.scan_jobs_stacked
+        real_select = parallel.select_topk
+
+        def scan(jobs, backend=None):
+            rounds.append([(len(j[0]), j[1].shape[0]) for j in jobs])
+            return real_scan(jobs, backend=backend)
+
+        def select(*a, **kw):
+            selects.append(a[0].shape)
+            return real_select(*a, **kw)
+
+        monkeypatch.setattr(system_mod, "scan_jobs_stacked", scan)
+        monkeypatch.setattr(parallel, "select_topk", select)
+        try:
+            engine.search(tie_index[2])
+        finally:
+            engine.close()
+        want = []
+        for shapes in rounds:
+            slab = [0, 0]  # rows, width
+            for g, n in sorted(shapes, key=lambda s: s[1]):
+                if slab[0] * (n - slab[1]) > parallel._SLAB_PAD_CELLS:
+                    want.append(tuple(slab))
+                    slab = [0, 0]
+                slab = [slab[0] + g, n]
+            want.append(tuple(slab))
+        assert rounds and selects == want
+        assert len(selects) > len(rounds)  # the tie index's rounds split
+
+
+class TestResidentOffsets:
+    def _assert_cache_consistent(self, system):
+        cb = system.codebooks.shape[1]
+        assert system._live_cache
+        for key, (off, ids) in system._live_cache.items():
+            codes, live_ids = system._live_arrays(key, system.get_shard(key))
+            assert off.dtype == np.intp and off.flags.c_contiguous
+            np.testing.assert_array_equal(off, gather_offsets(codes, cb))
+            np.testing.assert_array_equal(ids, live_ids)
+
+    def test_out_of_range_code_raises_after_offsets_are_resident(self, tie_index):
+        engine = _tie_engine(tie_index)
+        queries = tie_index[2]
+        try:
+            engine.search(queries)
+            system = engine.system
+            key = next(iter(system._live_cache))
+            shard = system.get_shard(key)
+            bad = shard.codes.astype(np.int16)
+            bad[0, 0] = system.codebooks.shape[1]
+            system.update_shard(key, shard.ids, bad)
+            assert key not in system._live_cache
+            with pytest.raises(IndexError, match="codes"):
+                engine.search(queries)
+            bad[0, 0] = -1
+            system.update_shard(key, shard.ids, bad)
+            with pytest.raises(IndexError, match="codes"):
+                engine.search(queries)
+        finally:
+            engine.close()
+
+    def test_mutations_invalidate_resident_offsets(self, tie_index):
+        base, _, queries = tie_index
+        engine = _tie_engine(tie_index)
+        try:
+            engine.search(queries)
+            self._assert_cache_consistent(engine.system)
+            steps = [
+                lambda: engine.add(base[:12]),
+                lambda: engine.delete(np.arange(0, 3600, 7)),
+                lambda: engine.add(base[100:110]),
+                lambda: engine.compact(),
+            ]
+            for step in steps:
+                before = dict(engine.system._live_cache)
+                step()
+                got = engine.search(queries).results
+                self._assert_cache_consistent(engine.system)
+                assert any(
+                    engine.system._live_cache.get(key) is not pair
+                    for key, pair in before.items()
+                )
+                ref = engine.reference_search(queries)
+                np.testing.assert_array_equal(got.ids, ref.ids)
+                np.testing.assert_array_equal(got.distances, ref.distances)
+        finally:
+            engine.close()
+
+
+def _fault_engine(name, fail_at_batch):
+    c = CANONICAL_CONFIGS[name]
+    ds = canonical_dataset()
+    cfg = canonical_config(name)
+    plan = FaultPlan(
+        num_dpus=c["num_dpus"], config=FaultConfig(), fail_at_batch=fail_at_batch
+    )
+    return DrimAnnEngine.from_config(
+        ds.base,
+        cfg.replace(faults=plan),
+        heat_queries=ds.queries[:50],
+        # A private copy: the cached canonical index must never mutate.
+        prebuilt_quantized=_quantized(c["nlist"], c["m"], c["cb"]).compact(),
+        seed=0,
+    )
+
+
+class TestDrainSchedulerCache:
+    NAME = "mul-unreplicated"  # its searches defer tasks into a drain round
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        count = {"n": 0}
+
+        class Counting(RuntimeScheduler):
+            def __init__(self, *a, **kw):
+                count["n"] += 1
+                super().__init__(*a, **kw)
+
+        monkeypatch.setattr(engine_mod, "RuntimeScheduler", Counting)
+        return count
+
+    def _queries(self):
+        num = CANONICAL_CONFIGS[self.NAME]["num_queries"]
+        return canonical_dataset().queries[:num]
+
+    def test_built_once_per_base_and_policy(self, builds):
+        engine = _fault_engine(self.NAME, {})
+        q = self._queries()
+        try:
+            drains = []
+            real = engine._filterless_scheduler
+
+            def spy(base, policy):
+                drains.append(policy)
+                return real(base, policy)
+
+            engine._filterless_scheduler = spy
+            builds["n"] = 0
+            for _ in range(3):
+                engine.search(q)
+            assert drains.count("predictor") >= 3
+            assert builds["n"] == 1
+            for _ in range(2):
+                engine.search(q, with_scheduler=False)
+            assert builds["n"] == 2  # the ablation arm's static copy
+            # add replaces the base scheduler (one rebuild), after which
+            # the drain copy is rebuilt once for the new base.
+            engine.add(canonical_dataset().base[:4])
+            assert builds["n"] == 3
+            engine.search(q)
+            engine.search(q)
+            assert builds["n"] == 4
+        finally:
+            engine.close()
+
+    def test_dead_dpu_in_drain_round_matches_fresh_builds(self):
+        """DPU 1 fail-stops at batch 1, the first search's drain round:
+        the cached drain scheduler must fail over exactly like a fresh
+        build, on that search and every later one."""
+        q = self._queries()
+        cached = _fault_engine(self.NAME, {1: 1})
+        fresh = _fault_engine(self.NAME, {1: 1})
+
+        def fresh_build(base, policy):
+            sched = RuntimeScheduler(
+                fresh.plan,
+                replace(base.config, filter_threshold=None, policy=policy),
+            )
+            sched.adopt_fault_state(base)
+            return sched
+
+        fresh._filterless_scheduler = fresh_build
+        try:
+            for with_scheduler in (True, True, False, True):
+                a = cached.search(q, with_scheduler=with_scheduler)
+                b = fresh.search(q, with_scheduler=with_scheduler)
+                np.testing.assert_array_equal(a.results.ids, b.results.ids)
+                np.testing.assert_array_equal(a.results.distances, b.results.distances)
+                assert json.dumps(a.breakdown.to_dict(), sort_keys=True) == json.dumps(
+                    b.breakdown.to_dict(), sort_keys=True
+                )
+            assert 1 in cached.scheduler.dead_dpus
+            assert cached.scheduler.dead_dpus == fresh.scheduler.dead_dpus
+        finally:
+            cached.close()
+            fresh.close()

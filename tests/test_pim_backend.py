@@ -145,12 +145,15 @@ class TestScanKernel:
         assert np.array_equal(got, scan_distances_stacked(luts, codes))
 
     def test_int32_entries_summing_past_int32_stay_exact(self):
-        """Entries that fit the int32 gather view but whose row sums
-        overflow int32 still sum exactly in the int64 reduction."""
+        """Entries that fit int32 but whose row sums overflow int32
+        keep an int64 gather view, so they sum exactly in the int64
+        reduction; LUTs whose sums fit get the int32 view (and int32
+        sums)."""
         g, n, m, cb = 2, 5, 4, 8
         top = np.iinfo(np.int32).max
         luts = np.full((g, m, cb), top, dtype=np.int64)
-        assert numpy_backend._gather_view(luts).dtype == np.int32
+        assert numpy_backend._gather_view(luts).dtype == np.int64
+        assert numpy_backend._gather_view(luts // m).dtype == np.int32
         codes = np.zeros((n, m), dtype=np.uint8)
         want = np.full((g, n), m * top, dtype=np.int64)
         assert want[0, 0] > 1 << 31
@@ -159,6 +162,20 @@ class TestScanKernel:
         assert np.array_equal(
             backend.scan_stacked(luts[None], codes[None]), want[None]
         )
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int32_sums_at_the_bound_are_exact(self, sign):
+        """At ``M * max|entry| == 2**31 - 1`` the int32 view (and its
+        int32 sums) still applies, and every sum is exact."""
+        g, n, m, cb = 3, 7, 4, 8
+        entry = sign * (np.iinfo(np.int32).max // m)
+        luts = np.full((g, m, cb), entry, dtype=np.int64)
+        luts[1, :, ::2] = 0  # mixed rows
+        assert numpy_backend._gather_view(luts).dtype == np.int32
+        codes = _rng(12).integers(0, cb, size=(n, m)).astype(np.uint8)
+        got = NumpyBackend().scan(luts, codes)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scan_distances(luts, codes))
 
     @pytest.mark.parametrize("bad", [16, 255, -1])
     def test_codes_outside_codebook_raise(self, bad):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
-from repro.pim.backend import NumpyBackend, numpy_backend, resolve_backend
+from repro.pim import parallel
+from repro.pim.backend import numpy_backend, resolve_backend
+from repro.pim.backend.numpy_backend import gather_offsets
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
     ExecutionPlanner,
@@ -145,55 +147,83 @@ class TestPoolExecutor:
         assert_no_leaked_segments()
 
 
+def _resident(jobs):
+    """Codes jobs as :func:`scan_jobs_stacked` takes them: the codes
+    replaced by the ``(n, M)`` view of their resident offsets."""
+    return [
+        (luts, gather_offsets(codes, luts.shape[-1]).T, ids, k)
+        for luts, codes, ids, k in jobs
+    ]
+
+
+def _serial_block(jobs):
+    """Per-job ``scan_shard_group`` rows laid into one padded block."""
+    k = jobs[0][3]
+    parts_i, parts_d = [], []
+    for job in jobs:
+        top_ids, top_dists = scan_shard_group(*job)
+        g, width = top_ids.shape
+        ids = np.full((g, k), -1, dtype=np.int64)
+        dists = np.full((g, k), np.inf)
+        ids[:, :width] = top_ids
+        dists[:, :width] = top_dists
+        parts_i.append(ids)
+        parts_d.append(dists)
+    return np.concatenate(parts_i), np.concatenate(parts_d)
+
+
 class TestScanJobsStacked:
     def test_uniform_shapes_match_serial(self, rng):
         jobs = _jobs(rng, n_jobs=5)
-        got = scan_jobs_stacked(jobs)
-        for g, j in zip(got, jobs):
-            _assert_topk_equal(g, scan_shard_group(*j))
+        _assert_topk_equal(scan_jobs_stacked(_resident(jobs)), _serial_block(jobs))
 
     def test_mixed_shapes_match_serial(self, rng):
-        """Different-shape buckets and singletons all come back in order."""
+        """Jobs of any shape share one block in submission order; rows
+        narrower than the block or than k come back padded."""
         jobs = (
             _jobs(rng, n_jobs=2, g=7, n=50)
             + _jobs(rng, n_jobs=3, g=4, n=31)
             + _jobs(rng, n_jobs=1, g=9, n=17)
+            + _jobs(rng, n_jobs=2, g=3, n=3)
+            + _jobs(rng, n_jobs=1, g=2, n=0)
         )
         order = rng.permutation(len(jobs))
         shuffled = [jobs[i] for i in order]
-        got = scan_jobs_stacked(shuffled)
-        for g, j in zip(got, shuffled):
-            _assert_topk_equal(g, scan_shard_group(*j))
+        got = scan_jobs_stacked(_resident(shuffled))
+        assert got[0].shape == got[1].shape == (sum(len(j[0]) for j in jobs), 5)
+        _assert_topk_equal(got, _serial_block(shuffled))
 
     def test_chunking_budget_is_invisible(self, rng, monkeypatch):
-        jobs = _jobs(rng, n_jobs=6)
+        jobs = _resident(_jobs(rng, n_jobs=6) + _jobs(rng, n_jobs=2, n=13))
         base = scan_jobs_stacked(jobs)
-        # Tiny budget: every job overflows and falls back per-group.
-        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
-        tiny = scan_jobs_stacked(jobs)
-        for g, s in zip(tiny, base):
-            _assert_topk_equal(g, s)
+        # Tiny budgets: single-row slabs, and gathers split by columns.
+        for budget in (1, 17 * 50, 17 * 50 * 3, 4096):
+            monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
+            _assert_topk_equal(scan_jobs_stacked(jobs), base)
 
-    def test_stacking_step_sized_by_stacked_arrays(self, rng, monkeypatch):
-        """A stacking step holds as many jobs as their stacked LUTs,
-        codes and ``(J, g, n)`` distances fit in the budget."""
-        jobs = _jobs(rng, n_jobs=6)
+    def test_slabs_sized_by_block(self, rng, monkeypatch):
+        """A slab holds as many rows as its ``(rows, width)`` distance
+        block and selection transients fit in the budget; a job splits
+        across slabs when it must."""
+        jobs = _resident(_jobs(rng, n_jobs=6))  # 6 jobs x 7 rows x 50 wide
         base = scan_jobs_stacked(jobs)
-        luts, codes = jobs[0][:2]
-        per_job = luts.nbytes + codes.nbytes + len(luts) * len(codes) * 8
-        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 2 * per_job)
-        stacks = []
-        real = NumpyBackend.scan_stacked
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 17 * 50 * 10)
+        shapes = []
+        real = parallel.select_topk
 
-        def counting(self, luts_s, codes_s):
-            stacks.append(len(luts_s))
-            return real(self, luts_s, codes_s)
+        def counting(dists, ids, owner, k):
+            shapes.append(dists.shape)
+            return real(dists, ids, owner, k)
 
-        monkeypatch.setattr(NumpyBackend, "scan_stacked", counting)
+        monkeypatch.setattr(parallel, "select_topk", counting)
         got = scan_jobs_stacked(jobs)
-        assert stacks == [2, 2, 2]
-        for g, s in zip(got, base):
-            _assert_topk_equal(g, s)
+        assert shapes == [(10, 50)] * 4 + [(2, 50)]
+        _assert_topk_equal(got, base)
+
+    def test_one_k_per_block(self, rng):
+        jobs = _resident(_jobs(rng, n_jobs=1, k=3) + _jobs(rng, n_jobs=1, k=4))
+        with pytest.raises(ValueError, match="one k"):
+            scan_jobs_stacked(jobs)
 
     def test_stacked_kernel_matches_per_job_kernel(self, rng):
         jobs = _jobs(rng, n_jobs=3)

@@ -16,8 +16,8 @@ import pytest
 
 import repro.pim.system as system_mod
 from repro.pim.dpu import Dpu
-from repro.pim.kernels import topk_rows
-from repro.pim.parallel import _topk_stacked
+from repro.pim.kernels import select_topk, topk_rows
+from repro.pim.parallel import scan_shard_group
 from repro.pim.trace import Tracer
 from repro.testing import CANONICAL_CONFIGS, build_canonical_engine, canonical_dataset
 
@@ -146,7 +146,7 @@ class TestOneDispatchPerRound:
         base = engine.search(q)
         calls = []
         self._spy(monkeypatch, calls)
-        monkeypatch.setattr("repro.pim.parallel._STACK_CHUNK_BYTES", 1)
+        monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", 1)
         tiny = engine.search(q)
         # Every centroid block overflows the budget and flushes alone.
         assert len(calls) > 1
@@ -165,7 +165,7 @@ class TestOneDispatchPerRound:
             def scan_groups(self, jobs, keys, lives, backend):
                 calls.append(len(jobs))
                 assert len(keys) == len(lives) == len(jobs)
-                return system_mod.scan_jobs_stacked(jobs, backend=backend)
+                return [scan_shard_group(*j, backend=backend) for j in jobs]
 
             def take_fallback_events(self):
                 return []
@@ -184,17 +184,26 @@ class TestOneDispatchPerRound:
 class TestStackedTopk:
     @pytest.mark.parametrize("k", [1, 3, 7, 9])
     def test_matches_per_job_topk_rows_under_ties(self, rng, k):
+        """One selection over a padded block of several jobs' rows picks
+        what ``topk_rows`` picks per job."""
         # Distances from {0..3} force ties at every top-k boundary.
-        dists = rng.integers(0, 4, size=(5, 3, 7)).astype(np.int64)
-        ids = [rng.permutation(1000)[:7].astype(np.int64) for _ in range(5)]
-        got = _topk_stacked(dists, ids, k)
-        assert len(got) == len(dists)
-        for top, d, i in zip(got, dists, ids):
+        widths = [7, 4, 7, 2, 5]
+        dists = [rng.integers(0, 4, size=(3, n)).astype(np.int64) for n in widths]
+        ids = [rng.permutation(1000)[:n].astype(np.int64) for n in widths]
+        block = np.full((15, 7), np.iinfo(np.int64).max)
+        for j, (d, i) in enumerate(zip(dists, ids)):
+            block[3 * j : 3 * j + 3, : len(i)] = d
+        id_start = np.repeat(np.cumsum([0] + widths[:-1]), 3)
+        got_ids, got_dists = select_topk(block, np.concatenate(ids), id_start, k)
+        assert got_ids.shape == got_dists.shape == (15, min(k, 7))
+        for j, (d, i) in enumerate(zip(dists, ids)):
             want = topk_rows(d, i, k)
-            assert top[0].shape == top[1].shape == (3, min(k, 7))
-            for g, w in zip(top, want):
-                np.testing.assert_array_equal(g, w)
-                assert g.dtype == w.dtype
+            width = want[0].shape[1]
+            rows = slice(3 * j, 3 * j + 3)
+            np.testing.assert_array_equal(got_ids[rows, :width], want[0])
+            np.testing.assert_array_equal(got_dists[rows, :width], want[1])
+            assert got_ids.dtype == want[0].dtype
+            assert got_dists.dtype == want[1].dtype
 
 
 class TestChargeMemo:

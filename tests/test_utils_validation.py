@@ -102,6 +102,21 @@ def _index(**kw):
     return IndexParams(**{**_INDEX, **kw})
 
 
+_MISSING = object()
+
+
+def _from_dict(**override):
+    """``EngineConfig.from_dict`` of a valid saved config with top-level
+    keys overridden (``_MISSING`` deletes one)."""
+    d = json.loads(json.dumps(EngineConfig(index=_index()).to_dict()))
+    for key, value in override.items():
+        if value is _MISSING:
+            del d[key]
+        else:
+            d[key] = value
+    return EngineConfig.from_dict(d)
+
+
 class TestFieldValidation:
     """Config counts go through ``check_count`` and float knobs reject
     NaN (``not x > 0``), each error naming its field."""
@@ -124,6 +139,9 @@ class TestFieldValidation:
         pytest.param(BatchingPolicy, "max_wait_s", NAN, ValueError, id="wait-nan"),
         pytest.param(BatchingPolicy, "deadline_s", NAN, ValueError, id="deadline-nan"),
         pytest.param(BatchingPolicy, "deadline_s", 0.0, ValueError, id="deadline-0"),
+        pytest.param(_from_dict, "index", _MISSING, ValueError, id="no-index"),
+        pytest.param(_from_dict, "serach", {}, ValueError, id="unknown-key"),
+        pytest.param(_from_dict, "use_opq", "false", TypeError, id="opq-str"),
     ]
 
     @pytest.mark.parametrize("make, field, bad, exc", BAD)
