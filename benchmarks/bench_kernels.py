@@ -4,7 +4,7 @@ The staged reference kernels (``repro.pim.kernels.distance_scan``)
 materialize a per-subspace gather before reducing; the host kernels
 (``repro.pim.backend``, one NumPy module) replace the hot path with
 fused gather-then-reduce implementations that return bit-identical
-int64 distances and LUTs while changing only host wall-clock (cycle
+int64 distances and LUT values while changing only host wall-clock (cycle
 ledgers are charged from closed forms and cannot move).
 
 Run with ``--smoke`` as the CI kernel gate: the kernels must be
@@ -12,8 +12,9 @@ bit-identical to the staged reference (LUTs against ``run_lut_build``
 through the full square LUT), the stacked scan must clear
 ``MIN_SCAN_SPEEDUP`` (3x), and the LUT build must clear
 ``MIN_LUT_SPEEDUP`` (3x) over the staged square-LUT path at the
-lut-heavy shape (g 5, M 32, CB 128, dsub 4). Writes a machine-readable
-``BENCH_kernels.json`` artifact.
+lut-heavy round shape (200 task rows over 25 queries and 35 centroids,
+M 32, CB 128, dsub 4, one pair-form ``build_luts`` call). Writes a
+machine-readable ``BENCH_kernels.json`` artifact.
 """
 
 

@@ -240,9 +240,9 @@ class QuantizedIndexData:
 
         The paper's CL → RC → LC pipeline plus an argmin: assignment is
         :meth:`locate` with nprobe=1 (int64 distances, canonical
-        lowest-index tie-break), the residuals are int32, and each
-        point's ``(M, CB)`` LUT comes from the host kernels' exact
-        ``build_luts`` — bit-identical to :meth:`build_luts`, so the
+        lowest-index tie-break), and each point's ``(M, CB)`` LUT comes from the host kernels' exact
+        pair-form ``build_luts`` (the point against its assigned
+        centroid) — bit-identical to :meth:`build_luts`, so the
         first-minimum argmin picks the same codes as the int64
         reference. LUTs are built in row slabs of at most
         :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES`, so
@@ -274,10 +274,13 @@ class QuantizedIndexData:
         step = max(1, numpy_backend.LUT_CHUNK_BYTES // (m * cb * 8))
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            res = vectors[lo:hi].astype(np.int32) - self.centroids[
-                assign[lo:hi]
-            ].astype(np.int32)
-            luts = backend.build_luts(res, self.codebooks)
+            luts = backend.build_luts(
+                vectors[lo:hi],
+                self.centroids,
+                np.arange(hi - lo),
+                assign[lo:hi],
+                self.codebooks,
+            )
             codes[lo:hi] = luts.argmin(axis=2)
         return assign, codes
 

@@ -91,7 +91,10 @@ class RuntimeScheduler:
         self.plan = plan
         self.config = config
         self._dead: Set[int] = set()
-        self._speed = np.ones(plan.num_dpus)
+        # Per-DPU relative speed, as Python floats: the assignment loops
+        # read it per part, and a NumPy scalar read costs several times
+        # a list read for the same IEEE value.
+        self._speed: List[float] = [1.0] * plan.num_dpus
         # Optional repro.obs.EngineObserver (set by the engine).
         self.observer = None
         # Pre-compute per-replica-group (dpu, latency) footprints.
@@ -137,7 +140,7 @@ class RuntimeScheduler:
     @property
     def speed_factors(self) -> np.ndarray:
         """Per-DPU relative speed (1.0 = nominal clock)."""
-        return self._speed.copy()
+        return np.array(self._speed)
 
     def set_speed_factors(self, factors: np.ndarray) -> None:
         """Re-weight the predictor for derated (straggler) DPUs."""
@@ -149,7 +152,7 @@ class RuntimeScheduler:
             )
         if np.any(factors <= 0) or np.any(factors > 1):
             raise ValueError("speed factors must be in (0, 1]")
-        self._speed = factors.copy()
+        self._speed = factors.tolist()
 
     def adopt_fault_state(self, other: "RuntimeScheduler") -> None:
         """Copy blacklist + speed factors (drain/ablation schedulers).
@@ -158,21 +161,14 @@ class RuntimeScheduler:
         feeding the same metrics as the scheduler they replace.
         """
         self._dead = set(other._dead)
-        self._speed = other._speed.copy()
+        self._speed = list(other._speed)
         self.observer = other.observer
-
-    def _alive(self, dpu_id: int) -> bool:
-        return dpu_id not in self._dead
 
     # ----- prediction -------------------------------------------------------
     def task_latency(self, num_points: int) -> float:
         """Eq. 15 for one shard of ``num_points`` points."""
         c = self.config
         return c.lut_latency + num_points * (c.per_point_calc + c.per_point_sort)
-
-    def _cost_on(self, dpu_id: int, lat: float) -> float:
-        """Predicted cycles of a part on a DPU, at that DPU's clock."""
-        return lat / self._speed[dpu_id]
 
     # ----- scheduling -------------------------------------------------------
     def schedule_batch(
@@ -188,7 +184,12 @@ class RuntimeScheduler:
         deferred tasks carry different query indices).
         """
         num_dpus = self.plan.num_dpus
-        load = np.zeros(num_dpus)
+        # Loads and speeds are Python floats: the same IEEE operations
+        # in the same order as on float64 arrays, at list-read cost.
+        load = [0.0] * num_dpus
+        speed = self._speed
+        dead = self._dead
+        static = self.config.policy == "static"
         assignments: Dict[int, List[Tuple[int, str]]] = {
             d: [] for d in range(num_dpus)
         }
@@ -200,29 +201,11 @@ class RuntimeScheduler:
         task_record: List[Tuple[int, int, List[Tuple[int, str, float]]]] = []
         for qidx, cid in ordered:
             groups = self._group_info[cid]
-            if self._dead:
-                alive_groups = [
-                    g for g in groups if all(self._alive(d) for d, _, _ in g)
+            if dead:
+                groups = [
+                    g for g in groups if not any(d in dead for d, _, _ in g)
                 ]
-            else:
-                alive_groups = groups
-            if alive_groups:
-                if self.config.policy == "static":
-                    chosen = alive_groups[0]
-                else:
-                    # Pick the replica group minimizing the resulting
-                    # max member-DPU load.
-                    best_val = None
-                    chosen = alive_groups[0]
-                    for info in alive_groups:
-                        val = max(
-                            load[d] + self._cost_on(d, lat)
-                            for d, _, lat in info
-                        )
-                        if best_val is None or val < best_val:
-                            best_val = val
-                            chosen = info
-            else:
+            if not groups:
                 # No replica group survives intact: assemble a mixed
                 # group part-by-part. Parts are row-aligned across
                 # replicas, so replica r's part p covers exactly the
@@ -232,19 +215,35 @@ class RuntimeScheduler:
                     uncovered.append((qidx, cid))
                 if not chosen:
                     continue
+            elif static or len(groups) == 1:
+                chosen = groups[0]
+            else:
+                # Pick the replica group minimizing the resulting max
+                # member-DPU load (the first such group on a tie).
+                chosen = groups[0]
+                best_val = None
+                for info in groups:
+                    val = None
+                    for d, _, lat in info:
+                        v = load[d] + lat / speed[d]
+                        if val is None or v > val:
+                            val = v
+                    if best_val is None or val < best_val:
+                        best_val = val
+                        chosen = info
             for d, key, lat in chosen:
                 assignments[d].append((qidx, key))
-                load[d] += self._cost_on(d, lat)
+                load[d] += lat / speed[d]
             task_record.append((qidx, cid, chosen))
 
         deferred: List[Tuple[int, int]] = []
         cfg = self.config
         if cfg.filter_threshold is not None and len(ordered) > 1:
-            mean_load = load.mean()
+            # np.mean's pairwise sum, as over the float64 load array.
+            mean_load = float(np.mean(load))
             if mean_load > 0:
-                hot_dpus = set(
-                    np.flatnonzero(load > cfg.filter_threshold * mean_load)
-                )
+                limit = cfg.filter_threshold * mean_load
+                hot_dpus = {d for d, x in enumerate(load) if x > limit}
                 if hot_dpus:
                     max_defer = int(cfg.max_defer_fraction * len(ordered))
                     # Walk tasks smallest-footprint-last (they were
@@ -253,28 +252,25 @@ class RuntimeScheduler:
                     for qidx, cid, info in reversed(task_record):
                         if len(deferred) >= max_defer:
                             break
-                        touched = {d for d, _, _ in info}
-                        if touched & hot_dpus:
+                        if any(d in hot_dpus for d, _, _ in info):
                             still_hot = False
                             for d, key, lat in info:
-                                load[d] -= self._cost_on(d, lat)
+                                load[d] -= lat / speed[d]
                                 assignments[d].remove((qidx, key))
-                                if load[d] > cfg.filter_threshold * mean_load:
+                                if load[d] > limit:
                                     still_hot = True
                             deferred.append((qidx, cid))
                             if not still_hot:
-                                hot_dpus = set(
-                                    np.flatnonzero(
-                                        load > cfg.filter_threshold * mean_load
-                                    )
-                                )
+                                hot_dpus = {
+                                    d for d, x in enumerate(load) if x > limit
+                                }
                                 if not hot_dpus:
                                     break
 
         outcome = ScheduleOutcome(
             assignments={d: a for d, a in assignments.items() if a},
             deferred=deferred,
-            predicted_load=load,
+            predicted_load=np.array(load),
             uncovered=uncovered,
         )
         if self.observer is not None:
@@ -283,7 +279,7 @@ class RuntimeScheduler:
                     (d, len(a)) for d, a in sorted(outcome.assignments.items())
                 ],
                 predicted_cycles=[
-                    (d, float(load[d])) for d in sorted(outcome.assignments)
+                    (d, load[d]) for d in sorted(outcome.assignments)
                 ],
                 deferred=len(deferred),
                 uncovered=len(uncovered),
@@ -291,27 +287,40 @@ class RuntimeScheduler:
             )
         return outcome
 
+    def _cheapest(
+        self,
+        options: Iterable[Tuple[int, str, float]],
+        load: List[float],
+    ) -> Optional[Tuple[int, str, float]]:
+        """The live option with the smallest ``(resulting load, dpu)``
+        (the first on a tie), or ``None`` when none is live."""
+        best = None
+        best_key = None
+        for option in options:
+            d = option[0]
+            if d in self._dead:
+                continue
+            key = (load[d] + option[2] / self._speed[d], d)
+            if best_key is None or key < best_key:
+                best, best_key = option, key
+        return best
+
     def _salvage_parts(
-        self, cid: int, load: np.ndarray
+        self, cid: int, load: List[float]
     ) -> Tuple[List[Tuple[int, str, float]], int]:
         """Per-part live-replica selection when no group is intact.
 
         Returns (chosen parts, number of parts with no live replica).
         """
         groups = self._group_info[cid]
-        num_parts = len(groups[0])
         chosen: List[Tuple[int, str, float]] = []
         missing = 0
-        for p in range(num_parts):
-            options = [g[p] for g in groups if self._alive(g[p][0])]
-            if not options:
+        for p in range(len(groups[0])):
+            best = self._cheapest((g[p] for g in groups), load)
+            if best is None:
                 missing += 1
-                continue
-            best = min(
-                options,
-                key=lambda o: (load[o[0]] + self._cost_on(o[0], o[2]), o[0]),
-            )
-            chosen.append(best)
+            else:
+                chosen.append(best)
         return chosen, missing
 
     # ----- failover ---------------------------------------------------------
@@ -328,24 +337,17 @@ class RuntimeScheduler:
         """
         assignments: Dict[int, List[Tuple[int, str]]] = {}
         uncovered: List[Tuple[int, int]] = []
-        load = np.zeros(self.plan.num_dpus)
+        load = [0.0] * self.plan.num_dpus
         for qidx, key in failed:
             shard = self.plan.shards[key]
             groups = self._group_info[shard.cluster_id]
-            options = [
-                g[shard.part_id]
-                for g in groups
-                if self._alive(g[shard.part_id][0])
-            ]
-            if not options:
+            best = self._cheapest((g[shard.part_id] for g in groups), load)
+            if best is None:
                 uncovered.append((qidx, shard.cluster_id))
                 continue
-            d, new_key, lat = min(
-                options,
-                key=lambda o: (load[o[0]] + self._cost_on(o[0], o[2]), o[0]),
-            )
+            d, new_key, lat = best
             assignments.setdefault(d, []).append((qidx, new_key))
-            load[d] += self._cost_on(d, lat)
+            load[d] += lat / self._speed[d]
         if self.observer is not None and assignments:
             self.observer.on_failover(
                 sum(len(t) for t in assignments.values())

@@ -31,14 +31,13 @@ from repro.utils.rng import SeedLike, ensure_rng
 #: (not dispatch overhead) dominates.
 SCAN_SHAPE = {"jobs": 16, "g": 32, "n": 2000, "m": 16, "cb": 128}
 
-#: LUT-build shape: the ~5 (query, centroid) pairs one centroid gets
-#: per round in the benchmark's lut-heavy cell (25-query calls, nlist
-#: 128, nprobe 8) against its M=32, CB=128, dsub=4 codebooks.
-LUT_SHAPE = {"g": 5, "m": 32, "cb": 128, "dsub": 4}
-
-#: LUT-build calls per timed sample: one call at LUT_SHAPE is tens of
-#: microseconds, too short to time alone.
-LUT_CALLS = 20
+#: LUT-build shape: one PIM round of the benchmark's lut-heavy cell
+#: (25-query calls, nlist 128, nprobe 8): about 200 (query, shard)
+#: task rows over 25 queries and 35 distinct centroids, against M=32,
+#: CB=128, dsub=4 codebooks.
+LUT_SHAPE = {
+    "tasks": 200, "queries": 25, "centroids": 35, "m": 32, "cb": 128, "dsub": 4,
+}
 
 #: The CI gate: the stacked scan must beat the staged reference by at
 #: least this factor at bit-identical output.
@@ -83,22 +82,19 @@ def run_microbench(
     ).astype(np.uint8)
 
     lh = LUT_SHAPE
-    # The engine's operand ranges: uint8 query minus uint8 centroid,
-    # codebooks clipped to +-CODEBOOK_CLIP (510).
-    residuals = rng.integers(
-        -255, 256, size=(lh["g"], lh["m"] * lh["dsub"])
-    ).astype(np.int32)
+    # The engine's operand ranges: uint8 queries and centroids,
+    # codebooks clipped to +-CODEBOOK_CLIP (510). Task rows come in
+    # shard-group order, so a centroid's tasks are contiguous.
+    dim = lh["m"] * lh["dsub"]
+    queries = rng.integers(0, 256, size=(lh["queries"], dim)).astype(np.uint8)
+    centroids = rng.integers(0, 256, size=(lh["centroids"], dim)).astype(np.uint8)
+    crows = np.sort(rng.integers(0, lh["centroids"], size=lh["tasks"]))
+    qrows = rng.integers(0, lh["queries"], size=lh["tasks"])
+    residuals = queries[qrows].astype(np.int32) - centroids[crows].astype(np.int32)
     codebooks = rng.integers(
         -510, 511, size=(lh["m"], lh["cb"], lh["dsub"])
     ).astype(np.int16)
     squares = SquareLut.for_bit_width(8, levels=3)
-
-    def lut_calls(build: Callable[[], Any]) -> Callable[[], None]:
-        def run() -> None:
-            for _ in range(LUT_CALLS):
-                build()
-
-        return run
 
     ref_scan = scan_distances_stacked(luts, codes)
     t_ref_scan = _best_seconds(
@@ -106,22 +102,23 @@ def run_microbench(
     )
     ref_luts, _ = run_lut_build(residuals, codebooks, squares)
     t_ref_luts = _best_seconds(
-        lut_calls(lambda: run_lut_build(residuals, codebooks, squares)),
-        repeats,
+        lambda: run_lut_build(residuals, codebooks, squares), repeats
     )
 
     backend = resolve_backend()
     got_scan = backend.scan_stacked(luts, codes)
-    got_luts = backend.build_luts(residuals, codebooks)
+    got_luts = backend.build_luts(queries, centroids, qrows, crows, codebooks)
+    # The LUTs come in the scans' gather dtype, int32 at these ranges.
     bit_identical = bool(
         got_scan.dtype == ref_scan.dtype
         and np.array_equal(got_scan, ref_scan)
-        and got_luts.dtype == ref_luts.dtype
+        and got_luts.dtype == np.int32
         and np.array_equal(got_luts, ref_luts)
     )
     t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
     t_luts = _best_seconds(
-        lut_calls(lambda: backend.build_luts(residuals, codebooks)), repeats
+        lambda: backend.build_luts(queries, centroids, qrows, crows, codebooks),
+        repeats,
     )
     scan_speedup = t_ref_scan / t_scan if t_scan > 0 else 0.0
     lut_speedup = t_ref_luts / t_luts if t_luts > 0 else 0.0
@@ -159,7 +156,8 @@ def format_record(record: Dict[str, Any]) -> str:
             f"{record['reference']['scan_seconds'] * 1e3:.1f} ms"
         ),
         (
-            f"LUT build x{LUT_CALLS} g={lh['g']} M={lh['m']} CB={lh['cb']} "
+            f"LUT build T={lh['tasks']} queries={lh['queries']} "
+            f"centroids={lh['centroids']} M={lh['m']} CB={lh['cb']} "
             f"dsub={lh['dsub']}; square-LUT reference "
             f"{record['reference']['lut_seconds'] * 1e3:.2f} ms"
         ),
@@ -178,7 +176,6 @@ def format_record(record: Dict[str, Any]) -> str:
 
 
 __all__ = [
-    "LUT_CALLS",
     "LUT_SHAPE",
     "MIN_LUT_SPEEDUP",
     "MIN_SCAN_SPEEDUP",

@@ -22,10 +22,12 @@ closed forms, which keeps ledgers independent of the host kernels.
 * when a sum of ``M`` LUT entries always fits int32 (``M *
   max|entry| < 2**31``, always true for the quantized pipeline, whose
   entries are bounded by ``dim * CODEBOOK_CLIP**2``) the gathers run
-  on an int32 copy of the LUTs, halving gather traffic, and reduce in
-  int32, about twice as fast as an int64 reduction; every partial sum
-  is exact, and the int64 output holds it unchanged. Other LUTs are
-  gathered as they are and reduced in int64.
+  on int32 LUTs, halving gather traffic, and reduce in int32, about
+  twice as fast as an int64 reduction; every partial sum is exact, and
+  the int64 output holds it unchanged. :meth:`NumpyBackend.build_luts`
+  returns such LUTs as int32 already; the public scans take an int32
+  copy of int64 ones. Other LUTs are gathered as they are and reduced
+  in int64.
 
 Flat offsets carry no per-subspace bounds, so :func:`gather_offsets`
 checks codes against ``[0, CB)`` before any offset exists
@@ -34,23 +36,34 @@ next subspace's entry and a negative one would wrap), and non-integer
 LUTs or codes are rejected with :class:`TypeError` rather than
 silently truncated.
 
-**LUT build** (LC, :meth:`NumpyBackend.build_luts`) is the norm
-expansion ``LUT[g,m,c] = ||r_gm||^2 - 2 r_gm.c_mc + ||c_mc||^2``: one
-batched float64 ``matmul`` over the subspaces, shaped
-``(M, g, dsub) @ (M, dsub, CB)``, instead of the ``(g, M, CB, dsub)``
-difference tensor. Every operand, product and partial sum is an integer
-of magnitude at most ``dsub * (max|r| + max|c|)**2``; while that stays
-below ``2**53`` float64 represents all of them exactly, so the result
-is the exact integer in any summation order. The bound is checked once
-per call (O(g*D)); inputs that break it take the int64
-difference/einsum path instead. Both paths run in row slabs of at
-most :data:`LUT_CHUNK_BYTES` of transient data, written straight into
-the ``(g, M, CB)`` int64 output. The transposed float codebook,
-``||c||^2`` and ``max|c|`` are cached per codebook table
+**LUT build** (LC, :meth:`NumpyBackend.build_luts`) takes (query,
+centroid) pairs: task ``t``'s residual is ``q - c`` for ``q =
+queries[qrows[t]]`` and ``c = centroids[crows[t]]``. Per subspace ``m``
+and codeword ``b`` it uses the exact IVF-PQ identity (Jegou et al.,
+TPAMI 2011)::
+
+    ||q - c - b||^2 = ||q - c||^2 + (||b||^2 - 2 q.b) + 2 c.b
+
+so the codebook products are two batched float64 ``matmul`` term
+tables, ``||b||^2 - 2 q.b`` over the batch's *unique* queries and
+``2 c.b`` over its unique centroids, instead of one product per pair;
+each task's ``(M, CB)`` LUT is then a gather of its two table rows plus
+``||r_m||^2``. Every operand, product and partial sum is an integer of
+magnitude at most ``dsub * (max|q| + max|c| + max|b|)**2``; while
+that stays below ``2**53`` float64
+represents all of them exactly, so the result is the exact integer in
+any summation order. Inputs that break it take the int64
+difference/einsum path over the residuals instead. The output comes in
+the scans' gather dtype: int32 when ``M`` times that bound fits int32
+(every table entry, partial sum and ``M``-entry scan sum then does; the
+tables are cast once and the pairs assembled in int32), else int64.
+Assembly and the fallback run in row slabs of at most
+:data:`LUT_CHUNK_BYTES` of transient data. The transposed float
+codebook, ``||b||^2`` and ``max|b|`` are cached per codebook table
 (:class:`CodebookTermsCache`).
 
-Every variant computes the identical int64 values, so the outputs are
-bit-identical to the reference kernels — property-tested in
+Every variant computes the identical integer values, so the outputs
+are bit-identical to the reference kernels — property-tested in
 ``tests/test_pim_backend.py``.
 """
 
@@ -65,12 +78,12 @@ import numpy as np
 EXACT_FLOAT_LIMIT = 1 << 53
 
 #: Byte budget for one slab of a kernel's transient arrays (a scan's
-#: ``(rows, M, n)`` gather, a LUT build's float64 expansion, the
+#: ``(rows, M, n)`` gather, a LUT build's pair assembly, the
 #: fallback's int64 difference tensor, or a shard group's ``(rows, n)``
 #: distances before top-k); bounds memory without affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
 
-#: Codebook tables whose expansion terms one backend instance keeps.
+#: Codebook tables whose LUT-build terms one backend instance keeps.
 TERMS_CACHE_ENTRIES = 8
 
 _I32_MAX = np.iinfo(np.int32).max
@@ -172,12 +185,12 @@ def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
 
 
 class CodebookTerms:
-    """Per-codebook-table operands of the norm-expansion LUT build.
+    """Per-codebook-table operands of the term-table LUT build.
 
     ``books_t`` is the ``(M, dsub, CB)`` float64 transposed codebook,
-    ``norms_sq`` the ``(M, CB)`` float64 ``||c_mc||^2`` (exact: int16
+    ``norms_sq`` the ``(M, CB)`` float64 ``||b_mc||^2`` (exact: int16
     entries keep it far below ``2**53``) and ``max_abs`` the largest
-    ``|c|``, which the exactness check needs.
+    ``|b|``, which the exactness check needs.
     """
 
     __slots__ = ("books_t", "norms_sq", "max_abs")
@@ -220,10 +233,11 @@ class CodebookTermsCache:
 
 
 def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) -> bool:
-    """Whether the float64 norm expansion is exact for these magnitudes.
+    """Whether the float64 LUT build is exact for these magnitudes.
 
-    Every term and partial sum of ``||r||^2 - 2 r.c + ||c||^2`` is an
-    integer bounded by ``dsub * (max|r| + max|c|)**2``.
+    Every term and partial sum of ``||r||^2 - 2 r.b + ||b||^2`` is an
+    integer bounded by ``dsub * (max|r| + max|b|)**2``; for the pair
+    identity, ``max|q| + max|c|`` bounds ``max|r|``.
     """
     return dsub * (residual_max_abs + codebook_max_abs) ** 2 < EXACT_FLOAT_LIMIT
 
@@ -232,6 +246,10 @@ def slab_rows(row_bytes: int) -> int:
     """Rows per slab so one slab's transient data fits the budget
     (at least one)."""
     return max(1, LUT_CHUNK_BYTES // max(1, row_bytes))
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def _build_luts_int64(
@@ -247,21 +265,42 @@ def _build_luts_int64(
         out[s0 : s0 + step] = np.einsum("gmcd,gmcd->gmc", diff, diff)
 
 
-def _build_luts_expansion(
-    residuals: np.ndarray, terms: CodebookTerms, out: np.ndarray
-) -> None:
-    """The float64 norm-expansion LUT build into ``out`` (exact when
-    :func:`expansion_is_exact` holds)."""
-    m, dsub, cb = terms.books_t.shape
-    step = slab_rows(m * cb * 8)
-    for s0 in range(0, len(out), step):
-        rows = residuals[s0 : s0 + step]
-        r = rows.astype(np.float64).reshape(len(rows), m, dsub).transpose(1, 0, 2)
-        lut = np.matmul(r, terms.books_t)  # (M, rows, CB): r.c
-        lut *= -2.0
-        lut += terms.norms_sq[:, None, :]
-        lut += np.einsum("mgd,mgd->mg", r, r)[:, :, None]
-        out[s0 : s0 + step] = lut.transpose(1, 0, 2)
+def _term_table(
+    rows: np.ndarray, terms: CodebookTerms, scale: float, dtype, norms: bool
+) -> np.ndarray:
+    """``(u, M, CB)`` table ``scale * x.b`` (``+ ||b||^2`` with
+    ``norms``) of ``(u, D)`` rows, one batched float64 ``matmul``, cast
+    to ``dtype`` (exact within the bounds :meth:`NumpyBackend.build_luts`
+    checks)."""
+    m, dsub, _ = terms.books_t.shape
+    x = rows.astype(np.float64).reshape(len(rows), m, dsub).transpose(1, 0, 2)
+    table = np.matmul(x, terms.books_t)  # (M, u, CB)
+    table *= scale
+    if norms:
+        table += terms.norms_sq[:, None, :]
+    return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=dtype)
+
+
+def _check_rows(rows: np.ndarray, name: str) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise TypeError(
+            f"{name} must be a 1-D integer array, got {rows.dtype} {rows.shape}"
+        )
+    return rows
+
+
+def _unique_rows(
+    rows: np.ndarray, table: np.ndarray, name: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The unique rows of ``table`` that ``rows`` names, and each row's
+    index among them; :class:`IndexError` for a row outside it."""
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    if uniq[0] < 0 or uniq[-1] >= len(table):
+        raise IndexError(
+            f"{name} must lie in [0, {len(table)}), got [{uniq[0]}, {uniq[-1]}]"
+        )
+    return table[uniq], inverse
 
 
 class NumpyBackend:
@@ -318,42 +357,87 @@ class NumpyBackend:
         self, luts: np.ndarray, off: np.ndarray, out: np.ndarray
     ) -> None:
         """Unchecked ADC scan of resident offsets: ``(g, M, CB)`` LUTs
-        from :meth:`gather_view` (int32 LUTs must come from it: their
+        from :meth:`build_luts` (int32 LUTs must come from it: their
         sums are taken in int32) x ``(M, n)`` offsets from
         :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
         which may be a view into a wider block."""
         _scan_rows(luts, off, out)
 
-    def gather_view(self, luts: np.ndarray) -> np.ndarray:
-        """The LUTs in the dtype the scans gather from best (int32 when
-        every ``M``-entry sum fits int32). Same values, so scan results
-        are unchanged; callers convert a block once and slice scan jobs
-        from it."""
-        return _gather_view(luts)
-
     def build_luts(
-        self, residuals: np.ndarray, codebooks: np.ndarray
+        self,
+        queries: np.ndarray,
+        centroids: np.ndarray,
+        qrows: np.ndarray,
+        crows: np.ndarray,
+        codebooks: np.ndarray,
     ) -> np.ndarray:
-        """Batched integer LUT build: ``(g, D)`` int residuals x
-        ``(M, CB, dsub)`` int codebooks -> ``(g, M, CB)`` int64."""
-        residuals = np.asarray(residuals)
+        """Batched integer LUT build over (query, centroid) pairs:
+        ``(Q, D)`` int queries and ``(C, D)`` int centroids, ``(T,)``
+        rows ``qrows`` / ``crows`` naming each task's pair, and ``(M,
+        CB, dsub)`` int codebooks -> ``(T, M, CB)`` LUTs of the
+        residuals ``queries[qrows] - centroids[crows]``, int32 when
+        every ``M``-entry sum fits int32 (the scans' gather dtype),
+        else int64.
+
+        The term tables are built once per unique query and per unique
+        centroid and shared by their tasks; a repeated pair is
+        assembled once per task. Non-integer operands raise
+        :class:`TypeError`, rows outside their table
+        :class:`IndexError`.
+        """
+        queries = np.asarray(queries)
+        centroids = np.asarray(centroids)
         codebooks = np.asarray(codebooks)
         if codebooks.ndim != 3:
             raise ValueError(
                 f"codebooks must be (M, CB, dsub), got {codebooks.shape}"
             )
         m, cb, dsub = codebooks.shape
-        if residuals.ndim != 2 or residuals.shape[1] != m * dsub:
+        for name, arr in (("queries", queries), ("centroids", centroids)):
+            if arr.ndim != 2 or arr.shape[1] != m * dsub:
+                raise ValueError(
+                    f"{name} must be (n, {m * dsub}), got {arr.shape}"
+                )
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                raise TypeError(
+                    f"{name} must be an integer array, got {arr.dtype}"
+                )
+        qrows = _check_rows(qrows, "qrows")
+        crows = _check_rows(crows, "crows")
+        if len(qrows) != len(crows):
             raise ValueError(
-                f"residuals must be (g, {m * dsub}), got {residuals.shape}"
+                f"qrows and crows must align, got {len(qrows)} and {len(crows)}"
             )
-        out = np.empty((residuals.shape[0], m, cb), dtype=np.int64)
-        if len(out) == 0:
-            return out
+        t = len(qrows)
+        if t == 0:
+            return np.empty((0, m, cb), dtype=np.int64)
         terms = self._terms.terms(codebooks)
-        r_max = max(int(residuals.max()), -int(residuals.min()))
-        if expansion_is_exact(r_max, terms.max_abs, dsub):
-            _build_luts_expansion(residuals, terms, out)
-        else:
+        uq, qi = _unique_rows(qrows, queries, "qrows")
+        uc, ci = _unique_rows(crows, centroids, "crows")
+        q_max, c_max = _max_abs(uq), _max_abs(uc)
+        if not expansion_is_exact(q_max + c_max, terms.max_abs, dsub):
+            out = np.empty((t, m, cb), dtype=np.int64)
+            residuals = queries[qrows].astype(np.int64) - centroids[crows]
             _build_luts_int64(residuals, codebooks, out)
+            return out
+        # Every table entry, partial sum and M-entry scan sum is within
+        # M * dsub * (max|q| + max|c| + max|b|)**2.
+        bound = m * dsub * (q_max + c_max + terms.max_abs) ** 2
+        dtype = np.int32 if bound <= _I32_MAX else np.int64
+        q_terms = _term_table(uq, terms, -2.0, dtype, norms=True)
+        c_terms = _term_table(uc, terms, 2.0, dtype, norms=False)
+        out = np.empty((t, m, cb), dtype=dtype)
+        step = slab_rows(m * cb * out.itemsize)
+        for s0 in range(0, t, step):
+            rows = slice(s0, s0 + step)
+            o = out[rows]
+            # Every index is in range, so the take mode only picks the
+            # unbuffered loop.
+            np.take(q_terms, qi[rows], axis=0, out=o, mode="wrap")
+            o += np.take(c_terms, ci[rows], axis=0, mode="wrap")
+            r = (
+                queries[qrows[rows]].astype(dtype)
+                - centroids[crows[rows]].astype(dtype)
+            ).reshape(len(o), m, dsub)
+            o += np.einsum("gmd,gmd->gm", r, r)[:, :, None]
         return out

@@ -44,7 +44,7 @@ from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim import parallel
 from repro.pim.backend import resolve_backend
-from repro.pim.backend.numpy_backend import gather_offsets
+from repro.pim.backend.numpy_backend import gather_offsets, slab_rows
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.kernels import (
@@ -58,15 +58,17 @@ from repro.pim.parallel import ExecutionPlanner, make_executor, scan_jobs_stacke
 # Not called here: benchmarks/suite/tracing.py wraps this attribute.
 from repro.pim.parallel import scan_shard_group  # noqa: F401
 from repro.pim.transfer import HostTransferModel
+from repro.utils import check_operands
 
 
 #: Distinct shard-group shapes whose kernel charges one system keeps;
 #: the memo restarts when full (it only saves recomputation).
 CHARGE_MEMO_ENTRIES = 4096
 
-#: LUT bytes one scan dispatch of a round holds; a round past it
-#: dispatches in parts after a centroid block, which bounds a
-#: whole-matrix round's LUT memory without changing a result.
+#: LUT bytes (at 8 B per entry) one part of a round holds: a round past
+#: it builds and dispatches its LUT block in parts of whole shard
+#: groups, which bounds a whole-matrix round's LUT memory without
+#: changing a result.
 ROUND_LUT_BYTES = 64 * 1024 * 1024
 
 #: One kernel charge: the closed-form cost and the cycles it takes.
@@ -135,6 +137,9 @@ class PimSystem:
         # share, which is exact (the LUT depends only on the centroid).
         self._cent_id_of: Dict[bytes, int] = {}
         self._centroid_by_id: List[np.ndarray] = []
+        # The registry stacked (C, D), the LC's centroid operand; rebuilt
+        # after place_shard registers a new centroid.
+        self._centroid_table: Optional[np.ndarray] = None
         self._shard_cent: Dict[str, int] = {}
         # Opt-in worker pool for the functional shard scans, plus the
         # per-round vectorized/pool chooser. The persistent pool
@@ -266,6 +271,7 @@ class PimSystem:
             cent_id = len(self._centroid_by_id)
             self._cent_id_of[cent_key] = cent_id
             self._centroid_by_id.append(np.asarray(shard.centroid))
+            self._centroid_table = None
         self._shard_cent[shard.shard_key] = cent_id
         # Placement changes invalidate the worker pool's zero-copy
         # residency; it is re-hosted on the next pool round.
@@ -465,7 +471,10 @@ class PimSystem:
         ----------
         assignments: dpu_id → list of (query_index, shard_key) tasks.
             Every shard_key must be resident on that dpu.
-        queries: ``(q, D)`` uint8 — the batch's queries (broadcast).
+        queries: ``(q, D)`` — the batch's queries (broadcast), with
+            integral values in ``[0, 255]`` and ``D`` the codebooks'
+            ``M * dsub``; anything else raises ``ValueError`` naming
+            ``queries`` (never a silent truncation).
         k: local top-k each task returns.
         multiplier_less: use the square LUT in LC (must be loaded).
 
@@ -498,7 +507,13 @@ class PimSystem:
                 )
             sq = self.square_lut
 
-        queries = np.asarray(queries)
+        queries = check_operands(queries, np.uint8, "queries")
+        m, _, dsub = self.codebooks.shape
+        if queries.ndim != 2 or queries.shape[1] != m * dsub:
+            raise ValueError(
+                f"queries must be (q, {m * dsub}) for the loaded "
+                f"codebooks, got {queries.shape}"
+            )
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
         self._batch_index += 1
@@ -556,15 +571,18 @@ class PimSystem:
             dpu_id: self._ledger_total(dpu_id) for dpu_id, _, _ in groups
         }
 
-        # ---- functional pass: vectorized RC+LC per centroid, then one
-        # DC+TS dispatch for the round's shard groups via the
+        # ---- functional pass: one RC+LC block for the round's task
+        # rows, then one DC+TS dispatch for its shard groups via the
         # planner-chosen path (the in-process round block, or worker
-        # processes). Its rows follow the group order.
+        # processes). Rows follow the group order.
         lives = [
             self._live_count(skey, self._shards[skey][1]) for _, skey, _ in groups
         ]
+        qrows = np.array(
+            [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
+        )
         block, group_misses = self._run_groups_functional(
-            groups, lives, queries, k, sq
+            groups, lives, queries.astype(np.uint8, copy=False), qrows, k, sq
         )
 
         # ---- charging pass: replay the per-DPU group order, charging
@@ -638,31 +656,34 @@ class PimSystem:
             transient_retries=transient_retries,
             transfer_timeouts=transfer_timeouts,
         )
-        rows_out = np.array(
-            [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
-        )
-        return (rows_out,) + block, timing
+        return (qrows,) + block, timing
 
     def _run_groups_functional(
         self,
         groups: List[Tuple[int, str, List[int]]],
         lives: List[int],
         queries: np.ndarray,
+        qrows: np.ndarray,
         k: int,
         sq: Optional[SquareLut],
     ) -> Tuple[parallel.JobTopk, List[int]]:
-        """The round's top-k block, from one scan dispatch.
+        """The round's top-k block, from one LUT block and one scan
+        dispatch.
 
-        RC and LC run once per unique (query, centroid) pair — parts
-        and replicas of a cluster reuse the same LUT rows instead of
-        rebuilding them per shard. Every shard group of the round then
-        becomes one DC/TS job over its shard's resident scan operands,
-        and the round's jobs go, in group order, to the data-plane path
-        the planner picks (:func:`scan_jobs_stacked`, or the worker
-        pool) in one call — in more only when the collected LUT bytes
-        reach :data:`ROUND_LUT_BYTES`, each part's rows then scattered
-        into place. Integer math and one canonical selection rule make
-        both paths bit-identical to per-group recomputation.
+        RC and LC run as one
+        :meth:`~repro.pim.backend.NumpyBackend.build_luts` over the
+        round's task rows (``qrows``, the query of each row in group
+        order, against its group's centroid): the codebook products are
+        shared per unique query and per unique centroid, so parts and
+        replicas of a cluster never rebuild them per shard. Every shard
+        group's job is then its contiguous row slice of the block over
+        its shard's resident scan operands, and the round's jobs go, in
+        group order, to the data-plane path the planner picks
+        (:func:`scan_jobs_stacked`, or the worker pool) in one call —
+        in parts of whole groups only when the block would pass
+        :data:`ROUND_LUT_BYTES`, each part's rows then written into
+        place. Integer math and one canonical selection rule make both
+        paths bit-identical to per-group recomputation.
 
         Returns the ``(ids, dists)`` block — ``(T, k)``, one row per
         task in group order, padded with ``-1`` / ``inf`` past a
@@ -691,92 +712,60 @@ class PimSystem:
                 self.observer.on_plan_decision(path)
         pool = path == "pool" and self.executor is not None
 
-        # Centroid-major LUT construction: each centroid's pairs are
-        # built once and sliced into its groups' jobs.
-        cent_groups: Dict[int, List[int]] = {}
-        for gi, (_, skey, _) in enumerate(groups):
-            cent_groups.setdefault(self._shard_cent[skey], []).append(gi)
-
-        starts = np.cumsum([0] + [len(qidxs) for _, _, qidxs in groups])
+        sizes = [len(qidxs) for _, _, qidxs in groups]
+        starts = np.cumsum([0] + sizes)
         total = int(starts[-1])
+        crows = np.repeat(
+            [self._shard_cent[skey] for _, skey, _ in groups], sizes
+        ).astype(np.int64)
+        centroids = self._centroids()
+        group_misses = self._group_misses(
+            queries, centroids, qrows, crows, starts, sq
+        )
+
         block: Optional[parallel.JobTopk] = None
-        group_misses: List[int] = [0] * len(groups)
+        parts = self._round_parts(sizes)
         scan_seconds = 0.0
-
-        def padded() -> parallel.JobTopk:
-            return (
-                np.full((total, k), -1, dtype=np.int64),
-                np.full((total, k), np.inf),
+        for g0, g1 in parts:
+            r0, r1 = int(starts[g0]), int(starts[g1])
+            luts = backend.build_luts(
+                queries, centroids, qrows[r0:r1], crows[r0:r1], self.codebooks
             )
-
-        def dispatch(jobs: Dict[int, parallel.ScanJob]) -> None:
-            nonlocal block, scan_seconds
-            gis = sorted(jobs)
+            jobs: List[parallel.ScanJob] = []
+            gis: List[int] = []
+            for gi in range(g0, g1):
+                if pool and not lives[gi]:
+                    continue  # an empty shard's rows stay padding
+                skey = groups[gi][1]
+                shard = self._shards[skey][1]
+                luts_g = luts[starts[gi] - r0 : starts[gi + 1] - r0]
+                if pool:
+                    codes_s, ids_s = self._live_arrays(skey, shard)
+                    jobs.append((luts_g, codes_s, ids_s, k))
+                else:
+                    off, ids_s = self._scan_operands(skey, shard)
+                    jobs.append((luts_g, off.T, ids_s, k))
+                gis.append(gi)
             t0 = time.perf_counter()
             if pool:
                 part = self._pool_block(
-                    groups, gis, [jobs[gi] for gi in gis], k, backend
+                    groups, gis, jobs, starts, r0, r1, k, backend
                 )
             else:
-                part = scan_jobs_stacked([jobs[gi] for gi in gis], backend=backend)
+                part = scan_jobs_stacked(jobs, backend=backend)
             scan_seconds += time.perf_counter() - t0
-            if block is None and len(gis) == len(groups):
+            if len(parts) == 1:
                 block = part
-                return
+                break
             if block is None:
-                block = padded()
-            rows = np.concatenate(
-                [np.arange(starts[gi], starts[gi + 1]) for gi in gis]
-            )
-            block[0][rows] = part[0]
-            block[1][rows] = part[1]
-
-        jobs: Dict[int, parallel.ScanJob] = {}
-        job_bytes = 0
-        for cent_id, gis in cent_groups.items():
-            # Unique queries probing this centroid, first-use order.
-            row_of: Dict[int, int] = {}
-            for gi in gis:
-                for qidx in groups[gi][2]:
-                    if qidx not in row_of:
-                        row_of[qidx] = len(row_of)
-            luts, pair_misses = self._build_cent_luts(
-                list(row_of),
-                self._centroid_by_id[cent_id],
-                queries,
-                sq,
-            )
-            # One gather-dtype conversion per centroid block.
-            luts = backend.gather_view(luts)
-            if not pair_misses.any():
-                pair_misses = None  # every group's count stays 0
-            for gi in gis:
-                qidxs = groups[gi][2]
-                skey = groups[gi][1]
-                rows = [row_of[q] for q in qidxs]
-                if pair_misses is not None:
-                    group_misses[gi] = int(pair_misses[rows].sum())
-                if pool and not lives[gi]:
-                    continue  # an empty shard's rows stay padding
-                # A centroid's only group (no repeated query) takes
-                # the block as built.
-                whole = len(gis) == 1 and len(rows) == len(luts)
-                luts_g = luts if whole else luts[rows]
-                shard = self._shards[skey][1]
-                if pool:
-                    codes_s, ids_s = self._live_arrays(skey, shard)
-                    jobs[gi] = (luts_g, codes_s, ids_s, k)
-                else:
-                    off, ids_s = self._scan_operands(skey, shard)
-                    jobs[gi] = (luts_g, off.T, ids_s, k)
-                job_bytes += luts_g.nbytes
-            if job_bytes >= ROUND_LUT_BYTES:
-                dispatch(jobs)
-                jobs, job_bytes = {}, 0
-        if jobs:
-            dispatch(jobs)
-        if block is None:
-            block = padded()  # no group had a job
+                block = (
+                    np.full((total, k), -1, dtype=np.int64),
+                    np.full((total, k), np.inf),
+                )
+            block[0][r0:r1] = part[0]
+            block[1][r0:r1] = part[1]
+        if block is None:  # no groups
+            block = (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
 
         # Measured rate feedback: the planner arbitrates pool vs in
         # process empirically once both have been observed. Purely
@@ -793,32 +782,90 @@ class PimSystem:
                     self.observer.on_pool_fallback(reason)
         return block, group_misses
 
+    def _centroids(self) -> np.ndarray:
+        """The ``(C, D)`` centroid registry, indexed by centroid id."""
+        if self._centroid_table is None:
+            d = self.codebooks.shape[0] * self.codebooks.shape[2]
+            self._centroid_table = (
+                np.stack(self._centroid_by_id)
+                if self._centroid_by_id
+                else np.empty((0, d), dtype=np.uint8)
+            )
+        return self._centroid_table
+
+    def _round_parts(self, sizes: List[int]) -> List[Tuple[int, int]]:
+        """``[g0, g1)`` group ranges whose LUT rows stay within
+        :data:`ROUND_LUT_BYTES` (a single group past it is its own
+        part); one part for a round that fits."""
+        if not sizes:
+            return []
+        m, cb, _ = self.codebooks.shape
+        row_bytes = m * cb * 8
+        parts: List[Tuple[int, int]] = []
+        g0 = used = 0
+        for gi, size in enumerate(sizes):
+            if gi > g0 and used + size * row_bytes > ROUND_LUT_BYTES:
+                parts.append((g0, gi))
+                g0, used = gi, 0
+            used += size * row_bytes
+        parts.append((g0, len(sizes)))
+        return parts
+
+    def _group_misses(
+        self,
+        queries: np.ndarray,
+        centroids: np.ndarray,
+        qrows: np.ndarray,
+        crows: np.ndarray,
+        starts: np.ndarray,
+        sq: Optional[SquareLut],
+    ) -> List[int]:
+        """Per-group square-LUT miss counts for LC cost charging.
+
+        The multiplier-less conversion (§III-A) changes which DPU
+        instructions compute a square, not its value
+        (``SquareLut.table[v] == v*v``), so it moves only the modeled
+        LC cost. That cost needs the lookups outside the resident
+        window, nonzero only for a *partial* table: only then are the
+        task rows' differences formed (:func:`square_misses`) and
+        summed per group.
+        """
+        num_groups = len(starts) - 1
+        if sq is None or sq.resident_max_abs >= sq.max_abs or not num_groups:
+            return [0] * num_groups
+        residuals = queries[qrows].astype(np.int32) - centroids[crows].astype(
+            np.int32
+        )
+        per_task = square_misses(residuals, self.codebooks, sq.resident_max_abs)
+        return [int(c) for c in np.add.reduceat(per_task, starts[:-1])]
+
     def _pool_block(
         self,
         groups: List[Tuple[int, str, List[int]]],
         gis: List[int],
         jobs: List[parallel.ScanJob],
+        starts: np.ndarray,
+        r0: int,
+        r1: int,
         k: int,
         backend,
     ) -> parallel.JobTopk:
         """The worker pool's scan of ``jobs`` (groups ``gis``, each with
-        live rows) laid into a padded ``(rows, k)`` block over every
-        group in ``gis``."""
+        live rows) laid into a padded ``(r1 - r0, k)`` block over the
+        part's task rows ``[r0, r1)``."""
         tops = self.executor.scan_groups(
             jobs,
             [groups[gi][1] for gi in gis],
             [self._live_rows.get(groups[gi][1]) for gi in gis],
             backend,
         )
-        sizes = [len(groups[gi][2]) for gi in gis]
-        ids = np.full((sum(sizes), k), -1, dtype=np.int64)
-        dists = np.full((sum(sizes), k), np.inf)
-        row = 0
-        for size, (top_ids, top_dists) in zip(sizes, tops):
-            width = top_ids.shape[1]
-            ids[row : row + size, :width] = top_ids
-            dists[row : row + size, :width] = top_dists
-            row += size
+        ids = np.full((r1 - r0, k), -1, dtype=np.int64)
+        dists = np.full((r1 - r0, k), np.inf)
+        for gi, (top_ids, top_dists) in zip(gis, tops):
+            a = int(starts[gi]) - r0
+            rows, width = top_ids.shape
+            ids[a : a + rows, :width] = top_ids
+            dists[a : a + rows, :width] = top_dists
         return ids, dists
 
     def warm_pool(self) -> bool:
@@ -852,38 +899,6 @@ class PimSystem:
             }
         )
         self._residency_dirty = False
-
-    def _build_cent_luts(
-        self,
-        qidxs: List[int],
-        centroid: np.ndarray,
-        queries: np.ndarray,
-        sq: Optional[SquareLut],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched RC+LC: LUTs for every (query, centroid) pair.
-
-        RC is ``run_residual``'s int32 subtraction; LC always goes
-        through the host kernels'
-        :meth:`~repro.pim.backend.NumpyBackend.build_luts`, the same
-        exact integers ``run_lut_build`` produces. The multiplier-less
-        conversion (§III-A) changes which DPU instructions compute a
-        square, not its value (``SquareLut.table[v] == v*v``), so it
-        moves only the modeled LC cost. That cost needs the square-LUT
-        miss count, which is nonzero only for a *partial* table; only
-        then is the difference tensor formed, to count the lookups
-        outside the resident window. Returns ``(g, M, CB)`` int64 LUTs
-        and per-pair miss counts.
-        """
-        residuals = queries[qidxs].astype(np.int32) - centroid.astype(np.int32)
-        luts = self.backend.build_luts(residuals, self.codebooks)
-        g = len(qidxs)
-        if sq is None or sq.resident_max_abs >= sq.max_abs:
-            return luts, np.zeros(g, dtype=np.int64)
-        m, _, dsub = self.codebooks.shape
-        diff = residuals.astype(np.int64).reshape(g, m, 1, dsub) - self.codebooks
-        return luts, np.count_nonzero(
-            np.abs(diff) > sq.resident_max_abs, axis=(1, 2, 3)
-        ).astype(np.int64)
 
     def _group_charges(
         self,
@@ -944,3 +959,23 @@ class PimSystem:
         """Tear down the optional shard-executor worker pool."""
         if self.executor is not None:
             self.executor.close()
+
+
+def square_misses(
+    residuals: np.ndarray, codebooks: np.ndarray, window: int
+) -> np.ndarray:
+    """Per task row, the square-LUT lookups ``|r - b|`` past a resident
+    ``window`` over every ``(M, CB, dsub)`` codeword entry: ``(T,)``
+    int64, from ``(T, D)`` int residuals, in row slabs of bounded
+    transient size."""
+    m, cb, dsub = codebooks.shape
+    books = codebooks.astype(np.int64)
+    out = np.empty(len(residuals), dtype=np.int64)
+    step = slab_rows(m * cb * dsub * 8)
+    for s0 in range(0, len(out), step):
+        r = residuals[s0 : s0 + step].astype(np.int64)
+        diff = r.reshape(len(r), m, 1, dsub) - books
+        out[s0 : s0 + step] = np.count_nonzero(
+            np.abs(diff) > window, axis=(1, 2, 3)
+        )
+    return out

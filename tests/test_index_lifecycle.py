@@ -216,9 +216,9 @@ class TestEncode:
         slabs = []
         build = backend.build_luts
 
-        def spy(residuals, codebooks):
-            slabs.append(len(residuals))
-            return build(residuals, codebooks)
+        def spy(queries, centroids, qrows, crows, codebooks):
+            slabs.append(len(qrows))
+            return build(queries, centroids, qrows, crows, codebooks)
 
         monkeypatch.setattr(backend, "build_luts", spy)
         got = quant.encode(vectors)

@@ -26,6 +26,25 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _residual_pairs(residuals):
+    """``build_luts``'s pair operands for given residuals: each row
+    against one all-zero centroid."""
+    g = len(residuals)
+    centroids = np.zeros((1, residuals.shape[1]), dtype=np.uint8)
+    return residuals, centroids, np.arange(g), np.zeros(g, dtype=np.intp)
+
+
+def _gather_dtype(residuals, books):
+    """int32 when ``M * dsub * (max|r| + max|b|)**2`` fits int32 (an
+    empty batch is int64)."""
+    if not residuals.size:
+        return np.int64
+    m, _, dsub = books.shape
+    r = int(np.abs(residuals.astype(np.int64)).max())
+    b = int(np.abs(books.astype(np.int64)).max())
+    return np.int32 if m * dsub * (r + b) ** 2 < 2**31 else np.int64
+
+
 def _scan_case(rng, g, n, m, cb, code_dtype=np.uint8):
     luts = rng.integers(0, 1 << 20, size=(g, m, cb)).astype(np.int64)
     codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
@@ -49,7 +68,7 @@ class TestRegistry:
         must find them)."""
         backend = resolve_backend("auto")
         assert backend is resolve_backend() is resolve_backend("numpy")
-        for op in ("scan", "scan_stacked", "build_luts", "gather_view"):
+        for op in ("scan", "scan_stacked", "scan_into", "build_luts"):
             assert op in vars(type(backend))
 
 
@@ -91,10 +110,10 @@ class TestBitExactness:
         codebooks = rng.integers(-255, 255, size=(m, cb, dsub)).astype(
             np.int16
         )
-        got = backend.build_luts(residuals, codebooks)
+        got = backend.build_luts(*_residual_pairs(residuals), codebooks)
         r = residuals.astype(np.int64).reshape(12, m, 1, dsub)
         want = ((r - codebooks.astype(np.int64)) ** 2).sum(axis=3)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32  # every 8-entry sum fits int32
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -249,8 +268,9 @@ class TestLutBuildKernel:
         want, _ = run_lut_build(residuals, books, full)
         want_p, _ = run_lut_build(residuals, books, partial)
         assert np.array_equal(want, want_p)
-        got = resolve_backend().build_luts(residuals, books)
-        assert got.dtype == np.int64 and got.flags.c_contiguous
+        got = resolve_backend().build_luts(*_residual_pairs(residuals), books)
+        assert got.dtype == _gather_dtype(residuals, books)
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -268,7 +288,8 @@ class TestLutBuildKernel:
         if wide:
             residuals[g // 2, 0] = 1 << 26  # breaks the 2**53 bound
         want, _ = run_lut_build(residuals, books)
-        assert np.array_equal(NumpyBackend().build_luts(residuals, books), want)
+        got = NumpyBackend().build_luts(*_residual_pairs(residuals), books)
+        assert np.array_equal(got, want)
 
     def test_exactness_guard_falls_back(self, monkeypatch):
         """Magnitudes past the 2**53 bound take the int64 diff path and
@@ -287,19 +308,19 @@ class TestLutBuildKernel:
         m, cb, dsub = 2, 8, 4
         books = rng.integers(-(1 << 15), 1 << 15, size=(m, cb, dsub)).astype(np.int16)
         ok = rng.integers(0, 1 << 16, size=(3, m * dsub)).astype(np.int64)
-        NumpyBackend().build_luts(ok, books)
+        NumpyBackend().build_luts(*_residual_pairs(ok), books)
         assert calls == []
         big = ok.copy()
         big[1, 0] = 1 << 26  # dsub * (2**26 + 2**15)**2 > 2**53
         assert not numpy_backend.expansion_is_exact(1 << 26, 1 << 15, dsub)
-        got = NumpyBackend().build_luts(big, books)
+        got = NumpyBackend().build_luts(*_residual_pairs(big), books)
         assert calls == [big.shape]
         diff = big.reshape(3, m, 1, dsub) - books.astype(np.int64)
         assert np.array_equal(got, (diff * diff).sum(axis=3))
 
     def test_empty_batch(self):
         books = np.zeros((4, 8, 2), dtype=np.int16)
-        out = NumpyBackend().build_luts(np.zeros((0, 8), dtype=np.int32), books)
+        out = NumpyBackend().build_luts(*_residual_pairs(np.zeros((0, 8), dtype=np.int32)), books)
         assert out.shape == (0, 4, 8) and out.dtype == np.int64
 
 
@@ -356,7 +377,7 @@ class TestScanSlabs:
         for gv, wv in zip(got, want):
             assert gv.dtype == wv.dtype and np.array_equal(gv, wv)
         # One gathered LUT entry is the smallest slab the scan can take.
-        itemsize = backend.gather_view(luts).dtype.itemsize
+        itemsize = numpy_backend._gather_view(luts).dtype.itemsize
         assert spy.sizes and max(spy.sizes) <= max(budget, m * itemsize)
         if budget < m * n * itemsize:
             assert max(spy.sizes) < m * n * itemsize  # a row was split

@@ -193,25 +193,36 @@ class TestLcKernelPath:
         assert timing.kernel_cycles["LC"] == ref.cycles_by_kernel["LC"]
 
     def test_partial_table_miss_counts_per_pair(self, sys4, rng):
-        """Each pair's miss count == the staged run_lut_build's misses
-        for that pair alone; a full table counts none."""
+        """Each task row's miss count == the staged run_lut_build's
+        misses for that pair alone, and a group's count is the sum of
+        its rows; a full table counts none."""
         from repro.pim.kernels import run_lut_build
+        from repro.pim.system import square_misses
 
         full = SquareLut.for_bit_width(8, levels=3)
         queries = rng.integers(0, 255, size=(9, 32)).astype(np.uint8)
-        centroid = sys4.get_shard("s1").centroid
-        qidxs = np.arange(9)
+        centroids = sys4._centroids()
+        qrows = np.array([0, 3, 3, 8, 1, 2, 5, 0, 7, 6, 4], dtype=np.int64)
+        crows = np.array([1, 1, 2, 2, 2, 0, 0, 0, 3, 3, 1], dtype=np.int64)
+        starts = np.array([0, 2, 5, 8, 10, 11])
         m = sys4.codebooks.shape[0]
-        _, none = sys4._build_cent_luts(qidxs, centroid, queries, full)
-        assert not none.any()
+        none = sys4._group_misses(queries, centroids, qrows, crows, starts, full)
+        assert none == [0] * 5
+        residuals = queries[qrows].astype(np.int32) - centroids[crows].astype(
+            np.int32
+        )
         for window in (0, 1, 63, 255, 500):
             partial = full.partial(window)
-            luts, misses = sys4._build_cent_luts(
-                qidxs, centroid, queries, partial
+            misses = square_misses(
+                residuals, sys4.codebooks, partial.resident_max_abs
             )
             assert misses.dtype == np.int64
-            for q in qidxs:
-                res = queries[q : q + 1].astype(np.int32) - centroid.astype(np.int32)
-                want, cost = run_lut_build(res, sys4.codebooks, partial)
-                assert np.array_equal(luts[q : q + 1], want)
-                assert misses[q] == cost.traffic.transactions - m
+            for t in range(len(qrows)):
+                _, cost = run_lut_build(residuals[t : t + 1], sys4.codebooks, partial)
+                assert misses[t] == cost.traffic.transactions - m
+            groups = sys4._group_misses(
+                queries, centroids, qrows, crows, starts, partial
+            )
+            assert groups == [
+                int(misses[a:b].sum()) for a, b in zip(starts[:-1], starts[1:])
+            ]
