@@ -25,16 +25,12 @@ from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 
 
 def _with_policy(engine, policy, threshold):
-    old = engine.scheduler.config
+    old = engine.scheduler
     return RuntimeScheduler(
         engine.plan,
-        SchedulerConfig(
-            lut_latency=old.lut_latency,
-            per_point_calc=old.per_point_calc,
-            per_point_sort=old.per_point_sort,
-            filter_threshold=threshold,
-            policy=policy,
-        ),
+        SchedulerConfig(filter_threshold=threshold, policy=policy),
+        old.lut_weight,
+        old.point_weight,
     )
 
 

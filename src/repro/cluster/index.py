@@ -37,7 +37,7 @@ import numpy as np
 from repro.ann.ivfpq import IVFPQIndex
 from repro.core.config import EngineConfig
 from repro.core.engine import DrimAnnEngine
-from repro.core.layout import estimate_cluster_heat
+from repro.core.layout import estimate_cluster_heat, task_cost_weights
 from repro.core.persist import (
     IndexFormatError,
     _atomic_write,
@@ -332,20 +332,16 @@ def build_cluster_index(
 
     # Rack-granularity heat: same Eq. 15 weights the engine uses for its
     # intra-platform layout, so the two levels agree on what "hot" means.
-    d, m, cb = quantized.dim, params.num_subspaces, params.codebook_size
-    lut_weight = 2.0 * d * cb + d * cb + 2.0 * m * cb
-    point_weight = (3.0 * m - 1.0) + 2.0
-    if heat_queries is not None:
-        heat = estimate_cluster_heat(
-            quantized,
-            heat_queries,
-            params.nprobe,
-            lut_weight=lut_weight,
-            point_weight=point_weight,
-        )
-    else:
-        sizes = quantized.cluster_live_sizes().astype(np.float64)
-        heat = sizes * point_weight + lut_weight
+    lut_weight, point_weight = task_cost_weights(
+        quantized.dim, params.num_subspaces, params.codebook_size
+    )
+    heat = estimate_cluster_heat(
+        quantized,
+        heat_queries,
+        params.nprobe,
+        lut_weight=lut_weight,
+        point_weight=point_weight,
+    )
 
     owner = partition_clusters(heat, cluster.num_shards)
 

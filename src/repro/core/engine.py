@@ -28,7 +28,7 @@ any configuration it must equal
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -42,6 +42,7 @@ from repro.core.layout import (
     LayoutPlan,
     estimate_cluster_heat,
     generate_layout,
+    task_cost_weights,
 )
 from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
@@ -55,7 +56,7 @@ from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
 from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
-from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
+from repro.core.scheduler import RuntimeScheduler
 from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultStats
@@ -68,10 +69,6 @@ from repro.utils import (
     ensure_rng,
     merge_topk_pools,
 )
-
-#: Filter-off scheduler copies one engine keeps (the drain's and the
-#: ablation arm's, per base scheduler); the cache restarts when full.
-FILTERLESS_ENTRIES = 4
 
 
 @dataclass
@@ -128,12 +125,6 @@ class DrimAnnEngine:
         self.observer = observer
         self.scheduler.observer = observer
         self.system.observer = observer
-        # (id(base), policy) -> (base, base.config, filter-off copy);
-        # see _filterless_scheduler.
-        self._filterless: Dict[
-            Tuple[int, str],
-            Tuple[RuntimeScheduler, SchedulerConfig, RuntimeScheduler],
-        ] = {}
         # Lifecycle state (populated by from_quantized / load / save).
         self._config: Optional[EngineConfig] = None
         self.cluster_heat: Optional[np.ndarray] = None
@@ -301,7 +292,6 @@ class DrimAnnEngine:
         self.system = None  # type: ignore[assignment]
         self.plan = None  # type: ignore[assignment]
         self.scheduler = None  # type: ignore[assignment]
-        self._filterless.clear()
         self._radii_sq = None
         self._cb_norms_sq = None
         self._unloaded = True
@@ -346,8 +336,9 @@ class DrimAnnEngine:
         one whose row range ends at the cluster's old size, so every
         shard stays a contiguous (zero-copy-able) row range. The
         appended rows' host→PIM transfer is charged, and the
-        scheduler's per-group cost cache is rebuilt so load balancing
-        sees the new sizes. Returns the assigned point ids.
+        scheduler's group costs of the touched clusters are refreshed
+        so load balancing sees the new sizes. Returns the assigned
+        point ids.
 
         Raises ``ValueError`` naming ``vectors`` when they hold NaN or
         infinite values, fractions, or values outside the index's
@@ -418,11 +409,8 @@ class DrimAnnEngine:
                     )
                     if r > self._radii_sq[cid]:
                         self._radii_sq[cid] = r
-        # The scheduler precomputes per-group latency from shard sizes;
-        # rebuild it (cheap) so predictions track the grown shards.
-        scheduler = RuntimeScheduler(self.plan, self.scheduler.config)
-        scheduler.adopt_fault_state(self.scheduler)
-        self.scheduler = scheduler
+        # The scheduler precomputes per-group latency from shard sizes.
+        self.scheduler.refresh_clusters(touched.tolist())
         return new_ids
 
     def delete(self, ids: np.ndarray) -> int:
@@ -650,33 +638,20 @@ class DrimAnnEngine:
                 "reduce num_subspaces x codebook_size"
             )
 
-        # --- Eq. 15 coefficients from the kernel cost model.
-        d = quantized.dim
-        m = params.num_subspaces
-        cb = params.codebook_size
-        lut_latency = 2.0 * d * cb + d * cb + 2.0 * m * cb  # LC slots/task
-        per_point_calc = 3.0 * m - 1.0  # DC slots/point
-        per_point_sort = 2.0  # TS compare + amortized sift
-
-        # --- heat estimation.
-        weights_kw = dict(
-            lut_weight=lut_latency, point_weight=per_point_calc + per_point_sort
+        # --- Eq. 15 task costs and cluster heat (generate_layout checks
+        # a given heat vector's shape).
+        lut_weight, point_weight = task_cost_weights(
+            quantized.dim, params.num_subspaces, params.codebook_size
         )
-        if cluster_heat is not None:
-            heat = np.asarray(cluster_heat, dtype=np.float64)
-            if heat.shape != (quantized.nlist,):
-                raise ValueError(
-                    f"cluster_heat must have shape ({quantized.nlist},), "
-                    f"got {heat.shape}"
-                )
-        elif heat_queries is not None:
-            heat = estimate_cluster_heat(
-                quantized, heat_queries, params.nprobe, **weights_kw
+        if cluster_heat is None:
+            cluster_heat = estimate_cluster_heat(
+                quantized,
+                heat_queries,
+                params.nprobe,
+                lut_weight=lut_weight,
+                point_weight=point_weight,
             )
-        else:
-            sizes = quantized.cluster_live_sizes().astype(np.float64)
-            heat = sizes * (weights_kw["point_weight"]) + weights_kw["lut_weight"]
-
+        heat = np.asarray(cluster_heat, dtype=np.float64)
         plan = generate_layout(
             quantized, system_config.num_dpus, heat, layout_config, seed=rng
         )
@@ -735,13 +710,7 @@ class DrimAnnEngine:
         offline_xfer += system.transfer.scatter("shards", total_bytes)
 
         scheduler = RuntimeScheduler(
-            plan,
-            replace(
-                config.scheduler,
-                lut_latency=lut_latency,
-                per_point_calc=per_point_calc,
-                per_point_sort=per_point_sort,
-            ),
+            plan, config.scheduler, lut_weight, point_weight
         )
         if fault_plan is not None:
             # Stragglers are assumed profiled (UpANNS measures per-DPU
@@ -859,8 +828,8 @@ class DrimAnnEngine:
         round; the adaptive policy issues one probe per still-active
         query per round (see ``adaptive`` below). Host CL time is
         charged on a batch's first round. Deferred tasks left after the
-        last batch drain through filter-off rounds. Every round's task
-        block folds into one running ``(nq, k)`` top-k.
+        last batch run in one filter-off drain round. Every round's
+        task block folds into one running ``(nq, k)`` top-k.
 
         Every batch size produces bit-identical results — the fold
         keeps a canonical (distance, id) top-k — and
@@ -868,7 +837,9 @@ class DrimAnnEngine:
         transfer aggregation, and host wall-clock differ.
 
         ``with_scheduler=False`` forces the static policy (replica 0,
-        no filter) — the ablation arm of Fig. 11.
+        no filter) — the ablation arm of Fig. 11. Every round of every
+        arm runs on the engine's one scheduler, so DPU deaths found in
+        any search stay blacklisted for the next.
 
         ``probes`` skips cluster location entirely and probes the given
         per-query cluster ids instead: an ``(nq, p)`` integer array of
@@ -920,8 +891,9 @@ class DrimAnnEngine:
             queries = self.preprocessor.transform(check_finite(queries, "queries"))
         # The integer pipeline starts here: NaNs, fractions and values
         # outside the index's operand range are rejected, never
-        # truncated or wrapped by a later integer cast.
-        queries = check_operands(queries, self.quantized.centroids.dtype, "queries")
+        # truncated or wrapped by the cast to the operand dtype.
+        dtype = self.quantized.centroids.dtype
+        queries = check_operands(queries, dtype, "queries").astype(dtype, copy=False)
         k = self.params.k
         nprobe = self.params.nprobe
         nq = queries.shape[0]
@@ -968,10 +940,6 @@ class DrimAnnEngine:
             obs.on_search_start(nq)
         self.system.begin_search()
 
-        scheduler = self.scheduler
-        if not with_scheduler:
-            scheduler = self._filterless_scheduler(scheduler, "static")
-
         stats = FaultStats()
         if self.fault_plan is not None:
             stats.straggler_dpus = set(self.fault_plan.straggler_dpus)
@@ -985,15 +953,18 @@ class DrimAnnEngine:
         breakdown.faults = stats
 
         def run_round(
-            sched: RuntimeScheduler,
             tasks: List[Tuple[int, int]],
             charge: Tuple[int, float, float, float] = (0, 0.0, 0.0, 0.0),
+            defer: bool = with_scheduler,
         ) -> List[Tuple[int, int]]:
             """Schedule, execute and fail over one round; returns the
             tasks the filter deferred. ``charge`` is the CL to book:
-            (new queries, host CL seconds, CL-on-PIM seconds, cycles)."""
+            (new queries, host CL seconds, CL-on-PIM seconds, cycles).
+            The ablation arm and the drain round never defer."""
             new_queries, host_s, cl_sec, cl_cycles = charge
-            outcome = sched.schedule_batch(tasks)
+            outcome = self.scheduler.schedule_batch(
+                tasks, static=not with_scheduler, defer=defer
+            )
             stats.uncovered.update(outcome.uncovered)
             failed = self._execute(
                 outcome.assignments, queries, k, best, breakdown,
@@ -1002,10 +973,8 @@ class DrimAnnEngine:
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
             )
-            self._recover(
-                failed, sched, queries, k, best, breakdown
-            )
-            return list(outcome.deferred)
+            self._recover(failed, queries, k, best, breakdown)
+            return outcome.deferred
 
         carried: List[Tuple[int, int]] = []
         cl_on_pim = self.search_params.cluster_locate_on == "pim"
@@ -1038,21 +1007,13 @@ class DrimAnnEngine:
                 rounds = policy.rounds(q0, batch_probes, rr, best[1])
             charge = (nb, host_s, cl_sec, cl_cycles)
             for new in rounds:
-                carried = run_round(scheduler, carried + new, charge)
+                carried = run_round(carried + new, charge)
                 # CL is charged on the batch's first round only.
                 charge = (0, 0.0, 0.0, 0.0)
 
-        # Drain deferred tasks (filter off so the queue empties).
-        drains = 0
-        while carried:
-            drains += 1
-            if drains > 100:
-                raise RuntimeError("scheduler failed to drain deferred tasks")
-            drain = self._filterless_scheduler(scheduler, scheduler.config.policy)
-            carried = run_round(drain, carried)
-            # Deaths discovered while draining must stick for the next
-            # drain round (and for subsequent search() calls).
-            scheduler.mark_dead(drain.dead_dpus - scheduler.dead_dpus)
+        if carried:
+            # The drain: one filter-off round, which defers nothing.
+            run_round(carried, defer=False)
 
         stats.finalize(num_queries=nq, nprobe=nprobe)
         if obs is not None:
@@ -1071,39 +1032,6 @@ class DrimAnnEngine:
             metrics=obs.snapshot() if obs is not None else None,
             adaptive=report,
         )
-
-    def _filterless_scheduler(
-        self, base: RuntimeScheduler, policy: str
-    ) -> RuntimeScheduler:
-        """A filter-off copy of ``base`` with its fault state.
-
-        Serves the ``with_scheduler=False`` ablation arm and the
-        deferred-task drain, which must empty its queue. The copy
-        depends only on the plan and ``base``'s config, so it is built
-        once per (base, policy) and rebuilt when the engine's scheduler
-        or plan is replaced (add, compact, load); its fault state is
-        re-synced from ``base`` on every use.
-        """
-        key = (id(base), policy)
-        hit = self._filterless.get(key)
-        if (
-            hit is None
-            or hit[0] is not base
-            or hit[1] is not base.config
-            or hit[2].plan is not self.plan
-        ):
-            if len(self._filterless) >= FILTERLESS_ENTRIES:
-                self._filterless.clear()
-            sched = RuntimeScheduler(
-                self.plan,
-                replace(base.config, filter_threshold=None, policy=policy),
-            )
-            # The entry holds ``base`` itself, so its id stays unique.
-            hit = (base, base.config, sched)
-            self._filterless[key] = hit
-        sched = hit[2]
-        sched.adopt_fault_state(base)
-        return sched
 
     def _execute(
         self,
@@ -1175,7 +1103,6 @@ class DrimAnnEngine:
     def _recover(
         self,
         failed: List[Tuple[int, str]],
-        scheduler: RuntimeScheduler,
         queries: np.ndarray,
         k: int,
         best: Tuple[np.ndarray, np.ndarray],
@@ -1192,6 +1119,7 @@ class DrimAnnEngine:
         partial coverage instead of raising.
         """
         stats = breakdown.faults
+        scheduler = self.scheduler
         fplan = self.fault_plan
         retries = (
             None if fplan is None else fplan.config.backoff_policy().sequence()

@@ -28,7 +28,7 @@ one chosen replica group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,9 +100,19 @@ class LayoutPlan:
         return heat
 
 
+def task_cost_weights(d: int, m: int, cb: int) -> Tuple[float, float]:
+    """Eq. 15's task costs in DPU instruction slots, from the kernel cost
+    model, for dimension ``d``, ``m`` subspaces and ``cb`` codewords:
+    ``(lut_weight, point_weight)``; a task over ``x`` points costs
+    ``lut_weight + x * point_weight``."""
+    lut_weight = 2.0 * d * cb + d * cb + 2.0 * m * cb  # l_LUT: LC per task
+    point_weight = (3.0 * m - 1.0) + 2.0  # l_calu (DC) + l_sortu (TS)
+    return lut_weight, point_weight
+
+
 def estimate_cluster_heat(
     index: QuantizedIndexData,
-    sample_queries: np.ndarray,
+    sample_queries: Optional[np.ndarray],
     nprobe: int,
     *,
     lut_weight: float,
@@ -113,7 +123,10 @@ def estimate_cluster_heat(
 
     ``lut_weight`` is the fixed LC cost per (query, cluster) access and
     ``point_weight`` the per-point DC+TS cost; both in arbitrary
-    consistent units (the scheduler uses cycles).
+    consistent units (the scheduler uses cycles, see
+    :func:`task_cost_weights`). Without ``sample_queries`` every
+    cluster counts one access: heat is the Eq. 15 latency of its live
+    rows (size correlates with access frequency, §IV-C).
 
     ``smoothing`` is an additive pseudo-count on the sampled access
     frequency. Without it, clusters the sample never probed carry zero
@@ -126,13 +139,15 @@ def estimate_cluster_heat(
     """
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    probes = index.locate(sample_queries, nprobe)
-    freq = np.bincount(probes.ravel(), minlength=index.nlist).astype(np.float64)
-    freq += smoothing
     # Live sizes: tombstoned rows no longer reach TS, so they stop
     # counting toward heat (identical to cluster_sizes() when nothing
     # was deleted — golden ledgers are unaffected).
     sizes = index.cluster_live_sizes().astype(np.float64)
+    if sample_queries is None:
+        return sizes * point_weight + lut_weight
+    probes = index.locate(sample_queries, nprobe)
+    freq = np.bincount(probes.ravel(), minlength=index.nlist).astype(np.float64)
+    freq += smoothing
     return freq * (lut_weight + point_weight * sizes)
 
 

@@ -17,7 +17,8 @@ Two components, as in the paper:
   than average have some of their tasks deferred into the next batch
   (a DPU slow in this batch is not necessarily slow in the next). The
   engine carries deferred tasks forward and merges their results when
-  they eventually execute.
+  they eventually execute; what is left after the last batch runs in
+  one filter-off drain round on the same scheduler.
 
 Fault awareness (see :mod:`repro.faults`) adds two pieces of state:
 
@@ -49,10 +50,6 @@ from repro.core.layout import LayoutPlan
 class SchedulerConfig:
     """Runtime-scheduling knobs."""
 
-    # Eq. 15 coefficients, in DPU cycles.
-    lut_latency: float = 0.0  # l_LUT — set from index shape by the engine
-    per_point_calc: float = 0.0  # l_calu
-    per_point_sort: float = 0.0  # l_sortu
     # Filter: defer tasks from DPUs whose predicted load exceeds
     # (threshold x mean predicted load). None disables the filter.
     filter_threshold: Optional[float] = 1.5
@@ -85,11 +82,22 @@ class ScheduleOutcome:
 
 
 class RuntimeScheduler:
-    """Maps (query, cluster) tasks to per-DPU (query, shard) tasks."""
+    """Maps (query, cluster) tasks to per-DPU (query, shard) tasks.
 
-    def __init__(self, plan: LayoutPlan, config: SchedulerConfig) -> None:
+    ``lut_weight`` and ``point_weight`` are Eq. 15's task costs (see
+    :func:`repro.core.layout.task_cost_weights`)."""
+
+    def __init__(
+        self,
+        plan: LayoutPlan,
+        config: SchedulerConfig,
+        lut_weight: float,
+        point_weight: float,
+    ) -> None:
         self.plan = plan
         self.config = config
+        self.lut_weight = lut_weight
+        self.point_weight = point_weight
         self._dead: Set[int] = set()
         # Per-DPU relative speed, as Python floats: the assignment loops
         # read it per part, and a NumPy scalar read costs several times
@@ -97,30 +105,24 @@ class RuntimeScheduler:
         self._speed: List[float] = [1.0] * plan.num_dpus
         # Optional repro.obs.EngineObserver (set by the engine).
         self.observer = None
-        # Pre-compute per-replica-group (dpu, latency) footprints.
+        # Per-replica-group (dpu, key, latency) footprints and the
+        # per-cluster latency footprint (group 0; replicas are
+        # identical) — schedule_batch sorts every round's tasks by it.
         self._group_info: Dict[int, List[List[Tuple[int, str, float]]]] = {}
-        for cid, groups in plan.replica_groups.items():
-            infos = []
-            for group in groups:
-                info = []
-                for key in group:
-                    shard = plan.shards[key]
-                    lat = (
-                        config.lut_latency
-                        + shard.num_points
-                        * (config.per_point_calc + config.per_point_sort)
-                    )
-                    info.append((plan.placement[key], key, lat))
-                infos.append(info)
+        self._group_cost: Dict[int, float] = {}
+        self.refresh_clusters(plan.replica_groups)
+
+    def refresh_clusters(self, cluster_ids: Iterable[int]) -> None:
+        """Recompute the clusters' group footprints from their shards'
+        current sizes (after an append grew them)."""
+        plan, lat = self.plan, self.task_latency
+        for cid in cluster_ids:
+            infos = [
+                [(plan.placement[k], k, lat(plan.shards[k].num_points)) for k in group]
+                for group in plan.replica_groups[cid]
+            ]
             self._group_info[cid] = infos
-        # Per-cluster latency footprint (group 0; replicas are
-        # identical), precomputed once — schedule_batch sorts every
-        # batch's tasks by it, and with whole-matrix rounds a single
-        # call sees the whole query matrix's tasks.
-        self._group_cost: Dict[int, float] = {
-            cid: sum(l for _, _, l in infos[0])
-            for cid, infos in self._group_info.items()
-        }
+            self._group_cost[cid] = sum(l for _, _, l in infos[0])
 
     # ----- fault state ------------------------------------------------------
     @property
@@ -154,30 +156,28 @@ class RuntimeScheduler:
             raise ValueError("speed factors must be in (0, 1]")
         self._speed = factors.tolist()
 
-    def adopt_fault_state(self, other: "RuntimeScheduler") -> None:
-        """Copy blacklist + speed factors (drain/ablation schedulers).
-
-        The observer rides along so drain and ablation schedulers keep
-        feeding the same metrics as the scheduler they replace.
-        """
-        self._dead = set(other._dead)
-        self._speed = list(other._speed)
-        self.observer = other.observer
-
     # ----- prediction -------------------------------------------------------
     def task_latency(self, num_points: int) -> float:
         """Eq. 15 for one shard of ``num_points`` points."""
-        c = self.config
-        return c.lut_latency + num_points * (c.per_point_calc + c.per_point_sort)
+        return self.lut_weight + num_points * self.point_weight
 
     # ----- scheduling -------------------------------------------------------
     def schedule_batch(
-        self, tasks: Sequence[Tuple[int, int]]
+        self,
+        tasks: Sequence[Tuple[int, int]],
+        *,
+        static: bool = False,
+        defer: bool = True,
     ) -> ScheduleOutcome:
         """Assign a batch of (query_index, cluster_id) tasks.
 
         Tasks are processed hottest-cluster-first (largest latency
         footprint first), the classic greedy makespan heuristic.
+
+        The engine sets the two flags from the round kind: ``static``
+        forces the static policy for this call (the ablation arm), and
+        ``defer=False`` switches the filter off, so nothing is deferred
+        (the drain round, and the ablation arm).
 
         Precondition: task tuples are unique within a batch (the engine
         guarantees this — a query's probed clusters are distinct, and
@@ -189,7 +189,7 @@ class RuntimeScheduler:
         load = [0.0] * num_dpus
         speed = self._speed
         dead = self._dead
-        static = self.config.policy == "static"
+        static = static or self.config.policy == "static"
         assignments: Dict[int, List[Tuple[int, str]]] = {
             d: [] for d in range(num_dpus)
         }
@@ -238,7 +238,7 @@ class RuntimeScheduler:
 
         deferred: List[Tuple[int, int]] = []
         cfg = self.config
-        if cfg.filter_threshold is not None and len(ordered) > 1:
+        if defer and cfg.filter_threshold is not None and len(ordered) > 1:
             # np.mean's pairwise sum, as over the float64 load array.
             mean_load = float(np.mean(load))
             if mean_load > 0:

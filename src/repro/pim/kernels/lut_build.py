@@ -101,8 +101,9 @@ def lut_build_cost(
     ``misses`` counts square-LUT lookups outside the resident window
     (always 0 for the engine's fully-resident 8-bit table). Closed form
     shared by :func:`run_lut_build` and the batched executor, which
-    builds LUTs once per unique (query, centroid) pair but charges per
-    shard group exactly as the per-group path would.
+    builds a round's LUTs from term tables computed once per unique
+    query and once per unique centroid, but charges per shard group
+    exactly as the per-group path would.
     """
     per_task_entries = float(d * cb)  # (m * cb * dsub)
     mix = InstructionMix(

@@ -17,7 +17,8 @@ shard) top-k as one block of fixed-width task rows plus a
 Figs. 8/10/11/12 are built from.
 
 Execution is batch-first: the numeric work for a round is vectorized
-across the whole batch (RC+LC once per unique (query, centroid) pair,
+across the whole batch (one RC+LC block for the round's task rows, from
+term tables built once per unique query and once per unique centroid,
 then one scan dispatch for every shard group of the round, optionally
 fanned out to worker processes — see :mod:`repro.pim.parallel`).
 Charging replays the per-DPU shard-group order: a group's four
@@ -507,7 +508,11 @@ class PimSystem:
                 )
             sq = self.square_lut
 
-        queries = check_operands(queries, np.uint8, "queries")
+        # The round computes on (and broadcasts) uint8 queries, whatever
+        # integral dtype the caller passed.
+        queries = check_operands(queries, np.uint8, "queries").astype(
+            np.uint8, copy=False
+        )
         m, _, dsub = self.codebooks.shape
         if queries.ndim != 2 or queries.shape[1] != m * dsub:
             raise ValueError(
@@ -582,7 +587,7 @@ class PimSystem:
             [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
         )
         block, group_misses = self._run_groups_functional(
-            groups, lives, queries.astype(np.uint8, copy=False), qrows, k, sq
+            groups, lives, queries, qrows, k, sq
         )
 
         # ---- charging pass: replay the per-DPU group order, charging

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG helpers, validation, timers, backoff."""
+"""Shared utilities: seeded RNG helpers, validation, backoff, top-k merge."""
 
 from repro.utils.backoff import BackoffPolicy, BackoffSequence
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -11,7 +11,6 @@ from repro.utils.validation import (
     check_positive,
     check_same_dim,
 )
-from repro.utils.timing import Stopwatch
 from repro.utils.topk_merge import merge_topk_pools, topk_canonical
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "check_operands",
     "check_positive",
     "check_same_dim",
-    "Stopwatch",
 ]

@@ -384,8 +384,8 @@ class TestBoundBitIdentity:
         deferred = []
         schedule = RuntimeScheduler.schedule_batch
 
-        def spy(self, tasks):
-            outcome = schedule(self, tasks)
+        def spy(self, tasks, **flags):
+            outcome = schedule(self, tasks, **flags)
             deferred.append(len(outcome.deferred))
             return outcome
 

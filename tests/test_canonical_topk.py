@@ -11,7 +11,7 @@ shard's first scan, and dropped by every mutation of its rows.
 """
 
 import json
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,8 +291,15 @@ def _fault_engine(name, fail_at_batch):
     )
 
 
-class TestDrainSchedulerCache:
+class TestOneScheduler:
+    """Every round of every search runs on the engine's one scheduler."""
+
     NAME = "mul-unreplicated"  # its searches defer tasks into a drain round
+    # Three default-arm searches with DPU 1 fail-stopping at batch 1, the
+    # first search's drain round: ids, distances and breakdown, one JSON
+    # line per search, as the engine gave them when the drain ran on a
+    # separate filter-off scheduler copy.
+    FIXTURE = Path(__file__).parent / "fixtures" / "drain_death_searches.jsonl"
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -310,64 +317,65 @@ class TestDrainSchedulerCache:
         num = CANONICAL_CONFIGS[self.NAME]["num_queries"]
         return canonical_dataset().queries[:num]
 
-    def test_built_once_per_base_and_policy(self, builds):
+    def test_built_once_per_engine_build(self, builds):
         engine = _fault_engine(self.NAME, {})
         q = self._queries()
         try:
-            drains = []
-            real = engine._filterless_scheduler
+            assert builds["n"] == 1
+            sched = engine.scheduler
+            flags = []
+            real = sched.schedule_batch
 
-            def spy(base, policy):
-                drains.append(policy)
-                return real(base, policy)
+            def spy(tasks, **kw):
+                flags.append((kw["static"], kw["defer"]))
+                return real(tasks, **kw)
 
-            engine._filterless_scheduler = spy
-            builds["n"] = 0
+            sched.schedule_batch = spy
             for _ in range(3):
                 engine.search(q)
-            assert drains.count("predictor") >= 3
-            assert builds["n"] == 1
+            # Each search ends in one drain round: filter off.
+            assert flags.count((False, False)) == 3
             for _ in range(2):
                 engine.search(q, with_scheduler=False)
-            assert builds["n"] == 2  # the ablation arm's static copy
-            # add replaces the base scheduler (one rebuild), after which
-            # the drain copy is rebuilt once for the new base.
+            assert flags[-2:] == [(True, False)] * 2
             engine.add(canonical_dataset().base[:4])
-            assert builds["n"] == 3
             engine.search(q)
-            engine.search(q)
-            assert builds["n"] == 4
+            assert builds["n"] == 1
+            assert engine.scheduler is sched
         finally:
             engine.close()
 
-    def test_dead_dpu_in_drain_round_matches_fresh_builds(self):
-        """DPU 1 fail-stops at batch 1, the first search's drain round:
-        the cached drain scheduler must fail over exactly like a fresh
-        build, on that search and every later one."""
-        q = self._queries()
-        cached = _fault_engine(self.NAME, {1: 1})
-        fresh = _fault_engine(self.NAME, {1: 1})
-
-        def fresh_build(base, policy):
-            sched = RuntimeScheduler(
-                fresh.plan,
-                replace(base.config, filter_threshold=None, policy=policy),
-            )
-            sched.adopt_fault_state(base)
-            return sched
-
-        fresh._filterless_scheduler = fresh_build
+    def test_add_refreshes_group_costs(self):
+        engine = _fault_engine(self.NAME, {})
         try:
-            for with_scheduler in (True, True, False, True):
-                a = cached.search(q, with_scheduler=with_scheduler)
-                b = fresh.search(q, with_scheduler=with_scheduler)
-                np.testing.assert_array_equal(a.results.ids, b.results.ids)
-                np.testing.assert_array_equal(a.results.distances, b.results.distances)
-                assert json.dumps(a.breakdown.to_dict(), sort_keys=True) == json.dumps(
-                    b.breakdown.to_dict(), sort_keys=True
-                )
-            assert 1 in cached.scheduler.dead_dpus
-            assert cached.scheduler.dead_dpus == fresh.scheduler.dead_dpus
+            sched = engine.scheduler
+            before = dict(sched._group_cost)
+            engine.add(canonical_dataset().base[:4])
+            fresh = RuntimeScheduler(
+                engine.plan, sched.config, sched.lut_weight, sched.point_weight
+            )
+            assert sched._group_info == fresh._group_info
+            assert sched._group_cost == fresh._group_cost
+            assert sched._group_cost != before
         finally:
-            cached.close()
-            fresh.close()
+            engine.close()
+
+    def test_drain_round_death_matches_frozen_searches(self):
+        want = self.FIXTURE.read_text().splitlines()
+        engine = _fault_engine(self.NAME, {1: 1})
+        q = self._queries()
+        try:
+            for line in want:
+                out = engine.search(q)
+                got = json.dumps(
+                    {
+                        "ids": out.results.ids.tolist(),
+                        "distances": out.results.distances.tolist(),
+                        "breakdown": out.breakdown.to_dict(),
+                    },
+                    sort_keys=True,
+                )
+                assert got == line
+            assert engine.scheduler.dead_dpus == {1}
+        finally:
+            engine.close()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,16 @@ class TestBoundaryValidation:
             small_engine.search(q, probes=probes)
         probes[0, 1] = -1  # the padding value itself is fine
         small_engine.search(q, probes=probes)
+
+    def test_query_dtype_does_not_move_the_ledger(self, small_engine, small_ds):
+        q = small_ds.queries[:20]
+        want = small_engine.search(q)
+        for dtype in (np.float64, np.int64):
+            got = small_engine.search(q.astype(dtype))
+            np.testing.assert_array_equal(got.results.ids, want.results.ids)
+            assert json.dumps(got.breakdown.to_dict(), sort_keys=True) == json.dumps(
+                want.breakdown.to_dict(), sort_keys=True
+            )
 
     def test_integral_floats_search_like_uint8(self, small_engine, small_ds):
         q = small_ds.queries[:6]

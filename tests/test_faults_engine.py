@@ -184,6 +184,27 @@ class TestGracefulDegradation:
         assert bd2.faults.task_retries == 0
         _assert_identical(res2, engine.reference_search(small_ds.queries))
 
+    def test_blacklist_persists_across_static_searches(
+        self, build_engine, small_ds
+    ):
+        # The with_scheduler=False ablation arm schedules on the
+        # engine's one scheduler too, so the deaths it finds stick.
+        plan = FaultPlan(
+            num_dpus=NUM_DPUS,
+            config=FaultConfig(fail_stop_fraction=0.1),
+            fail_at_batch={4: 0},
+        )
+        engine = build_engine(fault_plan=plan)
+        rounds = [
+            engine.search(
+                small_ds.queries, with_scheduler=False
+            ).breakdown.faults.redispatch_rounds
+            for _ in range(3)
+        ]
+        assert rounds[0] > 0
+        assert rounds[1:] == [0, 0]
+        assert 4 in engine.scheduler.dead_dpus
+
 
 class TestTimingAndValidation:
     def test_stragglers_slow_the_run_not_the_answers(

@@ -17,10 +17,12 @@ def plan(small_quantized):
     )
 
 
-def _cfg(**kw):
-    base = dict(lut_latency=5000.0, per_point_calc=50.0, per_point_sort=2.0)
-    base.update(kw)
-    return SchedulerConfig(**base)
+# Eq. 15 weights: l_LUT, and l_calu + l_sortu.
+WEIGHTS = (5000.0, 50.0 + 2.0)
+
+
+def _sched(plan, **kw):
+    return RuntimeScheduler(plan, SchedulerConfig(**kw), *WEIGHTS)
 
 
 def _all_tasks(nq=12, nc=10):
@@ -29,7 +31,7 @@ def _all_tasks(nq=12, nc=10):
 
 class TestBlacklist:
     def test_dead_dpu_never_assigned(self, plan):
-        s = RuntimeScheduler(plan, _cfg(filter_threshold=None))
+        s = _sched(plan, filter_threshold=None)
         s.mark_dead([3])
         for _ in range(5):
             out = s.schedule_batch(_all_tasks())
@@ -39,13 +41,13 @@ class TestBlacklist:
             )
 
     def test_dead_dpu_never_assigned_static_policy(self, plan):
-        s = RuntimeScheduler(plan, _cfg(filter_threshold=None, policy="static"))
+        s = _sched(plan, filter_threshold=None, policy="static")
         s.mark_dead([0])
         out = s.schedule_batch(_all_tasks())
         assert 0 not in out.assignments
 
     def test_blacklist_is_permanent_and_cumulative(self, plan):
-        s = RuntimeScheduler(plan, _cfg())
+        s = _sched(plan)
         s.mark_dead([1])
         s.mark_dead([5])
         assert s.dead_dpus == {1, 5}
@@ -54,14 +56,14 @@ class TestBlacklist:
         assert s.dead_dpus == {1, 5}
 
     def test_mark_dead_rejects_out_of_range(self, plan):
-        s = RuntimeScheduler(plan, _cfg())
+        s = _sched(plan)
         with pytest.raises(ValueError):
             s.mark_dead([8])
         with pytest.raises(ValueError):
             s.mark_dead([-1])
 
     def test_all_replicas_dead_reports_uncovered(self, plan):
-        s = RuntimeScheduler(plan, _cfg(filter_threshold=None))
+        s = _sched(plan, filter_threshold=None)
         # Kill every DPU holding any replica of cluster 0's parts.
         owners = {
             dpu for g in s._group_info[0] for dpu, _, _ in g
@@ -80,7 +82,7 @@ class TestBlacklist:
         cid = next(
             c for c, gs in plan.replica_groups.items() if len(gs) > 1
         )
-        s = RuntimeScheduler(plan, _cfg(filter_threshold=None))
+        s = _sched(plan, filter_threshold=None)
         groups = s._group_info[cid]
         num_parts = len(groups[0])
         kill = {groups[0][0][0]}  # first part of replica 0
@@ -100,7 +102,7 @@ class TestBlacklist:
 
 class TestSpeedFactors:
     def test_validation(self, plan):
-        s = RuntimeScheduler(plan, _cfg())
+        s = _sched(plan)
         with pytest.raises(ValueError):
             s.set_speed_factors(np.ones(4))
         with pytest.raises(ValueError):
@@ -109,8 +111,8 @@ class TestSpeedFactors:
             s.set_speed_factors(np.full(8, 1.5))
 
     def test_derated_dpu_attracts_less_load(self, plan):
-        fair = RuntimeScheduler(plan, _cfg(filter_threshold=None))
-        skew = RuntimeScheduler(plan, _cfg(filter_threshold=None))
+        fair = _sched(plan, filter_threshold=None)
+        skew = _sched(plan, filter_threshold=None)
         factors = np.ones(8)
         factors[2] = 0.3
         skew.set_speed_factors(factors)
@@ -123,19 +125,15 @@ class TestSpeedFactors:
         raw_skew = load_skew[2] * factors[2]
         assert raw_skew < raw_fair
 
-    def test_adopt_fault_state_copies(self, plan):
-        a = RuntimeScheduler(plan, _cfg())
-        a.mark_dead([4])
-        factors = np.ones(8)
-        factors[1] = 0.5
-        a.set_speed_factors(factors)
-        b = RuntimeScheduler(plan, _cfg(policy="static"))
-        b.adopt_fault_state(a)
-        assert b.dead_dpus == {4}
-        np.testing.assert_array_equal(b.speed_factors, factors)
-        # Copies, not shared references.
-        a.mark_dead([5])
-        assert b.dead_dpus == {4}
+    def test_fault_state_holds_for_every_round_kind(self, plan):
+        # One scheduler serves the main, drain and ablation rounds, so
+        # its blacklist applies whatever the round's flags.
+        s = _sched(plan)
+        s.mark_dead([4])
+        for flags in ({}, {"defer": False}, {"static": True, "defer": False}):
+            out = s.schedule_batch(_all_tasks(), **flags)
+            assert 4 not in out.assignments
+            assert out.predicted_load[4] == 0.0
 
 
 class TestFailover:
@@ -143,7 +141,7 @@ class TestFailover:
         cid = next(
             c for c, gs in plan.replica_groups.items() if len(gs) > 1
         )
-        s = RuntimeScheduler(plan, _cfg())
+        s = _sched(plan)
         dead_dpu, dead_key, _ = s._group_info[cid][0][0]
         s.mark_dead([dead_dpu])
         assignments, uncovered = s.failover_assignments([(7, dead_key)])
@@ -159,7 +157,7 @@ class TestFailover:
         np.testing.assert_array_equal(new.point_rows, old.point_rows)
 
     def test_failover_reports_unrecoverable_tasks(self, plan):
-        s = RuntimeScheduler(plan, _cfg())
+        s = _sched(plan)
         cid = 0
         owners = {dpu for g in s._group_info[cid] for dpu, _, _ in g}
         s.mark_dead(owners)

@@ -80,16 +80,12 @@ class TestEndToEnd:
         # Tighten the filter drastically.
         from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 
-        old = eng.scheduler.config
+        old = eng.scheduler
         eng.scheduler = RuntimeScheduler(
             eng.plan,
-            SchedulerConfig(
-                lut_latency=old.lut_latency,
-                per_point_calc=old.per_point_calc,
-                per_point_sort=old.per_point_sort,
-                filter_threshold=1.05,
-                max_defer_fraction=0.25,
-            ),
+            SchedulerConfig(filter_threshold=1.05, max_defer_fraction=0.25),
+            old.lut_weight,
+            old.point_weight,
         )
         res, _ = eng.search(small_ds.queries)
         ref = eng.reference_search(small_ds.queries)

@@ -102,12 +102,9 @@ class TestSchedulerProperties:
         )
         sched = RuntimeScheduler(
             plan,
-            SchedulerConfig(
-                lut_latency=100.0,
-                per_point_calc=3.0,
-                per_point_sort=1.0,
-                filter_threshold=1.2 if use_filter else None,
-            ),
+            SchedulerConfig(filter_threshold=1.2 if use_filter else None),
+            100.0,
+            3.0 + 1.0,
         )
         rng = np.random.default_rng(0)
         # The engine never issues duplicate (query, cluster) tasks (a
@@ -147,9 +144,6 @@ class TestSchedulerProperties:
         index = _make_index(sizes)
         heat = index.cluster_sizes().astype(float) + 1.0
         plan = generate_layout(index, num_dpus, heat, LayoutConfig())
-        sched = RuntimeScheduler(
-            plan,
-            SchedulerConfig(lut_latency=10.0, per_point_calc=1.0, per_point_sort=1.0),
-        )
+        sched = RuntimeScheduler(plan, SchedulerConfig(), 10.0, 1.0 + 1.0)
         outcome = sched.schedule_batch([(0, 0), (1, 0)])
         assert (outcome.predicted_load >= 0).all()

@@ -236,13 +236,17 @@ class TestQueryOperands:
 
     def test_integral_queries_of_any_dtype_accepted(self, rng):
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
-        want, _ = _system(np.random.default_rng(3)).run_batch(ASSIGNMENTS, queries, 3)
+        want, want_t = _system(np.random.default_rng(3)).run_batch(
+            ASSIGNMENTS, queries, 3
+        )
         for dtype in (np.int64, np.float64, np.uint16):
-            got, _ = _system(np.random.default_rng(3)).run_batch(
+            got, got_t = _system(np.random.default_rng(3)).run_batch(
                 ASSIGNMENTS, queries.astype(dtype), 3
             )
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+            # The broadcast is charged on the uint8 queries computed on.
+            assert got_t.transfer_seconds == want_t.transfer_seconds
 
 
 _SQUARES_8 = SquareLut.for_bit_width(8, levels=3)

@@ -169,15 +169,17 @@ def random_plan(rng) -> LayoutPlan:
 
 def random_scheduler(rng, plan, policy) -> RuntimeScheduler:
     threshold = [None, 1.05, 1.3, 2.0][int(rng.integers(0, 4))]
+    lut_weight = float(rng.choice([0.0, 4096.0, 5000.0 / 3.0]))
+    per_point_calc = float(rng.choice([50.0, 7.1]))
+    per_point_sort = float(rng.choice([2.0, 0.3]))
     config = SchedulerConfig(
-        lut_latency=float(rng.choice([0.0, 4096.0, 5000.0 / 3.0])),
-        per_point_calc=float(rng.choice([50.0, 7.1])),
-        per_point_sort=float(rng.choice([2.0, 0.3])),
         filter_threshold=threshold,
         max_defer_fraction=float(rng.choice([0.0, 0.25, 1.0])),
         policy=policy,
     )
-    sched = RuntimeScheduler(plan, config)
+    sched = RuntimeScheduler(
+        plan, config, lut_weight, per_point_calc + per_point_sort
+    )
     if rng.random() < 0.5:
         speed = rng.uniform(0.2, 1.0, size=plan.num_dpus)
         speed[rng.random(plan.num_dpus) < 0.5] = 1.0

@@ -117,6 +117,11 @@ def _from_dict(**override):
     return EngineConfig.from_dict(d)
 
 
+def _scheduler_dict(**fields):
+    """``_from_dict`` whose saved scheduler dict holds ``fields``."""
+    return _from_dict(scheduler=fields)
+
+
 class TestFieldValidation:
     """Config counts go through ``check_count`` and float knobs reject
     NaN (``not x > 0``), each error naming its field."""
@@ -142,6 +147,10 @@ class TestFieldValidation:
         pytest.param(_from_dict, "index", _MISSING, ValueError, id="no-index"),
         pytest.param(_from_dict, "serach", {}, ValueError, id="unknown-key"),
         pytest.param(_from_dict, "use_opq", "false", TypeError, id="opq-str"),
+        # Eq. 15's task costs come from the index shape, not the config.
+        pytest.param(
+            _scheduler_dict, "lut_latency", 5000.0, TypeError, id="scheduler-cost"
+        ),
     ]
 
     @pytest.mark.parametrize("make, field, bad, exc", BAD)

@@ -6,10 +6,16 @@ Walks ``repro``'s public modules, collects every name exported via
 first-paragraph docstrings. Regenerate after API changes::
 
     python tools/gen_api_docs.py
+
+``--check`` writes nothing and exits 1 when ``docs/api.md`` differs
+from the generated text (CI runs it)::
+
+    python tools/gen_api_docs.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import os
@@ -120,9 +126,27 @@ def generate() -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 when docs/api.md is stale",
+    )
+    args = parser.parse_args()
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     target = os.path.join(root, "docs", "api.md")
     text = generate()
+    if args.check:
+        with open(target) as f:
+            current = f.read()
+        if current != text:
+            print(
+                f"{target} is stale; regenerate with python tools/gen_api_docs.py",
+                file=sys.stderr,
+            )
+            return 1
+        print(f"{target} is up to date")
+        return 0
     with open(target, "w") as f:
         f.write(text)
     print(f"wrote {target} ({len(text.splitlines())} lines)")
