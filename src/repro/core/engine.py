@@ -16,9 +16,11 @@ Search pipeline (online, per batch):
 2. map located (query, cluster) pairs — plus tasks the filter deferred
    from the previous batch — to per-DPU (query, shard) tasks via the
    runtime scheduler;
-3. execute RC→LC→DC→TS on the DPUs (functional + cycle-counted);
-4. gather each round's per-task top-k block and fold it into the
-   running per-query top-k.
+3. charge RC→LC→DC→TS on the DPUs (cycle-counted) and collect the
+   tasks that ran;
+4. compute the collected tasks' top-k (once per search, or before an
+   adaptive policy reads the running top-k) and fold it into the
+   per-query top-k.
 
 The engine's numeric output is invariant to layout and scheduling: for
 any configuration it must equal
@@ -343,8 +345,8 @@ class DrimAnnEngine:
         Raises ``ValueError`` naming ``vectors`` when they hold NaN or
         infinite values, fractions, or values outside the index's
         operand range (``[0, 255]`` for the uint8 pipeline); nothing is
-        appended then. ``ids`` are checked the same way and must be
-        non-negative (``-1`` pads results); strings and bools raise
+        appended then. ``ids`` are checked the same way and must be 1-D
+        and non-negative (``-1`` pads results); strings and bools raise
         ``TypeError``. Only the touched clusters' shards have their
         live-row filters resynced.
         """
@@ -690,6 +692,7 @@ class DrimAnnEngine:
                     centroid=quantized.centroids[cid],
                     ids=quantized.cluster_ids[cid][rows],
                     codes=quantized.cluster_codes[cid][rows],
+                    data_key=(cid, shard.part_id),  # same rows per replica
                 ),
             )
         # Shard payloads also traverse the host channel once, offline
@@ -828,8 +831,11 @@ class DrimAnnEngine:
         round; the adaptive policy issues one probe per still-active
         query per round (see ``adaptive`` below). Host CL time is
         charged on a batch's first round. Deferred tasks left after the
-        last batch run in one filter-off drain round. Every round's
-        task block folds into one running ``(nq, k)`` top-k.
+        last batch run in one filter-off drain round. Rounds only
+        charge: the tasks they ran are computed in one
+        :meth:`~repro.pim.system.PimSystem.compute_tasks` call and
+        folded into the ``(nq, k)`` top-k at the end of the search, or
+        before each stop check of an adaptive policy.
 
         Every batch size produces bit-identical results — the fold
         keeps a canonical (distance, id) top-k — and
@@ -944,13 +950,20 @@ class DrimAnnEngine:
         if self.fault_plan is not None:
             stats.straggler_dpus = set(self.fault_plan.straggler_dpus)
 
-        # The running canonical top-k every round folds into.
+        # The canonical top-k, and the tasks run since its last fold.
         best = (
             np.full((nq, k), -1, dtype=np.int64),
             np.full((nq, k), np.inf),
         )
+        ran: List[Tuple[int, str]] = []
         breakdown = TimingBreakdown()
         breakdown.faults = stats
+
+        def flush() -> None:
+            if ran:
+                rows, ids, dists = self.system.compute_tasks(queries, ran, k)
+                merge_topk_pools(best[0], best[1], rows, ids, dists)
+                ran.clear()
 
         def run_round(
             tasks: List[Tuple[int, int]],
@@ -967,13 +980,13 @@ class DrimAnnEngine:
             )
             stats.uncovered.update(outcome.uncovered)
             failed = self._execute(
-                outcome.assignments, queries, k, best, breakdown,
+                outcome.assignments, queries, k, ran, breakdown,
                 host_seconds=host_s,
                 num_new_queries=new_queries,
                 extra_pim_seconds=cl_sec,
                 extra_cl_cycles=cl_cycles,
             )
-            self._recover(failed, queries, k, best, breakdown)
+            self._recover(failed, queries, k, ran, breakdown)
             return outcome.deferred
 
         carried: List[Tuple[int, int]] = []
@@ -1010,10 +1023,13 @@ class DrimAnnEngine:
                 carried = run_round(carried + new, charge)
                 # CL is charged on the batch's first round only.
                 charge = (0, 0.0, 0.0, 0.0)
+                if policy is not None:
+                    flush()  # the policy's stop checks read best[1]
 
         if carried:
             # The drain: one filter-off round, which defers nothing.
             run_round(carried, defer=False)
+        flush()
 
         stats.finalize(num_queries=nq, nprobe=nprobe)
         if obs is not None:
@@ -1038,7 +1054,7 @@ class DrimAnnEngine:
         assignments: Dict[int, List[Tuple[int, str]]],
         queries: np.ndarray,
         k: int,
-        best: Tuple[np.ndarray, np.ndarray],
+        ran: List[Tuple[int, str]],
         breakdown: TimingBreakdown,
         *,
         host_seconds: float,
@@ -1046,9 +1062,8 @@ class DrimAnnEngine:
         extra_pim_seconds: float = 0.0,
         extra_cl_cycles: float = 0.0,
     ) -> List[Tuple[int, str]]:
-        """Run one PIM batch and fold its results into ``best`` (the
-        running ``(nq, k)`` ids and distances) and its timing into
-        ``breakdown``.
+        """Charge one PIM batch: its timing goes into ``breakdown`` and
+        the (global query index, shard key) tasks that ran into ``ran``.
 
         ``extra_pim_seconds`` / ``extra_cl_cycles`` account a preceding
         CL-on-PIM launch (it cannot overlap with the task batch: its
@@ -1069,15 +1084,13 @@ class DrimAnnEngine:
         }
         failed: List[Tuple[int, str]] = []
         if active:
-            (rows, ids, dists), timing = self.system.run_batch(
+            timing = self.system.run_batch(
                 local_assign,
                 queries[active],
                 k,
                 multiplier_less=self.search_params.multiplier_less,
             )
-            merge_topk_pools(
-                best[0], best[1], np.asarray(active)[rows], ids, dists
-            )
+            ran.extend((active[lq], key) for lq, key in timing.tasks)
             if extra_pim_seconds or extra_cl_cycles:
                 timing.pim_seconds += extra_pim_seconds
                 timing.kernel_cycles["CL"] = (
@@ -1105,10 +1118,11 @@ class DrimAnnEngine:
         failed: List[Tuple[int, str]],
         queries: np.ndarray,
         k: int,
-        best: Tuple[np.ndarray, np.ndarray],
+        ran: List[Tuple[int, str]],
         breakdown: TimingBreakdown,
     ) -> None:
-        """Fail over tasks lost to dead DPUs.
+        """Fail over tasks lost to dead DPUs (the tasks that ran go
+        into ``ran``).
 
         Each round blacklists the newly-observed dead DPUs, waits out
         an exponential backoff (charged to the run's wall-clock), and
@@ -1145,7 +1159,7 @@ class DrimAnnEngine:
             stats.uncovered.update(uncovered)
             stats.task_retries += sum(len(t) for t in assignments.values())
             failed = self._execute(
-                assignments, queries, k, best, breakdown,
+                assignments, queries, k, ran, breakdown,
                 host_seconds=0.0, num_new_queries=0,
             )
             attempt += 1

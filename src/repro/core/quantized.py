@@ -43,8 +43,11 @@ def _check_ids(ids) -> np.ndarray:
 
     Ids are non-negative integers: ``-1`` pads short result rows
     (:class:`~repro.ann.ivfpq.SearchResult`), so it can never name a
-    point.
+    point. A 2-D (or deeper) array is rejected, not flattened.
     """
+    ids = np.asarray(ids)
+    if ids.ndim > 1:
+        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
     ids = check_operands(np.ravel(ids), np.int64, "ids")
     if ids.size and ids.min() < 0:
         raise ValueError(

@@ -290,7 +290,7 @@ class EngineObserver:
         """Execution-planner choice for one round (vectorized/pool)."""
         self.registry.counter(
             "drimann_pim_plan_decisions_total",
-            help="data-plane path chosen per round",
+            help="data-plane path chosen per compute_tasks call",
             path=path,
         ).inc()
 

@@ -7,6 +7,10 @@ kernels against the staged reference kernels
 :func:`repro.pim.kernels.run_lut_build` gathering every square from
 the full square LUT) at fixed shapes, checks the
 outputs are bit-identical, and reports best-of-N wall-clock speedups.
+It also checks the kernel a search's compute plane runs, the
+term-table scan (``query_terms`` rows scanned by ``scan_into``, plus
+``point_terms`` and ``||q - c||^2``), against the staged LUT scan at
+the LUT shape.
 
 Timing here never flows into engine results — the record is pure
 observability, which is why the wall-clock reads are fine in this
@@ -22,6 +26,7 @@ import numpy as np
 
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import resolve_backend
+from repro.pim.backend.numpy_backend import gather_offsets
 from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -34,9 +39,11 @@ SCAN_SHAPE = {"jobs": 16, "g": 32, "n": 2000, "m": 16, "cb": 128}
 #: LUT-build shape: one PIM round of the benchmark's lut-heavy cell
 #: (25-query calls, nlist 128, nprobe 8): about 200 (query, shard)
 #: task rows over 25 queries and 35 distinct centroids, against M=32,
-#: CB=128, dsub=4 codebooks.
+#: CB=128, dsub=4 codebooks; the term-table scan runs every task over
+#: one block of ``points`` codes.
 LUT_SHAPE = {
     "tasks": 200, "queries": 25, "centroids": 35, "m": 32, "cb": 128, "dsub": 4,
+    "points": 256,
 }
 
 #: The CI gate: the stacked scan must beat the staged reference by at
@@ -69,8 +76,9 @@ def run_microbench(
 
     The record's ``gate_ok`` is True when the kernels' output is
     bit-identical to the staged reference (a mismatch fails the gate
-    outright), the stacked scan clears :data:`MIN_SCAN_SPEEDUP` and the
-    LUT build clears :data:`MIN_LUT_SPEEDUP`.
+    outright; the term-table scan must equal the staged scan of the
+    staged LUTs), the stacked scan clears :data:`MIN_SCAN_SPEEDUP` and
+    the LUT build clears :data:`MIN_LUT_SPEEDUP`.
     """
     rng = ensure_rng(seed)
     sh = SCAN_SHAPE
@@ -95,6 +103,7 @@ def run_microbench(
         -510, 511, size=(lh["m"], lh["cb"], lh["dsub"])
     ).astype(np.int16)
     squares = SquareLut.for_bit_width(8, levels=3)
+    lut_codes = rng.integers(0, lh["cb"], size=(lh["points"], lh["m"]))
 
     ref_scan = scan_distances_stacked(luts, codes)
     t_ref_scan = _best_seconds(
@@ -108,18 +117,32 @@ def run_microbench(
     backend = resolve_backend()
     got_scan = backend.scan_stacked(luts, codes)
     got_luts = backend.build_luts(queries, centroids, qrows, crows, codebooks)
+    off = gather_offsets(lut_codes, lh["cb"])
+
+    def term_scan() -> np.ndarray:
+        tables = backend.query_terms(queries, codebooks)[qrows]
+        out = np.empty((lh["tasks"], lh["points"]), dtype=np.int64)
+        backend.scan_into(tables, off, out)
+        pts = np.stack([backend.point_terms(c, off, codebooks) for c in centroids])
+        res = queries[qrows].astype(np.int64) - centroids[crows]
+        out += pts[crows] + np.einsum("td,td->t", res, res)[:, None]
+        return out
+
+    ref_terms = scan_distances_stacked(ref_luts[None], lut_codes[None])[0]
     # The LUTs come in the scans' gather dtype, int32 at these ranges.
     bit_identical = bool(
         got_scan.dtype == ref_scan.dtype
         and np.array_equal(got_scan, ref_scan)
         and got_luts.dtype == np.int32
         and np.array_equal(got_luts, ref_luts)
+        and np.array_equal(term_scan(), ref_terms)
     )
     t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
     t_luts = _best_seconds(
         lambda: backend.build_luts(queries, centroids, qrows, crows, codebooks),
         repeats,
     )
+    t_terms = _best_seconds(term_scan, repeats)
     scan_speedup = t_ref_scan / t_scan if t_scan > 0 else 0.0
     lut_speedup = t_ref_luts / t_luts if t_luts > 0 else 0.0
     return {
@@ -136,6 +159,7 @@ def run_microbench(
         "scan_speedup": scan_speedup,
         "lut_seconds": t_luts,
         "lut_speedup": lut_speedup,
+        "term_scan_seconds": t_terms,
         "bit_identical": bit_identical,
         "gate_ok": bool(
             bit_identical
@@ -159,7 +183,9 @@ def format_record(record: Dict[str, Any]) -> str:
             f"LUT build T={lh['tasks']} queries={lh['queries']} "
             f"centroids={lh['centroids']} M={lh['m']} CB={lh['cb']} "
             f"dsub={lh['dsub']}; square-LUT reference "
-            f"{record['reference']['lut_seconds'] * 1e3:.2f} ms"
+            f"{record['reference']['lut_seconds'] * 1e3:.2f} ms; term-table "
+            f"scan over {lh['points']} points "
+            f"{record['term_scan_seconds'] * 1e3:.2f} ms"
         ),
         (
             f"  kernels  scan {record['scan_seconds'] * 1e3:7.1f} ms "

@@ -62,6 +62,13 @@ Assembly and the fallback run in row slabs of at most
 codebook, ``||b||^2`` and ``max|b|`` are cached per codebook table
 (:class:`CodebookTermsCache`).
 
+**Term tables** split the same identity without a per-task LUT, for
+the search's compute plane: :meth:`NumpyBackend.query_terms` (per
+query, scanned at a point's codes) and :meth:`NumpyBackend.point_terms`
+(per point, once per shard); the caller adds ``||q - c||^2``. The
+search's round path no longer calls :meth:`NumpyBackend.build_luts`;
+the encoder and the worker pool still do.
+
 Every variant computes the identical integer values, so the outputs
 are bit-identical to the reference kernels — property-tested in
 ``tests/test_pim_backend.py``.
@@ -266,13 +273,21 @@ def _build_luts_int64(
 
 
 def _term_table(
-    rows: np.ndarray, terms: CodebookTerms, scale: float, dtype, norms: bool
+    rows: np.ndarray, codebooks: np.ndarray, terms: CodebookTerms,
+    scale: int, dtype, norms: bool,
 ) -> np.ndarray:
     """``(u, M, CB)`` table ``scale * x.b`` (``+ ||b||^2`` with
-    ``norms``) of ``(u, D)`` rows, one batched float64 ``matmul``, cast
-    to ``dtype`` (exact within the bounds :meth:`NumpyBackend.build_luts`
-    checks)."""
-    m, dsub, _ = terms.books_t.shape
+    ``norms``) of ``(u, D)`` integer rows, cast to ``dtype``: one
+    batched float64 ``matmul`` while float64 is provably exact for them
+    (:func:`expansion_is_exact`), else an int64 ``einsum``."""
+    m, _, dsub = codebooks.shape
+    if not expansion_is_exact(_max_abs(rows), terms.max_abs, dsub):
+        books = codebooks.astype(np.int64)
+        x = rows.astype(np.int64).reshape(len(rows), m, dsub)
+        table = scale * np.einsum("umd,mcd->umc", x, books)
+        if norms:
+            table += np.einsum("mcd,mcd->mc", books, books)
+        return table.astype(dtype, copy=False)
     x = rows.astype(np.float64).reshape(len(rows), m, dsub).transpose(1, 0, 2)
     table = np.matmul(x, terms.books_t)  # (M, u, CB)
     table *= scale
@@ -356,12 +371,37 @@ class NumpyBackend:
     def scan_into(
         self, luts: np.ndarray, off: np.ndarray, out: np.ndarray
     ) -> None:
-        """Unchecked ADC scan of resident offsets: ``(g, M, CB)`` LUTs
-        from :meth:`build_luts` (int32 LUTs must come from it: their
-        sums are taken in int32) x ``(M, n)`` offsets from
+        """Unchecked ADC scan of resident offsets: ``(g, M, CB)`` tables
+        from :meth:`build_luts` or :meth:`query_terms` (int32 ones must:
+        their sums are taken in int32) x ``(M, n)`` offsets from
         :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
         which may be a view into a wider block."""
         _scan_rows(luts, off, out)
+
+    def query_terms(self, queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
+        """``(Q, D)`` int queries -> ``(Q, M, CB)`` term tables
+        ``||b||^2 - 2 q.b``, int32 when ``M * dsub * (max|q| +
+        max|b|)**2`` (which bounds their ``M``-entry sums) fits, else
+        int64."""
+        m, cb, dsub = codebooks.shape
+        terms = self._terms.terms(codebooks)
+        bound = m * dsub * (_max_abs(queries) + terms.max_abs) ** 2
+        dtype = np.int32 if bound <= _I32_MAX else np.int64
+        return _term_table(queries, codebooks, terms, -2, dtype, norms=True)
+
+    def point_terms(
+        self, centroid: np.ndarray, off: np.ndarray, codebooks: np.ndarray
+    ) -> np.ndarray:
+        """``(n,)`` int64 terms ``sum_m 2 c.b[m, code_m]`` of the points
+        with ``(M, n)`` offsets (:func:`gather_offsets`) in a shard with
+        centroid ``c``."""
+        terms = self._terms.terms(codebooks)
+        table = _term_table(
+            np.asarray(centroid)[None], codebooks, terms, 2, np.int64, norms=False
+        )
+        out = np.empty((1, off.shape[1]), dtype=np.int64)
+        _scan_rows(table, off, out)
+        return out[0]
 
     def build_luts(
         self,
@@ -424,8 +464,8 @@ class NumpyBackend:
         # M * dsub * (max|q| + max|c| + max|b|)**2.
         bound = m * dsub * (q_max + c_max + terms.max_abs) ** 2
         dtype = np.int32 if bound <= _I32_MAX else np.int64
-        q_terms = _term_table(uq, terms, -2.0, dtype, norms=True)
-        c_terms = _term_table(uc, terms, 2.0, dtype, norms=False)
+        q_terms = _term_table(uq, codebooks, terms, -2, dtype, norms=True)
+        c_terms = _term_table(uc, codebooks, terms, 2, dtype, norms=False)
         out = np.empty((t, m, cb), dtype=dtype)
         step = slab_rows(m * cb * out.itemsize)
         for s0 in range(0, t, step):

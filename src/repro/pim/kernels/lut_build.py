@@ -100,10 +100,9 @@ def lut_build_cost(
 
     ``misses`` counts square-LUT lookups outside the resident window
     (always 0 for the engine's fully-resident 8-bit table). Closed form
-    shared by :func:`run_lut_build` and the batched executor, which
-    builds a round's LUTs from term tables computed once per unique
-    query and once per unique centroid, but charges per shard group
-    exactly as the per-group path would.
+    shared by :func:`run_lut_build` and the round's charge step, which
+    charges it per shard group exactly as the per-group path would,
+    although the host's compute plane builds no per-task LUT.
     """
     per_task_entries = float(d * cb)  # (m * cb * dsub)
     mix = InstructionMix(

@@ -1,26 +1,27 @@
 """The parallel data plane: persistent zero-copy workers for shard scans.
 
-The batched executor in :mod:`repro.pim.system` spends almost all of
-its functional wall-clock in the DC/TS phase: gathering LUT entries
-over every resident shard's code block and reducing to per-query
-top-k. That work is embarrassingly parallel across shard groups (each
-group touches one shard's codes and its own LUT rows), so large fleets
-can fan it out over worker processes — mirroring how a real host would
-drive independent PIM ranks from multiple threads.
+The compute plane in :mod:`repro.pim.system` spends almost all of its
+wall-clock in the DC/TS phase: gathering table entries over every
+resident shard's code block and reducing to per-query top-k. That work
+is embarrassingly parallel across shard groups (each group touches one
+shard's codes and its own LUT rows), so large fleets can fan it out
+over worker processes — mirroring how a real host would drive
+independent PIM ranks from multiple threads.
 
 The scan paths, the one worker pool, and a planner live here:
 
-* :func:`scan_jobs_stacked` — the one in-process scan path: every
-  shard group of a round scanned over its shard's resident offsets
-  into padded distance slabs, one canonical top-k selection per slab,
-  written into the round's ``(T, k)`` block. :func:`scan_shard_group`
-  is the per-group scan the pool workers and the pool's in-process
-  fallback run. Both funnel through the same host kernels
-  (:mod:`repro.pim.backend`, bit-identical to the reference
-  :func:`~repro.pim.kernels.scan_distances`) and the same canonical
-  ``(distance, id)`` selection (:func:`~repro.pim.kernels.select_topk`,
-  whose per-job form is :func:`~repro.pim.kernels.topk_rows`), which
-  is what makes both execution strategies bit-exact by construction.
+* :func:`scan_jobs_stacked` — the one in-process scan path: every job
+  of a ``compute_tasks`` call scanned over its shard's resident
+  offsets into padded distance slabs, one canonical top-k selection
+  per slab, written into the call's ``(T, k)`` block.
+  :func:`scan_shard_group` is the per-group scan the pool workers and
+  the pool's in-process fallback run. Both funnel through the same
+  host kernels (:mod:`repro.pim.backend`, bit-identical to the
+  reference :func:`~repro.pim.kernels.scan_distances`) and the same
+  canonical ``(distance, id)`` selection
+  (:func:`~repro.pim.kernels.select_topk`, whose per-job form is
+  :func:`~repro.pim.kernels.topk_rows`), which is what makes both
+  execution strategies bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
@@ -28,10 +29,11 @@ The scan paths, the one worker pool, and a planner live here:
   task descriptors ``(shard_key, luts, k, live)`` down the pipe and
   each job's ``(ids, dists)`` top-k arrays back. Nothing
   MRAM-resident is ever re-pickled.
-* :class:`ExecutionPlanner` — picks the in-process path or the pool per
-  round from the round's measured size, the pool's warmup state and
-  measured throughput. It is the system's own choice, not an option:
-  the modeled hardware runs every kernel on every DPU either way.
+* :class:`ExecutionPlanner` — picks the in-process path or the pool
+  per ``compute_tasks`` call from its measured size, the pool's warmup
+  state and measured throughput. It is the system's own choice, not an
+  option: the modeled hardware runs every kernel on every DPU either
+  way.
 
 Every pool failure (creation, worker death, missing residency) degrades
 to the in-process path — results are identical either way — and is recorded
@@ -52,7 +54,7 @@ from __future__ import annotations
 import atexit
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,10 +64,11 @@ from repro.pim.kernels import select_topk, topk_rows
 
 #: One shard-group scan job. For :func:`scan_shard_group` and the pool:
 #: ``(luts (g, M, CB), codes (n, M), ids (n,), k)``; for
-#: :func:`scan_jobs_stacked`: ``(luts (g, M, CB), offsets (n, M), ids
-#: (n,), k)``, the offsets being the ``.T`` view of a shard's resident
+#: :func:`scan_jobs_stacked`: ``(tables (g, M, CB), offsets (n, M), ids
+#: (n,), k, point terms (n,), row terms (g,))``, the offsets being the
+#: ``.T`` view of a shard's resident
 #: :func:`~repro.pim.backend.numpy_backend.gather_offsets`.
-ScanJob = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+ScanJob = Tuple[Any, ...]
 #: A top-k block: ``(ids, dists)``, one row per LUT row — a job's
 #: ``(g, min(k, n))`` arrays, or a round's padded ``(T, k)`` block.
 JobTopk = Tuple[np.ndarray, np.ndarray]
@@ -78,7 +81,7 @@ POOL_MIN_POINTS = 1 << 16
 #: allows before the round runs in process.
 WARMUP_TIMEOUT_S = 10.0
 
-#: Distance of a round block's padding cells: above every ADC distance,
+#: Distance of a block's padding cells: above every ADC distance,
 #: so padding sorts after every real candidate.
 PAD_DISTANCE = np.iinfo(np.int64).max
 
@@ -103,7 +106,7 @@ def scan_shard_group(
     The per-group scan the pool workers (and the pool's in-process
     fallback) run. It selects with :func:`~repro.pim.kernels.topk_rows`,
     the canonical ``(distance, id)`` rule :func:`scan_jobs_stacked`
-    applies to its round block, so both return the same rows bit for
+    applies to its block, so both return the same rows bit for
     bit. LUT rows are scanned in slabs whose ``(rows, n)`` int64
     distance block fits
     :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (top-k is
@@ -131,17 +134,22 @@ def scan_jobs_stacked(
 ) -> JobTopk:
     """The in-process DC + TS of a whole round, into one top-k block.
 
-    ``jobs`` are ``(luts, offsets, ids, k)`` with one ``k``: the LUTs
-    in the dtype to gather from, and the ``(n, M)`` view of the shard's
-    range-checked resident offsets. Returns the round's ``(ids,
+    ``jobs`` are ``(tables, offsets, ids, k, point terms, row terms)``
+    with one ``k``: the ``(g, M, CB)`` tables in the dtype to gather
+    from, the ``(n, M)`` view of the shard's range-checked resident
+    offsets, and int64 ``(n,)`` / ``(g,)`` terms. A row's distance to a
+    point is the sum of its table's entries at the point's codes plus
+    the point's and the row's term. Returns the call's ``(ids,
     dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
     the jobs' summed LUT rows in submission order, padded with ``-1`` /
     ``inf`` past a job's ``n``. Each row equals
     :func:`scan_shard_group`'s row for its job.
 
     The jobs' rows are scanned straight into padded int64 distance
-    slabs (padding cells hold :data:`PAD_DISTANCE`), and each slab gets
-    one canonical ``(distance, id)`` selection,
+    slabs (padding cells hold :data:`PAD_DISTANCE`) with the point
+    terms added, and each slab gets one canonical ``(distance, id)``
+    selection (a row term cannot reorder its row, so it is added to
+    the selected distances only),
     :func:`~repro.pim.kernels.select_topk`, written straight into the
     block. A slab stays within
     :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (a job
@@ -157,7 +165,7 @@ def scan_jobs_stacked(
         return np.empty((0, 0), dtype=np.int64), np.empty((0, 0))
     k = jobs[0][3]
     if any(job[3] != k for job in jobs):
-        raise ValueError("every job of a round block must share one k")
+        raise ValueError("every job of a block must share one k")
     starts = np.cumsum([0] + [len(job[0]) for job in jobs])
     out_ids = np.full((int(starts[-1]), k), -1, dtype=np.int64)
     out_dists = np.full((int(starts[-1]), k), np.inf)
@@ -207,10 +215,10 @@ def _select_slab(
     block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
     row = 0
     for ji, r0, r1 in pieces:
-        luts, off_t, ids, _ = jobs[ji]
-        backend.scan_into(
-            luts[r0:r1], off_t.T, block[row : row + r1 - r0, : len(ids)]
-        )
+        tables, off_t, ids, _, point_terms, _ = jobs[ji]
+        dists = block[row : row + r1 - r0, : len(ids)]
+        backend.scan_into(tables[r0:r1], off_t.T, dists)
+        dists += point_terms
         row += r1 - r0
     # Block row -> round-block row: each piece's rows are a run there.
     lens = np.array([r1 - r0 for _, r0, r1 in pieces])
@@ -222,6 +230,8 @@ def _select_slab(
         block, np.concatenate(id_runs), np.repeat(run_start, lens), out_ids.shape[1]
     )
     pad = sel_dists == PAD_DISTANCE
+    row_terms = np.concatenate([jobs[ji][5][r0:r1] for ji, r0, r1 in pieces])
+    sel_dists = sel_dists + row_terms[:, None]
     width_k = sel_ids.shape[1]
     out_ids[dest, :width_k] = np.where(pad, -1, sel_ids)
     out_dists[dest, :width_k] = np.where(pad, np.inf, sel_dists)

@@ -10,22 +10,25 @@ submit the next batch. Batch time is therefore
 plus any host<->PIM transfer time that is not overlapped.
 
 :meth:`PimSystem.run_batch` takes per-DPU task lists (produced by the
-runtime scheduler), executes the RC→LC→DC→TS kernel chain over each
-DPU's resident cluster shards, and returns the round's per-(query,
-shard) top-k as one block of fixed-width task rows plus a
+runtime scheduler) and *charges* one round: the RC→LC→DC→TS kernel
+chain over each DPU's resident cluster shards, booked on a
 :class:`BatchTiming` with the per-DPU, per-kernel cycle ledger that
-Figs. 8/10/11/12 are built from.
+Figs. 8/10/11/12 are built from, plus the tasks that ran. Charging
+replays the per-DPU shard-group order: a group's four RC/LC/DC/TS
+cycle counts come from the kernels' closed forms, computed once per
+distinct group shape and added to each DPU's ledger with plain ``+=``
+in that order, so ledgers, traces, and fault semantics are those of
+per-group execution. A round computes nothing.
 
-Execution is batch-first: the numeric work for a round is vectorized
-across the whole batch (one RC+LC block for the round's task rows, from
-term tables built once per unique query and once per unique centroid,
-then one scan dispatch for every shard group of the round, optionally
-fanned out to worker processes — see :mod:`repro.pim.parallel`).
-Charging replays the per-DPU shard-group order: a group's four
-RC/LC/DC/TS cycle counts come from the kernels' closed forms, computed
-once per distinct group shape and added to each DPU's ledger with
-plain ``+=`` in that order, so ledgers, traces, and fault semantics are
-identical to per-group execution and the results are bit-exact.
+:meth:`PimSystem.compute_tasks` *computes*: the top-k of a set of
+tasks, typically every task one search ran, whatever its round count.
+A task's ids and distances depend only on its query and its data
+shard, never on the round, DPU or replica that ran it, so the compute
+plane scans each data shard once per call, from term tables built once
+per unique query and per-point terms resident next to each shard's
+scan offsets (see :meth:`~PimSystem.compute_tasks`). The host does not
+build the per-task LUTs that LC models; the ledger still charges LC
+per task.
 
 A batch's cycles are differences of a *search ledger* that
 :meth:`PimSystem.begin_search` zeroes, not of the DPUs' lifetime
@@ -66,10 +69,10 @@ from repro.utils import check_operands
 #: the memo restarts when full (it only saves recomputation).
 CHARGE_MEMO_ENTRIES = 4096
 
-#: LUT bytes (at 8 B per entry) one part of a round holds: a round past
-#: it builds and dispatches its LUT block in parts of whole shard
-#: groups, which bounds a whole-matrix round's LUT memory without
-#: changing a result.
+#: Query-term table bytes (at 8 B per entry) one query slab of
+#: :meth:`PimSystem.compute_tasks` holds, a row per task: a call past it
+#: takes its queries in slabs, which bounds a whole-matrix search's
+#: transient memory without changing a result.
 ROUND_LUT_BYTES = 64 * 1024 * 1024
 
 #: One kernel charge: the closed-form cost and the cycles it takes.
@@ -84,6 +87,9 @@ class ShardData:
     centroid: np.ndarray  # (D,) uint8
     ids: np.ndarray  # (n,) int64
     codes: np.ndarray  # (n, M) uint8/uint16
+    # Shards sharing a data key hold identical rows and liveness (the
+    # replicas of one cluster part); None: the shard's own key.
+    data_key: Optional[object] = None
 
 
 @dataclass
@@ -100,6 +106,8 @@ class BatchTiming:
     failed_tasks: List[Tuple[int, str]] = field(default_factory=list)
     transient_retries: int = 0
     transfer_timeouts: int = 0
+    # The (query index, shard key) tasks that ran, for compute_tasks.
+    tasks: List[Tuple[int, str]] = field(default_factory=list)
 
     @property
     def busy_fraction(self) -> float:
@@ -142,13 +150,18 @@ class PimSystem:
         # after place_shard registers a new centroid.
         self._centroid_table: Optional[np.ndarray] = None
         self._shard_cent: Dict[str, int] = {}
+        # Data identity: shard key -> data id, and each data id's
+        # canonical (first placed) shard key, the one compute_tasks scans.
+        self._data_of: Dict[object, int] = {}
+        self._data_id: Dict[str, int] = {}
+        self._data_keys: List[str] = []
         # Opt-in worker pool for the functional shard scans, plus the
         # per-round vectorized/pool chooser. The persistent pool
         # attaches shard arrays lazily (first round, or warm_pool) via
         # _ensure_pool_residency.
         self.executor = make_executor(config.shard_workers)
         self.planner = ExecutionPlanner()
-        # The host kernels every round's LUT builds and scans run on.
+        # The host kernels the compute plane runs on.
         self.backend = resolve_backend()
         self._residency_dirty = True
         # Tombstone liveness: shard key → live row indices (None / absent
@@ -158,10 +171,10 @@ class PimSystem:
         # per round instead.
         self._live_rows: Dict[str, Optional[np.ndarray]] = {}
         # Resident scan operands: shard key → ((M, n) intp gather
-        # offsets, (n,) ids) over the live rows, built and range-checked
-        # on a shard's first scan, dropped when its rows or liveness
-        # change (see _scan_operands).
-        self._live_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        # offsets, (n,) ids, (n,) point terms) over the live rows,
+        # built and range-checked on a shard's first scan, dropped when
+        # its rows or liveness change (see _scan_operands).
+        self._live_cache: Dict[str, Tuple[np.ndarray, ...]] = {}
         self.codebooks: Optional[np.ndarray] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
@@ -274,6 +287,11 @@ class PimSystem:
             self._centroid_by_id.append(np.asarray(shard.centroid))
             self._centroid_table = None
         self._shard_cent[shard.shard_key] = cent_id
+        data_key = shard.shard_key if shard.data_key is None else shard.data_key
+        data_id = self._data_of.setdefault(data_key, len(self._data_keys))
+        if data_id == len(self._data_keys):
+            self._data_keys.append(shard.shard_key)
+        self._data_id[shard.shard_key] = data_id
         # Placement changes invalidate the worker pool's zero-copy
         # residency; it is re-hosted on the next pool round.
         self._residency_dirty = True
@@ -329,23 +347,26 @@ class PimSystem:
 
     def _scan_operands(
         self, shard_key: str, shard: ShardData
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """A shard's resident ``(offsets (M, n), ids (n,))`` over its
-        live rows.
+    ) -> Tuple[np.ndarray, ...]:
+        """A shard's resident ``(offsets (M, n), ids (n,), point terms
+        (n,))`` over its live rows.
 
         Built once, like the codes' MRAM layout: the first scan of a
         shard range-checks its codes (``IndexError`` for a code outside
         ``[0, CB)``, before any offset reaches the gather) and keeps the
-        offsets, at ``8 * M`` bytes per live row, until
-        :meth:`update_shard`, :meth:`set_shard_liveness` or
-        :meth:`load_codebooks` drops them.
+        offsets and the int64 point terms
+        (:meth:`~repro.pim.backend.NumpyBackend.point_terms`), at ``8 *
+        M + 8`` bytes per live row, until :meth:`update_shard`,
+        :meth:`set_shard_liveness` or :meth:`load_codebooks` drops them.
         """
-        pair = self._live_cache.get(shard_key)
-        if pair is None:
+        ops = self._live_cache.get(shard_key)
+        if ops is None:
             codes, ids = self._live_arrays(shard_key, shard)
-            pair = (gather_offsets(codes, self.codebooks.shape[1]), ids)
-            self._live_cache[shard_key] = pair
-        return pair
+            off = gather_offsets(codes, self.codebooks.shape[1])
+            pts = self.backend.point_terms(shard.centroid, off, self.codebooks)
+            ops = (off, ids, pts)
+            self._live_cache[shard_key] = ops
+        return ops
 
     def _live_count(self, shard_key: str, shard: ShardData) -> int:
         live = self._live_rows.get(shard_key)
@@ -462,8 +483,8 @@ class PimSystem:
         k: int,
         *,
         multiplier_less: bool = True,
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], BatchTiming]:
-        """Execute one PIM round of (query, shard) tasks.
+    ) -> BatchTiming:
+        """Charge one PIM round of (query, shard) tasks.
 
         Fault plans index their events by round: each call consumes
         one batch index of the plan.
@@ -481,15 +502,11 @@ class PimSystem:
 
         Returns
         -------
-        ((rows, ids, distances), timing): the round block and the batch
-        timing record. Each executed task is one block row: ``rows``
-        ``(T,)`` int64 holds its query index and ``ids`` / ``distances``
-        ``(T, k)`` its local top-k ascending by distance, padded with
-        ``-1`` / ``inf`` past the shard's live rows (int64 and float64;
-        the float64 distances are exact for integer ADC distances). Rows
-        follow the per-DPU shard-group order. Tasks assigned to a
-        fail-stopped DPU are *not* executed; they come back in
-        ``timing.failed_tasks`` for the caller to fail over (see
+        The batch timing record. Its ``tasks`` are the ``(query index,
+        shard key)`` tasks that ran, in the per-DPU shard-group order;
+        :meth:`compute_tasks` computes their top-k. Tasks assigned to
+        a fail-stopped DPU do *not* run; they come back in
+        ``failed_tasks`` for the caller to fail over (see
         :mod:`repro.faults`).
         """
         for dpu_id in assignments:
@@ -508,17 +525,9 @@ class PimSystem:
                 )
             sq = self.square_lut
 
-        # The round computes on (and broadcasts) uint8 queries, whatever
+        # The round charges (and broadcasts) uint8 queries, whatever
         # integral dtype the caller passed.
-        queries = check_operands(queries, np.uint8, "queries").astype(
-            np.uint8, copy=False
-        )
-        m, _, dsub = self.codebooks.shape
-        if queries.ndim != 2 or queries.shape[1] != m * dsub:
-            raise ValueError(
-                f"queries must be (q, {m * dsub}) for the loaded "
-                f"codebooks, got {queries.shape}"
-            )
+        queries = self._check_queries(queries)
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
         self._batch_index += 1
@@ -575,20 +584,10 @@ class PimSystem:
         cycles_before = {
             dpu_id: self._ledger_total(dpu_id) for dpu_id, _, _ in groups
         }
-
-        # ---- functional pass: one RC+LC block for the round's task
-        # rows, then one DC+TS dispatch for its shard groups via the
-        # planner-chosen path (the in-process round block, or worker
-        # processes). Rows follow the group order.
         lives = [
             self._live_count(skey, self._shards[skey][1]) for _, skey, _ in groups
         ]
-        qrows = np.array(
-            [qidx for _, _, qidxs in groups for qidx in qidxs], dtype=np.int64
-        )
-        block, group_misses = self._run_groups_functional(
-            groups, lives, queries, qrows, k, sq
-        )
+        group_misses = self._group_misses(queries, groups, sq)
 
         # ---- charging pass: replay the per-DPU group order, charging
         # closed-form kernel costs identical to the per-group kernels'.
@@ -651,7 +650,7 @@ class PimSystem:
             for kname in sorted(set(kernel_before) | set(kernel_after))
         }
 
-        timing = BatchTiming(
+        return BatchTiming(
             per_dpu_cycles=per_dpu,
             kernel_cycles=kernel_cycles,
             pim_seconds=self._max_seconds(per_dpu),
@@ -660,132 +659,168 @@ class PimSystem:
             failed_tasks=failed_tasks,
             transient_retries=transient_retries,
             transfer_timeouts=transfer_timeouts,
+            tasks=[(qidx, skey) for _, skey, qidxs in groups for qidx in qidxs],
         )
-        return (qrows,) + block, timing
 
-    def _run_groups_functional(
-        self,
-        groups: List[Tuple[int, str, List[int]]],
-        lives: List[int],
-        queries: np.ndarray,
-        qrows: np.ndarray,
-        k: int,
-        sq: Optional[SquareLut],
-    ) -> Tuple[parallel.JobTopk, List[int]]:
-        """The round's top-k block, from one LUT block and one scan
-        dispatch.
+    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
+        """``(q, M * dsub)`` uint8 queries, else ``ValueError`` naming
+        ``queries``."""
+        queries = check_operands(queries, np.uint8, "queries").astype(
+            np.uint8, copy=False
+        )
+        m, _, dsub = self.codebooks.shape
+        if queries.ndim != 2 or queries.shape[1] != m * dsub:
+            raise ValueError(
+                f"queries must be (q, {m * dsub}) for the loaded "
+                f"codebooks, got {queries.shape}"
+            )
+        return queries
 
-        RC and LC run as one
-        :meth:`~repro.pim.backend.NumpyBackend.build_luts` over the
-        round's task rows (``qrows``, the query of each row in group
-        order, against its group's centroid): the codebook products are
-        shared per unique query and per unique centroid, so parts and
-        replicas of a cluster never rebuild them per shard. Every shard
-        group's job is then its contiguous row slice of the block over
-        its shard's resident scan operands, and the round's jobs go, in
-        group order, to the data-plane path the planner picks
-        (:func:`scan_jobs_stacked`, or the worker pool) in one call —
-        in parts of whole groups only when the block would pass
-        :data:`ROUND_LUT_BYTES`, each part's rows then written into
-        place. Integer math and one canonical selection rule make both
-        paths bit-identical to per-group recomputation.
+    # ----- the compute plane ------------------------------------------------
+    def compute_tasks(
+        self, queries: np.ndarray, tasks: Sequence[Tuple[int, str]], k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The top-k of ``(query index, shard key)`` tasks, the one
+        numeric entry point; a search calls it once over every task its
+        rounds ran (``BatchTiming.tasks``).
 
-        Returns the ``(ids, dists)`` block — ``(T, k)``, one row per
-        task in group order, padded with ``-1`` / ``inf`` past a
-        shard's live rows — and per-group square-LUT miss counts (for
-        LC cost charging), indexed like ``groups``. ``lives`` holds each
-        group's live row count.
+        ``queries`` are checked like :meth:`run_batch`'s. Returns
+        ``(rows, ids, distances)``, a row per task sorted by data shard,
+        then query: ``(T,)`` query indices and ``(T, k)`` top-k by
+        ``(distance, id)``, padded with ``-1`` / ``inf`` (exact int64
+        and float64).
+
+        A data shard (``ShardData.data_key``) is scanned once, from its
+        canonical replica, whichever replicas ran its tasks. By the
+        IVF-PQ identity the distance to a point with codes ``j`` is
+        ``||q - c||^2 + sum_m (||b_mj||^2 - 2 q.b_mj) + sum_m 2 c.b_mj``:
+        one int64 per task, a scan of the query's term table
+        (:meth:`~repro.pim.backend.NumpyBackend.query_terms`) and the
+        point's resident term, so no per-task LUT is built; only the
+        ledger charges LC per task. Queries come in slabs whose table
+        rows fit :data:`ROUND_LUT_BYTES`, each one
+        :func:`scan_jobs_stacked` call, or LUT jobs for a warm pool.
         """
-        # One strategy decision per round, from the round's measured
-        # size; the round's scan dispatch below applies it.
-        backend = self.backend
-        path = "vectorized"
-        scan_points = 0
-        if groups:
-            m = self.codebooks.shape[0]
-            num_jobs = sum(1 for n in lives if n)
-            scan_points = sum(
-                len(qidxs) * n * m for (_, _, qidxs), n in zip(groups, lives)
-            )
-            self._ensure_pool_residency()
-            path = self.planner.choose(
-                num_jobs=num_jobs,
-                scan_points=scan_points,
-                executor=self.executor,
-            )
-            if self.observer is not None:
-                self.observer.on_plan_decision(path)
+        if self.codebooks is None:
+            raise RuntimeError("codebooks not loaded; call load_codebooks first")
+        queries = self._check_queries(queries)
+        t = len(tasks)
+        if not t:
+            return np.empty(0, np.int64), np.empty((0, k), np.int64), np.empty((0, k))
+        qrows = np.fromiter((q for q, _ in tasks), dtype=np.int64, count=t)
+        if qrows.min() < 0 or qrows.max() >= len(queries):
+            raise IndexError(f"task query indices must lie in [0, {len(queries)})")
+        drows = np.fromiter(
+            (self._data_id[key] for _, key in tasks), dtype=np.int64, count=t
+        )
+        m, cb, _ = self.codebooks.shape
+        # A query slab starts once the term-table rows of the tasks
+        # before it fill the budget; tasks sort by slab, data, query.
+        counts = np.bincount(qrows, minlength=len(queries))
+        slab_of = (np.cumsum(counts) - counts) * (m * cb * 8) // ROUND_LUT_BYTES
+        order = np.lexsort((qrows, drows, slab_of[qrows]))
+        qrows, drows = qrows[order], drows[order]
+        slab = slab_of[qrows]
+        # A job is one data shard's run of tasks within a slab.
+        edges = np.flatnonzero((np.diff(drows) != 0) | (np.diff(slab) != 0)) + 1
+        starts = np.concatenate([[0], edges])
+        ends = np.append(edges, t)
+        keys = [self._data_keys[d] for d in drows[starts].tolist()]
+        lives = [self._live_count(key, self._shards[key][1]) for key in keys]
+        crows = np.repeat([self._shard_cent[key] for key in keys], ends - starts)
+
+        # One strategy decision per call, from its measured size.
+        scan_points = int(np.dot(ends - starts, lives)) * m
+        self._ensure_pool_residency()
+        path = self.planner.choose(
+            num_jobs=sum(1 for n in lives if n),
+            scan_points=scan_points,
+            executor=self.executor,
+        )
+        if self.observer is not None:
+            self.observer.on_plan_decision(path)
         pool = path == "pool" and self.executor is not None
 
-        sizes = [len(qidxs) for _, _, qidxs in groups]
-        starts = np.cumsum([0] + sizes)
-        total = int(starts[-1])
-        crows = np.repeat(
-            [self._shard_cent[skey] for _, skey, _ in groups], sizes
-        ).astype(np.int64)
-        centroids = self._centroids()
-        group_misses = self._group_misses(
-            queries, centroids, qrows, crows, starts, sq
-        )
-
-        block: Optional[parallel.JobTopk] = None
-        parts = self._round_parts(sizes)
-        scan_seconds = 0.0
-        for g0, g1 in parts:
-            r0, r1 = int(starts[g0]), int(starts[g1])
-            luts = backend.build_luts(
-                queries, centroids, qrows[r0:r1], crows[r0:r1], self.codebooks
-            )
-            jobs: List[parallel.ScanJob] = []
-            gis: List[int] = []
-            for gi in range(g0, g1):
-                if pool and not lives[gi]:
-                    continue  # an empty shard's rows stay padding
-                skey = groups[gi][1]
-                shard = self._shards[skey][1]
-                luts_g = luts[starts[gi] - r0 : starts[gi + 1] - r0]
-                if pool:
-                    codes_s, ids_s = self._live_arrays(skey, shard)
-                    jobs.append((luts_g, codes_s, ids_s, k))
-                else:
-                    off, ids_s = self._scan_operands(skey, shard)
-                    jobs.append((luts_g, off.T, ids_s, k))
-                gis.append(gi)
-            t0 = time.perf_counter()
-            if pool:
-                part = self._pool_block(
-                    groups, gis, jobs, starts, r0, r1, k, backend
-                )
-            else:
-                part = scan_jobs_stacked(jobs, backend=backend)
-            scan_seconds += time.perf_counter() - t0
-            if len(parts) == 1:
-                block = part
-                break
-            if block is None:
-                block = (
-                    np.full((total, k), -1, dtype=np.int64),
-                    np.full((total, k), np.inf),
-                )
-            block[0][r0:r1] = part[0]
-            block[1][r0:r1] = part[1]
-        if block is None:  # no groups
-            block = (np.empty((0, k), dtype=np.int64), np.empty((0, k)))
-
-        # Measured rate feedback: the planner arbitrates pool vs in
-        # process empirically once both have been observed. Purely
-        # advisory — never touches results.
-        self.planner.note_round(path, scan_points, scan_seconds)
-
-        # Surface every pool degradation (instead of swallowing it):
-        # drained here so events land even when the observer was
-        # attached after construction.
+        jobs = list(zip(keys, lives, starts.tolist(), ends.tolist()))
+        scan = self._pool_slab if pool else self._scan_slab
+        blocks = []
+        t0 = time.perf_counter()
+        slab_edges = (np.flatnonzero(np.diff(slab)) + 1).tolist()
+        for s0, s1 in zip([0] + slab_edges, slab_edges + [t]):
+            j0, j1 = np.searchsorted(starts, [s0, s1])
+            slab_jobs = [(key, n, a - s0, b - s0) for key, n, a, b in jobs[j0:j1]]
+            blocks.append(scan(queries, qrows[s0:s1], crows[s0:s1], slab_jobs, k))
+        # Measured rate feedback: purely advisory, never touches results.
+        self.planner.note_round(path, scan_points, time.perf_counter() - t0)
         if self.executor is not None:
+            # Surface every pool degradation instead of swallowing it.
             events = self.executor.take_fallback_events()
             if self.observer is not None:
                 for reason in events:
                     self.observer.on_pool_fallback(reason)
-        return block, group_misses
+        if len(blocks) == 1:
+            return (qrows,) + blocks[0]
+        # Slabs came in query order: restore (data, query) row order.
+        perm = np.lexsort((qrows, drows))
+        return (
+            qrows[perm],
+            np.concatenate([b[0] for b in blocks])[perm],
+            np.concatenate([b[1] for b in blocks])[perm],
+        )
+
+    def _scan_slab(
+        self,
+        queries: np.ndarray,
+        qrows: np.ndarray,
+        crows: np.ndarray,
+        jobs: List[Tuple[str, int, int, int]],
+        k: int,
+    ) -> parallel.JobTopk:
+        """A query slab's top-k block, rows in task order, by
+        :func:`scan_jobs_stacked`. ``jobs`` are ``(shard key, live rows,
+        first task, end task)``; ``crows`` name each task's centroid."""
+        uq, local = np.unique(qrows, return_inverse=True)
+        tables = self.backend.query_terms(queries[uq], self.codebooks)
+        res = queries[qrows].astype(np.int64) - self._centroids()[crows]
+        row_terms = np.einsum("td,td->t", res, res)
+        scan_jobs = []
+        for key, _, a, b in jobs:
+            off, ids, pts = self._scan_operands(key, self._shards[key][1])
+            scan_jobs.append(
+                (tables[local[a:b]], off.T, ids, k, pts, row_terms[a:b])
+            )
+        return scan_jobs_stacked(scan_jobs, backend=self.backend)
+
+    def _pool_slab(
+        self,
+        queries: np.ndarray,
+        qrows: np.ndarray,
+        crows: np.ndarray,
+        jobs: List[Tuple[str, int, int, int]],
+        k: int,
+    ) -> parallel.JobTopk:
+        """:meth:`_scan_slab`'s block from the worker pool's LUT jobs
+        over live rows; an empty shard's rows stay padding."""
+        luts = self.backend.build_luts(
+            queries, self._centroids(), qrows, crows, self.codebooks
+        )
+        live = [(key, a, b) for key, n, a, b in jobs if n]
+        tops = self.executor.scan_groups(
+            [
+                (luts[a:b], *self._live_arrays(key, self._shards[key][1]), k)
+                for key, a, b in live
+            ],
+            [key for key, _, _ in live],
+            [self._live_rows.get(key) for key, _, _ in live],
+            self.backend,
+        )
+        ids = np.full((len(qrows), k), -1, dtype=np.int64)
+        dists = np.full((len(qrows), k), np.inf)
+        for (_, a, _), (top_ids, top_dists) in zip(live, tops):
+            rows, width = top_ids.shape
+            ids[a : a + rows, :width] = top_ids
+            dists[a : a + rows, :width] = top_dists
+        return ids, dists
 
     def _centroids(self) -> np.ndarray:
         """The ``(C, D)`` centroid registry, indexed by centroid id."""
@@ -798,31 +833,10 @@ class PimSystem:
             )
         return self._centroid_table
 
-    def _round_parts(self, sizes: List[int]) -> List[Tuple[int, int]]:
-        """``[g0, g1)`` group ranges whose LUT rows stay within
-        :data:`ROUND_LUT_BYTES` (a single group past it is its own
-        part); one part for a round that fits."""
-        if not sizes:
-            return []
-        m, cb, _ = self.codebooks.shape
-        row_bytes = m * cb * 8
-        parts: List[Tuple[int, int]] = []
-        g0 = used = 0
-        for gi, size in enumerate(sizes):
-            if gi > g0 and used + size * row_bytes > ROUND_LUT_BYTES:
-                parts.append((g0, gi))
-                g0, used = gi, 0
-            used += size * row_bytes
-        parts.append((g0, len(sizes)))
-        return parts
-
     def _group_misses(
         self,
         queries: np.ndarray,
-        centroids: np.ndarray,
-        qrows: np.ndarray,
-        crows: np.ndarray,
-        starts: np.ndarray,
+        groups: List[Tuple[int, str, List[int]]],
         sq: Optional[SquareLut],
     ) -> List[int]:
         """Per-group square-LUT miss counts for LC cost charging.
@@ -835,43 +849,17 @@ class PimSystem:
         task rows' differences formed (:func:`square_misses`) and
         summed per group.
         """
-        num_groups = len(starts) - 1
-        if sq is None or sq.resident_max_abs >= sq.max_abs or not num_groups:
-            return [0] * num_groups
-        residuals = queries[qrows].astype(np.int32) - centroids[crows].astype(
-            np.int32
-        )
+        if sq is None or sq.resident_max_abs >= sq.max_abs or not groups:
+            return [0] * len(groups)
+        sizes = [len(qidxs) for _, _, qidxs in groups]
+        qrows = np.array([q for _, _, qidxs in groups for q in qidxs])
+        crows = np.repeat([self._shard_cent[skey] for _, skey, _ in groups], sizes)
+        residuals = queries[qrows].astype(np.int32) - self._centroids()[
+            crows
+        ].astype(np.int32)
         per_task = square_misses(residuals, self.codebooks, sq.resident_max_abs)
-        return [int(c) for c in np.add.reduceat(per_task, starts[:-1])]
-
-    def _pool_block(
-        self,
-        groups: List[Tuple[int, str, List[int]]],
-        gis: List[int],
-        jobs: List[parallel.ScanJob],
-        starts: np.ndarray,
-        r0: int,
-        r1: int,
-        k: int,
-        backend,
-    ) -> parallel.JobTopk:
-        """The worker pool's scan of ``jobs`` (groups ``gis``, each with
-        live rows) laid into a padded ``(r1 - r0, k)`` block over the
-        part's task rows ``[r0, r1)``."""
-        tops = self.executor.scan_groups(
-            jobs,
-            [groups[gi][1] for gi in gis],
-            [self._live_rows.get(groups[gi][1]) for gi in gis],
-            backend,
-        )
-        ids = np.full((r1 - r0, k), -1, dtype=np.int64)
-        dists = np.full((r1 - r0, k), np.inf)
-        for gi, (top_ids, top_dists) in zip(gis, tops):
-            a = int(starts[gi]) - r0
-            rows, width = top_ids.shape
-            ids[a : a + rows, :width] = top_ids
-            dists[a : a + rows, :width] = top_dists
-        return ids, dists
+        starts = np.cumsum([0] + sizes[:-1])
+        return [int(c) for c in np.add.reduceat(per_task, starts)]
 
     def warm_pool(self) -> bool:
         """Host shard residency in the worker pool and wait until it is warm.

@@ -50,8 +50,12 @@ def _tie_jobs(seed, shapes, k, values, m=2, cb=4):
 
 
 def _resident(jobs):
+    """Stacked jobs whose LUTs hold the whole distance: zero terms."""
     return [
-        (luts, gather_offsets(codes, luts.shape[-1]).T, ids, k)
+        (
+            luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
+            np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
+        )
         for luts, codes, ids, k in jobs
     ]
 
@@ -219,11 +223,20 @@ class TestResidentOffsets:
     def _assert_cache_consistent(self, system):
         cb = system.codebooks.shape[1]
         assert system._live_cache
-        for key, (off, ids) in system._live_cache.items():
-            codes, live_ids = system._live_arrays(key, system.get_shard(key))
+        books = system.codebooks.astype(np.int64)
+        m = books.shape[0]
+        for key, (off, ids, pts) in system._live_cache.items():
+            shard = system.get_shard(key)
+            codes, live_ids = system._live_arrays(key, shard)
             assert off.dtype == np.intp and off.flags.c_contiguous
             np.testing.assert_array_equal(off, gather_offsets(codes, cb))
             np.testing.assert_array_equal(ids, live_ids)
+            # Point terms: sum_m 2 c.b[m, code_m], in exact int64.
+            c = shard.centroid.astype(np.int64).reshape(m, 1, -1)
+            cterm = 2 * (c * books).sum(-1)
+            want = cterm[np.arange(m), codes.astype(np.intp)].sum(-1)
+            assert pts.dtype == np.int64
+            np.testing.assert_array_equal(pts, want)
 
     def test_out_of_range_code_raises_after_offsets_are_resident(self, tie_index):
         engine = _tie_engine(tie_index)

@@ -38,7 +38,9 @@ def batch_queries(small_ds):
 
 
 def _run(system, assignments, queries):
-    return system.run_batch(assignments, queries, 10, multiplier_less=False)
+    """Charge one round, then compute the tasks it ran."""
+    timing = system.run_batch(assignments, queries, 10, multiplier_less=False)
+    return system.compute_tasks(queries, timing.tasks, 10), timing
 
 
 class TestRunBatchValidation:
@@ -70,6 +72,7 @@ class TestFailStop:
             system, {0: [(0, "c0")], 1: [(0, "c1"), (1, "c1")]}, batch_queries
         )
         assert timing.failed_tasks == [(0, "c1"), (1, "c1")]
+        assert timing.tasks == [(0, "c0")]
         np.testing.assert_array_equal(rows, [0])
         assert system.dead_dpus() == {1}
 

@@ -240,6 +240,7 @@ class TestIdBoundary:
             (np.array([4, -7]), ValueError, "non-negative"),
             (np.array(["5"]), TypeError, "numeric"),
             (np.array([True]), TypeError, "numeric"),
+            (np.array([[1, 2]]), ValueError, "ids must be 1-D"),
         ],
     )
     def test_delete_rejects(self, small_quantized, ids, exc, match):
@@ -256,6 +257,7 @@ class TestIdBoundary:
             (np.array([np.nan, 90001.0]), ValueError, "finite"),
             (np.array(["a", "b"]), TypeError, "numeric"),
             (np.array([True, False]), TypeError, "numeric"),
+            (np.array([[90000], [90001]]), ValueError, "ids must be 1-D"),
         ],
     )
     def test_add_rejects(self, small_quantized, ids, exc, match):
@@ -284,6 +286,13 @@ class TestIdBoundary:
                 engine.delete(np.array([3.7]))
             with pytest.raises(TypeError, match="numeric"):
                 engine.delete(np.array(["5"]))
+            with pytest.raises(ValueError, match="ids must be 1-D"):
+                engine.delete(np.array([[1, 2]]))
+            with pytest.raises(ValueError, match="ids must be 1-D"):
+                engine.add(
+                    np.zeros((2, small_quantized.dim), dtype=np.uint8),
+                    ids=[[90000, 90001]],
+                )
             with pytest.raises(ValueError, match="non-negative"):
                 engine.add(
                     np.zeros((2, small_quantized.dim), dtype=np.uint8),

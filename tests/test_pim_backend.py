@@ -463,9 +463,24 @@ class TestMicrobench:
         )
         for key in ("scan_seconds", "lut_seconds"):
             assert record[key] > 0 and record["reference"][key] > 0
+        assert record["term_scan_seconds"] > 0
         text = format_record(record)
         assert "stacked scan" in text and "LUT build" in text
         assert "bit_identical=True" in text
+
+    def test_term_scan_mismatch_fails_the_gate(self, monkeypatch):
+        """The gate follows the kernel the search runs: a term-table
+        scan off by one fails ``gate_ok`` whatever the speedups."""
+        from repro.pim.backend import numpy_backend
+        from repro.pim.backend.microbench import run_microbench
+
+        real = numpy_backend.NumpyBackend.point_terms
+        monkeypatch.setattr(
+            numpy_backend.NumpyBackend, "point_terms",
+            lambda self, *a: real(self, *a) + 1,
+        )
+        record = run_microbench(repeats=1, seed=0)
+        assert record["bit_identical"] is False and record["gate_ok"] is False
 
 
 class TestEngineThreading:

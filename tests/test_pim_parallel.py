@@ -149,9 +149,13 @@ class TestPoolExecutor:
 
 def _resident(jobs):
     """Codes jobs as :func:`scan_jobs_stacked` takes them: the codes
-    replaced by the ``(n, M)`` view of their resident offsets."""
+    replaced by the ``(n, M)`` view of their resident offsets, with
+    zero point and row terms (the LUTs hold the whole distance)."""
     return [
-        (luts, gather_offsets(codes, luts.shape[-1]).T, ids, k)
+        (
+            luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
+            np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
+        )
         for luts, codes, ids, k in jobs
     ]
 

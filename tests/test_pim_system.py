@@ -81,9 +81,9 @@ class TestPlacement:
 class TestRunBatch:
     def test_results_match_manual_math(self, sys4, rng):
         queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
-        (rows, ids, dists), timing = sys4.run_batch(
-            {0: [(0, "s0")], 1: [(1, "s1")]}, queries, k=5
-        )
+        timing = sys4.run_batch({0: [(0, "s0")], 1: [(1, "s1")]}, queries, k=5)
+        assert timing.tasks == [(0, "s0"), (1, "s1")]
+        rows, ids, dists = sys4.compute_tasks(queries, timing.tasks, k=5)
         np.testing.assert_array_equal(rows, [0, 1])
         assert ids.shape == dists.shape == (2, 5)
         assert ids.dtype == np.int64 and dists.dtype == np.float64
@@ -119,7 +119,7 @@ class TestRunBatch:
         """Batch time equals the busiest DPU's cycles / frequency."""
         queries = rng.integers(0, 255, size=(4, 32)).astype(np.uint8)
         assignments = {0: [(0, "s0"), (1, "s0"), (2, "s0"), (3, "s0")]}
-        _, timing = sys4.run_batch(assignments, queries, k=3)
+        timing = sys4.run_batch(assignments, queries, k=3)
         freq = sys4.config.dpu.frequency_hz
         assert timing.pim_seconds == pytest.approx(
             timing.per_dpu_cycles.max() / freq
@@ -130,16 +130,16 @@ class TestRunBatch:
 
     def test_kernel_cycles_recorded(self, sys4, rng):
         queries = rng.integers(0, 255, size=(1, 32)).astype(np.uint8)
-        _, timing = sys4.run_batch({0: [(0, "s0")]}, queries, k=3)
+        timing = sys4.run_batch({0: [(0, "s0")]}, queries, k=3)
         assert set(timing.kernel_cycles) >= {"RC", "LC", "DC", "TS"}
         assert all(v >= 0 for v in timing.kernel_cycles.values())
 
     def test_multiplier_toggle_changes_time(self, sys4, rng):
         queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
         assignments = {0: [(0, "s0"), (1, "s0")]}
-        _, t_ml = sys4.run_batch(assignments, queries, k=3, multiplier_less=True)
+        t_ml = sys4.run_batch(assignments, queries, k=3, multiplier_less=True)
         sys4.reset_ledgers()
-        _, t_mul = sys4.run_batch(assignments, queries, k=3, multiplier_less=False)
+        t_mul = sys4.run_batch(assignments, queries, k=3, multiplier_less=False)
         assert t_mul.kernel_cycles["LC"] > t_ml.kernel_cycles["LC"]
 
     def test_reset_ledgers(self, sys4, rng):
@@ -181,7 +181,7 @@ class TestLcKernelPath:
         sys4.load_square_lut(partial)
         queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
         assignments = {0: [(0, "s0"), (2, "s0")], 3: [(1, "s3")]}
-        _, timing = sys4.run_batch(assignments, queries, k=3)
+        timing = sys4.run_batch(assignments, queries, k=3)
         ref = Dpu(0, sys4.config.dpu)
         for dpu_id, tasks in assignments.items():
             shard = sys4.get_shard(tasks[0][1])
@@ -205,8 +205,14 @@ class TestLcKernelPath:
         qrows = np.array([0, 3, 3, 8, 1, 2, 5, 0, 7, 6, 4], dtype=np.int64)
         crows = np.array([1, 1, 2, 2, 2, 0, 0, 0, 3, 3, 1], dtype=np.int64)
         starts = np.array([0, 2, 5, 8, 10, 11])
+        # Shard s{c} holds centroid c; each group is one shard's rows.
+        groups = [
+            (sys4.shard_location(f"s{crows[a]}"), f"s{crows[a]}", list(qrows[a:b]))
+            for a, b in zip(starts[:-1], starts[1:])
+        ]
+        assert all(sys4._shard_cent[f"s{c}"] == c for c in range(4))
         m = sys4.codebooks.shape[0]
-        none = sys4._group_misses(queries, centroids, qrows, crows, starts, full)
+        none = sys4._group_misses(queries, groups, full)
         assert none == [0] * 5
         residuals = queries[qrows].astype(np.int32) - centroids[crows].astype(
             np.int32
@@ -220,9 +226,6 @@ class TestLcKernelPath:
             for t in range(len(qrows)):
                 _, cost = run_lut_build(residuals[t : t + 1], sys4.codebooks, partial)
                 assert misses[t] == cost.traffic.transactions - m
-            groups = sys4._group_misses(
-                queries, centroids, qrows, crows, starts, partial
-            )
-            assert groups == [
+            assert sys4._group_misses(queries, groups, partial) == [
                 int(misses[a:b].sum()) for a, b in zip(starts[:-1], starts[1:])
             ]

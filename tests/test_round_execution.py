@@ -1,4 +1,4 @@
-"""Round-level host execution: one scan dispatch per round, memoized
+"""Round-level host execution: one scan dispatch per search, memoized
 charges, and a batch ledger that does not depend on search history.
 
 These are host-side strategies: none of them may move a result, a
@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_mod
 import repro.pim.system as system_mod
 from repro.pim.dpu import Dpu
 from repro.pim.kernels import select_topk, topk_rows
@@ -125,36 +126,47 @@ class TestOneDispatchPerRound:
 
         monkeypatch.setattr(system_mod, "scan_jobs_stacked", spy)
 
-    def test_one_stacked_call_per_round(self, engine, monkeypatch):
-        rounds = []
-        real_run = engine.system.run_batch
+    def test_one_stacked_call_per_search(self, monkeypatch):
+        """However many rounds a search charges — the main round and the
+        drain, or one round per query — it makes one ``compute_tasks``
+        call, one stacked scan and one fold."""
+        engine = build_canonical_engine("mul-unreplicated", batch_size=8)
+        q = _queries("mul-unreplicated")
+        rounds, computes, folds, calls = [], [], [], []
+        for owner, attr, log in (
+            (engine.system, "run_batch", rounds),
+            (engine.system, "compute_tasks", computes),
+            (engine_mod, "merge_topk_pools", folds),
+        ):
+            def counted(*a, _real=getattr(owner, attr), _log=log, **kw):
+                _log.append(1)
+                return _real(*a, **kw)
 
-        def run_batch(*a, **kw):
-            rounds.append(1)
-            return real_run(*a, **kw)
-
-        monkeypatch.setattr(engine.system, "run_batch", run_batch)
-        calls = []
+            monkeypatch.setattr(owner, attr, counted)
         self._spy(monkeypatch, calls)
-        engine.search(_queries("split-replicated"))
-        assert len(rounds) >= 1
-        assert len(calls) == len(rounds)
-        assert sum(calls) > len(calls)  # rounds really carry many jobs
+        try:
+            engine.search(q)
+        finally:
+            engine.close()
+        assert len(rounds) > 2
+        assert len(computes) == len(folds) == len(calls) == 1
+        assert calls[0] > 1  # the search's one scan carries many jobs
 
     def test_lut_budget_flush_is_invisible(self, engine, monkeypatch):
+        """With ``ROUND_LUT_BYTES = 1`` the flush cuts into one query
+        slab per query; ids, distances and the breakdown stay put."""
         q = _queries("split-replicated")
         base = engine.search(q)
         calls = []
         self._spy(monkeypatch, calls)
         monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", 1)
         tiny = engine.search(q)
-        # Every centroid block overflows the budget and flushes alone.
-        assert len(calls) > 1
+        assert len(calls) == len(q)
         np.testing.assert_array_equal(tiny.results.ids, base.results.ids)
         np.testing.assert_array_equal(tiny.results.distances, base.results.distances)
         assert tiny.breakdown.to_dict() == base.breakdown.to_dict()
 
-    def test_pool_gets_one_scan_groups_per_round(self, engine, monkeypatch):
+    def test_pool_gets_one_scan_groups_per_search(self, engine, monkeypatch):
         system = engine.system
         calls = []
 

@@ -1,10 +1,11 @@
-"""One LUT block per PIM round.
+"""Round tasks computed by the compute plane.
 
-``PimSystem.run_batch`` builds the round's LUTs with one pair-form
-``NumpyBackend.build_luts`` per part — task rows in shard-group order,
-each group's job a contiguous slice — and every value must equal the
-staged per-group kernels: ``run_lut_build`` on the group's residuals,
-then the scan and the canonical top-k over the shard's live rows.
+``PimSystem.run_batch`` charges a round and reports the tasks that
+ran; ``PimSystem.compute_tasks`` computes them from query-term tables,
+resident point terms and one scan per data shard — no per-task LUT on
+the in-process path. Every value must equal the staged per-group
+kernels: ``run_lut_build`` on the group's residuals, then the scan and
+the canonical top-k over the shard's live rows.
 """
 
 import numpy as np
@@ -68,11 +69,12 @@ ASSIGNMENTS = {
 
 
 def _expected(system, queries, k):
-    """Per-group staged kernels, rows in the system's group order."""
-    rows, ids, dists = [], [], []
-    for dpu, tasks in ASSIGNMENTS.items():
+    """Per-group staged kernels: the tasks in the round's group order,
+    and each task's padded top-k row."""
+    tasks, ids, dists = [], [], []
+    for dpu, dpu_tasks in ASSIGNMENTS.items():
         by_shard = {}
-        for q, key in tasks:
+        for q, key in dpu_tasks:
             by_shard.setdefault(key, []).append(q)
         for key, qs in by_shard.items():
             shard = system.get_shard(key)
@@ -87,10 +89,18 @@ def _expected(system, queries, k):
             pad_d = np.full((len(qs), k), np.inf)
             pad_i[:, : top_ids.shape[1]] = top_ids
             pad_d[:, : top_d.shape[1]] = top_d
-            rows.extend(qs)
+            tasks.extend((q, key) for q in qs)
             ids.append(pad_i)
             dists.append(pad_d)
-    return np.array(rows), np.concatenate(ids), np.concatenate(dists)
+    return tasks, np.concatenate(ids), np.concatenate(dists)
+
+
+def _task_rows(rows, ids, dists):
+    """Result rows as a sorted list of ``(query, ids, distances)``: the
+    tasks' rows as a multiset, whatever their order."""
+    return sorted(
+        zip(rows.tolist(), map(tuple, ids.tolist()), map(tuple, dists.tolist()))
+    )
 
 
 class _Pool:
@@ -111,11 +121,13 @@ class _Pool:
 
 
 def _run(system, queries, k, pool=False):
+    """Charge the round, then compute the tasks it ran."""
     if pool:
         system.executor = _Pool()
         system._residency_dirty = False
         system.planner.choose = lambda **kw: "pool"
-    return system.run_batch(ASSIGNMENTS, queries, k)
+    timing = system.run_batch(ASSIGNMENTS, queries, k)
+    return system.compute_tasks(queries, timing.tasks, k), timing
 
 
 class TestRoundBlock:
@@ -124,18 +136,24 @@ class TestRoundBlock:
     def test_block_equals_per_group_kernels(self, rng, pool, k):
         system = _system(rng)
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
-        (rows, ids, dists), _ = _run(system, queries, k, pool)
-        want_rows, want_ids, want_dists = _expected(system, queries, k)
-        np.testing.assert_array_equal(rows, want_rows)
-        np.testing.assert_array_equal(ids, want_ids)
-        np.testing.assert_array_equal(dists, want_dists)
+        (rows, ids, dists), timing = _run(system, queries, k, pool)
+        want_tasks, want_ids, want_dists = _expected(system, queries, k)
+        # The round reports every task it ran, in its group order.
+        assert timing.tasks == want_tasks
+        assert rows.dtype == ids.dtype == np.int64 and dists.dtype == np.float64
+        assert ids.shape == dists.shape == (len(want_tasks), k)
+        want_rows = np.array([q for q, _ in want_tasks])
+        assert _task_rows(rows, ids, dists) == _task_rows(
+            want_rows, want_ids, want_dists
+        )
 
-    def test_one_build_per_round_over_group_rows(self, rng, monkeypatch):
-        """One ``build_luts`` call: every task row in group order, each
-        row against its shard's centroid id (parts and replicas of a
-        cluster share one)."""
-        system = _system(rng)
+    def test_only_the_pool_builds_luts(self, rng, monkeypatch):
+        """Neither the round nor the in-process compute plane calls
+        ``build_luts``. The pool's slab makes one call over its task
+        rows, each row against its shard's centroid id (parts and
+        replicas of a cluster share one)."""
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
+        system = _system(rng)
         calls = []
         real = system.backend.build_luts
 
@@ -144,43 +162,41 @@ class TestRoundBlock:
             return real(q, cents, qrows, crows, books)
 
         monkeypatch.setattr(system.backend, "build_luts", spy)
-        (rows, _, _), _ = system.run_batch(ASSIGNMENTS, queries, 3)
+        _run(system, queries, 3)
+        assert calls == []
+        (rows, _, _), _ = _run(system, queries, 3, pool=True)
         assert len(calls) == 1
         qrows, crows = calls[0]
         np.testing.assert_array_equal(qrows, rows)
         cent_of = {key: system._shard_cent[key] for key in system._shards}
-        keys = [key for tasks in ASSIGNMENTS.values() for key in
-                dict.fromkeys(k for _, k in tasks)]
-        sizes = [
-            sum(1 for _, k in ASSIGNMENTS[system.shard_location(key)] if k == key)
-            for key in keys
-        ]
-        np.testing.assert_array_equal(
-            crows, np.repeat([cent_of[key] for key in keys], sizes)
+        want = sorted(
+            (q, cent_of[key]) for tasks in ASSIGNMENTS.values() for q, key in tasks
         )
+        assert sorted(zip(qrows.tolist(), crows.tolist())) == want
         assert len(set(cent_of[k] for k in ("a.p0", "a.p1", "a.p0.r1"))) == 1
 
     @pytest.mark.parametrize("pool", [False, True])
     @pytest.mark.parametrize("budget", [1, 3 * M * CB * 8, 5 * M * CB * 8])
     def test_parts_are_byte_equal_to_one_part(self, rng, monkeypatch, pool, budget):
-        """A round split into parts of whole groups by a small
-        ``ROUND_LUT_BYTES`` returns the one-part block byte for byte,
-        with the same ledger."""
+        """A ``compute_tasks`` call cut into query slabs by a small
+        ``ROUND_LUT_BYTES`` returns the one-slab block byte for byte,
+        and the round's ledger does not move."""
         seed = int(rng.integers(0, 2**31))
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
         one_block, one_timing = _run(_system(np.random.default_rng(seed)), queries, 5, pool)
-        builds = []
+        slabs = []
         system = _system(np.random.default_rng(seed))
-        real = system.backend.build_luts
+        real = system._pool_slab if pool else system._scan_slab
         monkeypatch.setattr(
-            system.backend, "build_luts",
-            lambda *a: builds.append(len(a[2])) or real(*a),
+            system, "_pool_slab" if pool else "_scan_slab",
+            lambda q, qrows, *a: slabs.append(qrows.copy()) or real(q, qrows, *a),
         )
         monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", budget)
         block, timing = _run(system, queries, 5, pool)
-        assert len(builds) > 1
-        # Parts are whole groups: no part boundary splits a group.
-        assert sum(builds) == len(block[0])
+        assert len(slabs) > 1
+        # Slabs are runs of whole queries, covering every task once.
+        assert sum(len(s) for s in slabs) == len(block[0])
+        assert all(s.max() < t.min() for s, t in zip(slabs, slabs[1:]))
         for got, want in zip(block, one_block):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -196,7 +212,7 @@ class TestRoundBlock:
         partial = SquareLut.for_bit_width(8, levels=3).partial(60)
         system.load_square_lut(partial)
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
-        _, timing = system.run_batch(ASSIGNMENTS, queries, 3)
+        timing = system.run_batch(ASSIGNMENTS, queries, 3)
         ref = Dpu(0, system.config.dpu)
         for tasks in ASSIGNMENTS.values():
             by_shard = {}
@@ -210,38 +226,48 @@ class TestRoundBlock:
         assert timing.kernel_cycles["LC"] == ref.cycles_by_kernel["LC"]
 
 
+def _entry_points(system):
+    """``run_batch`` and ``compute_tasks``, each taking only queries."""
+    return (
+        lambda q: system.run_batch(ASSIGNMENTS, q, 3),
+        lambda q: system.compute_tasks(q, [(0, "a.p0"), (6, "b")], 3),
+    )
+
+
 class TestQueryOperands:
-    """``run_batch`` rejects queries it would truncate or wrap."""
+    """``run_batch`` and ``compute_tasks`` reject queries they would
+    truncate or wrap."""
 
     def test_fractional_queries_rejected(self, rng):
         system = _system(rng)
         queries = rng.integers(0, 255, size=(7, D)).astype(np.uint8)
-        with pytest.raises(ValueError, match="queries"):
-            system.run_batch(ASSIGNMENTS, queries + 0.6, 3)
+        for call in _entry_points(system):
+            with pytest.raises(ValueError, match="queries"):
+                call(queries + 0.6)
 
     @pytest.mark.parametrize("bad", [256, -1, 1000])
     def test_out_of_range_queries_rejected(self, rng, bad):
         system = _system(rng)
         queries = rng.integers(0, 256, size=(7, D)).astype(np.int64)
         queries[2, 5] = bad
-        with pytest.raises(ValueError, match="queries"):
-            system.run_batch(ASSIGNMENTS, queries, 3)
+        for call in _entry_points(system):
+            with pytest.raises(ValueError, match="queries"):
+                call(queries)
 
     @pytest.mark.parametrize("shape", [(7, D - 1), (7, D + 4), (7 * D,)])
     def test_wrong_width_rejected(self, rng, shape):
         system = _system(rng)
         queries = np.zeros(shape, dtype=np.uint8)
-        with pytest.raises(ValueError, match="queries"):
-            system.run_batch(ASSIGNMENTS, queries, 3)
+        for call in _entry_points(system):
+            with pytest.raises(ValueError, match="queries"):
+                call(queries)
 
     def test_integral_queries_of_any_dtype_accepted(self, rng):
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
-        want, want_t = _system(np.random.default_rng(3)).run_batch(
-            ASSIGNMENTS, queries, 3
-        )
+        want, want_t = _run(_system(np.random.default_rng(3)), queries, 3)
         for dtype in (np.int64, np.float64, np.uint16):
-            got, got_t = _system(np.random.default_rng(3)).run_batch(
-                ASSIGNMENTS, queries.astype(dtype), 3
+            got, got_t = _run(
+                _system(np.random.default_rng(3)), queries.astype(dtype), 3
             )
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
