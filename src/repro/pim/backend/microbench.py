@@ -10,7 +10,8 @@ outputs are bit-identical, and reports best-of-N wall-clock speedups.
 It also checks the kernel a search's compute plane runs, the
 term-table scan (``query_terms`` rows scanned by ``scan_into``, plus
 ``point_terms`` and ``||q - c||^2``), against the staged LUT scan at
-the LUT shape.
+the LUT shape. The stacked scan's jobs are query-major and the term-table
+scan is row-major (:func:`~repro.pim.backend.numpy_backend.scan_layout`).
 
 Timing here never flows into engine results — the record is pure
 observability, which is why the wall-clock reads are fine in this
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import resolve_backend
-from repro.pim.backend.numpy_backend import gather_offsets
+from repro.pim.backend.numpy_backend import _gather_view, gather_offsets, scan_layout
 from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -78,7 +79,8 @@ def run_microbench(
     bit-identical to the staged reference (a mismatch fails the gate
     outright; the term-table scan must equal the staged scan of the
     staged LUTs), the stacked scan clears :data:`MIN_SCAN_SPEEDUP` and
-    the LUT build clears :data:`MIN_LUT_SPEEDUP`.
+    the LUT build clears :data:`MIN_LUT_SPEEDUP`, and the two timed
+    scans still take both gather layouts (``layouts``).
     """
     rng = ensure_rng(seed)
     sh = SCAN_SHAPE
@@ -137,6 +139,13 @@ def run_microbench(
         and np.array_equal(got_luts, ref_luts)
         and np.array_equal(term_scan(), ref_terms)
     )
+    layouts = {
+        "scan": scan_layout(*luts.shape[1:], sh["n"], _gather_view(luts).itemsize),
+        "term_scan": scan_layout(
+            lh["tasks"], lh["m"], lh["cb"], lh["points"],
+            backend.query_terms(queries, codebooks).itemsize,
+        ),
+    }
     t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
     t_luts = _best_seconds(
         lambda: backend.build_luts(queries, centroids, qrows, crows, codebooks),
@@ -161,8 +170,10 @@ def run_microbench(
         "lut_speedup": lut_speedup,
         "term_scan_seconds": t_terms,
         "bit_identical": bit_identical,
+        "layouts": layouts,
         "gate_ok": bool(
             bit_identical
+            and set(layouts.values()) == {"query-major", "row-major"}
             and scan_speedup >= MIN_SCAN_SPEEDUP
             and lut_speedup >= MIN_LUT_SPEEDUP
         ),
@@ -176,7 +187,7 @@ def format_record(record: Dict[str, Any]) -> str:
     lines = [
         (
             f"stacked scan J={sh['jobs']} g={sh['g']} n={sh['n']} "
-            f"M={sh['m']} CB={sh['cb']}; reference "
+            f"M={sh['m']} CB={sh['cb']} ({record['layouts']['scan']}); reference "
             f"{record['reference']['scan_seconds'] * 1e3:.1f} ms"
         ),
         (
@@ -185,6 +196,7 @@ def format_record(record: Dict[str, Any]) -> str:
             f"dsub={lh['dsub']}; square-LUT reference "
             f"{record['reference']['lut_seconds'] * 1e3:.2f} ms; term-table "
             f"scan over {lh['points']} points "
+            f"({record['layouts']['term_scan']}) "
             f"{record['term_scan_seconds'] * 1e3:.2f} ms"
         ),
         (

@@ -14,11 +14,17 @@ closed forms, which keeps ledgers independent of the host kernels.
   :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked` build
   them per call;
 * each slab of LUT rows is one ``np.take`` of those offsets, a
-  ``(rows, M, n)`` gather, reduced over ``M`` into int64 — at the
-  bench shape several times faster than the staged reference's
+  row-major ``(rows, M, n)`` gather, reduced over ``M`` into int64 —
+  at the bench shape several times faster than the staged reference's
   3-index gather. The slab's transient gather stays within
   :data:`LUT_CHUNK_BYTES`; when a single row's ``(M, n)`` gather would
   not, that row is gathered in column slabs instead;
+* a job of ``g >= 2`` rows over ``n >= 8 * CB`` points whose whole
+  gather fits the budget is scanned query-major (:func:`scan_layout`):
+  its tables are transposed once to ``(M*CB, g)``, so each offset
+  gathers ``g`` contiguous entries (an ``(M, n, g)`` gather, same
+  bytes). At M 32, CB 128 that takes 0.36-0.61 of the row-major time
+  at n 3,456 (g >= 4) but 0.94-2.2 at n 150, hence the ``n`` floor;
 * when a sum of ``M`` LUT entries always fits int32 (``M *
   max|entry| < 2**31``, always true for the quantized pipeline, whose
   entries are bounded by ``dim * CODEBOOK_CLIP**2``) the gathers run
@@ -90,6 +96,11 @@ EXACT_FLOAT_LIMIT = 1 << 53
 #: distances before top-k); bounds memory without affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
 
+#: Points per codeword from which a job of two or more LUT rows scans
+#: query-major (:func:`scan_layout`): the per-job transpose of its
+#: ``g * M * CB`` table entries pays back only at ``n`` several ``CB``.
+QUERY_MAJOR_POINTS_PER_CODE = 8
+
 #: Codebook tables whose LUT-build terms one backend instance keeps.
 TERMS_CACHE_ENTRIES = 8
 
@@ -155,6 +166,16 @@ def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
     return _offsets(codes, cb)
 
 
+def scan_layout(g: int, m: int, cb: int, n: int, itemsize: int) -> str:
+    """The gather layout :func:`_scan_rows` takes for ``(g, M, CB)``
+    tables of ``itemsize`` bytes over ``n`` points: ``"query-major"``
+    for at least two rows, ``n >= QUERY_MAJOR_POINTS_PER_CODE * CB`` and
+    a whole gather within :data:`LUT_CHUNK_BYTES`, else ``"row-major"``."""
+    long = g >= 2 and n >= QUERY_MAJOR_POINTS_PER_CODE * cb
+    fits = g * m * n * itemsize <= LUT_CHUNK_BYTES
+    return "query-major" if long and fits else "row-major"
+
+
 def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
     """One job's ADC scan into ``out`` (``(g, n)`` int64, may be a view).
 
@@ -162,9 +183,10 @@ def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
     ``off`` the ``(M, n)`` offsets from :func:`gather_offsets`. Each
     slab is one gather of the offsets and one reduction over the
     subspaces — in int32 for an int32 gather view, whose sums fit, else
-    in int64: whole rows while a row's ``(M, n)`` gather fits
-    :data:`LUT_CHUNK_BYTES`, else single rows in column slabs that do.
-    No checks: the offsets were range-checked when they were built.
+    in int64. A query-major job (:func:`scan_layout`) is one ``(M, n, g)``
+    gather of the transposed tables, else whole rows while a row's ``(M,
+    n)`` gather fits :data:`LUT_CHUNK_BYTES`, else single rows in column
+    slabs that do. No checks: the offsets were range-checked when built.
     """
     g, m, cb = gather.shape
     n = off.shape[1]
@@ -172,6 +194,11 @@ def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
         return
     flat = gather.reshape(g, m * cb)
     acc = np.int32 if flat.dtype == np.int32 else np.int64
+    if scan_layout(g, m, cb, n, flat.itemsize) == "query-major":
+        # Each offset copies g contiguous entries of the transpose.
+        gathered = np.take(np.ascontiguousarray(flat.T), off, axis=0, mode="wrap")
+        out[...] = np.add.reduce(gathered, axis=0, dtype=acc).T
+        return
     if g * m * n * flat.itemsize <= LUT_CHUNK_BYTES:
         # The whole job is one slab (the common case): one gather.
         gathered = np.take(flat, off, axis=1, mode="wrap")
@@ -329,8 +356,8 @@ class NumpyBackend:
 
     def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes -> ``(g, n)``
-        int64 distances, with no intermediate beyond a bounded
-        ``(rows, M, n)`` gather slab."""
+        int64 distances, with no intermediate beyond a bounded gather
+        slab (:func:`_scan_rows`)."""
         luts = np.asarray(luts)
         codes = np.asarray(codes)
         if luts.ndim != 3:
@@ -347,7 +374,7 @@ class NumpyBackend:
     def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Stacked scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
         ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate; each job
-        gathers at most a bounded ``(rows, M, n)`` slab at a time."""
+        gathers at most a bounded slab at a time (:func:`_scan_rows`)."""
         luts = np.asarray(luts)
         codes = np.asarray(codes)
         if luts.ndim != 4:
@@ -375,7 +402,8 @@ class NumpyBackend:
         from :meth:`build_luts` or :meth:`query_terms` (int32 ones must:
         their sums are taken in int32) x ``(M, n)`` offsets from
         :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
-        which may be a view into a wider block."""
+        which may be a view into a wider block. The job's shape picks
+        the gather layout (:func:`scan_layout`), never its values."""
         _scan_rows(luts, off, out)
 
     def query_terms(self, queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray:

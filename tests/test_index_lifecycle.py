@@ -33,7 +33,7 @@ from repro.core import (
 from repro.core.persist import load_index, save_index
 from repro.core.quantized import QuantizedIndexData
 from repro.faults.disk import CrashPoint, SimulatedCrash
-from repro.pim.backend import numpy_backend, resolve_backend
+from repro.pim.backend import NumpyBackend, numpy_backend, resolve_backend
 from repro.pim.config import PimSystemConfig
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
@@ -212,16 +212,20 @@ class TestEncode:
         m, cb = quant.num_subspaces, quant.codebook_size
         # Three LUT rows per slab: 103 rows take 35 slabs.
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 3 * m * cb * 8)
-        backend = resolve_backend()
         slabs = []
-        build = backend.build_luts
+        build = NumpyBackend.build_luts
 
-        def spy(queries, centroids, qrows, crows, codebooks):
+        def spy(self, queries, centroids, qrows, crows, codebooks):
             slabs.append(len(qrows))
-            return build(queries, centroids, qrows, crows, codebooks)
+            return build(self, queries, centroids, qrows, crows, codebooks)
 
-        monkeypatch.setattr(backend, "build_luts", spy)
+        # On the class: an instance patch of the process-wide backend
+        # would be undone as an instance attribute that shadows every
+        # later class-level patch.
+        monkeypatch.setattr(NumpyBackend, "build_luts", spy)
         got = quant.encode(vectors)
+        monkeypatch.undo()
+        assert "build_luts" not in vars(resolve_backend())
         assert slabs == [3] * 34 + [1]
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])

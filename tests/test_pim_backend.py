@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import numpy_backend, resolve_backend
-from repro.pim.backend.numpy_backend import NumpyBackend
+from repro.pim.backend.numpy_backend import NumpyBackend, gather_offsets
 from repro.pim.kernels import (
     run_lut_build,
     scan_distances,
@@ -139,7 +139,9 @@ class TestBitExactness:
 
 
 class TestScanKernel:
-    """The numpy backend's one gather-then-reduce scan kernel."""
+    """The numpy backend's one gather-then-reduce scan kernel, in its
+    row-major layout (these jobs are short; :class:`TestScanLayouts`
+    covers the query-major one)."""
 
     @pytest.mark.parametrize(
         "high", [1 << 20, 1 << 40], ids=["int32-view", "int64-luts"]
@@ -338,10 +340,13 @@ class TestScanTopk:
 
 class _TakeSpy:
     """Stands in for ``numpy`` inside the backend module and records
-    the byte size of every ``take`` (the scan's gather slabs)."""
+    the byte size and axis of every ``take`` (the scan's gathers: axis
+    1 is a row-major slab, axis 0 the query-major ``(M, n, g)``
+    gather)."""
 
     def __init__(self):
         self.sizes = []
+        self.axes = []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -349,6 +354,7 @@ class _TakeSpy:
     def take(self, *args, **kwargs):
         out = np.take(*args, **kwargs)
         self.sizes.append(out.nbytes)
+        self.axes.append(kwargs.get("axis"))
         return out
 
 
@@ -390,6 +396,144 @@ class TestScanSlabs:
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 100)
         got = resolve_backend().scan_stacked(luts, codes)
         assert np.array_equal(got, want)
+
+
+def _strided_out(g, n):
+    """A ``(g, n)`` view into every other row of a wider int64 block,
+    and the block (pre-filled, so stray writes show)."""
+    block = np.full((2 * g + 1, n + 3), -7, dtype=np.int64)
+    return block[1::2, 2 : n + 2], block
+
+
+class TestScanLayouts:
+    """The scan kernel's two gather layouts
+    (:func:`numpy_backend.scan_layout`): query-major for a job of
+    ``g >= 2`` rows over ``n >= 8 * CB`` points whose whole gather fits
+    ``LUT_CHUNK_BYTES``, row-major slabs for every other job. The
+    layout never changes a value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.integers(1, 40),
+        extra=st.sampled_from([-1, 0, 1, 45]),
+        m=st.integers(1, 5),
+        cb=st.sampled_from([2, 4, 16]),
+        kind=st.sampled_from(["int32", "int64", "int32-entries-past-int32"]),
+        squeeze=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scan_into_equals_reference(self, g, extra, m, cb, kind, squeeze, seed):
+        """``scan_into`` (``_scan_rows``) into a strided view of a wider
+        block equals the staged ``scan_distances`` bit for bit around
+        the ``n = 8 * CB`` floor, for int32 tables (int32 sums), int64
+        tables, and int64 tables of int32 entries whose sums pass
+        int32; a job whose gather exceeds the budget stays on
+        row-major slabs within it."""
+        rng = _rng(seed)
+        n = numpy_backend.QUERY_MAJOR_POINTS_PER_CODE * cb + extra
+        if kind == "int32":
+            top = np.iinfo(np.int32).max // m
+            luts = rng.integers(-top, top + 1, size=(g, m, cb)).astype(np.int32)
+        elif kind == "int64":
+            luts = rng.integers(-(1 << 40), 1 << 40, size=(g, m, cb))
+        else:
+            m = max(m, 2)
+            luts = rng.integers(1 << 30, 1 << 31, size=(g, m, cb))
+        codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
+        want = scan_distances(luts.astype(np.int64), codes)
+        if kind == "int32-entries-past-int32":
+            assert want.max() > np.iinfo(np.int32).max
+        gather_bytes = g * m * n * luts.itemsize
+        out, block = _strided_out(g, n)
+        spy = _TakeSpy()
+        with pytest.MonkeyPatch.context() as mp:
+            if squeeze:
+                mp.setattr(numpy_backend, "LUT_CHUNK_BYTES", gather_bytes - 1)
+            layout = numpy_backend.scan_layout(g, m, cb, n, luts.itemsize)
+            mp.setattr(numpy_backend, "np", spy)
+            NumpyBackend().scan_into(luts, gather_offsets(codes, cb), out)
+        assert layout == (
+            "query-major" if g >= 2 and extra >= 0 and not squeeze else "row-major"
+        )
+        assert set(spy.axes) == ({0} if layout == "query-major" else {1})
+        if squeeze:
+            assert max(spy.sizes) <= max(gather_bytes - 1, m * luts.itemsize)
+        assert np.array_equal(out, want)
+        block[1::2, 2 : n + 2] = -7
+        assert (block == -7).all()
+
+    def test_rule_is_shape_only(self):
+        """The floor is ``n >= 8 * CB`` with two or more rows, and the
+        whole gather must fit the budget."""
+        cap = numpy_backend.LUT_CHUNK_BYTES
+        layout = numpy_backend.scan_layout
+        assert layout(2, 32, 128, 1024, 4) == "query-major"
+        assert layout(2, 32, 128, 1023, 4) == "row-major"
+        assert layout(1, 32, 128, 4096, 4) == "row-major"
+        assert layout(200, 32, 128, 256, 4) == "row-major"
+        n = cap // (2 * 32 * 4)
+        assert layout(2, 32, 128, n, 4) == "query-major"
+        assert layout(2, 32, 128, n + 1, 4) == "row-major"
+
+    def test_long_shard_engine_takes_both_layouts(self, monkeypatch):
+        """On an index whose shards straddle ``8 * CB`` (CB 16, split
+        and replicated), every round-size cell with adaptive ``off`` and
+        ``bound`` returns ``reference_search``'s ids and distances and
+        the ledger of the all-row-major kernel, and both layouts ran
+        for jobs of two or more rows."""
+        from repro.core import (
+            DrimAnnEngine,
+            EngineConfig,
+            IndexParams,
+            LayoutConfig,
+            SearchParams,
+        )
+        from repro.pim.config import PimSystemConfig
+        from repro.testing import ROUND_SIZES, canonical_dataset
+
+        ds = canonical_dataset()
+        queries = ds.queries[:40]
+        layouts = []
+        real = numpy_backend._scan_rows
+
+        def spy(gather, off, out):
+            if len(gather) >= 2:
+                layouts.append(
+                    numpy_backend.scan_layout(
+                        *gather.shape, off.shape[1], gather.itemsize
+                    )
+                )
+            real(gather, off, out)
+
+        def searches(batch_size):
+            cfg = EngineConfig(
+                index=IndexParams(
+                    nlist=32, nprobe=4, k=10, num_subspaces=8, codebook_size=16
+                ),
+                search=SearchParams(batch_size=batch_size),
+                system=PimSystemConfig(num_dpus=8),
+                layout=LayoutConfig(min_split_size=150, max_copies=2),
+            )
+            engine = DrimAnnEngine.from_config(ds.base[:6000], cfg, seed=0)
+            try:
+                outs = [engine.search(queries, adaptive=a) for a in ("off", "bound")]
+                return outs, engine.reference_search(queries)
+            finally:
+                engine.close()
+
+        monkeypatch.setattr(numpy_backend, "_scan_rows", spy)
+        for size in ROUND_SIZES.values():
+            with monkeypatch.context() as mp:
+                # The all-row-major kernel: no job reaches the floor.
+                mp.setattr(numpy_backend, "QUERY_MAJOR_POINTS_PER_CODE", 1 << 40)
+                row_major, _ = searches(size)
+            del layouts[:]
+            outs, ref = searches(size)
+            assert {"query-major", "row-major"} <= set(layouts)
+            for (res, bd), (_, bd_row) in zip(outs, row_major):
+                np.testing.assert_array_equal(res.ids, ref.ids)
+                np.testing.assert_array_equal(res.distances, ref.distances)
+                assert bd.to_dict() == bd_row.to_dict()
 
 
 class TestPlannerBackendAwareness:
@@ -481,6 +625,19 @@ class TestMicrobench:
         )
         record = run_microbench(repeats=1, seed=0)
         assert record["bit_identical"] is False and record["gate_ok"] is False
+
+    def test_gate_times_both_layouts(self, monkeypatch):
+        """The stacked scan's jobs are query-major and the term-table
+        scan row-major; a rule that moved both to one layout fails
+        ``gate_ok`` even at bit-identical output."""
+        from repro.pim.backend.microbench import run_microbench
+
+        record = run_microbench(repeats=1, seed=0)
+        assert record["layouts"] == {"scan": "query-major", "term_scan": "row-major"}
+        monkeypatch.setattr(numpy_backend, "QUERY_MAJOR_POINTS_PER_CODE", 1 << 40)
+        record = run_microbench(repeats=1, seed=0)
+        assert set(record["layouts"].values()) == {"row-major"}
+        assert record["bit_identical"] is True and record["gate_ok"] is False
 
 
 class TestEngineThreading:

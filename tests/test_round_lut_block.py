@@ -155,16 +155,21 @@ class TestRoundBlock:
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
         system = _system(rng)
         calls = []
-        real = system.backend.build_luts
+        real = NumpyBackend.build_luts
 
-        def spy(q, cents, qrows, crows, books):
+        def spy(self, q, cents, qrows, crows, books):
             calls.append((qrows.copy(), crows.copy()))
-            return real(q, cents, qrows, crows, books)
+            return real(self, q, cents, qrows, crows, books)
 
-        monkeypatch.setattr(system.backend, "build_luts", spy)
+        # On the class: an instance patch of the process-wide backend
+        # would be undone as an instance attribute that shadows every
+        # later class-level patch.
+        monkeypatch.setattr(NumpyBackend, "build_luts", spy)
         _run(system, queries, 3)
         assert calls == []
         (rows, _, _), _ = _run(system, queries, 3, pool=True)
+        monkeypatch.undo()
+        assert "build_luts" not in vars(resolve_backend())
         assert len(calls) == 1
         qrows, crows = calls[0]
         np.testing.assert_array_equal(qrows, rows)
