@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 from typing import Dict, Optional
 
 import numpy as np
@@ -81,11 +82,24 @@ def _cache_path(tag: str) -> str:
 
 
 def cached(tag: str, builder):
-    """Disk-backed memoization of expensive build artifacts."""
+    """Disk-backed memoization of expensive build artifacts.
+
+    An entry that no longer unpickles (written by an older version of
+    the classes it holds, or truncated) counts as a miss: it is rebuilt
+    and overwritten, and its tag is printed to stderr.
+    """
     path = _cache_path(tag)
     if os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
+        try:
+            with open(path, "rb") as f:
+                return pickle.load(f)
+        except (
+            pickle.UnpicklingError, EOFError, AttributeError, ImportError
+        ) as exc:
+            print(
+                f"cache entry {tag!r} unreadable ({exc}); rebuilding",
+                file=sys.stderr,
+            )
     obj = builder()
     with open(path, "wb") as f:
         pickle.dump(obj, f)

@@ -27,7 +27,6 @@ import numpy as np
 from repro.ann.distance import adc_lookup_distances, l2_sq
 from repro.ann.kmeans import kmeans_fit
 from repro.utils import check_2d, spawn_rngs
-from repro.utils.cast_cache import CastCache
 
 
 @dataclass
@@ -46,25 +45,9 @@ class ProductQuantizer:
         if cb.ndim != 3:
             raise ValueError(f"codebooks must be 3-D (M, CB, dsub), got {cb.shape}")
         self.codebooks = cb
-        # Cached float64 cast for the per-batch LC hot path.
-        self._codebooks_f64 = CastCache(np.float64)
-
-    def codebooks_float64(self) -> np.ndarray:
-        """Cached float64 cast of the codebooks (read-only).
-
-        Lazy so instances restored by pickle (which bypasses
-        ``__post_init__``) still work.
-        """
-        cache = self.__dict__.get("_codebooks_f64")
-        if cache is None:
-            cache = self._codebooks_f64 = CastCache(np.float64)
-        return cache.cast(self.codebooks)
-
-    def invalidate_caches(self) -> None:
-        """Drop derived caches after mutating ``codebooks`` in place."""
-        cache = self.__dict__.get("_codebooks_f64")
-        if cache is not None:
-            cache.invalidate()
+        # The LC operand, cast once (the codebooks are never edited in
+        # place; a pickled instance carries it).
+        self._books_f64 = cb.astype(np.float64)
 
     # ----- shape properties -------------------------------------------------
     @property
@@ -169,7 +152,7 @@ class ProductQuantizer:
             raise ValueError(f"residual dim {residual.shape[0]} != {self.dim}")
         m, dsub = self.num_subspaces, self.dsub
         sub = residual.reshape(m, dsub)
-        diff = sub[:, None, :] - self.codebooks_float64()
+        diff = sub[:, None, :] - self._books_f64
         return np.einsum("mcd,mcd->mc", diff, diff)
 
     def build_luts(self, residuals: np.ndarray) -> np.ndarray:
@@ -179,7 +162,7 @@ class ProductQuantizer:
             raise ValueError(f"residual dim {residuals.shape[1]} != {self.dim}")
         m, dsub = self.num_subspaces, self.dsub
         sub = residuals.reshape(-1, m, dsub)
-        diff = sub[:, :, None, :] - self.codebooks_float64()[None]
+        diff = sub[:, :, None, :] - self._books_f64[None]
         return np.einsum("qmcd,qmcd->qmc", diff, diff)
 
     def adc_distances(self, residual: np.ndarray, codes: np.ndarray) -> np.ndarray:

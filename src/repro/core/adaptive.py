@@ -53,20 +53,11 @@ from repro.core.params import SearchParams
 STOP_REASONS = ("bound", "budget", "exhausted")
 
 
-def codebook_norms_sq(codebooks: np.ndarray) -> np.ndarray:
-    """Squared L2 norm of every codeword: ``(M, CB)`` int64.
-
-    ``codebooks`` is the quantized ``(M, CB, dsub)`` int16 table; the
-    squared norms are exact in int64.
-    """
-    cb = np.asarray(codebooks).astype(np.int64)
-    return np.einsum("mcd,mcd->mc", cb, cb)
-
-
 def reconstruction_norms_sq(
     norms_sq: np.ndarray, codes: np.ndarray
 ) -> np.ndarray:
-    """``||recon_p||^2`` for each code row: ``(n,)`` int64.
+    """``||recon_p||^2`` for each code row: ``(n,)`` int64, from the
+    ``(M, CB)`` int64 codeword norms (``quantized.codebook_terms.norms_sq``).
 
     PQ subspaces are orthogonal coordinate blocks, so a reconstruction's
     squared norm is the sum of its codewords' squared norms — an exact
@@ -86,7 +77,7 @@ def cluster_radii_sq(quantized) -> np.ndarray:
     the radius must stay an upper bound for every resident row, and a
     stale-but-larger radius only costs work, never correctness.
     """
-    norms = codebook_norms_sq(quantized.codebooks)
+    norms = quantized.codebook_terms.norms_sq
     out = np.zeros(quantized.nlist, dtype=np.int64)
     for cid in range(quantized.nlist):
         codes = quantized.cluster_codes[cid]

@@ -133,11 +133,9 @@ class DrimAnnEngine:
         self.index_path: Optional[str] = None
         self._unloaded = False
         # Adaptive-probing state: per-cluster reconstruction radii
-        # (lazy; persisted as the optional v2 "cluster_radii" segment)
-        # and the codeword-norm table that incrementally maintains them.
+        # (lazy; persisted as the optional v2 "cluster_radii" segment).
         self._radii_sq: Optional[np.ndarray] = None
         self._radii_disabled = False
-        self._cb_norms_sq: Optional[np.ndarray] = None
 
     @property
     def fault_plan(self) -> Optional[FaultPlan]:
@@ -295,7 +293,6 @@ class DrimAnnEngine:
         self.plan = None  # type: ignore[assignment]
         self.scheduler = None  # type: ignore[assignment]
         self._radii_sq = None
-        self._cb_norms_sq = None
         self._unloaded = True
 
     # ------------------------------------------------------------- mutation
@@ -396,17 +393,14 @@ class DrimAnnEngine:
         # the touched clusters from the appended rows only (a radius can
         # only grow on append; delete() keeps it valid conservatively).
         if self._radii_sq is not None:
-            if self._cb_norms_sq is None:
-                self._cb_norms_sq = adaptive_probing.codebook_norms_sq(
-                    quantized.codebooks
-                )
+            norms = quantized.codebook_terms.norms_sq
             for cid in touched.tolist():
                 n_old = int(old_sizes[cid])
                 new_codes = quantized.cluster_codes[cid][n_old:]
                 if len(new_codes):
                     r = int(
                         adaptive_probing.reconstruction_norms_sq(
-                            self._cb_norms_sq, new_codes
+                            norms, new_codes
                         ).max()
                     )
                     if r > self._radii_sq[cid]:
@@ -495,7 +489,6 @@ class DrimAnnEngine:
         self.cluster_heat = fresh.cluster_heat
         self._radii_sq = new_radii
         self._radii_disabled = False
-        self._cb_norms_sq = None
         self.index_path = target if target is not None else self.index_path
         # Keep the original observer wiring (fresh carried its own).
         self.system.observer = self.observer

@@ -21,16 +21,18 @@ change results).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.ann.heap import topk_smallest
 from repro.ann.ivfpq import IVFPQIndex, SearchResult
-from repro.core.square_lut import SquareTermCache
-from repro.utils.cast_cache import CastCache
 from repro.utils import check_2d, check_operands, topk_canonical
+
+if TYPE_CHECKING:
+    from repro.pim.backend.numpy_backend import CodebookTerms
 
 # Codebook entries are residual-scale; they are clipped to this bound at
 # quantization time so that (residual - codebook) stays within the
@@ -101,54 +103,30 @@ class QuantizedIndexData:
                     mask if mask.dtype == np.bool_ else mask.astype(bool)
                 )
             self.tombstones = coerced
-        # Per-cluster ||centroid||² rows reused across locate() calls
-        # (serving recomputed them every micro-batch otherwise).
-        self._square_terms = SquareTermCache()
-        # Cached int64 casts of the trained tables — the LC/CL hot
-        # paths re-cast them on every batch otherwise.
-        self._codebooks_i64 = CastCache(np.int64)
-        self._centroids_i64 = CastCache(np.int64)
 
-    def square_term_cache(self) -> SquareTermCache:
-        """The per-cluster ||centroid||² cache, created on demand.
+    # ----- derived tables -------------------------------------------------
+    # Built on first use and kept: the tables are replaced (compact()
+    # builds a new instance), never edited in place. A pickled instance
+    # carries whatever was built; a restored one builds the rest.
+    @functools.cached_property
+    def codebook_terms(self) -> "CodebookTerms":
+        """The codebooks' derived operands (int64 and float64 books,
+        ``||b||^2``, ``max|b|``) for the host kernels."""
+        # Function-local: repro.pim imports this module (see encode).
+        from repro.pim.backend.numpy_backend import CodebookTerms
 
-        Instances restored by pickle (benchmark disk cache, persisted
-        snapshots) bypass ``__post_init__``, so the attribute may be
-        absent — access always goes through this lazy accessor.
-        """
-        cache = self.__dict__.get("_square_terms")
-        if cache is None:
-            cache = self._square_terms = SquareTermCache()
-        return cache
+        return CodebookTerms(self.codebooks)
 
-    def codebooks_int64(self) -> np.ndarray:
-        """Cached int64 cast of the codebooks (read-only; lazy like
-        :meth:`square_term_cache` so unpickled instances work)."""
-        cache = self.__dict__.get("_codebooks_i64")
-        if cache is None:
-            cache = self._codebooks_i64 = CastCache(np.int64)
-        return cache.cast(self.codebooks)
+    @functools.cached_property
+    def centroids_i64(self) -> np.ndarray:
+        """The centroids as int64, the CL operand."""
+        return self.centroids.astype(np.int64)
 
-    def centroids_int64(self) -> np.ndarray:
-        """Cached int64 cast of the centroids (read-only; lazy like
-        :meth:`square_term_cache` so unpickled instances work)."""
-        cache = self.__dict__.get("_centroids_i64")
-        if cache is None:
-            cache = self._centroids_i64 = CastCache(np.int64)
-        return cache.cast(self.centroids)
-
-    def invalidate_caches(self) -> None:
-        """Drop derived caches after mutating index data in place.
-
-        Replacing the arrays (the normal rebuild path through
-        :func:`build_quantized_index`) invalidates automatically; this
-        hook covers in-place edits to ``centroids`` or ``codebooks``.
-        """
-        self.square_term_cache().invalidate()
-        for name in ("_codebooks_i64", "_centroids_i64"):
-            cache = self.__dict__.get(name)
-            if cache is not None:
-                cache.invalidate()
+    @functools.cached_property
+    def centroid_norms_sq(self) -> np.ndarray:
+        """``(1, nlist)`` int64 ``||c||^2`` of every centroid."""
+        c = self.centroids_i64
+        return np.einsum("ij,ij->i", c, c)[None, :]
 
     # ----- shape ----------------------------------------------------------
     @property
@@ -185,9 +163,8 @@ class QuantizedIndexData:
     def tombstone_masks(self) -> Optional[List[np.ndarray]]:
         """Per-cluster deletion masks, or ``None`` when nothing was deleted.
 
-        Lazy accessor (like :meth:`square_term_cache`): instances
-        restored by pickle bypass ``__post_init__`` and may predate the
-        field entirely.
+        Instances restored by pickle bypass ``__post_init__`` and may
+        predate the field entirely, so access goes through here.
         """
         return self.__dict__.get("tombstones")
 
@@ -282,7 +259,7 @@ class QuantizedIndexData:
                 self.centroids,
                 np.arange(hi - lo),
                 assign[lo:hi],
-                self.codebooks,
+                self.codebook_terms,
             )
             codes[lo:hi] = luts.argmin(axis=2)
         return assign, codes
@@ -447,10 +424,8 @@ class QuantizedIndexData:
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, {self.nlist}], got {nprobe}")
         q = queries.astype(np.int64)
-        c = self.centroids_int64()
         qq = np.einsum("ij,ij->i", q, q)[:, None]
-        cc = self.square_term_cache().terms(self.centroids)
-        d = qq + cc - 2 * (q @ c.T)
+        d = qq + self.centroid_norms_sq - 2 * (q @ self.centroids_i64.T)
         idx, dists = topk_smallest(d, nprobe, axis=1)
         return idx.astype(np.int64), dists
 
@@ -462,7 +437,7 @@ class QuantizedIndexData:
         """LC phase: integer ADC LUT, ``(M, CB)`` int64."""
         m, dsub = self.num_subspaces, self.dsub
         r = residual.astype(np.int64).reshape(m, 1, dsub)
-        diff = r - self.codebooks_int64()
+        diff = r - self.codebook_terms.books
         return np.einsum("mcd,mcd->mc", diff, diff)
 
     def build_luts(self, residuals: np.ndarray) -> np.ndarray:
@@ -471,7 +446,7 @@ class QuantizedIndexData:
         g = residuals.shape[0]
         m, dsub = self.num_subspaces, self.dsub
         r = residuals.astype(np.int64).reshape(g, m, 1, dsub)
-        diff = r - self.codebooks_int64()[None]
+        diff = r - self.codebook_terms.books[None]
         return np.einsum("gmcd,gmcd->gmc", diff, diff)
 
     def reference_search(

@@ -111,36 +111,3 @@ class SquareLut:
         misses = int(np.count_nonzero(np.abs(v) > self.resident_max_abs))
         return self.table[v.astype(np.int64) + self.max_abs], misses
 
-
-class SquareTermCache:
-    """Cached per-cluster centroid square terms for the CL phase.
-
-    CL expands ``||q - c||² = q·q + c·c − 2 q·cᵀ``; the ``c·c`` row
-    depends only on the centroid table, so serving loops that locate a
-    micro-batch every few milliseconds can reuse it instead of
-    recomputing ``nlist`` dot products per call. The cached row is the
-    exact same int64 einsum the uncached path produced — reuse is
-    bit-invisible.
-
-    Keyed on the centroid array's identity and shape/dtype, so swapping
-    in a rebuilt centroid table invalidates automatically; call
-    :meth:`invalidate` explicitly after in-place mutation.
-    """
-
-    def __init__(self) -> None:
-        self._key: Tuple = ()
-        self._terms = None
-
-    def terms(self, centroids: np.ndarray) -> np.ndarray:
-        """``(1, nlist)`` int64 row of per-centroid squared norms."""
-        key = (id(centroids), centroids.shape, centroids.dtype.str)
-        if self._terms is None or self._key != key:
-            c = centroids.astype(np.int64)
-            self._terms = np.einsum("ij,ij->i", c, c)[None, :]
-            self._key = key
-        return self._terms
-
-    def invalidate(self) -> None:
-        """Drop the cached row (index rebuild / in-place mutation)."""
-        self._key = ()
-        self._terms = None

@@ -19,8 +19,10 @@ from closed forms over shapes
 (:func:`repro.pim.kernels.distance_scan_cost` et al.), so the host
 kernels move host wall-clock only — never a cycle ledger.
 
-:func:`resolve_backend` returns the one process-wide instance, which
-keeps the codebook-terms cache shared across engines.
+:func:`resolve_backend` returns the one process-wide instance. It
+holds no state: each call takes the codebooks' derived operands
+(:class:`~repro.pim.backend.numpy_backend.CodebookTerms`) from their
+owner.
 """
 
 from __future__ import annotations

@@ -27,7 +27,12 @@ import numpy as np
 
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import resolve_backend
-from repro.pim.backend.numpy_backend import _gather_view, gather_offsets, scan_layout
+from repro.pim.backend.numpy_backend import (
+    CodebookTerms,
+    _gather_view,
+    gather_offsets,
+    scan_layout,
+)
 from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -117,15 +122,16 @@ def run_microbench(
     )
 
     backend = resolve_backend()
+    terms = CodebookTerms(codebooks)
     got_scan = backend.scan_stacked(luts, codes)
-    got_luts = backend.build_luts(queries, centroids, qrows, crows, codebooks)
+    got_luts = backend.build_luts(queries, centroids, qrows, crows, terms)
     off = gather_offsets(lut_codes, lh["cb"])
 
     def term_scan() -> np.ndarray:
-        tables = backend.query_terms(queries, codebooks)[qrows]
+        tables = backend.query_terms(queries, terms)[qrows]
         out = np.empty((lh["tasks"], lh["points"]), dtype=np.int64)
         backend.scan_into(tables, off, out)
-        pts = np.stack([backend.point_terms(c, off, codebooks) for c in centroids])
+        pts = np.stack([backend.point_terms(c, off, terms) for c in centroids])
         res = queries[qrows].astype(np.int64) - centroids[crows]
         out += pts[crows] + np.einsum("td,td->t", res, res)[:, None]
         return out
@@ -143,12 +149,12 @@ def run_microbench(
         "scan": scan_layout(*luts.shape[1:], sh["n"], _gather_view(luts).itemsize),
         "term_scan": scan_layout(
             lh["tasks"], lh["m"], lh["cb"], lh["points"],
-            backend.query_terms(queries, codebooks).itemsize,
+            backend.query_terms(queries, terms).itemsize,
         ),
     }
     t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
     t_luts = _best_seconds(
-        lambda: backend.build_luts(queries, centroids, qrows, crows, codebooks),
+        lambda: backend.build_luts(queries, centroids, qrows, crows, terms),
         repeats,
     )
     t_terms = _best_seconds(term_scan, repeats)

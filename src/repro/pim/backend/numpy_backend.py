@@ -64,9 +64,11 @@ the scans' gather dtype: int32 when ``M`` times that bound fits int32
 (every table entry, partial sum and ``M``-entry scan sum then does; the
 tables are cast once and the pairs assembled in int32), else int64.
 Assembly and the fallback run in row slabs of at most
-:data:`LUT_CHUNK_BYTES` of transient data. The transposed float
-codebook, ``||b||^2`` and ``max|b|`` are cached per codebook table
-(:class:`CodebookTermsCache`).
+:data:`LUT_CHUNK_BYTES` of transient data. The codebook operands (int64
+and transposed float64 books, ``||b||^2``, ``max|b|``) come as one
+:class:`CodebookTerms`, built once by whoever owns the codebooks
+(``PimSystem.codebook_terms``, ``QuantizedIndexData.codebook_terms``),
+so the backend itself holds no state.
 
 **Term tables** split the same identity without a per-task LUT, for
 the search's compute plane: :meth:`NumpyBackend.query_terms` (per
@@ -82,8 +84,7 @@ are bit-identical to the reference kernels — property-tested in
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -100,9 +101,6 @@ LUT_CHUNK_BYTES = 32 * 1024 * 1024
 #: query-major (:func:`scan_layout`): the per-job transpose of its
 #: ``g * M * CB`` table entries pays back only at ``n`` several ``CB``.
 QUERY_MAJOR_POINTS_PER_CODE = 8
-
-#: Codebook tables whose LUT-build terms one backend instance keeps.
-TERMS_CACHE_ENTRIES = 8
 
 _I32_MAX = np.iinfo(np.int32).max
 
@@ -219,51 +217,32 @@ def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
 
 
 class CodebookTerms:
-    """Per-codebook-table operands of the term-table LUT build.
+    """The derived operands of one ``(M, CB, dsub)`` integer codebook
+    table, built once by its owner.
 
-    ``books_t`` is the ``(M, dsub, CB)`` float64 transposed codebook,
-    ``norms_sq`` the ``(M, CB)`` float64 ``||b_mc||^2`` (exact: int16
-    entries keep it far below ``2**53``) and ``max_abs`` the largest
-    ``|b|``, which the exactness check needs.
+    ``books`` is the int64 table, ``books_t`` the ``(M, dsub, CB)``
+    float64 transpose, ``norms_sq`` the ``(M, CB)`` int64
+    ``||b_mc||^2`` (``norms_f64`` its exact float64 copy, which the
+    float path adds without a per-call cast) and ``max_abs`` the
+    largest ``|b|``, which the exactness check needs. Tables are replaced, never edited in place,
+    so the terms never go stale.
     """
 
-    __slots__ = ("books_t", "norms_sq", "max_abs")
+    __slots__ = ("books", "books_t", "norms_sq", "norms_f64", "max_abs")
 
     def __init__(self, codebooks: np.ndarray) -> None:
-        books = codebooks.astype(np.int64)
+        codebooks = np.asarray(codebooks)
+        if codebooks.ndim != 3:
+            raise ValueError(
+                f"codebooks must be (M, CB, dsub), got {codebooks.shape}"
+            )
+        self.books = codebooks.astype(np.int64)
         self.books_t = np.ascontiguousarray(
-            books.transpose(0, 2, 1), dtype=np.float64
+            self.books.transpose(0, 2, 1), dtype=np.float64
         )
-        self.norms_sq = np.einsum("mcd,mcd->mc", books, books).astype(np.float64)
-        self.max_abs = int(np.abs(books).max()) if books.size else 0
-
-
-class CodebookTermsCache:
-    """The :class:`CodebookTerms` of the last few tables, keyed on
-    table identity plus shape/dtype.
-
-    One backend instance serves every engine in the process, so it
-    keeps up to :data:`TERMS_CACHE_ENTRIES` tables (oldest dropped
-    first). Each entry holds only a weak reference to its table: a
-    recycled identity is detected (the reference no longer points at
-    the table asked about), and an unloaded engine's table — often a
-    view of a memory-mapped index file — is never kept alive. Like any
-    identity-keyed cast cache, a table edited in place keeps its stale
-    entry; tables are replaced, not edited.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple, Tuple[weakref.ref, CodebookTerms]] = {}
-
-    def terms(self, codebooks: np.ndarray) -> CodebookTerms:
-        key = (id(codebooks), codebooks.shape, codebooks.dtype.str)
-        hit = self._entries.pop(key, None)
-        if hit is None or hit[0]() is not codebooks:
-            hit = (weakref.ref(codebooks), CodebookTerms(codebooks))
-        self._entries[key] = hit
-        if len(self._entries) > TERMS_CACHE_ENTRIES:
-            del self._entries[next(iter(self._entries))]
-        return hit[1]
+        self.norms_sq = np.einsum("mcd,mcd->mc", self.books, self.books)
+        self.norms_f64 = self.norms_sq.astype(np.float64)
+        self.max_abs = _max_abs(self.books)
 
 
 def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) -> bool:
@@ -287,11 +266,11 @@ def _max_abs(a: np.ndarray) -> int:
 
 
 def _build_luts_int64(
-    residuals: np.ndarray, codebooks: np.ndarray, out: np.ndarray
+    residuals: np.ndarray, terms: CodebookTerms, out: np.ndarray
 ) -> None:
     """The int64 difference/einsum LUT build into ``out``."""
-    m, cb, dsub = codebooks.shape
-    books = codebooks.astype(np.int64)
+    books = terms.books
+    m, cb, dsub = books.shape
     step = slab_rows(m * cb * dsub * 8)
     for s0 in range(0, len(out), step):
         r = residuals[s0 : s0 + step].astype(np.int64)
@@ -300,27 +279,42 @@ def _build_luts_int64(
 
 
 def _term_table(
-    rows: np.ndarray, codebooks: np.ndarray, terms: CodebookTerms,
-    scale: int, dtype, norms: bool,
+    rows: np.ndarray, terms: CodebookTerms, scale: int, dtype, norms: bool
 ) -> np.ndarray:
     """``(u, M, CB)`` table ``scale * x.b`` (``+ ||b||^2`` with
     ``norms``) of ``(u, D)`` integer rows, cast to ``dtype``: one
     batched float64 ``matmul`` while float64 is provably exact for them
     (:func:`expansion_is_exact`), else an int64 ``einsum``."""
-    m, _, dsub = codebooks.shape
+    m, _, dsub = terms.books.shape
     if not expansion_is_exact(_max_abs(rows), terms.max_abs, dsub):
-        books = codebooks.astype(np.int64)
         x = rows.astype(np.int64).reshape(len(rows), m, dsub)
-        table = scale * np.einsum("umd,mcd->umc", x, books)
+        table = scale * np.einsum("umd,mcd->umc", x, terms.books)
         if norms:
-            table += np.einsum("mcd,mcd->mc", books, books)
+            table += terms.norms_sq
         return table.astype(dtype, copy=False)
     x = rows.astype(np.float64).reshape(len(rows), m, dsub).transpose(1, 0, 2)
     table = np.matmul(x, terms.books_t)  # (M, u, CB)
     table *= scale
     if norms:
-        table += terms.norms_sq[:, None, :]
+        table += terms.norms_f64[:, None, :]
     return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=dtype)
+
+
+def _check_operand(
+    arr: np.ndarray, width: int, name: str, ndim: int = 2
+) -> np.ndarray:
+    """``arr`` as an integer array of rows ``width`` wide (``(n,
+    width)``, or ``(width,)`` for ``ndim=1``): a wrong shape raises
+    :class:`ValueError` and a non-integer array :class:`TypeError`,
+    both naming ``name``. Checks dtype and shape only, never the
+    data."""
+    arr = np.asarray(arr)
+    if arr.ndim != ndim or arr.shape[-1] != width:
+        want = f"(n, {width})" if ndim == 2 else f"({width},)"
+        raise ValueError(f"{name} must be {want}, got {arr.shape}")
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"{name} must be an integer array, got {arr.dtype}")
+    return arr
 
 
 def _check_rows(rows: np.ndarray, name: str) -> np.ndarray:
@@ -350,9 +344,6 @@ class NumpyBackend:
     docstring)."""
 
     name = "numpy"
-
-    def __init__(self) -> None:
-        self._terms = CodebookTermsCache()
 
     def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes -> ``(g, n)``
@@ -406,27 +397,28 @@ class NumpyBackend:
         the gather layout (:func:`scan_layout`), never its values."""
         _scan_rows(luts, off, out)
 
-    def query_terms(self, queries: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
+    def query_terms(self, queries: np.ndarray, terms: CodebookTerms) -> np.ndarray:
         """``(Q, D)`` int queries -> ``(Q, M, CB)`` term tables
-        ``||b||^2 - 2 q.b``, int32 when ``M * dsub * (max|q| +
-        max|b|)**2`` (which bounds their ``M``-entry sums) fits, else
-        int64."""
-        m, cb, dsub = codebooks.shape
-        terms = self._terms.terms(codebooks)
+        ``||b||^2 - 2 q.b`` of the codebook ``terms``, int32 when ``M *
+        dsub * (max|q| + max|b|)**2`` (which bounds their ``M``-entry
+        sums) fits, else int64. A wrong width raises :class:`ValueError`,
+        non-integer queries :class:`TypeError`."""
+        m, _, dsub = terms.books.shape
+        queries = _check_operand(queries, m * dsub, "queries")
         bound = m * dsub * (_max_abs(queries) + terms.max_abs) ** 2
         dtype = np.int32 if bound <= _I32_MAX else np.int64
-        return _term_table(queries, codebooks, terms, -2, dtype, norms=True)
+        return _term_table(queries, terms, -2, dtype, norms=True)
 
     def point_terms(
-        self, centroid: np.ndarray, off: np.ndarray, codebooks: np.ndarray
+        self, centroid: np.ndarray, off: np.ndarray, terms: CodebookTerms
     ) -> np.ndarray:
         """``(n,)`` int64 terms ``sum_m 2 c.b[m, code_m]`` of the points
         with ``(M, n)`` offsets (:func:`gather_offsets`) in a shard with
-        centroid ``c``."""
-        terms = self._terms.terms(codebooks)
-        table = _term_table(
-            np.asarray(centroid)[None], codebooks, terms, 2, np.int64, norms=False
-        )
+        ``(D,)`` int centroid ``c``, checked like :meth:`query_terms`'s
+        queries."""
+        m, _, dsub = terms.books.shape
+        centroid = _check_operand(centroid, m * dsub, "centroid", ndim=1)
+        table = _term_table(centroid[None], terms, 2, np.int64, norms=False)
         out = np.empty((1, off.shape[1]), dtype=np.int64)
         _scan_rows(table, off, out)
         return out[0]
@@ -437,15 +429,15 @@ class NumpyBackend:
         centroids: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
-        codebooks: np.ndarray,
+        terms: CodebookTerms,
     ) -> np.ndarray:
         """Batched integer LUT build over (query, centroid) pairs:
         ``(Q, D)`` int queries and ``(C, D)`` int centroids, ``(T,)``
-        rows ``qrows`` / ``crows`` naming each task's pair, and ``(M,
-        CB, dsub)`` int codebooks -> ``(T, M, CB)`` LUTs of the
-        residuals ``queries[qrows] - centroids[crows]``, int32 when
-        every ``M``-entry sum fits int32 (the scans' gather dtype),
-        else int64.
+        rows ``qrows`` / ``crows`` naming each task's pair, and the
+        :class:`CodebookTerms` of ``(M, CB, dsub)`` int codebooks ->
+        ``(T, M, CB)`` LUTs of the residuals ``queries[qrows] -
+        centroids[crows]``, int32 when every ``M``-entry sum fits int32
+        (the scans' gather dtype), else int64.
 
         The term tables are built once per unique query and per unique
         centroid and shared by their tasks; a repeated pair is
@@ -453,23 +445,9 @@ class NumpyBackend:
         :class:`TypeError`, rows outside their table
         :class:`IndexError`.
         """
-        queries = np.asarray(queries)
-        centroids = np.asarray(centroids)
-        codebooks = np.asarray(codebooks)
-        if codebooks.ndim != 3:
-            raise ValueError(
-                f"codebooks must be (M, CB, dsub), got {codebooks.shape}"
-            )
-        m, cb, dsub = codebooks.shape
-        for name, arr in (("queries", queries), ("centroids", centroids)):
-            if arr.ndim != 2 or arr.shape[1] != m * dsub:
-                raise ValueError(
-                    f"{name} must be (n, {m * dsub}), got {arr.shape}"
-                )
-            if arr.size and not np.issubdtype(arr.dtype, np.integer):
-                raise TypeError(
-                    f"{name} must be an integer array, got {arr.dtype}"
-                )
+        m, cb, dsub = terms.books.shape
+        queries = _check_operand(queries, m * dsub, "queries")
+        centroids = _check_operand(centroids, m * dsub, "centroids")
         qrows = _check_rows(qrows, "qrows")
         crows = _check_rows(crows, "crows")
         if len(qrows) != len(crows):
@@ -479,21 +457,20 @@ class NumpyBackend:
         t = len(qrows)
         if t == 0:
             return np.empty((0, m, cb), dtype=np.int64)
-        terms = self._terms.terms(codebooks)
         uq, qi = _unique_rows(qrows, queries, "qrows")
         uc, ci = _unique_rows(crows, centroids, "crows")
         q_max, c_max = _max_abs(uq), _max_abs(uc)
         if not expansion_is_exact(q_max + c_max, terms.max_abs, dsub):
             out = np.empty((t, m, cb), dtype=np.int64)
             residuals = queries[qrows].astype(np.int64) - centroids[crows]
-            _build_luts_int64(residuals, codebooks, out)
+            _build_luts_int64(residuals, terms, out)
             return out
         # Every table entry, partial sum and M-entry scan sum is within
         # M * dsub * (max|q| + max|c| + max|b|)**2.
         bound = m * dsub * (q_max + c_max + terms.max_abs) ** 2
         dtype = np.int32 if bound <= _I32_MAX else np.int64
-        q_terms = _term_table(uq, codebooks, terms, -2, dtype, norms=True)
-        c_terms = _term_table(uc, codebooks, terms, 2, dtype, norms=False)
+        q_terms = _term_table(uq, terms, -2, dtype, norms=True)
+        c_terms = _term_table(uc, terms, 2, dtype, norms=False)
         out = np.empty((t, m, cb), dtype=dtype)
         step = slab_rows(m * cb * out.itemsize)
         for s0 in range(0, t, step):

@@ -48,7 +48,7 @@ from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim import parallel
 from repro.pim.backend import resolve_backend
-from repro.pim.backend.numpy_backend import gather_offsets, slab_rows
+from repro.pim.backend.numpy_backend import CodebookTerms, gather_offsets, slab_rows
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.kernels import (
@@ -62,7 +62,7 @@ from repro.pim.parallel import ExecutionPlanner, make_executor, scan_jobs_stacke
 # Not called here: benchmarks/suite/tracing.py wraps this attribute.
 from repro.pim.parallel import scan_shard_group  # noqa: F401
 from repro.pim.transfer import HostTransferModel
-from repro.utils import check_operands
+from repro.utils import check_count, check_operands
 
 
 #: Distinct shard-group shapes whose kernel charges one system keeps;
@@ -140,10 +140,13 @@ class PimSystem:
         self.transfer = HostTransferModel(config.transfer)
         self._shards: Dict[str, Tuple[int, ShardData]] = {}
         # Centroid identity registry: shards sharing centroid *content*
-        # (replicas and parts of one cluster) share LUT construction in
-        # the batched executor. Keyed by raw bytes so arbitrary shard
-        # keys work; two clusters with identical centroids would also
-        # share, which is exact (the LUT depends only on the centroid).
+        # (replicas and parts of one cluster) share one centroid id,
+        # which names their row of the stacked centroid table that the
+        # compute plane's row terms, the pool's build_luts and the
+        # square-LUT miss counts read. Keyed by raw bytes so arbitrary
+        # shard keys work; two clusters with identical centroids would
+        # also share, which is exact (every use depends only on the
+        # centroid's values).
         self._cent_id_of: Dict[bytes, int] = {}
         self._centroid_by_id: List[np.ndarray] = []
         # The registry stacked (C, D), the LC's centroid operand; rebuilt
@@ -176,6 +179,8 @@ class PimSystem:
         # its rows or liveness change (see _scan_operands).
         self._live_cache: Dict[str, Tuple[np.ndarray, ...]] = {}
         self.codebooks: Optional[np.ndarray] = None
+        # The codebooks' derived operands, built once per load_codebooks.
+        self.codebook_terms: Optional[CodebookTerms] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
         # Optional repro.obs.EngineObserver; None costs one check per site.
@@ -363,7 +368,9 @@ class PimSystem:
         if ops is None:
             codes, ids = self._live_arrays(shard_key, shard)
             off = gather_offsets(codes, self.codebooks.shape[1])
-            pts = self.backend.point_terms(shard.centroid, off, self.codebooks)
+            pts = self.backend.point_terms(
+                shard.centroid, off, self.codebook_terms
+            )
             ops = (off, ids, pts)
             self._live_cache[shard_key] = ops
         return ops
@@ -390,6 +397,7 @@ class PimSystem:
         for dpu in self.dpus:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
+        self.codebook_terms = CodebookTerms(codebooks)
         self._charge_memo.clear()
         self._live_cache.clear()  # offsets are relative to CB
         return self.transfer.broadcast(
@@ -492,12 +500,15 @@ class PimSystem:
         Parameters
         ----------
         assignments: dpu_id → list of (query_index, shard_key) tasks.
-            Every shard_key must be resident on that dpu.
+            Every shard_key must be resident on that dpu, and every
+            query_index in ``[0, q)`` (else ``ValueError`` naming
+            ``assignments``).
         queries: ``(q, D)`` — the batch's queries (broadcast), with
             integral values in ``[0, 255]`` and ``D`` the codebooks'
             ``M * dsub``; anything else raises ``ValueError`` naming
             ``queries`` (never a silent truncation).
-        k: local top-k each task returns.
+        k: local top-k each task returns, an int >= 1
+            (:func:`~repro.utils.check_count`).
         multiplier_less: use the square LUT in LC (must be loaded).
 
         Returns
@@ -509,6 +520,7 @@ class PimSystem:
         ``failed_tasks`` for the caller to fail over (see
         :mod:`repro.faults`).
         """
+        check_count(k, "k")
         for dpu_id in assignments:
             if not 0 <= dpu_id < len(self.dpus):
                 raise ValueError(
@@ -570,6 +582,11 @@ class PimSystem:
             # share the streamed cluster data).
             by_shard: Dict[str, List[int]] = {}
             for qidx, skey in tasks:
+                if not 0 <= qidx < len(queries):
+                    raise ValueError(
+                        f"assignments name query {qidx}, outside "
+                        f"[0, {len(queries)})"
+                    )
                 owner, _ = self._shards[skey]
                 if owner != dpu_id:
                     raise ValueError(
@@ -684,7 +701,7 @@ class PimSystem:
         numeric entry point; a search calls it once over every task its
         rounds ran (``BatchTiming.tasks``).
 
-        ``queries`` are checked like :meth:`run_batch`'s. Returns
+        ``queries`` and ``k`` are checked like :meth:`run_batch`'s. Returns
         ``(rows, ids, distances)``, a row per task sorted by data shard,
         then query: ``(T,)`` query indices and ``(T, k)`` top-k by
         ``(distance, id)``, padded with ``-1`` / ``inf`` (exact int64
@@ -703,6 +720,7 @@ class PimSystem:
         """
         if self.codebooks is None:
             raise RuntimeError("codebooks not loaded; call load_codebooks first")
+        check_count(k, "k")
         queries = self._check_queries(queries)
         t = len(tasks)
         if not t:
@@ -780,7 +798,7 @@ class PimSystem:
         :func:`scan_jobs_stacked`. ``jobs`` are ``(shard key, live rows,
         first task, end task)``; ``crows`` name each task's centroid."""
         uq, local = np.unique(qrows, return_inverse=True)
-        tables = self.backend.query_terms(queries[uq], self.codebooks)
+        tables = self.backend.query_terms(queries[uq], self.codebook_terms)
         res = queries[qrows].astype(np.int64) - self._centroids()[crows]
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
@@ -802,7 +820,7 @@ class PimSystem:
         """:meth:`_scan_slab`'s block from the worker pool's LUT jobs
         over live rows; an empty shard's rows stay padding."""
         luts = self.backend.build_luts(
-            queries, self._centroids(), qrows, crows, self.codebooks
+            queries, self._centroids(), qrows, crows, self.codebook_terms
         )
         live = [(key, a, b) for key, n, a, b in jobs if n]
         tops = self.executor.scan_groups(
@@ -857,7 +875,9 @@ class PimSystem:
         residuals = queries[qrows].astype(np.int32) - self._centroids()[
             crows
         ].astype(np.int32)
-        per_task = square_misses(residuals, self.codebooks, sq.resident_max_abs)
+        per_task = square_misses(
+            residuals, self.codebook_terms, sq.resident_max_abs
+        )
         starts = np.cumsum([0] + sizes[:-1])
         return [int(c) for c in np.add.reduceat(per_task, starts)]
 
@@ -955,14 +975,14 @@ class PimSystem:
 
 
 def square_misses(
-    residuals: np.ndarray, codebooks: np.ndarray, window: int
+    residuals: np.ndarray, terms: CodebookTerms, window: int
 ) -> np.ndarray:
     """Per task row, the square-LUT lookups ``|r - b|`` past a resident
-    ``window`` over every ``(M, CB, dsub)`` codeword entry: ``(T,)``
-    int64, from ``(T, D)`` int residuals, in row slabs of bounded
-    transient size."""
-    m, cb, dsub = codebooks.shape
-    books = codebooks.astype(np.int64)
+    ``window`` over every ``(M, CB, dsub)`` codeword entry of the
+    codebook ``terms``: ``(T,)`` int64, from ``(T, D)`` int residuals,
+    in row slabs of bounded transient size."""
+    books = terms.books
+    m, cb, dsub = books.shape
     out = np.empty(len(residuals), dtype=np.int64)
     step = slab_rows(m * cb * dsub * 8)
     for s0 in range(0, len(out), step):

@@ -41,7 +41,6 @@ from repro.core.adaptive import (
     STOP_REASONS,
     AdaptiveReport,
     cluster_radii_sq,
-    codebook_norms_sq,
     lower_bounds,
     probe_budgets,
     reconstruction_norms_sq,
@@ -50,6 +49,7 @@ from repro.core.persist import index_info, save_index
 from repro.faults import FaultConfig, FaultPlan
 from repro.core.scheduler import RuntimeScheduler, SchedulerConfig
 from repro.obs.observer import ObsConfig
+from repro.pim.backend.numpy_backend import CodebookTerms
 from repro.pim.config import PimSystemConfig
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, build_canonical_engine
 from repro.testing import canonical_dataset
@@ -113,7 +113,8 @@ def exhaustive(engine, queries):
 class TestBoundMath:
     def test_codebook_norms_match_naive(self, engine):
         cb = engine.quantized.codebooks
-        norms = codebook_norms_sq(cb)
+        norms = engine.quantized.codebook_terms.norms_sq
+        assert norms.dtype == np.int64
         m, size, dsub = cb.shape
         for mi in (0, m - 1):
             for ci in (0, size // 2, size - 1):
@@ -122,7 +123,7 @@ class TestBoundMath:
 
     def test_reconstruction_norms_match_decode(self, engine):
         q = engine.quantized
-        norms = codebook_norms_sq(q.codebooks)
+        norms = q.codebook_terms.norms_sq
         cid = int(np.argmax(q.cluster_sizes()))
         codes = q.cluster_codes[cid][:16]
         got = reconstruction_norms_sq(norms, codes)
@@ -139,7 +140,7 @@ class TestBoundMath:
     def test_cluster_radii_bound_every_row(self, engine):
         q = engine.quantized
         radii = cluster_radii_sq(q)
-        norms = codebook_norms_sq(q.codebooks)
+        norms = q.codebook_terms.norms_sq
         assert radii.shape == (q.nlist,)
         assert radii.dtype == np.int64
         for cid in range(q.nlist):
@@ -155,7 +156,7 @@ class TestBoundMath:
         q = engine.quantized
         ds = canonical_dataset()
         radii = cluster_radii_sq(q)
-        norms = codebook_norms_sq(q.codebooks)
+        norms = q.codebook_terms.norms_sq
         rng = np.random.default_rng(0)
         for qi in rng.choice(NQ, size=8, replace=False):
             query = ds.queries[qi].astype(np.int64)
@@ -216,7 +217,7 @@ class TestBoundMath:
         )
         codes = rng.integers(0, cb, size=(20, m))
         radius_sq = int(
-            reconstruction_norms_sq(codebook_norms_sq(books), codes).max()
+            reconstruction_norms_sq(CodebookTerms(books).norms_sq, codes).max()
         )
         resid = rng.integers(-spread, spread + 1, size=(5, m * dsub))
         recon = books[np.arange(m), codes].reshape(len(codes), m * dsub)

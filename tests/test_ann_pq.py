@@ -165,3 +165,20 @@ class TestSdc:
         a = pq.sdc_distances(codes[0], codes, tables)
         b = pq.sdc_distances(codes[0], codes)
         np.testing.assert_allclose(a, b)
+
+
+
+class TestPickle:
+    def test_round_trip_is_bit_identical(self, trained):
+        """A restored quantizer encodes, decodes and builds LUTs exactly
+        like the original."""
+        import pickle
+
+        x, pq = trained
+        got = pickle.loads(pickle.dumps(pq))
+        codes = pq.encode(x[:50])
+        np.testing.assert_array_equal(got.encode(x[:50]), codes)
+        np.testing.assert_array_equal(got.decode(codes), pq.decode(codes))
+        res = x[:7] - 128.0
+        np.testing.assert_array_equal(got.build_luts(res), pq.build_luts(res))
+        np.testing.assert_array_equal(got.build_lut(res[0]), pq.build_lut(res[0]))

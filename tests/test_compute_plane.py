@@ -189,7 +189,7 @@ def _reference(system, queries, tasks, k):
         q, key = tasks[i]
         shard = system.get_shard(key)
         luts = backend.build_luts(
-            queries, shard.centroid[None], [q], [0], system.codebooks
+            queries, shard.centroid[None], [q], [0], system.codebook_terms
         )
         codes, sids = system._live_arrays(key, shard)
         top_ids, top_d = topk_rows(backend.scan(luts, codes), sids, k)
@@ -245,7 +245,7 @@ class TestComputeTasks:
             (int(rng.integers(0, nq)), keys[int(rng.integers(0, len(keys)))])
             for _ in range(nt)
         ]
-        tables = system.backend.query_terms(queries, system.codebooks)
+        tables = system.backend.query_terms(queries, system.codebook_terms)
         bound = m * dsub * (255 + b_max) ** 2
         assert tables.dtype == (np.int32 if bound <= _I32_MAX else np.int64)
         for step in (None, op):

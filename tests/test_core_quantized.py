@@ -104,3 +104,83 @@ class TestIntegerPipeline:
     def test_nprobe_bounds(self, small_quantized, small_ds):
         with pytest.raises(ValueError):
             small_quantized.locate(small_ds.queries[:1], 0)
+
+
+def _copy(q, **kw):
+    """A fresh instance over copies of ``q``'s arrays (the session
+    fixture must stay untouched)."""
+    return QuantizedIndexData(
+        centroids=q.centroids.copy(),
+        codebooks=q.codebooks.copy(),
+        cluster_ids=[ids.copy() for ids in q.cluster_ids],
+        cluster_codes=[codes.copy() for codes in q.cluster_codes],
+        **kw,
+    )
+
+
+class TestDerivedTables:
+    def test_tables_equal_fresh_casts(self, small_quantized):
+        """Each derived table is the plain cast/einsum of the trained
+        arrays, built once per instance."""
+        q = _copy(small_quantized)
+        books = q.codebooks.astype(np.int64)
+        cents = q.centroids.astype(np.int64)
+        terms = q.codebook_terms
+        assert terms is q.codebook_terms
+        np.testing.assert_array_equal(terms.books, books)
+        np.testing.assert_array_equal(terms.books_t, books.transpose(0, 2, 1))
+        assert terms.books_t.dtype == np.float64
+        np.testing.assert_array_equal(terms.norms_sq, (books**2).sum(-1))
+        assert terms.norms_sq.dtype == np.int64
+        np.testing.assert_array_equal(terms.norms_f64, terms.norms_sq)
+        assert terms.max_abs == int(np.abs(books).max())
+        np.testing.assert_array_equal(q.centroids_i64, cents)
+        assert q.centroid_norms_sq.dtype == np.int64
+        np.testing.assert_array_equal(
+            q.centroid_norms_sq, (cents**2).sum(-1)[None, :]
+        )
+
+    def test_locate_bit_exact(self):
+        """A canonical engine's locate, first call (builds the tables)
+        and second (reads them), equals a fresh instance's over copies
+        of the same arrays, distances included."""
+        from repro.testing import build_canonical_engine, canonical_dataset
+
+        q = canonical_dataset().queries[:16]
+        quant = build_canonical_engine("split-replicated").quantized
+        first = quant.locate_with_distances(q, 4)
+        again = quant.locate_with_distances(q, 4)
+        fresh = _copy(quant).locate_with_distances(q, 4)
+        for got in (again, fresh):
+            np.testing.assert_array_equal(got[0], first[0])
+            np.testing.assert_array_equal(got[1], first[1])
+
+
+class TestPickle:
+    @pytest.mark.parametrize("tombstones", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_round_trip_is_bit_identical(
+        self, small_quantized, small_ds, tombstones, warm
+    ):
+        """A restored index (pickled with or without its derived tables
+        built, with or without tombstones) locates, encodes and
+        searches bit-identically to the original."""
+        import pickle
+
+        q = _copy(small_quantized)
+        if tombstones:
+            assert q.delete(np.concatenate(q.cluster_ids)[::7]) > 0
+        queries = small_ds.queries[:12]
+        if warm:
+            q.locate(queries, 4)
+            q.encode(small_ds.base[:5])
+        got = pickle.loads(pickle.dumps(q))
+        assert got.num_tombstones == q.num_tombstones
+        np.testing.assert_array_equal(got.locate(queries, 8), q.locate(queries, 8))
+        vectors = small_ds.base[:40]
+        for a, b in zip(got.encode(vectors), q.encode(vectors)):
+            np.testing.assert_array_equal(a, b)
+        want = q.reference_search(queries, 10, 8)
+        res = got.reference_search(queries, 10, 8)
+        np.testing.assert_array_equal(res.ids, want.ids)
+        np.testing.assert_array_equal(res.distances, want.distances)

@@ -79,55 +79,3 @@ class TestPartial:
         _, misses = lut.square(rng.integers(-765, 766, size=100))
         assert misses == 0
 
-
-class TestSquareTermCache:
-    def test_cache_hit_returns_same_row(self, rng):
-        from repro.core.square_lut import SquareTermCache
-
-        c = rng.integers(0, 255, size=(16, 8), dtype=np.uint8)
-        cache = SquareTermCache()
-        first = cache.terms(c)
-        np.testing.assert_array_equal(
-            first, np.einsum("ij,ij->i", c.astype(np.int64),
-                             c.astype(np.int64))[None, :]
-        )
-        assert cache.terms(c) is first  # no recompute on hit
-
-    def test_new_centroid_table_invalidates(self, rng):
-        from repro.core.square_lut import SquareTermCache
-
-        cache = SquareTermCache()
-        a = rng.integers(0, 255, size=(16, 8), dtype=np.uint8)
-        b = rng.integers(0, 255, size=(16, 8), dtype=np.uint8)
-        row_a = cache.terms(a)
-        row_b = cache.terms(b)
-        assert row_b is not row_a
-        np.testing.assert_array_equal(
-            row_b, np.einsum("ij,ij->i", b.astype(np.int64),
-                             b.astype(np.int64))[None, :]
-        )
-
-    def test_explicit_invalidate_recomputes(self, rng):
-        from repro.core.square_lut import SquareTermCache
-
-        c = rng.integers(0, 255, size=(8, 4), dtype=np.uint8)
-        cache = SquareTermCache()
-        first = cache.terms(c)
-        cache.invalidate()
-        second = cache.terms(c)
-        assert second is not first
-        np.testing.assert_array_equal(first, second)
-
-    def test_quantized_locate_uses_cache_bit_exactly(self, rng):
-        """locate() with the cache equals a fresh engine's locate()."""
-        from repro.testing import build_canonical_engine, canonical_dataset
-
-        ds = canonical_dataset()
-        engine = build_canonical_engine("split-replicated")
-        q = ds.queries[:16]
-        first = engine.quantized.locate(q, nprobe=4)
-        again = engine.quantized.locate(q, nprobe=4)  # cache hit path
-        np.testing.assert_array_equal(first, again)
-        engine.quantized.invalidate_caches()
-        after = engine.quantized.locate(q, nprobe=4)
-        np.testing.assert_array_equal(first, after)

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import numpy_backend, resolve_backend
-from repro.pim.backend.numpy_backend import NumpyBackend, gather_offsets
+from repro.pim.backend.numpy_backend import (
+    CodebookTerms,
+    NumpyBackend,
+    gather_offsets,
+)
 from repro.pim.kernels import (
     run_lut_build,
     scan_distances,
@@ -110,7 +114,9 @@ class TestBitExactness:
         codebooks = rng.integers(-255, 255, size=(m, cb, dsub)).astype(
             np.int16
         )
-        got = backend.build_luts(*_residual_pairs(residuals), codebooks)
+        got = backend.build_luts(
+            *_residual_pairs(residuals), CodebookTerms(codebooks)
+        )
         r = residuals.astype(np.int64).reshape(12, m, 1, dsub)
         want = ((r - codebooks.astype(np.int64)) ** 2).sum(axis=3)
         assert got.dtype == np.int32  # every 8-entry sum fits int32
@@ -270,7 +276,9 @@ class TestLutBuildKernel:
         want, _ = run_lut_build(residuals, books, full)
         want_p, _ = run_lut_build(residuals, books, partial)
         assert np.array_equal(want, want_p)
-        got = resolve_backend().build_luts(*_residual_pairs(residuals), books)
+        got = resolve_backend().build_luts(
+            *_residual_pairs(residuals), CodebookTerms(books)
+        )
         assert got.dtype == _gather_dtype(residuals, books)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
@@ -290,7 +298,9 @@ class TestLutBuildKernel:
         if wide:
             residuals[g // 2, 0] = 1 << 26  # breaks the 2**53 bound
         want, _ = run_lut_build(residuals, books)
-        got = NumpyBackend().build_luts(*_residual_pairs(residuals), books)
+        got = NumpyBackend().build_luts(
+            *_residual_pairs(residuals), CodebookTerms(books)
+        )
         assert np.array_equal(got, want)
 
     def test_exactness_guard_falls_back(self, monkeypatch):
@@ -310,20 +320,56 @@ class TestLutBuildKernel:
         m, cb, dsub = 2, 8, 4
         books = rng.integers(-(1 << 15), 1 << 15, size=(m, cb, dsub)).astype(np.int16)
         ok = rng.integers(0, 1 << 16, size=(3, m * dsub)).astype(np.int64)
-        NumpyBackend().build_luts(*_residual_pairs(ok), books)
+        NumpyBackend().build_luts(*_residual_pairs(ok), CodebookTerms(books))
         assert calls == []
         big = ok.copy()
         big[1, 0] = 1 << 26  # dsub * (2**26 + 2**15)**2 > 2**53
         assert not numpy_backend.expansion_is_exact(1 << 26, 1 << 15, dsub)
-        got = NumpyBackend().build_luts(*_residual_pairs(big), books)
+        got = NumpyBackend().build_luts(
+            *_residual_pairs(big), CodebookTerms(books)
+        )
         assert calls == [big.shape]
         diff = big.reshape(3, m, 1, dsub) - books.astype(np.int64)
         assert np.array_equal(got, (diff * diff).sum(axis=3))
 
     def test_empty_batch(self):
         books = np.zeros((4, 8, 2), dtype=np.int16)
-        out = NumpyBackend().build_luts(*_residual_pairs(np.zeros((0, 8), dtype=np.int32)), books)
+        empty = _residual_pairs(np.zeros((0, 8), dtype=np.int32))
+        out = NumpyBackend().build_luts(*empty, CodebookTerms(books))
         assert out.shape == (0, 4, 8) and out.dtype == np.int64
+
+
+class TestTermTableOperands:
+    """``query_terms`` and ``point_terms`` check their operands the way
+    ``build_luts`` does: dtype and shape, each error naming the
+    operand."""
+
+    BOOKS = CodebookTerms(np.arange(16, dtype=np.int16).reshape(2, 4, 2))
+
+    @pytest.mark.parametrize(
+        "kernel, operand, exc, match",
+        [
+            ("query_terms", np.zeros((2, 4)) + 0.5, TypeError, "queries"),
+            ("query_terms", np.zeros((2, 4), dtype=bool), TypeError, "queries"),
+            ("query_terms", np.zeros((2, 5), dtype=np.uint8), ValueError, "queries"),
+            ("query_terms", np.zeros(4, dtype=np.uint8), ValueError, "queries"),
+            ("point_terms", np.zeros(4) + 0.5, TypeError, "centroid"),
+            ("point_terms", np.zeros(5, dtype=np.uint8), ValueError, "centroid"),
+            ("point_terms", np.zeros((1, 4), dtype=np.uint8), ValueError, "centroid"),
+        ],
+    )
+    def test_bad_operand_rejected(self, kernel, operand, exc, match):
+        backend = resolve_backend()
+        off = gather_offsets(np.zeros((3, 2), dtype=np.uint8), 4)
+        with pytest.raises(exc, match=match):
+            if kernel == "query_terms":
+                backend.query_terms(operand, self.BOOKS)
+            else:
+                backend.point_terms(operand, off, self.BOOKS)
+
+    def test_codebooks_must_be_3d(self):
+        with pytest.raises(ValueError, match="codebooks"):
+            CodebookTerms(np.zeros((4, 2), dtype=np.int16))
 
 
 class TestScanTopk:

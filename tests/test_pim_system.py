@@ -115,6 +115,34 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="assigned to DPU"):
             sys4.run_batch({0: [(0, "s1")]}, queries, k=3)
 
+    @pytest.mark.parametrize(
+        "plane, tasks, k, exc, match",
+        [
+            ("run_batch", [(0, "s0")], 0, ValueError, "k must be >= 1"),
+            ("run_batch", [(0, "s0")], -3, ValueError, "k must be >= 1"),
+            ("run_batch", [(0, "s0")], 2.0, TypeError, "k must be an int"),
+            ("run_batch", [(0, "s0")], True, TypeError, "k must be an int"),
+            ("run_batch", [(7, "s0")], 3, ValueError, "assignments.*query 7"),
+            ("run_batch", [(-1, "s0")], 3, ValueError, "assignments.*query -1"),
+            ("compute_tasks", [(0, "s0")], 0, ValueError, "k must be >= 1"),
+            ("compute_tasks", [(0, "s0")], -3, ValueError, "k must be >= 1"),
+            ("compute_tasks", [], 0, ValueError, "k must be >= 1"),
+            ("compute_tasks", [(0, "s0")], 2.0, TypeError, "k must be an int"),
+        ],
+    )
+    def test_bad_round_operands_rejected(
+        self, sys4, rng, plane, tasks, k, exc, match
+    ):
+        """A ``k`` that is not an int >= 1 is rejected by both planes,
+        and a task naming a query outside the 3-query matrix by the
+        round, each with an error naming the operand."""
+        queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
+        with pytest.raises(exc, match=match):
+            if plane == "run_batch":
+                sys4.run_batch({0: tasks}, queries, k=k)
+            else:
+                sys4.compute_tasks(queries, tasks, k)
+
     def test_timing_max_semantics(self, sys4, rng):
         """Batch time equals the busiest DPU's cycles / frequency."""
         queries = rng.integers(0, 255, size=(4, 32)).astype(np.uint8)
@@ -220,7 +248,7 @@ class TestLcKernelPath:
         for window in (0, 1, 63, 255, 500):
             partial = full.partial(window)
             misses = square_misses(
-                residuals, sys4.codebooks, partial.resident_max_abs
+                residuals, sys4.codebook_terms, partial.resident_max_abs
             )
             assert misses.dtype == np.int64
             for t in range(len(qrows)):

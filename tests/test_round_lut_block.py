@@ -17,7 +17,7 @@ from repro.core.square_lut import SquareLut
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim import system as system_mod
 from repro.pim.backend import numpy_backend, resolve_backend
-from repro.pim.backend.numpy_backend import NumpyBackend
+from repro.pim.backend.numpy_backend import CodebookTerms, NumpyBackend
 from repro.pim.kernels import run_lut_build, scan_distances, topk_rows
 from repro.pim.parallel import scan_shard_group
 from repro.pim.system import ShardData
@@ -306,7 +306,9 @@ class TestPairBuild:
         crows = rng.integers(0, nc, size=t)
         qrows[t // 2 :] = qrows[: t - t // 2]  # repeated pairs
         crows[t // 2 :] = crows[: t - t // 2]
-        got = NumpyBackend().build_luts(queries, cents, qrows, crows, books)
+        got = NumpyBackend().build_luts(
+            queries, cents, qrows, crows, CodebookTerms(books)
+        )
         res = queries[qrows].astype(np.int32) - cents[crows].astype(np.int32)
         want, _ = run_lut_build(res, books, _SQUARES_8)
         assert got.dtype == np.int32 and got.flags.c_contiguous
@@ -322,7 +324,9 @@ class TestPairBuild:
         edge = int(np.sqrt(np.iinfo(np.int32).max / (m * dsub))) - 3
         for q_max, dtype in ((edge, np.int32), (edge + 1, np.int64)):
             queries = np.full((1, m * dsub), q_max, dtype=np.int64)
-            got = backend.build_luts(queries, cents, [0], [0], books)
+            got = backend.build_luts(
+                queries, cents, [0], [0], CodebookTerms(books)
+            )
             assert got.dtype == dtype
             assert got[0, 0, 0] == dsub * (q_max - 3) ** 2
 
@@ -345,7 +349,9 @@ class TestPairBuild:
         cents = rng.integers(0, 256, size=(2, m * dsub)).astype(np.uint8)
         qrows, crows = np.array([0, 3, 3, 1, 2]), np.array([1, 1, 0, 0, 1])
         assert not numpy_backend.expansion_is_exact(510, 1 << 26, dsub)
-        got = NumpyBackend().build_luts(queries, cents, qrows, crows, books)
+        got = NumpyBackend().build_luts(
+            queries, cents, qrows, crows, CodebookTerms(books)
+        )
         assert calls == [(5, m * dsub)]
         res = queries[qrows].astype(np.int64) - cents[crows]
         diff = res.reshape(5, m, 1, dsub) - books
@@ -368,12 +374,14 @@ class TestPairBuild:
         cents = np.zeros((2, 4), dtype=np.uint8)
         with pytest.raises(exc):
             resolve_backend().build_luts(
-                queries, cents, np.array(qrows), np.array(crows), books
+                queries, cents, np.array(qrows), np.array(crows),
+                CodebookTerms(books),
             )
 
     def test_float_queries_raise(self):
         books = np.zeros((2, 4, 2), dtype=np.int16)
         with pytest.raises(TypeError, match="queries"):
             resolve_backend().build_luts(
-                np.zeros((1, 4)), np.zeros((1, 4), dtype=np.uint8), [0], [0], books
+                np.zeros((1, 4)), np.zeros((1, 4), dtype=np.uint8), [0], [0],
+                CodebookTerms(books),
             )
