@@ -788,13 +788,11 @@ class DrimAnnEngine:
         still needs the distance statistics.
         """
         q = queries.astype(np.int64)
-        cents = self.quantized.centroids.astype(np.int64)
         qq = np.einsum("ij,ij->i", q, q)
         safe = np.maximum(np.asarray(probes), 0)
-        c = cents[safe]  # (nb, p, d)
-        cc = np.einsum("bpd,bpd->bp", c, c)
+        c = self.quantized.centroids_i64[safe]  # (nb, p, d)
         qc = np.einsum("bd,bpd->bp", q, c)
-        return qq[:, None] + cc - 2 * qc
+        return qq[:, None] + self.quantized.centroid_norms_sq[0][safe] - 2 * qc
 
     def search(
         self,

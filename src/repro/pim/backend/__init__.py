@@ -4,8 +4,9 @@ The ADC distance scan (DC) and LUT construction (LC) dominate the
 host's functional wall-clock exactly as Fig. 8 of the paper predicts.
 :class:`~repro.pim.backend.numpy_backend.NumpyBackend` holds the fused
 NumPy kernels every call site runs: the gather-then-reduce scan
-(``scan`` / ``scan_stacked``, and ``scan_into`` over a shard's
-resident offsets), the search's term tables (``query_terms``,
+(``scan_into``, over the offsets of
+:func:`~repro.pim.backend.numpy_backend.gather_offsets`), the search's
+term tables (``query_terms``,
 ``point_terms``) and the batched integer LUT build (``build_luts``).
 The per-task top-k (TS) is the one canonical ``(distance, id)``
 selection rule, :func:`repro.pim.kernels.select_topk` (per job:

@@ -7,11 +7,14 @@ kernels against the staged reference kernels
 :func:`repro.pim.kernels.run_lut_build` gathering every square from
 the full square LUT) at fixed shapes, checks the
 outputs are bit-identical, and reports best-of-N wall-clock speedups.
-It also checks the kernel a search's compute plane runs, the
-term-table scan (``query_terms`` rows scanned by ``scan_into``, plus
-``point_terms`` and ``||q - c||^2``), against the staged LUT scan at
-the LUT shape. The stacked scan's jobs are query-major and the term-table
-scan is row-major (:func:`~repro.pim.backend.numpy_backend.scan_layout`).
+The stacked scan takes the jobs' gather view, then each job's
+:func:`~repro.pim.backend.numpy_backend.gather_offsets` and one
+``scan_into``. It also checks the kernel a search's compute plane
+runs, the term-table scan (``query_terms`` rows scanned by
+``scan_into``, plus ``point_terms`` and ``||q - c||^2``), against the
+staged LUT scan at the LUT shape. The stacked scan's jobs are
+query-major and the term-table scan is row-major
+(:func:`~repro.pim.backend.numpy_backend.scan_layout`).
 
 Timing here never flows into engine results — the record is pure
 observability, which is why the wall-clock reads are fine in this
@@ -123,7 +126,15 @@ def run_microbench(
 
     backend = resolve_backend()
     terms = CodebookTerms(codebooks)
-    got_scan = backend.scan_stacked(luts, codes)
+
+    def stacked_scan() -> np.ndarray:
+        gather = _gather_view(luts)
+        out = np.empty((sh["jobs"], sh["g"], sh["n"]), dtype=np.int64)
+        for j in range(sh["jobs"]):
+            backend.scan_into(gather[j], gather_offsets(codes[j], sh["cb"]), out[j])
+        return out
+
+    got_scan = stacked_scan()
     got_luts = backend.build_luts(queries, centroids, qrows, crows, terms)
     off = gather_offsets(lut_codes, lh["cb"])
 
@@ -152,7 +163,7 @@ def run_microbench(
             backend.query_terms(queries, terms).itemsize,
         ),
     }
-    t_scan = _best_seconds(lambda: backend.scan_stacked(luts, codes), repeats)
+    t_scan = _best_seconds(stacked_scan, repeats)
     t_luts = _best_seconds(
         lambda: backend.build_luts(queries, centroids, qrows, crows, terms),
         repeats,

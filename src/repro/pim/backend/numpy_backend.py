@@ -10,9 +10,8 @@ closed forms, which keeps ledgers independent of the host kernels.
 * a shard's ``(n, M)`` codes become ``(M, n)`` flat offsets into the
   ``(g, M*CB)`` LUT rows (``code + m*CB``, :func:`gather_offsets`).
   The PIM system builds them once per shard and keeps them resident
-  next to the shard, the way the codes sit in MRAM; the public
-  :meth:`NumpyBackend.scan` / :meth:`NumpyBackend.scan_stacked` build
-  them per call;
+  next to the shard, the way the codes sit in MRAM;
+  :func:`~repro.pim.parallel.scan_shard_group` builds them per call;
 * each slab of LUT rows is one ``np.take`` of those offsets, a
   row-major ``(rows, M, n)`` gather, reduced over ``M`` into int64 —
   at the bench shape several times faster than the staged reference's
@@ -31,9 +30,9 @@ closed forms, which keeps ledgers independent of the host kernels.
   on int32 LUTs, halving gather traffic, and reduce in int32, about
   twice as fast as an int64 reduction; every partial sum is exact, and
   the int64 output holds it unchanged. :meth:`NumpyBackend.build_luts`
-  returns such LUTs as int32 already; the public scans take an int32
-  copy of int64 ones. Other LUTs are gathered as they are and reduced
-  in int64.
+  returns such LUTs as int32 already; other callers take the gather
+  view of their LUTs (:func:`_gather_view`): int32 when the sums fit,
+  else int64, reduced in int64.
 
 Flat offsets carry no per-subspace bounds, so :func:`gather_offsets`
 checks codes against ``[0, CB)`` before any offset exists
@@ -106,50 +105,24 @@ _I32_MAX = np.iinfo(np.int32).max
 
 
 def _gather_view(luts: np.ndarray) -> np.ndarray:
-    """The ``(..., M, CB)`` LUTs as int32 when a sum of ``M`` entries
-    always fits int32, else unchanged.
+    """The ``(..., M, CB)`` integer LUTs as int32 when a sum of ``M``
+    entries always fits int32, else as int64.
 
     An int32 view halves the gather traffic of the hot loop, and the
     scan then also accumulates in int32 (:func:`_scan_rows`), about
     twice as fast as an int64 reduction; with ``M * max|entry|`` within
-    int32 every partial sum is exact. Other LUTs are gathered as they
-    are and reduced into int64.
+    int32 every partial sum is exact. Other LUTs, int32-typed ones
+    included, are gathered as int64 and reduced into int64.
     """
     if luts.size == 0:
         return luts
     bound = max(-int(luts.min()), int(luts.max())) * luts.shape[-2]
-    if bound <= _I32_MAX:
-        return luts.astype(np.int32, copy=False)
-    return luts
-
-
-def _check_codes(codes: np.ndarray, cb: int) -> None:
-    """Reject codes that flat offsets would read wrongly instead of
-    failing: non-integer codes, and codes outside ``[0, cb)``."""
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise TypeError(f"codes must be an integer array, got {codes.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() >= cb):
-        raise IndexError(
-            f"codes must lie in [0, {cb}), got [{codes.min()}, {codes.max()}]"
-        )
-
-
-def _check_scan_operands(luts: np.ndarray, codes: np.ndarray) -> None:
-    """Reject non-integer LUTs, and codes :func:`_check_codes` rejects."""
-    if not np.issubdtype(luts.dtype, np.integer):
-        raise TypeError(f"luts must be an integer array, got {luts.dtype}")
-    _check_codes(codes, luts.shape[-1])
-
-
-def _offsets(codes: np.ndarray, cb: int) -> np.ndarray:
-    """``(M, n)`` intp flat offsets ``code + m*cb`` of ``(n, M)`` codes."""
-    off = np.ascontiguousarray(codes.T, dtype=np.intp)
-    off += (np.arange(codes.shape[1], dtype=np.intp) * cb)[:, None]
-    return off
+    return luts.astype(np.int32 if bound <= _I32_MAX else np.int64, copy=False)
 
 
 def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
-    """The range-checked ``(M, n)`` intp scan offsets of ``(n, M)`` codes.
+    """The range-checked ``(M, n)`` intp scan offsets ``code + m*cb`` of
+    ``(n, M)`` codes.
 
     Raises :class:`IndexError` for a code outside ``[0, cb)`` and
     :class:`TypeError` for non-integer codes, so every offset
@@ -160,8 +133,15 @@ def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError(f"codes must be (n, M), got {codes.shape}")
-    _check_codes(codes, cb)
-    return _offsets(codes, cb)
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise TypeError(f"codes must be an integer array, got {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= cb):
+        raise IndexError(
+            f"codes must lie in [0, {cb}), got [{codes.min()}, {codes.max()}]"
+        )
+    off = np.ascontiguousarray(codes.T, dtype=np.intp)
+    off += (np.arange(codes.shape[1], dtype=np.intp) * cb)[:, None]
+    return off
 
 
 def scan_layout(g: int, m: int, cb: int, n: int, itemsize: int) -> str:
@@ -344,47 +324,6 @@ class NumpyBackend:
     docstring)."""
 
     name = "numpy"
-
-    def scan(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """ADC scan: ``(g, M, CB)`` LUTs x ``(n, M)`` codes -> ``(g, n)``
-        int64 distances, with no intermediate beyond a bounded gather
-        slab (:func:`_scan_rows`)."""
-        luts = np.asarray(luts)
-        codes = np.asarray(codes)
-        if luts.ndim != 3:
-            raise ValueError(f"luts must be (g, M, CB), got {luts.shape}")
-        if codes.ndim != 2 or codes.shape[1] != luts.shape[1]:
-            raise ValueError(
-                f"codes must be (n, {luts.shape[1]}), got {codes.shape}"
-            )
-        _check_scan_operands(luts, codes)
-        out = np.empty((luts.shape[0], codes.shape[0]), dtype=np.int64)
-        _scan_rows(_gather_view(luts), _offsets(codes, luts.shape[-1]), out)
-        return out
-
-    def scan_stacked(self, luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Stacked scan: ``(J, g, M, CB)`` x ``(J, n, M)`` ->
-        ``(J, g, n)`` without a ``(J, g, n, M)`` intermediate; each job
-        gathers at most a bounded slab at a time (:func:`_scan_rows`)."""
-        luts = np.asarray(luts)
-        codes = np.asarray(codes)
-        if luts.ndim != 4:
-            raise ValueError(f"luts must be (J, g, M, CB), got {luts.shape}")
-        if (
-            codes.ndim != 3
-            or codes.shape[0] != luts.shape[0]
-            or codes.shape[2] != luts.shape[2]
-        ):
-            raise ValueError(
-                f"codes must be ({luts.shape[0]}, n, {luts.shape[2]}), "
-                f"got {codes.shape}"
-            )
-        _check_scan_operands(luts, codes)
-        gather = _gather_view(luts)
-        out = np.empty(luts.shape[:2] + codes.shape[1:2], dtype=np.int64)
-        for j in range(len(out)):
-            _scan_rows(gather[j], _offsets(codes[j], luts.shape[-1]), out[j])
-        return out
 
     def scan_into(
         self, luts: np.ndarray, off: np.ndarray, out: np.ndarray

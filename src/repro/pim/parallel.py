@@ -10,18 +10,15 @@ independent PIM ranks from multiple threads.
 
 The scan paths, the one worker pool, and a planner live here:
 
-* :func:`scan_jobs_stacked` — the one in-process scan path: every job
-  of a ``compute_tasks`` call scanned over its shard's resident
-  offsets into padded distance slabs, one canonical top-k selection
+* :func:`scan_jobs_stacked` — the one DC + TS path: every job of a
+  call scanned over its shard's offsets into padded distance slabs by
+  the host kernels (:mod:`repro.pim.backend`, bit-identical to the
+  reference :func:`~repro.pim.kernels.scan_distances`), one canonical
+  ``(distance, id)`` selection (:func:`~repro.pim.kernels.select_topk`)
   per slab, written into the call's ``(T, k)`` block.
-  :func:`scan_shard_group` is the per-group scan the pool workers and
-  the pool's in-process fallback run. Both funnel through the same
-  host kernels (:mod:`repro.pim.backend`, bit-identical to the
-  reference :func:`~repro.pim.kernels.scan_distances`) and the same
-  canonical ``(distance, id)`` selection
-  (:func:`~repro.pim.kernels.select_topk`, whose per-job form is
-  :func:`~repro.pim.kernels.topk_rows`), which is what makes both
-  execution strategies bit-exact by construction.
+  :func:`scan_shard_group`, the per-group scan the pool workers and
+  the pool's in-process fallback run, is its one-job case, which is
+  what makes both execution strategies bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
@@ -59,18 +56,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pim.backend import NumpyBackend, resolve_backend
-from repro.pim.backend.numpy_backend import slab_rows
-from repro.pim.kernels import select_topk, topk_rows
+from repro.pim.backend.numpy_backend import _gather_view, gather_offsets, slab_rows
+from repro.pim.kernels import select_topk
+from repro.utils import check_count
 
-#: One shard-group scan job. For :func:`scan_shard_group` and the pool:
-#: ``(luts (g, M, CB), codes (n, M), ids (n,), k)``; for
-#: :func:`scan_jobs_stacked`: ``(tables (g, M, CB), offsets (n, M), ids
-#: (n,), k, point terms (n,), row terms (g,))``, the offsets being the
-#: ``.T`` view of a shard's resident
-#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`.
+#: One shard-group scan job of :func:`scan_jobs_stacked`: ``(tables (g,
+#: M, CB), offsets (n, M), ids (n,), k, point terms (n,), row terms
+#: (g,))``, the offsets being the ``.T`` view of a shard's
+#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`. The pool
+#: ships its LUT jobs as :func:`scan_shard_group`'s arguments, ``(luts,
+#: codes, ids, k)``.
 ScanJob = Tuple[Any, ...]
-#: A top-k block: ``(ids, dists)``, one row per LUT row — a job's
-#: ``(g, min(k, n))`` arrays, or a round's padded ``(T, k)`` block.
+#: A top-k block: ``(ids, dists)``, ``(rows, k)`` int64 ids and float64
+#: distances, one row per LUT row, padded with ``-1`` / ``inf``.
 JobTopk = Tuple[np.ndarray, np.ndarray]
 
 #: Planner threshold: minimum LUT-entry gathers in a round before the
@@ -101,31 +99,33 @@ def scan_shard_group(
     k: int,
     backend: Optional[NumpyBackend] = None,
 ) -> JobTopk:
-    """DC + TS over one shard group: ``topk_rows(scan(luts, codes))``.
+    """DC + TS over one shard group: :func:`scan_jobs_stacked` of the
+    one job ``(g, M, CB)`` integer ``luts`` x ``(n, M)`` ``codes``.
 
     The per-group scan the pool workers (and the pool's in-process
-    fallback) run. It selects with :func:`~repro.pim.kernels.topk_rows`,
-    the canonical ``(distance, id)`` rule :func:`scan_jobs_stacked`
-    applies to its block, so both return the same rows bit for
-    bit. LUT rows are scanned in slabs whose ``(rows, n)`` int64
-    distance block fits
-    :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (top-k is
-    row-independent, so slabs never change results).
+    fallback) run. Returns the job's ``(g, k)`` block of
+    :func:`scan_jobs_stacked`. Non-integer LUTs raise
+    :class:`TypeError`, misshapen operands or ``ids``
+    :class:`ValueError`, codes outside ``[0, CB)`` :class:`IndexError`
+    (:func:`~repro.pim.backend.numpy_backend.gather_offsets`) and a bad
+    ``k`` what :func:`~repro.utils.check_count` raises.
     ``backend=None`` takes the process-wide kernels.
     """
-    if backend is None:
-        backend = resolve_backend()
-    step = slab_rows(8 * codes.shape[0])
-    if len(luts) <= step:
-        return topk_rows(backend.scan(luts, codes), ids, k)
-    parts = [
-        topk_rows(backend.scan(luts[r0 : r0 + step], codes), ids, k)
-        for r0 in range(0, len(luts), step)
-    ]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    luts = np.asarray(luts)
+    codes = np.asarray(codes)
+    if luts.ndim != 3:
+        raise ValueError(f"luts must be (g, M, CB), got {luts.shape}")
+    if codes.ndim != 2 or codes.shape[1] != luts.shape[1]:
+        raise ValueError(f"codes must be (n, {luts.shape[1]}), got {codes.shape}")
+    if not np.issubdtype(luts.dtype, np.integer):
+        raise TypeError(f"luts must be an integer array, got {luts.dtype}")
+    if np.shape(ids) != (len(codes),):
+        raise ValueError(f"ids must be ({len(codes)},), got {np.shape(ids)}")
+    check_count(k, "k")
+    off = gather_offsets(codes, luts.shape[-1])
+    terms = np.zeros(len(codes), dtype=np.int64), np.zeros(len(luts), dtype=np.int64)
+    job = (_gather_view(luts), off.T, ids, k) + terms
+    return scan_jobs_stacked([job], backend=backend)
 
 
 def scan_jobs_stacked(
@@ -142,8 +142,8 @@ def scan_jobs_stacked(
     the point's and the row's term. Returns the call's ``(ids,
     dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
     the jobs' summed LUT rows in submission order, padded with ``-1`` /
-    ``inf`` past a job's ``n``. Each row equals
-    :func:`scan_shard_group`'s row for its job.
+    ``inf`` past a job's ``n``. A row depends only on its job, never
+    on the others.
 
     The jobs' rows are scanned straight into padded int64 distance
     slabs (padding cells hold :data:`PAD_DISTANCE`) with the point

@@ -139,20 +139,6 @@ class PimSystem:
         ]
         self.transfer = HostTransferModel(config.transfer)
         self._shards: Dict[str, Tuple[int, ShardData]] = {}
-        # Centroid identity registry: shards sharing centroid *content*
-        # (replicas and parts of one cluster) share one centroid id,
-        # which names their row of the stacked centroid table that the
-        # compute plane's row terms, the pool's build_luts and the
-        # square-LUT miss counts read. Keyed by raw bytes so arbitrary
-        # shard keys work; two clusters with identical centroids would
-        # also share, which is exact (every use depends only on the
-        # centroid's values).
-        self._cent_id_of: Dict[bytes, int] = {}
-        self._centroid_by_id: List[np.ndarray] = []
-        # The registry stacked (C, D), the LC's centroid operand; rebuilt
-        # after place_shard registers a new centroid.
-        self._centroid_table: Optional[np.ndarray] = None
-        self._shard_cent: Dict[str, int] = {}
         # Data identity: shard key -> data id, and each data id's
         # canonical (first placed) shard key, the one compute_tasks scans.
         self._data_of: Dict[object, int] = {}
@@ -284,14 +270,6 @@ class PimSystem:
         dpu.mram.store(f"ids:{shard.shard_key}", shard.ids)
         dpu.mram.store(f"centroid:{shard.shard_key}", shard.centroid)
         self._shards[shard.shard_key] = (dpu_id, shard)
-        cent_key = np.ascontiguousarray(shard.centroid).tobytes()
-        cent_id = self._cent_id_of.get(cent_key)
-        if cent_id is None:
-            cent_id = len(self._centroid_by_id)
-            self._cent_id_of[cent_key] = cent_id
-            self._centroid_by_id.append(np.asarray(shard.centroid))
-            self._centroid_table = None
-        self._shard_cent[shard.shard_key] = cent_id
         data_key = shard.shard_key if shard.data_key is None else shard.data_key
         data_id = self._data_of.setdefault(data_key, len(self._data_keys))
         if data_id == len(self._data_keys):
@@ -500,9 +478,10 @@ class PimSystem:
         Parameters
         ----------
         assignments: dpu_id → list of (query_index, shard_key) tasks.
-            Every shard_key must be resident on that dpu, and every
-            query_index in ``[0, q)`` (else ``ValueError`` naming
-            ``assignments``).
+            Every shard_key must be placed and resident on that dpu,
+            and every query_index in ``[0, q)``, a fail-stopped DPU's
+            tasks included; else ``ValueError`` naming ``assignments``,
+            raised before the round books anything.
         queries: ``(q, D)`` — the batch's queries (broadcast), with
             integral values in ``[0, 255]`` and ``D`` the codebooks'
             ``M * dsub``; anything else raises ``ValueError`` naming
@@ -540,6 +519,31 @@ class PimSystem:
         # The round charges (and broadcasts) uint8 queries, whatever
         # integral dtype the caller passed.
         queries = self._check_queries(queries)
+        # Check every task and group each DPU's tasks by shard before
+        # the round books anything, so RC/LC/DC batch across the queries
+        # probing the same shard (as tasklets would share the streamed
+        # cluster data).
+        by_dpu: List[Tuple[int, Sequence[Tuple[int, str]], Dict[str, List[int]]]] = []
+        for dpu_id, tasks in assignments.items():
+            if not tasks:
+                continue
+            by_shard: Dict[str, List[int]] = {}
+            for qidx, skey in tasks:
+                if not 0 <= qidx < len(queries):
+                    raise ValueError(
+                        f"assignments name query {qidx}, outside "
+                        f"[0, {len(queries)})"
+                    )
+                placed = self._shards.get(skey)
+                if placed is None:
+                    raise ValueError(f"assignments name shard {skey!r}, not placed")
+                if placed[0] != dpu_id:
+                    raise ValueError(
+                        f"assignments name shard {skey!r} on DPU {placed[0]}, "
+                        f"assigned to DPU {dpu_id}"
+                    )
+                by_shard.setdefault(skey, []).append(qidx)
+            by_dpu.append((dpu_id, tasks, by_shard))
         num_tasks = sum(len(t) for t in assignments.values())
         batch = self._batch_index
         self._batch_index += 1
@@ -569,31 +573,12 @@ class PimSystem:
         # per-DPU ledgers, and fault semantics are unchanged.
         groups: List[Tuple[int, str, List[int]]] = []
         failed_tasks: List[Tuple[int, str]] = []
-        for dpu_id, tasks in assignments.items():
-            if not tasks:
-                continue
+        for dpu_id, tasks, by_shard in by_dpu:
             if dpu_id in self._observed_dead:
                 # Fail-stop: the DPU never responds; its tasks are lost
                 # and surface in timing.failed_tasks for failover.
                 failed_tasks.extend(tasks)
                 continue
-            # Group this DPU's tasks by shard so RC/LC/DC batch across
-            # the queries probing the same shard (as tasklets would
-            # share the streamed cluster data).
-            by_shard: Dict[str, List[int]] = {}
-            for qidx, skey in tasks:
-                if not 0 <= qidx < len(queries):
-                    raise ValueError(
-                        f"assignments name query {qidx}, outside "
-                        f"[0, {len(queries)})"
-                    )
-                owner, _ = self._shards[skey]
-                if owner != dpu_id:
-                    raise ValueError(
-                        f"task references shard {skey!r} on DPU {owner}, "
-                        f"assigned to DPU {dpu_id}"
-                    )
-                by_shard.setdefault(skey, []).append(qidx)
             for skey, qidxs in by_shard.items():
                 groups.append((dpu_id, skey, qidxs))
         # Only DPUs with groups are charged; every other DPU's batch
@@ -701,7 +686,8 @@ class PimSystem:
         numeric entry point; a search calls it once over every task its
         rounds ran (``BatchTiming.tasks``).
 
-        ``queries`` and ``k`` are checked like :meth:`run_batch`'s. Returns
+        ``queries`` and ``k`` are checked like :meth:`run_batch`'s; a task
+        naming an unplaced shard raises ``ValueError`` naming ``tasks``. Returns
         ``(rows, ids, distances)``, a row per task sorted by data shard,
         then query: ``(T,)`` query indices and ``(T, k)`` top-k by
         ``(distance, id)``, padded with ``-1`` / ``inf`` (exact int64
@@ -728,9 +714,12 @@ class PimSystem:
         qrows = np.fromiter((q for q, _ in tasks), dtype=np.int64, count=t)
         if qrows.min() < 0 or qrows.max() >= len(queries):
             raise IndexError(f"task query indices must lie in [0, {len(queries)})")
-        drows = np.fromiter(
-            (self._data_id[key] for _, key in tasks), dtype=np.int64, count=t
-        )
+        try:
+            drows = np.fromiter(
+                (self._data_id[key] for _, key in tasks), dtype=np.int64, count=t
+            )
+        except KeyError as exc:
+            raise ValueError(f"tasks name shard {exc.args[0]!r}, not placed") from None
         m, cb, _ = self.codebooks.shape
         # A query slab starts once the term-table rows of the tasks
         # before it fill the budget; tasks sort by slab, data, query.
@@ -744,8 +733,11 @@ class PimSystem:
         starts = np.concatenate([[0], edges])
         ends = np.append(edges, t)
         keys = [self._data_keys[d] for d in drows[starts].tolist()]
-        lives = [self._live_count(key, self._shards[key][1]) for key in keys]
-        crows = np.repeat([self._shard_cent[key] for key in keys], ends - starts)
+        shards = [self._shards[key][1] for key in keys]
+        lives = [self._live_count(key, shard) for key, shard in zip(keys, shards)]
+        # Each job's centroid, and each task's row of them.
+        cents = np.stack([shard.centroid for shard in shards])
+        crows = np.repeat(np.arange(len(keys)), ends - starts)
 
         # One strategy decision per call, from its measured size.
         scan_points = int(np.dot(ends - starts, lives)) * m
@@ -767,7 +759,9 @@ class PimSystem:
         for s0, s1 in zip([0] + slab_edges, slab_edges + [t]):
             j0, j1 = np.searchsorted(starts, [s0, s1])
             slab_jobs = [(key, n, a - s0, b - s0) for key, n, a, b in jobs[j0:j1]]
-            blocks.append(scan(queries, qrows[s0:s1], crows[s0:s1], slab_jobs, k))
+            blocks.append(
+                scan(queries, cents, qrows[s0:s1], crows[s0:s1], slab_jobs, k)
+            )
         # Measured rate feedback: purely advisory, never touches results.
         self.planner.note_round(path, scan_points, time.perf_counter() - t0)
         if self.executor is not None:
@@ -789,6 +783,7 @@ class PimSystem:
     def _scan_slab(
         self,
         queries: np.ndarray,
+        cents: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
         jobs: List[Tuple[str, int, int, int]],
@@ -796,10 +791,11 @@ class PimSystem:
     ) -> parallel.JobTopk:
         """A query slab's top-k block, rows in task order, by
         :func:`scan_jobs_stacked`. ``jobs`` are ``(shard key, live rows,
-        first task, end task)``; ``crows`` name each task's centroid."""
+        first task, end task)``; ``crows`` name each task's row of the
+        ``cents`` centroids."""
         uq, local = np.unique(qrows, return_inverse=True)
         tables = self.backend.query_terms(queries[uq], self.codebook_terms)
-        res = queries[qrows].astype(np.int64) - self._centroids()[crows]
+        res = queries[qrows].astype(np.int64) - cents[crows]
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
         for key, _, a, b in jobs:
@@ -812,6 +808,7 @@ class PimSystem:
     def _pool_slab(
         self,
         queries: np.ndarray,
+        cents: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
         jobs: List[Tuple[str, int, int, int]],
@@ -820,7 +817,7 @@ class PimSystem:
         """:meth:`_scan_slab`'s block from the worker pool's LUT jobs
         over live rows; an empty shard's rows stay padding."""
         luts = self.backend.build_luts(
-            queries, self._centroids(), qrows, crows, self.codebook_terms
+            queries, cents, qrows, crows, self.codebook_terms
         )
         live = [(key, a, b) for key, n, a, b in jobs if n]
         tops = self.executor.scan_groups(
@@ -834,22 +831,10 @@ class PimSystem:
         )
         ids = np.full((len(qrows), k), -1, dtype=np.int64)
         dists = np.full((len(qrows), k), np.inf)
-        for (_, a, _), (top_ids, top_dists) in zip(live, tops):
-            rows, width = top_ids.shape
-            ids[a : a + rows, :width] = top_ids
-            dists[a : a + rows, :width] = top_dists
+        for (_, a, b), (top_ids, top_dists) in zip(live, tops):
+            ids[a:b] = top_ids
+            dists[a:b] = top_dists
         return ids, dists
-
-    def _centroids(self) -> np.ndarray:
-        """The ``(C, D)`` centroid registry, indexed by centroid id."""
-        if self._centroid_table is None:
-            d = self.codebooks.shape[0] * self.codebooks.shape[2]
-            self._centroid_table = (
-                np.stack(self._centroid_by_id)
-                if self._centroid_by_id
-                else np.empty((0, d), dtype=np.uint8)
-            )
-        return self._centroid_table
 
     def _group_misses(
         self,
@@ -871,10 +856,10 @@ class PimSystem:
             return [0] * len(groups)
         sizes = [len(qidxs) for _, _, qidxs in groups]
         qrows = np.array([q for _, _, qidxs in groups for q in qidxs])
-        crows = np.repeat([self._shard_cent[skey] for _, skey, _ in groups], sizes)
-        residuals = queries[qrows].astype(np.int32) - self._centroids()[
-            crows
-        ].astype(np.int32)
+        cents = np.stack([self._shards[skey][1].centroid for _, skey, _ in groups])
+        residuals = queries[qrows].astype(np.int32) - np.repeat(
+            cents.astype(np.int32), sizes, axis=0
+        )
         per_task = square_misses(
             residuals, self.codebook_terms, sq.resident_max_abs
         )

@@ -23,7 +23,7 @@ from repro.core import DrimAnnEngine
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.backend import NumpyBackend
-from repro.pim.kernels import topk_rows
+from repro.pim.kernels import scan_distances, topk_rows
 from repro.pim.system import ShardData
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, canonical_dataset
 from repro.testing.goldens import _quantized, canonical_config
@@ -176,8 +176,8 @@ def _system(rng, m, cb, dsub, b_max):
 
 
 def _reference(system, queries, tasks, k):
-    """Per task: ``topk_rows(scan(build_luts(...)))`` over the shard's
-    live rows, padded; rows sorted by (data shard, query)."""
+    """Per task: ``topk_rows(scan_distances(build_luts(...)))`` over the
+    shard's live rows, padded; rows sorted by (data shard, query)."""
     backend = NumpyBackend()
     order = sorted(
         range(len(tasks)),
@@ -192,7 +192,7 @@ def _reference(system, queries, tasks, k):
             queries, shard.centroid[None], [q], [0], system.codebook_terms
         )
         codes, sids = system._live_arrays(key, shard)
-        top_ids, top_d = topk_rows(backend.scan(luts, codes), sids, k)
+        top_ids, top_d = topk_rows(scan_distances(luts, codes), sids, k)
         ids[row, : top_ids.shape[1]] = top_ids[0]
         dists[row, : top_d.shape[1]] = top_d[0]
     return np.array([tasks[i][0] for i in order], dtype=np.int64), ids, dists

@@ -143,17 +143,20 @@ class TestDerivedTables:
     def test_locate_bit_exact(self):
         """A canonical engine's locate, first call (builds the tables)
         and second (reads them), equals a fresh instance's over copies
-        of the same arrays, distances included."""
+        of the same arrays, distances included; the engine's distances
+        to given probe rows read the same tables."""
         from repro.testing import build_canonical_engine, canonical_dataset
 
         q = canonical_dataset().queries[:16]
-        quant = build_canonical_engine("split-replicated").quantized
+        engine = build_canonical_engine("split-replicated")
+        quant = engine.quantized
         first = quant.locate_with_distances(q, 4)
         again = quant.locate_with_distances(q, 4)
         fresh = _copy(quant).locate_with_distances(q, 4)
         for got in (again, fresh):
             np.testing.assert_array_equal(got[0], first[0])
             np.testing.assert_array_equal(got[1], first[1])
+        np.testing.assert_array_equal(engine._centroid_distances(q, first[0]), first[1])
 
 
 class TestPickle:

@@ -49,6 +49,17 @@ def _gather_dtype(residuals, books):
     return np.int32 if m * dsub * (r + b) ** 2 < 2**31 else np.int64
 
 
+def _scan(luts, codes, backend=None):
+    """The ADC scan of ``(g, M, CB)`` LUTs x ``(n, M)`` codes through the
+    kernel entry points: the LUTs' gather view, the codes' offsets and
+    one ``scan_into``."""
+    out = np.empty((len(luts), len(codes)), dtype=np.int64)
+    (backend or resolve_backend()).scan_into(
+        numpy_backend._gather_view(luts), gather_offsets(codes, luts.shape[-1]), out
+    )
+    return out
+
+
 def _scan_case(rng, g, n, m, cb, code_dtype=np.uint8):
     luts = rng.integers(0, 1 << 20, size=(g, m, cb)).astype(np.int64)
     codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
@@ -72,7 +83,7 @@ class TestRegistry:
         must find them)."""
         backend = resolve_backend("auto")
         assert backend is resolve_backend() is resolve_backend("numpy")
-        for op in ("scan", "scan_stacked", "scan_into", "build_luts"):
+        for op in ("scan_into", "query_terms", "point_terms", "build_luts"):
             assert op in vars(type(backend))
 
 
@@ -84,7 +95,7 @@ class TestBitExactness:
         rng = _rng(1)
         for g, n in [(1, 1), (3, 40), (32, 2000)]:
             luts, codes = _scan_case(rng, g, n, 8, 64, code_dtype)
-            got = backend.scan(luts, codes)
+            got = _scan(luts, codes, backend)
             want = scan_distances(luts, codes)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
@@ -98,7 +109,7 @@ class TestBitExactness:
                 np.int64
             )
             codes = rng.integers(0, 64, size=(j, n, 8)).astype(np.uint8)
-            got = backend.scan_stacked(luts, codes)
+            got = np.stack([_scan(lut, c, backend) for lut, c in zip(luts, codes)])
             want = scan_distances_stacked(luts, codes)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
@@ -138,10 +149,7 @@ class TestBitExactness:
         high = (1 << 31) if seed % 2 else (1 << 10)
         luts = rng.integers(0, high, size=(g, m, cb)).astype(np.int64)
         codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
-        backend = NumpyBackend()
-        assert np.array_equal(
-            backend.scan(luts, codes), scan_distances(luts, codes)
-        )
+        assert np.array_equal(_scan(luts, codes), scan_distances(luts, codes))
 
 
 class TestScanKernel:
@@ -163,32 +171,32 @@ class TestScanKernel:
         assert numpy_backend.slab_rows(m * n * itemsize) == 2
         luts = rng.integers(0, high, size=(j, g, m, cb)).astype(np.int64)
         codes = rng.integers(0, cb, size=(j, n, m)).astype(np.uint8)
-        backend = NumpyBackend()
-        got = backend.scan(luts[0], codes[0])
-        assert got.dtype == np.int64
+        got = _scan(luts[0], codes[0])
         assert np.array_equal(got, scan_distances(luts[0], codes[0]))
-        got = backend.scan_stacked(luts, codes)
-        assert got.dtype == np.int64
+        got = np.stack([_scan(lut, c) for lut, c in zip(luts, codes)])
         assert np.array_equal(got, scan_distances_stacked(luts, codes))
 
     def test_int32_entries_summing_past_int32_stay_exact(self):
-        """Entries that fit int32 but whose row sums overflow int32
-        keep an int64 gather view, so they sum exactly in the int64
-        reduction; LUTs whose sums fit get the int32 view (and int32
-        sums)."""
+        """Entries that fit int32 but whose row sums overflow int32 get
+        an int64 gather view, int32-typed LUTs included, so they sum
+        exactly in the int64 reduction; LUTs whose sums fit get the
+        int32 view (and int32 sums)."""
         g, n, m, cb = 2, 5, 4, 8
         top = np.iinfo(np.int32).max
-        luts = np.full((g, m, cb), top, dtype=np.int64)
-        assert numpy_backend._gather_view(luts).dtype == np.int64
-        assert numpy_backend._gather_view(luts // m).dtype == np.int32
         codes = np.zeros((n, m), dtype=np.uint8)
         want = np.full((g, n), m * top, dtype=np.int64)
         assert want[0, 0] > 1 << 31
-        backend = NumpyBackend()
-        assert np.array_equal(backend.scan(luts, codes), want)
-        assert np.array_equal(
-            backend.scan_stacked(luts[None], codes[None]), want[None]
-        )
+        for dtype in (np.int64, np.int32):
+            luts = np.full((g, m, cb), top, dtype=dtype)
+            assert numpy_backend._gather_view(luts).dtype == np.int64
+            assert numpy_backend._gather_view(luts // m).dtype == np.int32
+            assert np.array_equal(_scan(luts, codes), want)
+            ids, dists = scan_shard_group(luts, codes, np.arange(n), 2)
+            assert np.array_equal(ids, np.tile([0, 1], (g, 1)))
+            assert np.array_equal(dists, np.full((g, 2), float(m * top)))
+            one = np.full((1, 4, 8), 2**30, dtype=dtype)
+            _, dists = scan_shard_group(one, codes[:3], np.arange(3), 2)
+            assert np.array_equal(dists, [[2.0**32, 2.0**32]])
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_int32_sums_at_the_bound_are_exact(self, sign):
@@ -200,9 +208,7 @@ class TestScanKernel:
         luts[1, :, ::2] = 0  # mixed rows
         assert numpy_backend._gather_view(luts).dtype == np.int32
         codes = _rng(12).integers(0, cb, size=(n, m)).astype(np.uint8)
-        got = NumpyBackend().scan(luts, codes)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, scan_distances(luts, codes))
+        assert np.array_equal(_scan(luts, codes), scan_distances(luts, codes))
 
     @pytest.mark.parametrize("bad", [16, 255, -1])
     def test_codes_outside_codebook_raise(self, bad):
@@ -211,11 +217,10 @@ class TestScanKernel:
         rng = _rng(10)
         luts, codes = _scan_case(rng, 3, 6, 4, 16, code_dtype=np.int16)
         codes[3, 2] = bad
-        backend = NumpyBackend()
         with pytest.raises(IndexError, match="codes"):
-            backend.scan(luts, codes)
+            gather_offsets(codes, 16)
         with pytest.raises(IndexError, match="codes"):
-            backend.scan_stacked(luts[None], codes[None])
+            scan_shard_group(luts, codes, np.arange(6), 2)
 
     @pytest.mark.parametrize("n", [3, 600])
     def test_non_integer_operands_raise(self, n):
@@ -223,17 +228,31 @@ class TestScanKernel:
         truncated into an integer result."""
         luts = np.full((2, 4, 8), 0.75)
         codes = np.zeros((n, 4), dtype=np.uint8)
-        backend = NumpyBackend()
+        ids = np.arange(n)
         with pytest.raises(TypeError, match="luts"):
-            backend.scan(luts, codes)
-        with pytest.raises(TypeError, match="luts"):
-            backend.scan_stacked(luts[None], codes[None])
+            scan_shard_group(luts, codes, ids, 2)
         with pytest.raises(TypeError, match="codes"):
-            backend.scan(luts.astype(np.int64), codes.astype(np.float64))
+            scan_shard_group(luts.astype(np.int64), codes.astype(np.float64), ids, 2)
         with pytest.raises(TypeError, match="codes"):
-            backend.scan_stacked(
-                luts[None].astype(np.int64), codes[None].astype(np.float64)
-            )
+            gather_offsets(codes.astype(np.float64), 8)
+
+    @pytest.mark.parametrize(
+        "luts, codes, ids, k, exc, match",
+        [
+            (np.zeros((4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 2, ValueError, "luts"),
+            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 5), np.uint8), 3, 2, ValueError, "codes"),
+            (np.zeros((2, 4, 8), np.int64), np.zeros(3, np.uint8), 3, 2, ValueError, "codes"),
+            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 4, 2, ValueError, "ids"),
+            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 0, ValueError, "k"),
+            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 2.0, TypeError, "k"),
+        ],
+    )
+    def test_misshapen_group_operands_raise(self, luts, codes, ids, k, exc, match):
+        """``scan_shard_group`` rejects LUTs that are not 3-D, codes that
+        are not ``(n, M)``, ids that are not ``(n,)`` and a ``k`` that
+        is not an int >= 1, each error naming the operand."""
+        with pytest.raises(exc, match=match):
+            scan_shard_group(luts, codes, np.arange(ids), k)
 
 
 _SQUARES_8 = SquareLut.for_bit_width(8, levels=3)
@@ -380,8 +399,9 @@ class TestScanTopk:
         got = scan_shard_group(luts, codes, ids, 10, backend=resolve_backend())
         want = topk_rows(scan_distances(luts, codes), ids, 10)
         assert got[0].shape == got[1].shape == (4, 10)
+        assert got[0].dtype == np.int64 and got[1].dtype == np.float64
         for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert np.array_equal(g, w)
 
 
 class _TakeSpy:
@@ -422,12 +442,12 @@ class TestScanSlabs:
         spy = _TakeSpy()
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
         monkeypatch.setattr(numpy_backend, "np", spy)
-        got_d = backend.scan(luts, codes)
+        got_d = _scan(luts, codes, backend)
         got = scan_shard_group(luts, codes, ids, k, backend=backend)
         monkeypatch.undo()
-        assert got_d.dtype == np.int64 and np.array_equal(got_d, want_d)
+        assert np.array_equal(got_d, want_d)
         for gv, wv in zip(got, want):
-            assert gv.dtype == wv.dtype and np.array_equal(gv, wv)
+            assert np.array_equal(gv, wv)
         # One gathered LUT entry is the smallest slab the scan can take.
         itemsize = numpy_backend._gather_view(luts).dtype.itemsize
         assert spy.sizes and max(spy.sizes) <= max(budget, m * itemsize)
@@ -440,7 +460,7 @@ class TestScanSlabs:
         codes = rng.integers(0, 16, size=(3, 90, 4)).astype(np.uint8)
         want = scan_distances_stacked(luts, codes)
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 100)
-        got = resolve_backend().scan_stacked(luts, codes)
+        got = np.stack([_scan(lut, c) for lut, c in zip(luts, codes)])
         assert np.array_equal(got, want)
 
 

@@ -53,6 +53,18 @@ class TestScanShardGroup:
         want = topk_rows(scan_distances(luts, codes), ids, k)
         _assert_topk_equal(got, want)
 
+    def test_block_form_pads_short_shards(self, rng):
+        """A job over fewer than ``k`` points comes back ``(g, k)``:
+        int64 ids and float64 distances, padded with ``-1`` / ``inf``."""
+        (luts, codes, ids, _), = _jobs(rng, n_jobs=1, n=3)
+        got_ids, got_d = scan_shard_group(luts, codes, ids, 5)
+        want_ids, want_d = topk_rows(scan_distances(luts, codes), ids, 5)
+        assert got_ids.dtype == np.int64 and got_d.dtype == np.float64
+        assert got_ids.shape == got_d.shape == (len(luts), 5)
+        np.testing.assert_array_equal(got_ids[:, :3], want_ids)
+        np.testing.assert_array_equal(got_d[:, :3], want_d)
+        assert (got_ids[:, 3:] == -1).all() and np.isinf(got_d[:, 3:]).all()
+
     def test_row_chunking_is_invisible(self, rng, monkeypatch):
         """Row slabs sized by the ``(rows, n)`` distance budget never
         change the ``(g, k)`` result."""
@@ -75,15 +87,15 @@ def _scan(pool, jobs, keys, backend=None):
 
 
 class _SpyBackend:
-    """Delegates to the NumPy backend and counts ``scan`` calls."""
+    """Delegates to the NumPy backend and counts ``scan_into`` calls."""
 
     def __init__(self):
         self.inner = resolve_backend()
         self.scans = 0
 
-    def scan(self, *args, **kwargs):
+    def scan_into(self, *args, **kwargs):
         self.scans += 1
-        return self.inner.scan(*args, **kwargs)
+        return self.inner.scan_into(*args, **kwargs)
 
 
 class TestPoolExecutor:
@@ -161,19 +173,9 @@ def _resident(jobs):
 
 
 def _serial_block(jobs):
-    """Per-job ``scan_shard_group`` rows laid into one padded block."""
-    k = jobs[0][3]
-    parts_i, parts_d = [], []
-    for job in jobs:
-        top_ids, top_dists = scan_shard_group(*job)
-        g, width = top_ids.shape
-        ids = np.full((g, k), -1, dtype=np.int64)
-        dists = np.full((g, k), np.inf)
-        ids[:, :width] = top_ids
-        dists[:, :width] = top_dists
-        parts_i.append(ids)
-        parts_d.append(dists)
-    return np.concatenate(parts_i), np.concatenate(parts_d)
+    """Per-job ``scan_shard_group`` blocks stacked in submission order."""
+    tops = [scan_shard_group(*job) for job in jobs]
+    return np.concatenate([t[0] for t in tops]), np.concatenate([t[1] for t in tops])
 
 
 class TestScanJobsStacked:

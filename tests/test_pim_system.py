@@ -128,20 +128,40 @@ class TestRunBatch:
             ("compute_tasks", [(0, "s0")], -3, ValueError, "k must be >= 1"),
             ("compute_tasks", [], 0, ValueError, "k must be >= 1"),
             ("compute_tasks", [(0, "s0")], 2.0, TypeError, "k must be an int"),
+            ("run_batch", [(0, "s0"), (1, "s1")], 3, ValueError, "assigned to DPU 0"),
+            ("run_batch", [(0, "s0"), (0, "nope")], 3, ValueError, "assignments.*'nope'"),
+            ("dead DPU", [(7, "nope")], 3, ValueError, "assignments.*query 7"),
+            ("dead DPU", [(0, "nope")], 3, ValueError, "assignments.*'nope'"),
+            ("compute_tasks", [(0, "s0"), (0, "nope")], 3, ValueError, "tasks.*'nope'"),
         ],
     )
     def test_bad_round_operands_rejected(
         self, sys4, rng, plane, tasks, k, exc, match
     ):
         """A ``k`` that is not an int >= 1 is rejected by both planes,
-        and a task naming a query outside the 3-query matrix by the
-        round, each with an error naming the operand."""
+        an unknown shard key by both, and a task naming a query outside
+        the 3-query matrix or a shard off its DPU by the round, a
+        fail-stopped DPU's tasks included, each with an error naming
+        the operand and before the round books anything."""
         queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
+        if plane == "dead DPU":
+            sys4._observed_dead.add(0)
+
+        def state():
+            return (
+                sys4._batch_index,
+                len(sys4.transfer.events),
+                [(dict(d.cycles_by_kernel), d.stall_cycles) for d in sys4.dpus],
+                [dict(ledger) for ledger in sys4._search_kernels],
+            )
+
+        before = state()
         with pytest.raises(exc, match=match):
-            if plane == "run_batch":
-                sys4.run_batch({0: tasks}, queries, k=k)
-            else:
+            if plane == "compute_tasks":
                 sys4.compute_tasks(queries, tasks, k)
+            else:
+                sys4.run_batch({0: tasks}, queries, k=k)
+        assert state() == before
 
     def test_timing_max_semantics(self, sys4, rng):
         """Batch time equals the busiest DPU's cycles / frequency."""
@@ -229,7 +249,7 @@ class TestLcKernelPath:
 
         full = SquareLut.for_bit_width(8, levels=3)
         queries = rng.integers(0, 255, size=(9, 32)).astype(np.uint8)
-        centroids = sys4._centroids()
+        centroids = np.stack([sys4.get_shard(f"s{c}").centroid for c in range(4)])
         qrows = np.array([0, 3, 3, 8, 1, 2, 5, 0, 7, 6, 4], dtype=np.int64)
         crows = np.array([1, 1, 2, 2, 2, 0, 0, 0, 3, 3, 1], dtype=np.int64)
         starts = np.array([0, 2, 5, 8, 10, 11])
@@ -238,7 +258,6 @@ class TestLcKernelPath:
             (sys4.shard_location(f"s{crows[a]}"), f"s{crows[a]}", list(qrows[a:b]))
             for a, b in zip(starts[:-1], starts[1:])
         ]
-        assert all(sys4._shard_cent[f"s{c}"] == c for c in range(4))
         m = sys4.codebooks.shape[0]
         none = sys4._group_misses(queries, groups, full)
         assert none == [0] * 5

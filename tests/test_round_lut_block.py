@@ -150,15 +150,14 @@ class TestRoundBlock:
     def test_only_the_pool_builds_luts(self, rng, monkeypatch):
         """Neither the round nor the in-process compute plane calls
         ``build_luts``. The pool's slab makes one call over its task
-        rows, each row against its shard's centroid id (parts and
-        replicas of a cluster share one)."""
+        rows, each row against its shard's own centroid."""
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
         system = _system(rng)
         calls = []
         real = NumpyBackend.build_luts
 
         def spy(self, q, cents, qrows, crows, books):
-            calls.append((qrows.copy(), crows.copy()))
+            calls.append((qrows.copy(), cents[crows]))
             return real(self, q, cents, qrows, crows, books)
 
         # On the class: an instance patch of the process-wide backend
@@ -171,14 +170,14 @@ class TestRoundBlock:
         monkeypatch.undo()
         assert "build_luts" not in vars(resolve_backend())
         assert len(calls) == 1
-        qrows, crows = calls[0]
+        qrows, task_cents = calls[0]
         np.testing.assert_array_equal(qrows, rows)
-        cent_of = {key: system._shard_cent[key] for key in system._shards}
         want = sorted(
-            (q, cent_of[key]) for tasks in ASSIGNMENTS.values() for q, key in tasks
+            (q, system.get_shard(key).centroid.tobytes())
+            for tasks in ASSIGNMENTS.values()
+            for q, key in tasks
         )
-        assert sorted(zip(qrows.tolist(), crows.tolist())) == want
-        assert len(set(cent_of[k] for k in ("a.p0", "a.p1", "a.p0.r1"))) == 1
+        assert sorted(zip(qrows.tolist(), map(bytes, task_cents))) == want
 
     @pytest.mark.parametrize("pool", [False, True])
     @pytest.mark.parametrize("budget", [1, 3 * M * CB * 8, 5 * M * CB * 8])
@@ -194,7 +193,8 @@ class TestRoundBlock:
         real = system._pool_slab if pool else system._scan_slab
         monkeypatch.setattr(
             system, "_pool_slab" if pool else "_scan_slab",
-            lambda q, qrows, *a: slabs.append(qrows.copy()) or real(q, qrows, *a),
+            lambda q, cents, qrows, *a: slabs.append(qrows.copy())
+            or real(q, cents, qrows, *a),
         )
         monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", budget)
         block, timing = _run(system, queries, 5, pool)
