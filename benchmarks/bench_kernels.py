@@ -13,8 +13,11 @@ through the full square LUT), the stacked scan must clear
 ``MIN_SCAN_SPEEDUP`` (3x), and the LUT build must clear
 ``MIN_LUT_SPEEDUP`` (3x) over the staged square-LUT path at the
 lut-heavy round shape (200 task rows over 25 queries and 35 centroids,
-M 32, CB 128, dsub 4, one pair-form ``build_luts`` call). Writes a
-machine-readable ``BENCH_kernels.json`` artifact.
+M 32, CB 128, dsub 4, one pair-form ``build_luts`` call). The encoder
+runs at the add shape (200 residuals, M 32, CB 128, dsub 4): its codes
+must equal the staged int64 LUT's first-minimum argmin, and its time is
+recorded with no floor. Writes a machine-readable
+``BENCH_kernels.json`` artifact.
 """
 
 

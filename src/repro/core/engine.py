@@ -301,27 +301,25 @@ class DrimAnnEngine:
 
         ``clusters`` limits the resync to those clusters' shards (the
         ones a mutation touched); every other shard keeps its filter
-        and its cached live rows. ``None`` resyncs every shard.
+        and its resident scan operands. ``None`` resyncs every shard.
+        Each cluster part's live rows come once from its slice of the
+        tombstone mask, and every replica of the part gets the same
+        array.
         """
         masks = self.quantized.tombstone_masks()
-        if clusters is None:
-            keys = list(self.plan.shards)
-        else:
-            groups = self.plan.replica_groups
-            keys = [
-                key
-                for cid in clusters.tolist()
-                for group in groups[cid]
-                for key in group
-            ]
-        for key in keys:
-            shard = self.plan.shards[key]
-            live = None
-            if masks is not None:
-                dead = np.asarray(masks[shard.cluster_id])[shard.point_rows]
-                if dead.any():
-                    live = np.flatnonzero(~dead)
-            self.system.set_shard_liveness(key, live)
+        groups = self.plan.replica_groups
+        cids = groups if clusters is None else clusters.tolist()
+        for cid in cids:
+            replicas = groups[cid]
+            for part, key in enumerate(replicas[0]):
+                live = None
+                if masks is not None:
+                    rows = _rows_slice(self.plan.shards[key].point_rows)
+                    dead = masks[cid][rows]
+                    if dead.any():
+                        live = np.flatnonzero(~dead)
+                for group in replicas:
+                    self.system.set_shard_liveness(group[part], live)
 
     def add(
         self, vectors: np.ndarray, ids: Optional[np.ndarray] = None
@@ -344,8 +342,10 @@ class DrimAnnEngine:
         operand range (``[0, 255]`` for the uint8 pipeline); nothing is
         appended then. ``ids`` are checked the same way and must be 1-D
         and non-negative (``-1`` pads results); strings and bools raise
-        ``TypeError``. Only the touched clusters' shards have their
-        live-row filters resynced.
+        ``TypeError``. Each grown shard is told of the append
+        (:meth:`~repro.pim.system.PimSystem.append_shard`), so its
+        live-row filter and resident scan operands are extended, not
+        rebuilt.
         """
         self._check_loaded()
         vectors = check_2d(vectors, "vectors")
@@ -376,7 +376,10 @@ class DrimAnnEngine:
                 rows = shard.point_rows
                 start = int(rows[0]) if len(rows) else n_old
                 shard.point_rows = np.arange(start, n_new, dtype=np.int64)
-                self.system.update_shard(
+                # Rows are only appended: the system keeps the shard's
+                # resident scan operands and live-row filter, and adds
+                # the new rows to both.
+                self.system.append_shard(
                     key,
                     quantized.cluster_ids[cid][start:n_new],
                     quantized.cluster_codes[cid][start:n_new],
@@ -386,9 +389,6 @@ class DrimAnnEngine:
             "shards", added_bytes
         )
         self.report.mram_used_per_dpu = self.system.mram_usage()
-        if quantized.tombstone_masks() is not None:
-            # The grown shards' filters index their old row ranges.
-            self._sync_liveness(touched)
         # Keep cached reconstruction radii an upper bound: max-update
         # the touched clusters from the appended rows only (a radius can
         # only grow on append; delete() keeps it valid conservatively).

@@ -32,7 +32,7 @@ from repro.ann.ivfpq import IVFPQIndex, SearchResult
 from repro.utils import check_2d, check_operands, topk_canonical
 
 if TYPE_CHECKING:
-    from repro.pim.backend.numpy_backend import CodebookTerms
+    from repro.pim.backend.numpy_backend import CodebookTerms, ProductTable
 
 # Codebook entries are residual-scale; they are clipped to this bound at
 # quantization time so that (residual - codebook) stays within the
@@ -121,6 +121,14 @@ class QuantizedIndexData:
     def centroids_i64(self) -> np.ndarray:
         """The centroids as int64, the CL operand."""
         return self.centroids.astype(np.int64)
+
+    @functools.cached_property
+    def centroid_products(self) -> "ProductTable":
+        """The centroids' exact-product operands (int64 rows, float64
+        transpose, ``max|c|``) for CL."""
+        from repro.pim.backend.numpy_backend import ProductTable
+
+        return ProductTable(self.centroids_i64)
 
     @functools.cached_property
     def centroid_norms_sq(self) -> np.ndarray:
@@ -219,19 +227,26 @@ class QuantizedIndexData:
         """Assign and PQ-encode raw uint8 vectors with the trained index.
 
         The paper's CL → RC → LC pipeline plus an argmin: assignment is
-        :meth:`locate` with nprobe=1 (int64 distances, canonical
-        lowest-index tie-break), and each point's ``(M, CB)`` LUT comes from the host kernels' exact
-        pair-form ``build_luts`` (the point against its assigned
-        centroid) — bit-identical to :meth:`build_luts`, so the
-        first-minimum argmin picks the same codes as the int64
-        reference. LUTs are built in row slabs of at most
+        :meth:`locate` with nprobe=1 (exact int64 distances, canonical
+        lowest-index tie-break), and each point's codes are, per
+        subspace, the first-minimum argmin of ``||b||^2 - 2 r.b`` over
+        the codewords ``b`` for its residual ``r = x - c`` to its
+        assigned centroid (the host kernels'
+        :meth:`~repro.pim.backend.NumpyBackend.pq_encode`: one float64
+        ``matmul`` against the cached codebook transpose
+        ``CodebookTerms.code_t`` while that is exact, else the int64
+        LUT). That differs from the LUT
+        ``||r - b||^2`` of :meth:`build_luts` only by the per-(row,
+        subspace) constant ``||r_m||^2``, so ties and codes equal the
+        int64 reference's. Slabs hold at most
         :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES`, so
-        large batches never hold an ``(n, M, CB)`` table. Returns ``(assign, codes)`` — ``(n,)`` cluster ids
-        and ``(n, M)`` codes in the index's code dtype.
+        large batches never hold an ``(n, M, CB)`` table. Returns
+        ``(assign, codes)`` — ``(n,)`` cluster ids and ``(n, M)`` codes
+        in the index's code dtype.
         """
         # Function-local: repro.pim imports this module (via faults
         # and core.persist), so a module-level import is circular.
-        from repro.pim.backend import numpy_backend, resolve_backend
+        from repro.pim.backend import resolve_backend
 
         vectors = check_2d(vectors, "vectors")
         if vectors.dtype != np.uint8:
@@ -249,20 +264,9 @@ class QuantizedIndexData:
                 np.empty((0, m), dtype=code_dtype),
             )
         assign = self.locate(vectors, 1)[:, 0]
-        codes = np.empty((n, m), dtype=code_dtype)
-        backend = resolve_backend()
-        step = max(1, numpy_backend.LUT_CHUNK_BYTES // (m * cb * 8))
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            luts = backend.build_luts(
-                vectors[lo:hi],
-                self.centroids,
-                np.arange(hi - lo),
-                assign[lo:hi],
-                self.codebook_terms,
-            )
-            codes[lo:hi] = luts.argmin(axis=2)
-        return assign, codes
+        residuals = vectors.astype(np.int16) - self.centroids[assign]
+        codes = resolve_backend().pq_encode(residuals, self.codebook_terms)
+        return assign, codes.astype(code_dtype)
 
     def add(
         self, vectors: np.ndarray, ids: Optional[np.ndarray] = None
@@ -419,13 +423,16 @@ class QuantizedIndexData:
         cluster ids plus the matching int64 squared centroid distances
         — the statistics the adaptive probing path (budgets and
         distance bounds, see :mod:`repro.core.adaptive`) is driven by.
+        The ``q.c`` products are one float64 ``matmul`` against the
+        cached centroid transpose while ``dim * max|q| * max|c| <
+        2**53`` (exact, see :attr:`centroid_products`), else int64.
         """
         queries = check_2d(queries, "queries")
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in [1, {self.nlist}], got {nprobe}")
         q = queries.astype(np.int64)
         qq = np.einsum("ij,ij->i", q, q)[:, None]
-        d = qq + self.centroid_norms_sq - 2 * (q @ self.centroids_i64.T)
+        d = qq + self.centroid_norms_sq - 2 * self.centroid_products.products(q)
         idx, dists = topk_smallest(d, nprobe, axis=1)
         return idx.astype(np.int64), dists
 

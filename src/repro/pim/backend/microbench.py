@@ -14,7 +14,10 @@ runs, the term-table scan (``query_terms`` rows scanned by
 ``scan_into``, plus ``point_terms`` and ``||q - c||^2``), against the
 staged LUT scan at the LUT shape. The stacked scan's jobs are
 query-major and the term-table scan is row-major
-(:func:`~repro.pim.backend.numpy_backend.scan_layout`).
+(:func:`~repro.pim.backend.numpy_backend.scan_layout`). The encoder
+(``pq_encode``, ``add()``'s codes) runs at the add shape and must pick
+the staged int64 LUT's first-minimum codes; its time is recorded with
+no floor.
 
 Timing here never flows into engine results — the record is pure
 observability, which is why the wall-clock reads are fine in this
@@ -55,6 +58,10 @@ LUT_SHAPE = {
     "points": 256,
 }
 
+#: Encode shape: one ``add()`` batch of the mutate-persist cell, 200
+#: residuals against M=32, CB=128, dsub=4 codebooks.
+ENCODE_SHAPE = {"vectors": 200, "m": 32, "cb": 128, "dsub": 4}
+
 #: The CI gate: the stacked scan must beat the staged reference by at
 #: least this factor at bit-identical output.
 MIN_SCAN_SPEEDUP = 3.0
@@ -86,7 +93,8 @@ def run_microbench(
     The record's ``gate_ok`` is True when the kernels' output is
     bit-identical to the staged reference (a mismatch fails the gate
     outright; the term-table scan must equal the staged scan of the
-    staged LUTs), the stacked scan clears :data:`MIN_SCAN_SPEEDUP` and
+    staged LUTs, and the encoder's codes the staged LUTs' argmin), the
+    stacked scan clears :data:`MIN_SCAN_SPEEDUP` and
     the LUT build clears :data:`MIN_LUT_SPEEDUP`, and the two timed
     scans still take both gather layouts (``layouts``).
     """
@@ -115,6 +123,14 @@ def run_microbench(
     squares = SquareLut.for_bit_width(8, levels=3)
     lut_codes = rng.integers(0, lh["cb"], size=(lh["points"], lh["m"]))
 
+    eh = ENCODE_SHAPE
+    enc_books = rng.integers(
+        -510, 511, size=(eh["m"], eh["cb"], eh["dsub"])
+    ).astype(np.int16)
+    enc_residuals = rng.integers(
+        -255, 256, size=(eh["vectors"], eh["m"] * eh["dsub"])
+    ).astype(np.int16)
+
     ref_scan = scan_distances_stacked(luts, codes)
     t_ref_scan = _best_seconds(
         lambda: scan_distances_stacked(luts, codes), repeats
@@ -124,8 +140,15 @@ def run_microbench(
         lambda: run_lut_build(residuals, codebooks, squares), repeats
     )
 
+    ref_codes = run_lut_build(enc_residuals, enc_books, squares)[0].argmin(axis=2)
+    t_ref_encode = _best_seconds(
+        lambda: run_lut_build(enc_residuals, enc_books, squares)[0].argmin(axis=2),
+        repeats,
+    )
+
     backend = resolve_backend()
     terms = CodebookTerms(codebooks)
+    enc_terms = CodebookTerms(enc_books)
 
     def stacked_scan() -> np.ndarray:
         gather = _gather_view(luts)
@@ -155,6 +178,7 @@ def run_microbench(
         and got_luts.dtype == np.int32
         and np.array_equal(got_luts, ref_luts)
         and np.array_equal(term_scan(), ref_terms)
+        and np.array_equal(backend.pq_encode(enc_residuals, enc_terms), ref_codes)
     )
     layouts = {
         "scan": scan_layout(*luts.shape[1:], sh["n"], _gather_view(luts).itemsize),
@@ -169,23 +193,29 @@ def run_microbench(
         repeats,
     )
     t_terms = _best_seconds(term_scan, repeats)
+    t_encode = _best_seconds(
+        lambda: backend.pq_encode(enc_residuals, enc_terms), repeats
+    )
     scan_speedup = t_ref_scan / t_scan if t_scan > 0 else 0.0
     lut_speedup = t_ref_luts / t_luts if t_luts > 0 else 0.0
     return {
         "scan_shape": dict(sh),
         "lut_shape": dict(lh),
+        "encode_shape": dict(eh),
         "repeats": repeats,
         "min_scan_speedup": MIN_SCAN_SPEEDUP,
         "min_lut_speedup": MIN_LUT_SPEEDUP,
         "reference": {
             "scan_seconds": t_ref_scan,
             "lut_seconds": t_ref_luts,
+            "encode_seconds": t_ref_encode,
         },
         "scan_seconds": t_scan,
         "scan_speedup": scan_speedup,
         "lut_seconds": t_luts,
         "lut_speedup": lut_speedup,
         "term_scan_seconds": t_terms,
+        "encode_seconds": t_encode,
         "bit_identical": bit_identical,
         "layouts": layouts,
         "gate_ok": bool(
@@ -201,6 +231,7 @@ def format_record(record: Dict[str, Any]) -> str:
     """Human-readable table of a :func:`run_microbench` record."""
     sh = record["scan_shape"]
     lh = record["lut_shape"]
+    eh = record["encode_shape"]
     lines = [
         (
             f"stacked scan J={sh['jobs']} g={sh['g']} n={sh['n']} "
@@ -226,11 +257,18 @@ def format_record(record: Dict[str, Any]) -> str:
             f"bit_identical={record['bit_identical']}: "
             f"{'OK' if record['gate_ok'] else 'FAIL'}"
         ),
+        (
+            f"  encode n={eh['vectors']} M={eh['m']} CB={eh['cb']} "
+            f"dsub={eh['dsub']}: {record['encode_seconds'] * 1e3:.2f} ms, "
+            f"staged LUT argmin "
+            f"{record['reference']['encode_seconds'] * 1e3:.2f} ms (no floor)"
+        ),
     ]
     return "\n".join(lines)
 
 
 __all__ = [
+    "ENCODE_SHAPE",
     "LUT_SHAPE",
     "MIN_LUT_SPEEDUP",
     "MIN_SCAN_SPEEDUP",

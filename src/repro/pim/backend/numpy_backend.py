@@ -64,7 +64,8 @@ the scans' gather dtype: int32 when ``M`` times that bound fits int32
 tables are cast once and the pairs assembled in int32), else int64.
 Assembly and the fallback run in row slabs of at most
 :data:`LUT_CHUNK_BYTES` of transient data. The codebook operands (int64
-and transposed float64 books, ``||b||^2``, ``max|b|``) come as one
+and transposed float64 books, ``||b||^2``, the encoder's table,
+``max|b|``) come as one
 :class:`CodebookTerms`, built once by whoever owns the codebooks
 (``PimSystem.codebook_terms``, ``QuantizedIndexData.codebook_terms``),
 so the backend itself holds no state.
@@ -74,7 +75,15 @@ the search's compute plane: :meth:`NumpyBackend.query_terms` (per
 query, scanned at a point's codes) and :meth:`NumpyBackend.point_terms`
 (per point, once per shard); the caller adds ``||q - c||^2``. The
 search's round path no longer calls :meth:`NumpyBackend.build_luts`;
-the encoder and the worker pool still do.
+the worker pool still does.
+
+**Encode** (:meth:`NumpyBackend.pq_encode`) drops the per-row constant
+``||r||^2`` from the LUT: a residual's codes are the first-minimum
+argmin of ``||b||^2 - 2 r.b``, one float64 ``matmul`` per slab against
+:attr:`CodebookTerms.code_t` under the same exactness guard, else the
+int64 LUT's argmin. **CL products** (:class:`ProductTable`) are one
+float64 ``matmul`` against a cached float64 transpose while ``D *
+max|x| * max|row| < 2**53``, else int64.
 
 Every variant computes the identical integer values, so the outputs
 are bit-identical to the reference kernels — property-tested in
@@ -203,12 +212,15 @@ class CodebookTerms:
     ``books`` is the int64 table, ``books_t`` the ``(M, dsub, CB)``
     float64 transpose, ``norms_sq`` the ``(M, CB)`` int64
     ``||b_mc||^2`` (``norms_f64`` its exact float64 copy, which the
-    float path adds without a per-call cast) and ``max_abs`` the
-    largest ``|b|``, which the exactness check needs. Tables are replaced, never edited in place,
-    so the terms never go stale.
+    float path adds without a per-call cast), ``code_t`` the ``(M, dsub
+    + 1, CB)`` float64 ``-2 * books_t`` over a row of ``norms_f64``
+    (so ``[r, 1] @ code_t`` is ``||b||^2 - 2 r.b``, the encoder's
+    term), and ``max_abs`` the largest ``|b|``, which the exactness
+    check needs. Tables are replaced, never edited in place, so the
+    terms never go stale.
     """
 
-    __slots__ = ("books", "books_t", "norms_sq", "norms_f64", "max_abs")
+    __slots__ = ("books", "books_t", "norms_sq", "norms_f64", "code_t", "max_abs")
 
     def __init__(self, codebooks: np.ndarray) -> None:
         codebooks = np.asarray(codebooks)
@@ -222,7 +234,41 @@ class CodebookTerms:
         )
         self.norms_sq = np.einsum("mcd,mcd->mc", self.books, self.books)
         self.norms_f64 = self.norms_sq.astype(np.float64)
+        self.code_t = np.concatenate(
+            [-2.0 * self.books_t, self.norms_f64[:, None, :]], axis=1
+        )
         self.max_abs = _max_abs(self.books)
+
+
+class ProductTable:
+    """An ``(n, D)`` integer row table (the centroids) with the derived
+    operands of exact products against it, built once by its owner.
+
+    ``rows`` is the int64 table, ``rows_t`` its ``(D, n)`` float64
+    transpose and ``max_abs`` its largest ``|entry|``. Tables are
+    replaced, never edited in place.
+    """
+
+    __slots__ = ("rows", "rows_t", "max_abs")
+
+    def __init__(self, table: np.ndarray) -> None:
+        table = np.asarray(table)
+        if table.ndim != 2:
+            raise ValueError(f"table must be (n, D), got {table.shape}")
+        self.rows = table.astype(np.int64, copy=False)
+        self.rows_t = np.ascontiguousarray(self.rows.T, dtype=np.float64)
+        self.max_abs = _max_abs(self.rows)
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """``(q, D)`` integer rows -> ``(q, n)`` int64 ``x @ rows.T``.
+
+        One float64 ``matmul`` while ``D * max|x| * max|row|`` is below
+        ``2**53``: every product and partial sum is then an integer
+        float64 holds exactly, in any summation order. Wider operands
+        take the int64 product."""
+        if x.shape[1] * _max_abs(x) * self.max_abs < EXACT_FLOAT_LIMIT:
+            return np.matmul(x.astype(np.float64), self.rows_t).astype(np.int64)
+        return x.astype(np.int64) @ self.rows.T
 
 
 def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) -> bool:
@@ -256,6 +302,28 @@ def _build_luts_int64(
         r = residuals[s0 : s0 + step].astype(np.int64)
         diff = r.reshape(len(r), m, 1, dsub) - books
         out[s0 : s0 + step] = np.einsum("gmcd,gmcd->gmc", diff, diff)
+
+
+def _encode_slab(
+    residuals: np.ndarray, terms: CodebookTerms, exact: bool, out: np.ndarray
+) -> None:
+    """One slab's PQ codes into ``out`` (``(rows, M)``): per subspace the
+    first-minimum ``argmin`` over codewords of ``||b||^2 - 2 r.b``, one
+    batched float64 ``matmul`` of ``[r, 1]`` against ``terms.code_t``
+    (``exact``: every entry and partial sum is an integer float64
+    holds), else of the int64 LUT. Both differ from the LUT ``||r -
+    b||^2`` by the per-(row, subspace) constant ``||r_m||^2``, so ties
+    and codes are the LUT argmin's."""
+    m, cb, dsub = terms.books.shape
+    if exact:
+        x = np.empty((m, len(residuals), dsub + 1))
+        x[:, :, :dsub] = residuals.reshape(len(residuals), m, dsub).transpose(1, 0, 2)
+        x[:, :, dsub] = 1.0
+        out[...] = np.matmul(x, terms.code_t).argmin(axis=2).T  # (M, rows, CB)
+    else:
+        luts = np.empty((len(residuals), m, cb), dtype=np.int64)
+        _build_luts_int64(residuals, terms, luts)
+        out[...] = luts.argmin(axis=2)
 
 
 def _term_table(
@@ -348,19 +416,45 @@ class NumpyBackend:
         dtype = np.int32 if bound <= _I32_MAX else np.int64
         return _term_table(queries, terms, -2, dtype, norms=True)
 
+    def centroid_terms(self, centroid: np.ndarray, terms: CodebookTerms) -> np.ndarray:
+        """The ``(1, M, CB)`` int64 table ``2 c.b`` of a ``(D,)`` int
+        centroid ``c``, checked like :meth:`query_terms`'s queries; a
+        scan of it at a point's offsets is the point's term."""
+        m, _, dsub = terms.books.shape
+        centroid = _check_operand(centroid, m * dsub, "centroid", ndim=1)
+        return _term_table(centroid[None], terms, 2, np.int64, norms=False)
+
     def point_terms(
         self, centroid: np.ndarray, off: np.ndarray, terms: CodebookTerms
     ) -> np.ndarray:
         """``(n,)`` int64 terms ``sum_m 2 c.b[m, code_m]`` of the points
         with ``(M, n)`` offsets (:func:`gather_offsets`) in a shard with
-        ``(D,)`` int centroid ``c``, checked like :meth:`query_terms`'s
-        queries."""
-        m, _, dsub = terms.books.shape
-        centroid = _check_operand(centroid, m * dsub, "centroid", ndim=1)
-        table = _term_table(centroid[None], terms, 2, np.int64, norms=False)
+        ``(D,)`` int centroid ``c``: a scan of :meth:`centroid_terms`."""
         out = np.empty((1, off.shape[1]), dtype=np.int64)
-        _scan_rows(table, off, out)
+        _scan_rows(self.centroid_terms(centroid, terms), off, out)
         return out[0]
+
+    def pq_encode(self, residuals: np.ndarray, terms: CodebookTerms) -> np.ndarray:
+        """``(n, D)`` int residuals -> ``(n, M)`` intp PQ codes, per
+        subspace the first-minimum ``argmin`` of the residual's LUT
+        against the codebook ``terms`` (the lowest codeword index wins a
+        tie), bit-identical to ``build_luts(...).argmin(axis=2)``.
+
+        While :func:`expansion_is_exact` holds, each slab is one float64
+        ``matmul`` of ``[r, 1]`` against :attr:`CodebookTerms.code_t` and
+        an argmin of ``||b||^2 - 2 r.b``, else an argmin of the int64
+        LUT; slabs hold
+        at most :data:`LUT_CHUNK_BYTES` of ``(M, rows, CB)`` table. A
+        wrong width raises :class:`ValueError`, non-integer residuals
+        :class:`TypeError`."""
+        m, cb, dsub = terms.books.shape
+        residuals = _check_operand(residuals, m * dsub, "residuals")
+        out = np.empty((len(residuals), m), dtype=np.intp)
+        exact = expansion_is_exact(_max_abs(residuals), terms.max_abs, dsub)
+        step = slab_rows(m * cb * 8)
+        for s0 in range(0, len(out), step):
+            _encode_slab(residuals[s0 : s0 + step], terms, exact, out[s0 : s0 + step])
+        return out
 
     def build_luts(
         self,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -90,6 +90,20 @@ class ShardData:
     # Shards sharing a data key hold identical rows and liveness (the
     # replicas of one cluster part); None: the shard's own key.
     data_key: Optional[object] = None
+
+
+class ScanOperands(NamedTuple):
+    """A data shard's resident scan operands over its live rows."""
+
+    off: np.ndarray  # (M, n) intp gather offsets
+    ids: np.ndarray  # (n,) int64 point ids
+    pts: np.ndarray  # (n,) int64 point terms
+    # Stored rows covered: the operands hold the live rows among the
+    # first `rows`; later (appended) rows join at the next scan.
+    rows: int
+    # The (1, M, CB) int64 2c.b table of the shard's centroid, kept
+    # once a shard has grown (None before).
+    cterm: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -153,17 +167,17 @@ class PimSystem:
         # The host kernels the compute plane runs on.
         self.backend = resolve_backend()
         self._residency_dirty = True
-        # Tombstone liveness: shard key → live row indices (None / absent
-        # means every stored row is live). Stored rows keep streaming
-        # through DC — only the candidate set shrinks — so the arena
-        # residency stays valid across deletions; the live filter ships
-        # per round instead.
+        # Tombstone liveness: shard key → ascending live row indices
+        # (None / absent means every stored row is live). Stored rows
+        # keep streaming through DC — only the candidate set shrinks —
+        # so the arena residency stays valid across deletions; the live
+        # filter ships per round instead.
         self._live_rows: Dict[str, Optional[np.ndarray]] = {}
-        # Resident scan operands: shard key → ((M, n) intp gather
-        # offsets, (n,) ids, (n,) point terms) over the live rows,
-        # built and range-checked on a shard's first scan, dropped when
-        # its rows or liveness change (see _scan_operands).
-        self._live_cache: Dict[str, Tuple[np.ndarray, ...]] = {}
+        # Resident scan operands of each data shard's canonical key,
+        # over its live rows: built and range-checked on the first scan,
+        # extended by appended rows at the next scan and compressed by
+        # deletions (see _scan_operands).
+        self._live_cache: Dict[str, ScanOperands] = {}
         self.codebooks: Optional[np.ndarray] = None
         # The codebooks' derived operands, built once per load_codebooks.
         self.codebook_terms: Optional[CodebookTerms] = None
@@ -279,14 +293,9 @@ class PimSystem:
         # residency; it is re-hosted on the next pool round.
         self._residency_dirty = True
 
-    def update_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
-        """Replace an already-placed shard's rows (the add() grow path).
-
-        Re-stores the MRAM objects (budget-checked), mutates the shard
-        record in place so every holder of the :class:`ShardData` sees
-        the new rows, and invalidates pool residency and the shard's
-        resident scan operands.
-        """
+    def _store_rows(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Re-store a placed shard's rows in MRAM (budget-checked) and on
+        its record, which every holder of the :class:`ShardData` sees."""
         if shard_key not in self._shards:
             raise KeyError(f"shard {shard_key!r} not placed")
         if len(ids) != len(codes):
@@ -299,25 +308,80 @@ class PimSystem:
         dpu.mram.store(f"ids:{shard_key}", ids)
         shard.ids = ids
         shard.codes = codes
-        self._live_cache.pop(shard_key, None)
         self._residency_dirty = True
+
+    def update_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Replace an already-placed shard's rows with a new code block.
+
+        Re-stores the MRAM objects (budget-checked), mutates the shard
+        record in place, and invalidates pool residency and the shard's
+        resident scan operands: the next scan rebuilds them from the
+        new codes, range-checking every one. A grown shard whose old
+        rows are unchanged takes :meth:`append_shard` instead.
+        """
+        self._store_rows(shard_key, ids, codes)
+        self._live_cache.pop(shard_key, None)
+
+    def append_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Grow a placed shard by appended rows (the ``add()`` path).
+
+        ``ids`` and ``codes`` are the shard's whole new rows; the caller
+        guarantees that their first ``len(old rows)`` rows are the old
+        ones, unchanged. Stores them like :meth:`update_shard`, but the
+        appended rows are live (a live-row filter grows by their
+        indices), and resident scan operands stay: the next scan builds
+        and range-checks offsets and point terms for the appended rows
+        only.
+        """
+        if shard_key not in self._shards:
+            raise KeyError(f"shard {shard_key!r} not placed")
+        n_old = len(self._shards[shard_key][1].ids)
+        if len(ids) < n_old:
+            raise ValueError(
+                f"append_shard cannot shrink {shard_key!r}: {len(ids)} < {n_old} rows"
+            )
+        self._store_rows(shard_key, ids, codes)
+        live = self._live_rows.get(shard_key)
+        if live is not None and len(ids) > n_old:
+            self._live_rows[shard_key] = np.concatenate(
+                [live, np.arange(n_old, len(ids), dtype=np.intp)]
+            )
 
     def set_shard_liveness(
         self, shard_key: str, live_rows: Optional[np.ndarray]
     ) -> None:
         """Install (or clear, with ``None``) a shard's live-row filter.
 
-        ``live_rows`` are indices into the shard's stored rows that
-        survive tombstoning. The scan path drops the other rows before
-        top-k; DC still streams every stored row and is charged for it.
+        ``live_rows`` are the ascending indices into the shard's stored
+        rows that survive tombstoning; replicas may share one array. The
+        scan path drops the other rows before top-k; DC still streams
+        every stored row and is charged for it. Resident scan operands
+        are compressed to the surviving positions when every row the
+        new filter keeps was live before (a deletion), and dropped
+        otherwise.
         """
         if shard_key not in self._shards:
             raise KeyError(f"shard {shard_key!r} not placed")
+        old = self._live_rows.get(shard_key)
         if live_rows is None:
             self._live_rows.pop(shard_key, None)
         else:
-            self._live_rows[shard_key] = np.asarray(live_rows, dtype=np.intp)
-        self._live_cache.pop(shard_key, None)
+            live_rows = np.asarray(live_rows, dtype=np.intp)
+            self._live_rows[shard_key] = live_rows
+        ops = self._live_cache.get(shard_key)
+        if ops is None or (old is None and live_rows is None):
+            return
+        kept = _surviving(ops.rows, old, live_rows)
+        if kept is None:
+            del self._live_cache[shard_key]
+        elif len(kept) < len(ops.ids):
+            self._live_cache[shard_key] = ScanOperands(
+                ops.off.take(kept, axis=1),
+                ops.ids.take(kept),
+                ops.pts.take(kept),
+                ops.rows,
+                ops.cterm,
+            )
 
     def _live_arrays(
         self, shard_key: str, shard: ShardData
@@ -328,29 +392,55 @@ class PimSystem:
             return shard.codes, shard.ids
         return shard.codes[live], shard.ids[live]
 
-    def _scan_operands(
-        self, shard_key: str, shard: ShardData
-    ) -> Tuple[np.ndarray, ...]:
-        """A shard's resident ``(offsets (M, n), ids (n,), point terms
-        (n,))`` over its live rows.
+    def _scan_operands(self, shard_key: str, shard: ShardData) -> ScanOperands:
+        """A data shard's resident :class:`ScanOperands` over its live
+        rows: ``(M, n)`` intp offsets, ``(n,)`` ids and ``(n,)`` int64
+        point terms (:meth:`~repro.pim.backend.NumpyBackend.point_terms`).
 
-        Built once, like the codes' MRAM layout: the first scan of a
-        shard range-checks its codes (``IndexError`` for a code outside
-        ``[0, CB)``, before any offset reaches the gather) and keeps the
-        offsets and the int64 point terms
-        (:meth:`~repro.pim.backend.NumpyBackend.point_terms`), at ``8 *
-        M + 8`` bytes per live row, until :meth:`update_shard`,
-        :meth:`set_shard_liveness` or :meth:`load_codebooks` drops them.
+        Built once, like the codes' MRAM layout, and kept up to date:
+        the first scan range-checks the shard's codes (``IndexError``
+        for a code outside ``[0, CB)``, before any offset reaches the
+        gather) and builds them; the first scan after
+        :meth:`append_shard` builds and range-checks the appended live
+        rows' only, their point terms from the shard's kept ``2c.b``
+        table, and appends them; :meth:`set_shard_liveness` compresses
+        them to the surviving rows. :meth:`update_shard` and
+        :meth:`load_codebooks` drop them. They cost ``8 * M + 8`` bytes
+        per live row, plus 8 for the ids once a filter or an append has
+        copied them (an all-live shard's are a view of its own), and
+        ``8 * M * CB`` per grown data shard for its ``2c.b`` table.
         """
         ops = self._live_cache.get(shard_key)
+        n = len(shard.ids)
+        if ops is not None and ops.rows == n:
+            return ops
+        start = 0 if ops is None else ops.rows
+        live = self._live_rows.get(shard_key)
+        if live is None:
+            rows = slice(start, n)
+        else:
+            rows = live[np.searchsorted(live, start):]
+        off = gather_offsets(shard.codes[rows], self.codebooks.shape[1])
+        ids = shard.ids[rows]
         if ops is None:
-            codes, ids = self._live_arrays(shard_key, shard)
-            off = gather_offsets(codes, self.codebooks.shape[1])
-            pts = self.backend.point_terms(
-                shard.centroid, off, self.codebook_terms
+            pts = self.backend.point_terms(shard.centroid, off, self.codebook_terms)
+            ops = ScanOperands(off, ids, pts, n)
+        elif not len(ids):
+            ops = ops._replace(rows=n)
+        else:
+            cterm = ops.cterm
+            if cterm is None:
+                cterm = self.backend.centroid_terms(shard.centroid, self.codebook_terms)
+            pts = np.empty((1, off.shape[1]), dtype=np.int64)
+            self.backend.scan_into(cterm, off, pts)
+            ops = ScanOperands(
+                np.concatenate([ops.off, off], axis=1),
+                np.concatenate([ops.ids, ids]),
+                np.concatenate([ops.pts, pts[0]]),
+                n,
+                cterm,
             )
-            ops = (off, ids, pts)
-            self._live_cache[shard_key] = ops
+        self._live_cache[shard_key] = ops
         return ops
 
     def _live_count(self, shard_key: str, shard: ShardData) -> int:
@@ -687,7 +777,8 @@ class PimSystem:
         rounds ran (``BatchTiming.tasks``).
 
         ``queries`` and ``k`` are checked like :meth:`run_batch`'s; a task
-        naming an unplaced shard raises ``ValueError`` naming ``tasks``. Returns
+        naming a query outside ``[0, len(queries))`` or an unplaced shard
+        raises ``ValueError`` naming ``tasks``. Returns
         ``(rows, ids, distances)``, a row per task sorted by data shard,
         then query: ``(T,)`` query indices and ``(T, k)`` top-k by
         ``(distance, id)``, padded with ``-1`` / ``inf`` (exact int64
@@ -713,7 +804,10 @@ class PimSystem:
             return np.empty(0, np.int64), np.empty((0, k), np.int64), np.empty((0, k))
         qrows = np.fromiter((q for q, _ in tasks), dtype=np.int64, count=t)
         if qrows.min() < 0 or qrows.max() >= len(queries):
-            raise IndexError(f"task query indices must lie in [0, {len(queries)})")
+            bad = qrows[(qrows < 0) | (qrows >= len(queries))][0]
+            raise ValueError(
+                f"tasks name query {bad}, outside [0, {len(queries)})"
+            )
         try:
             drows = np.fromiter(
                 (self._data_id[key] for _, key in tasks), dtype=np.int64, count=t
@@ -799,9 +893,9 @@ class PimSystem:
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
         for key, _, a, b in jobs:
-            off, ids, pts = self._scan_operands(key, self._shards[key][1])
+            ops = self._scan_operands(key, self._shards[key][1])
             scan_jobs.append(
-                (tables[local[a:b]], off.T, ids, k, pts, row_terms[a:b])
+                (tables[local[a:b]], ops.off.T, ops.ids, k, ops.pts, row_terms[a:b])
             )
         return scan_jobs_stacked(scan_jobs, backend=self.backend)
 
@@ -957,6 +1051,29 @@ class PimSystem:
         """Tear down the optional shard-executor worker pool."""
         if self.executor is not None:
             self.executor.close()
+
+
+def _surviving(
+    rows: int, old: Optional[np.ndarray], new: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """Positions, among the live rows below ``rows`` under the ascending
+    filter ``old`` (None: all live), of the rows filter ``new`` keeps;
+    None when ``new`` keeps a row ``old`` did not."""
+    if new is None:
+        kept = np.arange(rows)
+    elif len(new) and new[-1] >= rows:
+        kept = new[: new.searchsorted(rows)]
+    else:
+        kept = new
+    if old is None:
+        return kept
+    was = old[: old.searchsorted(rows)] if len(old) and old[-1] >= rows else old
+    if not len(was):
+        return kept if not len(kept) else None
+    pos = was.searchsorted(kept)
+    if not (was.take(pos, mode="clip") == kept).all():
+        return None
+    return pos
 
 
 def square_misses(

@@ -6,8 +6,9 @@ task's top-k by the canonical ``(distance, id)`` order. So they agree
 bit for bit under forced ties, whatever the padding or job split, and
 the engine's ids equal ``reference_search``'s exactly, ties included.
 
-The scan offsets are resident per shard: built and range-checked on a
-shard's first scan, and dropped by every mutation of its rows.
+The scan operands are resident per data shard: built and range-checked
+on a shard's first scan, extended by appended rows at the next scan,
+compressed by deletions, and dropped when a code block is replaced.
 """
 
 import json
@@ -22,6 +23,7 @@ import repro.core.engine as engine_mod
 import repro.pim.system as system_mod
 from repro.ann import IVFPQIndex
 from repro.core import DrimAnnEngine, EngineConfig, IndexParams, SearchParams
+from repro.core.layout import LayoutConfig
 from repro.core.quantized import build_quantized_index
 from repro.core.scheduler import RuntimeScheduler
 from repro.faults.plan import FaultConfig, FaultPlan
@@ -155,11 +157,12 @@ def tie_index():
     return base, build_quantized_index(index), queries
 
 
-def _tie_engine(tie_index, batch_size=None):
+def _tie_engine(tie_index, batch_size=None, layout=None):
     base, quant, _ = tie_index
     cfg = EngineConfig(
         index=IndexParams(nlist=16, nprobe=4, k=10, num_subspaces=8, codebook_size=16),
         search=SearchParams(batch_size=batch_size),
+        layout=LayoutConfig() if layout is None else layout,
         system=PimSystemConfig(num_dpus=8),
     )
     # A private copy (compact() copies): tests here mutate the index.
@@ -221,22 +224,49 @@ class TestEngineIdsAreCanonical:
 
 class TestResidentOffsets:
     def _assert_cache_consistent(self, system):
+        """Every resident operand record equals a fresh build over the
+        rows it covers: the live ones among its first ``rows`` stored
+        rows (rows appended after it join at the next scan)."""
         cb = system.codebooks.shape[1]
-        assert system._live_cache
         books = system.codebooks.astype(np.int64)
         m = books.shape[0]
-        for key, (off, ids, pts) in system._live_cache.items():
+        for key, ops in system._live_cache.items():
+            # One record per data shard, under its canonical key.
+            assert system._data_keys[system._data_id[key]] == key
             shard = system.get_shard(key)
-            codes, live_ids = system._live_arrays(key, shard)
-            assert off.dtype == np.intp and off.flags.c_contiguous
-            np.testing.assert_array_equal(off, gather_offsets(codes, cb))
-            np.testing.assert_array_equal(ids, live_ids)
+            assert ops.rows <= len(shard.ids)
+            live = system._live_rows.get(key)
+            rows = np.arange(ops.rows) if live is None else live[live < ops.rows]
+            codes, live_ids = shard.codes[rows], shard.ids[rows]
+            assert ops.off.dtype == np.intp and ops.off.flags.c_contiguous
+            np.testing.assert_array_equal(ops.off, gather_offsets(codes, cb))
+            np.testing.assert_array_equal(ops.ids, live_ids)
             # Point terms: sum_m 2 c.b[m, code_m], in exact int64.
             c = shard.centroid.astype(np.int64).reshape(m, 1, -1)
             cterm = 2 * (c * books).sum(-1)
             want = cterm[np.arange(m), codes.astype(np.intp)].sum(-1)
-            assert pts.dtype == np.int64
-            np.testing.assert_array_equal(pts, want)
+            assert ops.pts.dtype == np.int64
+            np.testing.assert_array_equal(ops.pts, want)
+            if ops.cterm is not None:
+                np.testing.assert_array_equal(ops.cterm, cterm[None])
+
+    @staticmethod
+    def _assert_liveness(engine):
+        """Every shard holds its part's rows, replicas alike, and its
+        live-row filter is the part's slice of the tombstone mask."""
+        quant, system = engine.quantized, engine.system
+        masks = quant.tombstone_masks()
+        for key, part in engine.plan.shards.items():
+            cid, rows = part.cluster_id, part.point_rows
+            shard = system.get_shard(key)
+            np.testing.assert_array_equal(shard.ids, quant.cluster_ids[cid][rows])
+            np.testing.assert_array_equal(shard.codes, quant.cluster_codes[cid][rows])
+            dead = np.zeros(len(rows), bool) if masks is None else masks[cid][rows]
+            got = system._live_rows.get(key)
+            if dead.any():
+                np.testing.assert_array_equal(got, np.flatnonzero(~dead))
+            else:
+                assert got is None
 
     def test_out_of_range_code_raises_after_offsets_are_resident(self, tie_index):
         engine = _tie_engine(tie_index)
@@ -275,6 +305,7 @@ class TestResidentOffsets:
                 before = dict(engine.system._live_cache)
                 step()
                 got = engine.search(queries).results
+                assert engine.system._live_cache
                 self._assert_cache_consistent(engine.system)
                 assert any(
                     engine.system._live_cache.get(key) is not pair
@@ -285,6 +316,85 @@ class TestResidentOffsets:
                 np.testing.assert_array_equal(got.distances, ref.distances)
         finally:
             engine.close()
+
+
+    def test_operand_lifecycle_across_mutations(self, tie_index, tmp_path):
+        """A long interleaved add / delete / compact / unload+load
+        sequence on split, replicated shards: after every step the
+        resident operands equal a fresh build and searches equal
+        ``reference_search``. Appends stay pending until a scan, and
+        some steps search only two queries, so deletions also compress
+        part-covered records and tombstone rows still pending."""
+        base, _, queries = tie_index
+        layout = LayoutConfig(min_split_size=80, max_copies=2)
+        state = {"engine": _tie_engine(tie_index, layout=layout)}
+        rng = np.random.default_rng(11)
+        path = str(tmp_path / "index.drim")
+        added = []
+
+        def add(lo, hi):
+            added.append(state["engine"].add(base[lo:hi]))
+
+        def delete(num, recent=0):
+            quant = state["engine"].quantized
+            masks = quant.tombstone_masks()
+            ids = np.concatenate(quant.cluster_ids)
+            if masks is not None:
+                ids = ids[~np.concatenate(masks)]
+            doomed = rng.choice(ids, num, replace=False)
+            if recent:
+                doomed = np.concatenate([doomed, added[-1][:recent]])
+            assert state["engine"].delete(doomed) == len(np.unique(doomed))
+
+        def reload():
+            engine = state["engine"]
+            config = engine._config
+            engine.save(path)
+            engine.unload()
+            state["engine"] = DrimAnnEngine.load(path, config=config)
+
+        steps = [
+            lambda: add(0, 40),
+            lambda: delete(60),
+            lambda: (add(40, 60), add(60, 75)),
+            lambda: (add(75, 100), delete(30, recent=10)),
+            lambda: delete(200),
+            lambda: state["engine"].compact(),
+            lambda: add(100, 130),
+            lambda: (delete(40), add(130, 150), delete(20, recent=5)),
+            reload,
+            lambda: delete(50),
+            lambda: add(150, 190),
+            lambda: (add(190, 200), delete(100)),
+            reload,
+            lambda: (add(200, 230), delete(25, recent=30)),
+            lambda: state["engine"].compact(),
+            lambda: (delete(30), add(230, 260)),
+        ]
+        try:
+            plan = state["engine"].plan
+            assert any(len(g) > 1 for g in plan.replica_groups.values())
+            assert any(len(g[0]) > 1 for g in plan.replica_groups.values())
+            for i, step in enumerate(steps):
+                step()
+                engine = state["engine"]
+                self._assert_liveness(engine)
+                self._assert_cache_consistent(engine.system)
+                q = queries[:2] if i % 2 else queries
+                got = engine.search(q).results
+                assert engine.system._live_cache
+                self._assert_cache_consistent(engine.system)
+                ref = engine.reference_search(q)
+                np.testing.assert_array_equal(got.ids, ref.ids)
+                np.testing.assert_array_equal(got.distances, ref.distances)
+            # Every record, pending appends resolved, is a fresh build.
+            system = state["engine"].system
+            for key in system._data_keys:
+                shard = system.get_shard(key)
+                assert system._scan_operands(key, shard).rows == len(shard.ids)
+            self._assert_cache_consistent(system)
+        finally:
+            state["engine"].close()
 
 
 def _fault_engine(name, fail_at_batch):

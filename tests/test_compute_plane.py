@@ -268,7 +268,7 @@ class TestComputeTasks:
     def test_query_index_out_of_range_raises(self, rng, bad):
         system = _system(rng, 4, 16, 2, 200)
         queries = rng.integers(0, 256, size=(3, 8)).astype(np.uint8)
-        with pytest.raises(IndexError, match="query"):
+        with pytest.raises(ValueError, match=f"tasks name query {bad}"):
             system.compute_tasks(queries, [(0, "a.p0"), (bad, "b")], 4)
 
 

@@ -133,8 +133,16 @@ class TestDerivedTables:
         np.testing.assert_array_equal(terms.norms_sq, (books**2).sum(-1))
         assert terms.norms_sq.dtype == np.int64
         np.testing.assert_array_equal(terms.norms_f64, terms.norms_sq)
+        np.testing.assert_array_equal(terms.code_t[:, :-1], -2 * terms.books_t)
+        np.testing.assert_array_equal(terms.code_t[:, -1], terms.norms_f64)
         assert terms.max_abs == int(np.abs(books).max())
         np.testing.assert_array_equal(q.centroids_i64, cents)
+        table = q.centroid_products
+        assert table is q.centroid_products
+        np.testing.assert_array_equal(table.rows, cents)
+        np.testing.assert_array_equal(table.rows_t, cents.T)
+        assert table.rows_t.dtype == np.float64 and table.rows_t.flags.c_contiguous
+        assert table.max_abs == int(cents.max())
         assert q.centroid_norms_sq.dtype == np.int64
         np.testing.assert_array_equal(
             q.centroid_norms_sq, (cents**2).sum(-1)[None, :]
@@ -157,6 +165,24 @@ class TestDerivedTables:
             np.testing.assert_array_equal(got[0], first[0])
             np.testing.assert_array_equal(got[1], first[1])
         np.testing.assert_array_equal(engine._centroid_distances(q, first[0]), first[1])
+
+
+    def test_locate_equals_int64_reference(self, small_quantized):
+        """CL's float64 product equals the int64 ``q @ c.T`` bit for bit,
+        ids and distances, for uint8 queries and any integral dtype."""
+        q = _copy(small_quantized)
+        rng = np.random.default_rng(4)
+        queries = rng.integers(0, 256, size=(37, q.dim)).astype(np.uint8)
+        queries[0] = 255
+        c = q.centroids.astype(np.int64)
+        for qs in (queries, queries.astype(np.int64), queries.astype(np.float64)):
+            x = qs.astype(np.int64)
+            d = (x**2).sum(1)[:, None] + (c**2).sum(1)[None, :] - 2 * (x @ c.T)
+            order = np.lexsort((np.broadcast_to(np.arange(q.nlist), d.shape), d))
+            ids, dists = q.locate_with_distances(qs, 5)
+            assert dists.dtype == np.int64
+            np.testing.assert_array_equal(dists, np.take_along_axis(d, order, 1)[:, :5])
+            np.testing.assert_array_equal(ids, order[:, :5])
 
 
 class TestPickle:

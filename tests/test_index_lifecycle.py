@@ -33,7 +33,7 @@ from repro.core import (
 from repro.core.persist import load_index, save_index
 from repro.core.quantized import QuantizedIndexData
 from repro.faults.disk import CrashPoint, SimulatedCrash
-from repro.pim.backend import NumpyBackend, numpy_backend, resolve_backend
+from repro.pim.backend import numpy_backend
 from repro.pim.config import PimSystemConfig
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
@@ -210,22 +210,19 @@ class TestEncode:
         quant, vectors = _random_quantized(np.random.default_rng(9), 103)
         want = quant.encode(vectors)
         m, cb = quant.num_subspaces, quant.codebook_size
-        # Three LUT rows per slab: 103 rows take 35 slabs.
+        # Three (M, rows, CB) table rows per slab: 103 rows take 35 slabs.
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 3 * m * cb * 8)
         slabs = []
-        build = NumpyBackend.build_luts
+        encode_slab = numpy_backend._encode_slab
 
-        def spy(self, queries, centroids, qrows, crows, codebooks):
-            slabs.append(len(qrows))
-            return build(self, queries, centroids, qrows, crows, codebooks)
+        def spy(residuals, terms, exact, out):
+            assert exact  # the float64 matmul path
+            slabs.append(len(residuals))
+            return encode_slab(residuals, terms, exact, out)
 
-        # On the class: an instance patch of the process-wide backend
-        # would be undone as an instance attribute that shadows every
-        # later class-level patch.
-        monkeypatch.setattr(NumpyBackend, "build_luts", spy)
+        monkeypatch.setattr(numpy_backend, "_encode_slab", spy)
         got = quant.encode(vectors)
         monkeypatch.undo()
-        assert "build_luts" not in vars(resolve_backend())
         assert slabs == [3] * 34 + [1]
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -496,7 +493,8 @@ class TestEngineMutation:
             engine.search(q)
             cache = engine.system._live_cache
             before = dict(cache)
-            target = 5
+            # A cluster whose resident operands the search built.
+            target = min(engine.plan.shards[k].cluster_id for k in before)
             live = ~quant.tombstone_masks()[target]
             assert engine.delete(quant.cluster_ids[target][live][:1]) == 1
             targets = {
@@ -506,7 +504,13 @@ class TestEngineMutation:
             }
             kept = {k for k in before if k not in targets}
             assert kept and all(cache[k] is before[k] for k in kept)
-            assert not targets & set(cache)
+            # The record of the part that held the row is compressed in
+            # place of a rebuild, by exactly that row; the cluster's
+            # other parts keep theirs.
+            hit = targets & set(before)
+            changed = [k for k in hit if cache[k] is not before[k]]
+            assert len(changed) == 1
+            assert len(before[changed[0]].ids) - len(cache[changed[0]].ids) == 1
             _assert_matches_reference(engine, q)
         finally:
             engine.close()

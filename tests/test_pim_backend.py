@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import numpy_backend, resolve_backend
 from repro.pim.backend.numpy_backend import (
+    EXACT_FLOAT_LIMIT,
     CodebookTerms,
     NumpyBackend,
+    ProductTable,
     gather_offsets,
 )
 from repro.pim.kernels import (
@@ -358,6 +360,146 @@ class TestLutBuildKernel:
         assert out.shape == (0, 4, 8) and out.dtype == np.int64
 
 
+def _exact_products(x, rows):
+    """``x @ rows.T`` in Python integers: the oracle past int64 range."""
+    return np.array(
+        [[sum(int(a) * int(b) for a, b in zip(xr, rr)) for rr in rows] for xr in x],
+        dtype=object,
+    )
+
+
+class TestExactProducts:
+    """CL's ``q.c`` products: float64 ``matmul`` inside the ``2**53``
+    guard, int64 past it, bit-identical to the int64 product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        n=st.integers(1, 12),
+        q=st.integers(0, 9),
+        bits=st.integers(1, 26),
+        signed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_int64_product(self, d, n, q, bits, signed, seed):
+        rng = _rng(seed)
+        lo = -(1 << bits) if signed else 0
+        rows = rng.integers(lo, 1 << bits, size=(n, d))
+        x = rng.integers(lo, 1 << bits, size=(q, d))
+        table = ProductTable(rows)
+        got = table.products(x)
+        assert got.dtype == np.int64 and got.shape == (q, n)
+        assert got.tobytes() == (x @ rows.T).tobytes()
+
+    def test_guard_edge_is_exact(self):
+        """``D * max|x| * max|row|`` just below ``2**53`` takes the
+        float path, whose odd ~2**52 products are still exact."""
+        v = (1 << 26) + 1
+        table = ProductTable(np.array([[v], [v - 2]]))
+        x = np.array([[v], [1]])
+        assert 1 * v * v < EXACT_FLOAT_LIMIT
+        assert table.products(x).tolist() == [[v * v, v * (v - 2)], [v, v - 2]]
+
+    def test_wide_operands_take_int64(self, monkeypatch):
+        """Past the guard (int64 rows and queries near ``2**29`` in 4
+        dimensions) float64 would round the products; the table takes
+        the int64 product and equals the exact integers."""
+        rng = _rng(3)
+        rows = rng.integers((1 << 29) - 999, 1 << 29, size=(5, 4))
+        x = rng.integers((1 << 29) - 999, 1 << 29, size=(3, 4))
+        assert 4 * int(x.max()) * int(rows.max()) >= EXACT_FLOAT_LIMIT
+        rounded = (x.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.int64)
+        want = _exact_products(x, rows)
+        assert (rounded != want.astype(np.int64)).any()
+        calls = []
+        real = np.matmul
+
+        def spy(a, b, *args, **kw):
+            calls.append(a.dtype)
+            return real(a, b, *args, **kw)
+
+        monkeypatch.setattr(numpy_backend.np, "matmul", spy)
+        got = ProductTable(rows).products(x)
+        monkeypatch.undo()
+        assert np.float64 not in calls
+        assert got.tolist() == want.tolist()
+
+    def test_rejects_non_2d_table(self):
+        with pytest.raises(ValueError, match="table"):
+            ProductTable(np.zeros(4, dtype=np.int64))
+
+
+def _lut_codes(residuals, books):
+    """The int64 oracle: argmin over the difference-form LUT."""
+    m, _, dsub = books.shape
+    r = residuals.astype(np.int64).reshape(len(residuals), m, 1, dsub)
+    return ((r - books.astype(np.int64)) ** 2).sum(-1).argmin(axis=2)
+
+
+class TestPqEncode:
+    """``pq_encode``: the first-minimum LUT argmin, by a float64
+    ``matmul`` inside the exactness guard and the int64 LUT past it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        cb=st.sampled_from([1, 2, 7, 16]),
+        dsub=st.integers(1, 4),
+        n=st.integers(0, 30),
+        dups=st.integers(0, 6),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_build_luts_argmin(self, m, cb, dsub, n, dups, wide, seed):
+        """Codes equal ``build_luts(...).argmin(axis=2)``, with duplicate
+        codewords forcing first-minimum ties; ``wide`` codebooks (past
+        the ``2**53`` guard) take the int64 LUT."""
+        rng = _rng(seed)
+        b_max = (1 << 27) if wide else 510
+        books = rng.integers(-b_max, b_max + 1, size=(m, cb, dsub))
+        books[0, 0, 0] = b_max
+        for _ in range(dups):
+            j, k = rng.integers(0, cb, size=2)
+            books[:, max(j, k)] = books[:, min(j, k)]
+        residuals = rng.integers(-255, 256, size=(n, m * dsub)).astype(np.int16)
+        terms = CodebookTerms(books)
+        backend = NumpyBackend()
+        got = backend.pq_encode(residuals, terms)
+        assert got.dtype == np.intp and got.shape == (n, m)
+        want = backend.build_luts(*_residual_pairs(residuals), terms).argmin(axis=2)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, _lut_codes(residuals, books))
+        exact = numpy_backend.expansion_is_exact(255, int(np.abs(books).max()), dsub)
+        assert exact != wide
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_path_follows_the_guard(self, monkeypatch, wide):
+        rng = _rng(5)
+        b_max = (1 << 27) if wide else 510
+        books = rng.integers(-b_max, b_max + 1, size=(4, 16, 2))
+        books[0, 0, 0] = b_max
+        residuals = rng.integers(-255, 256, size=(9, 8))
+        seen = []
+        real = numpy_backend._encode_slab
+
+        def spy(r, terms, exact, out):
+            seen.append(exact)
+            return real(r, terms, exact, out)
+
+        monkeypatch.setattr(numpy_backend, "_encode_slab", spy)
+        got = NumpyBackend().pq_encode(residuals, CodebookTerms(books))
+        assert seen == [not wide]
+        np.testing.assert_array_equal(got, _lut_codes(residuals, books))
+
+    def test_operand_checks(self):
+        terms = CodebookTerms(np.zeros((2, 4, 3), dtype=np.int16))
+        backend = NumpyBackend()
+        with pytest.raises(ValueError, match="residuals"):
+            backend.pq_encode(np.zeros((3, 5), dtype=np.int16), terms)
+        with pytest.raises(TypeError, match="residuals"):
+            backend.pq_encode(np.zeros((3, 6)), terms)
+
+
 class TestTermTableOperands:
     """``query_terms`` and ``point_terms`` check their operands the way
     ``build_luts`` does: dtype and shape, each error naming the
@@ -671,12 +813,29 @@ class TestMicrobench:
             record["scan_speedup"] >= MIN_SCAN_SPEEDUP
             and record["lut_speedup"] >= MIN_LUT_SPEEDUP
         )
-        for key in ("scan_seconds", "lut_seconds"):
+        for key in ("scan_seconds", "lut_seconds", "encode_seconds"):
             assert record[key] > 0 and record["reference"][key] > 0
         assert record["term_scan_seconds"] > 0
+        assert record["encode_shape"] == {"vectors": 200, "m": 32, "cb": 128, "dsub": 4}
         text = format_record(record)
         assert "stacked scan" in text and "LUT build" in text
+        assert "encode n=200" in text
         assert "bit_identical=True" in text
+
+    def test_encode_mismatch_fails_the_gate(self, monkeypatch):
+        """The encoder's codes are part of the bit-equality gate: one
+        code off fails ``gate_ok`` whatever the speedups."""
+        from repro.pim.backend.microbench import run_microbench
+
+        real = numpy_backend._encode_slab
+
+        def off_by_one(r, terms, exact, out):
+            real(r, terms, exact, out)
+            out[0, 0] = (out[0, 0] + 1) % terms.books.shape[1]
+
+        monkeypatch.setattr(numpy_backend, "_encode_slab", off_by_one)
+        record = run_microbench(repeats=1, seed=0)
+        assert record["bit_identical"] is False and record["gate_ok"] is False
 
     def test_term_scan_mismatch_fails_the_gate(self, monkeypatch):
         """The gate follows the kernel the search runs: a term-table

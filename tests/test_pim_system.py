@@ -133,14 +133,16 @@ class TestRunBatch:
             ("dead DPU", [(7, "nope")], 3, ValueError, "assignments.*query 7"),
             ("dead DPU", [(0, "nope")], 3, ValueError, "assignments.*'nope'"),
             ("compute_tasks", [(0, "s0"), (0, "nope")], 3, ValueError, "tasks.*'nope'"),
+            ("compute_tasks", [(0, "s0"), (7, "s0")], 3, ValueError, "tasks.*query 7"),
+            ("compute_tasks", [(-1, "s1")], 3, ValueError, "tasks.*query -1"),
         ],
     )
     def test_bad_round_operands_rejected(
         self, sys4, rng, plane, tasks, k, exc, match
     ):
         """A ``k`` that is not an int >= 1 is rejected by both planes,
-        an unknown shard key by both, and a task naming a query outside
-        the 3-query matrix or a shard off its DPU by the round, a
+        an unknown shard key and a task naming a query outside the
+        3-query matrix by both, and a shard off its DPU by the round, a
         fail-stopped DPU's tasks included, each with an error naming
         the operand and before the round books anything."""
         queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
