@@ -297,29 +297,27 @@ class DrimAnnEngine:
 
     # ------------------------------------------------------------- mutation
     def _sync_liveness(self, clusters: Optional[np.ndarray] = None) -> None:
-        """Push per-shard live-row filters into the PIM system.
+        """Push each cluster part's live-row filter into the PIM system.
 
-        ``clusters`` limits the resync to those clusters' shards (the
-        ones a mutation touched); every other shard keeps its filter
-        and its resident scan operands. ``None`` resyncs every shard.
-        Each cluster part's live rows come once from its slice of the
-        tombstone mask, and every replica of the part gets the same
-        array.
+        ``clusters`` limits the resync to those clusters' parts (the
+        ones a mutation touched); every other part keeps its filter and
+        its resident scan operands. ``None`` resyncs every part. A
+        part's live rows come from its slice of the tombstone mask, in
+        one :meth:`~repro.pim.system.PimSystem.set_shard_liveness` call
+        per ``(cluster, part)``: its replicas are placements of one data
+        shard.
         """
         masks = self.quantized.tombstone_masks()
         groups = self.plan.replica_groups
         cids = groups if clusters is None else clusters.tolist()
         for cid in cids:
-            replicas = groups[cid]
-            for part, key in enumerate(replicas[0]):
+            for key in groups[cid][0]:
                 live = None
                 if masks is not None:
-                    rows = _rows_slice(self.plan.shards[key].point_rows)
-                    dead = masks[cid][rows]
+                    dead = masks[cid][_rows_slice(self.plan.shards[key].point_rows)]
                     if dead.any():
-                        live = np.flatnonzero(~dead)
-                for group in replicas:
-                    self.system.set_shard_liveness(group[part], live)
+                        live = (~dead).nonzero()[0]
+                self.system.set_shard_liveness(key, live)
 
     def add(
         self, vectors: np.ndarray, ids: Optional[np.ndarray] = None
@@ -342,10 +340,10 @@ class DrimAnnEngine:
         operand range (``[0, 255]`` for the uint8 pipeline); nothing is
         appended then. ``ids`` are checked the same way and must be 1-D
         and non-negative (``-1`` pads results); strings and bools raise
-        ``TypeError``. Each grown shard is told of the append
-        (:meth:`~repro.pim.system.PimSystem.append_shard`), so its
-        live-row filter and resident scan operands are extended, not
-        rebuilt.
+        ``TypeError``. Each grown ``(cluster, part)`` is told of the
+        append once (:meth:`~repro.pim.system.PimSystem.append_shard`,
+        which reaches every replica), so its live-row filter and
+        resident scan operands are extended, not rebuilt.
         """
         self._check_loaded()
         vectors = check_2d(vectors, "vectors")
@@ -365,46 +363,35 @@ class DrimAnnEngine:
         for cid in touched.tolist():
             n_old = int(old_sizes[cid])
             n_new = len(quantized.cluster_ids[cid])
-            row_bytes = (
-                quantized.cluster_codes[cid].dtype.itemsize
-                * quantized.num_subspaces
-                + 8
-            )
-            for group in self.plan.replica_groups[cid]:
-                key = group[-1]  # the part whose row range ends at n_old
-                shard = self.plan.shards[key]
-                rows = shard.point_rows
-                start = int(rows[0]) if len(rows) else n_old
-                shard.point_rows = np.arange(start, n_new, dtype=np.int64)
-                # Rows are only appended: the system keeps the shard's
-                # resident scan operands and live-row filter, and adds
-                # the new rows to both.
-                self.system.append_shard(
-                    key,
-                    quantized.cluster_ids[cid][start:n_new],
-                    quantized.cluster_codes[cid][start:n_new],
+            codes = quantized.cluster_codes[cid]
+            row_bytes = codes.dtype.itemsize * quantized.num_subspaces + 8
+            # The last part, whose row range ends at n_old, grows.
+            groups = self.plan.replica_groups[cid]
+            rows = self.plan.shards[groups[0][-1]].point_rows
+            start = int(rows[0]) if len(rows) else n_old
+            for group in groups:
+                self.plan.shards[group[-1]].point_rows = np.arange(
+                    start, n_new, dtype=np.int64
                 )
-                added_bytes += (n_new - n_old) * row_bytes
+            added_bytes += len(groups) * (n_new - n_old) * row_bytes
+            # Rows are only appended: the system keeps the part's
+            # resident scan operands and live-row filter, and adds the
+            # new rows to both.
+            self.system.append_shard(
+                groups[0][-1], quantized.cluster_ids[cid][start:n_new], codes[start:n_new]
+            )
+            # Keep cached reconstruction radii an upper bound: max-update
+            # from the appended rows only (a radius can only grow on
+            # append; delete() keeps it valid conservatively).
+            if self._radii_sq is not None and n_new > n_old:
+                r = adaptive_probing.reconstruction_norms_sq(
+                    quantized.codebook_terms.norms_sq, codes[n_old:]
+                ).max()
+                self._radii_sq[cid] = max(int(r), self._radii_sq[cid])
         self.report.offline_transfer_seconds += self.system.transfer.scatter(
             "shards", added_bytes
         )
         self.report.mram_used_per_dpu = self.system.mram_usage()
-        # Keep cached reconstruction radii an upper bound: max-update
-        # the touched clusters from the appended rows only (a radius can
-        # only grow on append; delete() keeps it valid conservatively).
-        if self._radii_sq is not None:
-            norms = quantized.codebook_terms.norms_sq
-            for cid in touched.tolist():
-                n_old = int(old_sizes[cid])
-                new_codes = quantized.cluster_codes[cid][n_old:]
-                if len(new_codes):
-                    r = int(
-                        adaptive_probing.reconstruction_norms_sq(
-                            norms, new_codes
-                        ).max()
-                    )
-                    if r > self._radii_sq[cid]:
-                        self._radii_sq[cid] = r
         # The scheduler precomputes per-group latency from shard sizes.
         self.scheduler.refresh_clusters(touched.tolist())
         return new_ids

@@ -81,15 +81,14 @@ Charge = Tuple[KernelCost, float]
 
 @dataclass
 class ShardData:
-    """One cluster shard resident on a DPU."""
+    """One cluster shard placed on a DPU; shards sharing a ``data_key``
+    are placements of one data shard (:meth:`PimSystem.place_shard`)."""
 
     shard_key: str
     centroid: np.ndarray  # (D,) uint8
     ids: np.ndarray  # (n,) int64
     codes: np.ndarray  # (n, M) uint8/uint16
-    # Shards sharing a data key hold identical rows and liveness (the
-    # replicas of one cluster part); None: the shard's own key.
-    data_key: Optional[object] = None
+    data_key: Optional[object] = None  # None: the shard's own key
 
 
 class ScanOperands(NamedTuple):
@@ -104,6 +103,23 @@ class ScanOperands(NamedTuple):
     # The (1, M, CB) int64 2c.b table of the shard's centroid, kept
     # once a shard has grown (None before).
     cterm: Optional[np.ndarray] = None
+
+
+@dataclass
+class _DataShard:
+    """A data shard's one record, whichever replica names it."""
+
+    shard: ShardData  # the first placed; its rows are the data shard's
+    index: int  # placement order, compute_tasks' sort key
+    placements: List[Tuple[str, int]] = field(default_factory=list)  # (key, DPU)
+    # Ascending live rows (None: all). Dead rows stay stored and DC streams
+    # them, so deletions keep the pool arena valid; the filter ships per round.
+    live: Optional[np.ndarray] = None
+    ops: Optional[ScanOperands] = None  # built by the first scan
+
+    @property
+    def num_live(self) -> int:
+        return len(self.shard.ids) if self.live is None else len(self.live)
 
 
 @dataclass
@@ -152,12 +168,9 @@ class PimSystem:
             Dpu(i, config.dpu) for i in range(config.num_dpus)
         ]
         self.transfer = HostTransferModel(config.transfer)
-        self._shards: Dict[str, Tuple[int, ShardData]] = {}
-        # Data identity: shard key -> data id, and each data id's
-        # canonical (first placed) shard key, the one compute_tasks scans.
-        self._data_of: Dict[object, int] = {}
-        self._data_id: Dict[str, int] = {}
-        self._data_keys: List[str] = []
+        # Shard key -> (its DPU, its data shard's record); data key -> record.
+        self._shards: Dict[str, Tuple[int, _DataShard]] = {}
+        self._data: Dict[object, _DataShard] = {}
         # Opt-in worker pool for the functional shard scans, plus the
         # per-round vectorized/pool chooser. The persistent pool
         # attaches shard arrays lazily (first round, or warm_pool) via
@@ -167,17 +180,6 @@ class PimSystem:
         # The host kernels the compute plane runs on.
         self.backend = resolve_backend()
         self._residency_dirty = True
-        # Tombstone liveness: shard key → ascending live row indices
-        # (None / absent means every stored row is live). Stored rows
-        # keep streaming through DC — only the candidate set shrinks —
-        # so the arena residency stays valid across deletions; the live
-        # filter ships per round instead.
-        self._live_rows: Dict[str, Optional[np.ndarray]] = {}
-        # Resident scan operands of each data shard's canonical key,
-        # over its live rows: built and range-checked on the first scan,
-        # extended by appended rows at the next scan and compressed by
-        # deletions (see _scan_operands).
-        self._live_cache: Dict[str, ScanOperands] = {}
         self.codebooks: Optional[np.ndarray] = None
         # The codebooks' derived operands, built once per load_codebooks.
         self.codebook_terms: Optional[CodebookTerms] = None
@@ -274,108 +276,137 @@ class PimSystem:
 
     # ----- offline loading ------------------------------------------------
     def place_shard(self, dpu_id: int, shard: ShardData) -> None:
-        """Store a shard's data in a DPU's MRAM (raises on overflow)."""
+        """Store a shard's data in a DPU's MRAM (raises on overflow).
+
+        A shard whose ``data_key`` is placed is one more placement of
+        that data shard's record: it needs the record's ids and centroid,
+        and codes of its shape and dtype (not read, so an mmap-backed
+        index stays paged out), else ``ValueError`` naming the shard.
+        """
         if not 0 <= dpu_id < len(self.dpus):
             raise ValueError(f"dpu_id {dpu_id} out of range [0, {len(self.dpus)})")
-        if shard.shard_key in self._shards:
-            raise ValueError(f"shard {shard.shard_key!r} already placed")
-        dpu = self.dpus[dpu_id]
-        dpu.mram.store(f"codes:{shard.shard_key}", shard.codes)
-        dpu.mram.store(f"ids:{shard.shard_key}", shard.ids)
-        dpu.mram.store(f"centroid:{shard.shard_key}", shard.centroid)
-        self._shards[shard.shard_key] = (dpu_id, shard)
-        data_key = shard.shard_key if shard.data_key is None else shard.data_key
-        data_id = self._data_of.setdefault(data_key, len(self._data_keys))
-        if data_id == len(self._data_keys):
-            self._data_keys.append(shard.shard_key)
-        self._data_id[shard.shard_key] = data_id
+        key = shard.shard_key
+        if key in self._shards:
+            raise ValueError(f"shard {key!r} already placed")
+        data_key = key if shard.data_key is None else shard.data_key
+        rec = self._data.get(data_key)
+        if rec is not None:
+            first = rec.shard
+            for name, same in (
+                ("ids", np.array_equal(shard.ids, first.ids)),
+                ("centroid", np.array_equal(shard.centroid, first.centroid)),
+                ("codes", shard.codes.shape == first.codes.shape
+                 and shard.codes.dtype == first.codes.dtype),
+            ):
+                if not same:
+                    raise ValueError(f"shard {key!r} shares data key {data_key!r} "
+                                     f"with {first.shard_key!r} but not its {name}")
+        mram = self.dpus[dpu_id].mram
+        mram.store(f"codes:{key}", shard.codes)
+        mram.store(f"ids:{key}", shard.ids)
+        mram.store(f"centroid:{key}", shard.centroid)
+        if rec is None:
+            rec = self._data[data_key] = _DataShard(shard, len(self._data))
+        rec.placements.append((key, dpu_id))
+        self._shards[key] = (dpu_id, rec)
         # Placement changes invalidate the worker pool's zero-copy
         # residency; it is re-hosted on the next pool round.
         self._residency_dirty = True
 
-    def _store_rows(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
-        """Re-store a placed shard's rows in MRAM (budget-checked) and on
-        its record, which every holder of the :class:`ShardData` sees."""
-        if shard_key not in self._shards:
+    def _record(self, shard_key: str) -> _DataShard:
+        placed = self._shards.get(shard_key)
+        if placed is None:
             raise KeyError(f"shard {shard_key!r} not placed")
+        return placed[1]
+
+    def _store_rows(self, rec: _DataShard, ids: np.ndarray, codes: np.ndarray) -> None:
+        """Re-store rows on a record and every placement's MRAM (budget-checked)."""
         if len(ids) != len(codes):
             raise ValueError(
                 f"ids/codes row mismatch: {len(ids)} vs {len(codes)}"
             )
-        dpu_id, shard = self._shards[shard_key]
-        dpu = self.dpus[dpu_id]
-        dpu.mram.store(f"codes:{shard_key}", codes)
-        dpu.mram.store(f"ids:{shard_key}", ids)
-        shard.ids = ids
-        shard.codes = codes
+        for key, dpu_id in rec.placements:
+            mram = self.dpus[dpu_id].mram
+            mram.store(f"codes:{key}", codes)
+            mram.store(f"ids:{key}", ids)
+        rec.shard.ids = ids
+        rec.shard.codes = codes
         self._residency_dirty = True
 
     def update_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
-        """Replace an already-placed shard's rows with a new code block.
+        """Replace a placed data shard's rows with a new code block.
 
-        Re-stores the MRAM objects (budget-checked), mutates the shard
-        record in place, and invalidates pool residency and the shard's
-        resident scan operands: the next scan rebuilds them from the
-        new codes, range-checking every one. A grown shard whose old
-        rows are unchanged takes :meth:`append_shard` instead.
+        ``shard_key`` may name any replica: the data shard's record is
+        mutated in place and every placement's MRAM objects re-stored
+        (budget-checked). Pool residency and the resident scan operands
+        are dropped: the next scan rebuilds them from the new codes,
+        range-checking every one. A grown shard whose old rows are
+        unchanged takes :meth:`append_shard` instead.
         """
-        self._store_rows(shard_key, ids, codes)
-        self._live_cache.pop(shard_key, None)
+        rec = self._record(shard_key)
+        self._store_rows(rec, ids, codes)
+        rec.ops = None
 
     def append_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
-        """Grow a placed shard by appended rows (the ``add()`` path).
+        """Grow a placed data shard by appended rows (the ``add()`` path).
 
-        ``ids`` and ``codes`` are the shard's whole new rows; the caller
-        guarantees that their first ``len(old rows)`` rows are the old
-        ones, unchanged. Stores them like :meth:`update_shard`, but the
+        ``ids`` and ``codes`` are the whole new rows; the first ``n``
+        ids must be the shard's ``n`` old ones (else ``ValueError``),
+        and their codes are taken as unchanged. Stores them like
+        :meth:`update_shard`, through any replica's key, but the
         appended rows are live (a live-row filter grows by their
         indices), and resident scan operands stay: the next scan builds
         and range-checks offsets and point terms for the appended rows
         only.
         """
-        if shard_key not in self._shards:
-            raise KeyError(f"shard {shard_key!r} not placed")
-        n_old = len(self._shards[shard_key][1].ids)
-        if len(ids) < n_old:
+        rec = self._record(shard_key)
+        n_old = len(rec.shard.ids)
+        if len(ids) < n_old or (ids[:n_old] != rec.shard.ids).any():
             raise ValueError(
-                f"append_shard cannot shrink {shard_key!r}: {len(ids)} < {n_old} rows"
+                f"append_shard on {shard_key!r}: the first {n_old} ids must "
+                "be the shard's own"
             )
-        self._store_rows(shard_key, ids, codes)
-        live = self._live_rows.get(shard_key)
-        if live is not None and len(ids) > n_old:
-            self._live_rows[shard_key] = np.concatenate(
-                [live, np.arange(n_old, len(ids), dtype=np.intp)]
+        self._store_rows(rec, ids, codes)
+        if rec.live is not None and len(ids) > n_old:
+            rec.live = np.concatenate(
+                [rec.live, np.arange(n_old, len(ids), dtype=np.intp)]
             )
 
     def set_shard_liveness(
         self, shard_key: str, live_rows: Optional[np.ndarray]
     ) -> None:
-        """Install (or clear, with ``None``) a shard's live-row filter.
+        """Install (or clear, with ``None``) a data shard's live-row filter.
 
-        ``live_rows`` are the ascending indices into the shard's stored
-        rows that survive tombstoning; replicas may share one array. The
-        scan path drops the other rows before top-k; DC still streams
-        every stored row and is charged for it. Resident scan operands
-        are compressed to the surviving positions when every row the
-        new filter keeps was live before (a deletion), and dropped
-        otherwise.
+        ``live_rows`` are the strictly ascending indices into the
+        shard's ``n`` stored rows that survive tombstoning: a 1-D
+        integer array in ``[0, n)``, else ``TypeError``/``ValueError``
+        naming ``live_rows``. Any replica's key sets the one filter of
+        its data shard. The scan path drops the other rows before top-k;
+        DC still streams every stored row and is charged for it.
+        Resident scan operands are compressed to the surviving positions
+        when every row the new filter keeps was live before (a
+        deletion), and dropped otherwise.
         """
-        if shard_key not in self._shards:
-            raise KeyError(f"shard {shard_key!r} not placed")
-        old = self._live_rows.get(shard_key)
-        if live_rows is None:
-            self._live_rows.pop(shard_key, None)
-        else:
-            live_rows = np.asarray(live_rows, dtype=np.intp)
-            self._live_rows[shard_key] = live_rows
-        ops = self._live_cache.get(shard_key)
+        rec = self._record(shard_key)
+        if live_rows is not None:
+            n, live_rows = len(rec.shard.ids), np.asarray(live_rows)
+            if live_rows.dtype.kind not in "iu":
+                raise TypeError(f"live_rows must be integer rows, got {live_rows.dtype}")
+            if live_rows.ndim != 1 or len(live_rows) and (
+                live_rows[0] < 0 or live_rows[-1] >= n
+                or np.count_nonzero(live_rows[1:] <= live_rows[:-1])
+            ):
+                raise ValueError(f"live_rows must be strictly ascending 1-D rows in [0, {n})")
+            live_rows = live_rows.astype(np.intp, copy=False)
+        old, rec.live = rec.live, live_rows
+        ops = rec.ops
         if ops is None or (old is None and live_rows is None):
             return
         kept = _surviving(ops.rows, old, live_rows)
         if kept is None:
-            del self._live_cache[shard_key]
+            rec.ops = None
         elif len(kept) < len(ops.ids):
-            self._live_cache[shard_key] = ScanOperands(
+            rec.ops = ScanOperands(
                 ops.off.take(kept, axis=1),
                 ops.ids.take(kept),
                 ops.pts.take(kept),
@@ -383,16 +414,13 @@ class PimSystem:
                 ops.cterm,
             )
 
-    def _live_arrays(
-        self, shard_key: str, shard: ShardData
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _live_arrays(rec: _DataShard) -> Tuple[np.ndarray, np.ndarray]:
         """The (codes, ids) a scan sees: live rows only."""
-        live = self._live_rows.get(shard_key)
-        if live is None:
-            return shard.codes, shard.ids
-        return shard.codes[live], shard.ids[live]
+        live = slice(None) if rec.live is None else rec.live
+        return rec.shard.codes[live], rec.shard.ids[live]
 
-    def _scan_operands(self, shard_key: str, shard: ShardData) -> ScanOperands:
+    def _scan_operands(self, rec: _DataShard) -> ScanOperands:
         """A data shard's resident :class:`ScanOperands` over its live
         rows: ``(M, n)`` intp offsets, ``(n,)`` ids and ``(n,)`` int64
         point terms (:meth:`~repro.pim.backend.NumpyBackend.point_terms`).
@@ -410,16 +438,12 @@ class PimSystem:
         copied them (an all-live shard's are a view of its own), and
         ``8 * M * CB`` per grown data shard for its ``2c.b`` table.
         """
-        ops = self._live_cache.get(shard_key)
+        ops, shard, live = rec.ops, rec.shard, rec.live
         n = len(shard.ids)
         if ops is not None and ops.rows == n:
             return ops
         start = 0 if ops is None else ops.rows
-        live = self._live_rows.get(shard_key)
-        if live is None:
-            rows = slice(start, n)
-        else:
-            rows = live[np.searchsorted(live, start):]
+        rows = slice(start, n) if live is None else live[live.searchsorted(start):]
         off = gather_offsets(shard.codes[rows], self.codebooks.shape[1])
         ids = shard.ids[rows]
         if ops is None:
@@ -440,18 +464,15 @@ class PimSystem:
                 n,
                 cterm,
             )
-        self._live_cache[shard_key] = ops
+        rec.ops = ops
         return ops
-
-    def _live_count(self, shard_key: str, shard: ShardData) -> int:
-        live = self._live_rows.get(shard_key)
-        return len(shard.ids) if live is None else len(live)
 
     def shard_location(self, shard_key: str) -> int:
         return self._shards[shard_key][0]
 
     def get_shard(self, shard_key: str) -> ShardData:
-        return self._shards[shard_key][1]
+        """The first-placed :class:`ShardData` of the key's data shard."""
+        return self._shards[shard_key][1].shard
 
     def num_shards(self) -> int:
         return len(self._shards)
@@ -467,7 +488,8 @@ class PimSystem:
         self.codebooks = codebooks
         self.codebook_terms = CodebookTerms(codebooks)
         self._charge_memo.clear()
-        self._live_cache.clear()  # offsets are relative to CB
+        for rec in self._data.values():
+            rec.ops = None  # offsets are relative to CB
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -676,9 +698,7 @@ class PimSystem:
         cycles_before = {
             dpu_id: self._ledger_total(dpu_id) for dpu_id, _, _ in groups
         }
-        lives = [
-            self._live_count(skey, self._shards[skey][1]) for _, skey, _ in groups
-        ]
+        lives = [self._shards[skey][1].num_live for _, skey, _ in groups]
         group_misses = self._group_misses(queries, groups, sq)
 
         # ---- charging pass: replay the per-DPU group order, charging
@@ -688,7 +708,7 @@ class PimSystem:
         transient_done: Set[int] = set()
         for gi, (dpu_id, skey, qidxs) in enumerate(groups):
             dpu = self.dpus[dpu_id]
-            shard = self._shards[skey][1]
+            shard = self._shards[skey][1].shard
             charges = self._group_charges(
                 dpu, shard, len(qidxs), k, sq, group_misses[gi], lives[gi]
             )
@@ -785,7 +805,7 @@ class PimSystem:
         and float64).
 
         A data shard (``ShardData.data_key``) is scanned once, from its
-        canonical replica, whichever replicas ran its tasks. By the
+        one record, whichever replicas ran its tasks. By the
         IVF-PQ identity the distance to a point with codes ``j`` is
         ``||q - c||^2 + sum_m (||b_mj||^2 - 2 q.b_mj) + sum_m 2 c.b_mj``:
         one int64 per task, a scan of the query's term table
@@ -810,7 +830,7 @@ class PimSystem:
             )
         try:
             drows = np.fromiter(
-                (self._data_id[key] for _, key in tasks), dtype=np.int64, count=t
+                (self._shards[key][1].index for _, key in tasks), np.int64, count=t
             )
         except KeyError as exc:
             raise ValueError(f"tasks name shard {exc.args[0]!r}, not placed") from None
@@ -826,12 +846,11 @@ class PimSystem:
         edges = np.flatnonzero((np.diff(drows) != 0) | (np.diff(slab) != 0)) + 1
         starts = np.concatenate([[0], edges])
         ends = np.append(edges, t)
-        keys = [self._data_keys[d] for d in drows[starts].tolist()]
-        shards = [self._shards[key][1] for key in keys]
-        lives = [self._live_count(key, shard) for key, shard in zip(keys, shards)]
+        recs = [self._shards[tasks[i][1]][1] for i in order[starts].tolist()]
+        lives = [rec.num_live for rec in recs]
         # Each job's centroid, and each task's row of them.
-        cents = np.stack([shard.centroid for shard in shards])
-        crows = np.repeat(np.arange(len(keys)), ends - starts)
+        cents = np.stack([rec.shard.centroid for rec in recs])
+        crows = np.repeat(np.arange(len(recs)), ends - starts)
 
         # One strategy decision per call, from its measured size.
         scan_points = int(np.dot(ends - starts, lives)) * m
@@ -845,14 +864,14 @@ class PimSystem:
             self.observer.on_plan_decision(path)
         pool = path == "pool" and self.executor is not None
 
-        jobs = list(zip(keys, lives, starts.tolist(), ends.tolist()))
+        jobs = list(zip(recs, lives, starts.tolist(), ends.tolist()))
         scan = self._pool_slab if pool else self._scan_slab
         blocks = []
         t0 = time.perf_counter()
         slab_edges = (np.flatnonzero(np.diff(slab)) + 1).tolist()
         for s0, s1 in zip([0] + slab_edges, slab_edges + [t]):
             j0, j1 = np.searchsorted(starts, [s0, s1])
-            slab_jobs = [(key, n, a - s0, b - s0) for key, n, a, b in jobs[j0:j1]]
+            slab_jobs = [(rec, n, a - s0, b - s0) for rec, n, a, b in jobs[j0:j1]]
             blocks.append(
                 scan(queries, cents, qrows[s0:s1], crows[s0:s1], slab_jobs, k)
             )
@@ -880,11 +899,11 @@ class PimSystem:
         cents: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
-        jobs: List[Tuple[str, int, int, int]],
+        jobs: List[Tuple[_DataShard, int, int, int]],
         k: int,
     ) -> parallel.JobTopk:
         """A query slab's top-k block, rows in task order, by
-        :func:`scan_jobs_stacked`. ``jobs`` are ``(shard key, live rows,
+        :func:`scan_jobs_stacked`. ``jobs`` are ``(data shard, live rows,
         first task, end task)``; ``crows`` name each task's row of the
         ``cents`` centroids."""
         uq, local = np.unique(qrows, return_inverse=True)
@@ -892,8 +911,8 @@ class PimSystem:
         res = queries[qrows].astype(np.int64) - cents[crows]
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
-        for key, _, a, b in jobs:
-            ops = self._scan_operands(key, self._shards[key][1])
+        for rec, _, a, b in jobs:
+            ops = self._scan_operands(rec)
             scan_jobs.append(
                 (tables[local[a:b]], ops.off.T, ops.ids, k, ops.pts, row_terms[a:b])
             )
@@ -905,7 +924,7 @@ class PimSystem:
         cents: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
-        jobs: List[Tuple[str, int, int, int]],
+        jobs: List[Tuple[_DataShard, int, int, int]],
         k: int,
     ) -> parallel.JobTopk:
         """:meth:`_scan_slab`'s block from the worker pool's LUT jobs
@@ -913,14 +932,11 @@ class PimSystem:
         luts = self.backend.build_luts(
             queries, cents, qrows, crows, self.codebook_terms
         )
-        live = [(key, a, b) for key, n, a, b in jobs if n]
+        live = [(rec, a, b) for rec, n, a, b in jobs if n]
         tops = self.executor.scan_groups(
-            [
-                (luts[a:b], *self._live_arrays(key, self._shards[key][1]), k)
-                for key, a, b in live
-            ],
-            [key for key, _, _ in live],
-            [self._live_rows.get(key) for key, _, _ in live],
+            [(luts[a:b], *self._live_arrays(rec), k) for rec, a, b in live],
+            [rec.shard.shard_key for rec, _, _ in live],
+            [rec.live for rec, _, _ in live],
             self.backend,
         )
         ids = np.full((len(qrows), k), -1, dtype=np.int64)
@@ -950,7 +966,7 @@ class PimSystem:
             return [0] * len(groups)
         sizes = [len(qidxs) for _, _, qidxs in groups]
         qrows = np.array([q for _, _, qidxs in groups for q in qidxs])
-        cents = np.stack([self._shards[skey][1].centroid for _, skey, _ in groups])
+        cents = np.stack([self._shards[skey][1].shard.centroid for _, skey, _ in groups])
         residuals = queries[qrows].astype(np.int32) - np.repeat(
             cents.astype(np.int32), sizes, axis=0
         )
@@ -974,7 +990,8 @@ class PimSystem:
         return self.executor.wait_warm()
 
     def _ensure_pool_residency(self) -> None:
-        """Host every shard's codes/ids in the persistent pool's arena.
+        """Host each data shard's codes/ids once in the persistent
+        pool's arena, under its first placement's key.
 
         Lazy (first round, or :meth:`warm_pool`) and re-run after any
         :meth:`place_shard`, which invalidates previous residency.
@@ -986,8 +1003,8 @@ class PimSystem:
             return
         ex.host_shards(
             {
-                key: (shard.codes, shard.ids)
-                for key, (_, shard) in self._shards.items()
+                rec.shard.shard_key: (rec.shard.codes, rec.shard.ids)
+                for rec in self._data.values()
             }
         )
         self._residency_dirty = False
@@ -1061,19 +1078,15 @@ def _surviving(
     None when ``new`` keeps a row ``old`` did not."""
     if new is None:
         kept = np.arange(rows)
-    elif len(new) and new[-1] >= rows:
-        kept = new[: new.searchsorted(rows)]
     else:
-        kept = new
+        kept = new[: new.searchsorted(rows)] if len(new) and new[-1] >= rows else new
     if old is None:
         return kept
     was = old[: old.searchsorted(rows)] if len(old) and old[-1] >= rows else old
     if not len(was):
-        return kept if not len(kept) else None
+        return None if len(kept) else kept
     pos = was.searchsorted(kept)
-    if not (was.take(pos, mode="clip") == kept).all():
-        return None
-    return pos
+    return pos if (was.take(pos, mode="clip") == kept).all() else None
 
 
 def square_misses(

@@ -222,20 +222,33 @@ class TestEngineIdsAreCanonical:
         assert len(selects) > len(rounds)  # the tie index's rounds split
 
 
+def _operands(system):
+    """Each data shard's resident scan operands, by its first placement."""
+    return {
+        rec.shard.shard_key: rec.ops
+        for rec in system._data.values()
+        if rec.ops is not None
+    }
+
+
 class TestResidentOffsets:
     def _assert_cache_consistent(self, system):
-        """Every resident operand record equals a fresh build over the
-        rows it covers: the live ones among its first ``rows`` stored
-        rows (rows appended after it join at the next scan)."""
+        """Every placement of a data key shares its one record, so one
+        live-row filter and at most one operand record per data shard;
+        each operand record equals a fresh build over the rows it
+        covers: the live ones among its first ``rows`` stored rows
+        (rows appended after it join at the next scan)."""
         cb = system.codebooks.shape[1]
         books = system.codebooks.astype(np.int64)
         m = books.shape[0]
-        for key, ops in system._live_cache.items():
-            # One record per data shard, under its canonical key.
-            assert system._data_keys[system._data_id[key]] == key
-            shard = system.get_shard(key)
+        records = {id(rec) for _, rec in system._shards.values()}
+        assert len(records) == len(system._data)
+        for rec in system._data.values():
+            assert all(system._shards[key][1] is rec for key, _ in rec.placements)
+            ops, shard, live = rec.ops, rec.shard, rec.live
+            if ops is None:
+                continue
             assert ops.rows <= len(shard.ids)
-            live = system._live_rows.get(key)
             rows = np.arange(ops.rows) if live is None else live[live < ops.rows]
             codes, live_ids = shard.codes[rows], shard.ids[rows]
             assert ops.off.dtype == np.intp and ops.off.flags.c_contiguous
@@ -262,7 +275,7 @@ class TestResidentOffsets:
             np.testing.assert_array_equal(shard.ids, quant.cluster_ids[cid][rows])
             np.testing.assert_array_equal(shard.codes, quant.cluster_codes[cid][rows])
             dead = np.zeros(len(rows), bool) if masks is None else masks[cid][rows]
-            got = system._live_rows.get(key)
+            got = system._shards[key][1].live
             if dead.any():
                 np.testing.assert_array_equal(got, np.flatnonzero(~dead))
             else:
@@ -274,12 +287,12 @@ class TestResidentOffsets:
         try:
             engine.search(queries)
             system = engine.system
-            key = next(iter(system._live_cache))
+            key = next(iter(_operands(system)))
             shard = system.get_shard(key)
             bad = shard.codes.astype(np.int16)
             bad[0, 0] = system.codebooks.shape[1]
             system.update_shard(key, shard.ids, bad)
-            assert key not in system._live_cache
+            assert system._shards[key][1].ops is None
             with pytest.raises(IndexError, match="codes"):
                 engine.search(queries)
             bad[0, 0] = -1
@@ -302,14 +315,14 @@ class TestResidentOffsets:
                 lambda: engine.compact(),
             ]
             for step in steps:
-                before = dict(engine.system._live_cache)
+                before = _operands(engine.system)
                 step()
                 got = engine.search(queries).results
-                assert engine.system._live_cache
+                after = _operands(engine.system)
+                assert after
                 self._assert_cache_consistent(engine.system)
                 assert any(
-                    engine.system._live_cache.get(key) is not pair
-                    for key, pair in before.items()
+                    after.get(key) is not pair for key, pair in before.items()
                 )
                 ref = engine.reference_search(queries)
                 np.testing.assert_array_equal(got.ids, ref.ids)
@@ -382,16 +395,15 @@ class TestResidentOffsets:
                 self._assert_cache_consistent(engine.system)
                 q = queries[:2] if i % 2 else queries
                 got = engine.search(q).results
-                assert engine.system._live_cache
+                assert _operands(engine.system)
                 self._assert_cache_consistent(engine.system)
                 ref = engine.reference_search(q)
                 np.testing.assert_array_equal(got.ids, ref.ids)
                 np.testing.assert_array_equal(got.distances, ref.distances)
             # Every record, pending appends resolved, is a fresh build.
             system = state["engine"].system
-            for key in system._data_keys:
-                shard = system.get_shard(key)
-                assert system._scan_operands(key, shard).rows == len(shard.ids)
+            for rec in system._data.values():
+                assert system._scan_operands(rec).rows == len(rec.shard.ids)
             self._assert_cache_consistent(system)
         finally:
             state["engine"].close()

@@ -23,7 +23,7 @@ from repro.core import DrimAnnEngine
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.backend import NumpyBackend
-from repro.pim.kernels import scan_distances, topk_rows
+from repro.pim.kernels import scan_distances, topk_rows, topk_sort_cost
 from repro.pim.system import ShardData
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, canonical_dataset
 from repro.testing.goldens import _quantized, canonical_config
@@ -181,7 +181,7 @@ def _reference(system, queries, tasks, k):
     backend = NumpyBackend()
     order = sorted(
         range(len(tasks)),
-        key=lambda i: (system._data_id[tasks[i][1]], tasks[i][0]),
+        key=lambda i: (system._shards[tasks[i][1]][1].index, tasks[i][0]),
     )
     ids = np.full((len(tasks), k), -1, dtype=np.int64)
     dists = np.full((len(tasks), k), np.inf)
@@ -191,7 +191,7 @@ def _reference(system, queries, tasks, k):
         luts = backend.build_luts(
             queries, shard.centroid[None], [q], [0], system.codebook_terms
         )
-        codes, sids = system._live_arrays(key, shard)
+        codes, sids = system._live_arrays(system._shards[key][1])
         top_ids, top_d = topk_rows(scan_distances(luts, codes), sids, k)
         ids[row, : top_ids.shape[1]] = top_ids[0]
         dists[row, : top_d.shape[1]] = top_d[0]
@@ -200,7 +200,8 @@ def _reference(system, queries, tasks, k):
 
 def _mutate(system, rng, op):
     """Change rows, liveness or codebooks the way the engine does:
-    every replica of a part alike."""
+    every replica of a part alike, or (``replica``) each through a
+    second replica's key only."""
     if op == "update":
         shard = system.get_shard("a.p1")
         cb = system.codebooks.shape[1]
@@ -216,6 +217,33 @@ def _mutate(system, rng, op):
         m, cb, dsub = system.codebooks.shape
         b_max = int(np.abs(system.codebooks).max())
         system.load_codebooks(_books(rng, m, cb, dsub, b_max))
+    elif op == "replica":
+        cb = system.codebooks.shape[1]
+        shard = system.get_shard("a.p1.r1")
+        codes = rng.integers(0, cb, size=shard.codes.shape).astype(np.uint8)
+        system.update_shard("a.p1.r1", shard.ids + 5000, codes)
+        system.set_shard_liveness("a.p0.r1", np.array([1, 4, 8]))
+        shard = system.get_shard("a.p0.r1")
+        new = rng.integers(0, cb, size=(3, shard.codes.shape[1])).astype(np.uint8)
+        system.append_shard(
+            "a.p0.r1",
+            np.concatenate([shard.ids, [7000, 7001, 7002]]),
+            np.concatenate([shard.codes, new]),
+        )
+
+
+def _assert_ts_sorts_live_rows(system, queries):
+    """Each shard key's one-task round charges TS over the live rows
+    its task's scan sees (``_reference``'s non-padded ids)."""
+    k = 64  # past every shard's rows: a row holds each live id
+    for key in _SHARDS:
+        _, ids, _ = _reference(system, queries, [(0, key)], k)
+        live = int((ids >= 0).sum())
+        dpu = system.shard_location(key)
+        system.reset_ledgers()  # exact cycle differences
+        timing = system.run_batch({dpu: [(0, key)]}, queries, k, multiplier_less=False)
+        want = system.dpus[dpu].cost_cycles(topk_sort_cost(1, live, k)) if live else 0.0
+        assert timing.kernel_cycles.get("TS", 0.0) == want, key
 
 
 class TestComputeTasks:
@@ -228,7 +256,7 @@ class TestComputeTasks:
         k=st.integers(1, 12),
         nq=st.integers(1, 6),
         nt=st.integers(0, 30),
-        op=st.sampled_from([None, "update", "liveness", "codebooks"]),
+        op=st.sampled_from([None, "update", "liveness", "codebooks", "replica"]),
         seed=st.integers(0, 2**16),
     )
     def test_equals_per_task_lut_scan(self, m, cb, dsub, kind, k, nq, nt, op, seed):
@@ -255,14 +283,38 @@ class TestComputeTasks:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+            _assert_ts_sorts_live_rows(system, queries)
+
+    def test_mutation_through_a_replica_key_reaches_every_replica(self, rng):
+        """``update_shard``, ``set_shard_liveness`` and ``append_shard``
+        through a second replica's key change what tasks on either
+        replica scan, and what their rounds charge."""
+        system = _system(rng, 4, 16, 2, 200)
+        queries = rng.integers(0, 256, size=(3, 8)).astype(np.uint8)
+        tasks = [(q, key) for q in range(3) for key in _SHARDS]
+        system.compute_tasks(queries, tasks, 5)  # resident operands first
+        _mutate(system, rng, "replica")
+        got = system.compute_tasks(queries, tasks, 5)
+        want = _reference(system, queries, tasks, 5)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        _assert_ts_sorts_live_rows(system, queries)
+        for key in ("a.p0", "a.p1"):
+            assert system.get_shard(key) is system.get_shard(f"{key}.r1")
+        assert len(system.get_shard("a.p0").ids) == 12
 
     def test_scans_one_replica_per_data_shard(self, rng):
-        """Tasks on both replicas of a part scan one canonical shard."""
+        """Tasks on both replicas of a part scan one data shard record."""
         system = _system(rng, 4, 16, 2, 200)
         queries = rng.integers(0, 256, size=(3, 8)).astype(np.uint8)
         tasks = [(0, "a.p0"), (1, "a.p0.r1"), (2, "a.p1.r1"), (0, "a.p1")]
         system.compute_tasks(queries, tasks, 4)
-        assert set(system._live_cache) == {"a.p0", "a.p1"}
+        scanned = [rec for rec in system._data.values() if rec.ops is not None]
+        assert [rec.shard.shard_key for rec in scanned] == ["a.p0", "a.p1"]
+        for rec in scanned:
+            assert [key for key, _ in rec.placements] == [
+                rec.shard.shard_key, f"{rec.shard.shard_key}.r1"
+            ]
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_query_index_out_of_range_raises(self, rng, bad):

@@ -35,6 +35,7 @@ from repro.core.quantized import QuantizedIndexData
 from repro.faults.disk import CrashPoint, SimulatedCrash
 from repro.pim.backend import numpy_backend
 from repro.pim.config import PimSystemConfig
+from repro.pim.system import PimSystem
 from repro.testing.goldens import (
     CANONICAL_CONFIGS,
     ROUND_SIZES,
@@ -68,6 +69,15 @@ def _engine(quantized, params, *, batch_size=None, shard_workers=0,
     return DrimAnnEngine.from_quantized(
         quantized, config, heat_queries=ds.queries[:50], seed=0
     )
+
+
+def _operands(system):
+    """Each data shard's resident scan operands, by its first placement."""
+    return {
+        rec.shard.shard_key: rec.ops
+        for rec in system._data.values()
+        if rec.ops is not None
+    }
 
 
 def _assert_matches_reference(engine, queries):
@@ -491,12 +501,12 @@ class TestEngineMutation:
         try:
             engine.delete(np.arange(0, 8000, 3))
             engine.search(q)
-            cache = engine.system._live_cache
-            before = dict(cache)
+            before = _operands(engine.system)
             # A cluster whose resident operands the search built.
             target = min(engine.plan.shards[k].cluster_id for k in before)
             live = ~quant.tombstone_masks()[target]
             assert engine.delete(quant.cluster_ids[target][live][:1]) == 1
+            cache = _operands(engine.system)
             targets = {
                 key
                 for group in engine.plan.replica_groups[target]
@@ -524,11 +534,11 @@ class TestEngineMutation:
         try:
             engine.delete(np.arange(0, 8000, 3))
             engine.search(q)
-            cache = engine.system._live_cache
-            before = dict(cache)
+            before = _operands(engine.system)
             # A centroid is nearest to its own cluster.
             assign, _ = quant.encode(quant.centroids[7:8])
             engine.add(quant.centroids[7:8])
+            cache = _operands(engine.system)
             target = int(assign[0])
             kept = {
                 k
@@ -536,6 +546,55 @@ class TestEngineMutation:
                 if engine.plan.shards[k].cluster_id != target
             }
             assert kept and all(cache[k] is before[k] for k in kept)
+            _assert_matches_reference(engine, q)
+        finally:
+            engine.close()
+
+    def test_one_system_call_per_touched_part(
+        self, small_quantized, small_ds, small_params, monkeypatch
+    ):
+        """On a replicated, split layout, ``add`` makes one
+        ``append_shard`` call per grown (cluster, last part) and
+        ``delete`` one ``set_shard_liveness`` call per part of each
+        touched cluster, whatever the part's replica count."""
+        quant = _fresh_quantized(small_quantized)
+        engine = _engine(quant, small_params)
+        plan = engine.plan
+        groups = plan.replica_groups
+        assert any(len(g) > 1 for g in groups.values())
+        assert any(len(g[0]) > 1 for g in groups.values())
+        calls = []
+
+        def spy(name):
+            real = getattr(PimSystem, name)
+
+            def call(system, key, *args):
+                shard = plan.shards[key]
+                calls.append((name, shard.cluster_id, shard.part_id))
+                return real(system, key, *args)
+
+            monkeypatch.setattr(PimSystem, name, call)
+
+        spy("append_shard")
+        spy("set_shard_liveness")
+        rng = np.random.default_rng(5)
+        q = small_ds.queries[:20]
+        try:
+            vectors = rng.integers(0, 256, size=(40, quant.dim)).astype(np.uint8)
+            touched = np.unique(quant.encode(vectors)[0]).tolist()
+            engine.add(vectors)
+            assert sorted(calls) == [
+                ("append_shard", c, len(groups[c][0]) - 1) for c in touched
+            ]
+            calls.clear()
+            touched = [c for c in sorted(groups) if len(groups[c]) > 1][:3]
+            doomed = np.concatenate([quant.cluster_ids[c][::50] for c in touched])
+            assert engine.delete(doomed) == len(doomed)
+            assert sorted(calls) == [
+                ("set_shard_liveness", c, part)
+                for c in touched
+                for part in range(len(groups[c][0]))
+            ]
             _assert_matches_reference(engine, q)
         finally:
             engine.close()

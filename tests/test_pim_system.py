@@ -77,6 +77,54 @@ class TestPlacement:
         assert usage.shape == (4,)
         assert (usage > 0).all()
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("ids", lambda s: {"ids": s.ids + 1}),
+            ("centroid", lambda s: {"centroid": s.centroid ^ 1}),
+            ("codes", lambda s: {"codes": s.codes[:, :-1]}),
+            ("codes", lambda s: {"codes": s.codes.astype(np.uint16)}),
+        ],
+    )
+    def test_replica_must_share_the_data_shards_rows(self, sys4, field, change):
+        """A shard placed under a placed data key is rejected, naming
+        it, unless its ids and centroid equal the record's and its
+        codes have the record's shape and dtype; nothing is stored."""
+        first = sys4.get_shard("s0")
+        rows = {"ids": first.ids, "centroid": first.centroid, "codes": first.codes}
+        rows.update(change(first))
+        used = sys4.mram_usage()
+        with pytest.raises(ValueError, match=f"'s0.r1'.*'s0'.*{field}"):
+            sys4.place_shard(1, ShardData(shard_key="s0.r1", data_key="s0", **rows))
+        assert sys4.num_shards() == 4
+        np.testing.assert_array_equal(sys4.mram_usage(), used)
+
+    def test_replica_codes_compared_by_shape_and_dtype(self, sys4):
+        """Codes are not read by value at placement (an mmap-backed
+        index stays paged out): the replica becomes a placement of the
+        first shard's record, whose rows both keys then hold."""
+        first = sys4.get_shard("s0")
+        sys4.place_shard(
+            1,
+            ShardData(
+                shard_key="s0.r1",
+                centroid=first.centroid.copy(),
+                ids=first.ids.copy(),
+                codes=np.zeros_like(first.codes),
+                data_key="s0",
+            ),
+        )
+        assert sys4.get_shard("s0.r1") is first
+        assert sys4.shard_location("s0.r1") == 1
+
+    def test_append_shard_requires_the_old_ids_first(self, sys4):
+        shard = sys4.get_shard("s1")
+        codes = np.concatenate([shard.codes, shard.codes[:1]])
+        for ids in (np.append(shard.ids[::-1], 500), shard.ids[:-1]):
+            with pytest.raises(ValueError, match="'s1': the first 20 ids"):
+                sys4.append_shard("s1", ids, codes[: len(ids)])
+        assert len(sys4.get_shard("s1").ids) == 20
+
 
 class TestRunBatch:
     def test_results_match_manual_math(self, sys4, rng):
@@ -135,6 +183,13 @@ class TestRunBatch:
             ("compute_tasks", [(0, "s0"), (0, "nope")], 3, ValueError, "tasks.*'nope'"),
             ("compute_tasks", [(0, "s0"), (7, "s0")], 3, ValueError, "tasks.*query 7"),
             ("compute_tasks", [(-1, "s1")], 3, ValueError, "tasks.*query -1"),
+            ("liveness", [0.0, 1.0], 3, TypeError, "live_rows must be integer"),
+            ("liveness", [True, False], 3, TypeError, "live_rows must be integer"),
+            ("liveness", [[0, 1]], 3, ValueError, "live_rows must be .*1-D"),
+            ("liveness", [1, 1], 3, ValueError, "live_rows must be strictly ascending"),
+            ("liveness", [3, 2], 3, ValueError, "live_rows must be strictly ascending"),
+            ("liveness", [-1, 2], 3, ValueError, r"live_rows .*in \[0, 20\)"),
+            ("liveness", [2, 20], 3, ValueError, r"live_rows .*in \[0, 20\)"),
         ],
     )
     def test_bad_round_operands_rejected(
@@ -144,7 +199,10 @@ class TestRunBatch:
         an unknown shard key and a task naming a query outside the
         3-query matrix by both, and a shard off its DPU by the round, a
         fail-stopped DPU's tasks included, each with an error naming
-        the operand and before the round books anything."""
+        the operand and before the round books anything. A live-row
+        filter (``tasks`` here) that is not a strictly ascending 1-D
+        integer array of rows in ``[0, 20)`` is rejected likewise, the
+        shard's filter unchanged."""
         queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
         if plane == "dead DPU":
             sys4._observed_dead.add(0)
@@ -155,12 +213,15 @@ class TestRunBatch:
                 len(sys4.transfer.events),
                 [(dict(d.cycles_by_kernel), d.stall_cycles) for d in sys4.dpus],
                 [dict(ledger) for ledger in sys4._search_kernels],
+                sys4._shards["s0"][1].live,
             )
 
         before = state()
         with pytest.raises(exc, match=match):
             if plane == "compute_tasks":
                 sys4.compute_tasks(queries, tasks, k)
+            elif plane == "liveness":
+                sys4.set_shard_liveness("s0", tasks)
             else:
                 sys4.run_batch({0: tasks}, queries, k=k)
         assert state() == before

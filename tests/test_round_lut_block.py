@@ -80,7 +80,7 @@ def _expected(system, queries, k):
             shard = system.get_shard(key)
             res = queries[qs].astype(np.int32) - shard.centroid.astype(np.int32)
             luts, _ = run_lut_build(res, system.codebooks)
-            live = system._live_rows.get(key)
+            live = system._shards[key][1].live
             codes, sids = shard.codes, shard.ids
             if live is not None:
                 codes, sids = codes[live], sids[live]
