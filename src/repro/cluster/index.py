@@ -35,6 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.ann.ivfpq import IVFPQIndex
+from repro.core.adaptive import cluster_radii_sq
 from repro.core.config import EngineConfig
 from repro.core.engine import DrimAnnEngine
 from repro.core.layout import estimate_cluster_heat, task_cost_weights
@@ -217,11 +218,12 @@ class ClusterIndex:
         Layout: ``router.drim`` (the global routing index),
         ``shard_NNNN.drim`` (each shard's sub-index with its engines'
         intra-platform cluster heat, so a reload reproduces the exact
-        DPU layout), and ``manifest.json``. The manifest is written
-        *last* and atomically — a crash mid-save leaves either the old
-        manifest (old rack still loadable) or no manifest (directory
-        recognizably incomplete), never a manifest pointing at missing
-        shard files.
+        DPU layout, and its cluster radii, so a reload's bound-mode
+        search need not recompute them), and ``manifest.json``. The
+        manifest is written *last* and atomically — a crash mid-save
+        leaves either the old manifest (old rack still loadable) or no
+        manifest (directory recognizably incomplete), never a manifest
+        pointing at missing shard files.
         """
         os.makedirs(directory, exist_ok=True)
         save_index(self.router, os.path.join(directory, "router.drim"))
@@ -233,6 +235,7 @@ class ClusterIndex:
                 shard.sub_index,
                 os.path.join(directory, fname),
                 cluster_heat=heat,
+                cluster_radii=cluster_radii_sq(shard.sub_index),
             )
             shard_entries.append(
                 {
@@ -406,7 +409,8 @@ def load_cluster_index(
     the manifest. Shard engines are reassembled from the stored
     sub-indexes with their *stored* intra-platform cluster heat, so a
     reloaded rack answers bit-identically to the one that was saved —
-    results and cycle ledgers both.
+    results and cycle ledgers both — and their stored cluster radii
+    (a shard file without them has its radii computed on first use).
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(manifest_path):
@@ -499,6 +503,7 @@ def load_cluster_index(
                 cluster_heat=bundle.cluster_heat,
                 seed=seed,
                 index_path=shard_path,
+                cluster_radii=bundle.cluster_radii,
             )
             for _ in range(cluster.replication)
         ]

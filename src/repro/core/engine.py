@@ -342,8 +342,8 @@ class DrimAnnEngine:
         and non-negative (``-1`` pads results); strings and bools raise
         ``TypeError``. Each grown ``(cluster, part)`` is told of the
         append once (:meth:`~repro.pim.system.PimSystem.append_shard`,
-        which reaches every replica), so its live-row filter and
-        resident scan operands are extended, not rebuilt.
+        which reaches every replica), so its resident scan operands are
+        extended, not rebuilt, and the appended rows are live.
         """
         self._check_loaded()
         vectors = check_2d(vectors, "vectors")
@@ -374,9 +374,8 @@ class DrimAnnEngine:
                     start, n_new, dtype=np.int64
                 )
             added_bytes += len(groups) * (n_new - n_old) * row_bytes
-            # Rows are only appended: the system keeps the part's
-            # resident scan operands and live-row filter, and adds the
-            # new rows to both.
+            # Rows are only appended, and live: the system extends the
+            # part's resident scan operands over them.
             self.system.append_shard(
                 groups[0][-1], quantized.cluster_ids[cid][start:n_new], codes[start:n_new]
             )
@@ -400,8 +399,8 @@ class DrimAnnEngine:
         """Tombstone points by id; returns how many were newly deleted.
 
         Deleted rows stay resident (DC still streams and is charged for
-        them — the ledger stays honest) but are filtered out of every
-        scan before top-k, so they can never appear in results.
+        them — the ledger stays honest) but are masked in every scan
+        before top-k, so they can never appear in results.
         :meth:`compact` reclaims the space. ``ids`` are validated like
         :meth:`add`'s; the call does one id lookup and resyncs the
         live-row filters of the touched clusters' shards only.

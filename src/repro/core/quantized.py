@@ -477,9 +477,9 @@ class QuantizedIndexData:
             for cid in probes[qi]:
                 ids = self.cluster_ids[cid]
                 codes = self.cluster_codes[cid]
-                # Tombstoned rows are filtered BEFORE the scan/top-k so
-                # deleted points can never displace live candidates —
-                # the engine's scan path filters at the same stage.
+                # Tombstoned rows are filtered BEFORE the top-k so
+                # deleted points can never displace live candidates;
+                # the engine scans them and masks them before its top-k.
                 if masks is not None and masks[cid].any():
                     keep = ~masks[cid]
                     ids = ids[keep]

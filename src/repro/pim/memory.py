@@ -74,17 +74,28 @@ class _BudgetedStore:
 
     def store(self, key: str, array: np.ndarray) -> None:
         """Insert or replace an object; raises CapacityError if it won't fit."""
-        array = np.asarray(array)
-        delta = array.nbytes - (
-            self._objects[key].nbytes if key in self._objects else 0
-        )
+        self.store_all({key: array})
+
+    def check_fit(self, objects: Dict[str, np.ndarray]) -> int:
+        """The bytes ``objects`` add, each replacing the object stored
+        under its key; CapacityError unless they fit together."""
+        old = self._objects
+        delta = sum(np.asarray(a).nbytes - (old[k].nbytes if k in old else 0)
+                    for k, a in objects.items())
         if self._used + delta > self.capacity_bytes:
             raise CapacityError(
-                f"{self.label}: storing {key!r} needs {delta} more bytes, "
-                f"only {self.free_bytes} free of {self.capacity_bytes}"
+                f"{self.label}: storing {', '.join(map(repr, objects))} needs "
+                f"{delta} more bytes, only {self.free_bytes} free of "
+                f"{self.capacity_bytes}"
             )
-        self._objects[key] = array
-        self._used += delta
+        return delta
+
+    def store_all(self, objects: Dict[str, np.ndarray]) -> None:
+        """Insert or replace several objects: all of them, or none
+        (CapacityError) when they do not fit together."""
+        objects = {key: np.asarray(array) for key, array in objects.items()}
+        self._used += self.check_fit(objects)
+        self._objects.update(objects)
 
     def load(self, key: str) -> np.ndarray:
         if key not in self._objects:

@@ -62,8 +62,9 @@ from repro.utils import check_count
 
 #: One shard-group scan job of :func:`scan_jobs_stacked`: ``(tables (g,
 #: M, CB), offsets (n, M), ids (n,), k, point terms (n,), row terms
-#: (g,))``, the offsets being the ``.T`` view of a shard's
-#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`. The pool
+#: (g,), dead rows)``, the offsets being the ``.T`` view of a shard's
+#: :func:`~repro.pim.backend.numpy_backend.gather_offsets` and the dead
+#: rows ascending positions in ``[0, n)`` or None. The pool
 #: ships its LUT jobs as :func:`scan_shard_group`'s arguments, ``(luts,
 #: codes, ids, k)``.
 ScanJob = Tuple[Any, ...]
@@ -124,7 +125,7 @@ def scan_shard_group(
     check_count(k, "k")
     off = gather_offsets(codes, luts.shape[-1])
     terms = np.zeros(len(codes), dtype=np.int64), np.zeros(len(luts), dtype=np.int64)
-    job = (_gather_view(luts), off.T, ids, k) + terms
+    job = (_gather_view(luts), off.T, ids, k) + terms + (None,)
     return scan_jobs_stacked([job], backend=backend)
 
 
@@ -134,24 +135,26 @@ def scan_jobs_stacked(
 ) -> JobTopk:
     """The in-process DC + TS of a whole round, into one top-k block.
 
-    ``jobs`` are ``(tables, offsets, ids, k, point terms, row terms)``
-    with one ``k``: the ``(g, M, CB)`` tables in the dtype to gather
-    from, the ``(n, M)`` view of the shard's range-checked resident
-    offsets, and int64 ``(n,)`` / ``(g,)`` terms. A row's distance to a
-    point is the sum of its table's entries at the point's codes plus
-    the point's and the row's term. Returns the call's ``(ids,
+    ``jobs`` are ``(tables, offsets, ids, k, point terms, row terms,
+    dead rows)`` with one ``k``: the ``(g, M, CB)`` tables in the dtype
+    to gather from, the ``(n, M)`` view of the shard's range-checked
+    resident offsets over its stored rows, int64 ``(n,)`` / ``(g,)``
+    terms, and the ascending positions of the shard's dead rows (None:
+    every row live). A row's distance to a point is the sum of its
+    table's entries at the point's codes plus the point's and the row's
+    term; a dead point is never a candidate. Returns the call's ``(ids,
     dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
     the jobs' summed LUT rows in submission order, padded with ``-1`` /
-    ``inf`` past a job's ``n``. A row depends only on its job, never
-    on the others.
+    ``inf`` past a job's live points. A row depends only on its job,
+    never on the others.
 
     The jobs' rows are scanned straight into padded int64 distance
-    slabs (padding cells hold :data:`PAD_DISTANCE`) with the point
-    terms added, and each slab gets one canonical ``(distance, id)``
-    selection (a row term cannot reorder its row, so it is added to
-    the selected distances only),
-    :func:`~repro.pim.kernels.select_topk`, written straight into the
-    block. A slab stays within
+    slabs with the point terms added (padding cells, and then dead
+    points' cells, hold :data:`PAD_DISTANCE`), and each slab gets one
+    canonical ``(distance, id)`` selection,
+    :func:`~repro.pim.kernels.select_topk` (a row term cannot reorder
+    its row, so it is added to the selected distances only), written
+    straight into the block. A slab stays within
     :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (a job
     splits across slabs when it must) and is as wide as its widest
     job, so jobs fill slabs in ascending ``n``: a wider job starts a
@@ -208,17 +211,19 @@ def _select_slab(
     out_dists: np.ndarray,
 ) -> None:
     """Scan one slab's pieces into a padded ``(rows, width)`` block and
-    write its canonical top-k to their rows of ``out_ids`` /
-    ``out_dists`` (``starts`` holds each job's first block row)."""
+    write its canonical top-k, dead points masked, to their rows of
+    ``out_ids`` / ``out_dists`` (``starts``: each job's first row)."""
     if not rows or not width:
         return  # empty shards only: their rows stay padding
     block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
     row = 0
     for ji, r0, r1 in pieces:
-        tables, off_t, ids, _, point_terms, _ = jobs[ji]
+        tables, off_t, ids, _, point_terms, _, dead = jobs[ji]
         dists = block[row : row + r1 - r0, : len(ids)]
         backend.scan_into(tables[r0:r1], off_t.T, dists)
         dists += point_terms
+        if dead is not None:
+            dists[:, dead] = PAD_DISTANCE  # never selected ahead of a live row
         row += r1 - r0
     # Block row -> round-block row: each piece's rows are a run there.
     lens = np.array([r1 - r0 for _, r0, r1 in pieces])

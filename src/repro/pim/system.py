@@ -51,6 +51,7 @@ from repro.pim.backend import resolve_backend
 from repro.pim.backend.numpy_backend import CodebookTerms, gather_offsets, slab_rows
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
+from repro.pim.memory import Mram
 from repro.pim.kernels import (
     distance_scan_cost,
     lut_build_cost,
@@ -92,14 +93,12 @@ class ShardData:
 
 
 class ScanOperands(NamedTuple):
-    """A data shard's resident scan operands over its live rows."""
+    """A data shard's resident scan operands over its stored rows, dead
+    ones included: a function of its codes and the codebooks."""
 
     off: np.ndarray  # (M, n) intp gather offsets
-    ids: np.ndarray  # (n,) int64 point ids
     pts: np.ndarray  # (n,) int64 point terms
-    # Stored rows covered: the operands hold the live rows among the
-    # first `rows`; later (appended) rows join at the next scan.
-    rows: int
+    rows: int  # stored rows covered; appended rows join at the next scan
     # The (1, M, CB) int64 2c.b table of the shard's centroid, kept
     # once a shard has grown (None before).
     cterm: Optional[np.ndarray] = None
@@ -112,14 +111,21 @@ class _DataShard:
     shard: ShardData  # the first placed; its rows are the data shard's
     index: int  # placement order, compute_tasks' sort key
     placements: List[Tuple[str, int]] = field(default_factory=list)  # (key, DPU)
-    # Ascending live rows (None: all). Dead rows stay stored and DC streams
-    # them, so deletions keep the pool arena valid; the filter ships per round.
-    live: Optional[np.ndarray] = None
+    # Ascending dead rows (None: none): stored, with their scan operands;
+    # DC streams them and the scan masks them before top-k.
+    dead: Optional[np.ndarray] = None
     ops: Optional[ScanOperands] = None  # built by the first scan
 
     @property
     def num_live(self) -> int:
-        return len(self.shard.ids) if self.live is None else len(self.live)
+        return len(self.shard.ids) - (0 if self.dead is None else len(self.dead))
+
+    @property
+    def live(self) -> Optional[np.ndarray]:
+        """Ascending live rows (None: all), the worker pool's filter."""
+        if self.dead is None:
+            return None
+        return np.delete(np.arange(len(self.shard.ids)), self.dead)
 
 
 @dataclass
@@ -276,7 +282,8 @@ class PimSystem:
 
     # ----- offline loading ------------------------------------------------
     def place_shard(self, dpu_id: int, shard: ShardData) -> None:
-        """Store a shard's data in a DPU's MRAM (raises on overflow).
+        """Store a shard's codes, ids and centroid in a DPU's MRAM, all
+        or none (``CapacityError`` when they do not fit together).
 
         A shard whose ``data_key`` is placed is one more placement of
         that data shard's record: it needs the record's ids and centroid,
@@ -301,10 +308,11 @@ class PimSystem:
                 if not same:
                     raise ValueError(f"shard {key!r} shares data key {data_key!r} "
                                      f"with {first.shard_key!r} but not its {name}")
-        mram = self.dpus[dpu_id].mram
-        mram.store(f"codes:{key}", shard.codes)
-        mram.store(f"ids:{key}", shard.ids)
-        mram.store(f"centroid:{key}", shard.centroid)
+        self.dpus[dpu_id].mram.store_all({
+            f"codes:{key}": shard.codes,
+            f"ids:{key}": shard.ids,
+            f"centroid:{key}": shard.centroid,
+        })
         if rec is None:
             rec = self._data[data_key] = _DataShard(shard, len(self._data))
         rec.placements.append((key, dpu_id))
@@ -320,15 +328,21 @@ class PimSystem:
         return placed[1]
 
     def _store_rows(self, rec: _DataShard, ids: np.ndarray, codes: np.ndarray) -> None:
-        """Re-store rows on a record and every placement's MRAM (budget-checked)."""
+        """Re-store rows on a record and every placement's MRAM: every
+        placement's budget is checked before any is re-stored."""
         if len(ids) != len(codes):
             raise ValueError(
                 f"ids/codes row mismatch: {len(ids)} vs {len(codes)}"
             )
+        stores: Dict[Mram, Dict[str, np.ndarray]] = {}
         for key, dpu_id in rec.placements:
-            mram = self.dpus[dpu_id].mram
-            mram.store(f"codes:{key}", codes)
-            mram.store(f"ids:{key}", ids)
+            stores.setdefault(self.dpus[dpu_id].mram, {}).update(
+                {f"codes:{key}": codes, f"ids:{key}": ids}
+            )
+        for mram, objects in stores.items():
+            mram.check_fit(objects)
+        for mram, objects in stores.items():
+            mram.store_all(objects)
         rec.shard.ids = ids
         rec.shard.codes = codes
         self._residency_dirty = True
@@ -338,12 +352,19 @@ class PimSystem:
 
         ``shard_key`` may name any replica: the data shard's record is
         mutated in place and every placement's MRAM objects re-stored
-        (budget-checked). Pool residency and the resident scan operands
-        are dropped: the next scan rebuilds them from the new codes,
+        (all budget-checked first). The dead rows stay dead and rows
+        past the old end are live, like appended ones; a shorter block
+        while a live-row filter is installed (it names the rows past the
+        new end) raises ``ValueError`` naming the filter, before anything
+        is stored. Pool residency and the resident scan operands are
+        dropped: the next scan rebuilds them from the new codes,
         range-checking every one. A grown shard whose old rows are
         unchanged takes :meth:`append_shard` instead.
         """
         rec = self._record(shard_key)
+        if rec.dead is not None and len(ids) < len(rec.shard.ids):
+            raise ValueError(f"update_shard on {shard_key!r}: the live-row filter "
+                             f"names rows past the new block's {len(ids)}")
         self._store_rows(rec, ids, codes)
         rec.ops = None
 
@@ -354,10 +375,9 @@ class PimSystem:
         ids must be the shard's ``n`` old ones (else ``ValueError``),
         and their codes are taken as unchanged. Stores them like
         :meth:`update_shard`, through any replica's key, but the
-        appended rows are live (a live-row filter grows by their
-        indices), and resident scan operands stay: the next scan builds
-        and range-checks offsets and point terms for the appended rows
-        only.
+        appended rows are live (the dead rows are unchanged), and
+        resident scan operands stay: the next scan builds and
+        range-checks offsets and point terms for the appended rows only.
         """
         rec = self._record(shard_key)
         n_old = len(rec.shard.ids)
@@ -367,10 +387,6 @@ class PimSystem:
                 "be the shard's own"
             )
         self._store_rows(rec, ids, codes)
-        if rec.live is not None and len(ids) > n_old:
-            rec.live = np.concatenate(
-                [rec.live, np.arange(n_old, len(ids), dtype=np.intp)]
-            )
 
     def set_shard_liveness(
         self, shard_key: str, live_rows: Optional[np.ndarray]
@@ -381,76 +397,57 @@ class PimSystem:
         shard's ``n`` stored rows that survive tombstoning: a 1-D
         integer array in ``[0, n)``, else ``TypeError``/``ValueError``
         naming ``live_rows``. Any replica's key sets the one filter of
-        its data shard. The scan path drops the other rows before top-k;
-        DC still streams every stored row and is charged for it.
-        Resident scan operands are compressed to the surviving positions
-        when every row the new filter keeps was live before (a
-        deletion), and dropped otherwise.
+        its data shard, kept as its dead rows. The scan masks them
+        before top-k; DC still streams every stored row and is charged
+        for it. The resident scan operands are left as they are.
         """
         rec = self._record(shard_key)
-        if live_rows is not None:
-            n, live_rows = len(rec.shard.ids), np.asarray(live_rows)
-            if live_rows.dtype.kind not in "iu":
-                raise TypeError(f"live_rows must be integer rows, got {live_rows.dtype}")
-            if live_rows.ndim != 1 or len(live_rows) and (
-                live_rows[0] < 0 or live_rows[-1] >= n
-                or np.count_nonzero(live_rows[1:] <= live_rows[:-1])
-            ):
-                raise ValueError(f"live_rows must be strictly ascending 1-D rows in [0, {n})")
-            live_rows = live_rows.astype(np.intp, copy=False)
-        old, rec.live = rec.live, live_rows
-        ops = rec.ops
-        if ops is None or (old is None and live_rows is None):
+        if live_rows is None:
+            rec.dead = None
             return
-        kept = _surviving(ops.rows, old, live_rows)
-        if kept is None:
-            rec.ops = None
-        elif len(kept) < len(ops.ids):
-            rec.ops = ScanOperands(
-                ops.off.take(kept, axis=1),
-                ops.ids.take(kept),
-                ops.pts.take(kept),
-                ops.rows,
-                ops.cterm,
-            )
+        n, live_rows = len(rec.shard.ids), np.asarray(live_rows)
+        if live_rows.dtype.kind not in "iu":
+            raise TypeError(f"live_rows must be integer rows, got {live_rows.dtype}")
+        if live_rows.ndim != 1 or len(live_rows) and (
+            live_rows[0] < 0 or live_rows[-1] >= n
+            or np.count_nonzero(live_rows[1:] <= live_rows[:-1])
+        ):
+            raise ValueError(f"live_rows must be strictly ascending 1-D rows in [0, {n})")
+        dead = np.ones(n, dtype=bool)
+        dead[live_rows] = False
+        rec.dead = np.flatnonzero(dead) if len(live_rows) < n else None
 
     @staticmethod
     def _live_arrays(rec: _DataShard) -> Tuple[np.ndarray, np.ndarray]:
-        """The (codes, ids) a scan sees: live rows only."""
-        live = slice(None) if rec.live is None else rec.live
+        """The (codes, ids) of a data shard's live rows."""
+        live = slice(None) if rec.dead is None else rec.live
         return rec.shard.codes[live], rec.shard.ids[live]
 
     def _scan_operands(self, rec: _DataShard) -> ScanOperands:
-        """A data shard's resident :class:`ScanOperands` over its live
-        rows: ``(M, n)`` intp offsets, ``(n,)`` ids and ``(n,)`` int64
-        point terms (:meth:`~repro.pim.backend.NumpyBackend.point_terms`).
+        """A data shard's resident :class:`ScanOperands` over its stored
+        rows: ``(M, n)`` intp offsets and ``(n,)`` int64 point terms
+        (:meth:`~repro.pim.backend.NumpyBackend.point_terms`).
 
         Built once, like the codes' MRAM layout, and kept up to date:
         the first scan range-checks the shard's codes (``IndexError``
         for a code outside ``[0, CB)``, before any offset reaches the
         gather) and builds them; the first scan after
-        :meth:`append_shard` builds and range-checks the appended live
-        rows' only, their point terms from the shard's kept ``2c.b``
-        table, and appends them; :meth:`set_shard_liveness` compresses
-        them to the surviving rows. :meth:`update_shard` and
+        :meth:`append_shard` builds and range-checks the appended rows'
+        only, their point terms from the shard's kept ``2c.b`` table,
+        and appends them. Liveness never touches them (the scan masks
+        dead rows and reads the record's ids); :meth:`update_shard` and
         :meth:`load_codebooks` drop them. They cost ``8 * M + 8`` bytes
-        per live row, plus 8 for the ids once a filter or an append has
-        copied them (an all-live shard's are a view of its own), and
-        ``8 * M * CB`` per grown data shard for its ``2c.b`` table.
+        per stored row, plus ``8 * M * CB`` for a grown shard's ``2c.b``.
         """
-        ops, shard, live = rec.ops, rec.shard, rec.live
+        ops, shard = rec.ops, rec.shard
         n = len(shard.ids)
         if ops is not None and ops.rows == n:
             return ops
         start = 0 if ops is None else ops.rows
-        rows = slice(start, n) if live is None else live[live.searchsorted(start):]
-        off = gather_offsets(shard.codes[rows], self.codebooks.shape[1])
-        ids = shard.ids[rows]
+        off = gather_offsets(shard.codes[start:n], self.codebooks.shape[1])
         if ops is None:
             pts = self.backend.point_terms(shard.centroid, off, self.codebook_terms)
-            ops = ScanOperands(off, ids, pts, n)
-        elif not len(ids):
-            ops = ops._replace(rows=n)
+            ops = ScanOperands(off, pts, n)
         else:
             cterm = ops.cterm
             if cterm is None:
@@ -459,7 +456,6 @@ class PimSystem:
             self.backend.scan_into(cterm, off, pts)
             ops = ScanOperands(
                 np.concatenate([ops.off, off], axis=1),
-                np.concatenate([ops.ids, ids]),
                 np.concatenate([ops.pts, pts[0]]),
                 n,
                 cterm,
@@ -903,7 +899,8 @@ class PimSystem:
         k: int,
     ) -> parallel.JobTopk:
         """A query slab's top-k block, rows in task order, by
-        :func:`scan_jobs_stacked`. ``jobs`` are ``(data shard, live rows,
+        :func:`scan_jobs_stacked` over each data shard's stored rows,
+        its dead rows masked. ``jobs`` are ``(data shard, live rows,
         first task, end task)``; ``crows`` name each task's row of the
         ``cents`` centroids."""
         uq, local = np.unique(qrows, return_inverse=True)
@@ -913,9 +910,10 @@ class PimSystem:
         scan_jobs = []
         for rec, _, a, b in jobs:
             ops = self._scan_operands(rec)
-            scan_jobs.append(
-                (tables[local[a:b]], ops.off.T, ops.ids, k, ops.pts, row_terms[a:b])
-            )
+            scan_jobs.append((
+                tables[local[a:b]], ops.off.T, rec.shard.ids, k, ops.pts,
+                row_terms[a:b], rec.dead,
+            ))
         return scan_jobs_stacked(scan_jobs, backend=self.backend)
 
     def _pool_slab(
@@ -1068,25 +1066,6 @@ class PimSystem:
         """Tear down the optional shard-executor worker pool."""
         if self.executor is not None:
             self.executor.close()
-
-
-def _surviving(
-    rows: int, old: Optional[np.ndarray], new: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """Positions, among the live rows below ``rows`` under the ascending
-    filter ``old`` (None: all live), of the rows filter ``new`` keeps;
-    None when ``new`` keeps a row ``old`` did not."""
-    if new is None:
-        kept = np.arange(rows)
-    else:
-        kept = new[: new.searchsorted(rows)] if len(new) and new[-1] >= rows else new
-    if old is None:
-        return kept
-    was = old[: old.searchsorted(rows)] if len(old) and old[-1] >= rows else old
-    if not len(was):
-        return None if len(kept) else kept
-    pos = was.searchsorted(kept)
-    return pos if (was.take(pos, mode="clip") == kept).all() else None
 
 
 def square_misses(

@@ -6,9 +6,10 @@ task's top-k by the canonical ``(distance, id)`` order. So they agree
 bit for bit under forced ties, whatever the padding or job split, and
 the engine's ids equal ``reference_search``'s exactly, ties included.
 
-The scan operands are resident per data shard: built and range-checked
-on a shard's first scan, extended by appended rows at the next scan,
-compressed by deletions, and dropped when a code block is replaced.
+The scan operands are resident per data shard, over its stored rows:
+built and range-checked on a shard's first scan, extended by appended
+rows at the next scan, and dropped when a code block is replaced.
+Deletions leave them alone: the scan masks the dead rows.
 """
 
 import json
@@ -57,6 +58,7 @@ def _resident(jobs):
         (
             luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
             np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
+            None,
         )
         for luts, codes, ids, k in jobs
     ]
@@ -235,9 +237,9 @@ class TestResidentOffsets:
     def _assert_cache_consistent(self, system):
         """Every placement of a data key shares its one record, so one
         live-row filter and at most one operand record per data shard;
-        each operand record equals a fresh build over the rows it
-        covers: the live ones among its first ``rows`` stored rows
-        (rows appended after it join at the next scan)."""
+        each operand record equals a fresh build over its first ``rows``
+        stored rows, whatever the filter (rows appended after it join at
+        the next scan)."""
         cb = system.codebooks.shape[1]
         books = system.codebooks.astype(np.int64)
         m = books.shape[0]
@@ -245,15 +247,13 @@ class TestResidentOffsets:
         assert len(records) == len(system._data)
         for rec in system._data.values():
             assert all(system._shards[key][1] is rec for key, _ in rec.placements)
-            ops, shard, live = rec.ops, rec.shard, rec.live
+            ops, shard = rec.ops, rec.shard
             if ops is None:
                 continue
             assert ops.rows <= len(shard.ids)
-            rows = np.arange(ops.rows) if live is None else live[live < ops.rows]
-            codes, live_ids = shard.codes[rows], shard.ids[rows]
+            codes = shard.codes[: ops.rows]
             assert ops.off.dtype == np.intp and ops.off.flags.c_contiguous
             np.testing.assert_array_equal(ops.off, gather_offsets(codes, cb))
-            np.testing.assert_array_equal(ops.ids, live_ids)
             # Point terms: sum_m 2 c.b[m, code_m], in exact int64.
             c = shard.centroid.astype(np.int64).reshape(m, 1, -1)
             cterm = 2 * (c * books).sum(-1)
@@ -309,21 +309,25 @@ class TestResidentOffsets:
             engine.search(queries)
             self._assert_cache_consistent(engine.system)
             steps = [
-                lambda: engine.add(base[:12]),
-                lambda: engine.delete(np.arange(0, 3600, 7)),
-                lambda: engine.add(base[100:110]),
-                lambda: engine.compact(),
+                ("add", lambda: engine.add(base[:12])),
+                ("delete", lambda: engine.delete(np.arange(0, 3600, 7))),
+                ("add", lambda: engine.add(base[100:110])),
+                ("compact", lambda: engine.compact()),
             ]
-            for step in steps:
+            for kind, step in steps:
                 before = _operands(engine.system)
                 step()
+                if kind == "delete":
+                    # A deletion only masks: every operand record stays.
+                    now = _operands(engine.system)
+                    assert now.keys() == before.keys()
+                    assert all(now[key] is ops for key, ops in before.items())
                 got = engine.search(queries).results
                 after = _operands(engine.system)
                 assert after
                 self._assert_cache_consistent(engine.system)
-                assert any(
-                    after.get(key) is not pair for key, pair in before.items()
-                )
+                changed = [after.get(key) is not ops for key, ops in before.items()]
+                assert not any(changed) if kind == "delete" else any(changed)
                 ref = engine.reference_search(queries)
                 np.testing.assert_array_equal(got.ids, ref.ids)
                 np.testing.assert_array_equal(got.distances, ref.distances)
@@ -336,8 +340,8 @@ class TestResidentOffsets:
         sequence on split, replicated shards: after every step the
         resident operands equal a fresh build and searches equal
         ``reference_search``. Appends stay pending until a scan, and
-        some steps search only two queries, so deletions also compress
-        part-covered records and tombstone rows still pending."""
+        some steps search only two queries, so deletions also mask rows
+        of part-covered records and tombstone rows still pending."""
         base, _, queries = tie_index
         layout = LayoutConfig(min_split_size=80, max_copies=2)
         state = {"engine": _tie_engine(tie_index, layout=layout)}

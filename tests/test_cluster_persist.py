@@ -3,7 +3,7 @@
 A reloaded rack must be the *same* rack: identical topology, identical
 routing, and bit-identical frontend answers — because every shard file
 stores the intra-platform cluster heat its engines' layouts were
-generated from.
+generated from, and the cluster radii its bound-mode searches read.
 """
 
 import json
@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.core.adaptive as adaptive
 from repro.cluster import (
     ClusterConfig,
     ClusterFrontend,
@@ -19,7 +20,7 @@ from repro.cluster import (
     load_cluster_index,
 )
 from repro.core import EngineConfig, LayoutConfig
-from repro.core.persist import IndexFormatError
+from repro.core.persist import IndexFormatError, index_info
 from repro.pim.config import PimSystemConfig
 
 
@@ -46,6 +47,7 @@ def saved_rack(small_ds, small_quantized, engine_config, tmp_path_factory):
         seed=0,
     ) as cluster:
         res, _ = ClusterFrontend(cluster, seed=0).search(queries)
+        bound, _ = ClusterFrontend(cluster, seed=0).search(queries, adaptive="bound")
         cluster.save(directory)
         owner = cluster.owner.copy()
     return {
@@ -53,6 +55,7 @@ def saved_rack(small_ds, small_quantized, engine_config, tmp_path_factory):
         "queries": queries,
         "ids": res.ids.copy(),
         "distances": res.distances.copy(),
+        "bound": (bound.ids.copy(), bound.distances.copy()),
         "owner": owner,
     }
 
@@ -81,6 +84,32 @@ class TestRackRoundTrip:
         np.testing.assert_array_equal(res.ids, saved_rack["ids"])
         np.testing.assert_array_equal(res.distances, saved_rack["distances"])
         assert rep.mean_coverage == 1.0
+
+    def test_shard_files_carry_cluster_radii(self, saved_rack):
+        with open(os.path.join(saved_rack["directory"], "manifest.json")) as f:
+            shards = json.load(f)["shards"]
+        for entry in shards:
+            info = index_info(os.path.join(saved_rack["directory"], entry["file"]))
+            assert info["has_cluster_radii"], entry["file"]
+
+    def test_reloaded_bound_search_reads_stored_radii(
+        self, saved_rack, engine_config, monkeypatch
+    ):
+        """A reloaded rack's bound-mode search answers as the saved rack
+        did, from the stored radii: it never recomputes them."""
+
+        def recompute(quantized):
+            raise AssertionError("cluster radii recomputed")
+
+        with load_cluster_index(
+            saved_rack["directory"], engine_config, seed=0
+        ) as cluster:
+            monkeypatch.setattr(adaptive, "cluster_radii_sq", recompute)
+            res, _ = ClusterFrontend(cluster, seed=0).search(
+                saved_rack["queries"], adaptive="bound"
+            )
+        np.testing.assert_array_equal(res.ids, saved_rack["bound"][0])
+        np.testing.assert_array_equal(res.distances, saved_rack["bound"][1])
 
     def test_reloaded_rack_matches_oracle(self, saved_rack, engine_config):
         with load_cluster_index(

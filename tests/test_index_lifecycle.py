@@ -505,22 +505,26 @@ class TestEngineMutation:
             # A cluster whose resident operands the search built.
             target = min(engine.plan.shards[k].cluster_id for k in before)
             live = ~quant.tombstone_masks()[target]
-            assert engine.delete(quant.cluster_ids[target][live][:1]) == 1
-            cache = _operands(engine.system)
             targets = {
                 key
                 for group in engine.plan.replica_groups[target]
                 for key in group
             }
-            kept = {k for k in before if k not in targets}
-            assert kept and all(cache[k] is before[k] for k in kept)
-            # The record of the part that held the row is compressed in
-            # place of a rebuild, by exactly that row; the cluster's
-            # other parts keep theirs.
-            hit = targets & set(before)
-            changed = [k for k in hit if cache[k] is not before[k]]
-            assert len(changed) == 1
-            assert len(before[changed[0]].ids) - len(cache[changed[0]].ids) == 1
+            records = {
+                id(rec): rec for rec in (engine.system._shards[k][1] for k in targets)
+            }.values()
+            lives = {id(rec): rec.num_live for rec in records}
+            assert engine.delete(quant.cluster_ids[target][live][:1]) == 1
+            cache = _operands(engine.system)
+            # A deletion only masks: every record keeps its operands, the
+            # target cluster's included, and the part that held the row
+            # has exactly one more dead row.
+            assert cache.keys() == before.keys()
+            assert all(cache[k] is before[k] for k in before)
+            assert any(k not in targets for k in before)
+            assert sorted(
+                lives[id(rec)] - rec.num_live for rec in records
+            ) == [0] * (len(records) - 1) + [1]
             _assert_matches_reference(engine, q)
         finally:
             engine.close()

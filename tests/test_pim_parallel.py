@@ -11,6 +11,8 @@ close — checkable via :func:`assert_no_leaked_segments`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
 from repro.pim import parallel
@@ -167,6 +169,7 @@ def _resident(jobs):
         (
             luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
             np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
+            None,
         )
         for luts, codes, ids, k in jobs
     ]
@@ -225,6 +228,70 @@ class TestScanJobsStacked:
         got = scan_jobs_stacked(jobs)
         assert shapes == [(10, 50)] * 4 + [(2, 50)]
         _assert_topk_equal(got, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shapes=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 30)), min_size=1, max_size=5
+        ),
+        k=st.integers(1, 12),
+        values=st.integers(1, 4),
+        dead_frac=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    )
+    def test_dead_rows_equal_a_scan_of_live_rows(
+        self, seed, shapes, k, values, dead_frac
+    ):
+        """Jobs over stored rows with dead positions masked equal the
+        canonical top-k over their live rows alone, ties included."""
+        rng = np.random.default_rng(seed)
+        jobs, live_jobs = [], []
+        for g, n in shapes:
+            luts = rng.integers(0, values, size=(g, 3, 4)).astype(np.int32)
+            codes = rng.integers(0, 4, size=(n, 3)).astype(np.uint8)
+            ids = rng.permutation(1000)[:n].astype(np.int64)
+            dead = np.flatnonzero(rng.random(n) < dead_frac)
+            live = np.setdiff1d(np.arange(n), dead)
+            (job,) = _resident([(luts, codes, ids, k)])
+            jobs.append(job[:-1] + (dead if len(dead) else None,))
+            live_jobs.append((luts, codes[live], ids[live], k))
+        _assert_topk_equal(scan_jobs_stacked(jobs), _serial_block(live_jobs))
+
+    def test_dead_row_never_displaces_a_tied_live_row(self):
+        """A dead row whose id is below the k-th live candidate's, at the
+        same distance, is never returned; the point terms set every
+        distance here."""
+        ids = np.array([10, 20, 5, 30], dtype=np.int64)
+        pts = np.array([1, 2, 2, 3], dtype=np.int64)
+        luts = np.zeros((1, 1, 1), dtype=np.int32)
+        off_t = np.zeros((4, 1), dtype=np.intp)
+        zero = np.zeros(1, dtype=np.int64)
+        got_ids, got_d = scan_jobs_stacked(
+            [(luts, off_t, ids, 2, pts, zero, np.array([2]))]
+        )
+        np.testing.assert_array_equal(got_ids, [[10, 20]])
+        np.testing.assert_array_equal(got_d, [[1.0, 2.0]])
+        # Unmasked, the tie would pick the smaller id.
+        got_ids, _ = scan_jobs_stacked([(luts, off_t, ids, 2, pts, zero, None)])
+        np.testing.assert_array_equal(got_ids, [[10, 5]])
+
+    @pytest.mark.parametrize("dead", [np.arange(6), np.array([0, 2, 3, 5])])
+    def test_all_dead_or_few_live_rows_pad(self, rng, dead):
+        """An all-dead shard, or one with fewer live rows than ``k``,
+        pads its rows with ``-1`` / ``inf`` past its live candidates."""
+        (job,) = _resident(_jobs(rng, n_jobs=1, g=3, n=6, k=4))
+        (other,) = _resident(_jobs(rng, n_jobs=1, g=2, n=9, k=4))
+        got_ids, got_d = scan_jobs_stacked([job[:-1] + (dead,), other])
+        live = np.setdiff1d(np.arange(6), dead)
+        assert got_ids.shape == got_d.shape == (5, 4)
+        for r in range(3):
+            assert set(got_ids[r, : len(live)].tolist()) == set(job[2][live].tolist())
+            assert (got_ids[r, len(live):] == -1).all()
+            assert np.isinf(got_d[r, len(live):]).all()
+            assert np.isfinite(got_d[r, : len(live)]).all()
+        _assert_topk_equal(
+            (got_ids[3:], got_d[3:]), scan_jobs_stacked([other])
+        )
 
     def test_one_k_per_block(self, rng):
         jobs = _resident(_jobs(rng, n_jobs=1, k=3) + _jobs(rng, n_jobs=1, k=4))

@@ -3,6 +3,7 @@ import pytest
 
 from repro.core.square_lut import SquareLut
 from repro.pim import PimSystem, PimSystemConfig
+from repro.pim.config import DpuConfig
 from repro.pim.memory import CapacityError
 from repro.pim.system import ShardData
 
@@ -57,8 +58,9 @@ class TestPlacement:
             )
 
     def test_mram_capacity_enforced(self):
-        from repro.pim.config import DpuConfig
-
+        """A shard whose codes, ids and centroid do not fit together
+        stores none of them: the DPU's MRAM stays empty and no shard is
+        placed."""
         cfg = PimSystemConfig(num_dpus=1, dpu=DpuConfig(mram_bytes=1024))
         s = PimSystem(cfg)
         with pytest.raises(CapacityError):
@@ -71,6 +73,43 @@ class TestPlacement:
                     codes=np.zeros((100, 8), dtype=np.uint8),
                 ),
             )
+        assert s.mram_usage().tolist() == [0]
+        assert not list(s.dpus[0].mram.keys())
+        assert s.num_shards() == 0
+
+    def test_append_overflowing_a_second_placement_stores_nothing(self):
+        """An append that fits the first placement's DPU but not the
+        second's re-stores neither: both placements and the record keep
+        their rows."""
+        s = PimSystem(PimSystemConfig(num_dpus=2, dpu=DpuConfig(mram_bytes=2048)))
+
+        def shard(key, n, data_key=None):
+            return ShardData(
+                shard_key=key,
+                centroid=np.zeros(32, dtype=np.uint8),
+                ids=np.arange(n, dtype=np.int64),
+                codes=np.zeros((n, 8), dtype=np.uint8),
+                data_key=data_key,
+            )
+
+        s.place_shard(0, shard("a", 20))
+        s.place_shard(1, shard("a.r1", 20, data_key="a"))
+        s.place_shard(1, shard("filler", 95))  # 1904 of 2048 B used
+        first = s.get_shard("a")
+        stored = {
+            (d, key): s.dpus[d].mram.load(key)
+            for d in (0, 1) for key in s.dpus[d].mram.keys()
+        }
+        used = s.mram_usage()
+        with pytest.raises(CapacityError):
+            s.append_shard(
+                "a", np.arange(30, dtype=np.int64), np.zeros((30, 8), dtype=np.uint8)
+            )
+        np.testing.assert_array_equal(s.mram_usage(), used)
+        for (d, key), array in stored.items():
+            assert s.dpus[d].mram.load(key) is array
+        assert s.get_shard("a.r1") is first
+        assert len(first.ids) == len(first.codes) == 20
 
     def test_mram_usage_reported(self, sys4):
         usage = sys4.mram_usage()
@@ -116,6 +155,53 @@ class TestPlacement:
         )
         assert sys4.get_shard("s0.r1") is first
         assert sys4.shard_location("s0.r1") == 1
+
+    def test_update_shard_rejects_a_stale_filter(self, sys4):
+        """A live-row filter naming a row at or past a shorter block's
+        end raises ``ValueError`` naming it, before anything is stored;
+        with the filter cleared the block is stored."""
+        shard = sys4.get_shard("s0")
+        ids, codes = shard.ids, shard.codes
+        rec = sys4._shards["s0"][1]
+        sys4.set_shard_liveness("s0", np.arange(5, 20))
+        used, dead = sys4.mram_usage(), rec.dead
+        with pytest.raises(ValueError, match="'s0'.*live-row filter"):
+            sys4.update_shard("s0", ids[:10], codes[:10])
+        np.testing.assert_array_equal(sys4.mram_usage(), used)
+        assert sys4.dpus[0].mram.load("codes:s0") is codes
+        assert sys4.get_shard("s0").ids is ids and rec.dead is dead
+        sys4.set_shard_liveness("s0", None)
+        sys4.update_shard("s0", ids[:10], codes[:10])
+        assert rec.num_live == 10
+        sys4.set_shard_liveness("s0", np.arange(2, 10))
+        np.testing.assert_array_equal(rec.dead, [0, 1])
+
+    def test_liveness_keeps_operands_and_append_extends_them(self, sys4, rng):
+        """``set_shard_liveness`` leaves the resident operands the same
+        object; an append after it extends them, its rows live."""
+        queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
+        sys4.compute_tasks(queries, [(0, "s0")], 3)
+        rec = sys4._shards["s0"][1]
+        ops = rec.ops
+        sys4.set_shard_liveness("s0", np.arange(0, 20, 2))
+        assert rec.ops is ops
+        sys4.set_shard_liveness("s0", None)
+        sys4.set_shard_liveness("s0", np.arange(1, 20, 2))
+        assert rec.ops is ops
+        shard = sys4.get_shard("s0")
+        old_ids = shard.ids
+        sys4.append_shard(
+            "s0",
+            np.append(old_ids, [900, 901, 902]),
+            np.concatenate([shard.codes, shard.codes[:3]]),
+        )
+        _, ids, _ = sys4.compute_tasks(queries, [(0, "s0")], 20)
+        assert rec.ops.rows == 23 and rec.num_live == 13
+        np.testing.assert_array_equal(rec.ops.off[:, :20], ops.off)
+        np.testing.assert_array_equal(rec.ops.pts[:20], ops.pts)
+        assert set(ids[0][ids[0] >= 0].tolist()) == set(
+            old_ids[1::2].tolist()
+        ) | {900, 901, 902}
 
     def test_append_shard_requires_the_old_ids_first(self, sys4):
         shard = sys4.get_shard("s1")
