@@ -13,7 +13,12 @@ through the full square LUT), the stacked scan must clear
 ``MIN_SCAN_SPEEDUP`` (3x), and the LUT build must clear
 ``MIN_LUT_SPEEDUP`` (3x) over the staged square-LUT path at the
 lut-heavy round shape (200 task rows over 25 queries and 35 centroids,
-M 32, CB 128, dsub 4, one pair-form ``build_luts`` call). The encoder
+M 32, CB 128, dsub 4, one pair-form ``build_luts`` call). At that
+shape the search's product DC (one exact BLAS product per centroid's
+run of tasks over residents built once) must equal the staged LUT scan
+and clear ``MIN_SCAN_SPEEDUP`` (3x) over its median time; it, the staged
+scan and the term-table scan are timed in interleaved repeats and
+recorded by their medians. The encoder
 runs at the add shape (200 residuals, M 32, CB 128, dsub 4): its codes
 must equal the staged int64 LUT's first-minimum argmin, and its time is
 recorded with no floor. Writes a machine-readable
@@ -22,8 +27,9 @@ recorded with no floor. Writes a machine-readable
 
 
 def run_smoke(repeats: int = 5, seed: int = 0) -> dict:
-    """CI gate: bit-identical kernels, stacked scan >= 3x, LUT build
-    >= 3x the staged square-LUT path."""
+    """CI gate: bit-identical kernels, stacked scan and product DC
+    >= 3x their staged scans, LUT build >= 3x the staged square-LUT
+    path."""
     from repro.pim.backend.microbench import format_record, run_microbench
 
     record = run_microbench(repeats=repeats, seed=seed)
@@ -43,8 +49,8 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="CI kernel gate: kernels bit-identical to the staged "
-        "reference; stacked scan >= 3x and LUT build >= 3x the "
-        "square-LUT path",
+        "reference; stacked scan and product DC >= 3x their staged "
+        "scans, LUT build >= 3x the square-LUT path",
     )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)

@@ -9,12 +9,20 @@ the full square LUT) at fixed shapes, checks the
 outputs are bit-identical, and reports best-of-N wall-clock speedups.
 The stacked scan takes the jobs' gather view, then each job's
 :func:`~repro.pim.backend.numpy_backend.gather_offsets` and one
-``scan_into``. It also checks the kernel a search's compute plane
-runs, the term-table scan (``query_terms`` rows scanned by
-``scan_into``, plus ``point_terms`` and ``||q - c||^2``), against the
+``scan_into``. It also checks the term-table scan a search's compute
+plane ran before its product DC (``query_terms`` rows scanned by
+``scan_into``, plus ``point_terms`` and ``||q - c||^2``) against the
 staged LUT scan at the LUT shape. The stacked scan's jobs are
 query-major and the term-table scan is row-major
-(:func:`~repro.pim.backend.numpy_backend.scan_layout`). The encoder
+(:func:`~repro.pim.backend.numpy_backend.scan_layout`). The product DC
+a search's compute plane runs (one exact ``product_scan_into`` per
+centroid's run of tasks plus ``||q - c||^2``, over residents built
+once by ``decode`` and ``residual_terms``, as a data shard keeps them)
+runs at the LUT shape too, must equal the staged LUT scan and clear
+:data:`MIN_SCAN_SPEEDUP` over that scan's time; the staged scan, the
+term-table scan (whose timing includes its per-centroid point terms)
+and the product are timed in interleaved repeats, by their medians,
+so a slowdown of one shows against the others. The encoder
 (``pq_encode``, ``add()``'s codes) runs at the add shape and must pick
 the staged int64 LUT's first-minimum codes; its time is recorded with
 no floor.
@@ -26,8 +34,9 @@ module (the data plane itself stays deterministic).
 
 from __future__ import annotations
 
+import statistics
 import time
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from repro.pim.backend import resolve_backend
 from repro.pim.backend.numpy_backend import (
     CodebookTerms,
     _gather_view,
+    decode_table,
     gather_offsets,
     scan_layout,
 )
@@ -62,8 +72,9 @@ LUT_SHAPE = {
 #: residuals against M=32, CB=128, dsub=4 codebooks.
 ENCODE_SHAPE = {"vectors": 200, "m": 32, "cb": 128, "dsub": 4}
 
-#: The CI gate: the stacked scan must beat the staged reference by at
-#: least this factor at bit-identical output.
+#: The CI gate: the stacked scan, and the product DC at the LUT shape,
+#: must each beat their staged reference by at least this factor at
+#: bit-identical output.
 MIN_SCAN_SPEEDUP = 3.0
 
 #: The CI gate: the LUT build must beat the staged
@@ -85,6 +96,24 @@ def _best_seconds(fn: Callable[[], Any], repeats: int) -> float:
     return best
 
 
+def _interleaved_medians(
+    fns: Sequence[Callable[[], Any]], repeats: int
+) -> List[float]:
+    """Median wall-clock of each function, timed in interleaved rounds
+    (one call of each per round), so machine drift hits all alike.
+
+    drimsan: allow wallclock-in-result — this module IS the stopwatch;
+    nothing here flows into engine results or cycle ledgers.
+    """
+    times: List[List[float]] = [[] for _ in fns]
+    for _ in range(max(1, repeats)):
+        for fn, spent in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            spent.append(time.perf_counter() - t0)
+    return [statistics.median(spent) for spent in times]
+
+
 def run_microbench(
     repeats: int = 5, seed: SeedLike = 0
 ) -> Dict[str, Any]:
@@ -92,11 +121,12 @@ def run_microbench(
 
     The record's ``gate_ok`` is True when the kernels' output is
     bit-identical to the staged reference (a mismatch fails the gate
-    outright; the term-table scan must equal the staged scan of the
-    staged LUTs, and the encoder's codes the staged LUTs' argmin), the
-    stacked scan clears :data:`MIN_SCAN_SPEEDUP` and
-    the LUT build clears :data:`MIN_LUT_SPEEDUP`, and the two timed
-    scans still take both gather layouts (``layouts``).
+    outright; the term-table scan and the product DC must equal the
+    staged scan of the staged LUTs, and the encoder's codes the staged
+    LUTs' argmin), the stacked scan and the product DC clear
+    :data:`MIN_SCAN_SPEEDUP` over their staged scans, the LUT build
+    clears :data:`MIN_LUT_SPEEDUP`, and the two timed gather scans
+    still take both gather layouts (``layouts``).
     """
     rng = ensure_rng(seed)
     sh = SCAN_SHAPE
@@ -170,7 +200,34 @@ def run_microbench(
         out += pts[crows] + np.einsum("td,td->t", res, res)[:, None]
         return out
 
-    ref_terms = scan_distances_stacked(ref_luts[None], lut_codes[None])[0]
+    table = decode_table(terms, 255)  # uint8 queries
+    # Each centroid's run of tasks is one product job.
+    runs = np.append(np.flatnonzero(np.diff(crows, prepend=-1)), lh["tasks"])
+
+    # The product's residents, built once as a data shard keeps them:
+    # the points' decoded residuals and their terms under each centroid.
+    decoded = backend.decode(off, table)
+    pts = backend.residual_terms(
+        centroids,
+        np.repeat(np.arange(lh["centroids"]), lh["points"]),
+        np.tile(off, lh["centroids"]),
+        np.tile(decoded, (lh["centroids"], 1)),
+        terms,
+    ).reshape(lh["centroids"], lh["points"])
+
+    def product_scan() -> np.ndarray:
+        x = queries.astype(table.dtype)[qrows]
+        out = np.empty((lh["tasks"], lh["points"]), dtype=np.int64)
+        for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
+            backend.product_scan_into(x[a:b], decoded, pts[crows[a]], out[a:b])
+        res = queries[qrows].astype(np.int64) - centroids[crows]
+        out += np.einsum("td,td->t", res, res)[:, None]
+        return out
+
+    def staged_term_scan() -> np.ndarray:
+        return scan_distances_stacked(ref_luts[None], lut_codes[None])[0]
+
+    ref_terms = staged_term_scan()
     # The LUTs come in the scans' gather dtype, int32 at these ranges.
     bit_identical = bool(
         got_scan.dtype == ref_scan.dtype
@@ -178,6 +235,7 @@ def run_microbench(
         and got_luts.dtype == np.int32
         and np.array_equal(got_luts, ref_luts)
         and np.array_equal(term_scan(), ref_terms)
+        and np.array_equal(product_scan(), ref_terms)
         and np.array_equal(backend.pq_encode(enc_residuals, enc_terms), ref_codes)
     )
     layouts = {
@@ -192,12 +250,15 @@ def run_microbench(
         lambda: backend.build_luts(queries, centroids, qrows, crows, terms),
         repeats,
     )
-    t_terms = _best_seconds(term_scan, repeats)
+    t_ref_terms, t_terms, t_product = _interleaved_medians(
+        [staged_term_scan, term_scan, product_scan], repeats
+    )
     t_encode = _best_seconds(
         lambda: backend.pq_encode(enc_residuals, enc_terms), repeats
     )
     scan_speedup = t_ref_scan / t_scan if t_scan > 0 else 0.0
     lut_speedup = t_ref_luts / t_luts if t_luts > 0 else 0.0
+    product_speedup = t_ref_terms / t_product if t_product > 0 else 0.0
     return {
         "scan_shape": dict(sh),
         "lut_shape": dict(lh),
@@ -209,12 +270,15 @@ def run_microbench(
             "scan_seconds": t_ref_scan,
             "lut_seconds": t_ref_luts,
             "encode_seconds": t_ref_encode,
+            "term_scan_seconds": t_ref_terms,
         },
         "scan_seconds": t_scan,
         "scan_speedup": scan_speedup,
         "lut_seconds": t_luts,
         "lut_speedup": lut_speedup,
         "term_scan_seconds": t_terms,
+        "product_seconds": t_product,
+        "product_speedup": product_speedup,
         "encode_seconds": t_encode,
         "bit_identical": bit_identical,
         "layouts": layouts,
@@ -222,6 +286,7 @@ def run_microbench(
             bit_identical
             and set(layouts.values()) == {"query-major", "row-major"}
             and scan_speedup >= MIN_SCAN_SPEEDUP
+            and product_speedup >= MIN_SCAN_SPEEDUP
             and lut_speedup >= MIN_LUT_SPEEDUP
         ),
     }
@@ -246,6 +311,14 @@ def format_record(record: Dict[str, Any]) -> str:
             f"scan over {lh['points']} points "
             f"({record['layouts']['term_scan']}) "
             f"{record['term_scan_seconds'] * 1e3:.2f} ms"
+        ),
+        (
+            f"  product DC over {lh['points']} points "
+            f"{record['product_seconds'] * 1e3:.2f} ms, staged term scan "
+            f"{record['reference']['term_scan_seconds'] * 1e3:.2f} ms "
+            f"({record['product_speedup']:.2f}x, gate >= "
+            f"{record['min_scan_speedup']:.1f}x; medians of interleaved "
+            f"repeats)"
         ),
         (
             f"  kernels  scan {record['scan_seconds'] * 1e3:7.1f} ms "

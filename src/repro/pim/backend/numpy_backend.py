@@ -5,12 +5,12 @@ restructured for speed. Only the raw array math lives here — no cost
 accounting: callers charge the modeled PIM cycles separately from
 closed forms, which keeps ledgers independent of the host kernels.
 
-**Scan** (DC) is one gather-then-reduce kernel (:meth:`NumpyBackend.scan_into`):
+**Scan** (the LUT form of DC, the worker pool's) is one
+gather-then-reduce kernel (:meth:`NumpyBackend.scan_into`):
 
 * a shard's ``(n, M)`` codes become ``(M, n)`` flat offsets into the
-  ``(g, M*CB)`` LUT rows (``code + m*CB``, :func:`gather_offsets`).
-  The PIM system builds them once per shard and keeps them resident
-  next to the shard, the way the codes sit in MRAM;
+  ``(g, M*CB)`` LUT rows (``code + m*CB``, :func:`gather_offsets`,
+  which also range-checks the codes the PIM system decodes);
   :func:`~repro.pim.parallel.scan_shard_group` builds them per call;
 * each slab of LUT rows is one ``np.take`` of those offsets, a
   row-major ``(rows, M, n)`` gather, reduced over ``M`` into int64 —
@@ -70,12 +70,30 @@ and transposed float64 books, ``||b||^2``, the encoder's table,
 (``PimSystem.codebook_terms``, ``QuantizedIndexData.codebook_terms``),
 so the backend itself holds no state.
 
-**Term tables** split the same identity without a per-task LUT, for
-the search's compute plane: :meth:`NumpyBackend.query_terms` (per
-query, scanned at a point's codes) and :meth:`NumpyBackend.point_terms`
-(per point, once per shard); the caller adds ``||q - c||^2``. The
-search's round path no longer calls :meth:`NumpyBackend.build_luts`;
-the worker pool still does.
+**Product DC** is what a search's compute plane runs. Over whole
+decoded residuals ``B`` (a point's codewords concatenated, ``D``
+integers) the identity reads ``||q - c - B||^2 = ||q - c||^2 +
+(||B||^2 + 2 c.B) - 2 q.B``: :meth:`NumpyBackend.decode` turns a
+shard's codes into ``B`` with one take of the :func:`decode_table`,
+:meth:`NumpyBackend.residual_terms` gives each point its int64
+``||B||^2 + 2 c.B`` (a take of the codeword norms and an exact row-wise
+``c.B``), both once per stored row, and
+:meth:`NumpyBackend.product_scan_into` computes a job's ``terms - 2
+Q @ B.T`` as one BLAS ``matmul``. Every partial sum of ``q.B`` is an
+integer bounded by ``D * max|q| * max|b|``, so :func:`product_dtype`
+picks float32 below ``2**24`` (the benchmark's codebooks, at ``128 *
+255 * 144``), float64 below ``2**53`` and int64 past it, the rule
+:class:`ProductTable` applies to CL. The DPU turns these products
+into LUT lookups because it lacks a fast multiplier; the host has
+BLAS.
+
+**Term tables** split the same identity per subspace without a
+per-task LUT: :meth:`NumpyBackend.query_terms` (per query, scanned at a
+point's codes) and :meth:`NumpyBackend.point_terms` (per point); the
+caller adds ``||q - c||^2``. With :meth:`NumpyBackend.scan_into` they
+were the compute plane's DC before the product, and the kernel
+microbenchmark still times them against it. The worker pool's LUT jobs
+still call :meth:`NumpyBackend.build_luts` and ``scan_into``.
 
 **Encode** (:meth:`NumpyBackend.pq_encode`) drops the per-row constant
 ``||r||^2`` from the LUT: a residual's codes are the first-minimum
@@ -98,6 +116,9 @@ import numpy as np
 
 #: Largest magnitude float64 holds every integer up to (inclusive).
 EXACT_FLOAT_LIMIT = 1 << 53
+
+#: Largest magnitude float32 holds every integer up to (inclusive).
+EXACT_FLOAT32_LIMIT = 1 << 24
 
 #: Byte budget for one slab of a kernel's transient arrays (a scan's
 #: ``(rows, M, n)`` gather, a LUT build's pair assembly, the
@@ -271,6 +292,29 @@ class ProductTable:
         return x.astype(np.int64) @ self.rows.T
 
 
+def product_dtype(bound: int) -> np.dtype:
+    """The narrowest dtype whose products are exact for integer operands
+    whose every partial dot-product sum is at most ``bound`` in
+    magnitude: float32 below ``2**24``, float64 below ``2**53``, else
+    int64. Below its limit a float type holds each product and partial
+    sum exactly, in any summation order."""
+    if bound < EXACT_FLOAT32_LIMIT:
+        return np.dtype(np.float32)
+    if bound < EXACT_FLOAT_LIMIT:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
+
+
+def decode_table(terms: "CodebookTerms", x_max: int) -> np.ndarray:
+    """The ``(M * CB, dsub)`` codeword table :meth:`NumpyBackend.decode`
+    takes rows from, in the :func:`product_dtype` of ``D * x_max *
+    max|b|``: the dtype in which products of decoded residuals with
+    ``(D,)`` rows of entries at most ``x_max`` are exact."""
+    m, cb, dsub = terms.books.shape
+    dtype = product_dtype(m * dsub * x_max * terms.max_abs)
+    return terms.books.reshape(m * cb, dsub).astype(dtype)
+
+
 def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) -> bool:
     """Whether the float64 LUT build is exact for these magnitudes.
 
@@ -396,7 +440,7 @@ class NumpyBackend:
     def scan_into(
         self, luts: np.ndarray, off: np.ndarray, out: np.ndarray
     ) -> None:
-        """Unchecked ADC scan of resident offsets: ``(g, M, CB)`` tables
+        """Unchecked ADC scan (the LUT form of DC): ``(g, M, CB)`` tables
         from :meth:`build_luts` or :meth:`query_terms` (int32 ones must:
         their sums are taken in int32) x ``(M, n)`` offsets from
         :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
@@ -433,6 +477,58 @@ class NumpyBackend:
         out = np.empty((1, off.shape[1]), dtype=np.int64)
         _scan_rows(self.centroid_terms(centroid, terms), off, out)
         return out[0]
+
+    def decode(self, off: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """``(M, n)`` offsets (:func:`gather_offsets`) -> ``(n, M *
+        dsub)`` decoded residuals, each point's codewords concatenated:
+        one take of the :func:`decode_table` rows, in its dtype."""
+        m, n = off.shape
+        rows = np.take(table, off.T, axis=0, mode="wrap")  # (n, M, dsub)
+        return rows.reshape(n, m * table.shape[1])
+
+    def residual_terms(
+        self,
+        centroids: np.ndarray,
+        crows: np.ndarray,
+        off: np.ndarray,
+        decoded: np.ndarray,
+        terms: CodebookTerms,
+    ) -> np.ndarray:
+        """``(n,)`` int64 ``||B||^2 + 2 c.B`` of the points with ``(M,
+        n)`` offsets ``off`` and decoded residuals ``decoded``
+        (:meth:`decode`), point ``i`` in the cluster of centroid
+        ``centroids[crows[i]]``. ``||B||^2`` is one take of the int64
+        codeword norms, summed over the subspaces; ``c.B`` one row-wise
+        product in the :func:`product_dtype` of ``D * max|c| * max|b|``,
+        so exact. Centroids are checked like :meth:`build_luts`'s."""
+        m, _, dsub = terms.books.shape
+        centroids = _check_operand(centroids, m * dsub, "centroids")
+        dtype = product_dtype(m * dsub * _max_abs(centroids) * terms.max_abs)
+        cross = np.einsum(
+            "nd,nd->n",
+            decoded.astype(dtype, copy=False),
+            centroids.astype(dtype)[crows],
+        )
+        norms = np.add.reduce(np.take(terms.norms_sq, off, mode="wrap"), axis=0)
+        return norms + 2 * cross.astype(np.int64)
+
+    def product_scan_into(
+        self, x: np.ndarray, decoded: np.ndarray, terms: np.ndarray, out: np.ndarray
+    ) -> None:
+        """DC as one product: exact ``terms - 2 * x @ decoded.T`` into
+        ``out`` (``(g, n)`` int64, may be a view into a wider block).
+
+        ``x`` is ``(g, D)`` and ``decoded`` ``(n, D)`` integer rows, both
+        in the :func:`product_dtype` of ``D * max|x| * max|decoded|``,
+        so a float product is one BLAS ``matmul`` whose every partial
+        sum is the exact integer; doubling it is exact too (a power of
+        two). ``terms`` is ``(n,)`` int64."""
+        if x.dtype.kind == "f":
+            np.multiply(np.matmul(x, decoded.T), -2, out=out, casting="unsafe")
+        else:
+            np.matmul(x, decoded.T, out=out)
+            out *= -2
+        out += terms
 
     def pq_encode(self, residuals: np.ndarray, terms: CodebookTerms) -> np.ndarray:
         """``(n, D)`` int residuals -> ``(n, M)`` intp PQ codes, per

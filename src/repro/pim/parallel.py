@@ -11,14 +11,16 @@ independent PIM ranks from multiple threads.
 The scan paths, the one worker pool, and a planner live here:
 
 * :func:`scan_jobs_stacked` — the one DC + TS path: every job of a
-  call scanned over its shard's offsets into padded distance slabs by
-  the host kernels (:mod:`repro.pim.backend`, bit-identical to the
-  reference :func:`~repro.pim.kernels.scan_distances`), one canonical
+  call computed into padded distance slabs by the host kernels
+  (:mod:`repro.pim.backend`, bit-identical to the reference
+  :func:`~repro.pim.kernels.scan_distances`), one canonical
   ``(distance, id)`` selection (:func:`~repro.pim.kernels.select_topk`)
-  per slab, written into the call's ``(T, k)`` block.
-  :func:`scan_shard_group`, the per-group scan the pool workers and
-  the pool's in-process fallback run, is its one-job case, which is
-  what makes both execution strategies bit-exact by construction.
+  per slab, written into the call's ``(T, k)`` block. The in-process
+  compute plane's jobs are exact products over a shard's decoded
+  residuals; :func:`scan_shard_group`, the per-group scan the pool
+  workers and the pool's in-process fallback run, is the one-job case
+  of a LUT gather job, which makes both execution strategies
+  bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
   once, attach every shard's codes/ids through one
   :mod:`multiprocessing.shared_memory` segment (the arena), and keep
@@ -60,11 +62,14 @@ from repro.pim.backend.numpy_backend import _gather_view, gather_offsets, slab_r
 from repro.pim.kernels import select_topk
 from repro.utils import check_count
 
-#: One shard-group scan job of :func:`scan_jobs_stacked`: ``(tables (g,
-#: M, CB), offsets (n, M), ids (n,), k, point terms (n,), row terms
-#: (g,), dead rows)``, the offsets being the ``.T`` view of a shard's
-#: :func:`~repro.pim.backend.numpy_backend.gather_offsets` and the dead
-#: rows ascending positions in ``[0, n)`` or None. The pool
+#: One shard-group scan job of :func:`scan_jobs_stacked`: ``(rows, points,
+#: ids (n,), k, point terms (n,), row terms (g,), dead rows)``, the dead
+#: rows ascending positions in ``[0, n)`` or None. A product job (the
+#: compute plane's) has ``(g, D)`` query rows and a shard's ``(n, D)``
+#: decoded residuals in one exact product dtype; a gather job (the
+#: pool's, :func:`scan_shard_group`) has ``(g, M, CB)`` LUTs and the
+#: ``(n, M)`` ``.T`` view of the codes'
+#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`. The pool
 #: ships its LUT jobs as :func:`scan_shard_group`'s arguments, ``(luts,
 #: codes, ids, k)``.
 ScanJob = Tuple[Any, ...]
@@ -135,20 +140,19 @@ def scan_jobs_stacked(
 ) -> JobTopk:
     """The in-process DC + TS of a whole round, into one top-k block.
 
-    ``jobs`` are ``(tables, offsets, ids, k, point terms, row terms,
-    dead rows)`` with one ``k``: the ``(g, M, CB)`` tables in the dtype
-    to gather from, the ``(n, M)`` view of the shard's range-checked
-    resident offsets over its stored rows, int64 ``(n,)`` / ``(g,)``
-    terms, and the ascending positions of the shard's dead rows (None:
-    every row live). A row's distance to a point is the sum of its
-    table's entries at the point's codes plus the point's and the row's
-    term; a dead point is never a candidate. Returns the call's ``(ids,
+    ``jobs`` are :data:`ScanJob` tuples with one ``k``. In a product
+    job a row's distance to a point is the point's term minus twice
+    their product (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`),
+    in a gather job the sum of the row's table entries at the point's
+    codes (:meth:`~repro.pim.backend.NumpyBackend.scan_into`) plus the
+    point's term; either way plus the row's term, and a dead point is
+    never a candidate. Returns the call's ``(ids,
     dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
     the jobs' summed LUT rows in submission order, padded with ``-1`` /
     ``inf`` past a job's live points. A row depends only on its job,
     never on the others.
 
-    The jobs' rows are scanned straight into padded int64 distance
+    The jobs' rows are computed straight into padded int64 distance
     slabs with the point terms added (padding cells, and then dead
     points' cells, hold :data:`PAD_DISTANCE`), and each slab gets one
     canonical ``(distance, id)`` selection,
@@ -210,18 +214,21 @@ def _select_slab(
     out_ids: np.ndarray,
     out_dists: np.ndarray,
 ) -> None:
-    """Scan one slab's pieces into a padded ``(rows, width)`` block and
-    write its canonical top-k, dead points masked, to their rows of
+    """Compute one slab's pieces into a padded ``(rows, width)`` block
+    and write its canonical top-k, dead points masked, to their rows of
     ``out_ids`` / ``out_dists`` (``starts``: each job's first row)."""
     if not rows or not width:
         return  # empty shards only: their rows stay padding
     block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
     row = 0
     for ji, r0, r1 in pieces:
-        tables, off_t, ids, _, point_terms, _, dead = jobs[ji]
+        lhs, points, ids, _, point_terms, _, dead = jobs[ji]
         dists = block[row : row + r1 - r0, : len(ids)]
-        backend.scan_into(tables[r0:r1], off_t.T, dists)
-        dists += point_terms
+        if lhs.ndim == 3:  # a gather job: LUTs x offsets
+            backend.scan_into(lhs[r0:r1], points.T, dists)
+            dists += point_terms
+        else:
+            backend.product_scan_into(lhs[r0:r1], points, point_terms, dists)
         if dead is not None:
             dists[:, dead] = PAD_DISTANCE  # never selected ahead of a live row
         row += r1 - r0

@@ -24,11 +24,11 @@ per-group execution. A round computes nothing.
 tasks, typically every task one search ran, whatever its round count.
 A task's ids and distances depend only on its query and its data
 shard, never on the round, DPU or replica that ran it, so the compute
-plane scans each data shard once per call, from term tables built once
-per unique query and per-point terms resident next to each shard's
-scan offsets (see :meth:`~PimSystem.compute_tasks`). The host does not
-build the per-task LUTs that LC models; the ledger still charges LC
-per task.
+plane scans each data shard once per call, as one exact BLAS product
+of the tasks' queries with the shard's decoded residuals, resident next
+to per-point terms (see :meth:`~PimSystem.compute_tasks`). The host
+builds neither the per-task LUTs that LC models nor the lookups DC
+models; the ledger still charges both per task from closed forms.
 
 A batch's cycles are differences of a *search ledger* that
 :meth:`PimSystem.begin_search` zeroes, not of the DPUs' lifetime
@@ -48,7 +48,12 @@ from repro.core.square_lut import SquareLut
 from repro.faults.plan import FaultPlan
 from repro.pim import parallel
 from repro.pim.backend import resolve_backend
-from repro.pim.backend.numpy_backend import CodebookTerms, gather_offsets, slab_rows
+from repro.pim.backend.numpy_backend import (
+    CodebookTerms,
+    decode_table,
+    gather_offsets,
+    slab_rows,
+)
 from repro.pim.config import PimSystemConfig
 from repro.pim.dpu import Dpu, KernelCost
 from repro.pim.memory import Mram
@@ -76,6 +81,10 @@ CHARGE_MEMO_ENTRIES = 4096
 #: transient memory without changing a result.
 ROUND_LUT_BYTES = 64 * 1024 * 1024
 
+#: Largest query entry: queries are checked uint8, which bounds the DC
+#: products' dtype (:func:`~repro.pim.backend.numpy_backend.decode_table`).
+QUERY_MAX = int(np.iinfo(np.uint8).max)
+
 #: One kernel charge: the closed-form cost and the cycles it takes.
 Charge = Tuple[KernelCost, float]
 
@@ -94,14 +103,17 @@ class ShardData:
 
 class ScanOperands(NamedTuple):
     """A data shard's resident scan operands over its stored rows, dead
-    ones included: a function of its codes and the codebooks."""
+    ones included: a function of its codes and the codebooks.
 
-    off: np.ndarray  # (M, n) intp gather offsets
-    pts: np.ndarray  # (n,) int64 point terms
+    The first ``rows`` rows of each buffer are the operands; the rest is
+    spare capacity for appended rows (:meth:`PimSystem._make_resident`).
+    """
+
+    # (capacity, D) decoded residuals B, each row its codewords
+    # concatenated, in the codebooks' product dtype (float32 while exact).
+    decoded: np.ndarray
+    pts: np.ndarray  # (capacity,) int64 point terms ||B||^2 + 2c.B
     rows: int  # stored rows covered; appended rows join at the next scan
-    # The (1, M, CB) int64 2c.b table of the shard's centroid, kept
-    # once a shard has grown (None before).
-    cterm: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -114,7 +126,9 @@ class _DataShard:
     # Ascending dead rows (None: none): stored, with their scan operands;
     # DC streams them and the scan masks them before top-k.
     dead: Optional[np.ndarray] = None
-    ops: Optional[ScanOperands] = None  # built by the first scan
+    # Decoded residuals and point terms, made resident by the first
+    # compute_tasks call that scans the shard (PimSystem._make_resident).
+    ops: Optional[ScanOperands] = None
 
     @property
     def num_live(self) -> int:
@@ -189,6 +203,9 @@ class PimSystem:
         self.codebooks: Optional[np.ndarray] = None
         # The codebooks' derived operands, built once per load_codebooks.
         self.codebook_terms: Optional[CodebookTerms] = None
+        # The (M * CB, dsub) codewords the residents are decoded from,
+        # in the dtype of exact DC products against uint8 queries.
+        self._decode_table: Optional[np.ndarray] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
         # Optional repro.obs.EngineObserver; None costs one check per site.
@@ -376,8 +393,8 @@ class PimSystem:
         and their codes are taken as unchanged. Stores them like
         :meth:`update_shard`, through any replica's key, but the
         appended rows are live (the dead rows are unchanged), and
-        resident scan operands stay: the next scan builds and
-        range-checks offsets and point terms for the appended rows only.
+        resident scan operands stay: the next scan decodes and
+        range-checks the appended rows only.
         """
         rec = self._record(shard_key)
         n_old = len(rec.shard.ids)
@@ -423,45 +440,66 @@ class PimSystem:
         live = slice(None) if rec.dead is None else rec.live
         return rec.shard.codes[live], rec.shard.ids[live]
 
-    def _scan_operands(self, rec: _DataShard) -> ScanOperands:
-        """A data shard's resident :class:`ScanOperands` over its stored
-        rows: ``(M, n)`` intp offsets and ``(n,)`` int64 point terms
-        (:meth:`~repro.pim.backend.NumpyBackend.point_terms`).
+    def _make_resident(self, recs: Sequence[_DataShard]) -> None:
+        """Bring each data shard's :class:`ScanOperands` up to its stored
+        rows, in one pass over every missing row of them all.
 
-        Built once, like the codes' MRAM layout, and kept up to date:
-        the first scan range-checks the shard's codes (``IndexError``
-        for a code outside ``[0, CB)``, before any offset reaches the
-        gather) and builds them; the first scan after
-        :meth:`append_shard` builds and range-checks the appended rows'
-        only, their point terms from the shard's kept ``2c.b`` table,
-        and appends them. Liveness never touches them (the scan masks
-        dead rows and reads the record's ids); :meth:`update_shard` and
-        :meth:`load_codebooks` drop them. They cost ``8 * M + 8`` bytes
-        per stored row, plus ``8 * M * CB`` for a grown shard's ``2c.b``.
+        A shard's missing rows are all of its stored rows before its
+        first scan, and its appended rows (:meth:`append_shard`) after
+        that. Their codes are concatenated and range-checked once by
+        :func:`~repro.pim.backend.numpy_backend.gather_offsets`
+        (``IndexError`` for a code outside ``[0, CB)``, before any is
+        decoded), decoded by one take
+        (:meth:`~repro.pim.backend.NumpyBackend.decode`), and given
+        their point terms ``||B||^2 + 2c.B`` in one more pass
+        (:meth:`~repro.pim.backend.NumpyBackend.residual_terms`). A
+        shard's first operands are its slices of the pass's arrays;
+        rows appended later are written into its buffers, which grow
+        by half again whenever they are full, so appends cost amortised
+        time per row and never re-concatenate a shard. Liveness never
+        touches the operands (the scan masks dead rows and reads the
+        record's stored ids); :meth:`update_shard` and
+        :meth:`load_codebooks` drop them. They cost ``itemsize * D + 8``
+        bytes per stored row, 520 at D 128 in float32, plus a grown
+        shard's spare capacity.
         """
-        ops, shard = rec.ops, rec.shard
-        n = len(shard.ids)
-        if ops is not None and ops.rows == n:
-            return ops
-        start = 0 if ops is None else ops.rows
-        off = gather_offsets(shard.codes[start:n], self.codebooks.shape[1])
-        if ops is None:
-            pts = self.backend.point_terms(shard.centroid, off, self.codebook_terms)
-            ops = ScanOperands(off, pts, n)
-        else:
-            cterm = ops.cterm
-            if cterm is None:
-                cterm = self.backend.centroid_terms(shard.centroid, self.codebook_terms)
-            pts = np.empty((1, off.shape[1]), dtype=np.int64)
-            self.backend.scan_into(cterm, off, pts)
-            ops = ScanOperands(
-                np.concatenate([ops.off, off], axis=1),
-                np.concatenate([ops.pts, pts[0]]),
-                n,
-                cterm,
-            )
-        rec.ops = ops
-        return ops
+        seen: Set[int] = set()
+        pending: List[Tuple[_DataShard, int]] = []
+        for rec in recs:
+            start = 0 if rec.ops is None else rec.ops.rows
+            if id(rec) not in seen and (rec.ops is None or start < len(rec.shard.ids)):
+                seen.add(id(rec))
+                pending.append((rec, start))
+        if not pending:
+            return
+        counts = [len(rec.shard.ids) - start for rec, start in pending]
+        off = gather_offsets(
+            np.concatenate([rec.shard.codes[start:] for rec, start in pending]),
+            self.codebooks.shape[1],
+        )
+        decoded = self.backend.decode(off, self._decode_table)
+        pts = self.backend.residual_terms(
+            np.stack([rec.shard.centroid for rec, _ in pending]),
+            np.repeat(np.arange(len(pending)), counts),
+            off,
+            decoded,
+            self.codebook_terms,
+        )
+        a = 0
+        for (rec, start), count in zip(pending, counts):
+            b, n, ops = a + count, start + count, rec.ops
+            if ops is None:
+                rec.ops = ScanOperands(decoded[a:b], pts[a:b], n)
+            else:
+                dec, pt = ops.decoded, ops.pts
+                if n > len(pt):  # full: grow by half again
+                    cap = max(n, len(pt) * 3 // 2)
+                    dec = np.empty((cap, decoded.shape[1]), dtype=decoded.dtype)
+                    pt = np.empty(cap, dtype=np.int64)
+                    dec[:start], pt[:start] = ops.decoded[:start], ops.pts[:start]
+                dec[start:n], pt[start:n] = decoded[a:b], pts[a:b]
+                rec.ops = ScanOperands(dec, pt, n)
+            a = b
 
     def shard_location(self, shard_key: str) -> int:
         return self._shards[shard_key][0]
@@ -483,9 +521,10 @@ class PimSystem:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
         self.codebook_terms = CodebookTerms(codebooks)
+        self._decode_table = decode_table(self.codebook_terms, QUERY_MAX)
         self._charge_memo.clear()
         for rec in self._data.values():
-            rec.ops = None  # offsets are relative to CB
+            rec.ops = None  # decoded from the old codewords
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -801,15 +840,20 @@ class PimSystem:
         and float64).
 
         A data shard (``ShardData.data_key``) is scanned once, from its
-        one record, whichever replicas ran its tasks. By the
-        IVF-PQ identity the distance to a point with codes ``j`` is
-        ``||q - c||^2 + sum_m (||b_mj||^2 - 2 q.b_mj) + sum_m 2 c.b_mj``:
-        one int64 per task, a scan of the query's term table
-        (:meth:`~repro.pim.backend.NumpyBackend.query_terms`) and the
-        point's resident term, so no per-task LUT is built; only the
-        ledger charges LC per task. Queries come in slabs whose table
-        rows fit :data:`ROUND_LUT_BYTES`, each one
-        :func:`scan_jobs_stacked` call, or LUT jobs for a warm pool.
+        one record, whichever replicas ran its tasks. With ``B`` a
+        point's decoded residual (its codewords concatenated, ``D``
+        integers) the distance is ``||q - c - B||^2 = ||q - c||^2 +
+        (||B||^2 + 2c.B) - 2 q.B``: one int64 per task, one resident
+        int64 per point, and the job's ``Q_job @ B.T``, one BLAS product
+        in the smallest dtype that is exact for it
+        (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`;
+        float32 while ``D * 255 * max|b| < 2**24``). No per-task LUT is
+        built and no LUT is gathered; the ledger charges LC and DC per
+        task from closed forms. The shards the call scans first get
+        their missing residents in one pass (:meth:`_make_resident`).
+        Queries come in slabs whose rows fit :data:`ROUND_LUT_BYTES`,
+        each one :func:`scan_jobs_stacked` call, or LUT jobs for a warm
+        pool.
         """
         if self.codebooks is None:
             raise RuntimeError("codebooks not loaded; call load_codebooks first")
@@ -861,6 +905,8 @@ class PimSystem:
         pool = path == "pool" and self.executor is not None
 
         jobs = list(zip(recs, lives, starts.tolist(), ends.tolist()))
+        if not pool:
+            self._make_resident(recs)
         scan = self._pool_slab if pool else self._scan_slab
         blocks = []
         t0 = time.perf_counter()
@@ -899,20 +945,19 @@ class PimSystem:
         k: int,
     ) -> parallel.JobTopk:
         """A query slab's top-k block, rows in task order, by
-        :func:`scan_jobs_stacked` over each data shard's stored rows,
-        its dead rows masked. ``jobs`` are ``(data shard, live rows,
-        first task, end task)``; ``crows`` name each task's row of the
-        ``cents`` centroids."""
-        uq, local = np.unique(qrows, return_inverse=True)
-        tables = self.backend.query_terms(queries[uq], self.codebook_terms)
+        :func:`scan_jobs_stacked` of product jobs over each data shard's
+        resident operands, its dead rows masked. ``jobs`` are ``(data
+        shard, live rows, first task, end task)``; ``crows`` name each
+        task's row of the ``cents`` centroids."""
+        x = queries.astype(self._decode_table.dtype)
         res = queries[qrows].astype(np.int64) - cents[crows]
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
         for rec, _, a, b in jobs:
-            ops = self._scan_operands(rec)
+            ops = rec.ops
             scan_jobs.append((
-                tables[local[a:b]], ops.off.T, rec.shard.ids, k, ops.pts,
-                row_terms[a:b], rec.dead,
+                x[qrows[a:b]], ops.decoded[: ops.rows], rec.shard.ids, k,
+                ops.pts[: ops.rows], row_terms[a:b], rec.dead,
             ))
         return scan_jobs_stacked(scan_jobs, backend=self.backend)
 

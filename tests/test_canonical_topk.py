@@ -237,10 +237,11 @@ class TestResidentOffsets:
     def _assert_cache_consistent(self, system):
         """Every placement of a data key shares its one record, so one
         live-row filter and at most one operand record per data shard;
-        each operand record equals a fresh build over its first ``rows``
-        stored rows, whatever the filter (rows appended after it join at
-        the next scan)."""
-        cb = system.codebooks.shape[1]
+        each operand record equals a fresh int64 decode of its first
+        ``rows`` stored rows, whatever the filter (rows appended after
+        it join at the next scan): ``B`` the codewords concatenated, in
+        the codebooks' product dtype, and the point terms ``||B||^2 +
+        2c.B``."""
         books = system.codebooks.astype(np.int64)
         m = books.shape[0]
         records = {id(rec) for _, rec in system._shards.values()}
@@ -251,17 +252,17 @@ class TestResidentOffsets:
             if ops is None:
                 continue
             assert ops.rows <= len(shard.ids)
-            codes = shard.codes[: ops.rows]
-            assert ops.off.dtype == np.intp and ops.off.flags.c_contiguous
-            np.testing.assert_array_equal(ops.off, gather_offsets(codes, cb))
-            # Point terms: sum_m 2 c.b[m, code_m], in exact int64.
-            c = shard.centroid.astype(np.int64).reshape(m, 1, -1)
-            cterm = 2 * (c * books).sum(-1)
-            want = cterm[np.arange(m), codes.astype(np.intp)].sum(-1)
+            assert len(ops.decoded) == len(ops.pts) >= ops.rows
+            codes = shard.codes[: ops.rows].astype(np.intp)
+            want = books[np.arange(m), codes].reshape(ops.rows, -1)
+            decoded = ops.decoded[: ops.rows]
+            assert decoded.dtype == system._decode_table.dtype
+            np.testing.assert_array_equal(decoded.astype(np.int64), want)
+            c = shard.centroid.astype(np.int64)
             assert ops.pts.dtype == np.int64
-            np.testing.assert_array_equal(ops.pts, want)
-            if ops.cterm is not None:
-                np.testing.assert_array_equal(ops.cterm, cterm[None])
+            np.testing.assert_array_equal(
+                ops.pts[: ops.rows], (want * (want + 2 * c)).sum(-1)
+            )
 
     @staticmethod
     def _assert_liveness(engine):
@@ -305,6 +306,14 @@ class TestResidentOffsets:
     def test_mutations_invalidate_resident_offsets(self, tie_index):
         base, _, queries = tie_index
         engine = _tie_engine(tie_index)
+
+        def replace_blocks():
+            # Same rows as a new code block: every record is dropped.
+            system = engine.system
+            for rec in list(system._data.values()):
+                shard = rec.shard
+                system.update_shard(shard.shard_key, shard.ids, shard.codes.copy())
+
         try:
             engine.search(queries)
             self._assert_cache_consistent(engine.system)
@@ -312,6 +321,10 @@ class TestResidentOffsets:
                 ("add", lambda: engine.add(base[:12])),
                 ("delete", lambda: engine.delete(np.arange(0, 3600, 7))),
                 ("add", lambda: engine.add(base[100:110])),
+                ("update", replace_blocks),
+                ("codebooks", lambda: engine.system.load_codebooks(
+                    engine.system.codebooks.copy()
+                )),
                 ("compact", lambda: engine.compact()),
             ]
             for kind, step in steps:
@@ -322,6 +335,8 @@ class TestResidentOffsets:
                     now = _operands(engine.system)
                     assert now.keys() == before.keys()
                     assert all(now[key] is ops for key, ops in before.items())
+                elif kind in ("update", "codebooks"):
+                    assert not _operands(engine.system)
                 got = engine.search(queries).results
                 after = _operands(engine.system)
                 assert after
@@ -406,8 +421,9 @@ class TestResidentOffsets:
                 np.testing.assert_array_equal(got.distances, ref.distances)
             # Every record, pending appends resolved, is a fresh build.
             system = state["engine"].system
+            system._make_resident(list(system._data.values()))
             for rec in system._data.values():
-                assert system._scan_operands(rec).rows == len(rec.shard.ids)
+                assert rec.ops.rows == len(rec.shard.ids)
             self._assert_cache_consistent(system)
         finally:
             state["engine"].close()

@@ -23,6 +23,7 @@ from repro.core import DrimAnnEngine
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.backend import NumpyBackend
+from repro.pim.backend.numpy_backend import product_dtype
 from repro.pim.kernels import scan_distances, topk_rows, topk_sort_cost
 from repro.pim.system import ShardData
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, canonical_dataset
@@ -140,11 +141,17 @@ _SHARDS = {
 
 
 def _book_max(kind, m, dsub):
-    """``max|b|`` for each gather path: the int32 scan at (``edge``) and
+    """``max|b|`` for each path: the int32 LUT gather at (``edge``) and
     just past (``past``) ``M * dsub * (255 + max|b|)**2 <= 2**31 - 1``,
-    and codebooks past float64 exactness (``wide``)."""
+    the float32 DC product at (``f32-edge``) and just past
+    (``f32-past``) ``M * dsub * 255 * max|b| < 2**24``, and codebooks
+    past float64 exactness for the LUTs (``wide``)."""
     edge = int(np.sqrt(_I32_MAX / (m * dsub))) - 255
-    return {"small": 200, "edge": edge, "past": edge + 1, "wide": 1 << 26}[kind]
+    f32 = ((1 << 24) - 1) // (m * dsub * 255)
+    return {
+        "small": 200, "edge": edge, "past": edge + 1,
+        "f32-edge": f32, "f32-past": f32 + 1, "wide": 1 << 26,
+    }[kind]
 
 
 def _books(rng, m, cb, dsub, b_max):
@@ -252,7 +259,7 @@ class TestComputeTasks:
         m=st.integers(1, 5),
         cb=st.sampled_from([1, 3, 16]),
         dsub=st.integers(1, 4),
-        kind=st.sampled_from(["small", "edge", "past", "wide"]),
+        kind=st.sampled_from(["small", "edge", "past", "f32-edge", "f32-past", "wide"]),
         k=st.integers(1, 12),
         nq=st.integers(1, 6),
         nt=st.integers(0, 30),
@@ -260,9 +267,9 @@ class TestComputeTasks:
         seed=st.integers(0, 2**16),
     )
     def test_equals_per_task_lut_scan(self, m, cb, dsub, kind, k, nq, nt, op, seed):
-        """Every gather path, replicas and split parts, empty and fully
-        tombstoned shards, repeated tasks, and a second call after a
-        mutation (a stale point-term cache would show)."""
+        """Every product dtype and LUT gather path, replicas and split
+        parts, empty and fully tombstoned shards, repeated tasks, and a
+        second call after a mutation (a stale resident would show)."""
         rng = np.random.default_rng(seed)
         b_max = _book_max(kind, m, dsub)
         system = _system(rng, m, cb, dsub, b_max)
@@ -276,6 +283,10 @@ class TestComputeTasks:
         tables = system.backend.query_terms(queries, system.codebook_terms)
         bound = m * dsub * (255 + b_max) ** 2
         assert tables.dtype == (np.int32 if bound <= _I32_MAX else np.int64)
+        dtype = product_dtype(m * dsub * 255 * b_max)
+        assert system._decode_table.dtype == dtype
+        if kind.startswith("f32"):
+            assert dtype == (np.float32 if kind == "f32-edge" else np.float64)
         for step in (None, op):
             _mutate(system, rng, step)
             got = system.compute_tasks(queries, tasks, k)

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from repro.core.square_lut import SquareLut
 from repro.pim.backend import numpy_backend, resolve_backend
 from repro.pim.backend.numpy_backend import (
+    EXACT_FLOAT32_LIMIT,
     EXACT_FLOAT_LIMIT,
     CodebookTerms,
     NumpyBackend,
     ProductTable,
+    decode_table,
     gather_offsets,
+    product_dtype,
 )
 from repro.pim.kernels import (
     run_lut_build,
@@ -429,6 +432,97 @@ class TestExactProducts:
             ProductTable(np.zeros(4, dtype=np.int64))
 
 
+class TestProductRegimes:
+    """DC's product helper: :func:`product_dtype` takes float32 below
+    ``2**24``, float64 below ``2**53`` and int64 past, and
+    ``product_scan_into`` in the dtype it picks equals the int64 oracle
+    ``terms - 2 x.r``, at each bound's edge and inside each regime."""
+
+    #: (D, max|x|, max|row|, bound, dtype) on either side of each limit.
+    EDGES = [
+        (1, 4095, 4097, EXACT_FLOAT32_LIMIT - 1, np.float32),
+        (3, 1365, 4097, EXACT_FLOAT32_LIMIT - 1, np.float32),
+        (1, 4096, 4096, EXACT_FLOAT32_LIMIT, np.float64),
+        (4, 2048, 2048, EXACT_FLOAT32_LIMIT, np.float64),
+        (1, 6361 * 69431, 20394401, EXACT_FLOAT_LIMIT - 1, np.float64),
+        (1, 1 << 26, 1 << 27, EXACT_FLOAT_LIMIT, np.int64),
+        (4, 1 << 25, 1 << 26, EXACT_FLOAT_LIMIT, np.int64),
+    ]
+
+    @staticmethod
+    def _check(x, rows, terms):
+        """``product_scan_into`` in the picked dtype against the oracle;
+        returns the dtype."""
+        bound = x.shape[1] * int(np.abs(x).max()) * int(np.abs(rows).max())
+        dtype = product_dtype(bound)
+        out = np.empty((len(x), len(rows)), dtype=np.int64)
+        NumpyBackend().product_scan_into(
+            x.astype(dtype), rows.astype(dtype), terms, out
+        )
+        want = terms - 2 * (x.astype(np.int64) @ rows.astype(np.int64).T)
+        assert out.tobytes() == want.tobytes()
+        return dtype
+
+    @pytest.mark.parametrize("d, xm, rm, bound, dtype", EDGES)
+    def test_bound_edges(self, d, xm, rm, bound, dtype):
+        """Operands whose worst partial sum sits exactly on a limit
+        leave its dtype, and one just below stays in it; either way the
+        result is exact, the full-magnitude rows reaching the bound."""
+        assert d * xm * rm == bound
+        rng = _rng(d)
+        x = np.array([[xm] * d, [-xm] * d, [1] * d], dtype=np.int64)
+        rows = np.concatenate(
+            [np.full((1, d), rm), rng.integers(-rm, rm + 1, size=(4, d))]
+        )
+        terms = rng.integers(-(1 << 40), 1 << 40, size=len(rows))
+        assert self._check(x, rows, terms) == dtype
+
+    def test_float32_rounds_past_its_limit(self):
+        """Past ``2**24`` a float32 product rounds (an odd integer above
+        the limit), which is why the rule moves to float64 there."""
+        x = np.array([[4097]])
+        rows = np.array([[4097]])
+        exact = int((x @ rows.T)[0, 0])
+        assert exact > EXACT_FLOAT32_LIMIT and exact % 2
+        rounded = np.matmul(x.astype(np.float32), rows.T.astype(np.float32))
+        assert int(rounded[0, 0]) != exact
+        assert product_dtype(exact) == np.float64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        regime=st.sampled_from(["float32", "float64", "int64"]),
+        g=st.integers(1, 5),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_regime_equals_int64_oracle(self, d, regime, g, n, seed):
+        """Operands drawn just inside each regime's bound, signed, with a
+        full-magnitude row each."""
+        limit = {"float32": 1 << 24, "float64": 1 << 53, "int64": 1 << 60}[regime]
+        rng = _rng(seed)
+        xm = int(rng.integers(1, max(2, int(np.sqrt(limit // d)))))
+        rm = max(1, (limit - 1) // (d * xm))
+        x = rng.integers(-xm, xm + 1, size=(g, d))
+        x[0] = xm
+        rows = rng.integers(-rm, rm + 1, size=(n, d))
+        rows[0] = rm
+        terms = rng.integers(-(1 << 40), 1 << 40, size=n)
+        assert self._check(x, rows, terms) == np.dtype(regime)
+
+    def test_decode_table_dtype(self):
+        """The decode table takes the product dtype of ``D * x_max *
+        max|b|``: float32 up to its edge, float64 one past it."""
+        m, cb, dsub = 4, 3, 2
+        edge = (EXACT_FLOAT32_LIMIT - 1) // (m * dsub * 255)
+        for b_max, dtype in ((edge, np.float32), (edge + 1, np.float64)):
+            books = np.zeros((m, cb, dsub), dtype=np.int64)
+            books[1, 2, 1] = -b_max
+            table = decode_table(CodebookTerms(books), 255)
+            assert table.dtype == dtype and table.shape == (m * cb, dsub)
+            np.testing.assert_array_equal(table, books.reshape(m * cb, dsub))
+
+
 def _lut_codes(residuals, books):
     """The int64 oracle: argmin over the difference-form LUT."""
     m, _, dsub = books.shape
@@ -685,10 +779,13 @@ class TestScanLayouts:
 
     def test_long_shard_engine_takes_both_layouts(self, monkeypatch):
         """On an index whose shards straddle ``8 * CB`` (CB 16, split
-        and replicated), every round-size cell with adaptive ``off`` and
-        ``bound`` returns ``reference_search``'s ids and distances and
-        the ledger of the all-row-major kernel, and both layouts ran
-        for jobs of two or more rows."""
+        and replicated), the pool's LUT jobs (run in process here) take
+        both layouts for jobs of two or more rows, while the default
+        in-process compute plane gathers no LUT at all (its DC is the
+        product). In every round-size cell, with adaptive ``off`` and
+        ``bound``, all three paths (product, LUT jobs, all-row-major LUT
+        jobs) return ``reference_search``'s ids and distances and one
+        ledger."""
         from repro.core import (
             DrimAnnEngine,
             EngineConfig,
@@ -713,7 +810,24 @@ class TestScanLayouts:
                 )
             real(gather, off, out)
 
-        def searches(batch_size):
+        class InprocPool:
+            """The pool's LUT jobs, scanned in this process."""
+
+            attached = True
+
+            def host_shards(self, shards):
+                pass
+
+            def scan_groups(self, jobs, keys, lives, backend):
+                return [scan_shard_group(*job, backend=backend) for job in jobs]
+
+            def take_fallback_events(self):
+                return []
+
+            def close(self):
+                pass
+
+        def searches(batch_size, lut_jobs):
             cfg = EngineConfig(
                 index=IndexParams(
                     nlist=32, nprobe=4, k=10, num_subspaces=8, codebook_size=16
@@ -723,6 +837,9 @@ class TestScanLayouts:
                 layout=LayoutConfig(min_split_size=150, max_copies=2),
             )
             engine = DrimAnnEngine.from_config(ds.base[:6000], cfg, seed=0)
+            if lut_jobs:
+                engine.system.executor = InprocPool()
+                engine.system.planner.choose = lambda **kw: "pool"
             try:
                 outs = [engine.search(queries, adaptive=a) for a in ("off", "bound")]
                 return outs, engine.reference_search(queries)
@@ -734,14 +851,17 @@ class TestScanLayouts:
             with monkeypatch.context() as mp:
                 # The all-row-major kernel: no job reaches the floor.
                 mp.setattr(numpy_backend, "QUERY_MAJOR_POINTS_PER_CODE", 1 << 40)
-                row_major, _ = searches(size)
+                row_major, _ = searches(size, lut_jobs=True)
             del layouts[:]
-            outs, ref = searches(size)
+            product, ref = searches(size, lut_jobs=False)
+            assert not layouts
+            outs, _ = searches(size, lut_jobs=True)
             assert {"query-major", "row-major"} <= set(layouts)
-            for (res, bd), (_, bd_row) in zip(outs, row_major):
-                np.testing.assert_array_equal(res.ids, ref.ids)
-                np.testing.assert_array_equal(res.distances, ref.distances)
-                assert bd.to_dict() == bd_row.to_dict()
+            for arm in (product, outs):
+                for (res, bd), (_, bd_row) in zip(arm, row_major):
+                    np.testing.assert_array_equal(res.ids, ref.ids)
+                    np.testing.assert_array_equal(res.distances, ref.distances)
+                    assert bd.to_dict() == bd_row.to_dict()
 
 
 class TestPlannerBackendAwareness:
@@ -811,15 +931,21 @@ class TestMicrobench:
         assert record["min_lut_speedup"] == MIN_LUT_SPEEDUP == 3.0
         assert record["gate_ok"] == (
             record["scan_speedup"] >= MIN_SCAN_SPEEDUP
+            and record["product_speedup"] >= MIN_SCAN_SPEEDUP
             and record["lut_speedup"] >= MIN_LUT_SPEEDUP
         )
-        for key in ("scan_seconds", "lut_seconds", "encode_seconds"):
+        for key in (
+            "scan_seconds", "lut_seconds", "encode_seconds", "term_scan_seconds"
+        ):
             assert record[key] > 0 and record["reference"][key] > 0
-        assert record["term_scan_seconds"] > 0
+        assert record["product_seconds"] > 0
+        assert record["product_speedup"] == (
+            record["reference"]["term_scan_seconds"] / record["product_seconds"]
+        )
         assert record["encode_shape"] == {"vectors": 200, "m": 32, "cb": 128, "dsub": 4}
         text = format_record(record)
         assert "stacked scan" in text and "LUT build" in text
-        assert "encode n=200" in text
+        assert "encode n=200" in text and "product DC" in text
         assert "bit_identical=True" in text
 
     def test_encode_mismatch_fails_the_gate(self, monkeypatch):
@@ -847,6 +973,23 @@ class TestMicrobench:
         monkeypatch.setattr(
             numpy_backend.NumpyBackend, "point_terms",
             lambda self, *a: real(self, *a) + 1,
+        )
+        record = run_microbench(repeats=1, seed=0)
+        assert record["bit_identical"] is False and record["gate_ok"] is False
+
+    def test_product_mismatch_fails_the_gate(self, monkeypatch):
+        """The gate follows the product DC the search runs: a product
+        off by one fails ``gate_ok`` whatever the speedups."""
+        from repro.pim.backend.microbench import run_microbench
+
+        real = numpy_backend.NumpyBackend.product_scan_into
+
+        def off_by_one(self, x, decoded, terms, out):
+            real(self, x, decoded, terms, out)
+            out[0, 0] += 1
+
+        monkeypatch.setattr(
+            numpy_backend.NumpyBackend, "product_scan_into", off_by_one
         )
         record = run_microbench(repeats=1, seed=0)
         assert record["bit_identical"] is False and record["gate_ok"] is False

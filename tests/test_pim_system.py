@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import repro.pim.system as system_mod
 from repro.core.square_lut import SquareLut
 from repro.pim import PimSystem, PimSystemConfig
 from repro.pim.config import DpuConfig
@@ -197,11 +198,53 @@ class TestPlacement:
         )
         _, ids, _ = sys4.compute_tasks(queries, [(0, "s0")], 20)
         assert rec.ops.rows == 23 and rec.num_live == 13
-        np.testing.assert_array_equal(rec.ops.off[:, :20], ops.off)
+        np.testing.assert_array_equal(rec.ops.decoded[:20], ops.decoded)
         np.testing.assert_array_equal(rec.ops.pts[:20], ops.pts)
+        np.testing.assert_array_equal(rec.ops.decoded[20:23], ops.decoded[:3])
         assert set(ids[0][ids[0] >= 0].tolist()) == set(
             old_ids[1::2].tolist()
         ) | {900, 901, 902}
+
+    def test_one_residency_pass_per_call(self, sys4, rng, monkeypatch):
+        """A call over several shards with pending appended rows (and one
+        never scanned) makes one residency pass: one range check over
+        all of their missing rows; buffers grow geometrically, so a
+        small append into spare capacity copies no resident row."""
+        queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
+        tasks = [(q, f"s{i}") for q in range(2) for i in range(3)]
+        sys4.compute_tasks(queries, tasks, 5)
+        calls = []
+        real = system_mod.gather_offsets
+
+        def spy(codes, cb):
+            calls.append(len(codes))
+            return real(codes, cb)
+
+        monkeypatch.setattr(system_mod, "gather_offsets", spy)
+
+        def append(key, rows):
+            shard = sys4.get_shard(key)
+            new_ids = 1000 + 10 * int(key[1]) + len(shard.ids) + np.arange(rows)
+            sys4.append_shard(
+                key,
+                np.append(shard.ids, new_ids),
+                np.concatenate([shard.codes, shard.codes[:rows]]),
+            )
+
+        for key in ("s0", "s1", "s2"):
+            append(key, 3)
+        tasks.append((1, "s3"))
+        sys4.compute_tasks(queries, tasks, 5)
+        assert calls == [3 + 3 + 3 + 20]
+        grown = sys4._shards["s0"][1].ops
+        assert grown.rows == 23 and len(grown.pts) == 30
+        append("s0", 2)
+        sys4.compute_tasks(queries, tasks, 5)
+        assert calls[1:] == [2]
+        ops = sys4._shards["s0"][1].ops
+        assert ops.rows == 25 and ops.decoded is grown.decoded
+        sys4.compute_tasks(queries, tasks, 5)
+        assert len(calls) == 2  # nothing pending: no pass
 
     def test_append_shard_requires_the_old_ids_first(self, sys4):
         shard = sys4.get_shard("s1")
