@@ -17,10 +17,11 @@ strategies, and exits non-zero when either fails:
   (``batch_size=1``) must be >= ``--min-speedup`` (2x) on host
   wall-clock;
 * the persistent shard pool must ship no shard data per round: the
-  bytes pickled down the worker pipes must stay within the round's LUT
-  bytes plus :data:`POOL_BYTES_PER_JOB` per job (a deterministic byte
-  count, not a timing; see docs/data_plane.md for why single-LUT-row
-  rounds are the shape where shipping codes and ids would dominate).
+  bytes pickled down the worker pipes must stay within the round's
+  query-row bytes plus :data:`POOL_BYTES_PER_JOB` per job (a
+  deterministic byte count, not a timing; see docs/data_plane.md for
+  why single-query-row rounds are the shape where shipping a shard's
+  residents would dominate).
 
 It also writes a machine-readable ``BENCH_fig06.json`` artifact with
 both measurements so the perf trajectory is diffable across PRs.
@@ -99,46 +100,59 @@ def test_fig06b_nprobe_sweep(sift_ds, benchmark):
 
 
 # ---------------------------------------------------------------- CLI
-#: Descriptor allowance per job on top of its LUT bytes: the shard key,
-#: ``k``, the live-row slot and the pickle framing of one job.
+#: Descriptor allowance per job on top of its query-row bytes: the
+#: shard key, ``k``, the dead-row slot and the pickle framing of one job.
 POOL_BYTES_PER_JOB = 256
 
 
 def run_pool_smoke(rounds: int = 5) -> dict:
-    """CI gate: the persistent pool ships LUTs, never shard arrays.
+    """CI gate: the persistent pool ships query rows, never shard arrays.
 
     Every worker connection's ``send`` is wrapped to count the bytes it
-    pickles; each round must stay within the round's LUT bytes plus
+    pickles; each round must stay within the round's query-row bytes
+    (each product job's query row and int64 row term) plus
     :data:`POOL_BYTES_PER_JOB` per job. The shape is chosen where shard
-    shipping would dominate: single-LUT-row rounds (the serving steady
-    state) over many modest shards, where re-shipping codes and ids
-    would cost ~24x the LUTs. Every round must also be bit-identical to
-    in-process :func:`~repro.pim.parallel.scan_shard_group`.
+    shipping would dominate: single-query-row rounds (the serving
+    steady state) over many modest shards, where re-shipping the
+    resident decoded residuals, point terms and ids would cost over
+    4,000x the rows. Every round must also be bit-identical to in-process
+    :func:`~repro.pim.parallel.scan_shard_group`.
     """
     import numpy as np
     from multiprocessing.reduction import ForkingPickler
 
     from repro.pim.backend import resolve_backend
+    from repro.pim.backend.numpy_backend import (
+        CodebookTerms,
+        decode_table,
+        gather_offsets,
+    )
     from repro.pim.parallel import PersistentShardPool, scan_shard_group
 
-    NSHARDS, PTS, M, CB, K, WORKERS = 32, 4096, 8, 64, 10, 2
+    NSHARDS, PTS, M, CB, DSUB, K, WORKERS = 32, 4096, 8, 64, 4, 10, 2
     rng = np.random.default_rng(0)
+    backend = resolve_backend("auto")
+    terms = CodebookTerms(rng.integers(-200, 201, size=(M, CB, DSUB)))
+    table = decode_table(terms, 255)
     shards = {}
     for s in range(NSHARDS):
-        codes = rng.integers(0, CB, size=(PTS, M), dtype=np.int16)
+        off = gather_offsets(rng.integers(0, CB, size=(PTS, M)), CB)
+        decoded = backend.decode(off, table)
+        centroid = rng.integers(0, 256, size=(1, M * DSUB))
+        pts = backend.residual_terms(
+            centroid, np.zeros(PTS, dtype=np.intp), off, decoded, terms
+        )
         ids = rng.permutation(PTS * 10)[:PTS].astype(np.int64)
-        shards[f"shard{s}"] = (codes, ids)
+        shards[f"shard{s}"] = (decoded, pts, ids)
     keys = list(shards)
-    lives = [None] * NSHARDS
-    shard_bytes = sum(c.nbytes + i.nbytes for c, i in shards.values())
-    backend = resolve_backend("auto")
+    shard_bytes = sum(a.nbytes for arrays in shards.values() for a in arrays)
 
     record = {
         "gate": "persistent_pool_round_bytes",
         "round_shape": {
             "num_shards": NSHARDS, "points_per_shard": PTS,
-            "num_subspaces": M, "codebook_size": CB, "lut_rows": 1,
-            "workers": WORKERS, "rounds": rounds,
+            "num_subspaces": M, "codebook_size": CB, "dim": M * DSUB,
+            "query_rows": 1, "workers": WORKERS, "rounds": rounds,
         },
         "bytes_per_job_allowance": POOL_BYTES_PER_JOB,
         "shard_bytes_per_round": shard_bytes,
@@ -157,18 +171,19 @@ def run_pool_smoke(rounds: int = 5) -> dict:
                 _send(obj)
 
             conn.send = counted
-        lut_bytes = NSHARDS * M * CB * np.dtype(np.int64).itemsize
-        max_sent = 0
+        max_sent = row_bytes = 0
         for i in range(rounds):
             r = np.random.default_rng(i)
             jobs = [
-                (r.integers(0, 255, size=(1, M, CB), dtype=np.int64),
-                 codes, ids, K)
-                for codes, ids in shards.values()
+                (r.integers(0, 256, size=(1, M * DSUB)).astype(table.dtype),
+                 decoded, ids, K, pts,
+                 r.integers(0, 1 << 20, size=1, dtype=np.int64), None)
+                for decoded, pts, ids in shards.values()
             ]
+            row_bytes = sum(job[0].nbytes + job[5].nbytes for job in jobs)
             sent[0] = 0
-            got = pool.scan_groups(jobs, keys, lives, backend)
-            if pool.take_fallback_events() or sent[0] < lut_bytes:
+            got = pool.scan_groups(jobs, keys, backend)
+            if pool.take_fallback_events() or sent[0] < row_bytes:
                 print("FAIL: the round did not run on the pool workers")
                 return record
             for job, top in zip(jobs, got):
@@ -179,15 +194,15 @@ def run_pool_smoke(rounds: int = 5) -> dict:
             max_sent = max(max_sent, sent[0])
     finally:
         pool.close()
-    per_job = (max_sent - lut_bytes) / NSHARDS
+    per_job = (max_sent - row_bytes) / NSHARDS
     record.update(
-        lut_bytes_per_round=lut_bytes, max_sent_bytes_per_round=max_sent,
+        query_row_bytes_per_round=row_bytes, max_sent_bytes_per_round=max_sent,
         overhead_bytes_per_job=per_job, ok=per_job <= POOL_BYTES_PER_JOB,
     )
     print(
         f"persistent pool shipped {max_sent} B per round for "
-        f"{lut_bytes} LUT bytes: "
-        f"{per_job:.0f} B per job over the LUTs (allowance "
+        f"{row_bytes} query-row bytes: "
+        f"{per_job:.0f} B per job over the rows (allowance "
         f"{POOL_BYTES_PER_JOB} B; shard arrays would be {shard_bytes} B)"
     )
     if not record["ok"]:
@@ -279,7 +294,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="reduced perf-regression gate: batched must beat per-query "
         "by --min-speedup on host wall-clock, and the shard pool must ship "
-        "only LUT bytes per round",
+        "only query-row bytes per round",
     )
     parser.add_argument("--queries", type=int, default=400)
     parser.add_argument("--min-speedup", type=float, default=2.0)

@@ -297,14 +297,15 @@ class DrimAnnEngine:
 
     # ------------------------------------------------------------- mutation
     def _sync_liveness(self, clusters: Optional[np.ndarray] = None) -> None:
-        """Push each cluster part's live-row filter into the PIM system.
+        """Push each cluster part's dead rows into the PIM system.
 
         ``clusters`` limits the resync to those clusters' parts (the
         ones a mutation touched); every other part keeps its filter and
         its resident scan operands. ``None`` resyncs every part. A
-        part's live rows come from its slice of the tombstone mask, in
-        one :meth:`~repro.pim.system.PimSystem.set_shard_liveness` call
-        per ``(cluster, part)``: its replicas are placements of one data
+        part's dead rows are the set positions of its slice of the
+        tombstone mask, in one
+        :meth:`~repro.pim.system.PimSystem.set_shard_liveness` call per
+        ``(cluster, part)``: its replicas are placements of one data
         shard.
         """
         masks = self.quantized.tombstone_masks()
@@ -312,12 +313,12 @@ class DrimAnnEngine:
         cids = groups if clusters is None else clusters.tolist()
         for cid in cids:
             for key in groups[cid][0]:
-                live = None
+                dead = None
                 if masks is not None:
-                    dead = masks[cid][_rows_slice(self.plan.shards[key].point_rows)]
-                    if dead.any():
-                        live = (~dead).nonzero()[0]
-                self.system.set_shard_liveness(key, live)
+                    rows = _rows_slice(self.plan.shards[key].point_rows)
+                    dead = np.flatnonzero(masks[cid][rows])
+                self.system.set_shard_liveness(key, dead if dead is not None
+                                               and len(dead) else None)
 
     def add(
         self, vectors: np.ndarray, ids: Optional[np.ndarray] = None

@@ -215,13 +215,6 @@ class QuantizedIndexData:
             )
         return sizes
 
-    def live_rows(self, cluster_id: int) -> Optional[np.ndarray]:
-        """Row indices of live points in a cluster, ``None`` if all live."""
-        masks = self.tombstone_masks()
-        if masks is None or not masks[cluster_id].any():
-            return None
-        return np.flatnonzero(~masks[cluster_id])
-
     # ----- mutable lifecycle ----------------------------------------------
     def encode(self, vectors: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Assign and PQ-encode raw uint8 vectors with the trained index.

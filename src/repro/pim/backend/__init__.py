@@ -3,20 +3,18 @@
 The ADC distance scan (DC) and LUT construction (LC) dominate the
 host's functional wall-clock exactly as Fig. 8 of the paper predicts.
 :class:`~repro.pim.backend.numpy_backend.NumpyBackend` holds the fused
-NumPy kernels every call site runs. A search's compute plane runs DC
-as one exact BLAS product per job (``product_scan_into``) over
-residuals decoded once per data shard (``decode``, with the point
-terms of ``residual_terms``), in the smallest dtype that is exact for
-it (:func:`~repro.pim.backend.numpy_backend.product_dtype`): the
-paper's LUT lookups stand in for a multiplier a DPU lacks, and the
-host has one. The gather-then-reduce scan (``scan_into``, over the
-offsets of :func:`~repro.pim.backend.numpy_backend.gather_offsets`)
-runs the worker pool's LUT jobs, built by the batched integer LUT
-build (``build_luts``); its term tables (``query_terms``,
-``point_terms``) remain for the kernel microbenchmark. The per-task
+NumPy kernels every call site runs. DC has one host kernel: one exact
+BLAS product per job (``product_scan_into``) over residuals decoded
+once per data shard (``decode``, with the point terms of
+``residual_terms``), in the smallest dtype that is exact for it
+(:func:`~repro.pim.backend.numpy_backend.product_dtype`), whether the
+job runs in process or in the worker pool: the paper's LUT lookups
+stand in for a multiplier a DPU lacks, and the host has one. The
+batched integer LUT build (``build_luts``) is LC's kernel; no search
+path calls it, and the kernel microbenchmark times it. The per-task
 top-k (TS) is the one canonical ``(distance, id)`` selection rule,
 :func:`repro.pim.kernels.select_topk` (per job:
-:func:`~repro.pim.kernels.topk_rows`), applied to either's output.
+:func:`~repro.pim.kernels.topk_rows`), applied to the product's output.
 
 **Bit-identical by construction.** The ADC pipeline is integer end to
 end, int64 sums are order-independent and every float product is taken

@@ -5,47 +5,35 @@ restructured for speed. Only the raw array math lives here — no cost
 accounting: callers charge the modeled PIM cycles separately from
 closed forms, which keeps ledgers independent of the host kernels.
 
-**Scan** (the LUT form of DC, the worker pool's) is one
-gather-then-reduce kernel (:meth:`NumpyBackend.scan_into`):
+**Product DC** is what every search runs, in process or in the worker
+pool. Over whole decoded residuals ``B`` (a point's codewords
+concatenated, ``D`` integers) the IVF-PQ identity (Jegou et al., TPAMI
+2011) reads ``||q - c - B||^2 = ||q - c||^2 + (||B||^2 + 2 c.B) - 2
+q.B``: :meth:`NumpyBackend.decode` turns a shard's codes into ``B``
+with one take of the :func:`decode_table`,
+:meth:`NumpyBackend.residual_terms` gives each point its int64
+``||B||^2 + 2 c.B`` (a take of the codeword norms and an exact
+row-wise ``c.B``), both once per stored row, and
+:meth:`NumpyBackend.product_scan_into` computes a job's ``terms - 2 Q
+@ B.T`` as one BLAS ``matmul``. Every partial sum of ``q.B`` is an
+integer bounded by ``D * max|q| * max|b|``, so :func:`product_dtype`
+picks float32 below ``2**24`` (the benchmark's codebooks, at ``128 *
+255 * 144``), float64 below ``2**53`` and int64 past it, the rule
+:class:`ProductTable` applies to CL. The DPU turns these products into
+LUT lookups because it lacks a fast multiplier; the host has BLAS.
 
-* a shard's ``(n, M)`` codes become ``(M, n)`` flat offsets into the
-  ``(g, M*CB)`` LUT rows (``code + m*CB``, :func:`gather_offsets`,
-  which also range-checks the codes the PIM system decodes);
-  :func:`~repro.pim.parallel.scan_shard_group` builds them per call;
-* each slab of LUT rows is one ``np.take`` of those offsets, a
-  row-major ``(rows, M, n)`` gather, reduced over ``M`` into int64 —
-  at the bench shape several times faster than the staged reference's
-  3-index gather. The slab's transient gather stays within
-  :data:`LUT_CHUNK_BYTES`; when a single row's ``(M, n)`` gather would
-  not, that row is gathered in column slabs instead;
-* a job of ``g >= 2`` rows over ``n >= 8 * CB`` points whose whole
-  gather fits the budget is scanned query-major (:func:`scan_layout`):
-  its tables are transposed once to ``(M*CB, g)``, so each offset
-  gathers ``g`` contiguous entries (an ``(M, n, g)`` gather, same
-  bytes). At M 32, CB 128 that takes 0.36-0.61 of the row-major time
-  at n 3,456 (g >= 4) but 0.94-2.2 at n 150, hence the ``n`` floor;
-* when a sum of ``M`` LUT entries always fits int32 (``M *
-  max|entry| < 2**31``, always true for the quantized pipeline, whose
-  entries are bounded by ``dim * CODEBOOK_CLIP**2``) the gathers run
-  on int32 LUTs, halving gather traffic, and reduce in int32, about
-  twice as fast as an int64 reduction; every partial sum is exact, and
-  the int64 output holds it unchanged. :meth:`NumpyBackend.build_luts`
-  returns such LUTs as int32 already; other callers take the gather
-  view of their LUTs (:func:`_gather_view`): int32 when the sums fit,
-  else int64, reduced in int64.
-
-Flat offsets carry no per-subspace bounds, so :func:`gather_offsets`
-checks codes against ``[0, CB)`` before any offset exists
-(:class:`IndexError`, where a code past ``CB`` would otherwise read the
-next subspace's entry and a negative one would wrap), and non-integer
-LUTs or codes are rejected with :class:`TypeError` rather than
-silently truncated.
+Codes are decoded through flat offsets ``code + m*CB``
+(:func:`gather_offsets`), which carry no per-subspace bounds, so
+:func:`gather_offsets` checks codes against ``[0, CB)`` before any
+offset exists (:class:`IndexError`, where a code past ``CB`` would
+otherwise read the next subspace's codeword and a negative one would
+wrap), and non-integer codes are rejected with :class:`TypeError`
+rather than silently truncated.
 
 **LUT build** (LC, :meth:`NumpyBackend.build_luts`) takes (query,
 centroid) pairs: task ``t``'s residual is ``q - c`` for ``q =
 queries[qrows[t]]`` and ``c = centroids[crows[t]]``. Per subspace ``m``
-and codeword ``b`` it uses the exact IVF-PQ identity (Jegou et al.,
-TPAMI 2011)::
+and codeword ``b`` it uses the same identity::
 
     ||q - c - b||^2 = ||q - c||^2 + (||b||^2 - 2 q.b) + 2 c.b
 
@@ -58,42 +46,17 @@ magnitude at most ``dsub * (max|q| + max|c| + max|b|)**2``; while
 that stays below ``2**53`` float64
 represents all of them exactly, so the result is the exact integer in
 any summation order. Inputs that break it take the int64
-difference/einsum path over the residuals instead. The output comes in
-the scans' gather dtype: int32 when ``M`` times that bound fits int32
-(every table entry, partial sum and ``M``-entry scan sum then does; the
-tables are cast once and the pairs assembled in int32), else int64.
-Assembly and the fallback run in row slabs of at most
-:data:`LUT_CHUNK_BYTES` of transient data. The codebook operands (int64
-and transposed float64 books, ``||b||^2``, the encoder's table,
-``max|b|``) come as one
-:class:`CodebookTerms`, built once by whoever owns the codebooks
+difference/einsum path over the residuals instead. The output is int32
+when ``M`` times that bound fits int32 (every table entry and
+``M``-entry sum then does; the tables are cast once and the pairs
+assembled in int32), else int64. Assembly and the fallback run in row
+slabs of at most :data:`LUT_CHUNK_BYTES` of transient data. No search
+path builds LUTs; the kernel microbenchmark times this one against the
+staged square-LUT build. The codebook operands (int64 and transposed
+float64 books, ``||b||^2``, the encoder's table, ``max|b|``) come as
+one :class:`CodebookTerms`, built once by whoever owns the codebooks
 (``PimSystem.codebook_terms``, ``QuantizedIndexData.codebook_terms``),
 so the backend itself holds no state.
-
-**Product DC** is what a search's compute plane runs. Over whole
-decoded residuals ``B`` (a point's codewords concatenated, ``D``
-integers) the identity reads ``||q - c - B||^2 = ||q - c||^2 +
-(||B||^2 + 2 c.B) - 2 q.B``: :meth:`NumpyBackend.decode` turns a
-shard's codes into ``B`` with one take of the :func:`decode_table`,
-:meth:`NumpyBackend.residual_terms` gives each point its int64
-``||B||^2 + 2 c.B`` (a take of the codeword norms and an exact row-wise
-``c.B``), both once per stored row, and
-:meth:`NumpyBackend.product_scan_into` computes a job's ``terms - 2
-Q @ B.T`` as one BLAS ``matmul``. Every partial sum of ``q.B`` is an
-integer bounded by ``D * max|q| * max|b|``, so :func:`product_dtype`
-picks float32 below ``2**24`` (the benchmark's codebooks, at ``128 *
-255 * 144``), float64 below ``2**53`` and int64 past it, the rule
-:class:`ProductTable` applies to CL. The DPU turns these products
-into LUT lookups because it lacks a fast multiplier; the host has
-BLAS.
-
-**Term tables** split the same identity per subspace without a
-per-task LUT: :meth:`NumpyBackend.query_terms` (per query, scanned at a
-point's codes) and :meth:`NumpyBackend.point_terms` (per point); the
-caller adds ``||q - c||^2``. With :meth:`NumpyBackend.scan_into` they
-were the compute plane's DC before the product, and the kernel
-microbenchmark still times them against it. The worker pool's LUT jobs
-still call :meth:`NumpyBackend.build_luts` and ``scan_into``.
 
 **Encode** (:meth:`NumpyBackend.pq_encode`) drops the per-row constant
 ``||r||^2`` from the LUT: a residual's codes are the first-minimum
@@ -120,45 +83,24 @@ EXACT_FLOAT_LIMIT = 1 << 53
 #: Largest magnitude float32 holds every integer up to (inclusive).
 EXACT_FLOAT32_LIMIT = 1 << 24
 
-#: Byte budget for one slab of a kernel's transient arrays (a scan's
-#: ``(rows, M, n)`` gather, a LUT build's pair assembly, the
-#: fallback's int64 difference tensor, or a shard group's ``(rows, n)``
-#: distances before top-k); bounds memory without affecting values.
+#: Byte budget for one slab of a kernel's transient arrays (a LUT
+#: build's pair assembly, the fallback's int64 difference tensor, an
+#: encode slab's table, or a round slab's ``(rows, n)`` distances
+#: before top-k); bounds memory without affecting values.
 LUT_CHUNK_BYTES = 32 * 1024 * 1024
-
-#: Points per codeword from which a job of two or more LUT rows scans
-#: query-major (:func:`scan_layout`): the per-job transpose of its
-#: ``g * M * CB`` table entries pays back only at ``n`` several ``CB``.
-QUERY_MAJOR_POINTS_PER_CODE = 8
 
 _I32_MAX = np.iinfo(np.int32).max
 
 
-def _gather_view(luts: np.ndarray) -> np.ndarray:
-    """The ``(..., M, CB)`` integer LUTs as int32 when a sum of ``M``
-    entries always fits int32, else as int64.
-
-    An int32 view halves the gather traffic of the hot loop, and the
-    scan then also accumulates in int32 (:func:`_scan_rows`), about
-    twice as fast as an int64 reduction; with ``M * max|entry|`` within
-    int32 every partial sum is exact. Other LUTs, int32-typed ones
-    included, are gathered as int64 and reduced into int64.
-    """
-    if luts.size == 0:
-        return luts
-    bound = max(-int(luts.min()), int(luts.max())) * luts.shape[-2]
-    return luts.astype(np.int32 if bound <= _I32_MAX else np.int64, copy=False)
-
-
 def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
-    """The range-checked ``(M, n)`` intp scan offsets ``code + m*cb`` of
-    ``(n, M)`` codes.
+    """The range-checked ``(M, n)`` intp offsets ``code + m*cb`` of
+    ``(n, M)`` codes into an ``(M * cb, ...)`` table.
 
     Raises :class:`IndexError` for a code outside ``[0, cb)`` and
     :class:`TypeError` for non-integer codes, so every offset
-    :meth:`NumpyBackend.scan_into` receives is in bounds. Costs
-    ``8 * M`` bytes per row (intp: ``np.take`` would re-cast narrower
-    offsets on every call).
+    :meth:`NumpyBackend.decode` and :meth:`NumpyBackend.residual_terms`
+    take is in bounds (intp: ``np.take`` would re-cast narrower offsets
+    on every call).
     """
     codes = np.asarray(codes)
     if codes.ndim != 2:
@@ -172,58 +114,6 @@ def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
     off = np.ascontiguousarray(codes.T, dtype=np.intp)
     off += (np.arange(codes.shape[1], dtype=np.intp) * cb)[:, None]
     return off
-
-
-def scan_layout(g: int, m: int, cb: int, n: int, itemsize: int) -> str:
-    """The gather layout :func:`_scan_rows` takes for ``(g, M, CB)``
-    tables of ``itemsize`` bytes over ``n`` points: ``"query-major"``
-    for at least two rows, ``n >= QUERY_MAJOR_POINTS_PER_CODE * CB`` and
-    a whole gather within :data:`LUT_CHUNK_BYTES`, else ``"row-major"``."""
-    long = g >= 2 and n >= QUERY_MAJOR_POINTS_PER_CODE * cb
-    fits = g * m * n * itemsize <= LUT_CHUNK_BYTES
-    return "query-major" if long and fits else "row-major"
-
-
-def _scan_rows(gather: np.ndarray, off: np.ndarray, out: np.ndarray) -> None:
-    """One job's ADC scan into ``out`` (``(g, n)`` int64, may be a view).
-
-    ``gather`` is the ``(g, M, CB)`` LUTs from :func:`_gather_view`,
-    ``off`` the ``(M, n)`` offsets from :func:`gather_offsets`. Each
-    slab is one gather of the offsets and one reduction over the
-    subspaces — in int32 for an int32 gather view, whose sums fit, else
-    in int64. A query-major job (:func:`scan_layout`) is one ``(M, n, g)``
-    gather of the transposed tables, else whole rows while a row's ``(M,
-    n)`` gather fits :data:`LUT_CHUNK_BYTES`, else single rows in column
-    slabs that do. No checks: the offsets were range-checked when built.
-    """
-    g, m, cb = gather.shape
-    n = off.shape[1]
-    if n == 0 or g == 0:
-        return
-    flat = gather.reshape(g, m * cb)
-    acc = np.int32 if flat.dtype == np.int32 else np.int64
-    if scan_layout(g, m, cb, n, flat.itemsize) == "query-major":
-        # Each offset copies g contiguous entries of the transpose.
-        gathered = np.take(np.ascontiguousarray(flat.T), off, axis=0, mode="wrap")
-        out[...] = np.add.reduce(gathered, axis=0, dtype=acc).T
-        return
-    if g * m * n * flat.itemsize <= LUT_CHUNK_BYTES:
-        # The whole job is one slab (the common case): one gather.
-        gathered = np.take(flat, off, axis=1, mode="wrap")
-        np.add.reduce(gathered, axis=1, dtype=acc, out=out)
-        return
-    cols = min(n, slab_rows(m * flat.itemsize))
-    step = slab_rows(m * cols * flat.itemsize)
-    for r0 in range(0, g, step):
-        rows = flat[r0 : r0 + step]
-        for c0 in range(0, n, cols):
-            # Every offset is in bounds, so the take mode only picks
-            # the cheapest loop.
-            gathered = np.take(rows, off[:, c0 : c0 + cols], axis=1, mode="wrap")
-            np.add.reduce(
-                gathered, axis=1, dtype=acc,
-                out=out[r0 : r0 + step, c0 : c0 + cols],
-            )
 
 
 class CodebookTerms:
@@ -437,47 +327,6 @@ class NumpyBackend:
 
     name = "numpy"
 
-    def scan_into(
-        self, luts: np.ndarray, off: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Unchecked ADC scan (the LUT form of DC): ``(g, M, CB)`` tables
-        from :meth:`build_luts` or :meth:`query_terms` (int32 ones must:
-        their sums are taken in int32) x ``(M, n)`` offsets from
-        :func:`gather_offsets` -> ``(g, n)`` int64 written into ``out``,
-        which may be a view into a wider block. The job's shape picks
-        the gather layout (:func:`scan_layout`), never its values."""
-        _scan_rows(luts, off, out)
-
-    def query_terms(self, queries: np.ndarray, terms: CodebookTerms) -> np.ndarray:
-        """``(Q, D)`` int queries -> ``(Q, M, CB)`` term tables
-        ``||b||^2 - 2 q.b`` of the codebook ``terms``, int32 when ``M *
-        dsub * (max|q| + max|b|)**2`` (which bounds their ``M``-entry
-        sums) fits, else int64. A wrong width raises :class:`ValueError`,
-        non-integer queries :class:`TypeError`."""
-        m, _, dsub = terms.books.shape
-        queries = _check_operand(queries, m * dsub, "queries")
-        bound = m * dsub * (_max_abs(queries) + terms.max_abs) ** 2
-        dtype = np.int32 if bound <= _I32_MAX else np.int64
-        return _term_table(queries, terms, -2, dtype, norms=True)
-
-    def centroid_terms(self, centroid: np.ndarray, terms: CodebookTerms) -> np.ndarray:
-        """The ``(1, M, CB)`` int64 table ``2 c.b`` of a ``(D,)`` int
-        centroid ``c``, checked like :meth:`query_terms`'s queries; a
-        scan of it at a point's offsets is the point's term."""
-        m, _, dsub = terms.books.shape
-        centroid = _check_operand(centroid, m * dsub, "centroid", ndim=1)
-        return _term_table(centroid[None], terms, 2, np.int64, norms=False)
-
-    def point_terms(
-        self, centroid: np.ndarray, off: np.ndarray, terms: CodebookTerms
-    ) -> np.ndarray:
-        """``(n,)`` int64 terms ``sum_m 2 c.b[m, code_m]`` of the points
-        with ``(M, n)`` offsets (:func:`gather_offsets`) in a shard with
-        ``(D,)`` int centroid ``c``: a scan of :meth:`centroid_terms`."""
-        out = np.empty((1, off.shape[1]), dtype=np.int64)
-        _scan_rows(self.centroid_terms(centroid, terms), off, out)
-        return out[0]
-
     def decode(self, off: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``(M, n)`` offsets (:func:`gather_offsets`) -> ``(n, M *
         dsub)`` decoded residuals, each point's codewords concatenated:
@@ -565,8 +414,8 @@ class NumpyBackend:
         rows ``qrows`` / ``crows`` naming each task's pair, and the
         :class:`CodebookTerms` of ``(M, CB, dsub)`` int codebooks ->
         ``(T, M, CB)`` LUTs of the residuals ``queries[qrows] -
-        centroids[crows]``, int32 when every ``M``-entry sum fits int32
-        (the scans' gather dtype), else int64.
+        centroids[crows]``, int32 when every ``M``-entry sum fits int32,
+        else int64.
 
         The term tables are built once per unique query and per unique
         centroid and shared by their tasks; a repeated pair is

@@ -99,11 +99,13 @@ class PimSystemConfig:
     dpus_per_dimm: int = 128
     dpu: DpuConfig = field(default_factory=DpuConfig)
     transfer: TransferConfig = field(default_factory=TransferConfig)
-    # Worker processes for the functional shard-scan fan-out (see
-    # repro.pim.parallel). 0/1 = no pool: every round scans in process.
-    # With a pool, the system's planner picks pool or in-process per
-    # round; results are bit-identical either way, and rounds fall back
-    # to in process when process pools are unavailable.
+    # Worker processes for the compute plane's product jobs (see
+    # repro.pim.parallel). 0/1 = no pool: every job runs in process.
+    # With a pool, the workers hold each data shard's resident decoded
+    # residuals, point terms and ids, and the system's planner picks
+    # pool or in-process per call; the jobs and results are the same
+    # either way, and calls fall back to in process when process pools
+    # are unavailable.
     shard_workers: int = 0
 
     def __post_init__(self) -> None:

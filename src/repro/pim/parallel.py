@@ -1,33 +1,32 @@
 """The parallel data plane: persistent zero-copy workers for shard scans.
 
 The compute plane in :mod:`repro.pim.system` spends almost all of its
-wall-clock in the DC/TS phase: gathering table entries over every
-resident shard's code block and reducing to per-query top-k. That work
-is embarrassingly parallel across shard groups (each group touches one
-shard's codes and its own LUT rows), so large fleets can fan it out
-over worker processes — mirroring how a real host would drive
+wall-clock in the DC/TS phase: one exact product of each job's query
+rows with its data shard's decoded residuals, reduced to per-query
+top-k. That work is embarrassingly parallel across jobs (each touches
+one shard's residents and its own query rows), so large fleets can fan
+it out over worker processes — mirroring how a real host would drive
 independent PIM ranks from multiple threads.
 
-The scan paths, the one worker pool, and a planner live here:
+The scan path, the one worker pool, and a planner live here:
 
-* :func:`scan_jobs_stacked` — the one DC + TS path: every job of a
-  call computed into padded distance slabs by the host kernels
-  (:mod:`repro.pim.backend`, bit-identical to the reference
-  :func:`~repro.pim.kernels.scan_distances`), one canonical
+* :func:`scan_jobs_stacked` — the one DC + TS path: every product job
+  of a call computed into padded distance slabs by the host kernel
+  (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`, equal to
+  the staged reference scan of the task's LUTs), one canonical
   ``(distance, id)`` selection (:func:`~repro.pim.kernels.select_topk`)
-  per slab, written into the call's ``(T, k)`` block. The in-process
-  compute plane's jobs are exact products over a shard's decoded
-  residuals; :func:`scan_shard_group`, the per-group scan the pool
-  workers and the pool's in-process fallback run, is the one-job case
-  of a LUT gather job, which makes both execution strategies
-  bit-exact by construction.
+  per slab, written into the call's ``(T, k)`` block.
+  :func:`scan_shard_group`, the per-job scan the pool workers and the
+  pool's in-process fallback run, is its one-job case, which makes
+  both execution strategies bit-exact by construction.
 * :class:`PersistentShardPool` — the worker pool. Workers are spawned
-  once, attach every shard's codes/ids through one
-  :mod:`multiprocessing.shared_memory` segment (the arena), and keep
-  them resident across rounds: the steady state ships only per-round
-  task descriptors ``(shard_key, luts, k, live)`` down the pipe and
-  each job's ``(ids, dists)`` top-k arrays back. Nothing
-  MRAM-resident is ever re-pickled.
+  once, attach every data shard's resident decoded residuals, point
+  terms and ids through one :mod:`multiprocessing.shared_memory`
+  segment (the arena), and keep them resident across rounds: the
+  steady state ships only per-job descriptors ``(shard_key, query
+  rows, row terms, k, dead rows)`` down the pipe and each job's
+  ``(ids, dists)`` top-k arrays back. Nothing MRAM-resident is ever
+  re-pickled.
 * :class:`ExecutionPlanner` — picks the in-process path or the pool
   per ``compute_tasks`` call from its measured size, the pool's warmup
   state and measured throughput. It is the system's own choice, not an
@@ -58,27 +57,24 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pim.backend import NumpyBackend, resolve_backend
-from repro.pim.backend.numpy_backend import _gather_view, gather_offsets, slab_rows
+from repro.pim.backend.numpy_backend import slab_rows
 from repro.pim.kernels import select_topk
 from repro.utils import check_count
 
-#: One shard-group scan job of :func:`scan_jobs_stacked`: ``(rows, points,
-#: ids (n,), k, point terms (n,), row terms (g,), dead rows)``, the dead
-#: rows ascending positions in ``[0, n)`` or None. A product job (the
-#: compute plane's) has ``(g, D)`` query rows and a shard's ``(n, D)``
-#: decoded residuals in one exact product dtype; a gather job (the
-#: pool's, :func:`scan_shard_group`) has ``(g, M, CB)`` LUTs and the
-#: ``(n, M)`` ``.T`` view of the codes'
-#: :func:`~repro.pim.backend.numpy_backend.gather_offsets`. The pool
-#: ships its LUT jobs as :func:`scan_shard_group`'s arguments, ``(luts,
-#: codes, ids, k)``.
+#: One product job of :func:`scan_jobs_stacked`: ``(rows (g, D), decoded
+#: (n, D), ids (n,), k, point terms (n,), row terms (g,), dead rows)``.
+#: The query rows and a data shard's decoded residuals share one exact
+#: product dtype; the point and row terms are int64 and the dead rows
+#: ascending positions in ``[0, n)``, or None. The pool ships a job as
+#: ``(shard_key, rows, row terms, k, dead rows)``; its workers hold the
+#: rest.
 ScanJob = Tuple[Any, ...]
 #: A top-k block: ``(ids, dists)``, ``(rows, k)`` int64 ids and float64
-#: distances, one row per LUT row, padded with ``-1`` / ``inf``.
+#: distances, one row per query row, padded with ``-1`` / ``inf``.
 JobTopk = Tuple[np.ndarray, np.ndarray]
 
-#: Planner threshold: minimum LUT-entry gathers in a round before the
-#: pool's IPC overhead pays for itself.
+#: Planner threshold: minimum scanned point-subspaces in a round before
+#: the pool's IPC overhead pays for itself.
 POOL_MIN_POINTS = 1 << 16
 
 #: Seconds a blocking warm-up wait (:meth:`PersistentShardPool.wait_warm`)
@@ -97,40 +93,67 @@ _SLAB_CELL_BYTES = 17
 #: slab: about what one more selection call costs in cell passes.
 _SLAB_PAD_CELLS = 8192
 
+#: The dtypes :func:`~repro.pim.backend.numpy_backend.product_dtype` picks.
+_PRODUCT_DTYPES = tuple(map(np.dtype, (np.float32, np.float64, np.int64)))
+
+#: A data shard's arrays in the arena, each under ``"{name}:{shard key}"``.
+_RESIDENT = ("decoded", "pts", "ids")
+
 
 def scan_shard_group(
-    luts: np.ndarray,
-    codes: np.ndarray,
+    rows: np.ndarray,
+    decoded: np.ndarray,
     ids: np.ndarray,
     k: int,
+    point_terms: np.ndarray,
+    row_terms: np.ndarray,
+    dead: Optional[np.ndarray] = None,
     backend: Optional[NumpyBackend] = None,
 ) -> JobTopk:
-    """DC + TS over one shard group: :func:`scan_jobs_stacked` of the
-    one job ``(g, M, CB)`` integer ``luts`` x ``(n, M)`` ``codes``.
+    """DC + TS over one product job, checked: :func:`scan_jobs_stacked`
+    of the one :data:`ScanJob` these arguments make up.
 
-    The per-group scan the pool workers (and the pool's in-process
-    fallback) run. Returns the job's ``(g, k)`` block of
-    :func:`scan_jobs_stacked`. Non-integer LUTs raise
-    :class:`TypeError`, misshapen operands or ``ids``
-    :class:`ValueError`, codes outside ``[0, CB)`` :class:`IndexError`
-    (:func:`~repro.pim.backend.numpy_backend.gather_offsets`) and a bad
-    ``k`` what :func:`~repro.utils.check_count` raises.
-    ``backend=None`` takes the process-wide kernels.
+    The per-job scan the pool workers (and the pool's in-process
+    fallback) run; returns the job's ``(g, k)`` block. ``rows`` must be
+    ``(g, D)`` and ``decoded`` ``(n, D)`` in one product dtype, ``ids``
+    ``(n,)``, ``point_terms`` ``(n,)`` and ``row_terms`` ``(g,)`` int64,
+    and ``dead`` strictly ascending rows in ``[0, n)`` or None; a wrong
+    shape or range raises :class:`ValueError` and a wrong dtype
+    :class:`TypeError`, each naming the operand, and a bad ``k`` what
+    :func:`~repro.utils.check_count` raises. ``backend=None`` takes the
+    process-wide kernels.
     """
-    luts = np.asarray(luts)
-    codes = np.asarray(codes)
-    if luts.ndim != 3:
-        raise ValueError(f"luts must be (g, M, CB), got {luts.shape}")
-    if codes.ndim != 2 or codes.shape[1] != luts.shape[1]:
-        raise ValueError(f"codes must be (n, {luts.shape[1]}), got {codes.shape}")
-    if not np.issubdtype(luts.dtype, np.integer):
-        raise TypeError(f"luts must be an integer array, got {luts.dtype}")
-    if np.shape(ids) != (len(codes),):
-        raise ValueError(f"ids must be ({len(codes)},), got {np.shape(ids)}")
+    rows, decoded = np.asarray(rows), np.asarray(decoded)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be (g, D), got {rows.shape}")
+    if decoded.ndim != 2 or decoded.shape[1] != rows.shape[1]:
+        raise ValueError(f"decoded must be (n, {rows.shape[1]}), got {decoded.shape}")
+    if rows.dtype not in _PRODUCT_DTYPES:
+        raise TypeError(f"rows must be float32, float64 or int64, got {rows.dtype}")
+    if decoded.dtype != rows.dtype:
+        raise TypeError(
+            f"decoded must share the rows' product dtype {rows.dtype}, "
+            f"got {decoded.dtype}"
+        )
+    n = len(decoded)
+    for name, arr, want in (
+        ("ids", ids, n), ("point_terms", point_terms, n), ("row_terms", row_terms, len(rows)),
+    ):
+        if np.shape(arr) != (want,):
+            raise ValueError(f"{name} must be ({want},), got {np.shape(arr)}")
+    for name, arr in (("point_terms", point_terms), ("row_terms", row_terms)):
+        if np.asarray(arr).dtype != np.int64:
+            raise TypeError(f"{name} must be int64, got {np.asarray(arr).dtype}")
+    if dead is not None:
+        dead = np.asarray(dead)
+        if dead.dtype.kind not in "iu":
+            raise TypeError(f"dead must be integer rows, got {dead.dtype}")
+        if dead.ndim != 1 or len(dead) and (
+            dead[0] < 0 or dead[-1] >= n or np.count_nonzero(dead[1:] <= dead[:-1])
+        ):
+            raise ValueError(f"dead must be strictly ascending 1-D rows in [0, {n})")
     check_count(k, "k")
-    off = gather_offsets(codes, luts.shape[-1])
-    terms = np.zeros(len(codes), dtype=np.int64), np.zeros(len(luts), dtype=np.int64)
-    job = (_gather_view(luts), off.T, ids, k) + terms + (None,)
+    job = (rows, decoded, ids, k, point_terms, row_terms, dead)
     return scan_jobs_stacked([job], backend=backend)
 
 
@@ -140,17 +163,14 @@ def scan_jobs_stacked(
 ) -> JobTopk:
     """The in-process DC + TS of a whole round, into one top-k block.
 
-    ``jobs`` are :data:`ScanJob` tuples with one ``k``. In a product
-    job a row's distance to a point is the point's term minus twice
-    their product (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`),
-    in a gather job the sum of the row's table entries at the point's
-    codes (:meth:`~repro.pim.backend.NumpyBackend.scan_into`) plus the
-    point's term; either way plus the row's term, and a dead point is
-    never a candidate. Returns the call's ``(ids,
-    dists)`` block: ``(T, k)`` int64 ids and float64 distances, ``T``
-    the jobs' summed LUT rows in submission order, padded with ``-1`` /
-    ``inf`` past a job's live points. A row depends only on its job,
-    never on the others.
+    ``jobs`` are :data:`ScanJob` tuples with one ``k``. A row's
+    distance to a point is the point's term minus twice their product
+    (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`) plus the
+    row's term, and a dead point is never a candidate. Returns the
+    call's ``(ids, dists)`` block: ``(T, k)`` int64 ids and float64
+    distances, ``T`` the jobs' summed query rows in submission order,
+    padded with ``-1`` / ``inf`` past a job's live points. A row
+    depends only on its job, never on the others.
 
     The jobs' rows are computed straight into padded int64 distance
     slabs with the point terms added (padding cells, and then dead
@@ -222,13 +242,9 @@ def _select_slab(
     block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
     row = 0
     for ji, r0, r1 in pieces:
-        lhs, points, ids, _, point_terms, _, dead = jobs[ji]
+        lhs, decoded, ids, _, point_terms, _, dead = jobs[ji]
         dists = block[row : row + r1 - r0, : len(ids)]
-        if lhs.ndim == 3:  # a gather job: LUTs x offsets
-            backend.scan_into(lhs[r0:r1], points.T, dists)
-            dists += point_terms
-        else:
-            backend.product_scan_into(lhs[r0:r1], points, point_terms, dists)
+        backend.product_scan_into(lhs[r0:r1], decoded, point_terms, dists)
         if dead is not None:
             dists[:, dead] = PAD_DISTANCE  # never selected ahead of a live row
         row += r1 - r0
@@ -362,7 +378,8 @@ def _detach_from_resource_tracker(shm) -> None:
 
 
 class SharedShardArena:
-    """One shared-memory segment packing every shard's codes and ids.
+    """One shared-memory segment packing every data shard's resident
+    arrays (decoded residuals, point terms and ids).
 
     Layout: arrays are copied back-to-back at 16-byte-aligned offsets;
     the manifest maps ``array key -> (offset, shape, dtype str)`` and is
@@ -500,7 +517,7 @@ def _pool_worker(
 
         sanitizer.worker_init(san_spool, san_clock)
     arena = None
-    views: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    views: Dict[str, Tuple[np.ndarray, ...]] = {}
     try:
         arena = SharedShardArena.attach(arena_name, manifest, untrack=untrack)
         while True:
@@ -509,22 +526,19 @@ def _pool_worker(
             _san_merge(msg[-1])
             if tag == "scan":
                 out: List[JobTopk] = []
-                for key, luts, k, live in msg[1]:
-                    # ``live`` is the live-row filter for shards with
-                    # tombstones (None = every row): resident arrays keep
-                    # the full rows, deletions apply at scan time.
-                    pair = views.get(key)
-                    if pair is None:
-                        pair = (
-                            arena.view(f"codes:{key}"),
-                            arena.view(f"ids:{key}"),
+                for key, rows, row_terms, k, dead in msg[1]:
+                    # The arena holds every stored row; the job's dead
+                    # rows are masked at scan time.
+                    resident = views.get(key)
+                    if resident is None:
+                        resident = tuple(
+                            arena.view(f"{name}:{key}") for name in _RESIDENT
                         )
-                        views[key] = pair
-                    codes, ids = pair
-                    if live is not None:
-                        codes = codes[live]
-                        ids = ids[live]
-                    out.append(scan_shard_group(luts, codes, ids, k))
+                        views[key] = resident
+                    decoded, pts, ids = resident
+                    out.append(
+                        scan_shard_group(rows, decoded, ids, k, pts, row_terms, dead)
+                    )
                 conn.send(("topk", out, _san_clock()))
             elif tag == "ping":
                 conn.send(("pong", _san_clock()))
@@ -558,14 +572,16 @@ def _pool_worker(
 class PersistentShardPool:
     """Persistent workers with zero-copy shard residency.
 
-    Lifecycle: :meth:`host_shards` packs every shard's codes/ids into a
+    Lifecycle: :meth:`host_shards` packs every data shard's resident
+    decoded residuals, point terms and ids into a
     :class:`SharedShardArena`; :meth:`ensure_started` spawns the
     workers (non-blocking — each attaches the arena once and answers a
-    ping when ready); :meth:`scan_groups` ships only
-    ``(shard_key, luts, k, live)`` descriptors per round and reassembles
-    results in submission order. Any failure degrades to the in-process
-    per-group scan — bit-identical results — and records a fallback
-    event for the metrics layer (:meth:`take_fallback_events`).
+    ping when ready); :meth:`scan_groups` ships only ``(shard_key,
+    rows, row terms, k, dead rows)`` descriptors per round and
+    reassembles results in submission order. Any failure degrades to
+    the in-process per-job scan — bit-identical results — and records
+    a fallback event for the metrics layer
+    (:meth:`take_fallback_events`).
     """
 
     def __init__(self, num_workers: int) -> None:
@@ -613,12 +629,15 @@ class PersistentShardPool:
 
     # ----- residency ------------------------------------------------------
     def host_shards(
-        self, shards: Dict[str, Tuple[np.ndarray, np.ndarray]]
+        self, shards: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> None:
-        """(Re)build the arena from ``shard_key -> (codes, ids)``.
+        """(Re)build the arena from ``shard_key -> (decoded, point terms,
+        ids)``, a data shard's :data:`ScanJob` operands over its stored
+        rows.
 
         Re-hosting after workers started restarts them against the new
-        arena (index rebuild / late shard placement).
+        arena (index rebuild, late shard placement, new rows or
+        codebooks).
         """
         if self._broken:
             return
@@ -628,9 +647,9 @@ class PersistentShardPool:
             self._arena.close()
             self._arena = None
         arrays: Dict[str, np.ndarray] = {}
-        for key, (codes, ids) in shards.items():
-            arrays[f"codes:{key}"] = codes
-            arrays[f"ids:{key}"] = ids
+        for key, resident in shards.items():
+            for name, arr in zip(_RESIDENT, resident):
+                arrays[f"{name}:{key}"] = arr
         try:
             self._arena = SharedShardArena.create(arrays)
             self._shard_keys = set(shards)
@@ -753,20 +772,19 @@ class PersistentShardPool:
         self,
         jobs: Sequence[ScanJob],
         keys: Sequence[str],
-        lives: Sequence[Optional[np.ndarray]],
         backend: NumpyBackend,
     ) -> List[JobTopk]:
-        """Run jobs (possibly on the workers); results in submission order.
+        """Run product jobs (possibly on the workers); results in
+        submission order.
 
-        ``keys`` aligns each job with its resident shard key and
-        ``lives`` with its live-row filter — ``None`` entries mean every
-        resident row is live; non-``None`` entries are the row indices
-        that survive tombstoning, applied worker-side against the full
-        resident arrays. Workers receive only ``(key, luts, k, live)``.
-        Single jobs run in process; jobs without residency (unknown key,
-        arena not hosted) and any pool failure degrade to in process and
-        record a fallback event. In-process runs use ``backend``, with
-        identical results (the job arrays themselves are pre-filtered).
+        ``keys`` aligns each :data:`ScanJob` with the arena key its
+        data shard's residents are hosted under (:meth:`host_shards`).
+        Workers receive only ``(key, rows, row terms, k, dead rows)``
+        and scan the residents they hold. Single jobs run in process;
+        jobs without residency (unknown key, arena not hosted) and any
+        pool failure degrade to in process and record a fallback event.
+        In-process runs scan the jobs' own arrays on ``backend``, with
+        identical results.
         """
 
         def inproc() -> List[JobTopk]:
@@ -798,7 +816,7 @@ class PersistentShardPool:
                     if hi <= lo:
                         continue
                     payload = [
-                        (keys[j], jobs[j][0], jobs[j][3], lives[j])
+                        (keys[j], jobs[j][0], jobs[j][5], jobs[j][3], jobs[j][6])
                         for j in range(lo, hi)
                     ]
                     conn.send(("scan", payload, _san_clock()))
@@ -869,7 +887,7 @@ class ExecutionPlanner:
     measured throughput:
 
     * a warm pool takes rounds with at least :data:`POOL_MIN_POINTS`
-      LUT-entry gathers and two or more shard groups — below that, IPC
+      scanned point-subspaces and two or more jobs — below that, IPC
       overhead dominates. Once both paths have a measured rate (fed
       back via :meth:`note_round`, keyed ``"pool"`` and
       ``"vectorized"``), the rates settle the contest empirically;
@@ -882,7 +900,7 @@ class ExecutionPlanner:
     """
 
     decisions: Dict[str, int] = field(default_factory=dict)
-    #: Measured LUT-entry gathers per second, EMA per path
+    #: Measured scanned point-subspaces per second, EMA per path
     #: (``"pool"`` / ``"vectorized"``).
     throughput: Dict[str, float] = field(default_factory=dict)
 

@@ -26,9 +26,10 @@ A task's ids and distances depend only on its query and its data
 shard, never on the round, DPU or replica that ran it, so the compute
 plane scans each data shard once per call, as one exact BLAS product
 of the tasks' queries with the shard's decoded residuals, resident next
-to per-point terms (see :meth:`~PimSystem.compute_tasks`). The host
-builds neither the per-task LUTs that LC models nor the lookups DC
-models; the ledger still charges both per task from closed forms.
+to per-point terms (see :meth:`~PimSystem.compute_tasks`), whether a
+job runs in process or in the opt-in worker pool. The host builds
+neither the per-task LUTs that LC models nor the lookups DC models; the
+ledger still charges both per task from closed forms.
 
 A batch's cycles are differences of a *search ledger* that
 :meth:`PimSystem.begin_search` zeroes, not of the DPUs' lifetime
@@ -75,11 +76,12 @@ from repro.utils import check_count, check_operands
 #: the memo restarts when full (it only saves recomputation).
 CHARGE_MEMO_ENTRIES = 4096
 
-#: Query-term table bytes (at 8 B per entry) one query slab of
-#: :meth:`PimSystem.compute_tasks` holds, a row per task: a call past it
-#: takes its queries in slabs, which bounds a whole-matrix search's
-#: transient memory without changing a result.
-ROUND_LUT_BYTES = 64 * 1024 * 1024
+#: Query operand bytes one query slab of :meth:`PimSystem.compute_tasks`
+#: holds: per task, its query row in the product dtype and its int64
+#: residual row, ``D * (itemsize + 8)``. A call past it takes its
+#: queries in slabs, which bounds a whole-matrix search's transient
+#: memory without changing a result.
+QUERY_SLAB_BYTES = 64 * 1024 * 1024
 
 #: Largest query entry: queries are checked uint8, which bounds the DC
 #: products' dtype (:func:`~repro.pim.backend.numpy_backend.decode_table`).
@@ -134,13 +136,6 @@ class _DataShard:
     def num_live(self) -> int:
         return len(self.shard.ids) - (0 if self.dead is None else len(self.dead))
 
-    @property
-    def live(self) -> Optional[np.ndarray]:
-        """Ascending live rows (None: all), the worker pool's filter."""
-        if self.dead is None:
-            return None
-        return np.delete(np.arange(len(self.shard.ids)), self.dead)
-
 
 @dataclass
 class BatchTiming:
@@ -191,9 +186,9 @@ class PimSystem:
         # Shard key -> (its DPU, its data shard's record); data key -> record.
         self._shards: Dict[str, Tuple[int, _DataShard]] = {}
         self._data: Dict[object, _DataShard] = {}
-        # Opt-in worker pool for the functional shard scans, plus the
-        # per-round vectorized/pool chooser. The persistent pool
-        # attaches shard arrays lazily (first round, or warm_pool) via
+        # Opt-in worker pool for the product jobs, plus the per-round
+        # vectorized/pool chooser. The persistent pool attaches the data
+        # shards' residents lazily (first round, or warm_pool) via
         # _ensure_pool_residency.
         self.executor = make_executor(config.shard_workers)
         self.planner = ExecutionPlanner()
@@ -335,7 +330,7 @@ class PimSystem:
         rec.placements.append((key, dpu_id))
         self._shards[key] = (dpu_id, rec)
         # Placement changes invalidate the worker pool's zero-copy
-        # residency; it is re-hosted on the next pool round.
+        # residency; it is re-hosted on the next round.
         self._residency_dirty = True
 
     def _record(self, shard_key: str) -> _DataShard:
@@ -371,17 +366,17 @@ class PimSystem:
         mutated in place and every placement's MRAM objects re-stored
         (all budget-checked first). The dead rows stay dead and rows
         past the old end are live, like appended ones; a shorter block
-        while a live-row filter is installed (it names the rows past the
-        new end) raises ``ValueError`` naming the filter, before anything
-        is stored. Pool residency and the resident scan operands are
+        while dead rows are installed (they may name rows past the new
+        end) raises ``ValueError`` naming the filter, before anything is
+        stored. Pool residency and the resident scan operands are
         dropped: the next scan rebuilds them from the new codes,
         range-checking every one. A grown shard whose old rows are
         unchanged takes :meth:`append_shard` instead.
         """
         rec = self._record(shard_key)
         if rec.dead is not None and len(ids) < len(rec.shard.ids):
-            raise ValueError(f"update_shard on {shard_key!r}: the live-row filter "
-                             f"names rows past the new block's {len(ids)}")
+            raise ValueError(f"update_shard on {shard_key!r}: the dead-row filter "
+                             f"may name rows past the new block's {len(ids)}")
         self._store_rows(rec, ids, codes)
         rec.ops = None
 
@@ -406,39 +401,32 @@ class PimSystem:
         self._store_rows(rec, ids, codes)
 
     def set_shard_liveness(
-        self, shard_key: str, live_rows: Optional[np.ndarray]
+        self, shard_key: str, dead_rows: Optional[np.ndarray]
     ) -> None:
-        """Install (or clear, with ``None``) a data shard's live-row filter.
+        """Install (or clear, with ``None``) a data shard's dead rows.
 
-        ``live_rows`` are the strictly ascending indices into the
-        shard's ``n`` stored rows that survive tombstoning: a 1-D
-        integer array in ``[0, n)``, else ``TypeError``/``ValueError``
-        naming ``live_rows``. Any replica's key sets the one filter of
-        its data shard, kept as its dead rows. The scan masks them
-        before top-k; DC still streams every stored row and is charged
-        for it. The resident scan operands are left as they are.
+        ``dead_rows`` are the strictly ascending indices into the
+        shard's ``n`` stored rows that are tombstoned: a 1-D integer
+        array in ``[0, n)``, else ``TypeError``/``ValueError`` naming
+        ``dead_rows``; an empty one clears the filter like ``None``. Any
+        replica's key sets the one filter of its data shard. The scan
+        masks the dead rows before top-k; DC still streams every stored
+        row and is charged for it. The resident scan operands are left
+        as they are.
         """
         rec = self._record(shard_key)
-        if live_rows is None:
+        if dead_rows is None:
             rec.dead = None
             return
-        n, live_rows = len(rec.shard.ids), np.asarray(live_rows)
-        if live_rows.dtype.kind not in "iu":
-            raise TypeError(f"live_rows must be integer rows, got {live_rows.dtype}")
-        if live_rows.ndim != 1 or len(live_rows) and (
-            live_rows[0] < 0 or live_rows[-1] >= n
-            or np.count_nonzero(live_rows[1:] <= live_rows[:-1])
+        n, dead_rows = len(rec.shard.ids), np.asarray(dead_rows)
+        if dead_rows.dtype.kind not in "iu":
+            raise TypeError(f"dead_rows must be integer rows, got {dead_rows.dtype}")
+        if dead_rows.ndim != 1 or len(dead_rows) and (
+            dead_rows[0] < 0 or dead_rows[-1] >= n
+            or np.count_nonzero(dead_rows[1:] <= dead_rows[:-1])
         ):
-            raise ValueError(f"live_rows must be strictly ascending 1-D rows in [0, {n})")
-        dead = np.ones(n, dtype=bool)
-        dead[live_rows] = False
-        rec.dead = np.flatnonzero(dead) if len(live_rows) < n else None
-
-    @staticmethod
-    def _live_arrays(rec: _DataShard) -> Tuple[np.ndarray, np.ndarray]:
-        """The (codes, ids) of a data shard's live rows."""
-        live = slice(None) if rec.dead is None else rec.live
-        return rec.shard.codes[live], rec.shard.ids[live]
+            raise ValueError(f"dead_rows must be strictly ascending 1-D rows in [0, {n})")
+        rec.dead = dead_rows.astype(np.intp) if len(dead_rows) else None
 
     def _make_resident(self, recs: Sequence[_DataShard]) -> None:
         """Bring each data shard's :class:`ScanOperands` up to its stored
@@ -525,6 +513,7 @@ class PimSystem:
         self._charge_memo.clear()
         for rec in self._data.values():
             rec.ops = None  # decoded from the old codewords
+        self._residency_dirty = True  # so are the pool's residents
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
         )
@@ -851,9 +840,12 @@ class PimSystem:
         built and no LUT is gathered; the ledger charges LC and DC per
         task from closed forms. The shards the call scans first get
         their missing residents in one pass (:meth:`_make_resident`).
-        Queries come in slabs whose rows fit :data:`ROUND_LUT_BYTES`,
-        each one :func:`scan_jobs_stacked` call, or LUT jobs for a warm
-        pool.
+        Queries come in slabs whose query operands fit
+        :data:`QUERY_SLAB_BYTES`, each slab's product jobs one
+        :func:`scan_jobs_stacked` call, or one
+        :meth:`~repro.pim.parallel.PersistentShardPool.scan_groups` call
+        when the planner picks a warm pool: the same jobs, run in its
+        workers.
         """
         if self.codebooks is None:
             raise RuntimeError("codebooks not loaded; call load_codebooks first")
@@ -874,11 +866,12 @@ class PimSystem:
             )
         except KeyError as exc:
             raise ValueError(f"tasks name shard {exc.args[0]!r}, not placed") from None
-        m, cb, _ = self.codebooks.shape
-        # A query slab starts once the term-table rows of the tasks
-        # before it fill the budget; tasks sort by slab, data, query.
+        m = self.codebooks.shape[0]
+        # A query slab starts once the query operands of the tasks before
+        # it fill the budget; tasks sort by slab, data, query.
+        task_bytes = queries.shape[1] * (self._decode_table.itemsize + 8)
         counts = np.bincount(qrows, minlength=len(queries))
-        slab_of = (np.cumsum(counts) - counts) * (m * cb * 8) // ROUND_LUT_BYTES
+        slab_of = (np.cumsum(counts) - counts) * task_bytes // QUERY_SLAB_BYTES
         order = np.lexsort((qrows, drows, slab_of[qrows]))
         qrows, drows = qrows[order], drows[order]
         slab = slab_of[qrows]
@@ -904,19 +897,17 @@ class PimSystem:
             self.observer.on_plan_decision(path)
         pool = path == "pool" and self.executor is not None
 
-        jobs = list(zip(recs, lives, starts.tolist(), ends.tolist()))
-        if not pool:
-            self._make_resident(recs)
-        scan = self._pool_slab if pool else self._scan_slab
+        self._make_resident(recs)
+        jobs = list(zip(recs, starts.tolist(), ends.tolist()))
         blocks = []
         t0 = time.perf_counter()
         slab_edges = (np.flatnonzero(np.diff(slab)) + 1).tolist()
         for s0, s1 in zip([0] + slab_edges, slab_edges + [t]):
             j0, j1 = np.searchsorted(starts, [s0, s1])
-            slab_jobs = [(rec, n, a - s0, b - s0) for rec, n, a, b in jobs[j0:j1]]
-            blocks.append(
-                scan(queries, cents, qrows[s0:s1], crows[s0:s1], slab_jobs, k)
-            )
+            slab_jobs = [(rec, a - s0, b - s0) for rec, a, b in jobs[j0:j1]]
+            blocks.append(self._scan_slab(
+                queries, cents, qrows[s0:s1], crows[s0:s1], slab_jobs, k, pool
+            ))
         # Measured rate feedback: purely advisory, never touches results.
         self.planner.note_round(path, scan_points, time.perf_counter() - t0)
         if self.executor is not None:
@@ -941,53 +932,35 @@ class PimSystem:
         cents: np.ndarray,
         qrows: np.ndarray,
         crows: np.ndarray,
-        jobs: List[Tuple[_DataShard, int, int, int]],
+        jobs: List[Tuple[_DataShard, int, int]],
         k: int,
+        pool: bool,
     ) -> parallel.JobTopk:
-        """A query slab's top-k block, rows in task order, by
-        :func:`scan_jobs_stacked` of product jobs over each data shard's
-        resident operands, its dead rows masked. ``jobs`` are ``(data
-        shard, live rows, first task, end task)``; ``crows`` name each
-        task's row of the ``cents`` centroids."""
+        """A query slab's top-k block, rows in task order: a product job
+        per ``(data shard, first task, end task)`` of ``jobs`` over the
+        shard's resident operands, its dead rows masked, run by one
+        :func:`scan_jobs_stacked` call or, with ``pool``, by the worker
+        pool. ``crows`` name each task's row of the ``cents``
+        centroids."""
         x = queries.astype(self._decode_table.dtype)
         res = queries[qrows].astype(np.int64) - cents[crows]
         row_terms = np.einsum("td,td->t", res, res)
         scan_jobs = []
-        for rec, _, a, b in jobs:
+        for rec, a, b in jobs:
             ops = rec.ops
             scan_jobs.append((
                 x[qrows[a:b]], ops.decoded[: ops.rows], rec.shard.ids, k,
                 ops.pts[: ops.rows], row_terms[a:b], rec.dead,
             ))
-        return scan_jobs_stacked(scan_jobs, backend=self.backend)
-
-    def _pool_slab(
-        self,
-        queries: np.ndarray,
-        cents: np.ndarray,
-        qrows: np.ndarray,
-        crows: np.ndarray,
-        jobs: List[Tuple[_DataShard, int, int, int]],
-        k: int,
-    ) -> parallel.JobTopk:
-        """:meth:`_scan_slab`'s block from the worker pool's LUT jobs
-        over live rows; an empty shard's rows stay padding."""
-        luts = self.backend.build_luts(
-            queries, cents, qrows, crows, self.codebook_terms
-        )
-        live = [(rec, a, b) for rec, n, a, b in jobs if n]
+        if not pool:
+            return scan_jobs_stacked(scan_jobs, backend=self.backend)
         tops = self.executor.scan_groups(
-            [(luts[a:b], *self._live_arrays(rec), k) for rec, a, b in live],
-            [rec.shard.shard_key for rec, _, _ in live],
-            [rec.live for rec, _, _ in live],
-            self.backend,
+            scan_jobs, [rec.shard.shard_key for rec, _, _ in jobs], self.backend
         )
-        ids = np.full((len(qrows), k), -1, dtype=np.int64)
-        dists = np.full((len(qrows), k), np.inf)
-        for (_, a, b), (top_ids, top_dists) in zip(live, tops):
-            ids[a:b] = top_ids
-            dists[a:b] = top_dists
-        return ids, dists
+        return (
+            np.concatenate([top[0] for top in tops]),
+            np.concatenate([top[1] for top in tops]),
+        )
 
     def _group_misses(
         self,
@@ -1033,23 +1006,30 @@ class PimSystem:
         return self.executor.wait_warm()
 
     def _ensure_pool_residency(self) -> None:
-        """Host each data shard's codes/ids once in the persistent
-        pool's arena, under its first placement's key.
+        """Host each data shard's resident scan operands (decoded
+        residuals, point terms) and ids once in the persistent pool's
+        arena, under its first placement's key: every data shard is
+        made resident first (:meth:`_make_resident`).
 
         Lazy (first round, or :meth:`warm_pool`) and re-run after any
-        :meth:`place_shard`, which invalidates previous residency.
+        :meth:`place_shard`, stored rows or :meth:`load_codebooks`, each
+        of which invalidates previous residency. They cost ``itemsize *
+        D + 16`` bytes per stored row, 528 at D 128 in float32.
         """
         ex = self.executor
-        if ex is None:
+        if ex is None or self.codebooks is None:
             return
         if not self._residency_dirty and ex.attached:
             return
-        ex.host_shards(
-            {
-                rec.shard.shard_key: (rec.shard.codes, rec.shard.ids)
-                for rec in self._data.values()
-            }
-        )
+        recs = list(self._data.values())
+        self._make_resident(recs)
+        ex.host_shards({
+            rec.shard.shard_key: (
+                rec.ops.decoded[: rec.ops.rows], rec.ops.pts[: rec.ops.rows],
+                rec.shard.ids,
+            )
+            for rec in recs
+        })
         self._residency_dirty = False
 
     def _group_charges(

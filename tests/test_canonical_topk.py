@@ -29,10 +29,10 @@ from repro.core.quantized import build_quantized_index
 from repro.core.scheduler import RuntimeScheduler
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.pim import parallel
-from repro.pim.backend import numpy_backend
-from repro.pim.backend.numpy_backend import gather_offsets
+from repro.pim.backend import numpy_backend, resolve_backend
+from repro.pim.backend.numpy_backend import CodebookTerms, decode_table, gather_offsets
 from repro.pim.config import PimSystemConfig
-from repro.pim.kernels import scan_distances, topk_rows
+from repro.pim.kernels import run_lut_build, scan_distances, topk_rows
 from repro.pim.parallel import make_executor, scan_jobs_stacked, scan_shard_group
 from repro.testing import CANONICAL_CONFIGS, ROUND_SIZES, canonical_dataset
 from repro.testing.goldens import _quantized, canonical_config
@@ -40,28 +40,28 @@ from repro.utils import topk_canonical
 
 
 def _tie_jobs(seed, shapes, k, values, m=2, cb=4):
-    """Codes jobs whose LUT entries take ``values`` distinct values, so
-    distances repeat and most top-k boundaries are ties."""
+    """Product jobs over codebooks and queries of ``values`` distinct
+    entries, so distances repeat and most top-k boundaries are ties;
+    each with the staged LUTs and codes whose scan is its distance."""
     rng = np.random.default_rng(seed)
-    jobs = []
+    backend, out = resolve_backend(), []
     for g, n in shapes:
-        luts = rng.integers(0, values, size=(g, m, cb)).astype(np.int32)
+        books = rng.integers(0, values, size=(m, cb, 1)).astype(np.int16)
+        queries = rng.integers(0, values, size=(g, m)).astype(np.uint8)
         codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
         ids = rng.permutation(1000)[:n].astype(np.int64)
-        jobs.append((luts, codes, ids, k))
-    return jobs
-
-
-def _resident(jobs):
-    """Stacked jobs whose LUTs hold the whole distance: zero terms."""
-    return [
-        (
-            luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
-            np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
-            None,
+        terms = CodebookTerms(books)
+        table = decode_table(terms, 255)
+        off = gather_offsets(codes, cb)
+        decoded = backend.decode(off, table)
+        pts = backend.residual_terms(
+            np.zeros((1, m), np.uint8), np.zeros(n, np.intp), off, decoded, terms
         )
-        for luts, codes, ids, k in jobs
-    ]
+        row_terms = np.einsum("td,td->t", queries.astype(np.int64), queries)
+        job = (queries.astype(table.dtype), decoded, ids, k, pts, row_terms, None)
+        luts, _ = run_lut_build(queries.astype(np.int32), books)
+        out.append((job, luts, codes))
+    return out
 
 
 def _padded(tops, k):
@@ -101,7 +101,7 @@ class TestCanonicalSelection:
         self, seed, shapes, k, values, split, budget
     ):
         jobs = _tie_jobs(seed, shapes, k, values)
-        resident = _resident(jobs)
+        resident = [job for job, _, _ in jobs]
         with pytest.MonkeyPatch.context() as mp:
             if budget is not None:
                 mp.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
@@ -117,17 +117,17 @@ class TestCanonicalSelection:
         )
         # Per job: topk_rows over the reference scan, and scan_shard_group.
         per_job = []
-        for luts, codes, ids, _ in jobs:
-            want = topk_rows(scan_distances(luts, codes), ids, k)
-            _assert_block_equal(scan_shard_group(luts, codes, ids, k), _padded([want], k))
+        for job, luts, codes in jobs:
+            want = topk_rows(scan_distances(luts, codes), job[2], k)
+            _assert_block_equal(scan_shard_group(*job), _padded([want], k))
             per_job.append(want)
         _assert_block_equal(got, _padded(per_job, k))
         # Per row: the canonical pool selection.
         row = 0
-        for luts, codes, ids, _ in jobs:
+        for job, luts, codes in jobs:
             dists = scan_distances(luts, codes)
             for r in range(len(luts)):
-                want_i, want_d = topk_canonical(dists[r], ids, k)
+                want_i, want_d = topk_canonical(dists[r], job[2], k)
                 w = len(want_i)
                 np.testing.assert_array_equal(got[0][row, :w], want_i)
                 np.testing.assert_array_equal(got[1][row, :w], want_d)
@@ -136,13 +136,15 @@ class TestCanonicalSelection:
                 row += 1
 
     def test_pool_workers_agree_under_ties(self):
-        jobs = _tie_jobs(7, [(3, 40), (2, 25), (4, 40), (1, 9)], k=6, values=2)
+        jobs = [job for job, _, _ in _tie_jobs(
+            7, [(3, 40), (2, 25), (4, 40), (1, 9)], k=6, values=2
+        )]
         keys = [f"s{i}" for i in range(len(jobs))]
-        want = scan_jobs_stacked(_resident(jobs))
+        want = scan_jobs_stacked(jobs)
         with make_executor(2) as pool:
-            pool.host_shards({key: (j[1], j[2]) for key, j in zip(keys, jobs)})
+            pool.host_shards({key: (j[1], j[4], j[2]) for key, j in zip(keys, jobs)})
             assert pool.wait_warm()
-            tops = pool.scan_groups(jobs, keys, [None] * len(jobs), None)
+            tops = pool.scan_groups(jobs, keys, None)
             assert not pool.take_fallback_events()
         _assert_block_equal(_padded(tops, 6), want)
 
@@ -267,7 +269,8 @@ class TestResidentOffsets:
     @staticmethod
     def _assert_liveness(engine):
         """Every shard holds its part's rows, replicas alike, and its
-        live-row filter is the part's slice of the tombstone mask."""
+        dead rows are the set positions of the part's slice of the
+        tombstone mask."""
         quant, system = engine.quantized, engine.system
         masks = quant.tombstone_masks()
         for key, part in engine.plan.shards.items():
@@ -276,9 +279,9 @@ class TestResidentOffsets:
             np.testing.assert_array_equal(shard.ids, quant.cluster_ids[cid][rows])
             np.testing.assert_array_equal(shard.codes, quant.cluster_codes[cid][rows])
             dead = np.zeros(len(rows), bool) if masks is None else masks[cid][rows]
-            got = system._shards[key][1].live
+            got = system._shards[key][1].dead
             if dead.any():
-                np.testing.assert_array_equal(got, np.flatnonzero(~dead))
+                np.testing.assert_array_equal(got, np.flatnonzero(dead))
             else:
                 assert got is None
 

@@ -141,8 +141,9 @@ _SHARDS = {
 
 
 def _book_max(kind, m, dsub):
-    """``max|b|`` for each path: the int32 LUT gather at (``edge``) and
-    just past (``past``) ``M * dsub * (255 + max|b|)**2 <= 2**31 - 1``,
+    """``max|b|`` for each path: the reference's int32 LUT build at
+    (``edge``) and just past (``past``) ``M * dsub * (255 +
+    max|b|)**2 <= 2**31 - 1``,
     the float32 DC product at (``f32-edge``) and just past
     (``f32-past``) ``M * dsub * 255 * max|b| < 2**24``, and codebooks
     past float64 exactness for the LUTs (``wide``)."""
@@ -177,8 +178,8 @@ def _system(rng, m, cb, dsub, b_max):
                 data_key=data_key,
             ),
         )
-    system.set_shard_liveness("b", np.arange(0, 24, 3))
-    system.set_shard_liveness("d", np.empty(0, dtype=np.intp))
+    system.set_shard_liveness("b", np.flatnonzero(np.arange(24) % 3))
+    system.set_shard_liveness("d", np.arange(6))
     return system
 
 
@@ -198,7 +199,9 @@ def _reference(system, queries, tasks, k):
         luts = backend.build_luts(
             queries, shard.centroid[None], [q], [0], system.codebook_terms
         )
-        codes, sids = system._live_arrays(system._shards[key][1])
+        rec = system._shards[key][1]
+        live = np.delete(np.arange(len(shard.ids)), [] if rec.dead is None else rec.dead)
+        codes, sids = shard.codes[live], shard.ids[live]
         top_ids, top_d = topk_rows(scan_distances(luts, codes), sids, k)
         ids[row, : top_ids.shape[1]] = top_ids[0]
         dists[row, : top_d.shape[1]] = top_d[0]
@@ -218,7 +221,7 @@ def _mutate(system, rng, op):
             system.update_shard(key, ids, codes)
     elif op == "liveness":
         for key in ("a.p0", "a.p0.r1"):
-            system.set_shard_liveness(key, np.array([1, 4, 8]))
+            system.set_shard_liveness(key, np.array([0, 2, 3, 5, 6, 7]))
         system.set_shard_liveness("b", None)
     elif op == "codebooks":
         m, cb, dsub = system.codebooks.shape
@@ -229,7 +232,7 @@ def _mutate(system, rng, op):
         shard = system.get_shard("a.p1.r1")
         codes = rng.integers(0, cb, size=shard.codes.shape).astype(np.uint8)
         system.update_shard("a.p1.r1", shard.ids + 5000, codes)
-        system.set_shard_liveness("a.p0.r1", np.array([1, 4, 8]))
+        system.set_shard_liveness("a.p0.r1", np.array([0, 2, 3, 5, 6, 7]))
         shard = system.get_shard("a.p0.r1")
         new = rng.integers(0, cb, size=(3, shard.codes.shape[1])).astype(np.uint8)
         system.append_shard(
@@ -267,8 +270,8 @@ class TestComputeTasks:
         seed=st.integers(0, 2**16),
     )
     def test_equals_per_task_lut_scan(self, m, cb, dsub, kind, k, nq, nt, op, seed):
-        """Every product dtype and LUT gather path, replicas and split
-        parts, empty and fully tombstoned shards, repeated tasks, and a
+        """Every product dtype, both reference LUT build paths, replicas
+        and split parts, empty and fully tombstoned shards, repeated tasks, and a
         second call after a mutation (a stale resident would show)."""
         rng = np.random.default_rng(seed)
         b_max = _book_max(kind, m, dsub)
@@ -280,9 +283,6 @@ class TestComputeTasks:
             (int(rng.integers(0, nq)), keys[int(rng.integers(0, len(keys)))])
             for _ in range(nt)
         ]
-        tables = system.backend.query_terms(queries, system.codebook_terms)
-        bound = m * dsub * (255 + b_max) ** 2
-        assert tables.dtype == (np.int32 if bound <= _I32_MAX else np.int64)
         dtype = product_dtype(m * dsub * 255 * b_max)
         assert system._decode_table.dtype == dtype
         if kind.startswith("f32"):

@@ -1,4 +1,4 @@
-"""The host kernels: accessor, bit-exactness, scan/LUT/top-k, planner.
+"""The host kernels: accessor, bit-exactness, product DC/LUT/top-k, planner.
 
 The acceptance contract of ``repro.pim.backend``: the NumPy kernels
 are bit-identical to the staged reference kernels, and reject operands
@@ -28,7 +28,12 @@ from repro.pim.kernels import (
     scan_distances_stacked,
     topk_rows,
 )
-from repro.pim.parallel import POOL_MIN_POINTS, ExecutionPlanner, scan_shard_group
+from repro.pim.parallel import (
+    POOL_MIN_POINTS,
+    ExecutionPlanner,
+    scan_jobs_stacked,
+    scan_shard_group,
+)
 
 
 def _rng(seed=0):
@@ -43,7 +48,7 @@ def _residual_pairs(residuals):
     return residuals, centroids, np.arange(g), np.zeros(g, dtype=np.intp)
 
 
-def _gather_dtype(residuals, books):
+def _lut_dtype(residuals, books):
     """int32 when ``M * dsub * (max|r| + max|b|)**2`` fits int32 (an
     empty batch is int64)."""
     if not residuals.size:
@@ -54,21 +59,51 @@ def _gather_dtype(residuals, books):
     return np.int32 if m * dsub * (r + b) ** 2 < 2**31 else np.int64
 
 
-def _scan(luts, codes, backend=None):
-    """The ADC scan of ``(g, M, CB)`` LUTs x ``(n, M)`` codes through the
-    kernel entry points: the LUTs' gather view, the codes' offsets and
-    one ``scan_into``."""
-    out = np.empty((len(luts), len(codes)), dtype=np.int64)
-    (backend or resolve_backend()).scan_into(
-        numpy_backend._gather_view(luts), gather_offsets(codes, luts.shape[-1]), out
-    )
-    return out
-
-
-def _scan_case(rng, g, n, m, cb, code_dtype=np.uint8):
-    luts = rng.integers(0, 1 << 20, size=(g, m, cb)).astype(np.int64)
+def _dc_case(rng, g, n, m, cb, dsub=2, code_dtype=np.uint8, high=200):
+    """Codebooks, a centroid, ``(g, D)`` uint8 queries and ``(n, M)``
+    codes of one shard."""
+    books = rng.integers(-high, high + 1, size=(m, cb, dsub))
+    books[0, 0, 0] = high
+    cent = rng.integers(0, 256, size=m * dsub).astype(np.int64)
+    queries = rng.integers(0, 256, size=(g, m * dsub)).astype(np.uint8)
     codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
-    return luts, codes
+    return books, cent, queries, codes
+
+
+def _product_job(books, cent, queries, codes, ids, k, backend=None):
+    """The compute plane's product job over the shard: decoded
+    residuals and point terms built as a data shard keeps them."""
+    backend = backend or resolve_backend()
+    terms = CodebookTerms(books)
+    table = decode_table(terms, 255)
+    off = gather_offsets(codes, books.shape[1])
+    decoded = backend.decode(off, table)
+    pts = backend.residual_terms(
+        cent[None], np.zeros(len(codes), dtype=np.intp), off, decoded, terms
+    )
+    res = queries.astype(np.int64) - cent
+    rows = queries.astype(table.dtype)
+    return rows, decoded, ids, k, pts, np.einsum("td,td->t", res, res), None
+
+
+def _product_dists(books, cent, queries, codes, backend=None):
+    """The product DC's ``(g, n)`` int64 distances: one
+    ``product_scan_into`` plus the row terms."""
+    backend = backend or resolve_backend()
+    rows, decoded, _, _, pts, row_terms, _ = _product_job(
+        books, cent, queries, codes, None, 1, backend
+    )
+    out = np.empty((len(rows), len(decoded)), dtype=np.int64)
+    backend.product_scan_into(rows, decoded, pts, out)
+    return out + row_terms[:, None]
+
+
+def _staged_dists(books, cent, queries, codes):
+    """The staged reference: ``scan_distances`` of ``run_lut_build``'s
+    LUTs of the residuals."""
+    res = (queries.astype(np.int64) - cent).astype(np.int32)
+    luts, _ = run_lut_build(res, books)
+    return scan_distances(luts, codes)
 
 
 class TestRegistry:
@@ -88,7 +123,7 @@ class TestRegistry:
         must find them)."""
         backend = resolve_backend("auto")
         assert backend is resolve_backend() is resolve_backend("numpy")
-        for op in ("scan_into", "query_terms", "point_terms", "build_luts"):
+        for op in ("product_scan_into", "decode", "residual_terms", "build_luts"):
             assert op in vars(type(backend))
 
 
@@ -96,28 +131,41 @@ class TestBitExactness:
     @pytest.mark.parametrize("code_dtype", [np.uint8, np.uint16])
     @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_scan_matches_reference(self, name, code_dtype):
+        """The product DC equals the staged LUT scan bit for bit."""
         backend = resolve_backend(name)
         rng = _rng(1)
         for g, n in [(1, 1), (3, 40), (32, 2000)]:
-            luts, codes = _scan_case(rng, g, n, 8, 64, code_dtype)
-            got = _scan(luts, codes, backend)
-            want = scan_distances(luts, codes)
+            case = _dc_case(rng, g, n, 8, 64, code_dtype=code_dtype)
+            got = _product_dists(*case, backend=backend)
+            want = _staged_dists(*case)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_scan_stacked_matches_reference(self, name):
+        """A stacked call of product jobs equals, job by job, the
+        canonical top-k of the staged stacked LUT scan."""
         backend = resolve_backend(name)
         rng = _rng(2)
         for j, g, n in [(1, 2, 10), (4, 16, 500), (8, 32, 2000)]:
-            luts = rng.integers(0, 1 << 20, size=(j, g, 8, 64)).astype(
-                np.int64
-            )
-            codes = rng.integers(0, 64, size=(j, n, 8)).astype(np.uint8)
-            got = np.stack([_scan(lut, c, backend) for lut, c in zip(luts, codes)])
-            want = scan_distances_stacked(luts, codes)
-            assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
+            cases = [_dc_case(rng, g, n, 8, 64) for _ in range(j)]
+            ids = [rng.permutation(10 * n)[:n].astype(np.int64) for _ in range(j)]
+            jobs = [
+                _product_job(*case, i, 10, backend) for case, i in zip(cases, ids)
+            ]
+            got = scan_jobs_stacked(jobs, backend=backend)
+            luts = np.stack([
+                run_lut_build(
+                    (q.astype(np.int64) - c).astype(np.int32), b
+                )[0]
+                for b, c, q, _ in cases
+            ])
+            dists = scan_distances_stacked(luts, np.stack([cs[3] for cs in cases]))
+            for ji in range(j):
+                want = topk_rows(dists[ji], ids[ji], 10)
+                rows = slice(ji * g, (ji + 1) * g)
+                assert np.array_equal(got[0][rows], want[0])
+                assert np.array_equal(got[1][rows], want[1])
 
     @pytest.mark.parametrize("name", ["auto", "numpy"])
     def test_build_luts_matches_reference(self, name):
@@ -147,117 +195,92 @@ class TestBitExactness:
         seed=st.integers(0, 2**16),
     )
     def test_fused_scan_property(self, g, n, m, cb, seed):
-        """Fused == staged for arbitrary shapes, incl. uint16 codes
-        (CB > 256) and LUT values spanning the int32 gather limit."""
+        """Product == staged for arbitrary shapes, incl. uint16 codes
+        (CB > 256) and codebooks on both sides of float32 exactness."""
         rng = _rng(seed)
         code_dtype = np.uint8 if cb <= 256 else np.uint16
-        high = (1 << 31) if seed % 2 else (1 << 10)
-        luts = rng.integers(0, high, size=(g, m, cb)).astype(np.int64)
-        codes = rng.integers(0, cb, size=(n, m)).astype(code_dtype)
-        assert np.array_equal(_scan(luts, codes), scan_distances(luts, codes))
+        high = (1 << 20) if seed % 2 else 100
+        case = _dc_case(rng, g, n, m, cb, code_dtype=code_dtype, high=high)
+        assert np.array_equal(_product_dists(*case), _staged_dists(*case))
 
 
 class TestScanKernel:
-    """The numpy backend's one gather-then-reduce scan kernel, in its
-    row-major layout (these jobs are short; :class:`TestScanLayouts`
-    covers the query-major one)."""
-
-    @pytest.mark.parametrize(
-        "high", [1 << 20, 1 << 40], ids=["int32-view", "int64-luts"]
-    )
-    def test_slabbed_scan_equals_reference(self, monkeypatch, high):
-        """Under a tiny byte budget every job runs in several row
-        slabs, from the int32 gather view and from int64 LUTs alike,
-        and still equals the staged kernels bit for bit."""
-        rng = _rng(9)
-        j, g, n, m, cb = 3, 7, 30, 4, 16
-        itemsize = 4 if high <= 1 << 31 else 8
-        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 2 * m * n * itemsize)
-        assert numpy_backend.slab_rows(m * n * itemsize) == 2
-        luts = rng.integers(0, high, size=(j, g, m, cb)).astype(np.int64)
-        codes = rng.integers(0, cb, size=(j, n, m)).astype(np.uint8)
-        got = _scan(luts[0], codes[0])
-        assert np.array_equal(got, scan_distances(luts[0], codes[0]))
-        got = np.stack([_scan(lut, c) for lut, c in zip(luts, codes)])
-        assert np.array_equal(got, scan_distances_stacked(luts, codes))
-
-    def test_int32_entries_summing_past_int32_stay_exact(self):
-        """Entries that fit int32 but whose row sums overflow int32 get
-        an int64 gather view, int32-typed LUTs included, so they sum
-        exactly in the int64 reduction; LUTs whose sums fit get the
-        int32 view (and int32 sums)."""
-        g, n, m, cb = 2, 5, 4, 8
-        top = np.iinfo(np.int32).max
-        codes = np.zeros((n, m), dtype=np.uint8)
-        want = np.full((g, n), m * top, dtype=np.int64)
-        assert want[0, 0] > 1 << 31
-        for dtype in (np.int64, np.int32):
-            luts = np.full((g, m, cb), top, dtype=dtype)
-            assert numpy_backend._gather_view(luts).dtype == np.int64
-            assert numpy_backend._gather_view(luts // m).dtype == np.int32
-            assert np.array_equal(_scan(luts, codes), want)
-            ids, dists = scan_shard_group(luts, codes, np.arange(n), 2)
-            assert np.array_equal(ids, np.tile([0, 1], (g, 1)))
-            assert np.array_equal(dists, np.full((g, 2), float(m * top)))
-            one = np.full((1, 4, 8), 2**30, dtype=dtype)
-            _, dists = scan_shard_group(one, codes[:3], np.arange(3), 2)
-            assert np.array_equal(dists, [[2.0**32, 2.0**32]])
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_int32_sums_at_the_bound_are_exact(self, sign):
-        """At ``M * max|entry| == 2**31 - 1`` the int32 view (and its
-        int32 sums) still applies, and every sum is exact."""
-        g, n, m, cb = 3, 7, 4, 8
-        entry = sign * (np.iinfo(np.int32).max // m)
-        luts = np.full((g, m, cb), entry, dtype=np.int64)
-        luts[1, :, ::2] = 0  # mixed rows
-        assert numpy_backend._gather_view(luts).dtype == np.int32
-        codes = _rng(12).integers(0, cb, size=(n, m)).astype(np.uint8)
-        assert np.array_equal(_scan(luts, codes), scan_distances(luts, codes))
+    """The product scan's operand checks: codes are range-checked
+    before they are decoded, and a job's operands are checked by
+    ``scan_shard_group``, each error naming the operand."""
 
     @pytest.mark.parametrize("bad", [16, 255, -1])
     def test_codes_outside_codebook_raise(self, bad):
-        """A code past CB must not read the next subspace's entry, and
-        a negative one must not wrap to the end of the LUT row."""
-        rng = _rng(10)
-        luts, codes = _scan_case(rng, 3, 6, 4, 16, code_dtype=np.int16)
+        """A code past CB must not decode the next subspace's codeword,
+        and a negative one must not wrap to the end of the table."""
+        codes = _rng(10).integers(0, 16, size=(6, 4)).astype(np.int16)
         codes[3, 2] = bad
         with pytest.raises(IndexError, match="codes"):
             gather_offsets(codes, 16)
-        with pytest.raises(IndexError, match="codes"):
-            scan_shard_group(luts, codes, np.arange(6), 2)
 
     @pytest.mark.parametrize("n", [3, 600])
     def test_non_integer_operands_raise(self, n):
-        """Float LUTs or codes are rejected at every job size, never
-        truncated into an integer result."""
-        luts = np.full((2, 4, 8), 0.75)
-        codes = np.zeros((n, 4), dtype=np.uint8)
-        ids = np.arange(n)
-        with pytest.raises(TypeError, match="luts"):
-            scan_shard_group(luts, codes, ids, 2)
+        """Float codes, point terms, row terms or dead rows are rejected
+        at every job size, never truncated into an integer result."""
+        rows = np.zeros((2, 4), dtype=np.float32)
+        decoded = np.zeros((n, 4), dtype=np.float32)
+        ids, pts, terms = np.arange(n), np.zeros(n, np.int64), np.zeros(2, np.int64)
+        with pytest.raises(TypeError, match="point_terms"):
+            scan_shard_group(rows, decoded, ids, 2, pts + 0.5, terms)
+        with pytest.raises(TypeError, match="row_terms"):
+            scan_shard_group(rows, decoded, ids, 2, pts, terms + 0.5)
+        with pytest.raises(TypeError, match="dead"):
+            scan_shard_group(rows, decoded, ids, 2, pts, terms, np.array([0.0]))
         with pytest.raises(TypeError, match="codes"):
-            scan_shard_group(luts.astype(np.int64), codes.astype(np.float64), ids, 2)
-        with pytest.raises(TypeError, match="codes"):
-            gather_offsets(codes.astype(np.float64), 8)
+            gather_offsets(np.zeros((n, 4)), 8)
 
     @pytest.mark.parametrize(
-        "luts, codes, ids, k, exc, match",
+        "rows, decoded, pts, terms, dead, exc, match",
         [
-            (np.zeros((4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 2, ValueError, "luts"),
-            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 5), np.uint8), 3, 2, ValueError, "codes"),
-            (np.zeros((2, 4, 8), np.int64), np.zeros(3, np.uint8), 3, 2, ValueError, "codes"),
-            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 4, 2, ValueError, "ids"),
-            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 0, ValueError, "k"),
-            (np.zeros((2, 4, 8), np.int64), np.zeros((3, 4), np.uint8), 3, 2.0, TypeError, "k"),
+            ((4,), (3, 4), 3, 4, None, ValueError, "rows"),
+            ((2, 4), (3, 5), 3, 2, None, ValueError, "decoded"),
+            ((2, 4), (3,), 3, 2, None, ValueError, "decoded"),
+            ((2, 4), (3, 4), 4, 2, None, ValueError, "point_terms"),
+            ((2, 4), (3, 4), 3, 3, None, ValueError, "row_terms"),
+            ((2, 4), (3, 4), 3, 2, [1, 1], ValueError, "dead"),
+            ((2, 4), (3, 4), 3, 2, [0, 3], ValueError, "dead"),
+            ((2, 4), (3, 4), 3, 2, [[0]], ValueError, "dead"),
         ],
     )
-    def test_misshapen_group_operands_raise(self, luts, codes, ids, k, exc, match):
-        """``scan_shard_group`` rejects LUTs that are not 3-D, codes that
-        are not ``(n, M)``, ids that are not ``(n,)`` and a ``k`` that
-        is not an int >= 1, each error naming the operand."""
+    def test_misshapen_job_operands_raise(
+        self, rows, decoded, pts, terms, dead, exc, match
+    ):
+        """``scan_shard_group`` rejects query rows that are not 2-D,
+        decoded residuals that are not ``(n, D)``, point terms that are
+        not ``(n,)``, row terms that are not ``(g,)`` and dead rows that
+        are not strictly ascending 1-D rows in ``[0, n)``, each error
+        naming the operand."""
         with pytest.raises(exc, match=match):
-            scan_shard_group(luts, codes, np.arange(ids), k)
+            scan_shard_group(
+                np.zeros(rows, np.float32), np.zeros(decoded, np.float32),
+                np.arange(3), 2, np.zeros(pts, np.int64), np.zeros(terms, np.int64),
+                None if dead is None else np.array(dead),
+            )
+
+    @pytest.mark.parametrize(
+        "rows, decoded, ids, k, exc, match",
+        [
+            (np.float32, np.float64, 3, 2, TypeError, "decoded"),
+            (np.uint8, np.uint8, 3, 2, TypeError, "rows"),
+            (np.float32, np.float32, 4, 2, ValueError, "ids"),
+            (np.float32, np.float32, 3, 0, ValueError, "k"),
+            (np.float32, np.float32, 3, 2.0, TypeError, "k"),
+        ],
+    )
+    def test_mismatched_job_operands_raise(self, rows, decoded, ids, k, exc, match):
+        """Query rows and decoded residuals must share one product dtype
+        (float32, float64 or int64), ids must be ``(n,)`` and ``k`` an
+        int >= 1."""
+        with pytest.raises(exc, match=match):
+            scan_shard_group(
+                np.zeros((2, 4), rows), np.zeros((3, 4), decoded), np.arange(ids),
+                k, np.zeros(3, np.int64), np.zeros(2, np.int64),
+            )
 
 
 _SQUARES_8 = SquareLut.for_bit_width(8, levels=3)
@@ -303,7 +326,7 @@ class TestLutBuildKernel:
         got = resolve_backend().build_luts(
             *_residual_pairs(residuals), CodebookTerms(books)
         )
-        assert got.dtype == _gather_dtype(residuals, books)
+        assert got.dtype == _lut_dtype(residuals, books)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
@@ -595,32 +618,8 @@ class TestPqEncode:
 
 
 class TestTermTableOperands:
-    """``query_terms`` and ``point_terms`` check their operands the way
-    ``build_luts`` does: dtype and shape, each error naming the
-    operand."""
-
-    BOOKS = CodebookTerms(np.arange(16, dtype=np.int16).reshape(2, 4, 2))
-
-    @pytest.mark.parametrize(
-        "kernel, operand, exc, match",
-        [
-            ("query_terms", np.zeros((2, 4)) + 0.5, TypeError, "queries"),
-            ("query_terms", np.zeros((2, 4), dtype=bool), TypeError, "queries"),
-            ("query_terms", np.zeros((2, 5), dtype=np.uint8), ValueError, "queries"),
-            ("query_terms", np.zeros(4, dtype=np.uint8), ValueError, "queries"),
-            ("point_terms", np.zeros(4) + 0.5, TypeError, "centroid"),
-            ("point_terms", np.zeros(5, dtype=np.uint8), ValueError, "centroid"),
-            ("point_terms", np.zeros((1, 4), dtype=np.uint8), ValueError, "centroid"),
-        ],
-    )
-    def test_bad_operand_rejected(self, kernel, operand, exc, match):
-        backend = resolve_backend()
-        off = gather_offsets(np.zeros((3, 2), dtype=np.uint8), 4)
-        with pytest.raises(exc, match=match):
-            if kernel == "query_terms":
-                backend.query_terms(operand, self.BOOKS)
-            else:
-                backend.point_terms(operand, off, self.BOOKS)
+    """``CodebookTerms``, the codebook's term tables, checks its
+    operand's shape."""
 
     def test_codebooks_must_be_3d(self):
         with pytest.raises(ValueError, match="codebooks"):
@@ -630,238 +629,14 @@ class TestTermTableOperands:
 class TestScanTopk:
     def test_small_n_equals_topk_rows(self):
         rng = _rng(5)
-        luts, codes = _scan_case(rng, 4, 100, 8, 64)
+        case = _dc_case(rng, 4, 100, 8, 64)
         ids = rng.permutation(100).astype(np.int64)
-        got = scan_shard_group(luts, codes, ids, 10, backend=resolve_backend())
-        want = topk_rows(scan_distances(luts, codes), ids, 10)
+        got = scan_shard_group(*_product_job(*case, ids, 10), backend=resolve_backend())
+        want = topk_rows(_staged_dists(*case), ids, 10)
         assert got[0].shape == got[1].shape == (4, 10)
         assert got[0].dtype == np.int64 and got[1].dtype == np.float64
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-
-
-class _TakeSpy:
-    """Stands in for ``numpy`` inside the backend module and records
-    the byte size and axis of every ``take`` (the scan's gathers: axis
-    1 is a row-major slab, axis 0 the query-major ``(M, n, g)``
-    gather)."""
-
-    def __init__(self):
-        self.sizes = []
-        self.axes = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def take(self, *args, **kwargs):
-        out = np.take(*args, **kwargs)
-        self.sizes.append(out.nbytes)
-        self.axes.append(kwargs.get("axis"))
-        return out
-
-
-class TestScanSlabs:
-    """Memory is bounded inside the scan: gathers slab by rows, and by
-    columns once one row's ``(M, n)`` gather exceeds the budget; the
-    shard-group scan slabs rows by its ``(rows, n)`` distance block.
-    Slabs never change a value."""
-
-    @pytest.mark.parametrize("budget", [64, 200, 1000, 4096, 1 << 20])
-    def test_column_slabs_are_bit_exact_and_bounded(self, monkeypatch, budget):
-        rng = _rng(8)
-        g, n, m, cb, k = 5, 300, 4, 16, 7
-        luts, codes = _scan_case(rng, g, n, m, cb)
-        ids = rng.permutation(n).astype(np.int64)
-        backend = resolve_backend()
-        want_d = scan_distances(luts, codes)
-        want = topk_rows(want_d, ids, k)
-        spy = _TakeSpy()
-        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
-        monkeypatch.setattr(numpy_backend, "np", spy)
-        got_d = _scan(luts, codes, backend)
-        got = scan_shard_group(luts, codes, ids, k, backend=backend)
-        monkeypatch.undo()
-        assert np.array_equal(got_d, want_d)
-        for gv, wv in zip(got, want):
-            assert np.array_equal(gv, wv)
-        # One gathered LUT entry is the smallest slab the scan can take.
-        itemsize = numpy_backend._gather_view(luts).dtype.itemsize
-        assert spy.sizes and max(spy.sizes) <= max(budget, m * itemsize)
-        if budget < m * n * itemsize:
-            assert max(spy.sizes) < m * n * itemsize  # a row was split
-
-    def test_stacked_scan_column_slabs(self, monkeypatch):
-        rng = _rng(9)
-        luts = rng.integers(0, 1 << 20, size=(3, 2, 4, 16)).astype(np.int64)
-        codes = rng.integers(0, 16, size=(3, 90, 4)).astype(np.uint8)
-        want = scan_distances_stacked(luts, codes)
-        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 100)
-        got = np.stack([_scan(lut, c) for lut, c in zip(luts, codes)])
-        assert np.array_equal(got, want)
-
-
-def _strided_out(g, n):
-    """A ``(g, n)`` view into every other row of a wider int64 block,
-    and the block (pre-filled, so stray writes show)."""
-    block = np.full((2 * g + 1, n + 3), -7, dtype=np.int64)
-    return block[1::2, 2 : n + 2], block
-
-
-class TestScanLayouts:
-    """The scan kernel's two gather layouts
-    (:func:`numpy_backend.scan_layout`): query-major for a job of
-    ``g >= 2`` rows over ``n >= 8 * CB`` points whose whole gather fits
-    ``LUT_CHUNK_BYTES``, row-major slabs for every other job. The
-    layout never changes a value."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        g=st.integers(1, 40),
-        extra=st.sampled_from([-1, 0, 1, 45]),
-        m=st.integers(1, 5),
-        cb=st.sampled_from([2, 4, 16]),
-        kind=st.sampled_from(["int32", "int64", "int32-entries-past-int32"]),
-        squeeze=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
-    def test_scan_into_equals_reference(self, g, extra, m, cb, kind, squeeze, seed):
-        """``scan_into`` (``_scan_rows``) into a strided view of a wider
-        block equals the staged ``scan_distances`` bit for bit around
-        the ``n = 8 * CB`` floor, for int32 tables (int32 sums), int64
-        tables, and int64 tables of int32 entries whose sums pass
-        int32; a job whose gather exceeds the budget stays on
-        row-major slabs within it."""
-        rng = _rng(seed)
-        n = numpy_backend.QUERY_MAJOR_POINTS_PER_CODE * cb + extra
-        if kind == "int32":
-            top = np.iinfo(np.int32).max // m
-            luts = rng.integers(-top, top + 1, size=(g, m, cb)).astype(np.int32)
-        elif kind == "int64":
-            luts = rng.integers(-(1 << 40), 1 << 40, size=(g, m, cb))
-        else:
-            m = max(m, 2)
-            luts = rng.integers(1 << 30, 1 << 31, size=(g, m, cb))
-        codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
-        want = scan_distances(luts.astype(np.int64), codes)
-        if kind == "int32-entries-past-int32":
-            assert want.max() > np.iinfo(np.int32).max
-        gather_bytes = g * m * n * luts.itemsize
-        out, block = _strided_out(g, n)
-        spy = _TakeSpy()
-        with pytest.MonkeyPatch.context() as mp:
-            if squeeze:
-                mp.setattr(numpy_backend, "LUT_CHUNK_BYTES", gather_bytes - 1)
-            layout = numpy_backend.scan_layout(g, m, cb, n, luts.itemsize)
-            mp.setattr(numpy_backend, "np", spy)
-            NumpyBackend().scan_into(luts, gather_offsets(codes, cb), out)
-        assert layout == (
-            "query-major" if g >= 2 and extra >= 0 and not squeeze else "row-major"
-        )
-        assert set(spy.axes) == ({0} if layout == "query-major" else {1})
-        if squeeze:
-            assert max(spy.sizes) <= max(gather_bytes - 1, m * luts.itemsize)
-        assert np.array_equal(out, want)
-        block[1::2, 2 : n + 2] = -7
-        assert (block == -7).all()
-
-    def test_rule_is_shape_only(self):
-        """The floor is ``n >= 8 * CB`` with two or more rows, and the
-        whole gather must fit the budget."""
-        cap = numpy_backend.LUT_CHUNK_BYTES
-        layout = numpy_backend.scan_layout
-        assert layout(2, 32, 128, 1024, 4) == "query-major"
-        assert layout(2, 32, 128, 1023, 4) == "row-major"
-        assert layout(1, 32, 128, 4096, 4) == "row-major"
-        assert layout(200, 32, 128, 256, 4) == "row-major"
-        n = cap // (2 * 32 * 4)
-        assert layout(2, 32, 128, n, 4) == "query-major"
-        assert layout(2, 32, 128, n + 1, 4) == "row-major"
-
-    def test_long_shard_engine_takes_both_layouts(self, monkeypatch):
-        """On an index whose shards straddle ``8 * CB`` (CB 16, split
-        and replicated), the pool's LUT jobs (run in process here) take
-        both layouts for jobs of two or more rows, while the default
-        in-process compute plane gathers no LUT at all (its DC is the
-        product). In every round-size cell, with adaptive ``off`` and
-        ``bound``, all three paths (product, LUT jobs, all-row-major LUT
-        jobs) return ``reference_search``'s ids and distances and one
-        ledger."""
-        from repro.core import (
-            DrimAnnEngine,
-            EngineConfig,
-            IndexParams,
-            LayoutConfig,
-            SearchParams,
-        )
-        from repro.pim.config import PimSystemConfig
-        from repro.testing import ROUND_SIZES, canonical_dataset
-
-        ds = canonical_dataset()
-        queries = ds.queries[:40]
-        layouts = []
-        real = numpy_backend._scan_rows
-
-        def spy(gather, off, out):
-            if len(gather) >= 2:
-                layouts.append(
-                    numpy_backend.scan_layout(
-                        *gather.shape, off.shape[1], gather.itemsize
-                    )
-                )
-            real(gather, off, out)
-
-        class InprocPool:
-            """The pool's LUT jobs, scanned in this process."""
-
-            attached = True
-
-            def host_shards(self, shards):
-                pass
-
-            def scan_groups(self, jobs, keys, lives, backend):
-                return [scan_shard_group(*job, backend=backend) for job in jobs]
-
-            def take_fallback_events(self):
-                return []
-
-            def close(self):
-                pass
-
-        def searches(batch_size, lut_jobs):
-            cfg = EngineConfig(
-                index=IndexParams(
-                    nlist=32, nprobe=4, k=10, num_subspaces=8, codebook_size=16
-                ),
-                search=SearchParams(batch_size=batch_size),
-                system=PimSystemConfig(num_dpus=8),
-                layout=LayoutConfig(min_split_size=150, max_copies=2),
-            )
-            engine = DrimAnnEngine.from_config(ds.base[:6000], cfg, seed=0)
-            if lut_jobs:
-                engine.system.executor = InprocPool()
-                engine.system.planner.choose = lambda **kw: "pool"
-            try:
-                outs = [engine.search(queries, adaptive=a) for a in ("off", "bound")]
-                return outs, engine.reference_search(queries)
-            finally:
-                engine.close()
-
-        monkeypatch.setattr(numpy_backend, "_scan_rows", spy)
-        for size in ROUND_SIZES.values():
-            with monkeypatch.context() as mp:
-                # The all-row-major kernel: no job reaches the floor.
-                mp.setattr(numpy_backend, "QUERY_MAJOR_POINTS_PER_CODE", 1 << 40)
-                row_major, _ = searches(size, lut_jobs=True)
-            del layouts[:]
-            product, ref = searches(size, lut_jobs=False)
-            assert not layouts
-            outs, _ = searches(size, lut_jobs=True)
-            assert {"query-major", "row-major"} <= set(layouts)
-            for arm in (product, outs):
-                for (res, bd), (_, bd_row) in zip(arm, row_major):
-                    np.testing.assert_array_equal(res.ids, ref.ids)
-                    np.testing.assert_array_equal(res.distances, ref.distances)
-                    assert bd.to_dict() == bd_row.to_dict()
 
 
 class TestPlannerBackendAwareness:
@@ -930,23 +705,24 @@ class TestMicrobench:
         assert record["min_scan_speedup"] == MIN_SCAN_SPEEDUP == 3.0
         assert record["min_lut_speedup"] == MIN_LUT_SPEEDUP == 3.0
         assert record["gate_ok"] == (
-            record["scan_speedup"] >= MIN_SCAN_SPEEDUP
-            and record["product_speedup"] >= MIN_SCAN_SPEEDUP
+            record["product_speedup"] >= MIN_SCAN_SPEEDUP
             and record["lut_speedup"] >= MIN_LUT_SPEEDUP
         )
-        for key in (
-            "scan_seconds", "lut_seconds", "encode_seconds", "term_scan_seconds"
-        ):
+        for key in ("lut_seconds", "encode_seconds"):
             assert record[key] > 0 and record["reference"][key] > 0
         assert record["product_seconds"] > 0
+        assert record["reference"]["scan_seconds"] > 0
         assert record["product_speedup"] == (
-            record["reference"]["term_scan_seconds"] / record["product_seconds"]
+            record["reference"]["scan_seconds"] / record["product_seconds"]
+        )
+        assert record["lut_speedup"] == (
+            record["reference"]["lut_seconds"] / record["lut_seconds"]
         )
         assert record["encode_shape"] == {"vectors": 200, "m": 32, "cb": 128, "dsub": 4}
+        assert "scan_shape" not in record and "layouts" not in record
         text = format_record(record)
-        assert "stacked scan" in text and "LUT build" in text
-        assert "encode n=200" in text and "product DC" in text
-        assert "bit_identical=True" in text
+        assert "LUT build" in text and "product DC" in text
+        assert "encode n=200" in text and "bit_identical=True" in text
 
     def test_encode_mismatch_fails_the_gate(self, monkeypatch):
         """The encoder's codes are part of the bit-equality gate: one
@@ -960,20 +736,6 @@ class TestMicrobench:
             out[0, 0] = (out[0, 0] + 1) % terms.books.shape[1]
 
         monkeypatch.setattr(numpy_backend, "_encode_slab", off_by_one)
-        record = run_microbench(repeats=1, seed=0)
-        assert record["bit_identical"] is False and record["gate_ok"] is False
-
-    def test_term_scan_mismatch_fails_the_gate(self, monkeypatch):
-        """The gate follows the kernel the search runs: a term-table
-        scan off by one fails ``gate_ok`` whatever the speedups."""
-        from repro.pim.backend import numpy_backend
-        from repro.pim.backend.microbench import run_microbench
-
-        real = numpy_backend.NumpyBackend.point_terms
-        monkeypatch.setattr(
-            numpy_backend.NumpyBackend, "point_terms",
-            lambda self, *a: real(self, *a) + 1,
-        )
         record = run_microbench(repeats=1, seed=0)
         assert record["bit_identical"] is False and record["gate_ok"] is False
 
@@ -993,19 +755,6 @@ class TestMicrobench:
         )
         record = run_microbench(repeats=1, seed=0)
         assert record["bit_identical"] is False and record["gate_ok"] is False
-
-    def test_gate_times_both_layouts(self, monkeypatch):
-        """The stacked scan's jobs are query-major and the term-table
-        scan row-major; a rule that moved both to one layout fails
-        ``gate_ok`` even at bit-identical output."""
-        from repro.pim.backend.microbench import run_microbench
-
-        record = run_microbench(repeats=1, seed=0)
-        assert record["layouts"] == {"scan": "query-major", "term_scan": "row-major"}
-        monkeypatch.setattr(numpy_backend, "QUERY_MAJOR_POINTS_PER_CODE", 1 << 40)
-        record = run_microbench(repeats=1, seed=0)
-        assert set(record["layouts"].values()) == {"row-major"}
-        assert record["bit_identical"] is True and record["gate_ok"] is False
 
 
 class TestEngineThreading:

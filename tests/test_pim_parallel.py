@@ -1,23 +1,31 @@
 """The parallel data plane: bit-exact scans, graceful degradation.
 
 Both scan paths (the persistent zero-copy pool and the stacked
-in-process scan) must be pure wall-clock strategies: taking one
-cannot change a single output bit, no failure (creation, worker death,
-missing residency) may surface past ``scan_groups``, and every
-degradation must leave a fallback event for the metrics layer. The
-shared-memory arena additionally guarantees its segment is unlinked on
-close — checkable via :func:`assert_no_leaked_segments`.
+in-process scan) run the same product jobs and must be pure
+wall-clock strategies: taking one cannot change a single output bit,
+no failure (creation, worker death, missing residency) may surface
+past ``scan_groups``, and every degradation must leave a fallback
+event for the metrics layer. The shared-memory arena additionally
+guarantees its segment is unlinked on close — checkable via
+:func:`assert_no_leaked_segments`.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pim.kernels import scan_distances, scan_distances_stacked, topk_rows
+from repro.pim.kernels import (
+    run_lut_build,
+    scan_distances,
+    scan_distances_stacked,
+    topk_rows,
+)
 from repro.pim import parallel
 from repro.pim.backend import numpy_backend, resolve_backend
-from repro.pim.backend.numpy_backend import gather_offsets
+from repro.pim.backend.numpy_backend import CodebookTerms, decode_table, gather_offsets
 from repro.pim.parallel import (
     POOL_MIN_POINTS,
     ExecutionPlanner,
@@ -32,14 +40,55 @@ from repro.pim.parallel import (
 from repro.testing import CANONICAL_CONFIGS, build_canonical_engine, canonical_dataset
 
 
-def _jobs(rng, n_jobs=3, g=7, m=8, cb=16, n=50, k=5):
-    jobs = []
+def _job(books, cent, queries, codes, ids, k, dead=None):
+    """A product job over ``codes`` decoded by ``books`` in a cluster
+    with centroid ``cent``, and its staged oracle: the ``(g, n)`` int64
+    ``scan_distances`` of ``run_lut_build``'s LUTs of the residuals."""
+    backend, terms = resolve_backend(), CodebookTerms(books)
+    table = decode_table(terms, 255)
+    off = gather_offsets(codes, books.shape[1])
+    decoded = backend.decode(off, table)
+    pts = backend.residual_terms(
+        cent[None], np.zeros(len(codes), dtype=np.intp), off, decoded, terms
+    )
+    res = queries.astype(np.int64) - cent
+    job = (
+        queries.astype(table.dtype), decoded, ids, k, pts,
+        np.einsum("td,td->t", res, res), dead,
+    )
+    luts, _ = run_lut_build(res.astype(np.int32), books)
+    return job, scan_distances(luts, codes)
+
+
+def _cases(rng, n_jobs=3, g=7, n=50, k=5, m=4, cb=16, dsub=2):
+    """Product jobs of random shards, each with its staged distances."""
+    cases = []
     for _ in range(n_jobs):
-        luts = rng.integers(0, 255, size=(g, m, cb), dtype=np.uint32)
-        codes = rng.integers(0, cb, size=(n, m), dtype=np.uint8)
+        books = rng.integers(-60, 61, size=(m, cb, dsub)).astype(np.int16)
+        cent = rng.integers(0, 256, size=m * dsub).astype(np.int64)
+        queries = rng.integers(0, 256, size=(g, m * dsub)).astype(np.uint8)
+        codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
         ids = rng.permutation(10_000)[:n].astype(np.int64)
-        jobs.append((luts, codes, ids, k))
-    return jobs
+        cases.append(_job(books, cent, queries, codes, ids, k))
+    return cases
+
+
+def _jobs(rng, **kw):
+    return [job for job, _ in _cases(rng, **kw)]
+
+
+def _want(job, dists):
+    """The staged per-job block: ``topk_rows`` over the live columns
+    of the oracle distances, padded to ``k`` with ``-1`` / ``inf``."""
+    ids, k, dead = job[2], job[3], job[6]
+    live = np.delete(np.arange(len(ids)), [] if dead is None else dead)
+    out_ids = np.full((len(dists), k), -1, dtype=np.int64)
+    out_d = np.full((len(dists), k), np.inf)
+    if len(live):
+        top_ids, top_d = topk_rows(dists[:, live], ids[live], k)
+        out_ids[:, : top_ids.shape[1]] = top_ids
+        out_d[:, : top_d.shape[1]] = top_d
+    return out_ids, out_d
 
 
 def _assert_topk_equal(got, want):
@@ -50,19 +99,17 @@ def _assert_topk_equal(got, want):
 
 class TestScanShardGroup:
     def test_matches_unchunked_kernels(self, rng):
-        (luts, codes, ids, k), = _jobs(rng, n_jobs=1)
-        got = scan_shard_group(luts, codes, ids, k)
-        want = topk_rows(scan_distances(luts, codes), ids, k)
-        _assert_topk_equal(got, want)
+        (job, dists), = _cases(rng, n_jobs=1)
+        _assert_topk_equal(scan_shard_group(*job), _want(job, dists))
 
     def test_block_form_pads_short_shards(self, rng):
         """A job over fewer than ``k`` points comes back ``(g, k)``:
         int64 ids and float64 distances, padded with ``-1`` / ``inf``."""
-        (luts, codes, ids, _), = _jobs(rng, n_jobs=1, n=3)
-        got_ids, got_d = scan_shard_group(luts, codes, ids, 5)
-        want_ids, want_d = topk_rows(scan_distances(luts, codes), ids, 5)
+        (job, dists), = _cases(rng, n_jobs=1, n=3)
+        got_ids, got_d = scan_shard_group(*job)
+        want_ids, want_d = topk_rows(dists, job[2], 5)
         assert got_ids.dtype == np.int64 and got_d.dtype == np.float64
-        assert got_ids.shape == got_d.shape == (len(luts), 5)
+        assert got_ids.shape == got_d.shape == (len(job[0]), 5)
         np.testing.assert_array_equal(got_ids[:, :3], want_ids)
         np.testing.assert_array_equal(got_d[:, :3], want_d)
         assert (got_ids[:, 3:] == -1).all() and np.isinf(got_d[:, 3:]).all()
@@ -70,34 +117,41 @@ class TestScanShardGroup:
     def test_row_chunking_is_invisible(self, rng, monkeypatch):
         """Row slabs sized by the ``(rows, n)`` distance budget never
         change the ``(g, k)`` result."""
-        (luts, codes, ids, k), = _jobs(rng, n_jobs=1, g=11)
-        base = scan_shard_group(luts, codes, ids, k)
-        assert base[0].shape == base[1].shape == (11, k)
+        (job, _), = _cases(rng, n_jobs=1, g=11)
+        base = scan_shard_group(*job)
+        assert base[0].shape == base[1].shape == (11, 5)
         for chunk in (1, 2, 3, 5, 11, 64):
             monkeypatch.setattr(
-                numpy_backend, "LUT_CHUNK_BYTES", chunk * 8 * len(codes)
+                numpy_backend, "LUT_CHUNK_BYTES", chunk * 17 * len(job[1])
             )
-            _assert_topk_equal(scan_shard_group(luts, codes, ids, k), base)
+            _assert_topk_equal(scan_shard_group(*job), base)
 
 
 def _scan(pool, jobs, keys, backend=None):
-    """One pool round with every row live, on ``backend`` (default: the
-    process-wide kernels)."""
+    """One pool round on ``backend`` (default: the process-wide
+    kernels)."""
     if backend is None:
         backend = resolve_backend()
-    return pool.scan_groups(jobs, keys, [None] * len(jobs), backend)
+    return pool.scan_groups(jobs, keys, backend)
+
+
+def _residents(keys, jobs):
+    """``host_shards``' argument: each job's decoded residuals, point
+    terms and ids under its key."""
+    return {key: (job[1], job[4], job[2]) for key, job in zip(keys, jobs)}
 
 
 class _SpyBackend:
-    """Delegates to the NumPy backend and counts ``scan_into`` calls."""
+    """Delegates to the NumPy backend and counts ``product_scan_into``
+    calls."""
 
     def __init__(self):
         self.inner = resolve_backend()
         self.scans = 0
 
-    def scan_into(self, *args, **kwargs):
+    def product_scan_into(self, *args, **kwargs):
         self.scans += 1
-        return self.inner.scan_into(*args, **kwargs)
+        return self.inner.product_scan_into(*args, **kwargs)
 
 
 class TestPoolExecutor:
@@ -124,7 +178,7 @@ class TestPoolExecutor:
         jobs = _jobs(rng, n_jobs=3)
         keys = [f"s{i}" for i in range(len(jobs))]
         with make_executor(2) as ex:
-            ex.host_shards({k: (j[1], j[2]) for k, j in zip(keys, jobs)})
+            ex.host_shards(_residents(keys, jobs))
             assert ex._broken and not ex.parallel
             assert ex.take_fallback_events() == ["arena-create"]
             got = _scan(ex, jobs, keys)
@@ -143,7 +197,7 @@ class TestPoolExecutor:
         keys = [f"s{i}" for i in range(len(jobs))]
         serial = [scan_shard_group(*j) for j in jobs]
         with make_executor(2) as ex:
-            ex.host_shards({k: (j[1], j[2]) for k, j in zip(keys, jobs)})
+            ex.host_shards(_residents(keys, jobs))
             assert ex.wait_warm()
             for conn in ex._conns:
                 conn.close()  # the workers see EOF and exit
@@ -161,51 +215,47 @@ class TestPoolExecutor:
         assert_no_leaked_segments()
 
 
-def _resident(jobs):
-    """Codes jobs as :func:`scan_jobs_stacked` takes them: the codes
-    replaced by the ``(n, M)`` view of their resident offsets, with
-    zero point and row terms (the LUTs hold the whole distance)."""
-    return [
-        (
-            luts, gather_offsets(codes, luts.shape[-1]).T, ids, k,
-            np.zeros(len(ids), dtype=np.int64), np.zeros(len(luts), dtype=np.int64),
-            None,
-        )
-        for luts, codes, ids, k in jobs
-    ]
-
-
 def _serial_block(jobs):
     """Per-job ``scan_shard_group`` blocks stacked in submission order."""
     tops = [scan_shard_group(*job) for job in jobs]
     return np.concatenate([t[0] for t in tops]), np.concatenate([t[1] for t in tops])
 
 
+def _want_block(cases):
+    """The staged per-job blocks of ``(job, dists)`` cases, stacked."""
+    tops = [_want(job, dists) for job, dists in cases]
+    return np.concatenate([t[0] for t in tops]), np.concatenate([t[1] for t in tops])
+
+
 class TestScanJobsStacked:
     def test_uniform_shapes_match_serial(self, rng):
-        jobs = _jobs(rng, n_jobs=5)
-        _assert_topk_equal(scan_jobs_stacked(_resident(jobs)), _serial_block(jobs))
+        cases = _cases(rng, n_jobs=5)
+        jobs = [job for job, _ in cases]
+        got = scan_jobs_stacked(jobs)
+        _assert_topk_equal(got, _serial_block(jobs))
+        _assert_topk_equal(got, _want_block(cases))
 
     def test_mixed_shapes_match_serial(self, rng):
         """Jobs of any shape share one block in submission order; rows
         narrower than the block or than k come back padded."""
-        jobs = (
-            _jobs(rng, n_jobs=2, g=7, n=50)
-            + _jobs(rng, n_jobs=3, g=4, n=31)
-            + _jobs(rng, n_jobs=1, g=9, n=17)
-            + _jobs(rng, n_jobs=2, g=3, n=3)
-            + _jobs(rng, n_jobs=1, g=2, n=0)
+        cases = (
+            _cases(rng, n_jobs=2, g=7, n=50)
+            + _cases(rng, n_jobs=3, g=4, n=31)
+            + _cases(rng, n_jobs=1, g=9, n=17)
+            + _cases(rng, n_jobs=2, g=3, n=3)
+            + _cases(rng, n_jobs=1, g=2, n=0)
         )
-        order = rng.permutation(len(jobs))
-        shuffled = [jobs[i] for i in order]
-        got = scan_jobs_stacked(_resident(shuffled))
+        shuffled = [cases[i] for i in rng.permutation(len(cases))]
+        jobs = [job for job, _ in shuffled]
+        got = scan_jobs_stacked(jobs)
         assert got[0].shape == got[1].shape == (sum(len(j[0]) for j in jobs), 5)
-        _assert_topk_equal(got, _serial_block(shuffled))
+        _assert_topk_equal(got, _serial_block(jobs))
+        _assert_topk_equal(got, _want_block(shuffled))
 
     def test_chunking_budget_is_invisible(self, rng, monkeypatch):
-        jobs = _resident(_jobs(rng, n_jobs=6) + _jobs(rng, n_jobs=2, n=13))
+        jobs = _jobs(rng, n_jobs=6) + _jobs(rng, n_jobs=2, n=13)
         base = scan_jobs_stacked(jobs)
-        # Tiny budgets: single-row slabs, and gathers split by columns.
+        # Tiny budgets: single-row slabs, and jobs split across slabs.
         for budget in (1, 17 * 50, 17 * 50 * 3, 4096):
             monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", budget)
             _assert_topk_equal(scan_jobs_stacked(jobs), base)
@@ -214,7 +264,7 @@ class TestScanJobsStacked:
         """A slab holds as many rows as its ``(rows, width)`` distance
         block and selection transients fit in the budget; a job splits
         across slabs when it must."""
-        jobs = _resident(_jobs(rng, n_jobs=6))  # 6 jobs x 7 rows x 50 wide
+        jobs = _jobs(rng, n_jobs=6)  # 6 jobs x 7 rows x 50 wide
         base = scan_jobs_stacked(jobs)
         monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 17 * 50 * 10)
         shapes = []
@@ -247,14 +297,17 @@ class TestScanJobsStacked:
         rng = np.random.default_rng(seed)
         jobs, live_jobs = [], []
         for g, n in shapes:
-            luts = rng.integers(0, values, size=(g, 3, 4)).astype(np.int32)
+            books = rng.integers(0, values, size=(3, 4, 1)).astype(np.int16)
+            queries = rng.integers(0, values, size=(g, 3)).astype(np.uint8)
             codes = rng.integers(0, 4, size=(n, 3)).astype(np.uint8)
             ids = rng.permutation(1000)[:n].astype(np.int64)
             dead = np.flatnonzero(rng.random(n) < dead_frac)
             live = np.setdiff1d(np.arange(n), dead)
-            (job,) = _resident([(luts, codes, ids, k)])
+            cent = np.zeros(3, dtype=np.int64)
+            job, _ = _job(books, cent, queries, codes, ids, k)
             jobs.append(job[:-1] + (dead if len(dead) else None,))
-            live_jobs.append((luts, codes[live], ids[live], k))
+            live_job, _ = _job(books, cent, queries, codes[live], ids[live], k)
+            live_jobs.append(live_job)
         _assert_topk_equal(scan_jobs_stacked(jobs), _serial_block(live_jobs))
 
     def test_dead_row_never_displaces_a_tied_live_row(self):
@@ -263,24 +316,24 @@ class TestScanJobsStacked:
         distance here."""
         ids = np.array([10, 20, 5, 30], dtype=np.int64)
         pts = np.array([1, 2, 2, 3], dtype=np.int64)
-        luts = np.zeros((1, 1, 1), dtype=np.int32)
-        off_t = np.zeros((4, 1), dtype=np.intp)
+        rows = np.zeros((1, 1), dtype=np.float32)
+        decoded = np.zeros((4, 1), dtype=np.float32)
         zero = np.zeros(1, dtype=np.int64)
         got_ids, got_d = scan_jobs_stacked(
-            [(luts, off_t, ids, 2, pts, zero, np.array([2]))]
+            [(rows, decoded, ids, 2, pts, zero, np.array([2]))]
         )
         np.testing.assert_array_equal(got_ids, [[10, 20]])
         np.testing.assert_array_equal(got_d, [[1.0, 2.0]])
         # Unmasked, the tie would pick the smaller id.
-        got_ids, _ = scan_jobs_stacked([(luts, off_t, ids, 2, pts, zero, None)])
+        got_ids, _ = scan_jobs_stacked([(rows, decoded, ids, 2, pts, zero, None)])
         np.testing.assert_array_equal(got_ids, [[10, 5]])
 
     @pytest.mark.parametrize("dead", [np.arange(6), np.array([0, 2, 3, 5])])
     def test_all_dead_or_few_live_rows_pad(self, rng, dead):
         """An all-dead shard, or one with fewer live rows than ``k``,
         pads its rows with ``-1`` / ``inf`` past its live candidates."""
-        (job,) = _resident(_jobs(rng, n_jobs=1, g=3, n=6, k=4))
-        (other,) = _resident(_jobs(rng, n_jobs=1, g=2, n=9, k=4))
+        (job,) = _jobs(rng, n_jobs=1, g=3, n=6, k=4)
+        (other,) = _jobs(rng, n_jobs=1, g=2, n=9, k=4)
         got_ids, got_d = scan_jobs_stacked([job[:-1] + (dead,), other])
         live = np.setdiff1d(np.arange(6), dead)
         assert got_ids.shape == got_d.shape == (5, 4)
@@ -294,17 +347,16 @@ class TestScanJobsStacked:
         )
 
     def test_one_k_per_block(self, rng):
-        jobs = _resident(_jobs(rng, n_jobs=1, k=3) + _jobs(rng, n_jobs=1, k=4))
+        jobs = _jobs(rng, n_jobs=1, k=3) + _jobs(rng, n_jobs=1, k=4)
         with pytest.raises(ValueError, match="one k"):
             scan_jobs_stacked(jobs)
 
     def test_stacked_kernel_matches_per_job_kernel(self, rng):
-        jobs = _jobs(rng, n_jobs=3)
-        luts = np.stack([j[0] for j in jobs])
-        codes = np.stack([j[1] for j in jobs])
+        luts = rng.integers(0, 255, size=(3, 7, 8, 16)).astype(np.int64)
+        codes = rng.integers(0, 16, size=(3, 50, 8)).astype(np.uint8)
         dists = scan_distances_stacked(luts, codes)
-        for ji, (l, c, _i, _k) in enumerate(jobs):
-            np.testing.assert_array_equal(dists[ji], scan_distances(l, c))
+        for ji in range(3):
+            np.testing.assert_array_equal(dists[ji], scan_distances(luts[ji], codes[ji]))
 
 
 class TestSharedShardArena:
@@ -368,9 +420,7 @@ class TestPersistentShardPool:
     def _hosted_pool(self, rng, jobs, workers=2):
         pool = PersistentShardPool(workers)
         keys = [f"s{i}" for i in range(len(jobs))]
-        pool.host_shards(
-            {k: (j[1], j[2]) for k, j in zip(keys, jobs)}
-        )
+        pool.host_shards(_residents(keys, jobs))
         return pool, keys
 
     def test_fallbacks_run_the_rounds_backend(self, rng):
@@ -465,9 +515,7 @@ class TestPersistentShardPool:
             old_pids = [p.pid for p in pool._procs]
             jobs2 = _jobs(rng, n_jobs=3)
             keys2 = [f"t{i}" for i in range(len(jobs2))]
-            pool.host_shards(
-                {k: (j[1], j[2]) for k, j in zip(keys2, jobs2)}
-            )
+            pool.host_shards(_residents(keys2, jobs2))
             assert not pool.started  # stopped; restarted on demand
             got = _scan(pool, jobs2, keys2)
             new_pids = [p.pid for p in pool._procs]
@@ -560,6 +608,19 @@ class TestMakeExecutorKinds:
         assert isinstance(ex, PersistentShardPool) and ex.num_workers == 2
 
 
+def _mutation_engine(shard_workers):
+    """A split and replicated engine of its own (its index is mutated)."""
+    from repro.core import DrimAnnEngine, EngineConfig, IndexParams, LayoutConfig
+    from repro.pim.config import PimSystemConfig
+
+    cfg = EngineConfig(
+        index=IndexParams(nlist=32, nprobe=4, k=10, num_subspaces=8, codebook_size=16),
+        system=PimSystemConfig(num_dpus=8, shard_workers=shard_workers),
+        layout=LayoutConfig(min_split_size=150, max_copies=2),
+    )
+    return DrimAnnEngine.from_config(canonical_dataset().base[:6000], cfg, seed=0)
+
+
 class TestEndToEndParity:
     def test_shard_workers_do_not_change_results(self):
         """Engine output with a 2-worker pool is bit-identical to serial."""
@@ -596,6 +657,75 @@ class TestEndToEndParity:
         np.testing.assert_array_equal(res_s.distances, res_p.distances)
         assert_no_leaked_segments()
 
+    def test_pool_parity_across_mutations(self, pool_takes_small_rounds):
+        """After ``add``, ``delete``, ``compact``, an ``update_shard``
+        and ``load_codebooks`` with new codebooks, a warm 2-worker pool
+        returns ``shard_workers=0``'s ids and distances byte for byte,
+        and both equal ``reference_search`` over the mutated index: the
+        pool's arena is re-hosted whenever its residents went stale."""
+        ds = canonical_dataset()
+        queries = ds.queries[:30]
+        serial, pooled = _mutation_engine(0), _mutation_engine(2)
+        rng = np.random.default_rng(5)
+        # The index the engines now serve, when it differs from theirs.
+        served = {}
+
+        def add():
+            for engine in (serial, pooled):
+                engine.add(ds.base[6000:6200])
+
+        def delete():
+            doomed = rng.choice(serial.quantized.cluster_ids[3], 40, replace=False)
+            for engine in (serial, pooled):
+                assert engine.delete(doomed) == 40
+
+        def compact():
+            for engine in (serial, pooled):
+                engine.compact()
+
+        def update_shard():
+            quant = serial.quantized
+            cid = max(range(quant.nlist), key=lambda c: len(quant.cluster_ids[c]))
+            key = serial.plan.replica_groups[cid][0][0]
+            rows = serial.plan.shards[key].point_rows
+            codes = [c.copy() for c in quant.cluster_codes]
+            new = rng.integers(0, 16, size=codes[cid][rows].shape)
+            codes[cid][rows] = new
+            for engine in (serial, pooled):
+                shard = engine.system.get_shard(key)
+                engine.system.update_shard(key, shard.ids, codes[cid][rows])
+            served["index"] = dataclasses.replace(quant, cluster_codes=codes)
+
+        def load_codebooks():
+            index = served.get("index", serial.quantized)
+            books = index.codebooks.copy()
+            books[:, :, 0] = rng.integers(-100, 101, size=books.shape[:2])
+            for engine in (serial, pooled):
+                engine.system.load_codebooks(books)
+            served["index"] = dataclasses.replace(index, codebooks=books)
+
+        try:
+            for step in (None, add, delete, compact, update_shard, load_codebooks):
+                if step is not None:
+                    step()
+                assert pooled.system.warm_pool()
+                before = pooled.system.planner.decisions.get("pool", 0)
+                got, _ = pooled.search(queries)
+                assert pooled.system.planner.decisions.get("pool", 0) == before + 1
+                assert not pooled.system.executor.take_fallback_events()
+                want, _ = serial.search(queries)
+                index = served.get("index", serial.quantized)
+                ref = index.reference_search(
+                    queries, serial.params.k, serial.params.nprobe
+                )
+                for res in (want, ref):
+                    assert got.ids.tobytes() == res.ids.tobytes()
+                    assert got.distances.tobytes() == res.distances.tobytes()
+        finally:
+            serial.close()
+            pooled.close()
+        assert_no_leaked_segments()
+
     def test_engine_close_unlinks_segments(self):
         engine = build_canonical_engine("split-replicated", shard_workers=2)
         queries = canonical_dataset().queries[:8]
@@ -611,7 +741,7 @@ class TestCrashPathHardening:
     def _hosted_pool(self, rng, jobs, workers=2):
         pool = PersistentShardPool(workers)
         keys = [f"s{i}" for i in range(len(jobs))]
-        pool.host_shards({k: (j[1], j[2]) for k, j in zip(keys, jobs)})
+        pool.host_shards(_residents(keys, jobs))
         return pool, keys
 
     def test_sigkilled_workers_still_unlink_on_close(self, rng):

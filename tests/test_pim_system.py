@@ -158,15 +158,15 @@ class TestPlacement:
         assert sys4.shard_location("s0.r1") == 1
 
     def test_update_shard_rejects_a_stale_filter(self, sys4):
-        """A live-row filter naming a row at or past a shorter block's
-        end raises ``ValueError`` naming it, before anything is stored;
-        with the filter cleared the block is stored."""
+        """A dead-row filter, which may name a row at or past a shorter
+        block's end, raises ``ValueError`` naming it, before anything is
+        stored; with the filter cleared the block is stored."""
         shard = sys4.get_shard("s0")
         ids, codes = shard.ids, shard.codes
         rec = sys4._shards["s0"][1]
-        sys4.set_shard_liveness("s0", np.arange(5, 20))
+        sys4.set_shard_liveness("s0", np.arange(5))
         used, dead = sys4.mram_usage(), rec.dead
-        with pytest.raises(ValueError, match="'s0'.*live-row filter"):
+        with pytest.raises(ValueError, match="'s0'.*dead-row filter"):
             sys4.update_shard("s0", ids[:10], codes[:10])
         np.testing.assert_array_equal(sys4.mram_usage(), used)
         assert sys4.dpus[0].mram.load("codes:s0") is codes
@@ -174,8 +174,9 @@ class TestPlacement:
         sys4.set_shard_liveness("s0", None)
         sys4.update_shard("s0", ids[:10], codes[:10])
         assert rec.num_live == 10
-        sys4.set_shard_liveness("s0", np.arange(2, 10))
+        sys4.set_shard_liveness("s0", np.array([0, 1]))
         np.testing.assert_array_equal(rec.dead, [0, 1])
+        assert rec.num_live == 8
 
     def test_liveness_keeps_operands_and_append_extends_them(self, sys4, rng):
         """``set_shard_liveness`` leaves the resident operands the same
@@ -184,10 +185,10 @@ class TestPlacement:
         sys4.compute_tasks(queries, [(0, "s0")], 3)
         rec = sys4._shards["s0"][1]
         ops = rec.ops
-        sys4.set_shard_liveness("s0", np.arange(0, 20, 2))
+        sys4.set_shard_liveness("s0", np.arange(1, 20, 2))
         assert rec.ops is ops
         sys4.set_shard_liveness("s0", None)
-        sys4.set_shard_liveness("s0", np.arange(1, 20, 2))
+        sys4.set_shard_liveness("s0", np.arange(0, 20, 2))
         assert rec.ops is ops
         shard = sys4.get_shard("s0")
         old_ids = shard.ids
@@ -312,13 +313,13 @@ class TestRunBatch:
             ("compute_tasks", [(0, "s0"), (0, "nope")], 3, ValueError, "tasks.*'nope'"),
             ("compute_tasks", [(0, "s0"), (7, "s0")], 3, ValueError, "tasks.*query 7"),
             ("compute_tasks", [(-1, "s1")], 3, ValueError, "tasks.*query -1"),
-            ("liveness", [0.0, 1.0], 3, TypeError, "live_rows must be integer"),
-            ("liveness", [True, False], 3, TypeError, "live_rows must be integer"),
-            ("liveness", [[0, 1]], 3, ValueError, "live_rows must be .*1-D"),
-            ("liveness", [1, 1], 3, ValueError, "live_rows must be strictly ascending"),
-            ("liveness", [3, 2], 3, ValueError, "live_rows must be strictly ascending"),
-            ("liveness", [-1, 2], 3, ValueError, r"live_rows .*in \[0, 20\)"),
-            ("liveness", [2, 20], 3, ValueError, r"live_rows .*in \[0, 20\)"),
+            ("liveness", [0.0, 1.0], 3, TypeError, "dead_rows must be integer"),
+            ("liveness", [True, False], 3, TypeError, "dead_rows must be integer"),
+            ("liveness", [[0, 1]], 3, ValueError, "dead_rows must be .*1-D"),
+            ("liveness", [1, 1], 3, ValueError, "dead_rows must be strictly ascending"),
+            ("liveness", [3, 2], 3, ValueError, "dead_rows must be strictly ascending"),
+            ("liveness", [-1, 2], 3, ValueError, r"dead_rows .*in \[0, 20\)"),
+            ("liveness", [2, 20], 3, ValueError, r"dead_rows .*in \[0, 20\)"),
         ],
     )
     def test_bad_round_operands_rejected(
@@ -328,10 +329,10 @@ class TestRunBatch:
         an unknown shard key and a task naming a query outside the
         3-query matrix by both, and a shard off its DPU by the round, a
         fail-stopped DPU's tasks included, each with an error naming
-        the operand and before the round books anything. A live-row
-        filter (``tasks`` here) that is not a strictly ascending 1-D
-        integer array of rows in ``[0, 20)`` is rejected likewise, the
-        shard's filter unchanged."""
+        the operand and before the round books anything. Dead rows
+        (``tasks`` here) that are not a strictly ascending 1-D integer
+        array of rows in ``[0, 20)`` are rejected likewise, the shard's
+        filter unchanged."""
         queries = rng.integers(0, 255, size=(3, 32)).astype(np.uint8)
         if plane == "dead DPU":
             sys4._observed_dead.add(0)
@@ -342,7 +343,7 @@ class TestRunBatch:
                 len(sys4.transfer.events),
                 [(dict(d.cycles_by_kernel), d.stall_cycles) for d in sys4.dpus],
                 [dict(ledger) for ledger in sys4._search_kernels],
-                sys4._shards["s0"][1].live,
+                sys4._shards["s0"][1].dead,
             )
 
         before = state()

@@ -153,18 +153,47 @@ class TestOneDispatchPerRound:
         assert calls[0] > 1  # the search's one scan carries many jobs
 
     def test_lut_budget_flush_is_invisible(self, engine, monkeypatch):
-        """With ``ROUND_LUT_BYTES = 1`` the flush cuts into one query
+        """With ``QUERY_SLAB_BYTES = 1`` the flush cuts into one query
         slab per query; ids, distances and the breakdown stay put."""
         q = _queries("split-replicated")
         base = engine.search(q)
         calls = []
         self._spy(monkeypatch, calls)
-        monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", 1)
+        monkeypatch.setattr(system_mod, "QUERY_SLAB_BYTES", 1)
         tiny = engine.search(q)
         assert len(calls) == len(q)
         np.testing.assert_array_equal(tiny.results.ids, base.results.ids)
         np.testing.assert_array_equal(tiny.results.distances, base.results.distances)
         assert tiny.breakdown.to_dict() == base.breakdown.to_dict()
+
+    def test_whole_matrix_search_is_one_slab(self, monkeypatch):
+        """The slab budget counts a task's query operands, ``D *
+        (itemsize + 8)`` bytes: a 300-query search at nprobe 8, M 32, CB
+        128 is one stacked call, where a term table's ``8 * M * CB``
+        bytes per task would have cut it in two."""
+        from repro import DrimAnnEngine, EngineConfig, IndexParams, load_dataset
+
+        ds = load_dataset("sift-like-20k", seed=0, num_queries=300, ground_truth_k=10)
+        cfg = EngineConfig(index=IndexParams(
+            nlist=64, nprobe=8, k=10, num_subspaces=32, codebook_size=128
+        ))
+        engine = DrimAnnEngine.from_config(ds.base, cfg, seed=0)
+        tasks = []
+        real = system_mod.scan_jobs_stacked
+
+        def spy(jobs, backend=None):
+            tasks.append(sum(len(job[0]) for job in jobs))
+            return real(jobs, backend=backend)
+
+        monkeypatch.setattr(system_mod, "scan_jobs_stacked", spy)
+        try:
+            engine.search(ds.queries)
+            task_bytes = ds.base.shape[1] * (engine.system._decode_table.itemsize + 8)
+        finally:
+            engine.close()
+        assert len(tasks) == 1 and tasks[0] >= 300 * 8
+        assert tasks[0] * task_bytes <= system_mod.QUERY_SLAB_BYTES
+        assert tasks[0] * 32 * 128 * 8 > system_mod.QUERY_SLAB_BYTES
 
     def test_pool_gets_one_scan_groups_per_search(self, engine, monkeypatch):
         system = engine.system
@@ -174,9 +203,9 @@ class TestOneDispatchPerRound:
             attached = True
             parallel = True
 
-            def scan_groups(self, jobs, keys, lives, backend):
+            def scan_groups(self, jobs, keys, backend):
                 calls.append(len(jobs))
-                assert len(keys) == len(lives) == len(jobs)
+                assert len(keys) == len(jobs)
                 return [scan_shard_group(*j, backend=backend) for j in jobs]
 
             def take_fallback_events(self):

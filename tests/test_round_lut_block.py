@@ -1,10 +1,10 @@
 """Round tasks computed by the compute plane.
 
 ``PimSystem.run_batch`` charges a round and reports the tasks that
-ran; ``PimSystem.compute_tasks`` computes them from query-term tables,
-resident point terms and one scan per data shard — no per-task LUT on
-the in-process path. Every value must equal the staged per-group
-kernels: ``run_lut_build`` on the group's residuals, then the scan and
+ran; ``PimSystem.compute_tasks`` computes them as one exact product
+job per data shard over its resident decoded residuals and point
+terms, in process or in the worker pool — no per-task LUT on either
+path. Every value must equal the staged per-group kernels: ``run_lut_build`` on the group's residuals, then the scan and
 the canonical top-k over the shard's live rows.
 """
 
@@ -24,6 +24,9 @@ from repro.pim.system import ShardData
 
 M, CB, DSUB = 8, 16, 4
 D = M * DSUB
+#: A task's query operands in a slab: its float32 query row (the
+#: codebooks below keep products exact in float32) and int64 residual.
+TASK_BYTES = D * (4 + 8)
 
 
 def _system(rng):
@@ -55,8 +58,8 @@ def _system(rng):
     place(3, "b", 1, 40, 100)
     place(1, "c", 2, 0, 200)
     place(2, "d", 3, 12, 300)
-    system.set_shard_liveness("b", np.arange(0, 40, 3))
-    system.set_shard_liveness("d", np.empty(0, dtype=np.intp))
+    system.set_shard_liveness("b", np.flatnonzero(np.arange(40) % 3))
+    system.set_shard_liveness("d", np.arange(12))
     return system
 
 
@@ -80,10 +83,10 @@ def _expected(system, queries, k):
             shard = system.get_shard(key)
             res = queries[qs].astype(np.int32) - shard.centroid.astype(np.int32)
             luts, _ = run_lut_build(res, system.codebooks)
-            live = system._shards[key][1].live
+            dead = system._shards[key][1].dead
             codes, sids = shard.codes, shard.ids
-            if live is not None:
-                codes, sids = codes[live], sids[live]
+            if dead is not None:
+                codes, sids = np.delete(codes, dead, axis=0), np.delete(sids, dead)
             top_ids, top_d = topk_rows(scan_distances(luts, codes), sids, k)
             pad_i = np.full((len(qs), k), -1, dtype=np.int64)
             pad_d = np.full((len(qs), k), np.inf)
@@ -112,7 +115,7 @@ class _Pool:
     def __init__(self):
         self.calls = []
 
-    def scan_groups(self, jobs, keys, lives, backend):
+    def scan_groups(self, jobs, keys, backend):
         self.calls.append(len(jobs))
         return [scan_shard_group(*j, backend=backend) for j in jobs]
 
@@ -147,56 +150,44 @@ class TestRoundBlock:
             want_rows, want_ids, want_dists
         )
 
-    def test_only_the_pool_builds_luts(self, rng, monkeypatch):
-        """Neither the round nor the in-process compute plane calls
-        ``build_luts``. The pool's slab makes one call over its task
-        rows, each row against its shard's own centroid."""
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_no_path_builds_luts(self, rng, monkeypatch, pool):
+        """Neither the round nor the compute plane, in process or on
+        the pool, calls ``build_luts``: both run the same product jobs,
+        and the pool gets all of a call's jobs in one ``scan_groups``."""
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
         system = _system(rng)
         calls = []
-        real = NumpyBackend.build_luts
-
-        def spy(self, q, cents, qrows, crows, books):
-            calls.append((qrows.copy(), cents[crows]))
-            return real(self, q, cents, qrows, crows, books)
-
-        # On the class: an instance patch of the process-wide backend
-        # would be undone as an instance attribute that shadows every
-        # later class-level patch.
-        monkeypatch.setattr(NumpyBackend, "build_luts", spy)
-        _run(system, queries, 3)
-        assert calls == []
-        (rows, _, _), _ = _run(system, queries, 3, pool=True)
-        monkeypatch.undo()
-        assert "build_luts" not in vars(resolve_backend())
-        assert len(calls) == 1
-        qrows, task_cents = calls[0]
-        np.testing.assert_array_equal(qrows, rows)
-        want = sorted(
-            (q, system.get_shard(key).centroid.tobytes())
-            for tasks in ASSIGNMENTS.values()
-            for q, key in tasks
+        monkeypatch.setattr(
+            NumpyBackend, "build_luts", lambda *a: calls.append(a)
         )
-        assert sorted(zip(qrows.tolist(), map(bytes, task_cents))) == want
+        (rows, ids, dists), _ = _run(system, queries, 3, pool)
+        assert calls == []
+        shards = {key for tasks in ASSIGNMENTS.values() for _, key in tasks}
+        assert not pool or system.executor.calls == [len(shards)]
+        want = _expected(system, queries, 3)
+        assert _task_rows(rows, ids, dists) == _task_rows(
+            np.array([q for q, _ in want[0]]), want[1], want[2]
+        )
 
     @pytest.mark.parametrize("pool", [False, True])
-    @pytest.mark.parametrize("budget", [1, 3 * M * CB * 8, 5 * M * CB * 8])
+    @pytest.mark.parametrize("budget", [1, 5 * TASK_BYTES, 8 * TASK_BYTES])
     def test_parts_are_byte_equal_to_one_part(self, rng, monkeypatch, pool, budget):
         """A ``compute_tasks`` call cut into query slabs by a small
-        ``ROUND_LUT_BYTES`` returns the one-slab block byte for byte,
+        ``QUERY_SLAB_BYTES`` returns the one-slab block byte for byte,
         and the round's ledger does not move."""
         seed = int(rng.integers(0, 2**31))
         queries = rng.integers(0, 256, size=(7, D)).astype(np.uint8)
         one_block, one_timing = _run(_system(np.random.default_rng(seed)), queries, 5, pool)
         slabs = []
         system = _system(np.random.default_rng(seed))
-        real = system._pool_slab if pool else system._scan_slab
+        real = system._scan_slab
         monkeypatch.setattr(
-            system, "_pool_slab" if pool else "_scan_slab",
+            system, "_scan_slab",
             lambda q, cents, qrows, *a: slabs.append(qrows.copy())
             or real(q, cents, qrows, *a),
         )
-        monkeypatch.setattr(system_mod, "ROUND_LUT_BYTES", budget)
+        monkeypatch.setattr(system_mod, "QUERY_SLAB_BYTES", budget)
         block, timing = _run(system, queries, 5, pool)
         assert len(slabs) > 1
         # Slabs are runs of whole queries, covering every task once.
