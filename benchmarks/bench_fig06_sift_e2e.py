@@ -138,10 +138,7 @@ def run_pool_smoke(rounds: int = 5) -> dict:
     for s in range(NSHARDS):
         off = gather_offsets(rng.integers(0, CB, size=(PTS, M)), CB)
         decoded = backend.decode(off, table)
-        centroid = rng.integers(0, 256, size=(1, M * DSUB))
-        pts = backend.residual_terms(
-            centroid, np.zeros(PTS, dtype=np.intp), off, decoded, terms
-        )
+        pts = backend.point_norms(off, terms)
         ids = rng.permutation(PTS * 10)[:PTS].astype(np.int64)
         shards[f"shard{s}"] = (decoded, pts, ids)
     keys = list(shards)

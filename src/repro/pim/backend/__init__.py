@@ -4,9 +4,9 @@ The ADC distance scan (DC) and LUT construction (LC) dominate the
 host's functional wall-clock exactly as Fig. 8 of the paper predicts.
 :class:`~repro.pim.backend.numpy_backend.NumpyBackend` holds the fused
 NumPy kernels every call site runs. DC has one host kernel: one exact
-BLAS product per job (``product_scan_into``) over residuals decoded
-once per data shard (``decode``, with the point terms of
-``residual_terms``), in the smallest dtype that is exact for it
+BLAS product per job (``product_scan_into``) of its tasks' residuals
+with residuals decoded once per data shard (``decode``, with the
+point terms of ``point_norms``), in the smallest dtype that is exact for it
 (:func:`~repro.pim.backend.numpy_backend.product_dtype`), whether the
 job runs in process or in the worker pool: the paper's LUT lookups
 stand in for a multiplier a DPU lacks, and the host has one. The

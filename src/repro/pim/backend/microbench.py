@@ -7,9 +7,13 @@ kernels against the staged reference kernels
 :func:`repro.pim.kernels.run_lut_build` gathering every square from
 the full square LUT) at fixed shapes, checks the outputs are
 bit-identical, and reports wall-clock speedups. The product DC every
-search runs (one exact ``product_scan_into`` per centroid's run of
-tasks plus ``||q - c||^2``, over residents built once by ``decode`` and
-``residual_terms``, as a data shard keeps them) runs at the LUT shape,
+search runs (one exact ``product_scan_into`` of each centroid's run
+of task residuals ``q - c`` into a distance slab plus ``||q - c||^2``,
+over residents built once by ``decode`` and ``point_norms`` as a data
+shard keeps them: column-major residuals, point terms and slab in the
+int32
+:func:`~repro.pim.backend.numpy_backend.slab_dtype` when its bound
+fits) runs at the LUT shape,
 must equal the staged LUT scan and clear :data:`MIN_SCAN_SPEEDUP` over
 that scan's time; the two are timed in interleaved repeats, by their
 medians, so a slowdown of one shows against the other. The LUT build
@@ -37,6 +41,7 @@ from repro.pim.backend.numpy_backend import (
     CodebookTerms,
     decode_table,
     gather_offsets,
+    slab_dtype,
 )
 from repro.pim.kernels import run_lut_build, scan_distances_stacked
 from repro.utils.rng import SeedLike, ensure_rng
@@ -150,36 +155,31 @@ def run_microbench(
     enc_terms = CodebookTerms(enc_books)
     got_luts = backend.build_luts(queries, centroids, qrows, crows, terms)
     off = gather_offsets(lut_codes, lh["cb"])
-    table = decode_table(terms, 255)  # uint8 queries
+    table = decode_table(terms, 255)  # residuals of uint8 queries and centroids
+    slab = slab_dtype(terms, 255, 255)  # uint8 queries and centroids
     # Each centroid's run of tasks is one product job.
     runs = np.append(np.flatnonzero(np.diff(crows, prepend=-1)), lh["tasks"])
 
     # The product's residents, built once as a data shard keeps them:
-    # the points' decoded residuals and their terms under each centroid.
+    # the points' column-major decoded residuals and their norms, in the
+    # slab dtype.
     decoded = backend.decode(off, table)
-    pts = backend.residual_terms(
-        centroids,
-        np.repeat(np.arange(lh["centroids"]), lh["points"]),
-        np.tile(off, lh["centroids"]),
-        np.tile(decoded, (lh["centroids"], 1)),
-        terms,
-    ).reshape(lh["centroids"], lh["points"])
+    pts = backend.point_norms(off, terms).astype(slab)
 
     def product_scan() -> np.ndarray:
-        x = queries.astype(table.dtype)[qrows]
-        out = np.empty((lh["tasks"], lh["points"]), dtype=np.int64)
-        for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
-            backend.product_scan_into(x[a:b], decoded, pts[crows[a]], out[a:b])
         res = queries[qrows].astype(np.int64) - centroids[crows]
-        out += np.einsum("td,td->t", res, res)[:, None]
-        return out
+        x = res.astype(table.dtype)
+        out = np.empty((lh["tasks"], lh["points"]), dtype=slab)
+        for a, b in zip(runs[:-1].tolist(), runs[1:].tolist()):
+            backend.product_scan_into(x[a:b], decoded, pts, out[a:b])
+        return out + np.einsum("td,td->t", res, res)[:, None]
 
     def staged_scan() -> np.ndarray:
         return scan_distances_stacked(ref_luts[None], lut_codes[None])[0]
 
-    # The LUTs come int32 at these ranges (every M-entry sum fits).
+    # The LUTs and the slab come int32 at these ranges.
     bit_identical = bool(
-        got_luts.dtype == np.int32
+        got_luts.dtype == slab == np.int32
         and np.array_equal(got_luts, ref_luts)
         and np.array_equal(product_scan(), staged_scan())
         and np.array_equal(backend.pq_encode(enc_residuals, enc_terms), ref_codes)

@@ -7,20 +7,27 @@ closed forms, which keeps ledgers independent of the host kernels.
 
 **Product DC** is what every search runs, in process or in the worker
 pool. Over whole decoded residuals ``B`` (a point's codewords
-concatenated, ``D`` integers) the IVF-PQ identity (Jegou et al., TPAMI
-2011) reads ``||q - c - B||^2 = ||q - c||^2 + (||B||^2 + 2 c.B) - 2
-q.B``: :meth:`NumpyBackend.decode` turns a shard's codes into ``B``
-with one take of the :func:`decode_table`,
-:meth:`NumpyBackend.residual_terms` gives each point its int64
-``||B||^2 + 2 c.B`` (a take of the codeword norms and an exact
-row-wise ``c.B``), both once per stored row, and
-:meth:`NumpyBackend.product_scan_into` computes a job's ``terms - 2 Q
-@ B.T`` as one BLAS ``matmul``. Every partial sum of ``q.B`` is an
-integer bounded by ``D * max|q| * max|b|``, so :func:`product_dtype`
+concatenated, ``D`` integers) and a task's residual ``r = q - c`` the
+distance the DPU sums from its LUT reads ``||r - B||^2 = ||r||^2 +
+||B||^2 - 2 r.B`` (the IVF-PQ residual form, Jegou et al., TPAMI
+2011): :meth:`NumpyBackend.decode` turns a shard's codes into ``B``,
+column-major (the transposed view of a ``(D, n)`` array, so BLAS
+reads ``B.T`` at unit stride), with takes of the :func:`decode_table`,
+:meth:`NumpyBackend.point_norms` gives each point its int64
+``||B||^2`` (a take of the codeword norms), both once per stored row,
+and :meth:`NumpyBackend.product_scan_into` computes a job's ``||B||^2
+- 2 R @ B.T`` over its tasks' residual rows ``R`` as one BLAS
+``matmul`` into a distance slab. Every partial sum of ``r.B`` is an
+integer bounded by ``D * max|r| * max|b|``, so :func:`product_dtype`
 picks float32 below ``2**24`` (the benchmark's codebooks, at ``128 *
-255 * 144``), float64 below ``2**53`` and int64 past it, the rule
-:class:`ProductTable` applies to CL. The DPU turns these products into
-LUT lookups because it lacks a fast multiplier; the host has BLAS.
+255 * 144``: uint8 queries and centroids keep ``|r| <= 255``), float64
+below ``2**53`` and int64 past it, the rule :class:`ProductTable`
+applies to CL. The slab and the resident point terms are int32 while
+every slab value is bounded below ``2**31 - 1`` (:func:`slab_dtype`),
+and then one pass adds the terms to the product of ``-2 R`` (exact: a
+power-of-two scale, and a float64 add of integers below ``2**31``);
+else they are int64. The DPU turns these products into LUT lookups
+because it lacks a fast multiplier; the host has BLAS.
 
 Codes are decoded through flat offsets ``code + m*CB``
 (:func:`gather_offsets`), which carry no per-subspace bounds, so
@@ -91,6 +98,10 @@ LUT_CHUNK_BYTES = 32 * 1024 * 1024
 
 _I32_MAX = np.iinfo(np.int32).max
 
+#: Points :meth:`NumpyBackend.decode` transposes into place per take, so
+#: a take's ``(M, points, dsub)`` rows stay in cache for the copy.
+_DECODE_CHUNK_POINTS = 1024
+
 
 def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
     """The range-checked ``(M, n)`` intp offsets ``code + m*cb`` of
@@ -98,7 +109,7 @@ def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
 
     Raises :class:`IndexError` for a code outside ``[0, cb)`` and
     :class:`TypeError` for non-integer codes, so every offset
-    :meth:`NumpyBackend.decode` and :meth:`NumpyBackend.residual_terms`
+    :meth:`NumpyBackend.decode` and :meth:`NumpyBackend.point_norms`
     take is in bounds (intp: ``np.take`` would re-cast narrower offsets
     on every call).
     """
@@ -107,7 +118,7 @@ def gather_offsets(codes: np.ndarray, cb: int) -> np.ndarray:
         raise ValueError(f"codes must be (n, M), got {codes.shape}")
     if not np.issubdtype(codes.dtype, np.integer):
         raise TypeError(f"codes must be an integer array, got {codes.dtype}")
-    if codes.size and (codes.min() < 0 or codes.max() >= cb):
+    if codes.size and (codes.max() >= cb or codes.dtype.kind == "i" and codes.min() < 0):
         raise IndexError(
             f"codes must lie in [0, {cb}), got [{codes.min()}, {codes.max()}]"
         )
@@ -203,6 +214,22 @@ def decode_table(terms: "CodebookTerms", x_max: int) -> np.ndarray:
     m, cb, dsub = terms.books.shape
     dtype = product_dtype(m * dsub * x_max * terms.max_abs)
     return terms.books.reshape(m * cb, dsub).astype(dtype)
+
+
+def slab_dtype(terms: "CodebookTerms", x_max: int, c_max: int) -> np.dtype:
+    """The dtype of DC's distance slab and resident point terms for
+    codebooks ``terms``, query entries at most ``x_max`` and centroid
+    entries at most ``c_max`` in magnitude: int32 when ``D * max|b| *
+    (max|b| + 2 * c_max + 2 * x_max) < 2**31 - 1``, else int64.
+
+    A residual ``r = q - c`` then has ``|r| <= x_max + c_max``, so that
+    bounds every point term ``||B||^2`` and every slab value ``||B||^2
+    - 2 r.B`` (:meth:`NumpyBackend.product_scan_into`), and each sits
+    strictly below the int32 padding value ``2**31 - 1``."""
+    m, _, dsub = terms.books.shape
+    b = terms.max_abs
+    bound = m * dsub * b * (b + 2 * c_max + 2 * x_max)
+    return np.dtype(np.int32 if bound < _I32_MAX else np.int64)
 
 
 def expansion_is_exact(residual_max_abs: int, codebook_max_abs: int, dsub: int) -> bool:
@@ -329,49 +356,58 @@ class NumpyBackend:
 
     def decode(self, off: np.ndarray, table: np.ndarray) -> np.ndarray:
         """``(M, n)`` offsets (:func:`gather_offsets`) -> ``(n, M *
-        dsub)`` decoded residuals, each point's codewords concatenated:
-        one take of the :func:`decode_table` rows, in its dtype."""
-        m, n = off.shape
-        rows = np.take(table, off.T, axis=0, mode="wrap")  # (n, M, dsub)
-        return rows.reshape(n, m * table.shape[1])
+        dsub)`` decoded residuals, each point's codewords concatenated,
+        in the :func:`decode_table`'s dtype and column-major: the
+        transposed view of a C-contiguous ``(D, n)`` array, the operand
+        layout BLAS reads at unit stride in ``x @ decoded.T``.
 
-    def residual_terms(
-        self,
-        centroids: np.ndarray,
-        crows: np.ndarray,
-        off: np.ndarray,
-        decoded: np.ndarray,
-        terms: CodebookTerms,
-    ) -> np.ndarray:
-        """``(n,)`` int64 ``||B||^2 + 2 c.B`` of the points with ``(M,
-        n)`` offsets ``off`` and decoded residuals ``decoded``
-        (:meth:`decode`), point ``i`` in the cluster of centroid
-        ``centroids[crows[i]]``. ``||B||^2`` is one take of the int64
-        codeword norms, summed over the subspaces; ``c.B`` one row-wise
-        product in the :func:`product_dtype` of ``D * max|c| * max|b|``,
-        so exact. Centroids are checked like :meth:`build_luts`'s."""
-        m, _, dsub = terms.books.shape
-        centroids = _check_operand(centroids, m * dsub, "centroids")
-        dtype = product_dtype(m * dsub * _max_abs(centroids) * terms.max_abs)
-        cross = np.einsum(
-            "nd,nd->n",
-            decoded.astype(dtype, copy=False),
-            centroids.astype(dtype)[crows],
-        )
-        norms = np.add.reduce(np.take(terms.norms_sq, off, mode="wrap"), axis=0)
-        return norms + 2 * cross.astype(np.int64)
+        Per :data:`_DECODE_CHUNK_POINTS` points, one take of the table
+        rows, subspace-major ``(M, points, dsub)``, then one copy that
+        transposes each subspace's ``(points, dsub)`` block into
+        place; a whole ``(n, D)`` transpose would stride through
+        memory ``D`` items apart."""
+        m, n = off.shape
+        dsub = table.shape[1]
+        out = np.empty((m, dsub, n), dtype=table.dtype)
+        for a in range(0, n, _DECODE_CHUNK_POINTS):
+            b = a + _DECODE_CHUNK_POINTS
+            rows = np.take(table, off[:, a:b], axis=0, mode="wrap")
+            out[:, :, a:b] = rows.transpose(0, 2, 1)
+        return out.reshape(m * dsub, n).T
+
+    def point_norms(self, off: np.ndarray, terms: CodebookTerms) -> np.ndarray:
+        """``(n,)`` int64 ``||B||^2`` of the points with ``(M, n)``
+        offsets ``off`` (:func:`gather_offsets`): one take of the int64
+        codeword norms, summed over the subspaces."""
+        return np.add.reduce(np.take(terms.norms_sq, off, mode="wrap"), axis=0)
 
     def product_scan_into(
         self, x: np.ndarray, decoded: np.ndarray, terms: np.ndarray, out: np.ndarray
     ) -> None:
         """DC as one product: exact ``terms - 2 * x @ decoded.T`` into
-        ``out`` (``(g, n)`` int64, may be a view into a wider block).
+        ``out``, a ``(g, n)`` distance slab (may be a view into a wider
+        block) in :func:`slab_dtype`'s int32 or int64. With ``x`` the
+        tasks' residuals ``q - c`` and ``terms`` the points'
+        :meth:`point_norms`, a slab row is its task's distances less
+        ``||q - c||^2``.
 
         ``x`` is ``(g, D)`` and ``decoded`` ``(n, D)`` integer rows, both
-        in the :func:`product_dtype` of ``D * max|x| * max|decoded|``,
-        so a float product is one BLAS ``matmul`` whose every partial
-        sum is the exact integer; doubling it is exact too (a power of
-        two). ``terms`` is ``(n,)`` int64."""
+        in the :func:`product_dtype` of ``D * max|x| * max|decoded|``, so
+        a float product is one BLAS ``matmul`` whose every partial sum is
+        the exact integer; a column-major ``decoded`` (:meth:`decode`)
+        hands BLAS a unit-stride ``(D, n)`` operand. ``terms`` is
+        ``(n,)`` in ``out``'s dtype or int64.
+
+        An int32 ``out`` asserts :func:`slab_dtype`'s bound: every
+        result and term is below ``2**31 - 1`` in magnitude. Then one
+        pass adds the terms to the product of ``-2 * x``, exact because
+        scaling by a power of two is, and casts into ``out``: the add
+        runs as a float64 loop, exact below ``2**53``. An int64 ``out``
+        has no such bound, so the product is doubled into it and the
+        terms are added in int64."""
+        if out.dtype == np.int32:
+            np.add(np.matmul(x * -2, decoded.T), terms, out=out, casting="unsafe")
+            return
         if x.dtype.kind == "f":
             np.multiply(np.matmul(x, decoded.T), -2, out=out, casting="unsafe")
         else:

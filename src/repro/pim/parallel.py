@@ -1,12 +1,13 @@
 """The parallel data plane: persistent zero-copy workers for shard scans.
 
 The compute plane in :mod:`repro.pim.system` spends almost all of its
-wall-clock in the DC/TS phase: one exact product of each job's query
-rows with its data shard's decoded residuals, reduced to per-query
-top-k. That work is embarrassingly parallel across jobs (each touches
-one shard's residents and its own query rows), so large fleets can fan
-it out over worker processes — mirroring how a real host would drive
-independent PIM ranks from multiple threads.
+wall-clock in the DC/TS phase: one exact product of each job's rows
+(its tasks' residuals ``q - c``) with its data shard's decoded
+residuals, reduced to per-task top-k. That work is embarrassingly
+parallel across jobs (each touches one shard's residents and its own
+rows), so large fleets can fan it out over worker processes —
+mirroring how a real host would drive independent PIM ranks from
+multiple threads.
 
 The scan path, the one worker pool, and a planner live here:
 
@@ -23,8 +24,8 @@ The scan path, the one worker pool, and a planner live here:
   once, attach every data shard's resident decoded residuals, point
   terms and ids through one :mod:`multiprocessing.shared_memory`
   segment (the arena), and keep them resident across rounds: the
-  steady state ships only per-job descriptors ``(shard_key, query
-  rows, row terms, k, dead rows)`` down the pipe and each job's
+  steady state ships only per-job descriptors ``(shard_key, rows,
+  row terms, k, dead rows)`` down the pipe and each job's
   ``(ids, dists)`` top-k arrays back. Nothing MRAM-resident is ever
   re-pickled.
 * :class:`ExecutionPlanner` — picks the in-process path or the pool
@@ -63,14 +64,16 @@ from repro.utils import check_count
 
 #: One product job of :func:`scan_jobs_stacked`: ``(rows (g, D), decoded
 #: (n, D), ids (n,), k, point terms (n,), row terms (g,), dead rows)``.
-#: The query rows and a data shard's decoded residuals share one exact
-#: product dtype; the point and row terms are int64 and the dead rows
-#: ascending positions in ``[0, n)``, or None. The pool ships a job as
-#: ``(shard_key, rows, row terms, k, dead rows)``; its workers hold the
-#: rest.
+#: The rows (a compute-plane job's tasks' residuals ``q - c``) and a
+#: data shard's decoded residuals share one exact product dtype; the
+#: point terms are in a slab dtype (int32 or int64,
+#: :func:`~repro.pim.backend.numpy_backend.slab_dtype`), the row terms
+#: int64 and the dead rows ascending positions in ``[0, n)``, or None.
+#: The pool ships a job as ``(shard_key, rows, row terms, k, dead
+#: rows)``; its workers hold the rest.
 ScanJob = Tuple[Any, ...]
 #: A top-k block: ``(ids, dists)``, ``(rows, k)`` int64 ids and float64
-#: distances, one row per query row, padded with ``-1`` / ``inf``.
+#: distances, one row per job row, padded with ``-1`` / ``inf``.
 JobTopk = Tuple[np.ndarray, np.ndarray]
 
 #: Planner threshold: minimum scanned point-subspaces in a round before
@@ -81,14 +84,6 @@ POOL_MIN_POINTS = 1 << 16
 #: allows before the round runs in process.
 WARMUP_TIMEOUT_S = 10.0
 
-#: Distance of a block's padding cells: above every ADC distance,
-#: so padding sorts after every real candidate.
-PAD_DISTANCE = np.iinfo(np.int64).max
-
-#: Transient bytes per cell of a round slab: the int64 distance, its
-#: ``np.partition`` copy and the boolean candidate mask.
-_SLAB_CELL_BYTES = 17
-
 #: Padding cells a round slab takes on before a wider job starts a new
 #: slab: about what one more selection call costs in cell passes.
 _SLAB_PAD_CELLS = 8192
@@ -96,7 +91,11 @@ _SLAB_PAD_CELLS = 8192
 #: The dtypes :func:`~repro.pim.backend.numpy_backend.product_dtype` picks.
 _PRODUCT_DTYPES = tuple(map(np.dtype, (np.float32, np.float64, np.int64)))
 
-#: A data shard's arrays in the arena, each under ``"{name}:{shard key}"``.
+#: The dtypes :func:`~repro.pim.backend.numpy_backend.slab_dtype` picks.
+_SLAB_DTYPES = tuple(map(np.dtype, (np.int32, np.int64)))
+
+#: A data shard's arrays in the arena, each under ``"{name}:{shard key}"``
+#: (``decoded`` as its ``(D, n)`` transpose).
 _RESIDENT = ("decoded", "pts", "ids")
 
 
@@ -116,14 +115,17 @@ def scan_shard_group(
     The per-job scan the pool workers (and the pool's in-process
     fallback) run; returns the job's ``(g, k)`` block. ``rows`` must be
     ``(g, D)`` and ``decoded`` ``(n, D)`` in one product dtype, ``ids``
-    ``(n,)``, ``point_terms`` ``(n,)`` and ``row_terms`` ``(g,)`` int64,
-    and ``dead`` strictly ascending rows in ``[0, n)`` or None; a wrong
+    ``(n,)``, ``point_terms`` ``(n,)`` in a slab dtype, int32 or int64
+    (int32 asserts :func:`~repro.pim.backend.numpy_backend.slab_dtype`'s
+    bound for these operands), ``row_terms`` ``(g,)`` int64, and
+    ``dead`` strictly ascending rows in ``[0, n)`` or None; a wrong
     shape or range raises :class:`ValueError` and a wrong dtype
     :class:`TypeError`, each naming the operand, and a bad ``k`` what
     :func:`~repro.utils.check_count` raises. ``backend=None`` takes the
     process-wide kernels.
     """
     rows, decoded = np.asarray(rows), np.asarray(decoded)
+    point_terms, row_terms = np.asarray(point_terms), np.asarray(row_terms)
     if rows.ndim != 2:
         raise ValueError(f"rows must be (g, D), got {rows.shape}")
     if decoded.ndim != 2 or decoded.shape[1] != rows.shape[1]:
@@ -141,9 +143,10 @@ def scan_shard_group(
     ):
         if np.shape(arr) != (want,):
             raise ValueError(f"{name} must be ({want},), got {np.shape(arr)}")
-    for name, arr in (("point_terms", point_terms), ("row_terms", row_terms)):
-        if np.asarray(arr).dtype != np.int64:
-            raise TypeError(f"{name} must be int64, got {np.asarray(arr).dtype}")
+    if point_terms.dtype not in _SLAB_DTYPES:
+        raise TypeError(f"point_terms must be int32 or int64, got {point_terms.dtype}")
+    if row_terms.dtype != np.int64:
+        raise TypeError(f"row_terms must be int64, got {row_terms.dtype}")
     if dead is not None:
         dead = np.asarray(dead)
         if dead.dtype.kind not in "iu":
@@ -168,18 +171,21 @@ def scan_jobs_stacked(
     (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`) plus the
     row's term, and a dead point is never a candidate. Returns the
     call's ``(ids, dists)`` block: ``(T, k)`` int64 ids and float64
-    distances, ``T`` the jobs' summed query rows in submission order,
+    distances, ``T`` the jobs' summed rows in submission order,
     padded with ``-1`` / ``inf`` past a job's live points. A row
     depends only on its job, never on the others.
 
-    The jobs' rows are computed straight into padded int64 distance
-    slabs with the point terms added (padding cells, and then dead
-    points' cells, hold :data:`PAD_DISTANCE`), and each slab gets one
-    canonical ``(distance, id)`` selection,
+    The jobs' rows are computed straight into padded distance slabs
+    with the point terms added, in the jobs' one point-term dtype, int32
+    or int64 (:func:`~repro.pim.backend.numpy_backend.slab_dtype`; jobs
+    that disagree raise :class:`ValueError`), padding cells, and then
+    dead points' cells, holding its largest value, above every
+    distance; each slab gets one canonical ``(distance, id)`` selection,
     :func:`~repro.pim.kernels.select_topk` (a row term cannot reorder
     its row, so it is added to the selected distances only), written
     straight into the block. A slab stays within
-    :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES` (a job
+    :data:`~repro.pim.backend.numpy_backend.LUT_CHUNK_BYTES`, counted
+    at :func:`_slab_cell_bytes` per cell (a job
     splits across slabs when it must) and is as wide as its widest
     job, so jobs fill slabs in ascending ``n``: a wider job starts a
     new slab once it would pad the rows already there by more than
@@ -194,6 +200,10 @@ def scan_jobs_stacked(
     if any(job[3] != k for job in jobs):
         raise ValueError("every job of a block must share one k")
     starts = np.cumsum([0] + [len(job[0]) for job in jobs])
+    slab = jobs[0][4].dtype
+    if any(job[4].dtype != slab for job in jobs):
+        raise ValueError("every job of a block must share one point-term dtype")
+    cell_bytes = _slab_cell_bytes(slab, max(job[0].dtype.itemsize for job in jobs))
     out_ids = np.full((int(starts[-1]), k), -1, dtype=np.int64)
     out_dists = np.full((int(starts[-1]), k), np.inf)
     # A slab is a run of (job, first row, end row) pieces.
@@ -202,7 +212,9 @@ def scan_jobs_stacked(
 
     def flush() -> None:
         nonlocal pieces, rows
-        _select_slab(jobs, pieces, starts, rows, width, backend, out_ids, out_dists)
+        _select_slab(
+            jobs, pieces, starts, rows, width, slab, backend, out_ids, out_dists
+        )
         pieces, rows = [], 0
 
     for ji in sorted(range(len(jobs)), key=lambda j: jobs[j][1].shape[0]):
@@ -211,7 +223,7 @@ def scan_jobs_stacked(
             flush()
         r0 = 0
         while r0 < g:
-            fit = slab_rows(_SLAB_CELL_BYTES * max(n, 1)) - rows
+            fit = slab_rows(cell_bytes * max(n, 1)) - rows
             if fit <= 0:
                 flush()
                 continue
@@ -224,29 +236,41 @@ def scan_jobs_stacked(
     return out_ids, out_dists
 
 
+def _slab_cell_bytes(slab: np.dtype, product_itemsize: int) -> int:
+    """Transient bytes per cell of a round slab: the distance and its
+    ``np.partition`` copy in the ``slab`` dtype, the boolean candidate
+    mask, and the product's ``(g, n)`` temporary (4 B in float32, 8 in
+    float64 or int64)."""
+    return 2 * slab.itemsize + 1 + product_itemsize
+
+
 def _select_slab(
     jobs: Sequence[ScanJob],
     pieces: Sequence[Tuple[int, int, int]],
     starts: np.ndarray,
     rows: int,
     width: int,
+    slab: np.dtype,
     backend: NumpyBackend,
     out_ids: np.ndarray,
     out_dists: np.ndarray,
 ) -> None:
     """Compute one slab's pieces into a padded ``(rows, width)`` block
-    and write its canonical top-k, dead points masked, to their rows of
-    ``out_ids`` / ``out_dists`` (``starts``: each job's first row)."""
+    of dtype ``slab`` and write its canonical top-k, dead points
+    masked, to their rows of ``out_ids`` / ``out_dists`` (``starts``:
+    each job's first row)."""
     if not rows or not width:
         return  # empty shards only: their rows stay padding
-    block = np.full((rows, width), PAD_DISTANCE, dtype=np.int64)
+    # Above every distance: padding sorts after every real candidate.
+    pad_value = np.iinfo(slab).max
+    block = np.full((rows, width), pad_value, dtype=slab)
     row = 0
     for ji, r0, r1 in pieces:
         lhs, decoded, ids, _, point_terms, _, dead = jobs[ji]
         dists = block[row : row + r1 - r0, : len(ids)]
         backend.product_scan_into(lhs[r0:r1], decoded, point_terms, dists)
         if dead is not None:
-            dists[:, dead] = PAD_DISTANCE  # never selected ahead of a live row
+            dists[:, dead] = pad_value  # never selected ahead of a live row
         row += r1 - r0
     # Block row -> round-block row: each piece's rows are a run there.
     lens = np.array([r1 - r0 for _, r0, r1 in pieces])
@@ -257,7 +281,7 @@ def _select_slab(
     sel_ids, sel_dists = select_topk(
         block, np.concatenate(id_runs), np.repeat(run_start, lens), out_ids.shape[1]
     )
-    pad = sel_dists == PAD_DISTANCE
+    pad = sel_dists == pad_value
     row_terms = np.concatenate([jobs[ji][5][r0:r1] for ji, r0, r1 in pieces])
     sel_dists = sel_dists + row_terms[:, None]
     width_k = sel_ids.shape[1]
@@ -535,10 +559,10 @@ def _pool_worker(
                             arena.view(f"{name}:{key}") for name in _RESIDENT
                         )
                         views[key] = resident
-                    decoded, pts, ids = resident
-                    out.append(
-                        scan_shard_group(rows, decoded, ids, k, pts, row_terms, dead)
-                    )
+                    decoded_t, pts, ids = resident
+                    out.append(scan_shard_group(
+                        rows, decoded_t.T, ids, k, pts, row_terms, dead
+                    ))
                 conn.send(("topk", out, _san_clock()))
             elif tag == "ping":
                 conn.send(("pong", _san_clock()))
@@ -633,7 +657,8 @@ class PersistentShardPool:
     ) -> None:
         """(Re)build the arena from ``shard_key -> (decoded, point terms,
         ids)``, a data shard's :data:`ScanJob` operands over its stored
-        rows.
+        rows. The arena holds ``decoded`` as its ``(D, n)`` transpose, so
+        the workers' products read it column-major, as the host's do.
 
         Re-hosting after workers started restarts them against the new
         arena (index rebuild, late shard placement, new rows or
@@ -647,8 +672,8 @@ class PersistentShardPool:
             self._arena.close()
             self._arena = None
         arrays: Dict[str, np.ndarray] = {}
-        for key, resident in shards.items():
-            for name, arr in zip(_RESIDENT, resident):
+        for key, (decoded, pts, ids) in shards.items():
+            for name, arr in zip(_RESIDENT, (decoded.T, pts, ids)):
                 arrays[f"{name}:{key}"] = arr
         try:
             self._arena = SharedShardArena.create(arrays)

@@ -53,6 +53,7 @@ from repro.pim.backend.numpy_backend import (
     CodebookTerms,
     decode_table,
     gather_offsets,
+    slab_dtype,
     slab_rows,
 )
 from repro.pim.config import PimSystemConfig
@@ -77,15 +78,21 @@ from repro.utils import check_count, check_operands
 CHARGE_MEMO_ENTRIES = 4096
 
 #: Query operand bytes one query slab of :meth:`PimSystem.compute_tasks`
-#: holds: per task, its query row in the product dtype and its int64
-#: residual row, ``D * (itemsize + 8)``. A call past it takes its
+#: holds: per task, its int64 residual row ``q - c`` and that row in the
+#: product dtype, ``D * (itemsize + 8)``. A call past it takes its
 #: queries in slabs, which bounds a whole-matrix search's transient
 #: memory without changing a result.
 QUERY_SLAB_BYTES = 64 * 1024 * 1024
 
-#: Largest query entry: queries are checked uint8, which bounds the DC
-#: products' dtype (:func:`~repro.pim.backend.numpy_backend.decode_table`).
+#: Largest query entry: queries are checked uint8.
 QUERY_MAX = int(np.iinfo(np.uint8).max)
+
+#: Largest centroid entry: placed centroids are checked to lie in
+#: ``[0, CENTROID_MAX]`` (uint8 means). A task's residual ``q - c`` then
+#: lies in ``[-CENTROID_MAX, QUERY_MAX]``, which bounds the DC products'
+#: dtype (:func:`~repro.pim.backend.numpy_backend.decode_table`) and the
+#: distance slab's (:func:`~repro.pim.backend.numpy_backend.slab_dtype`).
+CENTROID_MAX = int(np.iinfo(np.uint8).max)
 
 #: One kernel charge: the closed-form cost and the cycles it takes.
 Charge = Tuple[KernelCost, float]
@@ -112,9 +119,13 @@ class ScanOperands(NamedTuple):
     """
 
     # (capacity, D) decoded residuals B, each row its codewords
-    # concatenated, in the codebooks' product dtype (float32 while exact).
+    # concatenated, in the codebooks' product dtype (float32 while
+    # exact): the transposed view of a (D, capacity) buffer, so DC's
+    # product reads each point's residual at unit stride.
     decoded: np.ndarray
-    pts: np.ndarray  # (capacity,) int64 point terms ||B||^2 + 2c.B
+    # (capacity,) point terms ||B||^2 in the slab dtype (int32 while
+    # every distance fits).
+    pts: np.ndarray
     rows: int  # stored rows covered; appended rows join at the next scan
 
 
@@ -186,6 +197,9 @@ class PimSystem:
         # Shard key -> (its DPU, its data shard's record); data key -> record.
         self._shards: Dict[str, Tuple[int, _DataShard]] = {}
         self._data: Dict[object, _DataShard] = {}
+        # id -> record whose scan operands may miss stored rows: made
+        # resident by the next scan that reads it (_make_resident).
+        self._unresident: Dict[int, _DataShard] = {}
         # Opt-in worker pool for the product jobs, plus the per-round
         # vectorized/pool chooser. The persistent pool attaches the data
         # shards' residents lazily (first round, or warm_pool) via
@@ -199,8 +213,11 @@ class PimSystem:
         # The codebooks' derived operands, built once per load_codebooks.
         self.codebook_terms: Optional[CodebookTerms] = None
         # The (M * CB, dsub) codewords the residents are decoded from,
-        # in the dtype of exact DC products against uint8 queries.
+        # in the dtype of exact DC products against the residuals of
+        # uint8 queries and centroids, and
+        # the dtype of the point terms and distance slabs.
         self._decode_table: Optional[np.ndarray] = None
+        self._slab_dtype: Optional[np.dtype] = None
         self.square_lut: Optional[SquareLut] = None
         self.tracer = tracer
         # Optional repro.obs.EngineObserver; None costs one check per site.
@@ -300,11 +317,24 @@ class PimSystem:
         A shard whose ``data_key`` is placed is one more placement of
         that data shard's record: it needs the record's ids and centroid,
         and codes of its shape and dtype (not read, so an mmap-backed
-        index stays paged out), else ``ValueError`` naming the shard.
+        index stays paged out), else ``ValueError`` naming the shard. The
+        centroid's entries must be integers (else ``TypeError``) in
+        ``[0, CENTROID_MAX]`` (else ``ValueError``), the range the DC
+        product and distance slab dtypes are derived for.
         """
         if not 0 <= dpu_id < len(self.dpus):
             raise ValueError(f"dpu_id {dpu_id} out of range [0, {len(self.dpus)})")
         key = shard.shard_key
+        cent = np.asarray(shard.centroid)
+        if cent.dtype.kind not in "iu":
+            raise TypeError(
+                f"centroid of shard {key!r} must be integer, got {cent.dtype}"
+            )
+        if cent.size and (cent.min() < 0 or cent.max() > CENTROID_MAX):
+            raise ValueError(
+                f"centroid of shard {key!r} must lie in [0, {CENTROID_MAX}], "
+                f"got [{cent.min()}, {cent.max()}]"
+            )
         if key in self._shards:
             raise ValueError(f"shard {key!r} already placed")
         data_key = key if shard.data_key is None else shard.data_key
@@ -327,6 +357,7 @@ class PimSystem:
         })
         if rec is None:
             rec = self._data[data_key] = _DataShard(shard, len(self._data))
+            self._unresident[id(rec)] = rec
         rec.placements.append((key, dpu_id))
         self._shards[key] = (dpu_id, rec)
         # Placement changes invalidate the worker pool's zero-copy
@@ -357,6 +388,7 @@ class PimSystem:
             mram.store_all(objects)
         rec.shard.ids = ids
         rec.shard.codes = codes
+        self._unresident[id(rec)] = rec
         self._residency_dirty = True
 
     def update_shard(self, shard_key: str, ids: np.ndarray, codes: np.ndarray) -> None:
@@ -437,41 +469,39 @@ class PimSystem:
         that. Their codes are concatenated and range-checked once by
         :func:`~repro.pim.backend.numpy_backend.gather_offsets`
         (``IndexError`` for a code outside ``[0, CB)``, before any is
-        decoded), decoded by one take
-        (:meth:`~repro.pim.backend.NumpyBackend.decode`), and given
-        their point terms ``||B||^2 + 2c.B`` in one more pass
-        (:meth:`~repro.pim.backend.NumpyBackend.residual_terms`). A
-        shard's first operands are its slices of the pass's arrays;
-        rows appended later are written into its buffers, which grow
-        by half again whenever they are full, so appends cost amortised
-        time per row and never re-concatenate a shard. Liveness never
-        touches the operands (the scan masks dead rows and reads the
-        record's stored ids); :meth:`update_shard` and
-        :meth:`load_codebooks` drop them. They cost ``itemsize * D + 8``
-        bytes per stored row, 520 at D 128 in float32, plus a grown
-        shard's spare capacity.
+        decoded), decoded straight into the column-major layout
+        (:meth:`~repro.pim.backend.NumpyBackend.decode`: a ``(D,
+        rows)`` array, no row-major copy of the pass), and given their
+        point terms ``||B||^2`` by one take of the codeword norms
+        (:meth:`~repro.pim.backend.NumpyBackend.point_norms`), cast to
+        the slab dtype. A shard's first operands are its slices of
+        the pass's arrays; rows appended later are written into the
+        columns of its ``(D, capacity)`` buffer, which grows by half
+        again whenever it is full, so appends cost amortised time per
+        row and never re-concatenate a shard. Liveness never touches
+        the operands (the scan masks dead rows and reads the record's
+        stored ids); :meth:`update_shard` and :meth:`load_codebooks`
+        drop them. They cost ``D * itemsize`` plus the slab itemsize
+        bytes per stored row, 516 at D 128 in float32 with int32 point
+        terms, plus a grown shard's spare capacity.
         """
-        seen: Set[int] = set()
-        pending: List[Tuple[_DataShard, int]] = []
+        stale = self._unresident
+        # id -> (record, first missing row); a record may come twice.
+        missing: Dict[int, Tuple[_DataShard, int]] = {}
         for rec in recs:
-            start = 0 if rec.ops is None else rec.ops.rows
-            if id(rec) not in seen and (rec.ops is None or start < len(rec.shard.ids)):
-                seen.add(id(rec))
-                pending.append((rec, start))
-        if not pending:
+            if id(rec) in stale:
+                missing[id(rec)] = (rec, 0 if rec.ops is None else rec.ops.rows)
+        if not missing:
             return
+        pending = list(missing.values())
         counts = [len(rec.shard.ids) - start for rec, start in pending]
         off = gather_offsets(
             np.concatenate([rec.shard.codes[start:] for rec, start in pending]),
             self.codebooks.shape[1],
         )
         decoded = self.backend.decode(off, self._decode_table)
-        pts = self.backend.residual_terms(
-            np.stack([rec.shard.centroid for rec, _ in pending]),
-            np.repeat(np.arange(len(pending)), counts),
-            off,
-            decoded,
-            self.codebook_terms,
+        pts = self.backend.point_norms(off, self.codebook_terms).astype(
+            self._slab_dtype, copy=False
         )
         a = 0
         for (rec, start), count in zip(pending, counts):
@@ -482,12 +512,14 @@ class PimSystem:
                 dec, pt = ops.decoded, ops.pts
                 if n > len(pt):  # full: grow by half again
                     cap = max(n, len(pt) * 3 // 2)
-                    dec = np.empty((cap, decoded.shape[1]), dtype=decoded.dtype)
-                    pt = np.empty(cap, dtype=np.int64)
+                    dec = np.empty((decoded.shape[1], cap), dtype=decoded.dtype).T
+                    pt = np.empty(cap, dtype=pts.dtype)
                     dec[:start], pt[:start] = ops.decoded[:start], ops.pts[:start]
                 dec[start:n], pt[start:n] = decoded[a:b], pts[a:b]
                 rec.ops = ScanOperands(dec, pt, n)
             a = b
+        for key in missing:
+            del stale[key]
 
     def shard_location(self, shard_key: str) -> int:
         return self._shards[shard_key][0]
@@ -509,10 +541,14 @@ class PimSystem:
             dpu.mram.store("codebooks", codebooks)
         self.codebooks = codebooks
         self.codebook_terms = CodebookTerms(codebooks)
-        self._decode_table = decode_table(self.codebook_terms, QUERY_MAX)
+        self._decode_table = decode_table(
+            self.codebook_terms, max(QUERY_MAX, CENTROID_MAX)
+        )
+        self._slab_dtype = slab_dtype(self.codebook_terms, QUERY_MAX, CENTROID_MAX)
         self._charge_memo.clear()
         for rec in self._data.values():
             rec.ops = None  # decoded from the old codewords
+            self._unresident[id(rec)] = rec
         self._residency_dirty = True  # so are the pool's residents
         return self.transfer.broadcast(
             "codebooks", codebooks.nbytes, len(self.dpus)
@@ -831,11 +867,11 @@ class PimSystem:
         A data shard (``ShardData.data_key``) is scanned once, from its
         one record, whichever replicas ran its tasks. With ``B`` a
         point's decoded residual (its codewords concatenated, ``D``
-        integers) the distance is ``||q - c - B||^2 = ||q - c||^2 +
-        (||B||^2 + 2c.B) - 2 q.B``: one int64 per task, one resident
-        int64 per point, and the job's ``Q_job @ B.T``, one BLAS product
-        in the smallest dtype that is exact for it
-        (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`;
+        integers) and ``r = q - c`` a task's residual, the distance is
+        ``||r - B||^2 = ||r||^2 + ||B||^2 - 2 r.B``: one int64 per task,
+        one resident ``||B||^2`` per point, and the job's ``R_job @
+        B.T``, one BLAS product in the smallest dtype that is exact for
+        it (:meth:`~repro.pim.backend.NumpyBackend.product_scan_into`;
         float32 while ``D * 255 * max|b| < 2**24``). No per-task LUT is
         built and no LUT is gathered; the ledger charges LC and DC per
         task from closed forms. The shards the call scans first get
@@ -942,14 +978,15 @@ class PimSystem:
         :func:`scan_jobs_stacked` call or, with ``pool``, by the worker
         pool. ``crows`` name each task's row of the ``cents``
         centroids."""
-        x = queries.astype(self._decode_table.dtype)
         res = queries[qrows].astype(np.int64) - cents[crows]
         row_terms = np.einsum("td,td->t", res, res)
+        # A job's rows: its tasks' residuals, exact in the product dtype.
+        x = res.astype(self._decode_table.dtype)
         scan_jobs = []
         for rec, a, b in jobs:
             ops = rec.ops
             scan_jobs.append((
-                x[qrows[a:b]], ops.decoded[: ops.rows], rec.shard.ids, k,
+                x[a:b], ops.decoded[: ops.rows], rec.shard.ids, k,
                 ops.pts[: ops.rows], row_terms[a:b], rec.dead,
             ))
         if not pool:
@@ -1013,8 +1050,9 @@ class PimSystem:
 
         Lazy (first round, or :meth:`warm_pool`) and re-run after any
         :meth:`place_shard`, stored rows or :meth:`load_codebooks`, each
-        of which invalidates previous residency. They cost ``itemsize *
-        D + 16`` bytes per stored row, 528 at D 128 in float32.
+        of which invalidates previous residency. They cost ``D *
+        itemsize`` plus the slab itemsize plus 8 (the id) bytes per
+        stored row, 524 at D 128 in float32 with int32 point terms.
         """
         ex = self.executor
         if ex is None or self.codebooks is None:

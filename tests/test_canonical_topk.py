@@ -54,9 +54,7 @@ def _tie_jobs(seed, shapes, k, values, m=2, cb=4):
         table = decode_table(terms, 255)
         off = gather_offsets(codes, cb)
         decoded = backend.decode(off, table)
-        pts = backend.residual_terms(
-            np.zeros((1, m), np.uint8), np.zeros(n, np.intp), off, decoded, terms
-        )
+        pts = backend.point_norms(off, terms)  # a zero centroid: r = q
         row_terms = np.einsum("td,td->t", queries.astype(np.int64), queries)
         job = (queries.astype(table.dtype), decoded, ids, k, pts, row_terms, None)
         luts, _ = run_lut_build(queries.astype(np.int32), books)
@@ -242,8 +240,8 @@ class TestResidentOffsets:
         each operand record equals a fresh int64 decode of its first
         ``rows`` stored rows, whatever the filter (rows appended after
         it join at the next scan): ``B`` the codewords concatenated, in
-        the codebooks' product dtype, and the point terms ``||B||^2 +
-        2c.B``."""
+        the codebooks' product dtype, and the point terms ``||B||^2`` in
+        the slab dtype."""
         books = system.codebooks.astype(np.int64)
         m = books.shape[0]
         records = {id(rec) for _, rec in system._shards.values()}
@@ -260,11 +258,8 @@ class TestResidentOffsets:
             decoded = ops.decoded[: ops.rows]
             assert decoded.dtype == system._decode_table.dtype
             np.testing.assert_array_equal(decoded.astype(np.int64), want)
-            c = shard.centroid.astype(np.int64)
-            assert ops.pts.dtype == np.int64
-            np.testing.assert_array_equal(
-                ops.pts[: ops.rows], (want * (want + 2 * c)).sum(-1)
-            )
+            assert ops.pts.dtype == system._slab_dtype
+            np.testing.assert_array_equal(ops.pts[: ops.rows], (want * want).sum(-1))
 
     @staticmethod
     def _assert_liveness(engine):

@@ -145,13 +145,19 @@ def _book_max(kind, m, dsub):
     (``edge``) and just past (``past``) ``M * dsub * (255 +
     max|b|)**2 <= 2**31 - 1``,
     the float32 DC product at (``f32-edge``) and just past
-    (``f32-past``) ``M * dsub * 255 * max|b| < 2**24``, and codebooks
+    (``f32-past``) ``M * dsub * 255 * max|b| < 2**24``, the int32
+    distance slab at (``i32-edge``) and just past (``i32-past``) ``M *
+    dsub * max|b| * (max|b| + 4 * 255) < 2**31 - 1``, and codebooks
     past float64 exactness for the LUTs (``wide``)."""
     edge = int(np.sqrt(_I32_MAX / (m * dsub))) - 255
     f32 = ((1 << 24) - 1) // (m * dsub * 255)
+    i32 = int(np.sqrt(_I32_MAX / (m * dsub)))
+    while m * dsub * i32 * (i32 + 4 * 255) >= _I32_MAX:
+        i32 -= 1
     return {
         "small": 200, "edge": edge, "past": edge + 1,
-        "f32-edge": f32, "f32-past": f32 + 1, "wide": 1 << 26,
+        "f32-edge": f32, "f32-past": f32 + 1,
+        "i32-edge": i32, "i32-past": i32 + 1, "wide": 1 << 26,
     }[kind]
 
 
@@ -295,6 +301,34 @@ class TestComputeTasks:
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
             _assert_ts_sorts_live_rows(system, queries)
+
+    @pytest.mark.parametrize(
+        "kind, slab", [("i32-edge", np.int32), ("i32-past", np.int64)]
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slab_edges_equal_per_task_lut_scan(self, kind, slab, seed):
+        """Codebooks at and just past the int32 slab bound take the slab
+        it names, and every task's top-k equals the per-task LUT scan,
+        before and after a mutation."""
+        rng = np.random.default_rng(seed)
+        m, cb = int(rng.integers(1, 6)), int(rng.choice([3, 16]))
+        dsub = int(rng.integers(1, 5))
+        b_max = _book_max(kind, m, dsub)
+        system = _system(rng, m, cb, dsub, b_max)
+        assert system._slab_dtype == slab
+        queries = rng.integers(0, 256, size=(4, m * dsub)).astype(np.uint8)
+        queries[0] = 255
+        tasks = [(q, key) for q in range(4) for key in _SHARDS]
+        for step in (None, "codebooks", "replica"):
+            _mutate(system, rng, step)
+            got = system.compute_tasks(queries, tasks, 6)
+            want = _reference(system, queries, tasks, 6)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert all(
+                rec.ops.pts.dtype == slab
+                for rec in system._data.values() if rec.ops is not None
+            )
 
     def test_mutation_through_a_replica_key_reaches_every_replica(self, rng):
         """``update_shard``, ``set_shard_liveness`` and ``append_shard``

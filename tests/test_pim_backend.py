@@ -21,6 +21,7 @@ from repro.pim.backend.numpy_backend import (
     decode_table,
     gather_offsets,
     product_dtype,
+    slab_dtype,
 )
 from repro.pim.kernels import (
     run_lut_build,
@@ -71,18 +72,17 @@ def _dc_case(rng, g, n, m, cb, dsub=2, code_dtype=np.uint8, high=200):
 
 
 def _product_job(books, cent, queries, codes, ids, k, backend=None):
-    """The compute plane's product job over the shard: decoded
-    residuals and point terms built as a data shard keeps them."""
+    """The compute plane's product job over the shard: the queries'
+    residuals as rows, and decoded residuals and point terms built as a
+    data shard keeps them."""
     backend = backend or resolve_backend()
     terms = CodebookTerms(books)
     table = decode_table(terms, 255)
     off = gather_offsets(codes, books.shape[1])
     decoded = backend.decode(off, table)
-    pts = backend.residual_terms(
-        cent[None], np.zeros(len(codes), dtype=np.intp), off, decoded, terms
-    )
+    pts = backend.point_norms(off, terms)
     res = queries.astype(np.int64) - cent
-    rows = queries.astype(table.dtype)
+    rows = res.astype(table.dtype)
     return rows, decoded, ids, k, pts, np.einsum("td,td->t", res, res), None
 
 
@@ -123,7 +123,7 @@ class TestRegistry:
         must find them)."""
         backend = resolve_backend("auto")
         assert backend is resolve_backend() is resolve_backend("numpy")
-        for op in ("product_scan_into", "decode", "residual_terms", "build_luts"):
+        for op in ("product_scan_into", "decode", "point_norms", "build_luts"):
             assert op in vars(type(backend))
 
 
@@ -233,6 +233,23 @@ class TestScanKernel:
             scan_shard_group(rows, decoded, ids, 2, pts, terms, np.array([0.0]))
         with pytest.raises(TypeError, match="codes"):
             gather_offsets(np.zeros((n, 4)), 8)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint32, np.float32, np.int8])
+    def test_point_terms_take_a_slab_dtype(self, dtype):
+        """Point terms come in a slab dtype, int32 or int64, with equal
+        results; any other dtype raises ``TypeError`` naming them."""
+        rng = _rng(3)
+        rows = rng.integers(0, 256, size=(3, 4)).astype(np.float32)
+        decoded = rng.integers(-60, 61, size=(9, 4)).astype(np.float32)
+        pts = rng.integers(0, 1000, size=9)
+        terms = rng.integers(0, 1000, size=3)
+        args = (rows, decoded, np.arange(9), 4)
+        wide = scan_shard_group(*args, pts, terms)
+        narrow = scan_shard_group(*args, pts.astype(np.int32), terms)
+        for w, n in zip(wide, narrow):
+            assert w.tobytes() == n.tobytes()
+        with pytest.raises(TypeError, match="point_terms"):
+            scan_shard_group(*args, pts.astype(dtype), terms)
 
     @pytest.mark.parametrize(
         "rows, decoded, pts, terms, dead, exc, match",
@@ -459,7 +476,14 @@ class TestProductRegimes:
     """DC's product helper: :func:`product_dtype` takes float32 below
     ``2**24``, float64 below ``2**53`` and int64 past, and
     ``product_scan_into`` in the dtype it picks equals the int64 oracle
-    ``terms - 2 x.r``, at each bound's edge and inside each regime."""
+    ``terms - 2 x.r``, at each bound's edge and inside each regime.
+
+    Its distance slab: :func:`slab_dtype` takes int32 while ``D *
+    max|b| * (max|b| + 2 c_max + 2 x_max) < 2**31 - 1`` and int64 from
+    that bound on, and ``product_scan_into`` of residual rows ``r = x -
+    c`` into the slab it picks (one fused float64 add in int32, the
+    two-step product in int64) equals the int64 oracle ``||B||^2 - 2
+    r.B``, at the edge and inside the int32 regime."""
 
     #: (D, max|x|, max|row|, bound, dtype) on either side of each limit.
     EDGES = [
@@ -533,6 +557,80 @@ class TestProductRegimes:
         terms = rng.integers(-(1 << 40), 1 << 40, size=n)
         assert self._check(x, rows, terms) == np.dtype(regime)
 
+    #: (D, max|b|, x_max, c_max, bound, slab dtype): one below the int32
+    #: padding value, at it, and one past it.
+    SLAB_EDGES = [
+        (2, 1, (1 << 28) - 1, 1 << 28, (1 << 31) - 2, np.int32),
+        (1, 1, 1 << 29, (1 << 29) - 1, (1 << 31) - 1, np.int64),
+        (1, 2, 1 << 28, (1 << 28) - 1, 1 << 31, np.int64),
+    ]
+
+    @staticmethod
+    def _check_slab(x, rows, cent, b_max, x_max, c_max):
+        """The slab dtype of the operands' magnitudes, after checking
+        ``product_scan_into`` of the residual rows ``x - cent`` into it
+        against the int64 oracle."""
+        d = rows.shape[1]
+        books = np.zeros((d, 2, 1), dtype=np.int64)
+        books[0, 0, 0] = b_max
+        slab = slab_dtype(CodebookTerms(books), x_max, c_max)
+        pts = (rows * rows).sum(1)
+        r = x - cent
+        prod = product_dtype(d * (x_max + c_max) * b_max)
+        out = np.empty((len(x), len(rows)), dtype=slab)
+        NumpyBackend().product_scan_into(
+            r.astype(prod), rows.astype(prod), pts.astype(slab), out
+        )
+        want = pts - 2 * (r @ rows.T)
+        assert np.abs(want).max() < np.iinfo(slab).max
+        assert out.astype(np.int64).tobytes() == want.tobytes()
+        return slab, int(np.abs(want).max())
+
+    @pytest.mark.parametrize("d, b, xm, cm, bound, slab", SLAB_EDGES)
+    def test_slab_bound_edges(self, d, b, xm, cm, bound, slab):
+        """Operands whose worst slab value is the bound itself: int32
+        holds it below ``2**31 - 1``; at ``2**31 - 1`` it would equal
+        the padding value, so the slab is int64 from there on."""
+        assert d * b * (b + 2 * cm + 2 * xm) == bound
+        rows = np.concatenate(
+            [np.full((1, d), b), _rng(d).integers(-b, b + 1, size=(3, d))]
+        )
+        x = np.array([[-xm] * d, [xm] * d, [1] * d], dtype=np.int64)
+        got, worst = self._check_slab(x, rows, np.full(d, cm), b, xm, cm)
+        assert got == slab and worst == bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        b=st.integers(1, 5000),
+        share=st.floats(0, 1),
+        g=st.integers(1, 5),
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+    )
+    def test_int32_slab_equals_int64_oracle(self, d, b, share, g, n, seed):
+        """Signed operands drawn just inside the int32 bound, the query
+        and centroid magnitudes splitting it, with full-magnitude rows:
+        the fused add is exact in either float product dtype."""
+        room = ((1 << 31) - 2) // (d * b) - b  # 2 * (x_max + c_max)
+        xm = int(room // 2 * share)
+        cm = room // 2 - xm
+        rng = _rng(seed)
+        x = rng.integers(-xm, xm + 1, size=(g, d))
+        x[0] = -xm
+        rows = rng.integers(-b, b + 1, size=(n, d))
+        rows[0] = b
+        cent = rng.integers(-cm, cm + 1, size=d)
+        cent[0] = cm
+        assert self._check_slab(x, rows, cent, b, xm, cm)[0] == np.int32
+
+    def test_engine_codebooks_take_an_int32_slab(self):
+        """The engine's clipped codebooks (``max|b|`` 510, D 128, uint8
+        queries and centroids) are well inside the int32 slab."""
+        books = np.zeros((32, 2, 4), dtype=np.int64)
+        books[0, 0, 0] = -510
+        assert slab_dtype(CodebookTerms(books), 255, 255) == np.int32
+
     def test_decode_table_dtype(self):
         """The decode table takes the product dtype of ``D * x_max *
         max|b|``: float32 up to its edge, float64 one past it."""
@@ -544,6 +642,28 @@ class TestProductRegimes:
             table = decode_table(CodebookTerms(books), 255)
             assert table.dtype == dtype and table.shape == (m * cb, dsub)
             np.testing.assert_array_equal(table, books.reshape(m * cb, dsub))
+
+    @pytest.mark.parametrize(
+        "n", [0, 9, 1024, 2500],
+        ids=["empty", "small", "one-decode-chunk", "past-a-decode-chunk"],
+    )
+    def test_residents_equal_int64_oracle(self, n):
+        """``decode`` is column-major and equals the codewords row for
+        row, across decode chunks; ``point_norms`` equals ``||B||^2``."""
+        rng = _rng(n)
+        m, cb, dsub = 4, 16, 3
+        books = rng.integers(-300, 301, size=(m, cb, dsub))
+        terms = CodebookTerms(books)
+        codes = rng.integers(0, cb, size=(n, m)).astype(np.uint8)
+        off = gather_offsets(codes, cb)
+        backend = NumpyBackend()
+        decoded = backend.decode(off, decode_table(terms, 255))
+        want = books[np.arange(m), codes].reshape(n, m * dsub)
+        assert decoded.strides[0] == decoded.itemsize
+        np.testing.assert_array_equal(decoded, want)
+        pts = backend.point_norms(off, terms)
+        oracle = (want * want).sum(1)
+        assert pts.dtype == np.int64 and pts.tobytes() == oracle.tobytes()
 
 
 def _lut_codes(residuals, books):

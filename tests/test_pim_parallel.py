@@ -42,18 +42,18 @@ from repro.testing import CANONICAL_CONFIGS, build_canonical_engine, canonical_d
 
 def _job(books, cent, queries, codes, ids, k, dead=None):
     """A product job over ``codes`` decoded by ``books`` in a cluster
-    with centroid ``cent``, and its staged oracle: the ``(g, n)`` int64
-    ``scan_distances`` of ``run_lut_build``'s LUTs of the residuals."""
+    with centroid ``cent``, as the compute plane builds it (its rows the
+    residuals ``q - c``, its point terms ``||B||^2``), and its staged
+    oracle: the ``(g, n)`` int64 ``scan_distances`` of
+    ``run_lut_build``'s LUTs of the residuals."""
     backend, terms = resolve_backend(), CodebookTerms(books)
     table = decode_table(terms, 255)
     off = gather_offsets(codes, books.shape[1])
     decoded = backend.decode(off, table)
-    pts = backend.residual_terms(
-        cent[None], np.zeros(len(codes), dtype=np.intp), off, decoded, terms
-    )
+    pts = backend.point_norms(off, terms)
     res = queries.astype(np.int64) - cent
     job = (
-        queries.astype(table.dtype), decoded, ids, k, pts,
+        res.astype(table.dtype), decoded, ids, k, pts,
         np.einsum("td,td->t", res, res), dead,
     )
     luts, _ = run_lut_build(res.astype(np.int32), books)
@@ -252,6 +252,38 @@ class TestScanJobsStacked:
         _assert_topk_equal(got, _serial_block(jobs))
         _assert_topk_equal(got, _want_block(shuffled))
 
+    def test_int32_point_terms_equal_the_staged_scan(self, rng, monkeypatch):
+        """Jobs with int32 point terms run in int32 slabs and, with dead
+        rows, padding and slabs split by a small budget, equal the
+        staged scan."""
+        cases = []
+        for i, (job, dists) in enumerate(
+            _cases(rng, n_jobs=3, n=50, k=12) + _cases(rng, n_jobs=2, g=4, n=9, k=12)
+        ):
+            dead = np.array([0, 3, 4]) if i < 3 else None
+            cases.append(((*job[:4], job[4].astype(np.int32), job[5], dead), dists))
+        jobs = [job for job, _ in cases]
+        slabs = []
+        real = parallel._select_slab
+
+        def spy(*args):
+            slabs.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(parallel, "_select_slab", spy)
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 13 * 50 * 4)
+        _assert_topk_equal(scan_jobs_stacked(jobs), _want_block(cases))
+        assert len(slabs) > 1
+        assert set(slabs) == {np.dtype(np.int32)}
+
+    def test_mixed_point_term_dtypes_raise(self, rng):
+        """A block's jobs share one slab dtype: int32 and int64 point
+        terms in one call are a caller error."""
+        jobs = _jobs(rng, n_jobs=2)
+        jobs[1] = (*jobs[1][:4], jobs[1][4].astype(np.int32), *jobs[1][5:])
+        with pytest.raises(ValueError, match="point-term dtype"):
+            scan_jobs_stacked(jobs)
+
     def test_chunking_budget_is_invisible(self, rng, monkeypatch):
         jobs = _jobs(rng, n_jobs=6) + _jobs(rng, n_jobs=2, n=13)
         base = scan_jobs_stacked(jobs)
@@ -266,7 +298,10 @@ class TestScanJobsStacked:
         across slabs when it must."""
         jobs = _jobs(rng, n_jobs=6)  # 6 jobs x 7 rows x 50 wide
         base = scan_jobs_stacked(jobs)
-        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", 17 * 50 * 10)
+        # int64 point terms, a float32 product: 8 + 8 + 1 + 4 B a cell.
+        cell = parallel._slab_cell_bytes(jobs[0][4].dtype, jobs[0][0].itemsize)
+        assert cell == 21
+        monkeypatch.setattr(numpy_backend, "LUT_CHUNK_BYTES", cell * 50 * 10)
         shapes = []
         real = parallel.select_topk
 

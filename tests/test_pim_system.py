@@ -247,6 +247,61 @@ class TestPlacement:
         sys4.compute_tasks(queries, tasks, 5)
         assert len(calls) == 2  # nothing pending: no pass
 
+    def test_residents_stay_column_major_through_growth(self, sys4, rng):
+        """A shard's resident residuals are column-major (each point's
+        residual at unit stride) when first made resident, after an
+        append into spare capacity and after growing past it, and equal
+        a fresh row-major decode bit for bit; its point terms are in the
+        slab dtype."""
+        queries = rng.integers(0, 255, size=(2, 32)).astype(np.uint8)
+        tasks = [(0, "s0"), (1, "s1")]
+        books = sys4.codebooks.astype(np.int64)
+
+        def check():
+            rec = sys4._shards["s0"][1]
+            dec = rec.ops.decoded
+            assert dec.strides[0] == dec.itemsize and dec.shape[1] == 32
+            codes = rec.shard.codes.astype(np.intp)
+            fresh = books[np.arange(8), codes].reshape(len(codes), 32)
+            got = np.ascontiguousarray(dec[: rec.ops.rows])
+            assert got.tobytes() == fresh.astype(dec.dtype).tobytes()
+            assert rec.ops.pts.dtype == sys4._slab_dtype == np.int32
+            return rec.ops
+
+        sys4.compute_tasks(queries, tasks, 3)
+        first = check()
+        for rows in (4, 2, 30):  # grow, fill spare capacity, grow again
+            shard = sys4.get_shard("s0")
+            new_ids = 5000 + len(shard.ids) + np.arange(rows)
+            codes = rng.integers(0, 16, size=(rows, 8)).astype(np.uint8)
+            sys4.append_shard(
+                "s0",
+                np.append(shard.ids, new_ids),
+                np.concatenate([shard.codes, codes]),
+            )
+            sys4.compute_tasks(queries, tasks, 3)
+            ops = check()
+            assert (ops.decoded is first.decoded) == (rows == 2)
+            first = ops
+        assert ops.rows == 56 and len(ops.pts) == 56
+
+    def test_centroids_outside_the_slab_range_raise(self, sys4):
+        """A centroid the slab dtype was not derived for is rejected
+        before anything is stored."""
+        used = sys4.mram_usage()
+        for cent, exc in (
+            (np.full(32, 256, dtype=np.int64), ValueError),
+            (np.full(32, -1, dtype=np.int64), ValueError),
+            (np.zeros(32, dtype=np.float32), TypeError),
+        ):
+            with pytest.raises(exc, match="centroid of shard 'x'"):
+                sys4.place_shard(0, ShardData(
+                    shard_key="x", centroid=cent, ids=np.zeros(1, dtype=np.int64),
+                    codes=np.zeros((1, 8), dtype=np.uint8),
+                ))
+        np.testing.assert_array_equal(sys4.mram_usage(), used)
+        assert sys4.num_shards() == 4
+
     def test_append_shard_requires_the_old_ids_first(self, sys4):
         shard = sys4.get_shard("s1")
         codes = np.concatenate([shard.codes, shard.codes[:1]])
