@@ -59,8 +59,8 @@ import numpy as np
 from repro.ann.ivfpq import SearchResult
 from repro.cluster.index import ClusterIndex
 from repro.core.adaptive import probe_budgets
-from repro.core.params import ADAPTIVE_MODES, DatasetShape
-from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
+from repro.core.params import ADAPTIVE_MODES
+from repro.core.perf_model import HardwareProfile, host_cl_seconds
 from repro.faults.plan import NodeFaultPlan
 from repro.obs.observer import EngineObserver
 from repro.utils import (
@@ -525,7 +525,7 @@ class ClusterFrontend:
             "budget": "off",
             "full": "bound",
         }[adaptive]
-        cl_s = self._host_cl_seconds(nq)
+        cl_s = host_cl_seconds(self.cluster.params, self.cluster.router, nq, self.cpu_profile)
 
         report = ClusterReport(
             num_queries=nq, e2e_seconds=0.0, cl_seconds=cl_s
@@ -562,13 +562,3 @@ class ClusterFrontend:
 
         self.round_index += 1
         return ClusterOutcome(results=results, report=report)
-
-    def _host_cl_seconds(self, num_queries: int) -> float:
-        """Modeled host time for the one global CL of a batch."""
-        shape = DatasetShape(
-            num_points=self.cluster.router.num_points,
-            dim=self.cluster.router.dim,
-            num_queries=num_queries,
-        )
-        model = AnalyticPerfModel(shape, self.cpu_profile)
-        return model.phase(self.cluster.params, "CL").seconds

@@ -14,10 +14,11 @@ behind one frontend. This module is the *data* half of that tier:
   clusters it owns and ``replication`` independently built engine
   replicas of it.
 
-Replicas of one shard are built from the same sub-index with the same
-seed, so they return **bit-identical** answers — the frontend's hedged
-requests and crash failover can substitute one replica's response for
-another's without perturbing results. Because shards own *disjoint*
+Replicas of one shard are built from the same sub-index, heat and seed
+(build and reload share one assembly path), so they return
+**bit-identical** answers — the frontend's hedged requests and crash
+failover can substitute one replica's response for another's without
+perturbing results. Because shards own *disjoint*
 cluster subsets and the engine's merge is the canonical
 ``(distance, id)`` tie-break, the union of per-shard top-k pools
 contains every global top-k candidate, and the frontend's merge is
@@ -275,6 +276,76 @@ class ClusterIndex:
         self.close()
 
 
+def _check_node_config(config: EngineConfig) -> None:
+    """Reject the node settings a rack cannot shard: OPQ and DPU faults."""
+    if config.use_opq:
+        raise ValueError(
+            "cluster sharding does not support use_opq: the rotation is a "
+            "corpus-level preprocess; apply it before building the cluster"
+        )
+    if config.faults is not None:
+        raise ValueError(
+            "config.faults is DPU-granularity; node faults belong to the "
+            "frontend's NodeFaultPlan — pass faults=None here"
+        )
+
+
+def _cluster_heat(
+    index: QuantizedIndexData, heat_queries: Optional[np.ndarray], params
+) -> np.ndarray:
+    """Eq. 15 heat of ``index``'s clusters at ``params.nprobe``, with the
+    weights the engine lays out by, so rack and platform agree on what
+    "hot" means."""
+    lut_w, point_w = task_cost_weights(
+        index.dim, params.num_subspaces, params.codebook_size
+    )
+    return estimate_cluster_heat(
+        index, heat_queries, params.nprobe, lut_weight=lut_w, point_weight=point_w
+    )
+
+
+def _assemble_shard(
+    sid: int,
+    owned: np.ndarray,
+    sub: QuantizedIndexData,
+    config: EngineConfig,
+    cluster: ClusterConfig,
+    nlist: int,
+    *,
+    cluster_heat: Optional[np.ndarray] = None,
+    heat_queries: Optional[np.ndarray] = None,
+    cluster_radii: Optional[np.ndarray] = None,
+    index_path: Optional[str] = None,
+    seed=None,
+) -> ShardHandle:
+    """Shard ``sid`` over the ``owned`` of ``nlist`` global clusters.
+
+    Its engines have ``nlist`` equal to the owned-cluster count and
+    ``nprobe`` clamped to it; every replica is built by
+    :meth:`DrimAnnEngine.from_quantized` from the same sub-index, heat
+    and seed, so replicas answer bit-identically. ``cluster_heat=None``
+    estimates the heat once, from ``heat_queries``.
+    """
+    n = len(owned)
+    params = replace(config.index, nlist=n, nprobe=min(config.index.nprobe, n))
+    if cluster_heat is None:
+        cluster_heat = _cluster_heat(sub, heat_queries, params)
+    g2l = np.full(nlist, -1, dtype=np.int64)
+    g2l[owned] = np.arange(n)
+    engines = [
+        DrimAnnEngine.from_quantized(
+            sub,
+            config.replace(index=params),
+            cluster_heat=cluster_heat,
+            seed=seed,
+            index_path=index_path,
+            cluster_radii=cluster_radii,
+        )
+        for _ in range(cluster.replication)
+    ]
+    return ShardHandle(sid, owned, g2l, sub, engines)
+
+
 def build_cluster_index(
     base: np.ndarray,
     config: EngineConfig,
@@ -293,21 +364,13 @@ def build_cluster_index(
     count (and ``nprobe`` clamped to it) — the frontend always routes
     explicit probes, so shard-local CL parameters are never exercised.
 
-    Replicas of one shard share the sub-index and the build seed, so
-    their answers are bit-identical (failover invariant). DPU-level
-    fault plans and OPQ are out of scope at rack granularity and
-    rejected explicitly.
+    Each shard's intra-platform heat is estimated once (from
+    ``heat_queries`` at the shard's ``nprobe``) and every replica is
+    laid out from it with the same seed, so replicas' answers are
+    bit-identical (failover invariant). DPU-level fault plans and OPQ
+    are out of scope at rack granularity and rejected explicitly.
     """
-    if config.use_opq:
-        raise ValueError(
-            "cluster sharding does not support use_opq: the rotation is a "
-            "corpus-level preprocess; apply it before building the cluster"
-        )
-    if config.faults is not None:
-        raise ValueError(
-            "config.faults is DPU-granularity; node faults belong to the "
-            "frontend's NodeFaultPlan — pass faults=None here"
-        )
+    _check_node_config(config)
     base = check_2d(base, "base")
     params = config.index
     params.validate_for(base.shape[1])
@@ -333,20 +396,9 @@ def build_cluster_index(
             f"index has {quantized.nlist}"
         )
 
-    # Rack-granularity heat: same Eq. 15 weights the engine uses for its
-    # intra-platform layout, so the two levels agree on what "hot" means.
-    lut_weight, point_weight = task_cost_weights(
-        quantized.dim, params.num_subspaces, params.codebook_size
+    owner = partition_clusters(
+        _cluster_heat(quantized, heat_queries, params), cluster.num_shards
     )
-    heat = estimate_cluster_heat(
-        quantized,
-        heat_queries,
-        params.nprobe,
-        lut_weight=lut_weight,
-        point_weight=point_weight,
-    )
-
-    owner = partition_clusters(heat, cluster.num_shards)
 
     shards: List[ShardHandle] = []
     for sid in range(cluster.num_shards):
@@ -356,35 +408,10 @@ def build_cluster_index(
                 f"shard {sid} owns no clusters (degenerate heat vector); "
                 f"reduce num_shards below {cluster.num_shards}"
             )
-        g2l = np.full(quantized.nlist, -1, dtype=np.int64)
-        g2l[owned] = np.arange(len(owned))
-        sub = _sub_index(quantized, owned)
-        shard_config = config.replace(
-            index=replace(
-                params,
-                nlist=len(owned),
-                nprobe=min(params.nprobe, len(owned)),
-            ),
-        )
-        engines = [
-            DrimAnnEngine.from_config(
-                base,
-                shard_config,
-                heat_queries=heat_queries,
-                prebuilt_quantized=sub,
-                seed=seed,
-            )
-            for _ in range(cluster.replication)
-        ]
-        shards.append(
-            ShardHandle(
-                shard_id=sid,
-                global_cids=owned,
-                global_to_local=g2l,
-                sub_index=sub,
-                engines=engines,
-            )
-        )
+        shards.append(_assemble_shard(
+            sid, owned, _sub_index(quantized, owned), config, cluster,
+            quantized.nlist, heat_queries=heat_queries, seed=seed,
+        ))
 
     return ClusterIndex(
         router=quantized,
@@ -411,7 +438,13 @@ def load_cluster_index(
     reloaded rack answers bit-identically to the one that was saved —
     results and cycle ledgers both — and their stored cluster radii
     (a shard file without them has its radii computed on first use).
+
+    The manifest must agree with the router: shard ids ``0..num_shards-1``
+    in order, each shard's ``global_cids`` exactly the clusters ``owner``
+    assigns it, and each shard file's centroids the router's centroids of
+    those clusters; else :class:`IndexFormatError` naming the manifest.
     """
+    _check_node_config(config)
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(
@@ -436,16 +469,6 @@ def load_cluster_index(
             f"{manifest_path!r} has cluster format version {version}; "
             f"this build reads {CLUSTER_FORMAT_VERSION}"
         )
-    if config.use_opq:
-        raise ValueError(
-            "cluster sharding does not support use_opq: the rotation is a "
-            "corpus-level preprocess; apply it before building the cluster"
-        )
-    if config.faults is not None:
-        raise ValueError(
-            "config.faults is DPU-granularity; node faults belong to the "
-            "frontend's NodeFaultPlan — pass faults=None here"
-        )
     params = config.index
     for name in ("nlist", "num_subspaces", "codebook_size"):
         want = int(manifest[name])
@@ -464,16 +487,27 @@ def load_cluster_index(
         os.path.join(directory, "router.drim"), mmap=mmap
     ).index
     owner = np.asarray(manifest["owner"], dtype=np.int64)
-    if owner.shape != (router.nlist,):
+    if owner.shape != (router.nlist,) or not np.isin(
+        owner, np.arange(cluster.num_shards)
+    ).all():
         raise IndexFormatError(
-            f"{manifest_path!r}: owner list has {owner.shape[0]} entries, "
-            f"router has {router.nlist} clusters"
+            f"{manifest_path!r}: owner list must give each of the router's "
+            f"{router.nlist} clusters a shard in [0, {cluster.num_shards})"
+        )
+    sids = [int(entry["shard_id"]) for entry in manifest["shards"]]
+    if sids != list(range(cluster.num_shards)):
+        raise IndexFormatError(
+            f"{manifest_path!r}: shard ids {sids} are not 0..{cluster.num_shards - 1}"
         )
 
     shards: List[ShardHandle] = []
-    for entry in manifest["shards"]:
-        sid = int(entry["shard_id"])
+    for sid, entry in enumerate(manifest["shards"]):
         owned = np.asarray(entry["global_cids"], dtype=np.int64)
+        if not np.array_equal(owned, np.flatnonzero(owner == sid)):
+            raise IndexFormatError(
+                f"{manifest_path!r}: shard {sid}'s global_cids are not the "
+                "clusters its owner list assigns it"
+            )
         shard_path = os.path.join(directory, entry["file"])
         if not os.path.isfile(shard_path):
             raise IndexFormatError(
@@ -481,41 +515,17 @@ def load_cluster_index(
                 f"{entry['file']!r}"
             )
         bundle = load_index_bundle(shard_path, mmap=mmap)
-        sub = bundle.index
-        if sub.nlist != len(owned):
+        if not np.array_equal(bundle.index.centroids, router.centroids[owned]):
             raise IndexFormatError(
-                f"{shard_path!r} has {sub.nlist} clusters, manifest says "
-                f"shard {sid} owns {len(owned)}"
+                f"{manifest_path!r}: shard {sid}'s file {entry['file']!r} "
+                f"holds {bundle.index.nlist} centroids that are not the "
+                f"router's centroids of its {len(owned)} clusters"
             )
-        g2l = np.full(router.nlist, -1, dtype=np.int64)
-        g2l[owned] = np.arange(len(owned))
-        shard_config = config.replace(
-            index=replace(
-                params,
-                nlist=len(owned),
-                nprobe=min(params.nprobe, len(owned)),
-            ),
-        )
-        engines = [
-            DrimAnnEngine.from_quantized(
-                sub,
-                shard_config,
-                cluster_heat=bundle.cluster_heat,
-                seed=seed,
-                index_path=shard_path,
-                cluster_radii=bundle.cluster_radii,
-            )
-            for _ in range(cluster.replication)
-        ]
-        shards.append(
-            ShardHandle(
-                shard_id=sid,
-                global_cids=owned,
-                global_to_local=g2l,
-                sub_index=sub,
-                engines=engines,
-            )
-        )
+        shards.append(_assemble_shard(
+            sid, owned, bundle.index, config, cluster, router.nlist,
+            cluster_heat=bundle.cluster_heat, cluster_radii=bundle.cluster_radii,
+            index_path=shard_path, seed=seed,
+        ))
 
     return ClusterIndex(
         router=router,

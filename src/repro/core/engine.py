@@ -50,11 +50,10 @@ from repro.core.opq_preprocess import OpqPreprocessor
 from repro.core.params import (
     ADAPTIVE_MODES,
     WRAM_RESERVE_BYTES,
-    DatasetShape,
     IndexParams,
     SearchParams,
 )
-from repro.core.perf_model import AnalyticPerfModel, HardwareProfile
+from repro.core.perf_model import HardwareProfile, host_cl_seconds
 from repro.core.persist import load_index_bundle, save_index
 from repro.core.quantized import QuantizedIndexData, build_quantized_index
 from repro.core.results import SearchOutcome
@@ -738,16 +737,6 @@ class DrimAnnEngine:
         return engine
 
     # ------------------------------------------------------------------ search
-    def _host_cl_seconds(self, num_queries: int) -> float:
-        """Modeled host time for the CL phase of one batch."""
-        shape = DatasetShape(
-            num_points=self.quantized.num_points,
-            dim=self.quantized.dim,
-            num_queries=num_queries,
-        )
-        model = AnalyticPerfModel(shape, self.cpu_profile)
-        return model.phase(self.params, "CL").seconds
-
     def cluster_radii_sq(self) -> Optional[np.ndarray]:
         """Per-cluster squared reconstruction radii (lazily computed).
 
@@ -985,7 +974,7 @@ class DrimAnnEngine:
                 batch_probes, rr = self.quantized.locate_with_distances(
                     batch, nprobe
                 )
-                host_s = self._host_cl_seconds(nb)
+                host_s = host_cl_seconds(self.params, self.quantized, nb, self.cpu_profile)
             if policy is None:
                 # Every probe of the batch in one vectorized round.
                 tasks: List[Tuple[int, int]] = []
@@ -1050,25 +1039,16 @@ class DrimAnnEngine:
         Returns the (global query index, shard key) tasks lost to dead
         DPUs, for the caller to fail over.
         """
-        # Compact the active query set so only referenced queries are
-        # broadcast (deferred tasks pull their queries into the batch).
-        active = sorted(
-            {qidx for tasks in assignments.values() for qidx, _ in tasks}
-        )
-        local_of = {qidx: i for i, qidx in enumerate(active)}
-        local_assign = {
-            dpu: [(local_of[qidx], key) for qidx, key in tasks]
-            for dpu, tasks in assignments.items()
-        }
         failed: List[Tuple[int, str]] = []
-        if active:
+        # An empty round is never run: it would consume a fault-plan batch.
+        if any(assignments.values()):
             timing = self.system.run_batch(
-                local_assign,
-                queries[active],
+                assignments,
+                queries,
                 k,
                 multiplier_less=self.search_params.multiplier_less,
             )
-            ran.extend((active[lq], key) for lq, key in timing.tasks)
+            ran.extend(timing.tasks)
             if extra_pim_seconds or extra_cl_cycles:
                 timing.pim_seconds += extra_pim_seconds
                 timing.kernel_cycles["CL"] = (
@@ -1085,7 +1065,7 @@ class DrimAnnEngine:
                     cyc = timing.kernel_cycles.get(kname, 0.0)
                     if cyc:
                         obs.on_phase(kname, cyc / freq)
-            failed = [(active[lq], key) for lq, key in timing.failed_tasks]
+            failed = timing.failed_tasks
             if breakdown.faults is not None:
                 breakdown.faults.transient_faults += timing.transient_retries
                 breakdown.faults.transfer_timeouts += timing.transfer_timeouts

@@ -326,3 +326,14 @@ class AnalyticPerfModel:
     def throughput_qps(self, params: IndexParams, **kw) -> float:
         """Queries per second implied by :meth:`split_seconds`."""
         return self.shape.num_queries / self.split_seconds(params, **kw)
+
+
+def host_cl_seconds(
+    params: IndexParams, index, num_queries: int, profile: HardwareProfile
+) -> float:
+    """Modeled host time of one batch's CL over ``index`` (anything with
+    ``num_points`` and ``dim``: an engine's index, a rack's router)."""
+    shape = DatasetShape(
+        num_points=index.num_points, dim=index.dim, num_queries=num_queries
+    )
+    return AnalyticPerfModel(shape, profile).phase(params, "CL").seconds

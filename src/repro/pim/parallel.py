@@ -60,7 +60,7 @@ import numpy as np
 from repro.pim.backend import NumpyBackend, resolve_backend
 from repro.pim.backend.numpy_backend import slab_rows
 from repro.pim.kernels import select_topk
-from repro.utils import check_count
+from repro.utils import check_count, check_rows
 
 #: One product job of :func:`scan_jobs_stacked`: ``(rows (g, D), decoded
 #: (n, D), ids (n,), k, point terms (n,), row terms (g,), dead rows)``.
@@ -148,13 +148,7 @@ def scan_shard_group(
     if row_terms.dtype != np.int64:
         raise TypeError(f"row_terms must be int64, got {row_terms.dtype}")
     if dead is not None:
-        dead = np.asarray(dead)
-        if dead.dtype.kind not in "iu":
-            raise TypeError(f"dead must be integer rows, got {dead.dtype}")
-        if dead.ndim != 1 or len(dead) and (
-            dead[0] < 0 or dead[-1] >= n or np.count_nonzero(dead[1:] <= dead[:-1])
-        ):
-            raise ValueError(f"dead must be strictly ascending 1-D rows in [0, {n})")
+        dead = check_rows(dead, n, "dead")
     check_count(k, "k")
     job = (rows, decoded, ids, k, point_terms, row_terms, dead)
     return scan_jobs_stacked([job], backend=backend)

@@ -70,7 +70,7 @@ from repro.pim.parallel import ExecutionPlanner, make_executor, scan_jobs_stacke
 # Not called here: benchmarks/suite/tracing.py wraps this attribute.
 from repro.pim.parallel import scan_shard_group  # noqa: F401
 from repro.pim.transfer import HostTransferModel
-from repro.utils import check_count, check_operands
+from repro.utils import check_count, check_operands, check_rows
 
 
 #: Distinct shard-group shapes whose kernel charges one system keeps;
@@ -450,14 +450,7 @@ class PimSystem:
         if dead_rows is None:
             rec.dead = None
             return
-        n, dead_rows = len(rec.shard.ids), np.asarray(dead_rows)
-        if dead_rows.dtype.kind not in "iu":
-            raise TypeError(f"dead_rows must be integer rows, got {dead_rows.dtype}")
-        if dead_rows.ndim != 1 or len(dead_rows) and (
-            dead_rows[0] < 0 or dead_rows[-1] >= n
-            or np.count_nonzero(dead_rows[1:] <= dead_rows[:-1])
-        ):
-            raise ValueError(f"dead_rows must be strictly ascending 1-D rows in [0, {n})")
+        dead_rows = check_rows(dead_rows, len(rec.shard.ids), "dead_rows")
         rec.dead = dead_rows.astype(np.intp) if len(dead_rows) else None
 
     def _make_resident(self, recs: Sequence[_DataShard]) -> None:
@@ -654,10 +647,11 @@ class PimSystem:
             and every query_index in ``[0, q)``, a fail-stopped DPU's
             tasks included; else ``ValueError`` naming ``assignments``,
             raised before the round books anything.
-        queries: ``(q, D)`` — the batch's queries (broadcast), with
-            integral values in ``[0, 255]`` and ``D`` the codebooks'
-            ``M * dsub``; anything else raises ``ValueError`` naming
-            ``queries`` (never a silent truncation).
+        queries: ``(q, D)`` — the matrix the tasks index (a search's),
+            with integral values in ``[0, 255]`` and ``D`` the
+            codebooks' ``M * dsub``; anything else raises ``ValueError``
+            naming ``queries`` (never a silent truncation). Only the
+            distinct rows the tasks name are broadcast and charged.
         k: local top-k each task returns, an int >= 1
             (:func:`~repro.utils.check_count`).
         multiplier_less: use the square LUT in LC (must be loaded).
@@ -728,8 +722,10 @@ class PimSystem:
         if obs is not None:
             obs.on_batch()
 
-        # Host->PIM: queries are broadcast, per-DPU task lists scattered.
-        bcast = self.transfer.broadcast("queries", queries.nbytes, len(self.dpus))
+        # Host->PIM: the named (uint8) query rows are broadcast, per-DPU
+        # task lists scattered.
+        named = {qidx for _, tasks, _ in by_dpu for qidx, _ in tasks}
+        bcast = self.transfer.broadcast("queries", len(named) * queries.shape[1], len(self.dpus))
         scat = self.transfer.scatter("task_lists", num_tasks * 8)
         xfer = bcast + scat
         if obs is not None:

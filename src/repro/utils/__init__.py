@@ -9,6 +9,7 @@ from repro.utils.validation import (
     check_finite,
     check_operands,
     check_positive,
+    check_rows,
     check_same_dim,
 )
 from repro.utils.topk_merge import merge_topk_pools, topk_canonical
@@ -26,5 +27,6 @@ __all__ = [
     "check_finite",
     "check_operands",
     "check_positive",
+    "check_rows",
     "check_same_dim",
 ]

@@ -90,6 +90,19 @@ def check_count(value, name: str, *, optional: bool = False):
     return value
 
 
+def check_rows(rows, n: int, name: str) -> np.ndarray:
+    """Require strictly ascending 1-D integer row indices in ``[0, n)``:
+    else ``TypeError`` (not integers) or ``ValueError``, naming ``name``."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be integer rows, got {rows.dtype}")
+    if rows.ndim != 1 or len(rows) and (
+        rows[0] < 0 or rows[-1] >= n or np.count_nonzero(rows[1:] <= rows[:-1])
+    ):
+        raise ValueError(f"{name} must be strictly ascending 1-D rows in [0, {n})")
+    return rows
+
+
 def check_same_dim(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
     """Require two 2-D arrays to share their trailing (feature) dimension."""
     if a.shape[-1] != b.shape[-1]:

@@ -177,6 +177,40 @@ class TestClusterTopology:
             lp = shard.local_probes(probes)
             assert (lp[:, 2:] == -1).all()
 
+    @pytest.mark.parametrize("replication", [1, 3])
+    def test_build_estimates_each_shard_heat_once(
+        self, small_ds, small_quantized, engine_config, monkeypatch, replication
+    ):
+        """One rack-level heat estimate, then one per shard whatever the
+        replication: every replica is laid out from its shard's vector."""
+        import repro.cluster.index as cluster_index
+        import repro.core.engine as engine_mod
+
+        real = cluster_index.estimate_cluster_heat
+        calls = []
+
+        def counting(index, *args, **kwargs):
+            calls.append(index.nlist)
+            return real(index, *args, **kwargs)
+
+        monkeypatch.setattr(cluster_index, "estimate_cluster_heat", counting)
+        monkeypatch.setattr(engine_mod, "estimate_cluster_heat", counting)
+        with build_cluster_index(
+            small_ds.base,
+            engine_config,
+            ClusterConfig(num_shards=2, replication=replication),
+            heat_queries=small_ds.queries[:50],
+            prebuilt_quantized=small_quantized,
+            seed=0,
+        ) as cluster:
+            assert calls == [64] + [len(s.global_cids) for s in cluster.shards]
+            for shard in cluster.shards:
+                assert shard.num_replicas == replication
+                for engine in shard.engines:
+                    np.testing.assert_array_equal(
+                        engine.cluster_heat, shard.engines[0].cluster_heat
+                    )
+
 
 class TestBitExactness:
     def test_healthy_matches_oracle(self, replicated_cluster, queries, gold):

@@ -46,18 +46,49 @@ def saved_rack(small_ds, small_quantized, engine_config, tmp_path_factory):
         prebuilt_quantized=small_quantized,
         seed=0,
     ) as cluster:
-        res, _ = ClusterFrontend(cluster, seed=0).search(queries)
+        res, rep = ClusterFrontend(cluster, seed=0).search(queries)
         bound, _ = ClusterFrontend(cluster, seed=0).search(queries, adaptive="bound")
         cluster.save(directory)
         owner = cluster.owner.copy()
+        heats = [[e.cluster_heat.copy() for e in s.engines] for s in cluster.shards]
+        placements = [
+            [dict(e.plan.placement) for e in s.engines] for s in cluster.shards
+        ]
     return {
         "directory": directory,
         "queries": queries,
         "ids": res.ids.copy(),
         "distances": res.distances.copy(),
+        "e2e_seconds": rep.e2e_seconds,
         "bound": (bound.ids.copy(), bound.distances.copy()),
         "owner": owner,
+        "heats": heats,
+        "placements": placements,
     }
+
+
+def _copy_with_manifest(saved_rack, directory, edit):
+    """Copy the saved rack to ``directory`` and ``edit`` its manifest."""
+    import shutil
+
+    shutil.copytree(saved_rack["directory"], directory)
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    edit(manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    return directory
+
+
+def _equal_length_shards(manifest):
+    """Two shard entries whose ``global_cids`` lists have one length."""
+    entries = manifest["shards"]
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            if len(a["global_cids"]) == len(b["global_cids"]):
+                return a, b
+    raise AssertionError("the fixture rack has no two equal-size shards")
 
 
 class TestRackRoundTrip:
@@ -110,6 +141,22 @@ class TestRackRoundTrip:
             )
         np.testing.assert_array_equal(res.ids, saved_rack["bound"][0])
         np.testing.assert_array_equal(res.distances, saved_rack["bound"][1])
+
+    def test_reload_assembles_shards_as_build_did(self, saved_rack, engine_config):
+        """Beyond results: every replica's layout heat and DPU placement,
+        and the modeled end-to-end time, are the built rack's."""
+        with load_cluster_index(
+            saved_rack["directory"], engine_config, seed=0
+        ) as cluster:
+            assert cluster.replication == 2
+            for shard, heats, placements in zip(
+                cluster.shards, saved_rack["heats"], saved_rack["placements"]
+            ):
+                assert [dict(e.plan.placement) for e in shard.engines] == placements
+                for engine, heat in zip(shard.engines, heats):
+                    np.testing.assert_array_equal(engine.cluster_heat, heat)
+            _, rep = ClusterFrontend(cluster, seed=0).search(saved_rack["queries"])
+        assert rep.e2e_seconds == saved_rack["e2e_seconds"]
 
     def test_reloaded_rack_matches_oracle(self, saved_rack, engine_config):
         with load_cluster_index(
@@ -166,3 +213,45 @@ class TestRackValidation:
         assert manifest["magic"] == "drimann-cluster-index"
         assert manifest["num_shards"] == 3
         assert len(manifest["shards"]) == 3
+
+    def test_swapped_global_cids_rejected(self, saved_rack, engine_config,
+                                          tmp_path):
+        """Two shards' cluster lists swapped: each shard file still has
+        as many clusters as its list, but the lists contradict ``owner``
+        (unchecked, the rack would answer wrongly at coverage 1.0)."""
+
+        def swap(manifest):
+            a, b = _equal_length_shards(manifest)
+            a["global_cids"], b["global_cids"] = b["global_cids"], a["global_cids"]
+
+        directory = _copy_with_manifest(saved_rack, str(tmp_path / "rack"), swap)
+        with pytest.raises(IndexFormatError, match="manifest.*global_cids"):
+            load_cluster_index(directory, engine_config)
+
+    def test_swapped_shard_files_rejected(self, saved_rack, engine_config,
+                                          tmp_path):
+        def swap(manifest):
+            a, b = _equal_length_shards(manifest)
+            a["file"], b["file"] = b["file"], a["file"]
+
+        directory = _copy_with_manifest(saved_rack, str(tmp_path / "rack"), swap)
+        with pytest.raises(IndexFormatError, match="manifest.*centroids"):
+            load_cluster_index(directory, engine_config)
+
+    def test_shard_ids_out_of_order_rejected(self, saved_rack, engine_config,
+                                             tmp_path):
+        def reorder(manifest):
+            manifest["shards"].reverse()
+
+        directory = _copy_with_manifest(saved_rack, str(tmp_path / "rack"), reorder)
+        with pytest.raises(IndexFormatError, match=r"manifest.*shard ids \[2, 1, 0\]"):
+            load_cluster_index(directory, engine_config)
+
+    def test_owner_outside_the_shards_rejected(self, saved_rack, engine_config,
+                                               tmp_path):
+        def orphan(manifest):
+            manifest["owner"][0] = manifest["num_shards"]
+
+        directory = _copy_with_manifest(saved_rack, str(tmp_path / "rack"), orphan)
+        with pytest.raises(IndexFormatError, match=r"manifest.*owner list.*\[0, 3\)"):
+            load_cluster_index(directory, engine_config)

@@ -76,6 +76,22 @@ class TestFailStop:
         np.testing.assert_array_equal(rows, [0])
         assert system.dead_dpus() == {1}
 
+    def test_broadcast_charges_only_named_rows(self, make_system, small_ds):
+        """A round is charged for the distinct query rows its tasks name,
+        a dead DPU's tasks included, not for every row of the matrix."""
+        plan = FaultPlan(
+            num_dpus=4, config=FaultConfig(), fail_at_batch={1: 0}
+        )
+        system = make_system(fault_plan=plan)
+        queries = small_ds.queries[:5]
+        _, timing = _run(
+            system, {0: [(1, "c0")], 1: [(1, "c1"), (3, "c1")]}, queries
+        )
+        assert timing.tasks == [(1, "c0")]
+        assert timing.failed_tasks == [(1, "c1"), (3, "c1")]
+        (bcast,) = [e for e in system.transfer.events if e.label == "queries"]
+        assert bcast.total_bytes == 2 * queries.shape[1]
+
     def test_crash_batch_respected(self, make_system, batch_queries):
         plan = FaultPlan(
             num_dpus=4, config=FaultConfig(), fail_at_batch={2: 1}
